@@ -9,7 +9,6 @@ from .dstructure import (
     DInterval,
     DMinusConvexSet,
     check_d_complete,
-    classify_interval,
     down_of,
     find_d_intervals,
     find_d_minus_convex_sets,

@@ -21,7 +21,7 @@ from .diagonals import diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
 from .hooks import all_ones_point
-from .poset import Poset, count_linear_extensions
+from .poset import Poset
 from .rsk import (
     NonGenericPoint,
     diagonal_sums,
@@ -96,7 +96,7 @@ def multivariate_identity(
     failures: list[str] = []
     checked = 0
     for name, poset, a in prepared:
-        if count_linear_extensions(poset) > cap:
+        if a.extension_count > cap:
             continue
         report = verify_multivariate(poset, points=points, seed=seed, cap=cap, analysis=a)
         checked += 1

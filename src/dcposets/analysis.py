@@ -1,8 +1,9 @@
 """Cached per-poset analysis bundle.
 
-Derived structure (d-intervals, diagonals, hook vectors, a stable
-insertion order) is computed once per poset and reused across the many
-evaluation points of the verification routines.
+Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
+a stable insertion order, the linear-extension count) is computed once
+per poset and reused across the many evaluation points of the
+verification routines.
 """
 
 from __future__ import annotations
@@ -11,9 +12,16 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagonals import DiagonalPartition, compute_diagonals
-from .dstructure import AxiomReport, DInterval, check_d_complete, find_d_intervals
+from .dstructure import (
+    AxiomReport,
+    DInterval,
+    DMinusConvexSet,
+    check_d_complete,
+    find_d_intervals,
+    find_d_minus_convex_sets,
+)
 from .hooks import HookVector, hook_lengths, hook_polynomial_eval, hook_vectors
-from .poset import Poset
+from .poset import Poset, count_linear_extensions
 
 
 class PosetAnalysis:
@@ -23,12 +31,16 @@ class PosetAnalysis:
         self.poset = poset
 
     @cached_property
+    def d_minus_sets(self) -> tuple[DMinusConvexSet, ...]:
+        return find_d_minus_convex_sets(self.poset)
+
+    @cached_property
     def d_intervals(self) -> tuple[DInterval, ...]:
-        return find_d_intervals(self.poset)
+        return find_d_intervals(self.poset, self.d_minus_sets)
 
     @cached_property
     def axiom_report(self) -> AxiomReport:
-        return check_d_complete(self.poset, self.d_intervals)
+        return check_d_complete(self.poset, self.d_intervals, self.d_minus_sets)
 
     @property
     def is_d_complete(self) -> bool:
@@ -43,40 +55,8 @@ class PosetAnalysis:
             )
 
     @cached_property
-    def interval_by_bottom(self) -> dict[int, DInterval]:
-        out: dict[int, DInterval] = {}
-        for interval in self.d_intervals:
-            if interval.bottom in out:
-                raise ValueError(
-                    f"element {interval.bottom} bottoms several d-intervals; poset is not d-complete"
-                )
-            out[interval.bottom] = interval
-        return out
-
-    @cached_property
-    def interval_by_top(self) -> dict[int, DInterval]:
-        out: dict[int, DInterval] = {}
-        for interval in self.d_intervals:
-            if interval.top in out:
-                raise ValueError(
-                    f"element {interval.top} tops several d-intervals; poset is not d-complete"
-                )
-            out[interval.top] = interval
-        return out
-
-    @cached_property
-    def up_map(self) -> tuple[int | None, ...]:
-        by_bottom = self.interval_by_bottom
-        return tuple(
-            by_bottom[p].top if p in by_bottom else None for p in range(self.poset.n)
-        )
-
-    @cached_property
-    def down_map(self) -> tuple[int | None, ...]:
-        by_top = self.interval_by_top
-        return tuple(
-            by_top[p].bottom if p in by_top else None for p in range(self.poset.n)
-        )
+    def extension_count(self) -> int:
+        return count_linear_extensions(self.poset)
 
     @cached_property
     def diagonals(self) -> DiagonalPartition:

@@ -113,7 +113,7 @@ def _cmd_hooks(args) -> int:
 
 def _cmd_extensions(args) -> int:
     P = _load_poset(args.poset)
-    count = count_linear_extensions(P, cap=args.cap)
+    count = count_linear_extensions(P)
     print(f"count={count}")
     if args.list:
         if count > args.cap:
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extensions", help="count (and optionally list) linear extensions")
     ext.add_argument("poset")
     ext.add_argument("--list", action="store_true")
-    ext.add_argument("--cap", type=int, default=10**6)
+    ext.add_argument("--cap", type=int, default=10**6, help="most extensions --list prints")
 
     for name in ("rsk", "inverse-rsk"):
         cmd = sub.add_parser(name, help=f"apply the {name.replace('-', ' ')} map to a filling")

@@ -3,16 +3,16 @@
 A d_k-interval is an interval isomorphic to the double-tailed diamond
 d_k(1); a d_k^- convex set is a convex subposet isomorphic to d_k(1) with
 its maximum removed.  Both shapes are rigid, so detection is structural
-(count the elements, find the unique incomparable pair, split the rest
-into the two chains) rather than generic graph isomorphism.
+rather than generic graph isomorphism: d_k^- sets grow outwards from
+their unique incomparable pair, and the d-intervals are their
+one-element completions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .poset import Poset, bits, mask_of
+from .poset import Poset, mask_of
 
 
 @dataclass(frozen=True)
@@ -79,40 +79,38 @@ class AxiomReport:
     violations: tuple[AxiomViolation, ...]
 
 
-def classify_interval(P: Poset, p: int, q: int) -> DInterval | None:
-    """The d-interval structure of [p, q], or None if it is not one."""
-    if not P.leq(p, q):
-        return None
-    m = P._up[p] & P._dn[q]
-    size = bin(m).count("1")
-    if size < 4 or size % 2:
-        return None
-    k = size // 2 + 1
-    members = list(bits(m))
-    incomparable = [
-        (a, b) for a, b in combinations(members, 2) if P.incomparable(a, b)
-    ]
-    if len(incomparable) != 1:
-        return None
-    s1, s2 = incomparable[0]
-    tail_mask = m & P._dn[s1] & P._dn[s2]
-    neck_mask = m & P._up[s1] & P._up[s2]
-    if bin(tail_mask).count("1") != k - 2 or bin(neck_mask).count("1") != k - 2:
-        return None
-    by_height = lambda v: bin(P._dn[v]).count("1")
-    tail = tuple(sorted(bits(tail_mask), key=by_height, reverse=True))
-    neck = tuple(sorted(bits(neck_mask), key=by_height, reverse=True))
-    return DInterval(k=k, bottom=p, top=q, sides=(s1, s2), neck=neck, tail=tail)
+def find_d_intervals(
+    P: Poset, dminus: tuple[DMinusConvexSet, ...] | None = None
+) -> tuple[DInterval, ...]:
+    """All d-intervals of P, sorted by (bottom, top).
 
-
-def find_d_intervals(P: Poset) -> tuple[DInterval, ...]:
-    """All d-intervals of P, sorted by (bottom, top)."""
+    A d_k-interval minus its top is a d_k^- convex set, so the intervals
+    are the one-element completions of ``dminus`` (by default
+    :func:`find_d_minus_convex_sets`): every z covering the set's maximum
+    (both sides when k == 3) with ``[bottom, z]`` equal to the set plus z.
+    One set can have several completions, and all are kept.
+    """
+    if dminus is None:
+        dminus = find_d_minus_convex_sets(P)
     found = []
-    for p in range(P.n):
-        for q in bits(P._up[p] ^ (1 << p)):
-            interval = classify_interval(P, p, q)
-            if interval is not None:
-                found.append(interval)
+    for shape in dminus:
+        if shape.neck:
+            candidates = P.upper_covers(shape.neck[0])
+        else:
+            candidates = set(P.upper_covers(shape.sides[0])) & set(P.upper_covers(shape.sides[1]))
+        target = shape.member_mask
+        for z in candidates:
+            if P.interval_mask(shape.bottom, z) == target | (1 << z):
+                found.append(
+                    DInterval(
+                        k=shape.k,
+                        bottom=shape.bottom,
+                        top=z,
+                        sides=shape.sides,
+                        neck=(z,) + shape.neck,
+                        tail=shape.tail,
+                    )
+                )
     return tuple(sorted(found, key=lambda iv: (iv.bottom, iv.top)))
 
 
@@ -172,32 +170,20 @@ def check_d_complete(
     """Verify the three defining axioms, reporting every violation.
 
     Axiom 1: every d_k^- convex set extends by one element to a
-    d_k-interval.  Axiom 2: the top of a d-interval covers nothing outside
-    it.  Axiom 3: no two d^- convex sets differ only in their minimal
-    elements.
+    d_k-interval, that is, it is some d-interval minus its top.  Axiom 2:
+    the top of a d-interval covers nothing outside it.  Axiom 3: no two
+    d^- convex sets differ only in their minimal elements.
     """
-    if intervals is None:
-        intervals = find_d_intervals(P)
     if dminus is None:
         dminus = find_d_minus_convex_sets(P)
+    if intervals is None:
+        intervals = find_d_intervals(P, dminus)
     violations: list[AxiomViolation] = []
 
+    completed = {interval.member_mask ^ (1 << interval.top) for interval in intervals}
     for shape in dminus:
-        if shape.neck:
-            candidates = P.upper_covers(shape.neck[0])
-        else:
-            candidates = tuple(
-                set(P.upper_covers(shape.sides[0])) & set(P.upper_covers(shape.sides[1]))
-            )
-        completed = False
-        target = shape.members
-        for z in candidates:
-            interval = classify_interval(P, shape.bottom, z)
-            if interval is not None and interval.members == target | {z}:
-                completed = True
-                break
-        if not completed:
-            violations.append(AxiomViolation(1, tuple(sorted(target))))
+        if shape.member_mask not in completed:
+            violations.append(AxiomViolation(1, tuple(sorted(shape.members))))
 
     for interval in intervals:
         members = interval.members

@@ -8,7 +8,7 @@ the public API; bitmask ints are used internally and exposed through the
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class CycleError(ValueError):
@@ -21,7 +21,16 @@ class CycleError(ValueError):
 
 
 class ExtensionLimitError(RuntimeError):
-    """Linear-extension work exceeded the configured cap."""
+    """The poset's order-ideal lattice has more than ``IDEAL_LIMIT`` ideals.
+
+    Also raised by callers that refuse a poset with too many linear
+    extensions for an enumeration or a sampled check.
+    """
+
+
+# The ideal-lattice walk refuses posets with more ideals than this.  Its two
+# live levels set the peak memory of exact counting.
+IDEAL_LIMIT = 2**16
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -264,43 +273,13 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
     return rec((1 << P.n) - 1)
 
 
-def count_linear_extensions(P: Poset, cap: int | None = None) -> int:
-    """Exact number of linear extensions.
+def count_linear_extensions(P: Poset) -> int:
+    """Exact number of linear extensions, by :func:`fold_ideals`.
 
-    Uses dynamic programming over order ideals for n <= 25 and falls back
-    to the enumerator (bounded by ``cap``, default 10**6) above that.
+    Raises :class:`ExtensionLimitError` when P has more than
+    ``IDEAL_LIMIT`` order ideals, however few elements it has.
     """
-    if P.n <= 25:
-        up = P._up
-        memo = {0: 1}
-
-        def count(mask: int) -> int:
-            try:
-                return memo[mask]
-            except KeyError:
-                pass
-            total = 0
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if up[v] & mask == low:
-                    total += count(mask ^ low)
-            memo[mask] = total
-            return total
-
-        return count((1 << P.n) - 1)
-
-    limit = 10**6 if cap is None else cap
-    total = 0
-    for _ in linear_extensions(P):
-        total += 1
-        if total > limit:
-            raise ExtensionLimitError(
-                f"poset has more than {limit} linear extensions; raise the cap to count it"
-            )
-    return total
+    return fold_ideals(P)
 
 
 def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
@@ -315,25 +294,71 @@ def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
     return True
 
 
+def _ideal_levels(P: Poset, finish: Callable | None = None) -> Iterator[dict[int, list]]:
+    """The lattice of order ideals, one level (ideal size) at a time.
+
+    Each level maps an ideal's bitmask to ``[value, addable]``: ``addable``
+    is the mask of elements outside the ideal whose strict downset lies
+    inside it, and ``value`` is the sum of the values of the ideals it
+    covers (1 for the empty ideal), replaced by ``finish(mask, value)``
+    when ``finish`` is given.  A new ideal's addable mask is its parent's
+    minus the added element plus those upper covers of that element that
+    became addable, so a step costs O(covers), not O(n).  Only the current
+    and the next level are held.
+    """
+    below = tuple(d ^ (1 << v) for v, d in enumerate(P._dn))
+    upper = P._upper
+    level = {0: [1, mask_of(v for v in range(P.n) if not below[v])]}
+    visited = 1
+    for _ in range(P.n):
+        yield level
+        nxt: dict[int, list] = {}
+        for mask, (value, addable) in level.items():
+            rest = addable
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                grown = mask | low
+                entry = nxt.get(grown)
+                if entry is not None:
+                    entry[0] += value
+                    continue
+                visited += 1
+                if visited > IDEAL_LIMIT:
+                    raise ExtensionLimitError(
+                        f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
+                    )
+                reach = addable ^ low
+                for w in upper[low.bit_length() - 1]:
+                    if not below[w] & ~grown:
+                        reach |= 1 << w
+                nxt[grown] = [value, reach]
+        if finish is not None:
+            for mask, entry in nxt.items():
+                entry[0] = finish(mask, entry[0])
+        level = nxt
+    yield level
+
+
+def fold_ideals(P: Poset, finish: Callable | None = None):
+    """Fold values up the ideal lattice; the value of the full ideal.
+
+    Without ``finish`` this counts the maximal chains of the lattice, which
+    are the linear extensions.  ``finish(mask, total)`` turns the summed
+    values of the ideals below ``mask`` into the value of ``mask``.
+    """
+    for level in _ideal_levels(P, finish):
+        pass
+    return level[(1 << P.n) - 1][0]
+
+
 def order_ideal_masks(P: Poset) -> Iterator[int]:
-    """All downset bitmasks, the empty set included."""
-    seen = {0}
-    stack = [0]
-    dn = P._dn
-    full = (1 << P.n) - 1
-    while stack:
-        m = stack.pop()
-        yield m
-        rest = full ^ m
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if dn[v] & ~m == low:
-                m2 = m | low
-                if m2 not in seen:
-                    seen.add(m2)
-                    stack.append(m2)
+    """All downset bitmasks, the empty set included, smallest ideals first.
+
+    Raises :class:`ExtensionLimitError` past ``IDEAL_LIMIT`` ideals.
+    """
+    for level in _ideal_levels(P):
+        yield from level
 
 
 def upper_set_masks(P: Poset) -> Iterator[int]:

@@ -31,7 +31,7 @@ from .hooks import (
 from .poset import (
     ExtensionLimitError,
     Poset,
-    count_linear_extensions,
+    fold_ideals,
     is_descending_extension,
     linear_extensions,
 )
@@ -76,9 +76,13 @@ def weight_sum(
 ) -> Fraction:
     """Sum of extension weights at a rational point.
 
-    ``ideal-dp`` factors the sum over the lattice of downsets (each suffix
-    of a descending extension is a downset); ``enumerate`` sums extension
-    by extension.  Both are exact and agree.
+    ``ideal-dp`` folds the sum up the lattice of downsets with
+    :func:`fold_ideals` (each suffix of a descending extension is a
+    downset): a downset's value is the sum over the downsets it covers,
+    divided by its x-sum.  Posets with more than ``IDEAL_LIMIT`` downsets
+    raise :class:`ExtensionLimitError`.  ``enumerate`` sums extension by
+    extension; it is the reference the tests compare against.  Both are
+    exact and agree.
     """
     x = validate_point(x, part.count)
     if method == "enumerate":
@@ -89,34 +93,18 @@ def weight_sum(
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
 
-    weights = [x[part.diagonal_of[p]] for p in range(P.n)]
-    up = P._up
-    memo: dict[int, Fraction] = {0: Fraction(1)}
+    # With x = c / L over a common denominator L, each x-sum is an integer
+    # over L; the fold divides by the integer and the L**n comes back last.
+    scale = math.lcm(*(v.denominator for v in x))
+    diagonal_masks = [0] * part.count
+    for p in range(P.n):
+        diagonal_masks[part.diagonal_of[p]] |= 1 << p
+    scaled = [(int(v * scale), m) for v, m in zip(x, diagonal_masks)]
 
-    def total_weight(mask: int) -> Fraction:
-        try:
-            return memo[mask]
-        except KeyError:
-            pass
-        acc = Fraction(0)
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if up[v] & mask == low:
-                acc += total_weight(mask ^ low)
-        xw = Fraction(0)
-        m = mask
-        while m:
-            low = m & -m
-            xw += weights[low.bit_length() - 1]
-            m ^= low
-        result = acc / xw
-        memo[mask] = result
-        return result
+    def finish(mask: int, total) -> Fraction:
+        return Fraction(total, sum(c * (mask & m).bit_count() for c, m in scaled))
 
-    return total_weight((1 << P.n) - 1)
+    return fold_ideals(P, finish) * Fraction(scale) ** P.n
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,7 @@ def verify_proctor(P: Poset, *, analysis: PosetAnalysis | None = None) -> Procto
     """Check extensions * product(hook lengths) == |P|! exactly."""
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    count = count_linear_extensions(P)
+    count = a.extension_count
     product = math.prod(a.hook_lengths)
     fact = math.factorial(P.n)
     return ProctorReport(
@@ -174,7 +162,7 @@ def verify_multivariate(
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    count = count_linear_extensions(P)
+    count = a.extension_count
     if count > cap:
         raise ExtensionLimitError(
             f"poset has {count} linear extensions, above the cap of {cap}; refusing"

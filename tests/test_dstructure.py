@@ -6,7 +6,6 @@ from dcposets import (
     Poset,
     builtin_poset,
     check_d_complete,
-    classify_interval,
     d_k_one,
     down_of,
     find_d_intervals,
@@ -20,9 +19,16 @@ from dcposets.poset import bits, upper_set_masks
 from conftest import chain
 
 
+def _interval(P: Poset, bottom: int, top: int):
+    found = [iv for iv in find_d_intervals(P) if (iv.bottom, iv.top) == (bottom, top)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
 def test_classify_diamond():
     P = d_k_one(3)
-    interval = classify_interval(P, 0, 3)
+    assert [(iv.bottom, iv.top) for iv in find_d_intervals(P)] == [(0, 3)]
+    interval = _interval(P, 0, 3)
     assert interval is not None
     assert interval.k == 3
     assert interval.sides == (1, 2)
@@ -36,19 +42,18 @@ def test_classify_diamond():
 def test_classify_double_tailed():
     # p=0, c=1, a=2, b=3, d=4, q=5
     P = builtin_poset("d4-named")
-    interval = classify_interval(P, 0, 5)
+    interval = _interval(P, 0, 5)
     assert interval is not None
     assert interval.k == 4
     assert interval.sides == (2, 3)
     assert interval.neck == (5, 4)
     assert interval.tail == (1, 0)
     assert interval.diamond_top == 4
-    assert classify_interval(P, 1, 4).k == 3
+    assert _interval(P, 1, 4).k == 3
 
 
 def test_chain_interval_is_not_d():
-    P = chain(4)
-    assert classify_interval(P, 0, 3) is None
+    assert find_d_intervals(chain(4)) == ()
 
 
 def test_find_d_intervals_double_tailed():
@@ -82,12 +87,48 @@ def _brute_force_dminus(P: Poset, kmax: int = 6):
     return found
 
 
-@pytest.mark.parametrize("name", ["d4-named", "d5", "sample10", "young-3.2", "shifted-4.3.1", "chain5"])
+def _brute_force_d_intervals(P: Poset, kmax: int = 6):
+    """Oracle: scan all intervals of size 2k-2 for isomorphism with d_k(1)."""
+    found = set()
+    for p in range(P.n):
+        for q in range(P.n):
+            if p == q or not P.leq(p, q):
+                continue
+            members = P.interval(p, q)
+            size = len(members)
+            if size % 2 or not 4 <= size <= 2 * kmax - 2:
+                continue
+            sub, _ = P.restrict(members)
+            if is_isomorphic(sub, d_k_one(size // 2 + 1)):
+                found.add((p, q, members))
+    return found
+
+
+BRUTE_FORCE_POSETS = ["d4-named", "d5", "sample10", "young-3.2", "shifted-4.3.1", "chain5"]
+
+
+@pytest.mark.parametrize("name", BRUTE_FORCE_POSETS)
 def test_dminus_against_brute_force(family, name):
     P = family[name]
     expected = _brute_force_dminus(P)
     got = {shape.members for shape in find_d_minus_convex_sets(P)}
     assert got == expected
+
+
+@pytest.mark.parametrize("name", BRUTE_FORCE_POSETS)
+def test_d_intervals_against_brute_force(family, name):
+    P = family[name]
+    expected = _brute_force_d_intervals(P)
+    got = {(iv.bottom, iv.top, iv.members) for iv in find_d_intervals(P)}
+    assert got == expected
+
+
+def test_d_minus_set_with_two_completions():
+    # {0, 1, 2} is completed by both 3 and 4; each completion is a d_3-interval
+    P = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    found = find_d_intervals(P)
+    assert [(iv.bottom, iv.top) for iv in found] == [(0, 3), (0, 4)]
+    assert {(iv.bottom, iv.top, iv.members) for iv in found} == _brute_force_d_intervals(P)
 
 
 def test_dminus_named_example():

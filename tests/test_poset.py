@@ -1,13 +1,17 @@
+import math
+
 import pytest
 
 from dcposets import (
     CycleError,
+    ExtensionLimitError,
     Poset,
     count_linear_extensions,
     d_k_one,
     is_descending_extension,
     is_isomorphic,
     linear_extensions,
+    shifted_young,
     young,
 )
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
@@ -80,6 +84,14 @@ def test_counts():
     assert count_linear_extensions(chain(6)) == 1
     assert count_linear_extensions(d_k_one(4)) == 2
     assert count_linear_extensions(antichain(3)) == 6
+    assert count_linear_extensions(shifted_young((7, 6, 5, 4, 3, 2, 1))) == 23178480
+
+
+def test_ideal_limit():
+    # antichain(n) has 2**n order ideals; the limit admits exactly 2**16
+    assert count_linear_extensions(antichain(16)) == math.factorial(16)
+    with pytest.raises(ExtensionLimitError, match="IDEAL_LIMIT"):
+        count_linear_extensions(antichain(17))
 
 
 @pytest.mark.parametrize(

@@ -95,7 +95,9 @@ def test_proctor_chain():
     assert report.ok and report.extensions == 1 and report.hook_product == 720
 
 
-@pytest.mark.parametrize("shape", [(3, 2), (2, 2, 1), (4, 3, 1), (3, 3, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (2, 2, 1), (4, 3, 1), (3, 3, 2), (1, 1, 1, 1), (5, 5, 5, 5, 5, 5)]
+)
 def test_proctor_matches_classical_formula(shape):
     # the classical count n! / prod(arm+leg+1) is the independent oracle
     P = young(shape)
@@ -108,6 +110,17 @@ def test_proctor_matches_classical_formula(shape):
     expected = math.factorial(n) // math.prod(hooks)
     assert count_linear_extensions(P) == expected
     assert verify_proctor(P).ok
+
+
+def test_long_chain_counts_and_weighs():
+    # both folds are iterative: a chain longer than the recursion limit is fine
+    P = chain(1200)
+    assert count_linear_extensions(P) == 1
+    a = analyze(P)
+    numerators = [d % 5 + 1 for d in range(a.diagonals.count)]
+    x = tuple(Fraction(c, 3) for c in numerators)
+    hooks = math.prod(sum(h * c for h, c in zip(vec, numerators)) for vec in a.hook_vectors)
+    assert weight_sum(P, a.diagonals, x) == Fraction(3**P.n, hooks)
 
 
 def test_multivariate_double_tailed_at_ones():

@@ -192,7 +192,7 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
 def volume_preservation(
     prepared: Prepared, points: int = 25, seed: int = 0, max_elements: int = 10
 ) -> CriterionResult:
-    """Finite-difference Jacobian determinant is exactly +-1 at generic points."""
+    """The insertion map's exact Jacobian determinant is +-1 at generic points."""
     failures: list[str] = []
     checked = 0
     for name, poset, a in prepared:

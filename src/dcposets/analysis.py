@@ -1,9 +1,9 @@
 """Cached per-poset analysis bundle.
 
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
-a stable insertion order, the linear-extension count) is computed once
-per poset and reused across the many evaluation points of the
-verification routines.
+a stable insertion order and its toggle program, the linear-extension
+count) is computed once per poset and reused across the many evaluation
+points of the verification routines.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ class PosetAnalysis:
 
     def __init__(self, poset: Poset):
         self.poset = poset
+        self._hooks_at: tuple[tuple, tuple[Fraction, ...]] | None = None
 
     @cached_property
     def d_minus_sets(self) -> tuple[DMinusConvexSet, ...]:
@@ -76,9 +77,23 @@ class PosetAnalysis:
 
         return stable_insertion_order(self.poset, analysis=self)
 
+    @cached_property
+    def insertion_program(self):
+        """The toggle program of the stable insertion order."""
+        from .rsk import compile_program
+
+        return compile_program(self.poset, self.diagonals, self.stable_order)
+
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
-        """All hook polynomials H_p evaluated at the rational point x."""
-        return tuple(hook_polynomial_eval(v, x) for v in self.hook_vectors)
+        """All hook polynomials H_p evaluated at the rational point x.
+
+        The last point and its values are kept: callers check several
+        things at one point in a row.
+        """
+        point = tuple(x)
+        if self._hooks_at is None or self._hooks_at[0] != point:
+            self._hooks_at = (point, tuple(hook_polynomial_eval(v, point) for v in self.hook_vectors))
+        return self._hooks_at[1]
 
 
 def analyze(P: Poset) -> PosetAnalysis:

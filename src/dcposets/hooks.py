@@ -7,6 +7,7 @@ evaluated here with exact integer/rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -85,10 +86,16 @@ def indicator_of_set(part: DiagonalPartition, members) -> HookVector:
 
 
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
-    """Evaluate sum_D h^(D) * x_D exactly."""
+    """Evaluate sum_D h^(D) * x_D exactly.
+
+    Only the nonzero entries of the vector are summed, as integers over
+    the common denominator of their coordinates.
+    """
     if len(vector) != len(x):
         raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(x)}")
-    return sum((h * xd for h, xd in zip(vector, x)), Fraction(0))
+    terms = [(h, x[d]) for d, h in enumerate(vector) if h]
+    denom = math.lcm(*(xd.denominator for _, xd in terms))
+    return Fraction(sum(h * xd.numerator * (denom // xd.denominator) for h, xd in terms), denom)
 
 
 def all_ones_point(count: int) -> RationalPoint:

@@ -251,26 +251,35 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
     """Yield every linear extension exactly once, maximal element first.
 
     The enumeration is deterministic: at each step the smallest eligible
-    id is tried first.
+    id is tried first.  The search keeps an explicit stack, one frame per
+    chosen element, so long chains need no recursion.
     """
-    up = P._up
+    up, lower = P._up, P._lower
+    full = (1 << P.n) - 1
+    top = mask_of(P.maximal_in_mask(full))
     seq: list[int] = []
-
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
+    # frame: [elements left, the maximal ones among them, those not tried yet]
+    stack = [[full, top, top]]
+    while stack:
+        frame = stack[-1]
+        remaining, eligible, untried = frame
         if not remaining:
             yield tuple(seq)
-            return
-        m = remaining
-        while m:
-            low = m & -m
+        if untried:
+            low = untried & -untried
+            frame[2] = untried ^ low
             v = low.bit_length() - 1
-            m ^= low
-            if up[v] & remaining == low:
-                seq.append(v)
-                yield from rec(remaining ^ low)
+            rest = remaining ^ low
+            nxt = eligible ^ low
+            for w in lower[v]:
+                if up[w] & rest == 1 << w:
+                    nxt |= 1 << w
+            seq.append(v)
+            stack.append([rest, nxt, nxt])
+        else:
+            stack.pop()
+            if seq:
                 seq.pop()
-
-    return rec((1 << P.n) - 1)
 
 
 def count_linear_extensions(P: Poset) -> int:

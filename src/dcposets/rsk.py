@@ -5,13 +5,22 @@ inserting elements along a descending linear extension: the new element
 is labeled with the negated input value, then every present element of
 its diagonal is toggled.  A toggle replaces a label by
 ``max(labels of covering elements) + min(labels of covered elements) - label``,
-with missing neighbors contributing 0.  All arithmetic is exact; the core
-runs on integers after clearing denominators.
+with missing neighbors contributing 0.
+
+Which elements are present at each step depends only on the insertion
+order, so a (poset, order) pair is compiled once into a toggle program:
+per inserted element, the present members of its diagonal, each with its
+present upper and lower covers.  ``rsk``, ``inverse_rsk`` and ``toggle``
+run that program through one step function on integer labels, with
+denominators cleared; Fractions appear only at the API edges.  Elements
+of one diagonal never cover each other, so the toggles of one step read
+no label another of them writes: they commute.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -23,6 +32,12 @@ from .dstructure import DInterval
 from .poset import Poset, is_descending_extension
 
 Filling = tuple[Fraction, ...]
+# One toggle: (element, candidate upper covers, candidate lower covers).  An
+# element without present covers on a side lists the sentinel id n, whose
+# label is always 0.
+Toggle = tuple[int, tuple[int, ...], tuple[int, ...]]
+# Per inserted element, in insertion order: (element, its step's toggles).
+Program = tuple[tuple[int, tuple[Toggle, ...]], ...]
 
 
 class NonGenericPoint(RuntimeError):
@@ -56,6 +71,55 @@ def is_order_reversing(P: Poset, s: Sequence[Fraction]) -> bool:
     return all(s[a] >= s[b] for a, b in P.covers)
 
 
+# -- the toggle kernel -------------------------------------------------------
+
+
+def compile_program(P: Poset, part: DiagonalPartition, order: Sequence[int]) -> Program:
+    """The toggles the insertion runs along ``order``, a descending extension.
+
+    Along a descending extension every upper cover of an element is
+    inserted before it, so its upper candidates never change; its lower
+    candidates are the lower covers inserted so far.  Candidates are
+    listed by id, the order in which ties are detected.
+    """
+    sentinel = (P.n,)
+    ups = [u or sentinel for u in P._upper]
+    below: list[list[int]] = [[] for _ in range(P.n)]
+    los = [sentinel] * P.n
+    inserted: list[list[int]] = [[] for _ in range(part.count)]
+    program = []
+    for c in order:
+        for u in P._upper[c]:
+            insort(below[u], c)
+            los[u] = tuple(below[u])
+        members = inserted[part.diagonal_of[c]]
+        members.append(c)
+        program.append((c, tuple([(e, ups[e], los[e]) for e in members])))
+    return tuple(program)
+
+
+def _toggle_all(labels: list[int], toggles: Iterable[Toggle]) -> None:
+    """The step function: toggle each element against its candidate covers."""
+    get = labels.__getitem__
+    for e, ups, los in toggles:
+        labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e]
+
+
+def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer labels over a common denominator, plus the sentinel's 0."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values] + [0], denom
+
+
+def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
+    if order is None:
+        return analysis.insertion_program
+    order = tuple(order)
+    if not is_descending_extension(P, order):
+        raise ValueError("insertion order must be a descending linear extension")
+    return compile_program(P, analysis.diagonals, order)
+
+
 def toggle(P: Poset, state: Mapping[int, Fraction], p: int) -> dict[int, Fraction]:
     """Toggle the label of p against its present neighbors.
 
@@ -64,84 +128,17 @@ def toggle(P: Poset, state: Mapping[int, Fraction], p: int) -> dict[int, Fractio
     """
     if p not in state:
         raise ValueError(f"element {p} carries no label")
-    above = [state[u] for u in P.upper_covers(p) if u in state]
-    below = [state[v] for v in P.lower_covers(p) if v in state]
-    sx = max(above) if above else Fraction(0)
-    sy = min(below) if below else Fraction(0)
+    ups = tuple(u for u in P.upper_covers(p) if u in state)
+    los = tuple(v for v in P.lower_covers(p) if v in state)
+    read = (p, *ups, *los)
+    scaled, denom = _scale([Fraction(state[q]) for q in read])
+    labels = [0] * (P.n + 1)
+    for q, v in zip(read, scaled):
+        labels[q] = v
+    _toggle_all(labels, ((p, ups or (P.n,), los or (P.n,)),))
     out = dict(state)
-    out[p] = sx + sy - state[p]
+    out[p] = Fraction(labels[p], denom)
     return out
-
-
-def _validated_order(P: Poset, order, analysis: PosetAnalysis) -> tuple[int, ...]:
-    if order is None:
-        return analysis.stable_order
-    order = tuple(order)
-    if not is_descending_extension(P, order):
-        raise ValueError("insertion order must be a descending linear extension")
-    return order
-
-
-def _scale(values: Filling) -> tuple[list[int], int]:
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * denom) for v in values], denom
-
-
-def _insertion_core(
-    P: Poset,
-    part: DiagonalPartition,
-    order: tuple[int, ...],
-    scaled: list[int],
-    trace: list[tuple[int, int, int]] | None = None,
-    gaps: list[int] | None = None,
-) -> dict[int, int]:
-    """Run the insertion on integer-scaled labels.
-
-    When ``trace`` is given, the argmax/argmin choice of every toggle is
-    appended to it as (element, chosen upper, chosen lower), -1 for
-    absent.  When ``gaps`` is given, the absolute difference between each
-    later selection candidate and the running best is appended; a zero
-    there means the point sits on a cell boundary.
-    """
-    upper, lower = P._upper, P._lower
-    classes = part.classes
-    diagonal_of = part.diagonal_of
-    state: dict[int, int] = {}
-    for c in order:
-        state[c] = -scaled[c]
-        for e in sorted(x for x in classes[diagonal_of[c]] if x in state):
-            cx = cy = -1
-            sx = sy = 0
-            best: int | None = None
-            for u in upper[e]:
-                if u in state:
-                    val = state[u]
-                    if best is None:
-                        best, cx = val, u
-                    else:
-                        if gaps is not None:
-                            gaps.append(abs(val - best))
-                        if val > best:
-                            best, cx = val, u
-            if best is not None:
-                sx = best
-            best = None
-            for v in lower[e]:
-                if v in state:
-                    val = state[v]
-                    if best is None:
-                        best, cy = val, v
-                    else:
-                        if gaps is not None:
-                            gaps.append(abs(val - best))
-                        if val < best:
-                            best, cy = val, v
-            if best is not None:
-                sy = best
-            if trace is not None:
-                trace.append((e, cx, cy))
-            state[e] = sx + sy - state[e]
-    return state
 
 
 def rsk(
@@ -159,10 +156,12 @@ def rsk(
     a = analysis or analyze(P)
     a.ensure_d_complete()
     t = normalize_filling(P.n, filling, require_nonnegative=True)
-    seq = _validated_order(P, order, a)
-    scaled, denom = _scale(t)
-    state = _insertion_core(P, a.diagonals, seq, scaled)
-    return tuple(Fraction(state[i], denom) for i in range(P.n))
+    program = _program(P, order, a)
+    labels, denom = _scale(t)
+    for c, toggles in program:
+        labels[c] = -labels[c]
+        _toggle_all(labels, toggles)
+    return tuple(Fraction(v, denom) for v in labels[:-1])
 
 
 def inverse_rsk(
@@ -184,23 +183,12 @@ def inverse_rsk(
         raise ValueError("image filling must be nonnegative")
     if not is_order_reversing(P, s):
         raise ValueError("image filling must be order-reversing")
-    seq = _validated_order(P, order, a)
-    scaled, denom = _scale(s)
-
-    upper, lower = P._upper, P._lower
-    classes = a.diagonals.classes
-    diagonal_of = a.diagonals.diagonal_of
-    state = {i: scaled[i] for i in range(P.n)}
-    out = [Fraction(0)] * P.n
-    for c in reversed(seq):
-        for e in sorted(x for x in classes[diagonal_of[c]] if x in state):
-            above = [state[u] for u in upper[e] if u in state]
-            below = [state[v] for v in lower[e] if v in state]
-            sx = max(above) if above else 0
-            sy = min(below) if below else 0
-            state[e] = sx + sy - state[e]
-        out[c] = Fraction(-state.pop(c), denom)
-    return tuple(out)
+    program = _program(P, order, a)
+    state, denom = _scale(s)
+    for c, toggles in reversed(program):
+        _toggle_all(state, toggles)
+        state[c] = -state[c]
+    return tuple(Fraction(v, denom) for v in state[:-1])
 
 
 def diagonal_sums(P: Poset, part: DiagonalPartition, s: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -321,73 +309,85 @@ def rsk_jacobian_det(
     *,
     analysis: PosetAnalysis | None = None,
 ) -> Fraction:
-    """Exact finite-difference Jacobian determinant of the insertion map.
+    """Exact Jacobian determinant of the insertion map at a generic point.
 
-    The map is piecewise linear; within one linearity cell the finite
-    difference equals the cell's linear map exactly.  The base run records
-    every argmax/argmin choice; the perturbation is shrunk until all n
-    perturbed runs make identical choices.  Ties at the base point raise
-    :class:`NonGenericPoint`.
+    Every toggle is a piecewise-linear involution, so the map is piecewise
+    linear.  One run at the base point records, per toggle, the upper
+    cover of largest label and the lower cover of smallest label; a tie
+    raises :class:`NonGenericPoint` as soon as it appears.  When every gap
+    is strictly positive, the same choices are made on a neighborhood of
+    the point, so there the map is the linear map those choices spell
+    out.  Replaying them on integer coefficient rows (inserting c sets
+    row_c = -e_c, a toggle sets row_e = row_max + row_min - row_e) yields
+    that map exactly; its determinant is taken by fraction-free integer
+    elimination.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
     t = normalize_filling(P.n, filling, require_nonnegative=True)
-    seq = _validated_order(P, order, a)
-    part = a.diagonals
+    program = _program(P, order, a)
+    labels, _ = _scale(t)
+    trace = []
+    for c, toggles in program:
+        labels[c] = -labels[c]
+        chosen = tuple(
+            (e, (_select(labels, ups, 1),), (_select(labels, los, -1),))
+            for e, ups, los in toggles
+        )
+        _toggle_all(labels, chosen)
+        trace.append((c, chosen))
+
     n = P.n
-
-    scaled, denom = _scale(t)
-    base_trace: list[tuple[int, int, int]] = []
-    gaps: list[int] = []
-    base_state = _insertion_core(P, part, seq, scaled, base_trace, gaps)
-    if any(g == 0 for g in gaps):
-        raise NonGenericPoint("tie between toggle candidates at the base point")
-    min_gap = Fraction(min(gaps), denom) if gaps else Fraction(1)
-
-    eps = min_gap / 2**20
-    for _ in range(4):
-        columns: list[list[Fraction]] = []
-        ok = True
-        for j in range(n):
-            shifted = list(t)
-            shifted[j] += eps
-            svals, sden = _scale(tuple(shifted))
-            trace: list[tuple[int, int, int]] = []
-            state = _insertion_core(P, part, seq, svals, trace)
-            if trace != base_trace:
-                ok = False
-                break
-            columns.append(
-                [
-                    (Fraction(state[i], sden) - Fraction(base_state[i], denom)) / eps
-                    for i in range(n)
-                ]
-            )
-        if ok:
-            matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-            return _det(matrix)
-        eps /= 2**10
-    raise NonGenericPoint("could not confine the perturbation to one linearity cell")
+    rows = [[0] * n for _ in range(n + 1)]  # row n, the sentinel's, stays zero
+    for c, chosen in trace:
+        rows[c][c] = -1
+        for e, (cx,), (cy,) in chosen:
+            rows[e] = [x + y - z for x, y, z in zip(rows[cx], rows[cy], rows[e])]
+    return Fraction(_bareiss(rows[:n]))
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
+def _select(labels: list[int], candidates: tuple[int, ...], sign: int) -> int:
+    """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
+    best = candidates[0]
+    for u in candidates[1:]:
+        gap = sign * (labels[u] - labels[best])
+        if gap == 0:
+            raise NonGenericPoint("tie between toggle candidates at the base point")
+        if gap > 0:
+            best = u
+    return best
+
+
+def _bareiss(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every entry after step k is a (k+1)-minor of the input, so each
+    division by the previous pivot is exact.
+    """
     m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        if m[k][k] < 0:  # a positive pivot spares rescaling the rows it leaves alone
+            m[k] = [-x for x in m[k]]
+            sign = -sign
+        rk = m[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
+            if f:
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
+            elif pk != prev:
+                m[i] = [pk * x // prev for x in ri]
+        prev = pk
+    return sign * prev
 
 
 # -- randomized oracle ------------------------------------------------------
@@ -407,23 +407,15 @@ class RskOracleReport:
     failures: tuple[OracleFailure, ...]
 
 
-def _missing_lower_events(P: Poset, part: DiagonalPartition, order: Sequence[int]):
+def _missing_lower_events(program: Program, n: int) -> list[tuple[int, int]]:
     """Toggles of an already-present element with no present lower cover.
 
-    Presence is determined by the insertion order alone.  On d-complete
-    input this list should be empty: the only toggle lacking a lower
-    neighbor is the one at the freshly inserted element.
+    Presence is determined by the insertion order alone, so this is a
+    scan of the compiled program.  On d-complete input this list should
+    be empty: the only toggle lacking a lower neighbor is the one at the
+    freshly inserted element.
     """
-    events = []
-    present: set[int] = set()
-    for c in order:
-        present.add(c)
-        for e in part.classes[part.diagonal_of[c]] & present:
-            if e == c:
-                continue
-            if not any(v in present for v in P.lower_covers(e)):
-                events.append((c, e))
-    return events
+    return [(c, e) for c, toggles in program for e, _, los in toggles if e != c and los == (n,)]
 
 
 def rsk_oracles(
@@ -452,7 +444,7 @@ def rsk_oracles(
 
     for k in range(3):
         order = random_descending_extension(P, rng)
-        events = _missing_lower_events(P, part, order)
+        events = _missing_lower_events(compile_program(P, part, order), P.n)
         if events:
             failures.append(OracleFailure(-1, "missing-lower-neighbor", (order, tuple(events))))
 

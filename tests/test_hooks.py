@@ -1,9 +1,11 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from dcposets import (
     analyze,
+    catalog,
     compute_diagonals,
     d_k_one,
     hook_lengths,
@@ -12,6 +14,7 @@ from dcposets import (
     indicator_of_set,
     indicator_vector,
     linear_extensions,
+    random_rational_point,
     young,
 )
 from dcposets.families import young_box_ids
@@ -103,3 +106,15 @@ def test_hook_polynomial_eval():
     assert hook_polynomial_eval(vectors[5], x) == Fraction(31, 12)
     with pytest.raises(ValueError):
         hook_polynomial_eval(vectors[5], x[:3])
+
+
+def test_hook_polynomials_match_naive_sum():
+    rng = Random(4)
+    for entry in catalog():
+        a = analyze(entry.poset)
+        for _ in range(2):
+            x = random_rational_point(a.diagonals.count, rng)
+            naive = tuple(sum((h * xd for h, xd in zip(v, x)), Fraction(0)) for v in a.hook_vectors)
+            assert a.hook_polynomials(x) == naive
+            assert a.hook_polynomials(list(x)) == naive  # the remembered point
+

@@ -4,6 +4,7 @@ import pytest
 
 from dcposets import (
     CycleError,
+    catalog,
     ExtensionLimitError,
     Poset,
     count_linear_extensions,
@@ -78,6 +79,36 @@ def test_extension_enumeration_basics():
     assert exts == [(5, 4, 2, 3, 1, 0), (5, 4, 3, 2, 1, 0)]
     for ext in exts:
         assert is_descending_extension(d_k_one(4), ext)
+
+
+def _recursive_extensions(P):
+    """Depth-first enumeration by recursion: smallest eligible id first."""
+    seq = []
+
+    def rec(remaining):
+        if not remaining:
+            yield tuple(seq)
+            return
+        for v in range(P.n):
+            low = 1 << v
+            if remaining & low and P.upset_mask(v) & remaining == low:
+                seq.append(v)
+                yield from rec(remaining ^ low)
+                seq.pop()
+
+    return rec((1 << P.n) - 1)
+
+
+def test_extension_order_matches_recursive_enumeration():
+    small = [e.poset for e in catalog() if e.poset.n <= 7] + [Poset(0)]
+    assert len(small) > 100
+    for P in small:
+        assert list(linear_extensions(P)) == list(_recursive_extensions(P))
+
+
+def test_long_chain_extension():
+    P = chain(1200)
+    assert list(linear_extensions(P)) == [tuple(range(1199, -1, -1))]
 
 
 def test_counts():

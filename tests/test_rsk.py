@@ -26,7 +26,7 @@ from dcposets import (
 )
 from dcposets.classical import toggle_rpp
 from dcposets.families import shifted_box_ids, young_box_ids
-from dcposets.rsk import random_descending_extension
+from dcposets.rsk import _bareiss, normalize_filling, random_descending_extension
 
 from conftest import chain
 
@@ -181,6 +181,184 @@ def test_diagonal_sums_partition_identity(family, analyses):
 def test_oracles(family, analyses, name):
     report = rsk_oracles(family[name], trials=30, seed=13, analysis=analyses[name])
     assert report.ok, report.failures[:3]
+
+
+# -- reference implementations ------------------------------------------------
+#
+# The dict-based insertion and the finite-difference Jacobian below are the
+# straightforward forms of the kernel; the compiled integer kernel must agree
+# with them value for value.
+
+
+def _reference_toggle(P, state, p):
+    above = [state[u] for u in P.upper_covers(p) if u in state]
+    below = [state[v] for v in P.lower_covers(p) if v in state]
+    out = dict(state)
+    out[p] = (max(above) if above else 0) + (min(below) if below else 0) - state[p]
+    return out
+
+
+def _reference_insertion(P, a, order, values, trace=None, gaps=None):
+    """Insert along ``order``, toggling the present diagonal in id order.
+
+    ``trace`` receives every toggle's (element, chosen upper, chosen lower),
+    -1 for absent; ``gaps`` receives the distance of each later selection
+    candidate from the running best.
+    """
+    part = a.diagonals
+    state = {}
+    for c in order:
+        state[c] = -values[c]
+        for e in sorted(x for x in part.classes[part.diagonal_of[c]] if x in state):
+            picks = []
+            for covers, better in ((P.upper_covers(e), 1), (P.lower_covers(e), -1)):
+                best = None
+                for u in covers:
+                    if u not in state:
+                        continue
+                    if best is None:
+                        best = u
+                        continue
+                    if gaps is not None:
+                        gaps.append(abs(state[u] - state[best]))
+                    if better * (state[u] - state[best]) > 0:
+                        best = u
+                picks.append(-1 if best is None else best)
+            if trace is not None:
+                trace.append((e, *picks))
+            state = _reference_toggle(P, state, e)
+    return tuple(state[i] for i in range(P.n))
+
+
+def _reference_inverse(P, a, order, labels):
+    part = a.diagonals
+    state = dict(enumerate(labels))
+    out = [None] * P.n
+    for c in reversed(order):
+        for e in sorted(x for x in part.classes[part.diagonal_of[c]] if x in state):
+            state = _reference_toggle(P, state, e)
+        out[c] = -state.pop(c)
+    return tuple(out)
+
+
+def _det(matrix):
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _finite_difference_det(P, a, t, order):
+    """Jacobian determinant from n perturbed runs, shrinking the step until
+    every run makes the base point's choices; ties raise NonGenericPoint."""
+    t = normalize_filling(P.n, t)
+    base_trace, gaps = [], []
+    base = _reference_insertion(P, a, order, t, base_trace, gaps)
+    if any(g == 0 for g in gaps):
+        raise NonGenericPoint("tie between toggle candidates at the base point")
+    eps = (min(gaps) if gaps else Fraction(1)) / 2**20
+    for _ in range(4):
+        columns = []
+        for j in range(P.n):
+            shifted = list(t)
+            shifted[j] += eps
+            trace = []
+            image = _reference_insertion(P, a, order, shifted, trace)
+            if trace != base_trace:
+                break
+            columns.append([(x - y) / eps for x, y in zip(image, base)])
+        else:
+            return _det([[columns[j][i] for j in range(P.n)] for i in range(P.n)])
+        eps /= 2**10
+    raise NonGenericPoint("could not confine the perturbation to one linearity cell")
+
+
+def _seeded_fillings(n, rng, count):
+    """Random rational fillings, every third one of small integers, which tie often."""
+    for k in range(count):
+        if k % 3 == 2:
+            yield tuple(Fraction(rng.randint(0, 3)) for _ in range(n))
+        else:
+            yield random_filling(n, rng)
+
+
+@pytest.mark.parametrize("name", ["d3", "d4", "sample10", "young-3.2"])
+def test_jacobian_matches_finite_difference(family, analyses, name):
+    P = family[name]
+    a = analyses[name]
+    rng = Random(29)
+    orders = [None, random_descending_extension(P, rng), random_descending_extension(P, rng)]
+    outcomes = set()
+    for order in orders:
+        seq = a.stable_order if order is None else order
+        for t in _seeded_fillings(P.n, rng, 30):
+            try:
+                expected = _finite_difference_det(P, a, t, seq)
+            except NonGenericPoint:
+                with pytest.raises(NonGenericPoint):
+                    rsk_jacobian_det(P, t, order, analysis=a)
+                outcomes.add("tie")
+                continue
+            assert rsk_jacobian_det(P, t, order, analysis=a) == expected
+            outcomes.add(expected)
+    assert "tie" in outcomes and outcomes - {"tie"} <= {1, -1}
+
+
+def test_bareiss_matches_fraction_elimination():
+    rng = Random(5)
+    for n in range(7):
+        for _ in range(40):
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                m[-1] = [x + y for x, y in zip(m[0], m[1])]  # singular
+            assert _bareiss(m) == _det([[Fraction(x) for x in row] for row in m])
+
+
+@pytest.mark.parametrize(
+    "P", [young((12,) * 12), d_k_one(50)], ids=["young-12x12", "d50(1)"]
+)
+def test_jacobian_unimodular_on_large_posets(P):
+    a = analyze(P)
+    rng = Random(1)
+    for _ in range(200):
+        try:
+            det = rsk_jacobian_det(P, random_filling(P.n, rng), analysis=a)
+        except NonGenericPoint:
+            continue
+        assert det in (Fraction(1), Fraction(-1))
+        return
+    pytest.fail("no generic point in 200 seeded fillings")
+
+
+@pytest.mark.parametrize(
+    "name", ["chain5", "d4", "d5", "d4-named", "sample10", "young-3.3", "shifted-4.3.1", "tree-mixed"]
+)
+def test_kernel_matches_reference(family, analyses, name):
+    P = family[name]
+    a = analyses[name]
+    rng = Random(17)
+    for t in _seeded_fillings(P.n, rng, 20):
+        for order in (None, random_descending_extension(P, rng)):
+            seq = a.stable_order if order is None else order
+            s = rsk(P, t, order, analysis=a)
+            assert s == _reference_insertion(P, a, seq, t)
+            assert inverse_rsk(P, s, order, analysis=a) == _reference_inverse(P, a, seq, s)
+        state = {p: v for p, v in enumerate(t) if rng.random() < 0.7}
+        for p in state:
+            assert toggle(P, state, p) == _reference_toggle(P, state, p)
 
 
 def test_jacobian_determinant_unimodular(family, analyses):

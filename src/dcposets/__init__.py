@@ -2,18 +2,16 @@
 bijection, and exact verification of the hook length formulas."""
 
 from .analysis import PosetAnalysis, analyze
-from .catalog import CatalogEntry, catalog, catalog_names, catalog_poset
+from .catalog import CatalogEntry, catalog, catalog_names
 from .diagonals import DiagonalPartition, compute_diagonals, diagonal_report
 from .dstructure import (
     AxiomReport,
     DInterval,
     DMinusConvexSet,
     check_d_complete,
-    down_of,
     find_d_intervals,
     find_d_minus_convex_sets,
     structure_report,
-    up_of,
 )
 from .families import builtin_poset, d_k_one, shifted_young, tree, young
 from .hooks import (
@@ -21,8 +19,6 @@ from .hooks import (
     hook_lengths,
     hook_polynomial_eval,
     hook_vectors,
-    indicator_of_set,
-    indicator_vector,
     random_rational_point,
 )
 from .poset import (
@@ -31,7 +27,6 @@ from .poset import (
     Poset,
     count_linear_extensions,
     is_descending_extension,
-    is_isomorphic,
     linear_extensions,
 )
 from .rsk import (
@@ -43,7 +38,6 @@ from .rsk import (
     random_filling,
     rsk,
     rsk_jacobian_det,
-    rsk_oracles,
     stable_insertion_order,
     toggle,
 )

@@ -17,7 +17,7 @@ from typing import Sequence
 from .analysis import PosetAnalysis, analyze
 from .catalog import CatalogEntry, catalog
 from .classical import classical_insert_rsk, gt_from_rpp, is_rpp, order_from_ranks, ssyt_from_gt, toggle_rpp
-from .diagonals import diagonal_report
+from .diagonals import UPPER_SET_LIMIT, diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
 from .hooks import all_ones_point
@@ -40,6 +40,13 @@ from .verify import (
     verify_multivariate,
     verify_proctor,
 )
+
+
+# Criterion 2 skips posets with more linear extensions than this.
+MULTIVARIATE_CAP = 10**5
+# Criteria 6 and 10 check posets with at most this many elements.
+VOLUME_MAX_ELEMENTS = 10
+MONTE_CARLO_MAX_ELEMENTS = 6
 
 
 @dataclass(frozen=True)
@@ -89,16 +96,16 @@ def counting_identity(prepared: Prepared) -> CriterionResult:
 # 2 ---------------------------------------------------------------------------
 
 
-def multivariate_identity(
-    prepared: Prepared, points: int = 20, seed: int = 0, cap: int = 10**5
-) -> CriterionResult:
+def multivariate_identity(prepared: Prepared, points: int = 20, seed: int = 0) -> CriterionResult:
     """Weight sum == 1/prod(H_p) exactly at random rational points."""
     failures: list[str] = []
     checked = 0
     for name, poset, a in prepared:
-        if a.extension_count > cap:
+        if a.extension_count > MULTIVARIATE_CAP:
             continue
-        report = verify_multivariate(poset, points=points, seed=seed, cap=cap, analysis=a)
+        report = verify_multivariate(
+            poset, points=points, seed=seed, cap=MULTIVARIATE_CAP, analysis=a
+        )
         checked += 1
         if not report.ok:
             first = report.failures[0]
@@ -189,14 +196,12 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
 # 6 ---------------------------------------------------------------------------
 
 
-def volume_preservation(
-    prepared: Prepared, points: int = 25, seed: int = 0, max_elements: int = 10
-) -> CriterionResult:
+def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> CriterionResult:
     """The insertion map's exact Jacobian determinant is +-1 at generic points."""
     failures: list[str] = []
     checked = 0
     for name, poset, a in prepared:
-        if poset.n > max_elements:
+        if poset.n > VOLUME_MAX_ELEMENTS:
             continue
         checked += 1
         rng = Random(seed)
@@ -247,7 +252,7 @@ def polytope_bijection(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
 # 8 ---------------------------------------------------------------------------
 
 
-def structural_properties(prepared: Prepared, upper_set_limit: int = 12) -> CriterionResult:
+def structural_properties(prepared: Prepared) -> CriterionResult:
     """Structure, diagonal, axiom and stability oracles over the whole catalog."""
     failures: list[str] = []
     for name, poset, a in prepared:
@@ -257,7 +262,7 @@ def structural_properties(prepared: Prepared, upper_set_limit: int = 12) -> Crit
         sreport = structure_report(poset, a.d_intervals)
         if not sreport.ok:
             failures.append(f"fail poset={name} structure={sreport.failures[0]}")
-        dreport = diagonal_report(poset, a.diagonals, a.d_intervals, upper_set_limit)
+        dreport = diagonal_report(poset, a.diagonals, a.d_intervals)
         if not dreport.ok:
             failures.append(f"fail poset={name} diagonal={dreport.failures[0]}")
         if not is_stable(poset, a.stable_order, a.d_intervals):
@@ -265,7 +270,7 @@ def structural_properties(prepared: Prepared, upper_set_limit: int = 12) -> Crit
     return _result(
         "structural-properties",
         failures,
-        [f"posets={len(prepared)} upper_set_limit={upper_set_limit}"],
+        [f"posets={len(prepared)} upper_set_limit={UPPER_SET_LIMIT}"],
     )
 
 
@@ -335,13 +340,13 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
 
 
 def monte_carlo_agreement(
-    prepared: Prepared, samples: int = 10**6, seed: int = 0, max_elements: int = 6
+    prepared: Prepared, samples: int = 10**6, seed: int = 0
 ) -> CriterionResult:
     """Volume estimates within 4 true standard errors of the closed forms."""
     failures: list[str] = []
     checked = 0
     for name, poset, a in prepared:
-        if poset.n > max_elements:
+        if poset.n > MONTE_CARLO_MAX_ELEMENTS:
             continue
         checked += 1
         x = all_ones_point(a.diagonals.count)
@@ -367,7 +372,10 @@ def monte_carlo_agreement(
     return _result(
         "monte-carlo-volumes",
         failures,
-        [f"posets={checked} samples={samples} seed={seed} max_elements={max_elements}"],
+        [
+            f"posets={checked} samples={samples} seed={seed} "
+            f"max_elements={MONTE_CARLO_MAX_ELEMENTS}"
+        ],
     )
 
 

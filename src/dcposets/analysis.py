@@ -3,7 +3,9 @@
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
 a stable insertion order and its toggle program, the linear-extension
 count) is computed once per poset and reused across the many evaluation
-points of the verification routines.
+points of the verification routines.  This is the one place that wires
+the derivation chain: the functions it calls take each input they need
+as an argument and recompute nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class PosetAnalysis:
 
     @cached_property
     def hook_vectors(self) -> tuple[HookVector, ...]:
+        self.ensure_d_complete()
         return hook_vectors(self.poset, self.diagonals, self.d_intervals)
 
     @cached_property

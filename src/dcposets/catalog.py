@@ -137,12 +137,5 @@ def catalog_map() -> dict[str, Poset]:
     return {entry.name: entry.poset for entry in catalog()}
 
 
-def catalog_poset(name: str) -> Poset:
-    try:
-        return catalog_map()[name]
-    except KeyError:
-        raise ValueError(f"unknown catalog poset {name!r}") from None
-
-
 def catalog_names() -> tuple[str, ...]:
     return tuple(entry.name for entry in catalog())

@@ -52,7 +52,7 @@ def _load_filling(path: str, n: int):
     return normalize_filling(n, mapping)
 
 
-def _resolve_order(spec: str, P: Poset):
+def _resolve_order(spec: str):
     if spec == "stable":
         return None
     if spec.startswith("given:"):
@@ -126,7 +126,7 @@ def _cmd_extensions(args) -> int:
 def _cmd_rsk(args, inverse: bool) -> int:
     P = _load_poset(args.poset)
     values = _load_filling(args.filling, P.n)
-    order = _resolve_order(args.order, P)
+    order = _resolve_order(args.order)
     image = inverse_rsk(P, values, order) if inverse else rsk(P, values, order)
     sys.stdout.write(filling_to_text(image))
     return 0

@@ -9,8 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dstructure import DInterval, find_d_intervals
+from .dstructure import DInterval
 from .poset import Poset, bits, upper_set_masks
+
+# diagonal_report rebuilds every upper set of posets up to this size.
+UPPER_SET_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,8 @@ class DiagonalPartition:
     def count(self) -> int:
         return len(self.classes)
 
-    def diagonal(self, p: int) -> int:
-        return self.diagonal_of[p]
-
     def is_adjacent(self, c: int, d: int) -> bool:
         return self.adjacent[c][d]
-
-    def neighbors(self, d: int) -> tuple[int, ...]:
-        return tuple(c for c in range(self.count) if self.adjacent[d][c])
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -48,10 +45,8 @@ class DiagonalPartition:
         )
 
 
-def compute_diagonals(P: Poset, intervals: tuple[DInterval, ...] | None = None) -> DiagonalPartition:
+def compute_diagonals(P: Poset, intervals: tuple[DInterval, ...]) -> DiagonalPartition:
     """Union-find over the (bottom, top) pairs of every d-interval."""
-    if intervals is None:
-        intervals = find_d_intervals(P)
     parent = list(range(P.n))
 
     def find(x: int) -> int:
@@ -101,10 +96,7 @@ class DiagonalReport:
 
 
 def diagonal_report(
-    P: Poset,
-    part: DiagonalPartition | None = None,
-    intervals: tuple[DInterval, ...] | None = None,
-    upper_set_limit: int = 12,
+    P: Poset, part: DiagonalPartition, intervals: tuple[DInterval, ...]
 ) -> DiagonalReport:
     """Exhaustively check the six structural properties of diagonals.
 
@@ -114,13 +106,12 @@ def diagonal_report(
     every element of an adjacent D touches C; (5) upper sets preserve
     diagonal adjacency; (6) adjacent diagonals have at most one minimum
     that is minimal in P.  Properties (3) and (5) scan every upper set
-    when n <= upper_set_limit; each upper set is rebuilt as a fresh poset
-    and re-analyzed from scratch so the comparison is an independent check.
+    when n <= ``UPPER_SET_LIMIT``; each upper set is rebuilt as a fresh
+    poset and analyzed from scratch, so the comparison is an independent
+    check.
     """
-    if intervals is None:
-        intervals = find_d_intervals(P)
-    if part is None:
-        part = compute_diagonals(P, intervals)
+    from .analysis import analyze
+
     failures: list[DiagonalFailure] = []
 
     spans = {(iv.bottom, iv.top) for iv in intervals}
@@ -155,13 +146,13 @@ def diagonal_report(
         if minima[c] in minimal_in_p and minima[d] in minimal_in_p:
             failures.append(DiagonalFailure(6, (c, d, minima[c], minima[d])))
 
-    if P.n <= upper_set_limit:
+    if P.n <= UPPER_SET_LIMIT:
         for um in upper_set_masks(P):
             if um == 0:
                 continue
             elems = list(bits(um))
             sub, old_ids = P.restrict(elems)
-            subpart = compute_diagonals(sub, find_d_intervals(sub))
+            subpart = analyze(sub).diagonals
             for i, j in combinations(range(len(elems)), 2):
                 same_p = part.diagonal_of[old_ids[i]] == part.diagonal_of[old_ids[j]]
                 same_u = subpart.diagonal_of[i] == subpart.diagonal_of[j]

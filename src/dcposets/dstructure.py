@@ -39,14 +39,6 @@ class DInterval:
         """Lowest neck element: the top of the inner diamond."""
         return self.neck[-1]
 
-    @property
-    def strict_neck(self) -> tuple[int, ...]:
-        return self.neck[:-1]
-
-    @property
-    def strict_tail(self) -> tuple[int, ...]:
-        return self.tail[1:]
-
 
 @dataclass(frozen=True)
 class DMinusConvexSet:
@@ -79,19 +71,15 @@ class AxiomReport:
     violations: tuple[AxiomViolation, ...]
 
 
-def find_d_intervals(
-    P: Poset, dminus: tuple[DMinusConvexSet, ...] | None = None
-) -> tuple[DInterval, ...]:
+def find_d_intervals(P: Poset, dminus: tuple[DMinusConvexSet, ...]) -> tuple[DInterval, ...]:
     """All d-intervals of P, sorted by (bottom, top).
 
     A d_k-interval minus its top is a d_k^- convex set, so the intervals
-    are the one-element completions of ``dminus`` (by default
-    :func:`find_d_minus_convex_sets`): every z covering the set's maximum
+    are the one-element completions of ``dminus``, the d^- sets of P from
+    :func:`find_d_minus_convex_sets`: every z covering the set's maximum
     (both sides when k == 3) with ``[bottom, z]`` equal to the set plus z.
     One set can have several completions, and all are kept.
     """
-    if dminus is None:
-        dminus = find_d_minus_convex_sets(P)
     found = []
     for shape in dminus:
         if shape.neck:
@@ -163,9 +151,7 @@ def _grow(
 
 
 def check_d_complete(
-    P: Poset,
-    intervals: tuple[DInterval, ...] | None = None,
-    dminus: tuple[DMinusConvexSet, ...] | None = None,
+    P: Poset, intervals: tuple[DInterval, ...], dminus: tuple[DMinusConvexSet, ...]
 ) -> AxiomReport:
     """Verify the three defining axioms, reporting every violation.
 
@@ -174,10 +160,6 @@ def check_d_complete(
     the top of a d-interval covers nothing outside it.  Axiom 3: no two
     d^- convex sets differ only in their minimal elements.
     """
-    if dminus is None:
-        dminus = find_d_minus_convex_sets(P)
-    if intervals is None:
-        intervals = find_d_intervals(P, dminus)
     violations: list[AxiomViolation] = []
 
     completed = {interval.member_mask ^ (1 << interval.top) for interval in intervals}
@@ -203,33 +185,6 @@ def check_d_complete(
     return AxiomReport(is_d_complete=not violations, violations=tuple(violations))
 
 
-def up_of(P: Poset, p: int, intervals: tuple[DInterval, ...] | None = None) -> int | None:
-    """The unique q with [p, q] a d-interval, or None.
-
-    Raises if several candidates exist, which means P is not d-complete.
-    """
-    if intervals is None:
-        intervals = find_d_intervals(P)
-    tops = [iv.top for iv in intervals if iv.bottom == p]
-    if len(tops) > 1:
-        raise ValueError(
-            f"element {p} is the bottom of {len(tops)} d-intervals; poset is not d-complete"
-        )
-    return tops[0] if tops else None
-
-
-def down_of(P: Poset, p: int, intervals: tuple[DInterval, ...] | None = None) -> int | None:
-    """The unique q with [q, p] a d-interval, or None; dual of up_of."""
-    if intervals is None:
-        intervals = find_d_intervals(P)
-    bottoms = [iv.bottom for iv in intervals if iv.top == p]
-    if len(bottoms) > 1:
-        raise ValueError(
-            f"element {p} is the top of {len(bottoms)} d-intervals; poset is not d-complete"
-        )
-    return bottoms[0] if bottoms else None
-
-
 @dataclass(frozen=True)
 class StructureFailure:
     check: str
@@ -242,7 +197,7 @@ class StructureReport:
     failures: tuple[StructureFailure, ...]
 
 
-def structure_report(P: Poset, intervals: tuple[DInterval, ...] | None = None) -> StructureReport:
+def structure_report(P: Poset, intervals: tuple[DInterval, ...]) -> StructureReport:
     """Exhaustively verify the structural facts that hold in d-complete posets.
 
     Checks: every element is covered by at most two elements; neck and
@@ -251,8 +206,6 @@ def structure_report(P: Poset, intervals: tuple[DInterval, ...] | None = None) -
     d-intervals are unique; intervals having an element as a neck (tail)
     contain the unique interval it tops (bottoms).
     """
-    if intervals is None:
-        intervals = find_d_intervals(P)
     failures: list[StructureFailure] = []
 
     for v in range(P.n):

@@ -99,10 +99,6 @@ def filling_from_text(text: str) -> dict[int, Fraction]:
     return out
 
 
-def matrix_to_text(matrix: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix) + "\n"
-
-
 def matrix_from_text(text: str) -> list[list[int]]:
     rows = []
     for lineno, fields in _content_lines(text):
@@ -113,10 +109,6 @@ def matrix_from_text(text: str) -> list[list[int]]:
     if not rows:
         raise FormatError("matrix text contains no rows")
     return rows
-
-
-def order_to_text(order: Sequence[int]) -> str:
-    return " ".join(str(v) for v in order) + "\n"
 
 
 def order_from_text(text: str) -> tuple[int, ...]:

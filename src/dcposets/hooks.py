@@ -1,4 +1,4 @@
-"""Hook vectors, indicator vectors, and hook polynomial evaluation.
+"""Hook vectors, hook polynomial evaluation, and exact rational points.
 
 The hook vector of an element is indexed by diagonals and sums to the
 classical hook length; it is defined recursively through d-intervals and
@@ -13,7 +13,7 @@ from random import Random
 from typing import Sequence
 
 from .diagonals import DiagonalPartition
-from .dstructure import DInterval, find_d_intervals
+from .dstructure import DInterval
 from .poset import Poset, mask_of
 
 HookVector = tuple[int, ...]
@@ -21,68 +21,35 @@ RationalPoint = tuple[Fraction, ...]
 
 
 def hook_vectors(
-    P: Poset,
-    part: DiagonalPartition,
-    intervals: tuple[DInterval, ...] | None = None,
-    order: Sequence[int] | None = None,
+    P: Poset, part: DiagonalPartition, intervals: tuple[DInterval, ...]
 ) -> tuple[HookVector, ...]:
     """Hook vector of every element, indexed by diagonal id.
 
     An element that tops no d-interval counts, per diagonal, the elements
-    it nonstrictly dominates; the top of the (unique) d-interval [b, p]
-    with sides w, z gets h(w) + h(z) - h(b).  Any bottom-up processing
-    order gives the same result; ``order`` may supply one explicitly.
+    it nonstrictly dominates; the top of the d-interval [b, p] with sides
+    w, z gets h(w) + h(z) - h(b).  Elements are processed bottom-up, by
+    downset size; any bottom-up order gives the same result.  The
+    intervals must be those of a d-complete poset, in which each element
+    tops at most one: :attr:`PosetAnalysis.hook_vectors` checks the axioms
+    first.
     """
-    if intervals is None:
-        intervals = find_d_intervals(P)
-    top_interval: dict[int, DInterval] = {}
-    for interval in intervals:
-        if interval.top in top_interval:
-            raise ValueError(
-                f"element {interval.top} tops several d-intervals; poset is not d-complete"
-            )
-        top_interval[interval.top] = interval
-
-    if order is None:
-        order = sorted(range(P.n), key=lambda v: bin(P._dn[v]).count("1"))
-    else:
-        order = list(order)
-        if sorted(order) != list(range(P.n)):
-            raise ValueError("processing order must list every element once")
-
+    top_interval = {interval.top: interval for interval in intervals}
     class_masks = [mask_of(members) for members in part.classes]
-    vectors: list[HookVector | None] = [None] * P.n
-    for p in order:
+    vectors: list[HookVector] = [()] * P.n
+    for p in sorted(range(P.n), key=lambda v: bin(P._dn[v]).count("1")):
         interval = top_interval.get(p)
         if interval is None:
             dn = P._dn[p]
-            vec = tuple(bin(dn & cm).count("1") for cm in class_masks)
+            vectors[p] = tuple(bin(dn & cm).count("1") for cm in class_masks)
         else:
             w, z = interval.sides
             hw, hz, hb = vectors[w], vectors[z], vectors[interval.bottom]
-            if hw is None or hz is None or hb is None:
-                raise ValueError("processing order visits a d-interval top before its members")
-            vec = tuple(a + b - c for a, b, c in zip(hw, hz, hb))
-        vectors[p] = vec
-    return tuple(vectors)  # type: ignore[arg-type]
+            vectors[p] = tuple(a + b - c for a, b, c in zip(hw, hz, hb))
+    return tuple(vectors)
 
 
 def hook_lengths(vectors: Sequence[HookVector]) -> tuple[int, ...]:
     return tuple(sum(v) for v in vectors)
-
-
-def indicator_vector(part: DiagonalPartition, p: int) -> HookVector:
-    """Kronecker delta on the diagonal of p."""
-    d = part.diagonal_of[p]
-    return tuple(1 if i == d else 0 for i in range(part.count))
-
-
-def indicator_of_set(part: DiagonalPartition, members) -> HookVector:
-    """Sum of the member indicators: per-diagonal multiplicities."""
-    counts = [0] * part.count
-    for p in members:
-        counts[part.diagonal_of[p]] += 1
-    return tuple(counts)
 
 
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
@@ -107,8 +74,15 @@ def random_rational_point(count: int, rng: Random) -> RationalPoint:
     return tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(count))
 
 
+def exact_value(value) -> Fraction:
+    """``value`` as a Fraction; floats are refused, since exact paths never round."""
+    if isinstance(value, float):
+        raise TypeError(f"exact values only: pass int or Fraction, not float {value!r}")
+    return Fraction(value)
+
+
 def validate_point(x: Sequence[Fraction], count: int) -> RationalPoint:
-    point = tuple(Fraction(v) for v in x)
+    point = tuple(exact_value(v) for v in x)
     if len(point) != count:
         raise ValueError(f"expected {count} diagonal values, got {len(point)}")
     if any(v <= 0 for v in point):

@@ -84,26 +84,29 @@ class Poset:
             for w in edges[v]:
                 m |= up[w]
             up[v] = m
-        dn = [0] * n
-        for v in range(n):
-            for w in bits(up[v]):
-                dn[w] |= 1 << v
-
-        covers = []
+        # A direct edge a -> b is a cover unless b lies strictly above the head
+        # of another direct edge from a; every cover is a direct edge.
+        upper: list[list[int]] = [[] for _ in range(n)]
+        lower: list[list[int]] = [[] for _ in range(n)]
         for a in range(n):
-            for b in bits(up[a] ^ (1 << a)):
-                if up[a] & dn[b] == (1 << a) | (1 << b):
-                    covers.append((a, b))
+            above = 0
+            for w in edges[a]:
+                above |= up[w] ^ (1 << w)
+            for b in edges[a]:
+                if not above >> b & 1:
+                    upper[a].append(b)
+                    lower[b].append(a)
+        dn = [0] * n
+        for v in order:
+            m = 1 << v
+            for u in lower[v]:
+                m |= dn[u]
+            dn[v] = m
 
         self.n = n
         self._up = tuple(up)
         self._dn = tuple(dn)
-        self.covers = frozenset(covers)
-        upper: list[list[int]] = [[] for _ in range(n)]
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for a, b in covers:
-            upper[a].append(b)
-            lower[b].append(a)
+        self.covers = frozenset((a, b) for a in range(n) for b in upper[a])
         self._upper = tuple(tuple(sorted(u)) for u in upper)
         self._lower = tuple(tuple(sorted(v)) for v in lower)
         self.names = dict(names) if names else {}
@@ -140,9 +143,6 @@ class Poset:
     def downset_mask(self, x: int) -> int:
         return self._dn[x]
 
-    def upset(self, x: int) -> frozenset[int]:
-        return frozenset(bits(self._up[x]))
-
     def downset(self, x: int) -> frozenset[int]:
         return frozenset(bits(self._dn[x]))
 
@@ -172,13 +172,8 @@ class Poset:
     def maximal_in_mask(self, m: int) -> tuple[int, ...]:
         return tuple(v for v in bits(m) if self._up[v] & m == 1 << v)
 
-    def minimal_elements(self, members: Iterable[int] | None = None) -> tuple[int, ...]:
-        m = (1 << self.n) - 1 if members is None else mask_of(members)
-        return self.minimal_in_mask(m)
-
-    def maximal_elements(self, members: Iterable[int] | None = None) -> tuple[int, ...]:
-        m = (1 << self.n) - 1 if members is None else mask_of(members)
-        return self.maximal_in_mask(m)
+    def minimal_elements(self) -> tuple[int, ...]:
+        return self.minimal_in_mask((1 << self.n) - 1)
 
     # -- derived posets --------------------------------------------------
 
@@ -296,11 +291,10 @@ def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
     seq = tuple(order)
     if sorted(seq) != list(range(P.n)):
         return False
-    for i, a in enumerate(seq):
-        for b in seq[i + 1 :]:
-            if P.lt(a, b):
-                return False
-    return True
+    pos = [0] * P.n
+    for i, v in enumerate(seq):
+        pos[v] = i
+    return all(pos[b] < pos[a] for a, b in P.covers)
 
 
 def _ideal_levels(P: Poset, finish: Callable | None = None) -> Iterator[dict[int, list]]:
@@ -375,47 +369,3 @@ def upper_set_masks(P: Poset) -> Iterator[int]:
     full = (1 << P.n) - 1
     for ideal in order_ideal_masks(P):
         yield full ^ ideal
-
-
-def is_isomorphic(P: Poset, Q: Poset) -> bool:
-    """Brute-force isomorphism test, intended for small posets only."""
-    if P.n != Q.n or len(P.covers) != len(Q.covers):
-        return False
-
-    def signature(R: Poset, v: int) -> tuple[int, int, int, int]:
-        return (
-            bin(R._up[v]).count("1"),
-            bin(R._dn[v]).count("1"),
-            len(R._upper[v]),
-            len(R._lower[v]),
-        )
-
-    sig_p = [signature(P, v) for v in range(P.n)]
-    sig_q = [signature(Q, v) for v in range(Q.n)]
-    if sorted(sig_p) != sorted(sig_q):
-        return False
-
-    mapping = [-1] * P.n
-    used = [False] * Q.n
-
-    def rec(i: int) -> bool:
-        if i == P.n:
-            return True
-        for q in range(Q.n):
-            if used[q] or sig_q[q] != sig_p[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if P.leq(j, i) != Q.leq(mapping[j], q) or P.leq(i, j) != Q.leq(q, mapping[j]):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = q
-                used[q] = True
-                if rec(i + 1):
-                    return True
-                used[q] = False
-                mapping[i] = -1
-        return False
-
-    return rec(0)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
+from .hooks import exact_value, random_rational_point
 from .poset import Poset, is_descending_extension
 
 Filling = tuple[Fraction, ...]
@@ -55,11 +55,7 @@ def normalize_filling(n: int, values, require_nonnegative: bool = False) -> Fill
         seq = list(values)
         if len(seq) != n:
             raise ValueError(f"filling has {len(seq)} values for {n} elements")
-    out = []
-    for v in seq:
-        if isinstance(v, float):
-            raise TypeError("fillings are exact: pass int or Fraction, not float")
-        out.append(Fraction(v))
+    out = [exact_value(v) for v in seq]
     if require_nonnegative and any(v < 0 for v in out):
         bad = next(i for i, v in enumerate(out) if v < 0)
         raise ValueError(f"filling must be nonnegative; element {bad} has value {out[bad]}")
@@ -196,38 +192,25 @@ def diagonal_sums(P: Poset, part: DiagonalPartition, s: Sequence[Fraction]) -> t
     return tuple(sum((Fraction(s[p]) for p in members), Fraction(0)) for members in part.classes)
 
 
-def random_filling(n: int, rng: Random) -> Filling:
-    """Positive rationals with numerators and denominators in 1..16."""
-    return tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(n))
+# A random input filling: n positive rationals, numerators and denominators in 1..16.
+random_filling = random_rational_point
 
 
 # -- stable insertion orders ----------------------------------------------
 
 
-def is_stable(
-    P: Poset,
-    order: Sequence[int],
-    intervals: tuple[DInterval, ...] | None = None,
-    *,
-    analysis: PosetAnalysis | None = None,
-) -> bool:
+def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) -> bool:
     """Stability of a descending linear extension.
 
     Inserting the bottom of a d-interval is forbidden while a side of that
     interval is a neck element of another d-interval already completed.
     A d-interval is completed exactly when its bottom has been inserted,
-    since everything else in it dominates the bottom.
+    since everything else in it dominates the bottom.  ``intervals`` are
+    the d-intervals of P.
     """
     order = tuple(order)
     if not is_descending_extension(P, order):
         raise ValueError("order must be a descending linear extension")
-    if intervals is None:
-        if analysis is not None:
-            intervals = analysis.d_intervals
-        else:
-            from .dstructure import find_d_intervals
-
-            intervals = find_d_intervals(P)
     by_bottom: dict[int, list[DInterval]] = {}
     for interval in intervals:
         by_bottom.setdefault(interval.bottom, []).append(interval)
@@ -388,103 +371,3 @@ def _bareiss(matrix: list[list[int]]) -> int:
                 m[i] = [pk * x // prev for x in ri]
         prev = pk
     return sign * prev
-
-
-# -- randomized oracle ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleFailure:
-    trial: int
-    check: str
-    detail: tuple
-
-
-@dataclass(frozen=True)
-class RskOracleReport:
-    trials: int
-    ok: bool
-    failures: tuple[OracleFailure, ...]
-
-
-def _missing_lower_events(program: Program, n: int) -> list[tuple[int, int]]:
-    """Toggles of an already-present element with no present lower cover.
-
-    Presence is determined by the insertion order alone, so this is a
-    scan of the compiled program.  On d-complete input this list should
-    be empty: the only toggle lacking a lower neighbor is the one at the
-    freshly inserted element.
-    """
-    return [(c, e) for c, toggles in program for e, _, los in toggles if e != c and los == (n,)]
-
-
-def rsk_oracles(
-    P: Poset,
-    trials: int = 100,
-    seed: int = 0,
-    *,
-    analysis: PosetAnalysis | None = None,
-) -> RskOracleReport:
-    """Randomized consistency checks of the insertion map.
-
-    Per trial filling: the image is identical under two independently
-    sampled insertion orders; the image is order-reversing; each diagonal
-    sum equals the hook-weighted sum of the input.  Additionally, for each
-    minimal element c, removing c relates the diagonal sums of the smaller
-    and larger posets through the diagonals adjacent to D(c), and a few
-    random orders are scanned for toggles that would read a missing lower
-    neighbor anywhere but at the fresh element.
-    """
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
-    rng = Random(seed)
-    part = a.diagonals
-    hooks = a.hook_vectors
-    failures: list[OracleFailure] = []
-
-    for k in range(3):
-        order = random_descending_extension(P, rng)
-        events = _missing_lower_events(compile_program(P, part, order), P.n)
-        if events:
-            failures.append(OracleFailure(-1, "missing-lower-neighbor", (order, tuple(events))))
-
-    removals = []
-    for c in P.minimal_elements():
-        keep = [v for v in range(P.n) if v != c]
-        sub, old_ids = P.restrict(keep)
-        removals.append((c, sub, analyze(sub), old_ids))
-
-    recur_trials = min(trials, 20)
-    for trial in range(trials):
-        t = random_filling(P.n, rng)
-        s1 = rsk(P, t, random_descending_extension(P, rng), analysis=a)
-        s2 = rsk(P, t, random_descending_extension(P, rng), analysis=a)
-        if s1 != s2:
-            failures.append(OracleFailure(trial, "order-independence", (t, s1, s2)))
-        if not is_order_reversing(P, s1):
-            failures.append(OracleFailure(trial, "order-reversing", (t, s1)))
-        sums = diagonal_sums(P, part, s1)
-        for d in range(part.count):
-            expected = sum((Fraction(hooks[p][d]) * t[p] for p in range(P.n)), Fraction(0))
-            if sums[d] != expected:
-                failures.append(OracleFailure(trial, "diagonal-sum", (d, sums[d], expected)))
-        if trial < recur_trials:
-            for c, sub, sub_a, old_ids in removals:
-                sub_t = tuple(t[o] for o in old_ids)
-                sub_s = rsk(sub, sub_t, analysis=sub_a)
-                label = {o: sub_s[new] for new, o in enumerate(old_ids)}
-                dc = part.diagonal_of[c]
-                s_small = sum((label[p] for p in part.classes[dc] if p != c), Fraction(0))
-                s_big = sum((s1[p] for p in part.classes[dc]), Fraction(0))
-                rhs = t[c] + sum(
-                    (
-                        sum((label[p] for p in part.classes[d] if p != c), Fraction(0))
-                        for d in part.neighbors(dc)
-                    ),
-                    Fraction(0),
-                )
-                if s_small + s_big != rhs:
-                    failures.append(
-                        OracleFailure(trial, "removal-recurrence", (c, s_small + s_big, rhs))
-                    )
-    return RskOracleReport(trials=trials, ok=not failures, failures=tuple(failures))

@@ -29,7 +29,7 @@ def test_criterion_01_counting_identity(prepared):
 
 
 def test_criterion_02_multivariate_identity(prepared):
-    report(acceptance.multivariate_identity(prepared, points=20, seed=SEED, cap=10**5))
+    report(acceptance.multivariate_identity(prepared, points=20, seed=SEED))
 
 
 def test_criterion_03_worked_insertion_example():
@@ -45,7 +45,7 @@ def test_criterion_05_order_independence(prepared):
 
 
 def test_criterion_06_volume_preservation(prepared):
-    report(acceptance.volume_preservation(prepared, points=25, seed=SEED, max_elements=10))
+    report(acceptance.volume_preservation(prepared, points=25, seed=SEED))
 
 
 def test_criterion_07_polytope_bijection(prepared):
@@ -53,7 +53,7 @@ def test_criterion_07_polytope_bijection(prepared):
 
 
 def test_criterion_08_structural_properties(prepared):
-    report(acceptance.structural_properties(prepared, upper_set_limit=12))
+    report(acceptance.structural_properties(prepared))
 
 
 def test_criterion_09_classical_equivalence():
@@ -61,4 +61,4 @@ def test_criterion_09_classical_equivalence():
 
 
 def test_criterion_10_monte_carlo_volumes(prepared):
-    report(acceptance.monte_carlo_agreement(prepared, samples=10**6, seed=SEED, max_elements=6))
+    report(acceptance.monte_carlo_agreement(prepared, samples=10**6, seed=SEED))

@@ -1,11 +1,11 @@
 import random
 
 from dcposets import (
+    analyze,
     builtin_poset,
     compute_diagonals,
     d_k_one,
     diagonal_report,
-    find_d_intervals,
     shifted_young,
     young,
 )
@@ -16,14 +16,14 @@ from conftest import chain
 
 def test_tree_diagonals_are_singletons(family):
     P = family["tree-mixed"]
-    part = compute_diagonals(P)
+    part = analyze(P).diagonals
     assert all(len(c) == 1 for c in part.classes)
     assert part.count == P.n
 
 
 def test_sample10_partition_matches_known_labels():
     P = builtin_poset("sample10")
-    part = compute_diagonals(P)
+    part = analyze(P).diagonals
     assert set(part.classes) == {
         frozenset({9, 1}),
         frozenset({8, 4}),
@@ -46,7 +46,7 @@ def test_sample10_partition_matches_known_labels():
 
 
 def test_double_tailed_diamond_diagonals():
-    part = compute_diagonals(d_k_one(4))
+    part = analyze(d_k_one(4)).diagonals
     assert part.classes == (
         frozenset({0, 5}),
         frozenset({1, 4}),
@@ -58,7 +58,7 @@ def test_double_tailed_diamond_diagonals():
 
 def test_shifted_leftmost_column_alternates():
     shape = (5, 4, 2)
-    part = compute_diagonals(shifted_young(shape))
+    part = analyze(shifted_young(shape)).diagonals
     ids = shifted_box_ids(shape)
     d = part.diagonal_of
     assert d[ids[(1, 1)]] == d[ids[(3, 3)]]
@@ -71,7 +71,7 @@ def test_shifted_leftmost_column_alternates():
 
 def test_young_diagonals_follow_content():
     for shape in ((3, 2), (2, 2, 1), (4, 3, 1), (1, 1, 1)):
-        part = compute_diagonals(young(shape))
+        part = analyze(young(shape)).diagonals
         ids = young_box_ids(shape)
         for (i1, j1), e1 in ids.items():
             for (i2, j2), e2 in ids.items():
@@ -81,7 +81,7 @@ def test_young_diagonals_follow_content():
 
 def test_partition_is_interval_order_independent():
     P = builtin_poset("sample10")
-    intervals = list(find_d_intervals(P))
+    intervals = list(analyze(P).d_intervals)
     base = compute_diagonals(P, tuple(intervals))
     rng = random.Random(5)
     for _ in range(10):
@@ -97,4 +97,5 @@ def test_diagonal_report_family(family, analyses):
 
 
 def test_singleton_vacuous():
-    assert diagonal_report(chain(1)).ok
+    a = analyze(chain(1))
+    assert diagonal_report(a.poset, a.diagonals, a.d_intervals).ok

@@ -2,40 +2,27 @@ from itertools import combinations
 
 import pytest
 
-from dcposets import (
-    Poset,
-    builtin_poset,
-    check_d_complete,
-    d_k_one,
-    down_of,
-    find_d_intervals,
-    find_d_minus_convex_sets,
-    is_isomorphic,
-    structure_report,
-    up_of,
-)
+from dcposets import Poset, analyze, builtin_poset, d_k_one, structure_report
 from dcposets.poset import bits, upper_set_masks
 
-from conftest import chain
+from conftest import chain, is_isomorphic
 
 
 def _interval(P: Poset, bottom: int, top: int):
-    found = [iv for iv in find_d_intervals(P) if (iv.bottom, iv.top) == (bottom, top)]
+    found = [iv for iv in analyze(P).d_intervals if (iv.bottom, iv.top) == (bottom, top)]
     assert len(found) <= 1
     return found[0] if found else None
 
 
 def test_classify_diamond():
     P = d_k_one(3)
-    assert [(iv.bottom, iv.top) for iv in find_d_intervals(P)] == [(0, 3)]
+    assert [(iv.bottom, iv.top) for iv in analyze(P).d_intervals] == [(0, 3)]
     interval = _interval(P, 0, 3)
     assert interval is not None
     assert interval.k == 3
     assert interval.sides == (1, 2)
     assert interval.neck == (3,)
     assert interval.tail == (0,)
-    assert interval.strict_neck == ()
-    assert interval.strict_tail == ()
     assert interval.diamond_top == 3
 
 
@@ -53,14 +40,14 @@ def test_classify_double_tailed():
 
 
 def test_chain_interval_is_not_d():
-    assert find_d_intervals(chain(4)) == ()
+    assert analyze(chain(4)).d_intervals == ()
 
 
 def test_find_d_intervals_double_tailed():
     P = d_k_one(4)
-    found = [(iv.bottom, iv.top, iv.k) for iv in find_d_intervals(P)]
+    found = [(iv.bottom, iv.top, iv.k) for iv in analyze(P).d_intervals]
     assert found == [(0, 5, 4), (1, 4, 3)]
-    assert find_d_intervals(Poset(3, [])) == ()
+    assert analyze(Poset(3, [])).d_intervals == ()
 
 
 def _dminus_model(k: int) -> Poset:
@@ -111,7 +98,7 @@ BRUTE_FORCE_POSETS = ["d4-named", "d5", "sample10", "young-3.2", "shifted-4.3.1"
 def test_dminus_against_brute_force(family, name):
     P = family[name]
     expected = _brute_force_dminus(P)
-    got = {shape.members for shape in find_d_minus_convex_sets(P)}
+    got = {shape.members for shape in analyze(P).d_minus_sets}
     assert got == expected
 
 
@@ -119,79 +106,62 @@ def test_dminus_against_brute_force(family, name):
 def test_d_intervals_against_brute_force(family, name):
     P = family[name]
     expected = _brute_force_d_intervals(P)
-    got = {(iv.bottom, iv.top, iv.members) for iv in find_d_intervals(P)}
+    got = {(iv.bottom, iv.top, iv.members) for iv in analyze(P).d_intervals}
     assert got == expected
 
 
 def test_d_minus_set_with_two_completions():
     # {0, 1, 2} is completed by both 3 and 4; each completion is a d_3-interval
     P = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    found = find_d_intervals(P)
+    found = analyze(P).d_intervals
     assert [(iv.bottom, iv.top) for iv in found] == [(0, 3), (0, 4)]
     assert {(iv.bottom, iv.top, iv.members) for iv in found} == _brute_force_d_intervals(P)
+    # an element bottoming two d-intervals is a structural failure
+    checks = {(f.check, f.witness) for f in structure_report(P, found).failures}
+    assert ("unique-bottom", (0, 3, 4)) in checks
 
 
 def test_dminus_named_example():
     P = builtin_poset("d4-named")
-    shapes = {(s.k, s.members) for s in find_d_minus_convex_sets(P)}
+    shapes = {(s.k, s.members) for s in analyze(P).d_minus_sets}
     assert shapes == {(3, frozenset({1, 2, 3})), (4, frozenset({0, 1, 2, 3, 4}))}
 
 
 def test_chain_has_no_dminus():
-    assert find_d_minus_convex_sets(chain(5)) == ()
+    assert analyze(chain(5)).d_minus_sets == ()
 
 
 def test_trees_are_d_complete(family):
     for name in ("tree-star", "tree-mixed", "chain5", "singleton"):
-        assert check_d_complete(family[name]).is_d_complete
+        assert analyze(family[name]).is_d_complete
 
 
 def test_truncated_diamond_violates_completion():
     P = _dminus_model(4)  # a d_4^- shape as a standalone poset
-    report = check_d_complete(P)
+    report = analyze(P).axiom_report
     assert not report.is_d_complete
     assert any(v.axiom == 1 for v in report.violations)
 
 
 def test_sample10_is_d_complete():
-    assert check_d_complete(builtin_poset("sample10")).is_d_complete
+    assert analyze(builtin_poset("sample10")).is_d_complete
 
 
 def test_minimal_difference_axiom_violation():
     # two diamonds sharing everything but their bottoms
     P = Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
-    report = check_d_complete(P)
+    report = analyze(P).axiom_report
     assert any(v.axiom == 3 for v in report.violations)
 
 
-def test_up_and_down_of():
-    P = d_k_one(4)
-    intervals = find_d_intervals(P)
-    assert up_of(P, 0, intervals) == 5
-    assert up_of(P, 1, intervals) == 4
-    assert up_of(P, 2, intervals) is None
-    assert down_of(P, 5, intervals) == 0
-    assert up_of(chain(3), 2) is None
-    for p in range(P.n):
-        q = up_of(P, p, intervals)
-        if q is not None:
-            assert down_of(P, q, intervals) == p
-
-
-def test_up_of_rejects_ambiguity():
-    P = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    with pytest.raises(ValueError):
-        up_of(P, 0, find_d_intervals(P))
-
-
-def test_structure_report_family(family):
-    for P in family.values():
-        assert structure_report(P).ok
+def test_structure_report_family(family, analyses):
+    for name, P in family.items():
+        assert structure_report(P, analyses[name].d_intervals).ok
 
 
 def test_cover_bound_failure():
     P = Poset(4, [(0, 1), (0, 2), (0, 3)])
-    report = structure_report(P)
+    report = structure_report(P, analyze(P).d_intervals)
     assert any(f.check == "cover-bound" for f in report.failures)
 
 
@@ -202,13 +172,13 @@ def test_forbidden_configuration_detected():
         for up in ups:
             pairs.append((low, up))
     P = Poset(6, pairs)
-    report = structure_report(P)
+    report = structure_report(P, analyze(P).d_intervals)
     assert any(f.check == "forbidden-configuration" for f in report.failures)
 
 
-def test_interval_uniqueness_structure(family):
-    for P in family.values():
-        intervals = find_d_intervals(P)
+def test_interval_uniqueness_structure(analyses):
+    for a in analyses.values():
+        intervals = a.d_intervals
         bottoms = [iv.bottom for iv in intervals]
         tops = [iv.top for iv in intervals]
         assert len(bottoms) == len(set(bottoms))
@@ -226,4 +196,4 @@ def test_upper_sets_stay_d_complete(family):
             if mask == 0:
                 continue
             sub, _ = P.restrict(bits(mask))
-            assert check_d_complete(sub).is_d_complete, (name, mask)
+            assert analyze(sub).is_d_complete, (name, mask)

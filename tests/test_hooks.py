@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -6,18 +7,17 @@ import pytest
 from dcposets import (
     analyze,
     catalog,
-    compute_diagonals,
     d_k_one,
     hook_lengths,
     hook_polynomial_eval,
-    hook_vectors,
-    indicator_of_set,
-    indicator_vector,
     linear_extensions,
+    polytope_membership,
     random_rational_point,
     young,
 )
 from dcposets.families import young_box_ids
+from dcposets.hooks import validate_point
+from dcposets.verify import PolytopeSpec
 
 from conftest import chain
 
@@ -30,9 +30,7 @@ def classical_hook_length(shape, i, j):
 
 
 def test_double_tailed_diamond_vectors():
-    P = d_k_one(4)
-    part = compute_diagonals(P)
-    vectors = hook_vectors(P, part)
+    vectors = analyze(d_k_one(4)).hook_vectors
     assert vectors == (
         (1, 0, 0, 0),
         (1, 1, 0, 0),
@@ -45,11 +43,9 @@ def test_double_tailed_diamond_vectors():
 
 
 def test_chain_hooks_count_downsets():
-    P = chain(4)
-    part = compute_diagonals(P)
-    vectors = hook_vectors(P, part)
-    assert part.count == 4
-    assert hook_lengths(vectors) == (1, 2, 3, 4)
+    a = analyze(chain(4))
+    assert a.diagonals.count == 4
+    assert hook_lengths(a.hook_vectors) == (1, 2, 3, 4)
 
 
 def test_tree_hooks_are_downset_sizes(family):
@@ -75,33 +71,35 @@ def test_hook_vectors_nonnegative(family, analyses):
             assert min(vec) >= 0
 
 
-def test_hook_vectors_order_independent(family):
+def _hook_vectors_in_order(P, a, order):
+    """The recursive definition of hook vectors, evaluated along ``order``."""
+    tops = {iv.top: iv for iv in a.d_intervals}
+    vectors = {}
+    for p in order:
+        iv = tops.get(p)
+        if iv is None:
+            vectors[p] = tuple(len(P.downset(p) & members) for members in a.diagonals.classes)
+        else:
+            w, z = iv.sides
+            vectors[p] = tuple(
+                x + y - b for x, y, b in zip(vectors[w], vectors[z], vectors[iv.bottom])
+            )
+    return tuple(vectors[p] for p in range(P.n))
+
+
+def test_hook_vectors_order_independent(family, analyses):
     for name in ("d4", "sample10", "shifted-4.3.1"):
         P = family[name]
-        part = compute_diagonals(P)
-        exts = []
-        for ext in linear_extensions(P):
-            exts.append(tuple(reversed(ext)))  # ascending processing orders
-            if len(exts) == 2:
-                break
-        results = {hook_vectors(P, part, order=o) for o in exts}
-        assert len(results) == 1
-
-
-def test_indicator_vectors():
-    P = d_k_one(4)
-    part = compute_diagonals(P)
-    assert indicator_vector(part, 0) == (1, 0, 0, 0)
-    assert indicator_vector(part, 4) == (0, 1, 0, 0)
-    assert indicator_of_set(part, [0, 5, 4]) == (2, 1, 0, 0)
+        a = analyses[name]
+        for ext in islice(linear_extensions(P), 2):
+            # ascending processing orders
+            assert _hook_vectors_in_order(P, a, reversed(ext)) == a.hook_vectors
 
 
 def test_hook_polynomial_eval():
-    P = d_k_one(4)
-    part = compute_diagonals(P)
-    vectors = hook_vectors(P, part)
+    vectors = analyze(d_k_one(4)).hook_vectors
     x = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-    assert hook_polynomial_eval(indicator_vector(part, 3), x) == Fraction(1, 4)
+    assert hook_polynomial_eval((0, 0, 0, 1), x) == Fraction(1, 4)
     assert hook_polynomial_eval(vectors[5], (Fraction(1),) * 4) == 5
     assert hook_polynomial_eval(vectors[5], x) == Fraction(31, 12)
     with pytest.raises(ValueError):
@@ -118,3 +116,13 @@ def test_hook_polynomials_match_naive_sum():
             assert a.hook_polynomials(x) == naive
             assert a.hook_polynomials(list(x)) == naive  # the remembered point
 
+
+def test_points_are_exact():
+    assert validate_point([Fraction(1, 2), 1], 2) == (Fraction(1, 2), Fraction(1))
+    with pytest.raises(TypeError):
+        validate_point([0.5, 1], 2)
+    P = d_k_one(3)
+    a = analyze(P)
+    spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
+    with pytest.raises(TypeError):
+        polytope_membership(P, spec, (0,) * P.n, analysis=a)

@@ -1,4 +1,6 @@
 import math
+from itertools import permutations
+from random import Random
 
 import pytest
 
@@ -10,7 +12,6 @@ from dcposets import (
     count_linear_extensions,
     d_k_one,
     is_descending_extension,
-    is_isomorphic,
     linear_extensions,
     shifted_young,
     young,
@@ -18,7 +19,7 @@ from dcposets import (
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
 from dcposets.poset import order_ideal_masks, upper_set_masks
 
-from conftest import antichain, chain
+from conftest import antichain, chain, is_isomorphic
 
 
 def test_singleton():
@@ -38,6 +39,51 @@ def test_redundant_pairs_are_reduced():
     P = Poset(3, [(0, 1), (1, 2), (0, 2)])
     assert P.covers == frozenset({(0, 1), (1, 2)})
     assert P == Poset(3, [(0, 1), (1, 2)])
+
+
+def _brute_force_order(n, pairs):
+    """Reflexive-transitive closure by Warshall's algorithm, and its covers."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        leq[a][b] = True
+    for k in range(n):
+        for a in range(n):
+            if leq[a][k]:
+                for b in range(n):
+                    leq[a][b] = leq[a][b] or leq[k][b]
+    covers = {
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and leq[a][b]
+        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
+    }
+    return leq, covers
+
+
+def test_construction_matches_brute_force_reduction():
+    rng = Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        density = rng.random()
+        pairs = [
+            (rank[i], rank[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+        ]
+        rng.shuffle(pairs)
+        leq, covers = _brute_force_order(n, pairs)
+        comparable = [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
+        # redundant and repeated input pairs, and every comparable pair (what restrict passes)
+        for given in (pairs + pairs[: len(pairs) // 3], comparable):
+            P = Poset(n, given)
+            assert P.covers == covers
+            for v in range(n):
+                assert P.upper_covers(v) == tuple(sorted(b for a, b in covers if a == v))
+                assert P.lower_covers(v) == tuple(sorted(a for a, b in covers if b == v))
+                assert P.upset_mask(v) == sum(1 << b for b in range(n) if leq[v][b])
+                assert P.downset_mask(v) == sum(1 << a for a in range(n) if leq[a][v])
 
 
 def test_cycle_detection():
@@ -79,6 +125,17 @@ def test_extension_enumeration_basics():
     assert exts == [(5, 4, 2, 3, 1, 0), (5, 4, 3, 2, 1, 0)]
     for ext in exts:
         assert is_descending_extension(d_k_one(4), ext)
+
+
+def test_descending_extension_matches_all_pairs_definition():
+    small = [e.poset for e in catalog() if e.poset.n <= 6]
+    for P in small:
+        for perm in permutations(range(P.n)):
+            expected = not any(P.lt(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
+            assert is_descending_extension(P, perm) == expected
+    P = d_k_one(3)
+    assert not is_descending_extension(P, (3, 2, 1))
+    assert not is_descending_extension(P, (3, 2, 1, 1))
 
 
 def _recursive_extensions(P):

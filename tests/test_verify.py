@@ -23,6 +23,7 @@ from dcposets import (
     weight_sum,
     young,
 )
+from dcposets import verify
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain
@@ -240,10 +241,13 @@ def test_monte_carlo_rpp_chain3():
     assert abs(estimate.estimate - exact) < 5 * max(estimate.std_error, 1e-9)
 
 
-def test_monte_carlo_deterministic_per_seed():
+def test_monte_carlo_deterministic_per_seed(monkeypatch):
     P = d_k_one(3)
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
     first = monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a)
     second = monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a)
     assert first == second
+    # the batch size does not change the draws
+    monkeypatch.setattr(verify, "CHUNK", 999)
+    assert monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a) == first

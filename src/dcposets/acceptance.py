@@ -20,10 +20,12 @@ from .classical import classical_insert_rsk, gt_from_rpp, is_rpp, order_from_ran
 from .diagonals import UPPER_SET_LIMIT, diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
-from .hooks import all_ones_point
+from .hooks import all_ones_point, random_scaled_point
 from .poset import Poset
 from .rsk import (
     NonGenericPoint,
+    _insert,
+    _program,
     diagonal_sums,
     inverse_rsk,
     is_stable,
@@ -144,20 +146,29 @@ def worked_insertion_example() -> CriterionResult:
 
 
 def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) -> CriterionResult:
-    """S(D) == sum_p h^(D)(p) t_p exactly on random fillings, every catalog poset."""
+    """S(D) == sum_p h^(D)(p) t_p exactly on random fillings, every catalog poset.
+
+    Each filling is drawn as integer labels over a common denominator
+    (the draws of ``random_filling``); both sides of every diagonal's
+    identity are then integer sums over that denominator.
+    """
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        part = a.diagonals
+        program = a.insertion_program
         hooks = a.hook_vectors
+        # per diagonal: its members, and the (element, h^(D)(p)) pairs with h^(D)(p) != 0
+        diagonals = [
+            (members, [(p, h[d]) for p, h in enumerate(hooks) if h[d]])
+            for d, members in enumerate(a.diagonals.classes)
+        ]
         for trial in range(trials):
-            t = random_filling(poset.n, rng)
-            sums = diagonal_sums(poset, part, rsk(poset, t, analysis=a))
-            for d in range(part.count):
-                expected = sum(
-                    (Fraction(hooks[p][d]) * t[p] for p in range(poset.n)), Fraction(0)
-                )
-                if sums[d] != expected:
+            t, _ = random_scaled_point(poset.n, rng)
+            t.append(0)  # the kernel's sentinel label
+            s = t[:]
+            _insert(s, program)
+            for d, (members, column) in enumerate(diagonals):
+                if sum(s[p] for p in members) != sum(h * t[p] for p, h in column):
                     failures.append(f"fail poset={name} trial={trial} diagonal={d}")
                     break
             else:
@@ -177,14 +188,22 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
 
 
 def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> CriterionResult:
-    """Identical images under two independently sampled insertion orders."""
+    """Identical images under two independently sampled insertion orders.
+
+    Each filling is drawn as integer labels over a common denominator
+    (the draws of ``random_filling``), and both orders' programs run on
+    copies of them.
+    """
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
+        a.ensure_d_complete()
         for trial in range(trials):
-            t = random_filling(poset.n, rng)
-            s1 = rsk(poset, t, random_descending_extension(poset, rng), analysis=a)
-            s2 = rsk(poset, t, random_descending_extension(poset, rng), analysis=a)
+            s1, _ = random_scaled_point(poset.n, rng)
+            s1.append(0)  # the kernel's sentinel label
+            s2 = s1[:]
+            _insert(s1, _program(poset, random_descending_extension(poset, rng), a))
+            _insert(s2, _program(poset, random_descending_extension(poset, rng), a))
             if s1 != s2:
                 failures.append(f"fail poset={name} trial={trial}")
                 break

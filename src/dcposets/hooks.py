@@ -36,11 +36,11 @@ def hook_vectors(
     top_interval = {interval.top: interval for interval in intervals}
     class_masks = [mask_of(members) for members in part.classes]
     vectors: list[HookVector] = [()] * P.n
-    for p in sorted(range(P.n), key=lambda v: bin(P._dn[v]).count("1")):
+    for p in sorted(range(P.n), key=lambda v: P._dn[v].bit_count()):
         interval = top_interval.get(p)
         if interval is None:
             dn = P._dn[p]
-            vectors[p] = tuple(bin(dn & cm).count("1") for cm in class_masks)
+            vectors[p] = tuple((dn & cm).bit_count() for cm in class_masks)
         else:
             w, z = interval.sides
             hw, hz, hb = vectors[w], vectors[z], vectors[interval.bottom]
@@ -65,13 +65,31 @@ def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
     return Fraction(sum(h * xd.numerator * (denom // xd.denominator) for h, xd in terms), denom)
 
 
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator, and that denominator."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def all_ones_point(count: int) -> RationalPoint:
     return (Fraction(1),) * count
 
 
+def _random_pairs(count: int, rng: Random) -> list[tuple[int, int]]:
+    """Per coordinate, a numerator and then a denominator, each in 1..16."""
+    return [(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(count)]
+
+
+def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:
+    """The draws of :func:`random_rational_point` as integers over a common denominator."""
+    pairs = _random_pairs(count, rng)
+    denom = math.lcm(*(d for _, d in pairs))
+    return [v * (denom // d) for v, d in pairs], denom
+
+
 def random_rational_point(count: int, rng: Random) -> RationalPoint:
     """Strictly positive rationals with numerators and denominators in 1..16."""
-    return tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(count))
+    return tuple(Fraction(v, d) for v, d in _random_pairs(count, rng))
 
 
 def exact_value(value) -> Fraction:

@@ -10,16 +10,25 @@ with missing neighbors contributing 0.
 Which elements are present at each step depends only on the insertion
 order, so a (poset, order) pair is compiled once into a toggle program:
 per inserted element, the present members of its diagonal, each with its
-present upper and lower covers.  ``rsk``, ``inverse_rsk`` and ``toggle``
-run that program through one step function on integer labels, with
-denominators cleared; Fractions appear only at the API edges.  Elements
-of one diagonal never cover each other, so the toggles of one step read
-no label another of them writes: they commute.
+present upper and lower covers.  Two loops run a program in place on a
+list of integer labels: ``_insert`` negates each inserted label and
+toggles its step, and ``_extract`` undoes the steps in reverse.  Both go
+through one step function, ``_toggle_all``.  ``rsk``, ``inverse_rsk``
+and ``toggle`` are Fraction edges over them, and the acceptance battery
+calls the loops directly.  Elements of one diagonal never cover each
+other, so the toggles of one step read no label another of them writes:
+they commute.
+
+Integer labels are exact because the map is positively homogeneous: a
+toggle is max + min - label, and negation and toggling commute with
+multiplying every label by the same positive constant.  So the image of
+T/L, for integer labels T over a common denominator L > 0, is the image
+of T over the same L, and comparisons of labels over one shared positive
+denominator are comparisons of the rationals they stand for.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from fractions import Fraction
 from random import Random
@@ -28,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
-from .hooks import exact_value, random_rational_point
+from .hooks import common_denominator, exact_value, random_rational_point
 from .poset import Poset, is_descending_extension
 
 Filling = tuple[Fraction, ...]
@@ -101,10 +110,25 @@ def _toggle_all(labels: list[int], toggles: Iterable[Toggle]) -> None:
         labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e]
 
 
+def _insert(labels: list[int], program: Program) -> None:
+    """The forward loop: per step, negate the inserted label, then toggle the step."""
+    for c, toggles in program:
+        labels[c] = -labels[c]
+        _toggle_all(labels, toggles)
+
+
+def _extract(labels: list[int], program: Program) -> None:
+    """The backward loop: undo the steps of ``_insert`` in reverse, toggles being involutions."""
+    for c, toggles in reversed(program):
+        _toggle_all(labels, toggles)
+        labels[c] = -labels[c]
+
+
 def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer labels over a common denominator, plus the sentinel's 0."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values] + [0], denom
+    labels, denom = common_denominator(values)
+    labels.append(0)
+    return labels, denom
 
 
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
@@ -154,9 +178,7 @@ def rsk(
     t = normalize_filling(P.n, filling, require_nonnegative=True)
     program = _program(P, order, a)
     labels, denom = _scale(t)
-    for c, toggles in program:
-        labels[c] = -labels[c]
-        _toggle_all(labels, toggles)
+    _insert(labels, program)
     return tuple(Fraction(v, denom) for v in labels[:-1])
 
 
@@ -181,9 +203,7 @@ def inverse_rsk(
         raise ValueError("image filling must be order-reversing")
     program = _program(P, order, a)
     state, denom = _scale(s)
-    for c, toggles in reversed(program):
-        _toggle_all(state, toggles)
-        state[c] = -state[c]
+    _extract(state, program)
     return tuple(Fraction(v, denom) for v in state[:-1])
 
 
@@ -273,12 +293,23 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
 
 
 def random_descending_extension(P: Poset, rng: Random) -> tuple[int, ...]:
-    """A linear extension sampled by repeatedly picking a random maximal element."""
-    remaining = (1 << P.n) - 1
+    """A linear extension sampled by repeatedly picking a random maximal element.
+
+    The maximal elements of what remains are kept in ascending order and
+    updated per pick: an element joins them once its last upper cover is
+    picked.
+    """
+    waiting = [len(u) for u in P._upper]
+    maximal = [v for v in range(P.n) if not waiting[v]]
     out = []
-    while remaining:
-        out.append(rng.choice(P.maximal_in_mask(remaining)))
-        remaining ^= 1 << out[-1]
+    while maximal:
+        c = rng.choice(maximal)
+        out.append(c)
+        maximal.remove(c)
+        for v in P._lower[c]:
+            waiting[v] -= 1
+            if not waiting[v]:
+                insort(maximal, v)
     return tuple(out)
 
 

@@ -13,6 +13,7 @@ the closed forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -25,6 +26,7 @@ from .diagonals import DiagonalPartition
 from .hooks import (
     RationalPoint,
     all_ones_point,
+    common_denominator,
     random_rational_point,
     validate_point,
 )
@@ -35,7 +37,7 @@ from .poset import (
     is_descending_extension,
     linear_extensions,
 )
-from .rsk import Filling, inverse_rsk, normalize_filling, rsk
+from .rsk import Filling, _extract, _insert, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
@@ -220,16 +222,72 @@ def polytope_membership(
     """Exact evaluation of the defining inequalities."""
     a = analysis or analyze(P)
     x = validate_point(spec.x, a.diagonals.count)
-    v = normalize_filling(P.n, values)
-    if any(value < 0 for value in v):
-        return False
+    v, denom = common_denominator(normalize_filling(P.n, values))
     if spec.kind == "fillings":
-        hooks = a.hook_polynomials(x)
-        return sum((h * t for h, t in zip(hooks, v)), Fraction(0)) <= 1
-    part = a.diagonals
-    if any(v[lowp] < v[highp] for lowp, highp in P.covers):
-        return False
-    return sum((x[part.diagonal_of[p]] * v[p] for p in range(P.n)), Fraction(0)) <= 1
+        hooks, hooks_denom = common_denominator(a.hook_polynomials(x))
+        return _in_fillings(v, _dot(hooks, v), hooks_denom * denom)
+    weights, weights_denom = _element_weights(x, a.diagonals)
+    return _in_rpp(P, v, _dot(weights, v), weights_denom * denom)
+
+
+def _dot(coefficients: Sequence[int], labels: Sequence[int]) -> int:
+    """sum_p c_p * l_p over the coefficients' length (a trailing sentinel label is skipped)."""
+    return sum(map(operator.mul, coefficients, labels))
+
+
+def _in_fillings(t: Sequence[int], weighted: int, bound: int) -> bool:
+    """The fillings polytope's inequalities on labels t over a denominator L.
+
+    t >= 0 and sum_p H_p t_p <= 1, given H_p = A_p / B,
+    ``weighted`` = sum_p A_p t_p and ``bound`` = B * L.
+    """
+    return all(v >= 0 for v in t) and weighted <= bound
+
+
+def _in_rpp(P: Poset, s: Sequence[int], weighted: int, bound: int) -> bool:
+    """The rpp polytope's inequalities on labels s over a denominator L.
+
+    s >= 0, s order-reversing and sum_p x_{D(p)} s_p <= 1, given
+    x_{D(p)} = X_p / C, ``weighted`` = sum_p X_p s_p and ``bound`` = C * L.
+    """
+    return (
+        all(v >= 0 for v in s)
+        and all(s[low] >= s[high] for low, high in P.covers)
+        and weighted <= bound
+    )
+
+
+def _element_weights(x: RationalPoint, part: DiagonalPartition) -> tuple[list[int], int]:
+    """x_{D(p)} = X_p / C per element: the numerators X_p and the common denominator C."""
+    numerators, denom = common_denominator(x)
+    return [numerators[d] for d in part.diagonal_of], denom
+
+
+def _simplex_gaps(n: int, rng: Random) -> list[int]:
+    """A uniform point of the simplex {u >= 0, sum u <= 1} on a grid, as integers over GRAIN.
+
+    Sorted-uniform gaps give a uniform point of the simplex; the gaps are
+    dealt to the elements in a uniformly random order.
+    """
+    draws = sorted(rng.randrange(0, GRAIN + 1) for _ in range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    gaps = [0] * n
+    previous = 0
+    for draw, p in zip(draws, order):
+        gaps[p] = draw - previous
+        previous = draw
+    return gaps
+
+
+def _sample_scale(hooks: Sequence[int], hooks_denom: int) -> tuple[list[int], int]:
+    """Per-element factors f_p and a denominator L with gap_p / H_p = gap_p * f_p / L.
+
+    With H_p = A_p / B and gaps over GRAIN: L = GRAIN * lcm(A) and
+    f_p = B * lcm(A) / A_p.
+    """
+    common = math.lcm(*hooks)
+    return [hooks_denom * (common // h) for h in hooks], GRAIN * common
 
 
 def sample_fillings_point(
@@ -245,18 +303,12 @@ def sample_fillings_point(
     {u >= 0, sum u <= 1}; dividing coordinatewise by the hook polynomials
     lands in the fillings polytope.  This matches the distribution of
     rejection sampling from the bounding box without its 1/n! acceptance
-    rate.
+    rate.  :func:`rsk_polytope_check` makes the same draws on integers.
     """
     a = analysis or analyze(P)
     hooks = a.hook_polynomials(validate_point(x, a.diagonals.count))
-    draws = sorted(Fraction(rng.randrange(0, GRAIN + 1), GRAIN) for _ in range(P.n))
-    gaps = [draws[0]] + [b - c for b, c in zip(draws[1:], draws)]
-    order = list(range(P.n))
-    rng.shuffle(order)
-    t = [Fraction(0)] * P.n
-    for gap, p in zip(gaps, order):
-        t[p] = gap / hooks[p]
-    return tuple(t)
+    factors, denom = _sample_scale(*common_denominator(hooks))
+    return tuple(Fraction(g * f, denom) for g, f in zip(_simplex_gaps(P.n, rng), factors))
 
 
 @dataclass(frozen=True)
@@ -279,6 +331,16 @@ def rsk_polytope_check(
 
     Each trial checks membership of the image, the exact identity
     sum x_{D(p)} s_p == sum H_p(x) t_p, and the exact round trip.
+
+    The checks run on integer labels.  With H_p(x) = A_p / B and
+    x_D = X_D / C, each sample is drawn (by the same ``rng`` calls as
+    :func:`sample_fillings_point`) as labels T over L = GRAIN * lcm(A).
+    The insertion map commutes with scaling by L, so its image is labels S
+    over L.  Then t is in the fillings polytope iff T >= 0 and
+    sum A_p T_p <= B L; s is in the rpp polytope iff S >= 0, S is
+    order-reversing and sum X_{D(p)} S_p <= C L; the identity is
+    B sum X S == C sum A T; the round trip is equality of label lists.
+    Fractions are built only for failure entries.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
@@ -287,24 +349,35 @@ def rsk_polytope_check(
         x = all_ones_point(part.count)
     x = validate_point(x, part.count)
     rng = Random(seed)
-    hooks = a.hook_polynomials(x)
-    fillings_spec = PolytopeSpec("fillings", x)
-    rpp_spec = PolytopeSpec("rpp", x)
+    hooks, hooks_denom = common_denominator(a.hook_polynomials(x))
+    weights, weights_denom = _element_weights(x, part)
+    factors, denom = _sample_scale(hooks, hooks_denom)
+    fillings_bound, rpp_bound = hooks_denom * denom, weights_denom * denom
+    program = a.insertion_program
+
+    def fractions(labels):
+        return tuple(Fraction(v, denom) for v in labels[: P.n])
+
     failures = []
     for trial in range(trials):
-        t = sample_fillings_point(P, x, rng, analysis=a)
-        if not polytope_membership(P, fillings_spec, t, analysis=a):
-            failures.append((trial, "source-membership", t))
+        t = [g * f for g, f in zip(_simplex_gaps(P.n, rng), factors)]
+        t.append(0)  # the kernel's sentinel label
+        hook_side = _dot(hooks, t)
+        if not _in_fillings(t, hook_side, fillings_bound):
+            failures.append((trial, "source-membership", fractions(t)))
             continue
-        s = rsk(P, t, analysis=a)
-        if not polytope_membership(P, rpp_spec, s, analysis=a):
-            failures.append((trial, "image-membership", t, s))
-        lhs = sum((x[part.diagonal_of[p]] * s[p] for p in range(P.n)), Fraction(0))
-        rhs = sum((h * v for h, v in zip(hooks, t)), Fraction(0))
-        if lhs != rhs:
+        s = t[:]
+        _insert(s, program)
+        weight_side = _dot(weights, s)
+        if not _in_rpp(P, s, weight_side, rpp_bound):
+            failures.append((trial, "image-membership", fractions(t), fractions(s)))
+        if hooks_denom * weight_side != weights_denom * hook_side:
+            lhs, rhs = Fraction(weight_side, rpp_bound), Fraction(hook_side, fillings_bound)
             failures.append((trial, "weighted-sum", lhs, rhs))
-        if inverse_rsk(P, s, analysis=a) != t:
-            failures.append((trial, "round-trip", t, s))
+        back = s[:]
+        _extract(back, program)
+        if back != t:
+            failures.append((trial, "round-trip", fractions(t), fractions(s)))
     return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
 
 

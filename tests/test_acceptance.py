@@ -5,9 +5,15 @@ One test per criterion, each printing a PASS/FAIL line (visible with
 Carlo comparison uses a pinned seed.
 """
 
+import importlib
+
 import pytest
 
-from dcposets import acceptance
+from dcposets import acceptance, rsk_polytope_check
+from dcposets.catalog import catalog
+
+# the package's ``rsk`` attribute is the function, not the module
+rsk_module = importlib.import_module("dcposets.rsk")
 
 SEED = 0
 
@@ -62,3 +68,43 @@ def test_criterion_09_classical_equivalence():
 
 def test_criterion_10_monte_carlo_volumes(prepared):
     report(acceptance.monte_carlo_agreement(prepared, samples=10**6, seed=SEED))
+
+
+def _leaky_step(labels, toggles):
+    """A wrong step function: each toggle also adds the label of element e + 1 (mod n).
+
+    That element is no cover of e, and whether it has been inserted yet
+    depends on the insertion order, so the error does too.
+    """
+    get = labels.__getitem__
+    n = len(labels) - 1
+    for e, ups, los in toggles:
+        labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e] + labels[(e + 1) % n]
+
+
+def test_broken_kernel_fails_integer_checks(monkeypatch):
+    # the trial loops of criteria 4, 5 and 7 run the kernel on integer labels;
+    # a wrong step must make each of them fail on every poset, not only in
+    # the worked examples, and must trip every check of criterion 7 that
+    # reads the image
+    names = ("d4", "young-3.2", "shifted-4.2", "sample10")
+    subset = acceptance.prepare([e for e in catalog() if e.name in names])
+    monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
+    for criterion in (
+        acceptance.diagonal_sum_identity,
+        acceptance.order_independence,
+        acceptance.polytope_bijection,
+    ):
+        result = criterion(subset, trials=5, seed=SEED)
+        assert not result.ok, result.name
+        for name, _, _ in subset:
+            assert any(line.startswith(f"fail poset={name} ") for line in result.lines), (
+                result.name,
+                name,
+            )
+    kinds = {
+        failure[1]
+        for _, poset, a in subset
+        for failure in rsk_polytope_check(poset, trials=5, seed=SEED, analysis=a).failures
+    }
+    assert kinds == {"image-membership", "weighted-sum", "round-trip"}

@@ -16,7 +16,7 @@ from dcposets import (
     young,
 )
 from dcposets.families import young_box_ids
-from dcposets.hooks import validate_point
+from dcposets.hooks import random_scaled_point, validate_point
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain
@@ -126,3 +126,13 @@ def test_points_are_exact():
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
     with pytest.raises(TypeError):
         polytope_membership(P, spec, (0,) * P.n, analysis=a)
+
+
+def test_random_points_keep_their_draws():
+    # the battery's seeds pin these draws: one numerator, then one denominator, per coordinate
+    for seed in range(20):
+        rng = Random(seed)
+        expected = tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(9))
+        assert random_rational_point(9, Random(seed)) == expected
+        numerators, denom = random_scaled_point(9, Random(seed))
+        assert tuple(Fraction(v, denom) for v in numerators) == expected

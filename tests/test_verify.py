@@ -9,12 +9,15 @@ from dcposets import (
     Poset,
     all_ones_point,
     analyze,
+    catalog,
     closed_form_volume,
     count_linear_extensions,
     d_k_one,
+    inverse_rsk,
     monte_carlo_volume,
     polytope_membership,
     random_rational_point,
+    rsk,
     rsk_polytope_check,
     sample_fillings_point,
     verify_multivariate,
@@ -24,7 +27,7 @@ from dcposets import (
     young,
 )
 from dcposets import verify
-from dcposets.verify import PolytopeSpec
+from dcposets.verify import BijectionReport, PolytopeSpec
 
 from conftest import chain
 from test_hooks import classical_hook_length
@@ -193,6 +196,81 @@ def test_sampled_points_are_members(family, analyses):
 def test_polytope_bijection(family, analyses, name):
     report = rsk_polytope_check(family[name], trials=40, seed=2, analysis=analyses[name])
     assert report.ok, report.failures[:2]
+
+
+def _reference_sample(P, hooks, rng):
+    """The fillings-polytope draw on Fractions: sorted-uniform gaps divided by the hooks."""
+    draws = sorted(Fraction(rng.randrange(0, verify.GRAIN + 1), verify.GRAIN) for _ in range(P.n))
+    gaps = [draws[0]] + [b - c for b, c in zip(draws[1:], draws)]
+    order = list(range(P.n))
+    rng.shuffle(order)
+    t = [Fraction(0)] * P.n
+    for gap, p in zip(gaps, order):
+        t[p] = gap / hooks[p]
+    return tuple(t)
+
+
+def _reference_inside(P, a, kind, x, v):
+    """The defining inequalities of the two polytopes, on Fractions."""
+    if any(value < 0 for value in v):
+        return False
+    if kind == "fillings":
+        return sum(h * value for h, value in zip(a.hook_polynomials(x), v)) <= 1
+    if any(v[lo] < v[hi] for lo, hi in P.covers):
+        return False
+    return sum(x[a.diagonals.diagonal_of[p]] * v[p] for p in range(P.n)) <= 1
+
+
+def _reference_polytope_check(P, a, x, trials, seed):
+    """rsk_polytope_check on Fractions, each check written as its definition states it."""
+    if x is None:
+        x = all_ones_point(a.diagonals.count)
+    rng = Random(seed)
+    hooks = a.hook_polynomials(x)
+    failures = []
+    for trial in range(trials):
+        t = _reference_sample(P, hooks, rng)
+        if not _reference_inside(P, a, "fillings", x, t):
+            failures.append((trial, "source-membership", t))
+            continue
+        s = rsk(P, t, analysis=a)
+        if not _reference_inside(P, a, "rpp", x, s):
+            failures.append((trial, "image-membership", t, s))
+        lhs = sum((x[a.diagonals.diagonal_of[p]] * s[p] for p in range(P.n)), Fraction(0))
+        rhs = sum((h * v for h, v in zip(hooks, t)), Fraction(0))
+        if lhs != rhs:
+            failures.append((trial, "weighted-sum", lhs, rhs))
+        if inverse_rsk(P, s, analysis=a) != t:
+            failures.append((trial, "round-trip", t, s))
+    return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
+
+
+@pytest.mark.parametrize("entry", catalog()[::3], ids=lambda e: e.name)
+def test_polytope_check_matches_fraction_reference(entry):
+    # at a random point the hook and weight denominators B and C differ from 1
+    P = entry.poset
+    a = analyze(P)
+    for x in (None, random_rational_point(a.diagonals.count, Random(P.n))):
+        expected = _reference_polytope_check(P, a, x, trials=20, seed=3)
+        assert rsk_polytope_check(P, x, trials=20, seed=3, analysis=a) == expected
+
+
+@pytest.mark.parametrize("name", ["d4", "sample10", "young-3.3", "shifted-4.3.1"])
+def test_samples_and_membership_match_fractions(family, analyses, name):
+    P = family[name]
+    a = analyses[name]
+    verdicts = set()
+    for x in (all_ones_point(a.diagonals.count), random_rational_point(a.diagonals.count, Random(8))):
+        rng, reference_rng = Random(4), Random(4)
+        for _ in range(10):
+            t = sample_fillings_point(P, x, rng, analysis=a)
+            assert t == _reference_sample(P, a.hook_polynomials(x), reference_rng)
+            for point in (t, rsk(P, t, analysis=a), tuple(3 * v for v in t)):
+                for kind in ("fillings", "rpp"):
+                    inside = _reference_inside(P, a, kind, x, point)
+                    assert polytope_membership(P, PolytopeSpec(kind, x), point, analysis=a) == inside
+                    verdicts.add(inside)
+    assert verdicts == {True, False}
 
 
 def test_closed_forms_agree_between_kinds(family, analyses):

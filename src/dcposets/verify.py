@@ -413,45 +413,86 @@ def monte_carlo_volume(
     *,
     analysis: PosetAnalysis | None = None,
 ) -> VolumeEstimate:
-    """Hit-rate estimate over the bounding box, with binomial standard error.
+    """Hit-rate estimate over the bounding box; one case of :func:`monte_carlo_volumes`."""
+    return monte_carlo_volumes([(P, spec, analysis)], samples, seed)[0]
+
+
+def _volume_test(P: Poset, spec: PolytopeSpec, a: PosetAnalysis):
+    """Box edge, per-element coefficients c and cover pairs of one polytope.
+
+    A box point is inside iff c . pts <= 1 and pts[low] >= pts[high] for
+    every cover pair (fillings have none).
+    """
+    x = validate_point(spec.x, a.diagonals.count)
+    if spec.kind == "fillings":
+        hooks = a.hook_polynomials(x)
+        edge = float(max(Fraction(1) / h for h in hooks))
+        return edge, np.array([float(h) for h in hooks]), []
+    coefficients = np.array([float(x[d]) for d in a.diagonals.diagonal_of])
+    return float(1 / min(x)), coefficients, sorted(P.covers)
+
+
+def monte_carlo_volumes(
+    cases: Sequence[tuple[Poset, PolytopeSpec, PosetAnalysis | None]],
+    samples: int = 10**6,
+    seed: int = 0,
+) -> list[VolumeEstimate]:
+    """Hit-rate estimates over the bounding boxes, with binomial standard errors.
 
     Boxes: [0, max_p 1/H_p(x)]^n for fillings, [0, 1/min_D x_D]^n for rpp.
+    Each case draws ``samples`` points of ``edge * U`` with U uniform on
+    [0, 1)^n from ``np.random.default_rng(seed)``, the same points as
+    ``rng.uniform(0, edge)``.  U depends only on n and the seed, so the
+    cases are grouped by size and each batch of U is drawn once per group
+    and tested against every case in it.  Cases of the same size and seed
+    therefore share their draws, and the fillings and rpp estimates of one
+    poset are correlated, not independent: a spread test that combines
+    their standard errors as if independent, ``hypot(se_f, se_r)``, is
+    conservative (see :func:`acceptance.monte_carlo_agreement`).
+    Estimates come back in input order.
     """
-    a = analysis or analyze(P)
-    x = validate_point(spec.x, a.diagonals.count)
-    n = P.n
-    rng = np.random.default_rng(seed)
-    if spec.kind == "fillings":
-        hooks = np.array([float(h) for h in a.hook_polynomials(x)])
-        edge = float(max(Fraction(1) / h for h in a.hook_polynomials(x)))
-    else:
-        part = a.diagonals
-        weights = np.array([float(x[part.diagonal_of[p]]) for p in range(n)])
-        edge = float(1 / min(x))
-        cover_pairs = sorted(P.covers)
-    box_volume = edge**n
-    hits = 0
-    done = 0
-    while done < samples:
-        take = min(CHUNK, samples - done)
-        pts = rng.uniform(0.0, edge, size=(take, n))
-        if spec.kind == "fillings":
-            inside = pts @ hooks <= 1.0
-        else:
-            inside = pts @ weights <= 1.0
-            for low, high in cover_pairs:
-                inside &= pts[:, low] >= pts[:, high]
-        hits += int(inside.sum())
-        done += take
-    rate = hits / samples
-    estimate = rate * box_volume
-    std_error = math.sqrt(rate * (1.0 - rate) / samples) * box_volume
-    return VolumeEstimate(
-        kind=spec.kind,
-        samples=samples,
-        seed=seed,
-        hits=hits,
-        box_volume=box_volume,
-        estimate=estimate,
-        std_error=std_error,
-    )
+    tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
+    hits = [0] * len(cases)
+    # size -> box edge -> case indices; one U stream per size, one pts per edge
+    groups: dict[int, dict[float, list[int]]] = {}
+    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
+        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
+    for n, by_edge in groups.items():
+        rng = np.random.default_rng(seed)
+        u = np.empty((CHUNK, n))
+        pts = np.empty((CHUNK, n))
+        dots = np.empty(CHUNK)
+        inside = np.empty(CHUNK, dtype=bool)
+        ordered = np.empty(CHUNK, dtype=bool)
+        done = 0
+        while done < samples:
+            take = min(CHUNK, samples - done)
+            rng.random(out=u[:take])
+            p, d, ok, cmp = pts[:take], dots[:take], inside[:take], ordered[:take]
+            for edge, members in by_edge.items():
+                np.multiply(u[:take], edge, out=p)
+                for i in members:
+                    _, coefficients, cover_pairs = tests[i]
+                    np.matmul(p, coefficients, out=d)
+                    np.less_equal(d, 1.0, out=ok)
+                    for low, high in cover_pairs:
+                        np.greater_equal(p[:, low], p[:, high], out=cmp)
+                        ok &= cmp
+                    hits[i] += int(np.count_nonzero(ok))
+            done += take
+    estimates = []
+    for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):
+        box_volume = edge**P.n
+        rate = h / samples
+        estimates.append(
+            VolumeEstimate(
+                kind=spec.kind,
+                samples=samples,
+                seed=seed,
+                hits=h,
+                box_volume=box_volume,
+                estimate=rate * box_volume,
+                std_error=math.sqrt(rate * (1.0 - rate) / samples) * box_volume,
+            )
+        )
+    return estimates

@@ -127,6 +127,8 @@ def test_volume_command(tmp_path, capsys):
     code, out, _ = run(capsys, "volume", str(path), "--kind", "fillings", "--samples", "20000")
     assert code == 0
     assert "closed_form=1/4" in out
+    # the draw stream is pinned, not only bounded
+    assert " hits=4914 " in out
     code2, out2, _ = run(capsys, "volume", str(path), "--kind", "fillings", "--samples", "20000")
     assert out == out2
 

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from dcposets import Poset, analyze, builtin_poset, d_k_one, structure_report
+from dcposets.dstructure import AxiomViolation
 from dcposets.poset import bits, upper_set_masks
 
 from conftest import chain, is_isomorphic
@@ -152,6 +153,14 @@ def test_minimal_difference_axiom_violation():
     P = Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
     report = analyze(P).axiom_report
     assert any(v.axiom == 3 for v in report.violations)
+
+
+def test_top_cover_axiom_violation():
+    # a diamond 0<1,0<2,1<3,2<3 whose top 3 also covers 4, outside [0, 3]
+    P = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 3)])
+    report = analyze(P).axiom_report
+    assert not report.is_d_complete
+    assert AxiomViolation(2, (0, 3, 4)) in report.violations
 
 
 def test_structure_report_family(family, analyses):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from dcposets import (
@@ -329,3 +330,72 @@ def test_monte_carlo_deterministic_per_seed(monkeypatch):
     # the batch size does not change the draws
     monkeypatch.setattr(verify, "CHUNK", 999)
     assert monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a) == first
+
+
+def _reference_monte_carlo_volume(P, spec, samples, seed, a):
+    """The per-spec loop: one fresh uniform stream per polytope."""
+    x = spec.x
+    n = P.n
+    rng = np.random.default_rng(seed)
+    if spec.kind == "fillings":
+        hooks = np.array([float(h) for h in a.hook_polynomials(x)])
+        edge = float(max(Fraction(1) / h for h in a.hook_polynomials(x)))
+    else:
+        weights = np.array([float(x[a.diagonals.diagonal_of[p]]) for p in range(n)])
+        edge = float(1 / min(x))
+        cover_pairs = sorted(P.covers)
+    box_volume = edge**n
+    hits = 0
+    done = 0
+    while done < samples:
+        take = min(verify.CHUNK, samples - done)
+        pts = rng.uniform(0.0, edge, size=(take, n))
+        if spec.kind == "fillings":
+            inside = pts @ hooks <= 1.0
+        else:
+            inside = pts @ weights <= 1.0
+            for low, high in cover_pairs:
+                inside &= pts[:, low] >= pts[:, high]
+        hits += int(inside.sum())
+        done += take
+    rate = hits / samples
+    return verify.VolumeEstimate(
+        kind=spec.kind,
+        samples=samples,
+        seed=seed,
+        hits=hits,
+        box_volume=box_volume,
+        estimate=rate * box_volume,
+        std_error=math.sqrt(rate * (1.0 - rate) / samples) * box_volume,
+    )
+
+
+def test_monte_carlo_volumes_match_reference(monkeypatch):
+    small = [(e.poset, analyze(e.poset)) for e in catalog() if e.poset.n <= 6]
+    at_ones = [
+        (P, PolytopeSpec(kind, all_ones_point(a.diagonals.count)), a)
+        for P, a in small
+        for kind in ("fillings", "rpp")
+    ]
+    # per size, the poset of largest volume at a random point with every x_D in
+    # (1, 5/4]: the box edges are below 1 and the hit rates stay above 0
+    widest = {}
+    for P, a in small:
+        if P.n not in widest or math.prod(a.hook_lengths) < math.prod(widest[P.n][1].hook_lengths):
+            widest[P.n] = (P, a)
+    at_random = []
+    for n, (P, a) in sorted(widest.items()):
+        rng = Random(n)
+        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
+        at_random += [(P, PolytopeSpec(kind, x), a) for kind in ("fillings", "rpp")]
+    for cases, samples, seed in ((at_ones, 20_000, 0), (at_random, 50_000, 5)):
+        expected = [_reference_monte_carlo_volume(P, s, samples, seed, a) for P, s, a in cases]
+        assert verify.monte_carlo_volumes(cases, samples, seed) == expected
+        # the batch size does not change the draws
+        with monkeypatch.context() as m:
+            m.setattr(verify, "CHUNK", 999)
+            assert verify.monte_carlo_volumes(cases, samples, seed) == expected
+    assert sorted(widest) == [1, 2, 3, 4, 5, 6]
+    assert all(e.box_volume < 1.0 and e.hits > 0 for e in expected)
+    # a size where the two kinds' boxes differ, so one draw is scaled twice
+    assert any(f.box_volume != r.box_volume for f, r in zip(expected[::2], expected[1::2]))

@@ -144,7 +144,7 @@ def _cmd_verify_proctor(args) -> int:
 
 def _cmd_verify_hlf(args) -> int:
     P = _load_poset(args.poset)
-    report = verify_multivariate(P, points=args.points, seed=args.seed, cap=args.cap)
+    report = verify_multivariate(P, points=args.points, seed=args.seed)
     print(
         f"points={report.points} seed={report.seed} extensions={report.extensions} "
         f"ok={_bool(report.ok)}"
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     vh.add_argument("poset")
     vh.add_argument("--points", type=int, default=20)
     vh.add_argument("--seed", type=int, default=0)
-    vh.add_argument("--cap", type=int, default=10**6)
 
     vol = sub.add_parser("volume", help="Monte Carlo volume of one of the two polytopes")
     vol.add_argument("poset")
@@ -310,3 +309,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -12,9 +12,6 @@ from itertools import combinations
 from .dstructure import DInterval
 from .poset import Poset, bits, upper_set_masks
 
-# diagonal_report rebuilds every upper set of posets up to this size.
-UPPER_SET_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class DiagonalPartition:
@@ -105,10 +102,10 @@ def diagonal_report(
     the same diagonal partition; (4) if the minimum of C is minimal in P,
     every element of an adjacent D touches C; (5) upper sets preserve
     diagonal adjacency; (6) adjacent diagonals have at most one minimum
-    that is minimal in P.  Properties (3) and (5) scan every upper set
-    when n <= ``UPPER_SET_LIMIT``; each upper set is rebuilt as a fresh
-    poset and analyzed from scratch, so the comparison is an independent
-    check.
+    that is minimal in P.  Properties (3) and (5) scan every upper set;
+    each is rebuilt as a fresh poset and analyzed anew, so the
+    comparison is an independent check.  Past ``IDEAL_LIMIT`` upper sets
+    the scan raises :class:`ExtensionLimitError`.
     """
     from .analysis import analyze
 
@@ -146,24 +143,23 @@ def diagonal_report(
         if minima[c] in minimal_in_p and minima[d] in minimal_in_p:
             failures.append(DiagonalFailure(6, (c, d, minima[c], minima[d])))
 
-    if P.n <= UPPER_SET_LIMIT:
-        for um in upper_set_masks(P):
-            if um == 0:
-                continue
-            elems = list(bits(um))
-            sub, old_ids = P.restrict(elems)
-            subpart = analyze(sub).diagonals
-            for i, j in combinations(range(len(elems)), 2):
-                same_p = part.diagonal_of[old_ids[i]] == part.diagonal_of[old_ids[j]]
-                same_u = subpart.diagonal_of[i] == subpart.diagonal_of[j]
-                if same_p != same_u:
-                    failures.append(DiagonalFailure(3, (old_ids[i], old_ids[j], um)))
-            trace: dict[int, int] = {}
-            for new, old in enumerate(old_ids):
-                trace.setdefault(part.diagonal_of[old], subpart.diagonal_of[new])
-            for c, d in combinations(sorted(trace), 2):
-                if part.is_adjacent(c, d) != subpart.is_adjacent(trace[c], trace[d]):
-                    failures.append(DiagonalFailure(5, (c, d, um)))
+    for um in upper_set_masks(P):
+        if um == 0:
+            continue
+        elems = list(bits(um))
+        sub, old_ids = P.restrict(elems)
+        subpart = analyze(sub).diagonals
+        for i, j in combinations(range(len(elems)), 2):
+            same_p = part.diagonal_of[old_ids[i]] == part.diagonal_of[old_ids[j]]
+            same_u = subpart.diagonal_of[i] == subpart.diagonal_of[j]
+            if same_p != same_u:
+                failures.append(DiagonalFailure(3, (old_ids[i], old_ids[j], um)))
+        trace: dict[int, int] = {}
+        for new, old in enumerate(old_ids):
+            trace.setdefault(part.diagonal_of[old], subpart.diagonal_of[new])
+        for c, d in combinations(sorted(trace), 2):
+            if part.is_adjacent(c, d) != subpart.is_adjacent(trace[c], trace[d]):
+                failures.append(DiagonalFailure(5, (c, d, um)))
 
     failures.sort(key=lambda f: (f.prop, f.witness))
     return DiagonalReport(ok=not failures, failures=tuple(failures))

@@ -11,6 +11,7 @@ one-element completions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .poset import Poset, mask_of
 
@@ -105,20 +106,16 @@ def find_d_intervals(P: Poset, dminus: tuple[DMinusConvexSet, ...]) -> tuple[DIn
 def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
     """All d_k^- convex subsets of P.
 
-    The search is shape-directed: anchor on an incomparable pair with a
-    common lower cover, then grow the tail chain downwards and the neck
-    chain upwards in lockstep.  A convexity violation can never be cured
-    by growing further (new elements lie strictly below or above the
-    current set), so non-convex partial shapes are pruned.
+    The search is shape-directed: anchor on two upper covers of one
+    element (they are incomparable), then grow the tail chain downwards
+    and the neck chain upwards in lockstep.  A convexity violation can
+    never be cured by growing further (new elements lie strictly below or
+    above the current set), so non-convex partial shapes are pruned.
     """
     out: list[DMinusConvexSet] = []
-    for s1 in range(P.n):
-        for s2 in range(s1 + 1, P.n):
-            if not P.incomparable(s1, s2):
-                continue
-            shared = set(P.lower_covers(s1)) & set(P.lower_covers(s2))
-            for t in shared:
-                _grow(P, (s1, s2), [t], [], out)
+    for t in range(P.n):
+        for sides in combinations(P.upper_covers(t), 2):
+            _grow(P, sides, [t], [], out)
     return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(sorted(s.members)))))
 
 
@@ -259,24 +256,24 @@ def structure_report(P: Poset, intervals: tuple[DInterval, ...]) -> StructureRep
 def _forbidden_configuration(P: Poset) -> tuple[int, ...] | None:
     """Search for p1,p2,p3,q1,q2,q3 with each p_i covered by the two q_j, j != i.
 
-    The q's must be pairwise incomparable.  Returns the six elements or
-    None.
+    Each pair of q's shares a lower cover, so the pairs are pairs of
+    upper covers of one element, and the q's are pairwise incomparable.
+    Returns the first six elements found, q1 < q2 < q3 and each pool
+    ascending, or None.
     """
-    n = P.n
-    shared: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if P.incomparable(a, b):
-                common = tuple(set(P.lower_covers(a)) & set(P.lower_covers(b)))
-                if common:
-                    shared[(a, b)] = common
-    for (q1, q2) in shared:
-        for q3 in range(q2 + 1, n):
-            if not (P.incomparable(q1, q3) and P.incomparable(q2, q3)):
+    shared: dict[tuple[int, int], list[int]] = {}  # (q, q') -> common lower covers, ascending
+    for t in range(P.n):
+        for pair in combinations(P.upper_covers(t), 2):
+            shared.setdefault(pair, []).append(t)
+    keys = sorted(shared)
+    partners: dict[int, list[int]] = {}
+    for a, b in keys:
+        partners.setdefault(a, []).append(b)
+    for q1, q2 in keys:
+        for q3 in partners[q1]:
+            if q3 <= q2 or (q2, q3) not in shared:
                 continue
-            pool1 = shared.get((q2, q3), ())
-            pool2 = shared.get((q1, q3), ())
-            pool3 = shared.get((q1, q2), ())
+            pool1, pool2, pool3 = shared[(q2, q3)], shared[(q1, q3)], shared[(q1, q2)]
             for p1 in pool1:
                 for p2 in pool2:
                     if p2 == p1:

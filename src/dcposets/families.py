@@ -11,6 +11,33 @@ from typing import Sequence
 from .poset import Poset
 
 
+def _box_ids(shape: Sequence[int], shifted: bool) -> dict[tuple[int, int], int]:
+    """Map (row, column) (1-based) to element ids, row-major.
+
+    Row i starts at column 1, or at column i in a shifted diagram.
+    """
+    boxes = []
+    for i, row in enumerate(shape, start=1):
+        start = i if shifted else 1
+        boxes += [(i, j) for j in range(start, start + row)]
+    return {box: e for e, box in enumerate(boxes)}
+
+
+def _diagram(shape: Sequence[int], shifted: bool) -> Poset:
+    """Box (i, j) is covered by the boxes directly above and to the left."""
+    shape = tuple(shape)
+    _check_partition(shape, strict=shifted)
+    index = _box_ids(shape, shifted)
+    pairs = []
+    for (i, j), e in index.items():
+        if (i - 1, j) in index:
+            pairs.append((e, index[(i - 1, j)]))
+        if (i, j - 1) in index:
+            pairs.append((e, index[(i, j - 1)]))
+    names = {e: f"{i},{j}" for (i, j), e in index.items()}
+    return Poset(len(index), pairs, names)
+
+
 def young(shape: Sequence[int]) -> Poset:
     """Young diagram of a partition, one element per box.
 
@@ -18,46 +45,22 @@ def young(shape: Sequence[int]) -> Poset:
     the top-left corner is the maximum.  Elements are numbered row-major;
     each carries its "i,j" coordinates (1-based) as a name.
     """
-    shape = tuple(shape)
-    _check_partition(shape, strict=False)
-    boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(1, row + 1)]
-    index = {box: e for e, box in enumerate(boxes)}
-    pairs = []
-    for (i, j), e in index.items():
-        if (i - 1, j) in index:
-            pairs.append((e, index[(i - 1, j)]))
-        if (i, j - 1) in index:
-            pairs.append((e, index[(i, j - 1)]))
-    names = {e: f"{i},{j}" for (i, j), e in index.items()}
-    return Poset(len(boxes), pairs, names)
+    return _diagram(shape, shifted=False)
 
 
 def young_box_ids(shape: Sequence[int]) -> dict[tuple[int, int], int]:
     """Map (row, column) (1-based) to the element id used by :func:`young`."""
-    boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(1, row + 1)]
-    return {box: e for e, box in enumerate(boxes)}
+    return _box_ids(shape, shifted=False)
 
 
 def shifted_young(shape: Sequence[int]) -> Poset:
     """Shifted Young diagram of a strict partition; row i is indented i-1."""
-    shape = tuple(shape)
-    _check_partition(shape, strict=True)
-    boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(i, i + row)]
-    index = {box: e for e, box in enumerate(boxes)}
-    pairs = []
-    for (i, j), e in index.items():
-        if (i - 1, j) in index:
-            pairs.append((e, index[(i - 1, j)]))
-        if (i, j - 1) in index:
-            pairs.append((e, index[(i, j - 1)]))
-    names = {e: f"{i},{j}" for (i, j), e in index.items()}
-    return Poset(len(boxes), pairs, names)
+    return _diagram(shape, shifted=True)
 
 
 def shifted_box_ids(shape: Sequence[int]) -> dict[tuple[int, int], int]:
     """Map (row, column) (1-based) to the element id used by :func:`shifted_young`."""
-    boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(i, i + row)]
-    return {box: e for e, box in enumerate(boxes)}
+    return _box_ids(shape, shifted=True)
 
 
 def tree(parent: Sequence[int | None]) -> Poset:

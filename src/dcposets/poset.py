@@ -23,8 +23,8 @@ class CycleError(ValueError):
 class ExtensionLimitError(RuntimeError):
     """The poset's order-ideal lattice has more than ``IDEAL_LIMIT`` ideals.
 
-    Also raised by callers that refuse a poset with too many linear
-    extensions for an enumeration or a sampled check.
+    Also raised by ``dcposets extensions --list`` when the poset has more
+    linear extensions than ``--cap`` lines.
     """
 
 

@@ -335,6 +335,12 @@ def rsk_jacobian_det(
     row_c = -e_c, a toggle sets row_e = row_max + row_min - row_e) yields
     that map exactly; its determinant is taken by fraction-free integer
     elimination.
+
+    Each insertion or toggle is the identity with one row replaced, and
+    that row's diagonal entry is -1, so the determinant is (-1)^(n + T)
+    for the program's T toggles, whatever choices were made.  A check
+    of this value (criterion 6) therefore tests the replay and
+    :func:`_bareiss`, not the arithmetic of :func:`_toggle_all`.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()

@@ -31,7 +31,6 @@ from .hooks import (
     validate_point,
 )
 from .poset import (
-    ExtensionLimitError,
     Poset,
     fold_ideals,
     is_descending_extension,
@@ -159,22 +158,18 @@ def verify_multivariate(
     P: Poset,
     points: int = 20,
     seed: int = 0,
-    cap: int = 10**6,
     *,
     analysis: PosetAnalysis | None = None,
 ) -> MultivariateReport:
     """Check the weight sum against 1/prod(H_p) at random rational points.
 
-    Equality must be exact at every point.  Posets with more linear
-    extensions than ``cap`` are refused rather than sampled.
+    Equality must be exact at every point.  The weight sum folds the
+    ideal lattice, so the number of linear extensions does not matter;
+    posets with more than ``IDEAL_LIMIT`` order ideals raise
+    :class:`ExtensionLimitError`.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    count = a.extension_count
-    if count > cap:
-        raise ExtensionLimitError(
-            f"poset has {count} linear extensions, above the cap of {cap}; refusing"
-        )
     part = a.diagonals
     rng = Random(seed)
     failures = []
@@ -187,7 +182,7 @@ def verify_multivariate(
     return MultivariateReport(
         points=points,
         seed=seed,
-        extensions=count,
+        extensions=a.extension_count,
         ok=not failures,
         failures=tuple(failures),
     )
@@ -212,6 +207,25 @@ class PolytopeSpec:
             raise ValueError(f"kind must be 'fillings' or 'rpp', got {self.kind!r}")
 
 
+def _polytope(
+    P: Poset, spec: PolytopeSpec, a: PosetAnalysis
+) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """The polytope as an integer record ``(A, B, cover_pairs)``.
+
+    The polytope is {v >= 0, v[low] >= v[high] for each cover pair,
+    sum_p A_p v_p <= B}.  Fillings: H_p(x) = A_p / B over the least
+    common denominator of the hook polynomials, and no cover pairs.
+    rpp: x_{D(p)} = A_p / B over the least common denominator of x, and
+    the covers of P.
+    """
+    x = validate_point(spec.x, a.diagonals.count)
+    if spec.kind == "fillings":
+        hooks, denom = common_denominator(a.hook_polynomials(x))
+        return hooks, denom, []
+    numerators, denom = common_denominator(x)
+    return [numerators[d] for d in a.diagonals.diagonal_of], denom, sorted(P.covers)
+
+
 def polytope_membership(
     P: Poset,
     spec: PolytopeSpec,
@@ -221,13 +235,9 @@ def polytope_membership(
 ) -> bool:
     """Exact evaluation of the defining inequalities."""
     a = analysis or analyze(P)
-    x = validate_point(spec.x, a.diagonals.count)
+    weights, bound, cover_pairs = _polytope(P, spec, a)
     v, denom = common_denominator(normalize_filling(P.n, values))
-    if spec.kind == "fillings":
-        hooks, hooks_denom = common_denominator(a.hook_polynomials(x))
-        return _in_fillings(v, _dot(hooks, v), hooks_denom * denom)
-    weights, weights_denom = _element_weights(x, a.diagonals)
-    return _in_rpp(P, v, _dot(weights, v), weights_denom * denom)
+    return _inside(v, _dot(weights, v), bound * denom, cover_pairs)
 
 
 def _dot(coefficients: Sequence[int], labels: Sequence[int]) -> int:
@@ -235,32 +245,19 @@ def _dot(coefficients: Sequence[int], labels: Sequence[int]) -> int:
     return sum(map(operator.mul, coefficients, labels))
 
 
-def _in_fillings(t: Sequence[int], weighted: int, bound: int) -> bool:
-    """The fillings polytope's inequalities on labels t over a denominator L.
+def _inside(
+    v: Sequence[int], weighted: int, bound: int, cover_pairs: Sequence[tuple[int, int]]
+) -> bool:
+    """A polytope record's inequalities on labels v over a denominator L.
 
-    t >= 0 and sum_p H_p t_p <= 1, given H_p = A_p / B,
-    ``weighted`` = sum_p A_p t_p and ``bound`` = B * L.
-    """
-    return all(v >= 0 for v in t) and weighted <= bound
-
-
-def _in_rpp(P: Poset, s: Sequence[int], weighted: int, bound: int) -> bool:
-    """The rpp polytope's inequalities on labels s over a denominator L.
-
-    s >= 0, s order-reversing and sum_p x_{D(p)} s_p <= 1, given
-    x_{D(p)} = X_p / C, ``weighted`` = sum_p X_p s_p and ``bound`` = C * L.
+    v >= 0, v[low] >= v[high] for each cover pair and sum_p A_p v_p <= B,
+    given ``weighted`` = sum_p A_p v_p and ``bound`` = B * L.
     """
     return (
-        all(v >= 0 for v in s)
-        and all(s[low] >= s[high] for low, high in P.covers)
+        all(value >= 0 for value in v)
+        and all(v[low] >= v[high] for low, high in cover_pairs)
         and weighted <= bound
     )
-
-
-def _element_weights(x: RationalPoint, part: DiagonalPartition) -> tuple[list[int], int]:
-    """x_{D(p)} = X_p / C per element: the numerators X_p and the common denominator C."""
-    numerators, denom = common_denominator(x)
-    return [numerators[d] for d in part.diagonal_of], denom
 
 
 def _simplex_gaps(n: int, rng: Random) -> list[int]:
@@ -306,8 +303,8 @@ def sample_fillings_point(
     rate.  :func:`rsk_polytope_check` makes the same draws on integers.
     """
     a = analysis or analyze(P)
-    hooks = a.hook_polynomials(validate_point(x, a.diagonals.count))
-    factors, denom = _sample_scale(*common_denominator(hooks))
+    hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
+    factors, denom = _sample_scale(hooks, hooks_denom)
     return tuple(Fraction(g * f, denom) for g, f in zip(_simplex_gaps(P.n, rng), factors))
 
 
@@ -332,27 +329,37 @@ def rsk_polytope_check(
     Each trial checks membership of the image, the exact identity
     sum x_{D(p)} s_p == sum H_p(x) t_p, and the exact round trip.
 
-    The checks run on integer labels.  With H_p(x) = A_p / B and
-    x_D = X_D / C, each sample is drawn (by the same ``rng`` calls as
+    The checks run on integer labels, from the two polytopes' records
+    (:func:`_polytope`): H_p(x) = A_p / B and x_{D(p)} = X_p / C.  Each
+    sample is drawn (by the same ``rng`` calls as
     :func:`sample_fillings_point`) as labels T over L = GRAIN * lcm(A).
-    The insertion map commutes with scaling by L, so its image is labels S
-    over L.  Then t is in the fillings polytope iff T >= 0 and
+    The insertion map commutes with scaling by L, so its image is labels
+    S over L.  Since B == C (below), one bound B L serves both
+    polytopes: t is in the fillings polytope iff T >= 0 and
     sum A_p T_p <= B L; s is in the rpp polytope iff S >= 0, S is
-    order-reversing and sum X_{D(p)} S_p <= C L; the identity is
-    B sum X S == C sum A T; the round trip is equality of label lists.
+    order-reversing and sum X_p S_p <= B L; the identity is
+    sum X S == sum A T; the round trip is equality of label lists.
     Fractions are built only for failure entries.
+
+    Why B == C on a d-complete poset.  H(x) = h x for the integer matrix
+    h of hook vectors, so B | C.  Conversely, let m_D be the minimum of
+    diagonal D (diagonals are chains).  A d-interval's top shares its
+    diagonal with its bottom, which lies below it, so m_D tops no
+    d-interval and h(m_D) counts the downset of m_D per diagonal: 1 at D,
+    and nonzero at D' only if m_D' < m_D.  Ordered by a linear extension
+    of the minima, the rows h(m_D) form a unitriangular integer matrix U
+    with U x = (H_{m_D}(x))_D, so x = U^-1 (H_{m_D}(x))_D has
+    denominators dividing B: C | B.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    part = a.diagonals
     if x is None:
-        x = all_ones_point(part.count)
-    x = validate_point(x, part.count)
+        x = all_ones_point(a.diagonals.count)
+    hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
+    weights, _, cover_pairs = _polytope(P, PolytopeSpec("rpp", x), a)
     rng = Random(seed)
-    hooks, hooks_denom = common_denominator(a.hook_polynomials(x))
-    weights, weights_denom = _element_weights(x, part)
     factors, denom = _sample_scale(hooks, hooks_denom)
-    fillings_bound, rpp_bound = hooks_denom * denom, weights_denom * denom
+    bound = hooks_denom * denom
     program = a.insertion_program
 
     def fractions(labels):
@@ -363,16 +370,16 @@ def rsk_polytope_check(
         t = [g * f for g, f in zip(_simplex_gaps(P.n, rng), factors)]
         t.append(0)  # the kernel's sentinel label
         hook_side = _dot(hooks, t)
-        if not _in_fillings(t, hook_side, fillings_bound):
+        if not _inside(t, hook_side, bound, ()):
             failures.append((trial, "source-membership", fractions(t)))
             continue
         s = t[:]
         _insert(s, program)
         weight_side = _dot(weights, s)
-        if not _in_rpp(P, s, weight_side, rpp_bound):
+        if not _inside(s, weight_side, bound, cover_pairs):
             failures.append((trial, "image-membership", fractions(t), fractions(s)))
-        if hooks_denom * weight_side != weights_denom * hook_side:
-            lhs, rhs = Fraction(weight_side, rpp_bound), Fraction(hook_side, fillings_bound)
+        if weight_side != hook_side:
+            lhs, rhs = Fraction(weight_side, bound), Fraction(hook_side, bound)
             failures.append((trial, "weighted-sum", lhs, rhs))
         back = s[:]
         _extract(back, program)
@@ -418,18 +425,16 @@ def monte_carlo_volume(
 
 
 def _volume_test(P: Poset, spec: PolytopeSpec, a: PosetAnalysis):
-    """Box edge, per-element coefficients c and cover pairs of one polytope.
+    """Box edge B / min(A), coefficients c_p = A_p / B and cover pairs of a polytope record.
 
     A box point is inside iff c . pts <= 1 and pts[low] >= pts[high] for
-    every cover pair (fillings have none).
+    every cover pair.  Python's int true division is correctly rounded,
+    so the edge and the coefficients are the nearest floats to the exact
+    values 1 / min_p H_p(x) (fillings) or 1 / min_D x_D (rpp), and H_p(x)
+    or x_{D(p)}.
     """
-    x = validate_point(spec.x, a.diagonals.count)
-    if spec.kind == "fillings":
-        hooks = a.hook_polynomials(x)
-        edge = float(max(Fraction(1) / h for h in hooks))
-        return edge, np.array([float(h) for h in hooks]), []
-    coefficients = np.array([float(x[d]) for d in a.diagonals.diagonal_of])
-    return float(1 / min(x)), coefficients, sorted(P.covers)
+    weights, bound, cover_pairs = _polytope(P, spec, a)
+    return bound / min(weights), np.array([w / bound for w in weights]), cover_pairs
 
 
 def monte_carlo_volumes(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,20 @@ def test_gen_list(capsys):
     assert code == 0
     names = out.split()
     assert "d4" in names and "sample10" in names and len(names) == 296
+
+
+def test_module_runs_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcposets.cli", "gen", "--list"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "d4" in proc.stdout.split()
 
 
 def test_check_rejects_incomplete(tmp_path, capsys):

@@ -1,9 +1,19 @@
 from itertools import combinations
+from random import Random
 
 import pytest
 
-from dcposets import Poset, analyze, builtin_poset, d_k_one, structure_report
-from dcposets.dstructure import AxiomViolation
+from dcposets import (
+    Poset,
+    analyze,
+    builtin_poset,
+    catalog,
+    d_k_one,
+    find_d_minus_convex_sets,
+    structure_report,
+    young,
+)
+from dcposets.dstructure import AxiomViolation, _forbidden_configuration, _grow
 from dcposets.poset import bits, upper_set_masks
 
 from conftest import chain, is_isomorphic
@@ -206,3 +216,64 @@ def test_upper_sets_stay_d_complete(family):
                 continue
             sub, _ = P.restrict(bits(mask))
             assert analyze(sub).is_d_complete, (name, mask)
+
+
+def _reference_dminus(P: Poset):
+    """The all-pairs scan: every incomparable pair with a common lower cover."""
+    out = []
+    for s1 in range(P.n):
+        for s2 in range(s1 + 1, P.n):
+            if not P.incomparable(s1, s2):
+                continue
+            for t in set(P.lower_covers(s1)) & set(P.lower_covers(s2)):
+                _grow(P, (s1, s2), [t], [], out)
+    return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(sorted(s.members)))))
+
+
+def _reference_forbidden(P: Poset):
+    """The all-pairs scan for the six-element double-cover configuration."""
+    n = P.n
+    shared = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if P.incomparable(a, b):
+                common = tuple(set(P.lower_covers(a)) & set(P.lower_covers(b)))
+                if common:
+                    shared[(a, b)] = common
+    for q1, q2 in shared:
+        for q3 in range(q2 + 1, n):
+            if not (P.incomparable(q1, q3) and P.incomparable(q2, q3)):
+                continue
+            for p1 in shared.get((q2, q3), ()):
+                for p2 in shared.get((q1, q3), ()):
+                    if p2 == p1:
+                        continue
+                    for p3 in shared.get((q1, q2), ()):
+                        if p3 not in (p1, p2):
+                            return (p1, p2, p3, q1, q2, q3)
+    return None
+
+
+def _random_posets(count: int, seed: int):
+    """Seeded random posets: each element gets up to three random covers above it."""
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 14)
+        pairs = []
+        for low in range(n - 1):
+            for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+                pairs.append((low, rng.randrange(low + 1, n)))
+        yield Poset(n, pairs)
+
+
+def test_cover_anchored_scans_match_all_pairs_scans():
+    posets = [e.poset for e in catalog()]
+    posets += [young((12,) * 12), d_k_one(50), chain(300)]
+    posets += list(_random_posets(2000, seed=13))
+    configurations = 0
+    for P in posets:
+        assert find_d_minus_convex_sets(P) == _reference_dminus(P)
+        witness = _forbidden_configuration(P)
+        assert witness == _reference_forbidden(P)
+        configurations += witness is not None
+    assert configurations >= 10

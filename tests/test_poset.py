@@ -16,6 +16,7 @@ from dcposets import (
     shifted_young,
     young,
 )
+from dcposets.families import shifted_box_ids, young_box_ids
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
 from dcposets.poset import order_ideal_masks, upper_set_masks
 
@@ -252,6 +253,38 @@ def test_text_parsing_errors():
 def test_names_round_trip():
     P = Poset(2, [(0, 1)], {0: "low", 1: "high"})
     assert poset_from_text(poset_to_text(P)) == P
+
+
+def _reference_diagram(shape, shifted):
+    """Young or shifted Young diagram built box by box: (n, covers, names, box ids)."""
+    if shifted:
+        boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(i, i + row)]
+    else:
+        boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(1, row + 1)]
+    index = {box: e for e, box in enumerate(boxes)}
+    covers = set()
+    for (i, j), e in index.items():
+        for above in ((i - 1, j), (i, j - 1)):
+            if above in index:
+                covers.add((e, index[above]))
+    names = {e: f"{i},{j}" for (i, j), e in index.items()}
+    return len(boxes), frozenset(covers), names, index
+
+
+def test_diagram_builders_match_reference():
+    shapes = 0
+    for entry in catalog():
+        kind, _, parts = entry.name.partition("-")
+        if kind not in ("young", "shifted"):
+            continue
+        shape = tuple(int(v) for v in parts.split("."))
+        shifted = kind == "shifted"
+        n, covers, names, ids = _reference_diagram(shape, shifted)
+        P = shifted_young(shape) if shifted else young(shape)
+        assert (P.n, P.covers, P.names) == (n, covers, names), entry.name
+        assert (shifted_box_ids if shifted else young_box_ids)(shape) == ids, entry.name
+        shapes += 1
+    assert shapes > 30
 
 
 def test_sample10_cover_count():

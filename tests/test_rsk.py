@@ -9,6 +9,7 @@ from dcposets import (
     NonGenericPoint,
     Poset,
     analyze,
+    catalog,
     d_k_one,
     diagonal_sums,
     inverse_rsk,
@@ -27,6 +28,7 @@ from dcposets.classical import toggle_rpp
 from dcposets.families import shifted_box_ids, young_box_ids
 from dcposets.rsk import (
     _bareiss,
+    _program,
     compile_program,
     normalize_filling,
     random_descending_extension,
@@ -378,7 +380,7 @@ def test_jacobian_unimodular_on_large_posets(P):
             det = rsk_jacobian_det(P, random_filling(P.n, rng), analysis=a)
         except NonGenericPoint:
             continue
-        assert det in (Fraction(1), Fraction(-1))
+        assert det == (-1) ** (P.n + _toggle_count(a.insertion_program))
         return
     pytest.fail("no generic point in 200 seeded fillings")
 
@@ -415,6 +417,35 @@ def test_jacobian_determinant_unimodular(family, analyses):
                 continue
             assert det in (Fraction(1), Fraction(-1))
             done += 1
+
+
+def _toggle_count(program):
+    return sum(len(step) for _, step in program)
+
+
+def test_jacobian_sign_is_step_parity():
+    # each step is the identity with one row replaced, whose diagonal entry is
+    # -1, so the determinant is (-1)^(n + T), T the program's toggle count
+    rng = Random(31)
+    signs = set()
+    for entry in catalog():
+        P = entry.poset
+        a = analyze(P)
+        for order in (None, random_descending_extension(P, rng)):
+            expected = (-1) ** (P.n + _toggle_count(_program(P, order, a)))
+            done = 0
+            for _ in range(40):
+                try:
+                    det = rsk_jacobian_det(P, random_filling(P.n, rng), order, analysis=a)
+                except NonGenericPoint:
+                    continue
+                assert det == expected, (entry.name, order)
+                signs.add(det)
+                done += 1
+                if done == 3:
+                    break
+            assert done == 3, entry.name
+    assert signs == {1, -1}
 
 
 def test_jacobian_rejects_ties():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dcposets import (
-    ExtensionLimitError,
     Poset,
     all_ones_point,
     analyze,
@@ -21,6 +20,7 @@ from dcposets import (
     rsk,
     rsk_polytope_check,
     sample_fillings_point,
+    tree,
     verify_multivariate,
     verify_proctor,
     weight_eval,
@@ -142,9 +142,12 @@ def test_multivariate_reports(family, analyses):
         assert report.ok, (name, report.failures[:1])
 
 
-def test_multivariate_cap_refusal():
-    with pytest.raises(ExtensionLimitError):
-        verify_multivariate(d_k_one(4), points=1, cap=1)
+def test_multivariate_star_tree():
+    # ten leaves under one root: 10! linear extensions but only 2^10 + 1 ideals,
+    # and the weight sum folds the ideals, never the extensions
+    P = tree([None] + [0] * 10)
+    report = verify_multivariate(P, points=20, seed=0)
+    assert report.ok and report.extensions == math.factorial(10)
 
 
 def test_all_ones_recovers_counting(family, analyses):
@@ -197,6 +200,46 @@ def test_sampled_points_are_members(family, analyses):
 def test_polytope_bijection(family, analyses, name):
     report = rsk_polytope_check(family[name], trials=40, seed=2, analysis=analyses[name])
     assert report.ok, report.failures[:2]
+
+
+def _diagonal_minima(P, a):
+    """The minimum of each diagonal, found as the member below all others."""
+    return [
+        next(m for m in members if all(P.leq(m, v) for v in members))
+        for members in a.diagonals.classes
+    ]
+
+
+def test_hook_matrix_of_diagonal_minima_is_unitriangular():
+    # a diagonal's minimum tops no d-interval, so its hook vector counts its
+    # downset per diagonal; ordered by a linear extension of the minima,
+    # these rows are unitriangular, so x is an integer combination of H(x)
+    for entry in catalog():
+        P = entry.poset
+        a = analyze(P)
+        minima = _diagonal_minima(P, a)
+        order = sorted(
+            range(a.diagonals.count), key=lambda d: P.downset_mask(minima[d]).bit_count()
+        )
+        rows = [[a.hook_vectors[minima[d]][c] for c in order] for d in order]
+        for i, row in enumerate(rows):
+            assert row[i] == 1 and not any(row[i + 1 :]), (entry.name, rows)
+
+
+def test_hook_and_weight_denominators_are_equal():
+    # B == C lets rsk_polytope_check compare both polytopes against one bound
+    rng = Random(41)
+    points = 0
+    for entry in catalog():
+        P = entry.poset
+        a = analyze(P)
+        for _ in range(5):
+            x = random_rational_point(a.diagonals.count, rng)
+            _, hooks_denom, _ = verify._polytope(P, PolytopeSpec("fillings", x), a)
+            _, weights_denom, _ = verify._polytope(P, PolytopeSpec("rpp", x), a)
+            assert hooks_denom == weights_denom, (entry.name, x)
+            points += hooks_denom > 1
+    assert points > 1000
 
 
 def _reference_sample(P, hooks, rng):

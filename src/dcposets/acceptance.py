@@ -226,8 +226,9 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
                 failures.append(f"fail poset={name} det={det} at t={t}")
                 break
             done += 1
-        if done < points and not any(f.startswith(f"fail poset={name} ") for f in failures):
-            failures.append(f"fail poset={name} found only {done} generic points")
+        else:
+            if done < points:
+                failures.append(f"fail poset={name} found only {done} generic points")
     return _result(
         "volume-preservation", failures, [f"posets={len(prepared)} points={points} seed={seed}"]
     )

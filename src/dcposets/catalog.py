@@ -78,10 +78,6 @@ def rooted_tree_codes(n: int) -> tuple[tuple, ...]:
     return tuple(results)
 
 
-def _code_size(code: tuple) -> int:
-    return 1 + sum(_code_size(child) for child in code)
-
-
 def tree_from_code(code: tuple) -> Poset:
     parent: list[int | None] = []
 

@@ -169,10 +169,7 @@ def toggle_rpp(matrix: Sequence[Sequence[int]], order: Coords | None = None) -> 
             if (x, y) in out and (x, y) != (i, j) and x - y == i - j:
                 out[(x, y)] = (
                     max(read(x - 1, y), read(x, y - 1))
-                    + min(
-                        out.get((x + 1, y), 0) if (x + 1, y) in out else 0,
-                        out.get((x, y + 1), 0) if (x, y + 1) in out else 0,
-                    )
+                    + min(read(x + 1, y), read(x, y + 1))
                     - out[(x, y)]
                 )
     return [[out[(i, j)] for j in range(width)] for i, width in enumerate(shape)]

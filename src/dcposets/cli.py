@@ -117,7 +117,8 @@ def _cmd_extensions(args) -> int:
     print(f"count={count}")
     if args.list:
         if count > args.cap:
-            raise ExtensionLimitError(f"refusing to list more than {args.cap} extensions")
+            print(f"extensions: {count} extensions exceed --cap {args.cap}", file=sys.stderr)
+            return 2
         for ext in linear_extensions(P):
             print("extension " + " ".join(str(p) for p in ext))
     return 0

@@ -5,7 +5,9 @@ d_k(1); a d_k^- convex set is a convex subposet isomorphic to d_k(1) with
 its maximum removed.  Both shapes are rigid, so detection is structural
 rather than generic graph isomorphism: d_k^- sets grow outwards from
 their unique incomparable pair, and the d-intervals are their
-one-element completions.
+one-element completions.  No step compares pairs of elements: a grown
+d^- shape is convex iff it is the interval between its bottom and its
+top, and an interval is one mask intersection (``Poset.interval_mask``).
 """
 
 from __future__ import annotations
@@ -107,44 +109,37 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
     """All d_k^- convex subsets of P.
 
     The search is shape-directed: anchor on two upper covers of one
-    element (they are incomparable), then grow the tail chain downwards
-    and the neck chain upwards in lockstep.  A convexity violation can
-    never be cured by growing further (new elements lie strictly below or
-    above the current set), so non-convex partial shapes are pruned.
+    element t (they are incomparable), then grow the tail chain downwards
+    and the neck chain upwards in lockstep.  The k = 3 shape {t, w, z} is
+    always convex: w and z cover t, so no element lies strictly between
+    two of them.  Each growth step adds a tail element below every member
+    and a neck element above every member, so a grown shape contains its
+    bottom and its top, and it is convex iff it contains the whole
+    interval between them, that is, iff it equals [bottom, top].  A
+    non-convex shape is not kept, and it is not grown either: growing
+    only adds elements outside [bottom, top], so the missing element
+    stays missing.
     """
     out: list[DMinusConvexSet] = []
-    for t in range(P.n):
-        for sides in combinations(P.upper_covers(t), 2):
-            _grow(P, sides, [t], [], out)
+    # frame: (sides, tail descending, neck descending, member mask)
+    stack = [
+        (sides, (t,), (), mask_of(sides) | 1 << t)
+        for t in range(P.n)
+        for sides in combinations(P.upper_covers(t), 2)
+    ]
+    while stack:
+        sides, tail, neck, m = stack.pop()
+        out.append(DMinusConvexSet(k=len(tail) + 2, bottom=tail[-1], sides=sides, neck=neck, tail=tail))
+        if neck:
+            next_necks = P.upper_covers(neck[0])
+        else:
+            next_necks = set(P.upper_covers(sides[0])) & set(P.upper_covers(sides[1]))
+        for nt in P.lower_covers(tail[-1]):
+            for nn in next_necks:
+                grown = m | 1 << nt | 1 << nn
+                if P.interval_mask(nt, nn) == grown:
+                    stack.append((sides, tail + (nt,), (nn,) + neck, grown))
     return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(sorted(s.members)))))
-
-
-def _grow(
-    P: Poset,
-    sides: tuple[int, int],
-    tail: list[int],
-    neck: list[int],
-    out: list[DMinusConvexSet],
-) -> None:
-    m = mask_of(sides) | mask_of(tail) | mask_of(neck)
-    if not P.is_convex_mask(m):
-        return
-    out.append(
-        DMinusConvexSet(
-            k=len(tail) + 2,
-            bottom=tail[-1],
-            sides=sides,
-            neck=tuple(reversed(neck)),
-            tail=tuple(tail),
-        )
-    )
-    if neck:
-        next_necks = P.upper_covers(neck[-1])
-    else:
-        next_necks = tuple(set(P.upper_covers(sides[0])) & set(P.upper_covers(sides[1])))
-    for nt in P.lower_covers(tail[-1]):
-        for nn in next_necks:
-            _grow(P, sides, tail + [nt], neck + [nn], out)
 
 
 def check_d_complete(

@@ -21,11 +21,7 @@ class CycleError(ValueError):
 
 
 class ExtensionLimitError(RuntimeError):
-    """The poset's order-ideal lattice has more than ``IDEAL_LIMIT`` ideals.
-
-    Also raised by ``dcposets extensions --list`` when the poset has more
-    linear extensions than ``--cap`` lines.
-    """
+    """The poset's order-ideal lattice has more than ``IDEAL_LIMIT`` ideals."""
 
 
 # The ideal-lattice walk refuses posets with more ideals than this.  Its two
@@ -116,10 +112,6 @@ class Poset:
 
     # -- order queries ---------------------------------------------------
 
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
     def leq(self, a: int, b: int) -> bool:
         return (self._up[a] >> b) & 1 == 1
 
@@ -154,17 +146,6 @@ class Poset:
     def interval(self, p: int, q: int) -> frozenset[int]:
         """The set ``{x : p <= x <= q}``; requires ``p <= q``."""
         return frozenset(bits(self.interval_mask(p, q)))
-
-    def is_convex_mask(self, m: int) -> bool:
-        for a in bits(m):
-            for b in bits(self._up[a] & m & ~(1 << a)):
-                if (self._up[a] & self._dn[b]) & ~m:
-                    return False
-        return True
-
-    def is_convex(self, members: Iterable[int]) -> bool:
-        """True iff every interval between two members stays inside."""
-        return self.is_convex_mask(mask_of(members))
 
     def minimal_in_mask(self, m: int) -> tuple[int, ...]:
         return tuple(v for v in bits(m) if self._dn[v] & m == 1 << v)

@@ -38,7 +38,7 @@ from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
 from .hooks import common_denominator, exact_value, random_rational_point
-from .poset import Poset, is_descending_extension
+from .poset import Poset, is_descending_extension, mask_of
 
 Filling = tuple[Fraction, ...]
 # One toggle: (element, candidate upper covers, candidate lower covers).  An
@@ -254,10 +254,20 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
     a maximal d-interval whose diamond top is minimal among those of all
     maximal d-intervals.  The result is verified against the stability
     predicate before being returned.
+
+    A d-interval's mask is [bottom, top], whose least and greatest
+    elements are its bottom and top, so distinct d-intervals have
+    distinct masks, and a mask's strict supersets are larger than it.
+    Scanning the present intervals from largest to smallest, an interval
+    is therefore maximal iff no maximal interval kept so far contains it.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    intervals = [(iv, iv.member_mask) for iv in a.d_intervals]
+    # Largest first.  The sort is stable, so intervals of one size keep the
+    # (bottom, top) order in which ``min`` below breaks ties.
+    intervals = sorted(
+        ((iv, iv.member_mask) for iv in a.d_intervals), key=lambda e: -e[1].bit_count()
+    )
     remaining = (1 << P.n) - 1
     reversed_order: list[int] = []
     while remaining:
@@ -269,17 +279,12 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
         if free:
             c = min(free)
         else:
-            maximal = [
-                (iv, m)
-                for iv, m in present
-                if not any(m2 != m and m | m2 == m2 for _, m2 in present)
-            ]
-            tops = [iv.diamond_top for iv, _ in maximal]
-            lowest = [
-                iv
-                for iv, _ in maximal
-                if not any(t != iv.diamond_top and P.lt(t, iv.diamond_top) for t in tops)
-            ]
+            maximal: list[tuple[DInterval, int]] = []
+            for iv, m in present:
+                if all(m & kept != m for _, kept in maximal):
+                    maximal.append((iv, m))
+            lowest_tops = P.minimal_in_mask(mask_of(iv.diamond_top for iv, _ in maximal))
+            lowest = [iv for iv, _ in maximal if iv.diamond_top in lowest_tops]
             chosen = min(lowest, key=lambda iv: (iv.diamond_top, iv.bottom))
             c = chosen.bottom
             if P._dn[c] & remaining != 1 << c:

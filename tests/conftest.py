@@ -1,6 +1,7 @@
 import pytest
 
 from dcposets import Poset, analyze, builtin_poset, d_k_one, shifted_young, tree, young
+from dcposets.poset import bits, mask_of
 
 
 def chain(n: int) -> Poset:
@@ -9,6 +10,16 @@ def chain(n: int) -> Poset:
 
 def antichain(n: int) -> Poset:
     return Poset(n, [])
+
+
+def is_convex(P: Poset, members) -> bool:
+    """All-pairs convexity: every interval between two members stays inside."""
+    m = mask_of(members)
+    for a in bits(m):
+        for b in bits(P.upset_mask(a) & m):
+            if P.interval_mask(a, b) & ~m:
+                return False
+    return True
 
 
 def is_isomorphic(P: Poset, Q: Poset) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dcposets import builtin_poset, d_k_one
+from dcposets import builtin_poset, d_k_one, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -107,6 +107,15 @@ def test_extensions_listing(tmp_path, capsys):
         "extension 5 4 2 3 1 0",
         "extension 5 4 3 2 1 0",
     ]
+
+
+def test_extensions_list_over_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "young-3.3.poset"
+    path.write_text(poset_to_text(young((3, 3))))
+    code, out, err = run(capsys, "extensions", str(path), "--list", "--cap", "2")
+    assert code == 2
+    assert out == "count=5\n"
+    assert "--cap 2" in err
 
 
 def test_rsk_round_trip_through_files(tmp_path, capsys):

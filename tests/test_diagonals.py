@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dcposets import (
     analyze,
     builtin_poset,
@@ -9,7 +11,9 @@ from dcposets import (
     shifted_young,
     young,
 )
+from dcposets.diagonals import DiagonalPartition
 from dcposets.families import shifted_box_ids, young_box_ids
+from dcposets.poset import bits
 
 from conftest import chain
 
@@ -99,3 +103,59 @@ def test_diagonal_report_family(family, analyses):
 def test_singleton_vacuous():
     a = analyze(chain(1))
     assert diagonal_report(a.poset, a.diagonals, a.d_intervals).ok
+
+
+def _partition(P, classes) -> DiagonalPartition:
+    """The partition into ``classes``, numbered by smallest member, adjacency from covers."""
+    classes = tuple(sorted((frozenset(c) for c in classes), key=min))
+    diagonal_of = [0] * P.n
+    for d, members in enumerate(classes):
+        for v in members:
+            diagonal_of[v] = d
+    adj = [[False] * len(classes) for _ in classes]
+    for a, b in P.covers:
+        da, db = diagonal_of[a], diagonal_of[b]
+        if da != db:
+            adj[da][db] = adj[db][da] = True
+    return DiagonalPartition(tuple(diagonal_of), classes, tuple(tuple(row) for row in adj))
+
+
+def _split_first_diagonal(P, part):
+    """Classes with the first diagonal of two or more elements cut into a lower and an upper half."""
+    classes = list(part.classes)
+    d = next(i for i, members in enumerate(classes) if len(members) > 1)
+    chain = sorted(classes.pop(d), key=lambda v: bin(P.downset_mask(v)).count("1"))
+    return classes + [chain[: len(chain) // 2], chain[len(chain) // 2 :]]
+
+
+def _merge_first_adjacent_pair(P, part):
+    c, d = part.pairs()[0]
+    rest = [members for i, members in enumerate(part.classes) if i not in (c, d)]
+    return rest + [part.classes[c] | part.classes[d]]
+
+
+WRONG_PARTITIONS = [
+    ("d4", _split_first_diagonal, {3, 4}),
+    ("d4", _merge_first_adjacent_pair, {1, 2, 3, 5}),
+    ("sample10", _split_first_diagonal, {3, 4}),
+    ("sample10", _merge_first_adjacent_pair, {1, 2, 3, 5}),
+    ("young-3.2", _split_first_diagonal, {3}),
+    ("young-3.2", _merge_first_adjacent_pair, {1, 2, 3, 4, 5, 6}),
+]
+
+
+@pytest.mark.parametrize(("name", "wrong", "props"), WRONG_PARTITIONS)
+def test_diagonal_report_rejects_wrong_partition(family, analyses, name, wrong, props):
+    P, a = family[name], analyses[name]
+    part = _partition(P, wrong(P, a.diagonals))
+    report = diagonal_report(P, part, a.d_intervals)
+    assert not report.ok
+    assert {f.prop for f in report.failures} == props
+    for f in report.failures:
+        if f.prop == 3:
+            # the witness pair is joined by one partition and separated by the other
+            x, y, um = f.witness
+            sub, old_ids = P.restrict(bits(um))
+            fresh = analyze(sub).diagonals.diagonal_of
+            same_u = fresh[old_ids.index(x)] == fresh[old_ids.index(y)]
+            assert (part.diagonal_of[x] == part.diagonal_of[y]) != same_u

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from random import Random
 
@@ -10,13 +11,14 @@ from dcposets import (
     catalog,
     d_k_one,
     find_d_minus_convex_sets,
+    shifted_young,
     structure_report,
     young,
 )
-from dcposets.dstructure import AxiomViolation, _forbidden_configuration, _grow
+from dcposets.dstructure import AxiomViolation, DMinusConvexSet, _forbidden_configuration
 from dcposets.poset import bits, upper_set_masks
 
-from conftest import chain, is_isomorphic
+from conftest import chain, is_convex, is_isomorphic
 
 
 def _interval(P: Poset, bottom: int, top: int):
@@ -77,7 +79,7 @@ def _brute_force_dminus(P: Poset, kmax: int = 6):
             break
         model = _dminus_model(k)
         for subset in combinations(range(P.n), size):
-            if not P.is_convex(subset):
+            if not is_convex(P, subset):
                 continue
             sub, _ = P.restrict(subset)
             if is_isomorphic(sub, model):
@@ -218,6 +220,28 @@ def test_upper_sets_stay_d_complete(family):
             assert analyze(sub).is_d_complete, (name, mask)
 
 
+def _grow(P: Poset, sides, tail: list, neck: list, out: list) -> None:
+    """Grow tail and neck in lockstep by recursion, pruning by the all-pairs convexity check."""
+    if not is_convex(P, list(sides) + tail + neck):
+        return
+    out.append(
+        DMinusConvexSet(
+            k=len(tail) + 2,
+            bottom=tail[-1],
+            sides=sides,
+            neck=tuple(reversed(neck)),
+            tail=tuple(tail),
+        )
+    )
+    if neck:
+        next_necks = P.upper_covers(neck[-1])
+    else:
+        next_necks = tuple(set(P.upper_covers(sides[0])) & set(P.upper_covers(sides[1])))
+    for nt in P.lower_covers(tail[-1]):
+        for nn in next_necks:
+            _grow(P, sides, tail + [nt], neck + [nn], out)
+
+
 def _reference_dminus(P: Poset):
     """The all-pairs scan: every incomparable pair with a common lower cover."""
     out = []
@@ -268,7 +292,7 @@ def _random_posets(count: int, seed: int):
 
 def test_cover_anchored_scans_match_all_pairs_scans():
     posets = [e.poset for e in catalog()]
-    posets += [young((12,) * 12), d_k_one(50), chain(300)]
+    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50), chain(300)]
     posets += list(_random_posets(2000, seed=13))
     configurations = 0
     for P in posets:
@@ -277,3 +301,15 @@ def test_cover_anchored_scans_match_all_pairs_scans():
         assert witness == _reference_forbidden(P)
         configurations += witness is not None
     assert configurations >= 10
+
+
+def test_long_double_tailed_diamond_structure():
+    # d_1000(1): one d_k^- set and one d_k-interval for each k = 3..1000
+    P = d_k_one(1000)
+    start = time.perf_counter()
+    a = analyze(P)
+    assert len(a.d_minus_sets) == 998
+    assert len(a.d_intervals) == 998
+    assert a.is_d_complete
+    assert time.perf_counter() - start < 2.0
+    assert [s.k for s in a.d_minus_sets] == list(range(3, 1001))

@@ -172,6 +172,43 @@ def test_unstable_order_detected():
     assert is_stable(P, stable, intervals)
 
 
+def _reference_stable_order(P):
+    """The stable order built with all-pairs containment and comparability scans."""
+    intervals = [(iv, iv.member_mask) for iv in analyze(P).d_intervals]
+    remaining = (1 << P.n) - 1
+    reversed_order = []
+    while remaining:
+        present = [(iv, m) for iv, m in intervals if m & remaining == m]
+        covered = 0
+        for _, m in present:
+            covered |= m
+        free = [p for p in P.minimal_in_mask(remaining) if not (covered >> p) & 1]
+        if free:
+            c = min(free)
+        else:
+            maximal = [
+                iv for iv, m in present if not any(m2 != m and m | m2 == m2 for _, m2 in present)
+            ]
+            tops = [iv.diamond_top for iv in maximal]
+            lowest = [
+                iv
+                for iv in maximal
+                if not any(t != iv.diamond_top and P.lt(t, iv.diamond_top) for t in tops)
+            ]
+            c = min(lowest, key=lambda iv: (iv.diamond_top, iv.bottom)).bottom
+        reversed_order.append(c)
+        remaining ^= 1 << c
+    return tuple(reversed(reversed_order))
+
+
+def test_stable_order_matches_all_pairs_reference():
+    posets = [e.poset for e in catalog()]
+    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1))]
+    posets += [d_k_one(k) for k in range(3, 61)]
+    for P in posets:
+        assert stable_insertion_order(P) == _reference_stable_order(P)
+
+
 def test_diagonal_sums_partition_identity(family, analyses):
     P = family["sample10"]
     a = analyses["sample10"]

@@ -1,11 +1,12 @@
 """Cached per-poset analysis bundle.
 
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
-a stable insertion order and its toggle program, the linear-extension
-count) is computed once per poset and reused across the many evaluation
-points of the verification routines.  This is the one place that wires
-the derivation chain: the functions it calls take each input they need
-as an argument and recompute nothing.
+a stable insertion order and its toggle program, the compiled lattice of
+order ideals and the linear-extension count) is computed once per poset
+and reused across the many evaluation points of the verification
+routines.  This is the one place that wires the derivation chain: the
+functions it calls take each input they need as an argument and
+recompute nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dstructure import (
     find_d_minus_convex_sets,
 )
 from .hooks import HookVector, hook_lengths, hook_polynomial_eval, hook_vectors
-from .poset import Poset, count_linear_extensions
+from .poset import IdealLattice, Poset, compile_ideal_lattice, count_linear_extensions
 
 
 class PosetAnalysis:
@@ -58,8 +59,13 @@ class PosetAnalysis:
             )
 
     @cached_property
+    def ideal_lattice(self) -> IdealLattice:
+        """The lattice of order ideals, walked once for every count and weight sum."""
+        return compile_ideal_lattice(self.poset)
+
+    @cached_property
     def extension_count(self) -> int:
-        return count_linear_extensions(self.poset)
+        return count_linear_extensions(self.poset, analysis=self)
 
     @cached_property
     def diagonals(self) -> DiagonalPartition:

@@ -13,6 +13,7 @@ top, and an interval is one mask intersection (``Poset.interval_mask``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .poset import Poset, mask_of
@@ -33,7 +34,7 @@ class DInterval:
     def members(self) -> frozenset[int]:
         return frozenset(self.sides + self.neck + self.tail)
 
-    @property
+    @cached_property
     def member_mask(self) -> int:
         return mask_of(self.sides + self.neck + self.tail)
 
@@ -57,7 +58,7 @@ class DMinusConvexSet:
     def members(self) -> frozenset[int]:
         return frozenset(self.sides + self.neck + self.tail)
 
-    @property
+    @cached_property
     def member_mask(self) -> int:
         return mask_of(self.sides + self.neck + self.tail)
 

@@ -7,8 +7,12 @@ the public API; bitmask ints are used internally and exposed through the
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .analysis import PosetAnalysis
 
 
 class CycleError(ValueError):
@@ -25,7 +29,8 @@ class ExtensionLimitError(RuntimeError):
 
 
 # The ideal-lattice walk refuses posets with more ideals than this.  Its two
-# live levels set the peak memory of exact counting.
+# live levels of masks and its per-ideal arrays set the peak memory of exact
+# counting.
 IDEAL_LIMIT = 2**16
 
 
@@ -258,15 +263,6 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
                 seq.pop()
 
 
-def count_linear_extensions(P: Poset) -> int:
-    """Exact number of linear extensions, by :func:`fold_ideals`.
-
-    Raises :class:`ExtensionLimitError` when P has more than
-    ``IDEAL_LIMIT`` order ideals, however few elements it has.
-    """
-    return fold_ideals(P)
-
-
 def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
     """True iff ``order`` lists all elements with larger elements first."""
     seq = tuple(order)
@@ -278,71 +274,113 @@ def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
     return all(pos[b] < pos[a] for a, b in P.covers)
 
 
-def _ideal_levels(P: Poset, finish: Callable | None = None) -> Iterator[dict[int, list]]:
-    """The lattice of order ideals, one level (ideal size) at a time.
+# -- the lattice of order ideals ------------------------------------------
 
-    Each level maps an ideal's bitmask to ``[value, addable]``: ``addable``
-    is the mask of elements outside the ideal whose strict downset lies
-    inside it, and ``value`` is the sum of the values of the ideals it
-    covers (1 for the empty ideal), replaced by ``finish(mask, value)``
-    when ``finish`` is given.  A new ideal's addable mask is its parent's
-    minus the added element plus those upper covers of that element that
-    became addable, so a step costs O(covers), not O(n).  Only the current
-    and the next level are held.
+
+class IdealLattice(NamedTuple):
+    """The lattice of order ideals of a poset, compiled into flat arrays.
+
+    Ideals are numbered level by level, smallest first, in the order the
+    walk meets them: 0 is the empty ideal and the last index is the whole
+    poset.  ``level_sizes[k]`` counts the ideals with k elements.  Ideal
+    j > 0 is the ideal ``first[j]`` of the level below plus the element
+    ``added[j]``, and the ideals covering ideal i are
+    ``successors[successor_start[i]:successor_start[i + 1]]``.
+    """
+
+    level_sizes: tuple[int, ...]
+    first: array
+    added: array
+    successor_start: array
+    successors: array
+
+
+def compile_ideal_lattice(P: Poset) -> IdealLattice:
+    """Walk the lattice of order ideals once, a level at a time.
+
+    Each ideal of the live level carries its bitmask and its addable
+    mask: the elements outside it whose strict downset lies inside it.  A
+    new ideal's addable mask is its first parent's minus the added element
+    plus those upper covers of that element that became addable, so a step
+    costs O(covers), not O(n).  The masks of a level are dropped once the
+    next level is built.  Raises :class:`ExtensionLimitError` on meeting
+    more than ``IDEAL_LIMIT`` ideals, however few elements P has.
     """
     below = tuple(d ^ (1 << v) for v, d in enumerate(P._dn))
     upper = P._upper
-    level = {0: [1, mask_of(v for v in range(P.n) if not below[v])]}
-    visited = 1
+    level_sizes = [1]
+    first = array("i", [-1])
+    added = array("i", [-1])
+    successor_start = array("i", [0])
+    successors = array("i")
+    masks, addables = [0], [mask_of(v for v in range(P.n) if not below[v])]
     for _ in range(P.n):
-        yield level
-        nxt: dict[int, list] = {}
-        for mask, (value, addable) in level.items():
+        i = len(first) - len(masks)
+        index: dict[int, int] = {}
+        next_masks: list[int] = []
+        next_addables: list[int] = []
+        for mask, addable in zip(masks, addables):
             rest = addable
             while rest:
                 low = rest & -rest
                 rest ^= low
                 grown = mask | low
-                entry = nxt.get(grown)
-                if entry is not None:
-                    entry[0] += value
-                    continue
-                visited += 1
-                if visited > IDEAL_LIMIT:
-                    raise ExtensionLimitError(
-                        f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
-                    )
-                reach = addable ^ low
-                for w in upper[low.bit_length() - 1]:
-                    if not below[w] & ~grown:
-                        reach |= 1 << w
-                nxt[grown] = [value, reach]
-        if finish is not None:
-            for mask, entry in nxt.items():
-                entry[0] = finish(mask, entry[0])
-        level = nxt
-    yield level
+                j = index.get(grown)
+                if j is None:
+                    j = index[grown] = len(first)
+                    if j >= IDEAL_LIMIT:
+                        raise ExtensionLimitError(
+                            f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
+                        )
+                    v = low.bit_length() - 1
+                    reach = addable ^ low
+                    for w in upper[v]:
+                        if not below[w] & ~grown:
+                            reach |= 1 << w
+                    next_masks.append(grown)
+                    next_addables.append(reach)
+                    first.append(i)
+                    added.append(v)
+                successors.append(j)
+            successor_start.append(len(successors))
+            i += 1
+        level_sizes.append(len(next_masks))
+        masks, addables = next_masks, next_addables
+    successor_start.append(len(successors))  # the whole poset covers no ideal
+    return IdealLattice(tuple(level_sizes), first, added, successor_start, successors)
 
 
-def fold_ideals(P: Poset, finish: Callable | None = None):
-    """Fold values up the ideal lattice; the value of the full ideal.
+def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:
+    """Exact number of linear extensions: the maximal chains of the ideal lattice.
 
-    Without ``finish`` this counts the maximal chains of the lattice, which
-    are the linear extensions.  ``finish(mask, total)`` turns the summed
-    values of the ideals below ``mask`` into the value of ``mask``.
+    Each ideal's number of chains up from the empty ideal is pushed, as an
+    integer, to the ideals covering it.  ``analysis`` supplies P's
+    compiled lattice (``PosetAnalysis.ideal_lattice``); without it the
+    lattice is compiled here.  A poset with more than ``IDEAL_LIMIT``
+    order ideals raises :class:`ExtensionLimitError`.
     """
-    for level in _ideal_levels(P, finish):
-        pass
-    return level[(1 << P.n) - 1][0]
+    lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
+    start, successors = lattice.successor_start, lattice.successors
+    chains = [0] * len(lattice.first)
+    chains[0] = 1
+    for i in range(len(chains)):
+        c = chains[i]
+        for j in successors[start[i] : start[i + 1]]:
+            chains[j] += c
+    return chains[-1]
 
 
 def order_ideal_masks(P: Poset) -> Iterator[int]:
     """All downset bitmasks, the empty set included, smallest ideals first.
 
-    Raises :class:`ExtensionLimitError` past ``IDEAL_LIMIT`` ideals.
+    Each mask is its first parent's plus the added element.  Raises
+    :class:`ExtensionLimitError` past ``IDEAL_LIMIT`` ideals.
     """
-    for level in _ideal_levels(P):
-        yield from level
+    lattice = compile_ideal_lattice(P)
+    masks = [0]
+    for i in range(1, len(lattice.first)):
+        masks.append(masks[lattice.first[i]] | 1 << lattice.added[i])
+    yield from masks
 
 
 def upper_set_masks(P: Poset) -> Iterator[int]:

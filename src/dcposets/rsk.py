@@ -226,7 +226,9 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
     interval is a neck element of another d-interval already completed.
     A d-interval is completed exactly when its bottom has been inserted,
     since everything else in it dominates the bottom.  ``intervals`` are
-    the d-intervals of P.
+    the d-intervals of P.  Each element keeps the number of completed
+    intervals whose neck holds it, so a side's verdict is one lookup,
+    less one if the side is in its own interval's neck.
     """
     order = tuple(order)
     if not is_descending_extension(P, order):
@@ -234,15 +236,16 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
     by_bottom: dict[int, list[DInterval]] = {}
     for interval in intervals:
         by_bottom.setdefault(interval.bottom, []).append(interval)
-    present: list[DInterval] = []
+    neck_owners = [0] * P.n
     for p in order:
-        fresh = by_bottom.get(p, [])
-        present.extend(fresh)
+        fresh = by_bottom.get(p, ())
+        for interval in fresh:
+            for e in interval.neck:
+                neck_owners[e] += 1
         for interval in fresh:
             for side in interval.sides:
-                for other in present:
-                    if other is not interval and side in other.neck:
-                        return False
+                if neck_owners[side] > (side in interval.neck):
+                    return False
     return True
 
 
@@ -255,33 +258,40 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
     maximal d-intervals.  The result is verified against the stability
     predicate before being returned.
 
-    A d-interval's mask is [bottom, top], whose least and greatest
-    elements are its bottom and top, so distinct d-intervals have
-    distinct masks, and a mask's strict supersets are larger than it.
-    Scanning the present intervals from largest to smallest, an interval
-    is therefore maximal iff no maximal interval kept so far contains it.
+    What remains is always an upper set, so a d-interval [bottom, top]
+    lies inside it iff its bottom does, and a minimal element of what
+    remains lies in such an interval iff it is that interval's bottom.  A
+    d-interval's mask is [bottom, top], whose least and greatest elements
+    are its bottom and top, so distinct d-intervals have distinct masks,
+    and a mask's strict supersets are larger than it.  Scanning the
+    present intervals from largest to smallest, an interval is therefore
+    maximal iff no maximal interval kept so far contains it.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
+    bottoms = {iv.bottom for iv in a.d_intervals}
     # Largest first.  The sort is stable, so intervals of one size keep the
     # (bottom, top) order in which ``min`` below breaks ties.
-    intervals = sorted(
+    present = sorted(
         ((iv, iv.member_mask) for iv in a.d_intervals), key=lambda e: -e[1].bit_count()
     )
     remaining = (1 << P.n) - 1
+    # The minimal elements of what remains, ascending: an element joins
+    # them once its last lower cover is stripped.
+    waiting = [len(lower) for lower in P._lower]
+    minimal = [v for v in range(P.n) if not waiting[v]]
     reversed_order: list[int] = []
-    while remaining:
-        present = [(iv, m) for iv, m in intervals if m & remaining == m]
-        covered = 0
-        for _, m in present:
-            covered |= m
-        free = [p for p in P.minimal_in_mask(remaining) if not (covered >> p) & 1]
+    while minimal:
+        free = [p for p in minimal if p not in bottoms]
         if free:
-            c = min(free)
+            c = free[0]
         else:
             maximal: list[tuple[DInterval, int]] = []
             for iv, m in present:
-                if all(m & kept != m for _, kept in maximal):
+                for _, kept in maximal:
+                    if m & kept == m:
+                        break
+                else:
                     maximal.append((iv, m))
             lowest_tops = P.minimal_in_mask(mask_of(iv.diamond_top for iv, _ in maximal))
             lowest = [iv for iv, _ in maximal if iv.diamond_top in lowest_tops]
@@ -289,8 +299,14 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
             c = chosen.bottom
             if P._dn[c] & remaining != 1 << c:
                 raise RuntimeError("stable-order construction picked a non-minimal element")
+            present = [(iv, m) for iv, m in present if iv.bottom != c]
         reversed_order.append(c)
         remaining ^= 1 << c
+        minimal.remove(c)
+        for u in P._upper[c]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                insort(minimal, u)
     order = tuple(reversed(reversed_order))
     if not is_stable(P, order, a.d_intervals):
         raise RuntimeError("constructed insertion order failed the stability predicate")

@@ -32,7 +32,7 @@ from .hooks import (
 )
 from .poset import (
     Poset,
-    fold_ideals,
+    compile_ideal_lattice,
     is_descending_extension,
     linear_extensions,
 )
@@ -81,16 +81,31 @@ def weight_sum(
     part: DiagonalPartition,
     x: RationalPoint,
     method: str = "ideal-dp",
+    *,
+    analysis: PosetAnalysis | None = None,
 ) -> Fraction:
     """Sum of extension weights at a rational point.
 
-    ``ideal-dp`` folds the sum up the lattice of downsets with
-    :func:`fold_ideals` (each suffix of a descending extension is a
-    downset): a downset's value is the sum over the downsets it covers,
-    divided by its x-sum.  Posets with more than ``IDEAL_LIMIT`` downsets
-    raise :class:`ExtensionLimitError`.  ``enumerate`` sums extension by
+    ``ideal-dp`` folds the sum up the lattice of downsets: each suffix of
+    a descending extension is a downset, so the sum is W(P), where W of
+    the empty downset is 1 and W(J) is the sum of W(I) over the downsets
+    I that J covers, divided by the x-sum s(J) = sum_{p in J} x_{D(p)}.
+    ``analysis`` supplies P's compiled lattice
+    (:attr:`PosetAnalysis.ideal_lattice`); without it the lattice is
+    compiled here.  Posets with more than ``IDEAL_LIMIT`` downsets raise
+    :class:`ExtensionLimitError`.  ``enumerate`` sums extension by
     extension; it is the reference the tests compare against.  Both are
     exact and agree.
+
+    The fold runs on integers.  Write x = c / L over the common
+    denominator L; then s(J) = S(J) / L with S(J) a positive integer for
+    J nonempty, and S(J) = S(first parent) + c_{D(added element)} costs
+    one addition per downset.  Let M_k be the lcm of S(J) over the
+    downsets J with k elements, and U(J) = W(J) * M_1 * ... * M_k / L^k.
+    Then U(empty) = 1 and U(J) = (sum of U(I)) * (M_k / S(J)): the sum is
+    an integer by induction and S(J) divides M_k, so every U is an
+    integer, and W(P) = U(P) * L^n / (M_1 * ... * M_n) is the one
+    Fraction built.
     """
     x = validate_point(x, part.count)
     if method == "enumerate":
@@ -101,18 +116,31 @@ def weight_sum(
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
 
-    # With x = c / L over a common denominator L, each x-sum is an integer
-    # over L; the fold divides by the integer and the L**n comes back last.
-    scale = math.lcm(*(v.denominator for v in x))
-    diagonal_masks = [0] * part.count
-    for p in range(P.n):
-        diagonal_masks[part.diagonal_of[p]] |= 1 << p
-    scaled = [(int(v * scale), m) for v, m in zip(x, diagonal_masks)]
-
-    def finish(mask: int, total) -> Fraction:
-        return Fraction(total, sum(c * (mask & m).bit_count() for c, m in scaled))
-
-    return fold_ideals(P, finish) * Fraction(scale) ** P.n
+    lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
+    numerators, scale = common_denominator(x)
+    c = [numerators[d] for d in part.diagonal_of]
+    first, added = lattice.first, lattice.added
+    start, successors = lattice.successor_start, lattice.successors
+    xsum = [0] * len(first)
+    for j in range(1, len(first)):
+        xsum[j] = xsum[first[j]] + c[added[j]]
+    value = [0] * len(first)
+    value[0] = 1
+    denominator = 1
+    lo = 0
+    for size in lattice.level_sizes:
+        hi = lo + size
+        if lo:
+            level_lcm = math.lcm(*xsum[lo:hi])
+            denominator *= level_lcm
+            for j in range(lo, hi):
+                value[j] *= level_lcm // xsum[j]
+        for i in range(lo, hi):
+            v = value[i]
+            for j in successors[start[i] : start[i + 1]]:
+                value[j] += v
+        lo = hi
+    return Fraction(value[-1] * scale**P.n, denominator)
 
 
 @dataclass(frozen=True)
@@ -175,7 +203,7 @@ def verify_multivariate(
     failures = []
     for _ in range(points):
         x = random_rational_point(part.count, rng)
-        lhs = weight_sum(P, part, x)
+        lhs = weight_sum(P, part, x, analysis=a)
         rhs = 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
         if lhs != rhs:
             failures.append(MultivariateFailure(point=x, lhs=lhs, rhs=rhs))
@@ -409,7 +437,7 @@ def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis 
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
         return Fraction(1, n_fact) / math.prod(a.hook_polynomials(x), start=Fraction(1))
-    return weight_sum(P, a.diagonals, x) / n_fact
+    return weight_sum(P, a.diagonals, x, analysis=a) / n_fact
 
 
 def monte_carlo_volume(

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -207,6 +208,53 @@ def test_stable_order_matches_all_pairs_reference():
     posets += [d_k_one(k) for k in range(3, 61)]
     for P in posets:
         assert stable_insertion_order(P) == _reference_stable_order(P)
+
+
+def _reference_is_stable(P, order, intervals):
+    """Stability by scanning every completed interval's neck for each side."""
+    by_bottom = {}
+    for interval in intervals:
+        by_bottom.setdefault(interval.bottom, []).append(interval)
+    present = []
+    for p in order:
+        fresh = by_bottom.get(p, [])
+        present.extend(fresh)
+        for interval in fresh:
+            for side in interval.sides:
+                for other in present:
+                    if other is not interval and side in other.neck:
+                        return False
+    return True
+
+
+def test_stability_verdicts_match_reference():
+    posets = [(e.name, e.poset) for e in catalog()]
+    posets += [
+        ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1))),
+        ("young-5.4.3.2", young((5, 4, 3, 2))),
+    ]
+    verdicts = []
+    for name, P in posets:
+        a = analyze(P)
+        rng = Random(f"stable {name}")
+        orders = [a.stable_order] + [random_descending_extension(P, rng) for _ in range(20)]
+        for order in orders:
+            verdict = is_stable(P, order, a.d_intervals)
+            assert verdict == _reference_is_stable(P, order, a.d_intervals), (name, order)
+            verdicts.append(verdict)
+    assert verdicts.count(False) >= 30 and verdicts.count(True) >= 30
+
+
+def test_long_double_tailed_diamond_stable_order():
+    # The parent construction, with its all-intervals stability scan, took
+    # 6-8 s here and returned the elements in descending id order.
+    P = d_k_one(1000)
+    a = analyze(P)
+    a.axiom_report
+    start = time.perf_counter()
+    order = a.stable_order
+    assert time.perf_counter() - start < 1.0
+    assert order == tuple(range(P.n - 1, -1, -1))
 
 
 def test_diagonal_sums_partition_identity(family, analyses):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .poset import Poset, mask_of
+from .poset import Poset, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,10 @@ def find_d_intervals(P: Poset, dminus: tuple[DMinusConvexSet, ...]) -> tuple[DIn
             candidates = set(P.upper_covers(shape.sides[0])) & set(P.upper_covers(shape.sides[1]))
         target = shape.member_mask
         for z in candidates:
-            if P.interval_mask(shape.bottom, z) == target | (1 << z):
-                found.append(
-                    DInterval(
-                        k=shape.k,
-                        bottom=shape.bottom,
-                        top=z,
-                        sides=shape.sides,
-                        neck=(z,) + shape.neck,
-                        tail=shape.tail,
-                    )
-                )
+            mask = target | 1 << z
+            if P.interval_mask(shape.bottom, z) == mask:
+                found.append(DInterval(shape.k, shape.bottom, z, shape.sides, (z,) + shape.neck, shape.tail))
+                found[-1].__dict__["member_mask"] = mask  # the cached property, already known
     return tuple(sorted(found, key=lambda iv: (iv.bottom, iv.top)))
 
 
@@ -131,6 +124,7 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
     while stack:
         sides, tail, neck, m = stack.pop()
         out.append(DMinusConvexSet(k=len(tail) + 2, bottom=tail[-1], sides=sides, neck=neck, tail=tail))
+        out[-1].__dict__["member_mask"] = m  # the cached property, already known
         if neck:
             next_necks = P.upper_covers(neck[0])
         else:
@@ -140,7 +134,7 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
                 grown = m | 1 << nt | 1 << nn
                 if P.interval_mask(nt, nn) == grown:
                     stack.append((sides, tail + (nt,), (nn,) + neck, grown))
-    return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(sorted(s.members)))))
+    return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(bits(s.member_mask)))))
 
 
 def check_d_complete(
@@ -158,21 +152,20 @@ def check_d_complete(
     completed = {interval.member_mask ^ (1 << interval.top) for interval in intervals}
     for shape in dminus:
         if shape.member_mask not in completed:
-            violations.append(AxiomViolation(1, tuple(sorted(shape.members))))
+            violations.append(AxiomViolation(1, tuple(bits(shape.member_mask))))
 
     for interval in intervals:
-        members = interval.members
+        mask = interval.member_mask
         for x in P.lower_covers(interval.top):
-            if x not in members:
+            if not mask >> x & 1:
                 violations.append(AxiomViolation(2, (interval.bottom, interval.top, x)))
 
-    by_trunk: dict[frozenset[int], list[DMinusConvexSet]] = {}
+    by_trunk: dict[int, list[int]] = {}  # members but the bottom, as a mask -> the bottoms
     for shape in dminus:
-        by_trunk.setdefault(shape.members - {shape.bottom}, []).append(shape)
-    for group in by_trunk.values():
-        if len(group) > 1:
-            witness = tuple(sorted(frozenset.union(*(g.members for g in group))))
-            violations.append(AxiomViolation(3, witness))
+        by_trunk.setdefault(shape.member_mask ^ 1 << shape.bottom, []).append(shape.bottom)
+    for trunk, bottoms in by_trunk.items():
+        if len(bottoms) > 1:
+            violations.append(AxiomViolation(3, tuple(bits(trunk | mask_of(bottoms)))))
 
     violations.sort(key=lambda v: (v.axiom, v.witness))
     return AxiomReport(is_d_complete=not violations, violations=tuple(violations))
@@ -206,16 +199,16 @@ def structure_report(P: Poset, intervals: tuple[DInterval, ...]) -> StructureRep
             failures.append(StructureFailure("cover-bound", (v,) + P.upper_covers(v)))
 
     for interval in intervals:
-        members = interval.members
+        mask = interval.member_mask
         for x in interval.neck:
             for below in P.lower_covers(x):
-                if below not in members:
+                if not mask >> below & 1:
                     failures.append(
                         StructureFailure("interval-closure", (interval.bottom, interval.top, x, below))
                     )
         for x in interval.tail:
             for above in P.upper_covers(x):
-                if above not in members:
+                if not mask >> above & 1:
                     failures.append(
                         StructureFailure("interval-closure", (interval.bottom, interval.top, x, above))
                     )
@@ -237,13 +230,14 @@ def structure_report(P: Poset, intervals: tuple[DInterval, ...]) -> StructureRep
             failures.append(StructureFailure("unique-top", (p,) + tuple(iv.bottom for iv in group)))
 
     for interval in intervals:
+        outside = ~interval.member_mask
         for x in interval.neck:
             owners = by_top.get(x, [])
-            if len(owners) != 1 or not owners[0].members <= interval.members:
+            if len(owners) != 1 or owners[0].member_mask & outside:
                 failures.append(StructureFailure("neck-containment", (interval.bottom, interval.top, x)))
         for x in interval.tail:
             owners = by_bottom.get(x, [])
-            if len(owners) != 1 or not owners[0].members <= interval.members:
+            if len(owners) != 1 or owners[0].member_mask & outside:
                 failures.append(StructureFailure("tail-containment", (interval.bottom, interval.top, x)))
 
     return StructureReport(ok=not failures, failures=tuple(failures))

@@ -161,24 +161,6 @@ class Poset:
     def minimal_elements(self) -> tuple[int, ...]:
         return self.minimal_in_mask((1 << self.n) - 1)
 
-    # -- derived posets --------------------------------------------------
-
-    def restrict(self, members: Iterable[int]) -> tuple["Poset", tuple[int, ...]]:
-        """Induced subposet on ``members``.
-
-        Returns the new poset together with the old ids listed by new id.
-        """
-        keep = sorted(set(members))
-        index = {old: new for new, old in enumerate(keep)}
-        pairs = [
-            (index[a], index[b])
-            for a in keep
-            for b in keep
-            if a != b and self.leq(a, b)
-        ]
-        names = {index[o]: nm for o, nm in self.names.items() if o in index}
-        return Poset(len(keep), pairs, names), tuple(keep)
-
     # -- housekeeping ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -382,9 +364,3 @@ def order_ideal_masks(P: Poset) -> Iterator[int]:
         masks.append(masks[lattice.first[i]] | 1 << lattice.added[i])
     yield from masks
 
-
-def upper_set_masks(P: Poset) -> Iterator[int]:
-    """All upper-set bitmasks (complements of downsets), empty included."""
-    full = (1 << P.n) - 1
-    for ideal in order_ideal_masks(P):
-        yield full ^ ideal

@@ -1,7 +1,7 @@
 import pytest
 
 from dcposets import Poset, analyze, builtin_poset, d_k_one, shifted_young, tree, young
-from dcposets.poset import bits, mask_of
+from dcposets.poset import bits, mask_of, order_ideal_masks
 
 
 def chain(n: int) -> Poset:
@@ -10,6 +10,22 @@ def chain(n: int) -> Poset:
 
 def antichain(n: int) -> Poset:
     return Poset(n, [])
+
+
+def restrict(P: Poset, members) -> tuple[Poset, tuple[int, ...]]:
+    """Induced subposet on ``members``, with the old ids listed by new id."""
+    keep = sorted(set(members))
+    index = {old: new for new, old in enumerate(keep)}
+    pairs = [(index[a], index[b]) for a in keep for b in keep if a != b and P.leq(a, b)]
+    names = {index[o]: nm for o, nm in P.names.items() if o in index}
+    return Poset(len(keep), pairs, names), tuple(keep)
+
+
+def upper_set_masks(P: Poset):
+    """All upper-set bitmasks (complements of downsets), empty included."""
+    full = (1 << P.n) - 1
+    for ideal in order_ideal_masks(P):
+        yield full ^ ideal
 
 
 def is_convex(P: Poset, members) -> bool:

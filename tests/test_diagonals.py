@@ -1,21 +1,25 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
 from dcposets import (
+    Poset,
     analyze,
     builtin_poset,
+    catalog,
     compute_diagonals,
     d_k_one,
     diagonal_report,
     shifted_young,
     young,
 )
-from dcposets.diagonals import DiagonalPartition
+from dcposets.diagonals import DiagonalFailure, DiagonalPartition, DiagonalReport
 from dcposets.families import shifted_box_ids, young_box_ids
 from dcposets.poset import bits
 
-from conftest import chain
+from conftest import chain, restrict, upper_set_masks
 
 
 def test_tree_diagonals_are_singletons(family):
@@ -155,7 +159,153 @@ def test_diagonal_report_rejects_wrong_partition(family, analyses, name, wrong, 
         if f.prop == 3:
             # the witness pair is joined by one partition and separated by the other
             x, y, um = f.witness
-            sub, old_ids = P.restrict(bits(um))
+            sub, old_ids = restrict(P, bits(um))
             fresh = analyze(sub).diagonals.diagonal_of
             same_u = fresh[old_ids.index(x)] == fresh[old_ids.index(y)]
             assert (part.diagonal_of[x] == part.diagonal_of[y]) != same_u
+
+
+def _reference_diagonal_report(P, part, intervals) -> DiagonalReport:
+    """The six properties with (3) and (5) checked on every upper set, each
+    rebuilt as a fresh poset and analyzed anew."""
+    failures = []
+
+    spans = {(iv.bottom, iv.top) for iv in intervals}
+    for members in part.classes:
+        ordered = sorted(members, key=lambda v: bin(P.downset_mask(v)).count("1"))
+        for a, b in zip(ordered, ordered[1:]):
+            if (a, b) not in spans:
+                failures.append(DiagonalFailure(1, (a, b)))
+
+    for a, b in P.covers:
+        if part.diagonal_of[a] == part.diagonal_of[b]:
+            failures.append(DiagonalFailure(2, (a, b)))
+
+    minimal_in_p = set(P.minimal_elements())
+    minima = [min(members, key=lambda v: (bin(P.downset_mask(v)).count("1"), v)) for members in part.classes]
+
+    for c, d in part.pairs():
+        for first, second in ((c, d), (d, c)):
+            if minima[first] in minimal_in_p:
+                for x in part.classes[second]:
+                    touches = any(
+                        part.diagonal_of[y] == first
+                        for y in P.upper_covers(x) + P.lower_covers(x)
+                    )
+                    if not touches:
+                        failures.append(DiagonalFailure(4, (first, second, x)))
+
+    for c, d in part.pairs():
+        if minima[c] in minimal_in_p and minima[d] in minimal_in_p:
+            failures.append(DiagonalFailure(6, (c, d, minima[c], minima[d])))
+
+    for um in upper_set_masks(P):
+        if um == 0:
+            continue
+        sub, old_ids = restrict(P, bits(um))
+        subpart = analyze(sub).diagonals
+        p_to_u = {}
+        u_to_p = {}
+        for new, old in enumerate(old_ids):
+            dp, du = part.diagonal_of[old], subpart.diagonal_of[new]
+            seen_u, a = p_to_u.setdefault(dp, (du, old))
+            seen_p, b = u_to_p.setdefault(du, (dp, old))
+            if seen_u != du:
+                failures.append(DiagonalFailure(3, (a, old, um)))
+            elif seen_p != dp:
+                failures.append(DiagonalFailure(3, (b, old, um)))
+        for c, d in combinations(sorted(p_to_u), 2):
+            if part.is_adjacent(c, d) != subpart.is_adjacent(p_to_u[c][0], p_to_u[d][0]):
+                failures.append(DiagonalFailure(5, (c, d, um)))
+
+    failures.sort(key=lambda f: (f.prop, f.witness))
+    return DiagonalReport(ok=not failures, failures=tuple(failures))
+
+
+def _assert_matches_reference(P, part, intervals):
+    report = diagonal_report(P, part, intervals)
+    expected = _reference_diagonal_report(P, part, intervals)
+    assert report.ok == expected.ok
+    assert {f.prop for f in report.failures} == {f.prop for f in expected.failures}
+    for f in report.failures:
+        if f.prop in (3, 5):
+            um = f.witness[-1]
+            assert all(P.upset_mask(v) & ~um == 0 for v in bits(um)), f
+
+
+def test_diagonal_report_matches_reference_on_catalog():
+    wrong = 0
+    for entry in catalog():
+        P = entry.poset
+        a = analyze(P)
+        part, intervals = a.diagonals, a.d_intervals
+        _assert_matches_reference(P, part, intervals)
+        if any(len(members) > 1 for members in part.classes):
+            _assert_matches_reference(P, _partition(P, _split_first_diagonal(P, part)), intervals)
+            wrong += 1
+        if part.pairs():
+            _assert_matches_reference(P, _partition(P, _merge_first_adjacent_pair(P, part)), intervals)
+            wrong += 1
+    assert wrong >= 300
+
+
+def _random_classes(P, part, rng):
+    """Random labels, or the true partition with one element moved or two classes merged."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        k = rng.randint(1, P.n)
+        labels = [rng.randrange(k) for _ in range(P.n)]
+    else:
+        labels = list(part.diagonal_of)
+        if kind == 1:
+            labels[rng.randrange(P.n)] = rng.randrange(part.count + 1)
+        else:
+            c, d = rng.randrange(part.count), rng.randrange(part.count)
+            labels = [c if label == d else label for label in labels]
+    classes = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(label, set()).add(v)
+    return classes.values()
+
+
+def test_diagonal_report_matches_reference_on_random_partitions():
+    small = [entry.poset for entry in catalog() if entry.poset.n <= 9]
+    rng = random.Random(20)
+    for i in range(1200):
+        P = small[i % len(small)]
+        a = analyze(P)
+        _assert_matches_reference(P, _partition(P, _random_classes(P, a.diagonals, rng)), a.d_intervals)
+
+
+def test_diagonal_report_matches_reference_beyond_d_complete():
+    # Seeded random posets, mostly not d-complete: d-intervals may share a
+    # bottom, so an upper set can separate two tops that P joins.
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        pairs = [
+            (low, rng.randrange(low + 1, n))
+            for low in range(n - 1)
+            for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))
+        ]
+        P = Poset(n, pairs)
+        a = analyze(P)
+        _assert_matches_reference(P, a.diagonals, a.d_intervals)
+        _assert_matches_reference(P, _partition(P, _random_classes(P, a.diagonals, rng)), a.d_intervals)
+
+
+@pytest.mark.parametrize("name", ["young-8x8", "d200"])
+def test_diagonal_report_needs_no_upper_set_walk(name):
+    P = young((8,) * 8) if name == "young-8x8" else d_k_one(200)
+    a = analyze(P)
+    part, intervals = a.diagonals, a.d_intervals
+    start = time.perf_counter()
+    report = diagonal_report(P, part, intervals)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok
+
+
+def test_diagonal_report_past_the_ideal_limit():
+    # Young 12x12 has C(24, 12) = 2,704,156 upper sets, past IDEAL_LIMIT
+    a = analyze(young((12,) * 12))
+    assert diagonal_report(a.poset, a.diagonals, a.d_intervals).ok

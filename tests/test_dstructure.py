@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from itertools import combinations
 from random import Random
 
@@ -15,10 +16,17 @@ from dcposets import (
     structure_report,
     young,
 )
-from dcposets.dstructure import AxiomViolation, DMinusConvexSet, _forbidden_configuration
-from dcposets.poset import bits, upper_set_masks
+from dcposets.dstructure import (
+    AxiomViolation,
+    DInterval,
+    DMinusConvexSet,
+    StructureFailure,
+    StructureReport,
+    _forbidden_configuration,
+)
+from dcposets.poset import bits, mask_of
 
-from conftest import chain, is_convex, is_isomorphic
+from conftest import chain, is_convex, is_isomorphic, restrict, upper_set_masks
 
 
 def _interval(P: Poset, bottom: int, top: int):
@@ -66,7 +74,7 @@ def test_find_d_intervals_double_tailed():
 def _dminus_model(k: int) -> Poset:
     """d_k(1) with its maximum removed, built independently."""
     full = d_k_one(k)
-    sub, _ = full.restrict(range(full.n - 1))
+    sub, _ = restrict(full, range(full.n - 1))
     return sub
 
 
@@ -81,7 +89,7 @@ def _brute_force_dminus(P: Poset, kmax: int = 6):
         for subset in combinations(range(P.n), size):
             if not is_convex(P, subset):
                 continue
-            sub, _ = P.restrict(subset)
+            sub, _ = restrict(P, subset)
             if is_isomorphic(sub, model):
                 found.add(frozenset(subset))
     return found
@@ -98,7 +106,7 @@ def _brute_force_d_intervals(P: Poset, kmax: int = 6):
             size = len(members)
             if size % 2 or not 4 <= size <= 2 * kmax - 2:
                 continue
-            sub, _ = P.restrict(members)
+            sub, _ = restrict(P, members)
             if is_isomorphic(sub, d_k_one(size // 2 + 1)):
                 found.add((p, q, members))
     return found
@@ -113,6 +121,7 @@ def test_dminus_against_brute_force(family, name):
     expected = _brute_force_dminus(P)
     got = {shape.members for shape in analyze(P).d_minus_sets}
     assert got == expected
+    assert all(shape.member_mask == mask_of(shape.members) for shape in analyze(P).d_minus_sets)
 
 
 @pytest.mark.parametrize("name", BRUTE_FORCE_POSETS)
@@ -121,6 +130,7 @@ def test_d_intervals_against_brute_force(family, name):
     expected = _brute_force_d_intervals(P)
     got = {(iv.bottom, iv.top, iv.members) for iv in analyze(P).d_intervals}
     assert got == expected
+    assert all(iv.member_mask == mask_of(iv.members) for iv in analyze(P).d_intervals)
 
 
 def test_d_minus_set_with_two_completions():
@@ -211,13 +221,26 @@ def test_interval_uniqueness_structure(analyses):
 
 
 def test_upper_sets_stay_d_complete(family):
+    # An upper set's d-intervals are P's d-intervals with bottom in it:
+    # diagonal_report builds every upper set's diagonals on this fact.
     for name in ("d4", "d5", "sample10", "young-3.2", "shifted-4.3.1", "tree-mixed"):
         P = family[name]
+        intervals = analyze(P).d_intervals
         for mask in upper_set_masks(P):
             if mask == 0:
                 continue
-            sub, _ = P.restrict(bits(mask))
-            assert analyze(sub).is_d_complete, (name, mask)
+            sub, old_ids = restrict(P, bits(mask))
+            a = analyze(sub)
+            assert a.is_d_complete, (name, mask)
+
+            def old(ids):
+                return tuple(old_ids[v] for v in ids)
+
+            mapped = [
+                DInterval(iv.k, *old((iv.bottom, iv.top)), old(iv.sides), old(iv.neck), old(iv.tail))
+                for iv in a.d_intervals
+            ]
+            assert mapped == [iv for iv in intervals if mask >> iv.bottom & 1], (name, mask)
 
 
 def _grow(P: Poset, sides, tail: list, neck: list, out: list) -> None:
@@ -313,3 +336,88 @@ def test_long_double_tailed_diamond_structure():
     assert a.is_d_complete
     assert time.perf_counter() - start < 2.0
     assert [s.k for s in a.d_minus_sets] == list(range(3, 1001))
+
+
+def _reference_structure_report(P: Poset, intervals) -> StructureReport:
+    """The structural facts checked on ``members`` frozensets."""
+    failures = []
+    for v in range(P.n):
+        if len(P.upper_covers(v)) > 2:
+            failures.append(StructureFailure("cover-bound", (v,) + P.upper_covers(v)))
+    for interval in intervals:
+        members = interval.members
+        for x in interval.neck:
+            for below in P.lower_covers(x):
+                if below not in members:
+                    failures.append(
+                        StructureFailure("interval-closure", (interval.bottom, interval.top, x, below))
+                    )
+        for x in interval.tail:
+            for above in P.upper_covers(x):
+                if above not in members:
+                    failures.append(
+                        StructureFailure("interval-closure", (interval.bottom, interval.top, x, above))
+                    )
+    config = _reference_forbidden(P)
+    if config is not None:
+        failures.append(StructureFailure("forbidden-configuration", config))
+    by_bottom, by_top = {}, {}
+    for interval in intervals:
+        by_bottom.setdefault(interval.bottom, []).append(interval)
+        by_top.setdefault(interval.top, []).append(interval)
+    for p, group in sorted(by_bottom.items()):
+        if len(group) > 1:
+            failures.append(StructureFailure("unique-bottom", (p,) + tuple(iv.top for iv in group)))
+    for p, group in sorted(by_top.items()):
+        if len(group) > 1:
+            failures.append(StructureFailure("unique-top", (p,) + tuple(iv.bottom for iv in group)))
+    for interval in intervals:
+        for x in interval.neck:
+            owners = by_top.get(x, [])
+            if len(owners) != 1 or not owners[0].members <= interval.members:
+                failures.append(StructureFailure("neck-containment", (interval.bottom, interval.top, x)))
+        for x in interval.tail:
+            owners = by_bottom.get(x, [])
+            if len(owners) != 1 or not owners[0].members <= interval.members:
+                failures.append(StructureFailure("tail-containment", (interval.bottom, interval.top, x)))
+    return StructureReport(ok=not failures, failures=tuple(failures))
+
+
+def _swapped(P: Poset, intervals, which: str):
+    """Copies of ``intervals``, each with one neck or tail element swapped for an element outside it."""
+    for i, iv in enumerate(intervals):
+        chain_ = getattr(iv, which)
+        outside = [v for v in range(P.n) if v not in iv.members]
+        if not outside:
+            continue
+        for j in (0, len(chain_) - 1):
+            swapped = chain_[:j] + (outside[(i + j) % len(outside)],) + chain_[j + 1 :]
+            yield intervals[:i] + (replace(iv, **{which: swapped}),) + intervals[i + 1 :]
+
+
+def test_structure_report_matches_frozenset_reference():
+    posets = [e.poset for e in catalog()] + [d_k_one(50), young((12,) * 12)]
+    failing = set()
+    for P in posets:
+        intervals = analyze(P).d_intervals
+        assert structure_report(P, intervals) == _reference_structure_report(P, intervals)
+        if P.n > 12:
+            continue
+        for which in ("neck", "tail"):
+            for mutated in _swapped(P, intervals, which):
+                report = structure_report(P, mutated)
+                assert report == _reference_structure_report(P, mutated)
+                failing |= {f.check for f in report.failures}
+    assert {"interval-closure", "neck-containment", "tail-containment"} <= failing
+
+
+@pytest.mark.parametrize(
+    ("name", "bound"), [("young-8x8", 1.0), ("d200", 1.0), ("d1000", 2.0)]
+)
+def test_structure_report_has_no_cubic_scan(name, bound):
+    P = {"young-8x8": young((8,) * 8), "d200": d_k_one(200), "d1000": d_k_one(1000)}[name]
+    intervals = analyze(P).d_intervals
+    start = time.perf_counter()
+    report = structure_report(P, intervals)
+    assert time.perf_counter() - start < bound
+    assert report.ok

@@ -18,9 +18,9 @@ from dcposets import (
 )
 from dcposets.families import shifted_box_ids, young_box_ids
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
-from dcposets.poset import order_ideal_masks, upper_set_masks
+from dcposets.poset import order_ideal_masks
 
-from conftest import antichain, chain, is_convex, is_isomorphic
+from conftest import antichain, chain, is_convex, is_isomorphic, restrict, upper_set_masks
 
 
 def test_singleton():
@@ -207,7 +207,7 @@ def test_square_young_is_diamond():
 
 def test_restrict_upper_set():
     P = d_k_one(4)
-    sub, old = P.restrict([2, 3, 4, 5])
+    sub, old = restrict(P, [2, 3, 4, 5])
     assert old == (2, 3, 4, 5)
     assert sub.covers == frozenset({(0, 2), (1, 2), (2, 3)})
 

@@ -35,7 +35,7 @@ from dcposets.rsk import (
     random_descending_extension,
 )
 
-from conftest import chain
+from conftest import chain, restrict
 
 WORKED_ORDER = (5, 4, 2, 3, 1, 0)
 WORKED_INPUT = (2, 2, 3, 4, 2, 1)
@@ -291,7 +291,7 @@ def test_oracles(family, analyses, name):
 
     removals = []
     for c in P.minimal_elements():
-        sub, old_ids = P.restrict([v for v in range(P.n) if v != c])
+        sub, old_ids = restrict(P, [v for v in range(P.n) if v != c])
         removals.append((c, sub, analyze(sub), old_ids))
     for _ in range(20):
         t = random_filling(P.n, rng)

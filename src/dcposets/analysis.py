@@ -23,7 +23,7 @@ from .dstructure import (
     find_d_intervals,
     find_d_minus_convex_sets,
 )
-from .hooks import HookVector, hook_lengths, hook_polynomial_eval, hook_vectors
+from .hooks import HookVector, hook_lengths, hook_numerators, hook_vectors
 from .poset import IdealLattice, Poset, compile_ideal_lattice, count_linear_extensions
 
 
@@ -32,7 +32,6 @@ class PosetAnalysis:
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        self._hooks_at: tuple[tuple, tuple[Fraction, ...]] | None = None
 
     @cached_property
     def d_minus_sets(self) -> tuple[DMinusConvexSet, ...]:
@@ -94,15 +93,9 @@ class PosetAnalysis:
         return compile_program(self.poset, self.diagonals, self.stable_order)
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
-        """All hook polynomials H_p evaluated at the rational point x.
-
-        The last point and its values are kept: callers check several
-        things at one point in a row.
-        """
-        point = tuple(x)
-        if self._hooks_at is None or self._hooks_at[0] != point:
-            self._hooks_at = (point, tuple(hook_polynomial_eval(v, point) for v in self.hook_vectors))
-        return self._hooks_at[1]
+        """All hook polynomials H_p evaluated at the rational point x."""
+        numerators, denom = hook_numerators(self.hook_vectors, x)
+        return tuple(Fraction(a, denom) for a in numerators)
 
 
 def analyze(P: Poset) -> PosetAnalysis:

@@ -18,28 +18,21 @@ class DiagonalPartition:
     """Partition of the elements into diagonals plus diagonal adjacency.
 
     Diagonal ids are canonical: classes are numbered by their smallest
-    member.  Adjacency is stored densely; two diagonals are adjacent when
-    some element of one covers an element of the other.
+    member.  Two diagonals are adjacent when some element of one covers
+    an element of the other; ``adjacent`` lists each adjacent pair (c, d)
+    once, with c < d, in ascending order.
     """
 
     diagonal_of: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
-    adjacent: tuple[tuple[bool, ...], ...]
+    adjacent: tuple[tuple[int, int], ...]
 
     @property
     def count(self) -> int:
         return len(self.classes)
 
-    def is_adjacent(self, c: int, d: int) -> bool:
-        return self.adjacent[c][d]
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (c, d)
-            for c in range(self.count)
-            for d in range(c + 1, self.count)
-            if self.adjacent[c][d]
-        )
+        return self.adjacent
 
 
 def _span_roots(n: int, elements: Iterable[int], spans: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -69,16 +62,16 @@ def compute_diagonals(P: Poset, intervals: tuple[DInterval, ...]) -> DiagonalPar
         groups[d].append(v)
     classes = tuple(map(frozenset, groups))
 
-    adj = [[False] * len(classes) for _ in classes]
+    adjacent = set()
     for a, b in P.covers:
         da, db = diagonal_of[a], diagonal_of[b]
         if da != db:
-            adj[da][db] = adj[db][da] = True
+            adjacent.add((min(da, db), max(da, db)))
 
     return DiagonalPartition(
         diagonal_of=tuple(diagonal_of),
         classes=classes,
-        adjacent=tuple(tuple(row) for row in adj),
+        adjacent=tuple(sorted(adjacent)),
     )
 
 

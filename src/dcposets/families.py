@@ -58,11 +58,6 @@ def shifted_young(shape: Sequence[int]) -> Poset:
     return _diagram(shape, shifted=True)
 
 
-def shifted_box_ids(shape: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Map (row, column) (1-based) to the element id used by :func:`shifted_young`."""
-    return _box_ids(shape, shifted=True)
-
-
 def tree(parent: Sequence[int | None]) -> Poset:
     """Rooted tree poset: each child is covered by its parent, root maximal.
 

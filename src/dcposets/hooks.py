@@ -8,6 +8,7 @@ evaluated here with exact integer/rational arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -52,17 +53,26 @@ def hook_lengths(vectors: Sequence[HookVector]) -> tuple[int, ...]:
     return tuple(sum(v) for v in vectors)
 
 
-def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
-    """Evaluate sum_D h^(D) * x_D exactly.
+def hook_numerators(vectors: Sequence[HookVector], x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Every H_p(x) = sum_D h_p^(D) x_D as an integer A_p over one denominator L.
 
-    Only the nonzero entries of the vector are summed, as integers over
-    the common denominator of their coordinates.
+    x is written once as integers c over its least common denominator L,
+    so A_p = h_p . c is one integer dot product per element.  On a
+    d-complete poset L is also the least common denominator of the
+    H_p(x) (:func:`verify.rsk_polytope_check` proves it), so the A_p are
+    the hooks' own numerators over it.
     """
-    if len(vector) != len(x):
-        raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(x)}")
-    terms = [(h, x[d]) for d, h in enumerate(vector) if h]
-    denom = math.lcm(*(xd.denominator for _, xd in terms))
-    return Fraction(sum(h * xd.numerator * (denom // xd.denominator) for h, xd in terms), denom)
+    c, denom = common_denominator(x)
+    for vector in vectors:
+        if len(vector) != len(c):
+            raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(c)}")
+    return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
+
+
+def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
+    """Evaluate sum_D h^(D) * x_D exactly, by :func:`hook_numerators`."""
+    (numerator,), denom = hook_numerators((vector,), x)
+    return Fraction(numerator, denom)
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

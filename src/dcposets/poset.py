@@ -7,9 +7,10 @@ the public API; bitmask ints are used internally and exposed through the
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .analysis import PosetAnalysis
@@ -119,9 +120,6 @@ class Poset:
 
     def leq(self, a: int, b: int) -> bool:
         return (self._up[a] >> b) & 1 == 1
-
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
 
     def incomparable(self, a: int, b: int) -> bool:
         return not self.leq(a, b) and not self.leq(b, a)
@@ -332,24 +330,57 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     return IdealLattice(tuple(level_sizes), first, added, successor_start, successors)
 
 
-def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:
-    """Exact number of linear extensions: the maximal chains of the ideal lattice.
+def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[int, int]:
+    """Sum over the maximal chains of ideals of prod_k 1 / S(J_k), as integers U and M.
 
-    Each ideal's number of chains up from the empty ideal is pushed, as an
-    integer, to the ideals covering it.  ``analysis`` supplies P's
-    compiled lattice (``PosetAnalysis.ideal_lattice``); without it the
-    lattice is compiled here.  A poset with more than ``IDEAL_LIMIT``
-    order ideals raises :class:`ExtensionLimitError`.
+    ``weights`` gives each element a positive integer c_p, and S(J) is the
+    sum of c_p over the ideal J.  Let W(empty) = 1 and W(J) be the sum of
+    W(I) over the ideals I that J covers, divided by S(J); W(P) is the
+    chain sum.  S(J) = S(first parent) + c_(added element) costs one
+    addition per ideal.
+
+    The fold runs on integers.  Let M_k be the lcm of S(J) over the
+    ideals J with k elements, and U(J) = W(J) * M_1 * ... * M_k.  Then
+    U(empty) = 1 and U(J) = (sum of U(I)) * (M_k / S(J)): the sum is an
+    integer by induction and S(J) divides M_k, so every U is an integer.
+    Returns U(P) and M = M_1 * ... * M_n, so W(P) = U(P) / M.  With
+    every weight 1, S(J) = M_k = k on level k, so U(J) counts the maximal
+    chains from the empty ideal to J and U(P) = e(P).
+    """
+    first, added = lattice.first, lattice.added
+    start, successors = lattice.successor_start, lattice.successors
+    sums = [0] * len(first)
+    for j in range(1, len(first)):
+        sums[j] = sums[first[j]] + weights[added[j]]
+    value = [0] * len(first)
+    value[0] = 1
+    product = 1
+    lo = 0
+    for size in lattice.level_sizes:
+        hi = lo + size
+        if lo:
+            level_lcm = math.lcm(*sums[lo:hi])
+            product *= level_lcm
+            for j in range(lo, hi):
+                value[j] *= level_lcm // sums[j]
+        for i in range(lo, hi):
+            v = value[i]
+            for j in successors[start[i] : start[i + 1]]:
+                value[j] += v
+        lo = hi
+    return value[-1], product
+
+
+def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:
+    """Exact number of linear extensions: :func:`fold_ideal_lattice` with every weight 1.
+
+    ``analysis`` supplies P's compiled lattice
+    (``PosetAnalysis.ideal_lattice``); without it the lattice is compiled
+    here.  A poset with more than ``IDEAL_LIMIT`` order ideals raises
+    :class:`ExtensionLimitError`.
     """
     lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
-    start, successors = lattice.successor_start, lattice.successors
-    chains = [0] * len(lattice.first)
-    chains[0] = 1
-    for i in range(len(chains)):
-        c = chains[i]
-        for j in successors[start[i] : start[i + 1]]:
-            chains[j] += c
-    return chains[-1]
+    return fold_ideal_lattice(lattice, [1] * P.n)[0]
 
 
 def order_ideal_masks(P: Poset) -> Iterator[int]:

@@ -27,12 +27,14 @@ from .hooks import (
     RationalPoint,
     all_ones_point,
     common_denominator,
+    hook_numerators,
     random_rational_point,
     validate_point,
 )
 from .poset import (
     Poset,
     compile_ideal_lattice,
+    fold_ideal_lattice,
     is_descending_extension,
     linear_extensions,
 )
@@ -87,25 +89,15 @@ def weight_sum(
     """Sum of extension weights at a rational point.
 
     ``ideal-dp`` folds the sum up the lattice of downsets: each suffix of
-    a descending extension is a downset, so the sum is W(P), where W of
-    the empty downset is 1 and W(J) is the sum of W(I) over the downsets
-    I that J covers, divided by the x-sum s(J) = sum_{p in J} x_{D(p)}.
-    ``analysis`` supplies P's compiled lattice
-    (:attr:`PosetAnalysis.ideal_lattice`); without it the lattice is
-    compiled here.  Posets with more than ``IDEAL_LIMIT`` downsets raise
-    :class:`ExtensionLimitError`.  ``enumerate`` sums extension by
-    extension; it is the reference the tests compare against.  Both are
-    exact and agree.
-
-    The fold runs on integers.  Write x = c / L over the common
-    denominator L; then s(J) = S(J) / L with S(J) a positive integer for
-    J nonempty, and S(J) = S(first parent) + c_{D(added element)} costs
-    one addition per downset.  Let M_k be the lcm of S(J) over the
-    downsets J with k elements, and U(J) = W(J) * M_1 * ... * M_k / L^k.
-    Then U(empty) = 1 and U(J) = (sum of U(I)) * (M_k / S(J)): the sum is
-    an integer by induction and S(J) divides M_k, so every U is an
-    integer, and W(P) = U(P) * L^n / (M_1 * ... * M_n) is the one
-    Fraction built.
+    a descending extension is a downset.  With x = c / L over its least
+    common denominator, the sum is U * L^n / M for the integers U and M
+    that :func:`poset.fold_ideal_lattice` returns on the weights
+    c_{D(p)}; its docstring gives the argument.  ``analysis`` supplies
+    P's compiled lattice (:attr:`PosetAnalysis.ideal_lattice`); without
+    it the lattice is compiled here.  Posets with more than
+    ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
+    ``enumerate`` sums extension by extension; it is the reference the
+    tests compare against.  Both are exact and agree.
     """
     x = validate_point(x, part.count)
     if method == "enumerate":
@@ -118,29 +110,8 @@ def weight_sum(
 
     lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
     numerators, scale = common_denominator(x)
-    c = [numerators[d] for d in part.diagonal_of]
-    first, added = lattice.first, lattice.added
-    start, successors = lattice.successor_start, lattice.successors
-    xsum = [0] * len(first)
-    for j in range(1, len(first)):
-        xsum[j] = xsum[first[j]] + c[added[j]]
-    value = [0] * len(first)
-    value[0] = 1
-    denominator = 1
-    lo = 0
-    for size in lattice.level_sizes:
-        hi = lo + size
-        if lo:
-            level_lcm = math.lcm(*xsum[lo:hi])
-            denominator *= level_lcm
-            for j in range(lo, hi):
-                value[j] *= level_lcm // xsum[j]
-        for i in range(lo, hi):
-            v = value[i]
-            for j in successors[start[i] : start[i + 1]]:
-                value[j] += v
-        lo = hi
-    return Fraction(value[-1] * scale**P.n, denominator)
+    total, denominator = fold_ideal_lattice(lattice, [numerators[d] for d in part.diagonal_of])
+    return Fraction(total * scale**P.n, denominator)
 
 
 @dataclass(frozen=True)
@@ -204,7 +175,8 @@ def verify_multivariate(
     for _ in range(points):
         x = random_rational_point(part.count, rng)
         lhs = weight_sum(P, part, x, analysis=a)
-        rhs = 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
+        hooks, denom = hook_numerators(a.hook_vectors, x)
+        rhs = Fraction(denom**P.n, math.prod(hooks))
         if lhs != rhs:
             failures.append(MultivariateFailure(point=x, lhs=lhs, rhs=rhs))
     return MultivariateReport(
@@ -241,14 +213,15 @@ def _polytope(
     """The polytope as an integer record ``(A, B, cover_pairs)``.
 
     The polytope is {v >= 0, v[low] >= v[high] for each cover pair,
-    sum_p A_p v_p <= B}.  Fillings: H_p(x) = A_p / B over the least
-    common denominator of the hook polynomials, and no cover pairs.
-    rpp: x_{D(p)} = A_p / B over the least common denominator of x, and
-    the covers of P.
+    sum_p A_p v_p <= B}.  B is the least common denominator of x.
+    Fillings: H_p(x) = A_p / B from :func:`hook_numerators`, and no cover
+    pairs; B is also the least common denominator of the hook
+    polynomials (see :func:`rsk_polytope_check`).  rpp: x_{D(p)} =
+    A_p / B, and the covers of P.
     """
     x = validate_point(spec.x, a.diagonals.count)
     if spec.kind == "fillings":
-        hooks, denom = common_denominator(a.hook_polynomials(x))
+        hooks, denom = hook_numerators(a.hook_vectors, x)
         return hooks, denom, []
     numerators, denom = common_denominator(x)
     return [numerators[d] for d in a.diagonals.diagonal_of], denom, sorted(P.covers)
@@ -358,26 +331,26 @@ def rsk_polytope_check(
     sum x_{D(p)} s_p == sum H_p(x) t_p, and the exact round trip.
 
     The checks run on integer labels, from the two polytopes' records
-    (:func:`_polytope`): H_p(x) = A_p / B and x_{D(p)} = X_p / C.  Each
-    sample is drawn (by the same ``rng`` calls as
-    :func:`sample_fillings_point`) as labels T over L = GRAIN * lcm(A).
-    The insertion map commutes with scaling by L, so its image is labels
-    S over L.  Since B == C (below), one bound B L serves both
-    polytopes: t is in the fillings polytope iff T >= 0 and
-    sum A_p T_p <= B L; s is in the rpp polytope iff S >= 0, S is
-    order-reversing and sum X_p S_p <= B L; the identity is
+    (:func:`_polytope`), both over the least common denominator C of x:
+    H_p(x) = A_p / C and x_{D(p)} = X_p / C.  Each sample is drawn (by
+    the same ``rng`` calls as :func:`sample_fillings_point`) as labels T
+    over L = GRAIN * lcm(A).  The insertion map commutes with scaling by
+    L, so its image is labels S over L: t is in the fillings polytope iff
+    T >= 0 and sum A_p T_p <= C L; s is in the rpp polytope iff S >= 0,
+    S is order-reversing and sum X_p S_p <= C L; the identity is
     sum X S == sum A T; the round trip is equality of label lists.
     Fractions are built only for failure entries.
 
-    Why B == C on a d-complete poset.  H(x) = h x for the integer matrix
-    h of hook vectors, so B | C.  Conversely, let m_D be the minimum of
-    diagonal D (diagonals are chains).  A d-interval's top shares its
-    diagonal with its bottom, which lies below it, so m_D tops no
-    d-interval and h(m_D) counts the downset of m_D per diagonal: 1 at D,
-    and nonzero at D' only if m_D' < m_D.  Ordered by a linear extension
-    of the minima, the rows h(m_D) form a unitriangular integer matrix U
-    with U x = (H_{m_D}(x))_D, so x = U^-1 (H_{m_D}(x))_D has
-    denominators dividing B: C | B.
+    Why C is also the least common denominator B of the H_p(x) on a
+    d-complete poset, so that A are their reduced numerators.  H(x) = h x
+    for the integer matrix h of hook vectors, so B | C.  Conversely, let
+    m_D be the minimum of diagonal D (diagonals are chains).  A
+    d-interval's top shares its diagonal with its bottom, which lies
+    below it, so m_D tops no d-interval and h(m_D) counts the downset of
+    m_D per diagonal: 1 at D, and nonzero at D' only if m_D' < m_D.
+    Ordered by a linear extension of the minima, the rows h(m_D) form a
+    unitriangular integer matrix U with U x = (H_{m_D}(x))_D, so
+    x = U^-1 (H_{m_D}(x))_D has denominators dividing B: C | B.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
@@ -436,7 +409,8 @@ def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis 
     x = validate_point(spec.x, a.diagonals.count)
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
-        return Fraction(1, n_fact) / math.prod(a.hook_polynomials(x), start=Fraction(1))
+        hooks, denom = hook_numerators(a.hook_vectors, x)
+        return Fraction(denom**P.n, n_fact * math.prod(hooks))
     return weight_sum(P, a.diagonals, x, analysis=a) / n_fact
 
 

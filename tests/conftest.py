@@ -12,6 +12,24 @@ def antichain(n: int) -> Poset:
     return Poset(n, [])
 
 
+def lt(P: Poset, a: int, b: int) -> bool:
+    return a != b and P.leq(a, b)
+
+
+def shifted_box_ids(shape) -> dict[tuple[int, int], int]:
+    """Map (row, column) (1-based) to the element id used by ``shifted_young``.
+
+    Boxes are numbered row-major, and row i starts at column i.
+    """
+    boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(i, i + row)]
+    return {box: e for e, box in enumerate(boxes)}
+
+
+def is_adjacent(part, c: int, d: int) -> bool:
+    """Whether diagonals c and d of the partition are adjacent."""
+    return (min(c, d), max(c, d)) in part.pairs()
+
+
 def restrict(P: Poset, members) -> tuple[Poset, tuple[int, ...]]:
     """Induced subposet on ``members``, with the old ids listed by new id."""
     keep = sorted(set(members))

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from itertools import combinations
@@ -16,10 +17,10 @@ from dcposets import (
     young,
 )
 from dcposets.diagonals import DiagonalFailure, DiagonalPartition, DiagonalReport
-from dcposets.families import shifted_box_ids, young_box_ids
+from dcposets.families import young_box_ids
 from dcposets.poset import bits
 
-from conftest import chain, restrict, upper_set_masks
+from conftest import chain, is_adjacent, restrict, shifted_box_ids, upper_set_masks
 
 
 def test_tree_diagonals_are_singletons(family):
@@ -87,6 +88,25 @@ def test_young_diagonals_follow_content():
                 assert same == (i1 - j1 == i2 - j2)
 
 
+def _dense_pairs(P, part):
+    """Adjacent pairs (c < d) read off a dense m x m adjacency matrix built from the covers."""
+    adj = [[False] * part.count for _ in range(part.count)]
+    for a, b in P.covers:
+        da, db = part.diagonal_of[a], part.diagonal_of[b]
+        if da != db:
+            adj[da][db] = adj[db][da] = True
+    return tuple(
+        (c, d) for c in range(part.count) for d in range(c + 1, part.count) if adj[c][d]
+    )
+
+
+def test_sparse_pairs_match_dense_adjacency():
+    posets = [entry.poset for entry in catalog()] + [young((12,) * 12), d_k_one(50)]
+    for P in posets:
+        part = analyze(P).diagonals
+        assert part.pairs() == _dense_pairs(P, part), P
+
+
 def test_partition_is_interval_order_independent():
     P = builtin_poset("sample10")
     intervals = list(analyze(P).d_intervals)
@@ -116,12 +136,12 @@ def _partition(P, classes) -> DiagonalPartition:
     for d, members in enumerate(classes):
         for v in members:
             diagonal_of[v] = d
-    adj = [[False] * len(classes) for _ in classes]
-    for a, b in P.covers:
-        da, db = diagonal_of[a], diagonal_of[b]
-        if da != db:
-            adj[da][db] = adj[db][da] = True
-    return DiagonalPartition(tuple(diagonal_of), classes, tuple(tuple(row) for row in adj))
+    adjacent = {
+        (min(diagonal_of[a], diagonal_of[b]), max(diagonal_of[a], diagonal_of[b]))
+        for a, b in P.covers
+        if diagonal_of[a] != diagonal_of[b]
+    }
+    return DiagonalPartition(tuple(diagonal_of), classes, tuple(sorted(adjacent)))
 
 
 def _split_first_diagonal(P, part):
@@ -165,6 +185,17 @@ def test_diagonal_report_rejects_wrong_partition(family, analyses, name, wrong, 
             assert (part.diagonal_of[x] == part.diagonal_of[y]) != same_u
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_set_diagonals(P, um):
+    """The upper set ``um`` of P rebuilt as a fresh poset: its old ids and its diagonals.
+
+    Both depend only on P and the mask, so each upper set is analyzed once
+    however many partitions of P the reference report checks.
+    """
+    sub, old_ids = restrict(P, bits(um))
+    return old_ids, analyze(sub).diagonals
+
+
 def _reference_diagonal_report(P, part, intervals) -> DiagonalReport:
     """The six properties with (3) and (5) checked on every upper set, each
     rebuilt as a fresh poset and analyzed anew."""
@@ -202,8 +233,7 @@ def _reference_diagonal_report(P, part, intervals) -> DiagonalReport:
     for um in upper_set_masks(P):
         if um == 0:
             continue
-        sub, old_ids = restrict(P, bits(um))
-        subpart = analyze(sub).diagonals
+        old_ids, subpart = _upper_set_diagonals(P, um)
         p_to_u = {}
         u_to_p = {}
         for new, old in enumerate(old_ids):
@@ -215,7 +245,7 @@ def _reference_diagonal_report(P, part, intervals) -> DiagonalReport:
             elif seen_p != dp:
                 failures.append(DiagonalFailure(3, (b, old, um)))
         for c, d in combinations(sorted(p_to_u), 2):
-            if part.is_adjacent(c, d) != subpart.is_adjacent(p_to_u[c][0], p_to_u[d][0]):
+            if is_adjacent(part, c, d) != is_adjacent(subpart, p_to_u[c][0], p_to_u[d][0]):
                 failures.append(DiagonalFailure(5, (c, d, um)))
 
     failures.sort(key=lambda f: (f.prop, f.witness))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice
 from random import Random
@@ -5,6 +6,7 @@ from random import Random
 import pytest
 
 from dcposets import (
+    all_ones_point,
     analyze,
     catalog,
     d_k_one,
@@ -15,8 +17,9 @@ from dcposets import (
     random_rational_point,
     young,
 )
+from dcposets import verify
 from dcposets.families import young_box_ids
-from dcposets.hooks import random_scaled_point, validate_point
+from dcposets.hooks import common_denominator, random_scaled_point, validate_point
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain
@@ -114,7 +117,38 @@ def test_hook_polynomials_match_naive_sum():
             x = random_rational_point(a.diagonals.count, rng)
             naive = tuple(sum((h * xd for h, xd in zip(v, x)), Fraction(0)) for v in a.hook_vectors)
             assert a.hook_polynomials(x) == naive
-            assert a.hook_polynomials(list(x)) == naive  # the remembered point
+            assert a.hook_polynomials(list(x)) == naive
+
+
+def _lcm_hook_eval(vector, x):
+    """H(x) over the nonzero entries only, as integers over the lcm of their denominators."""
+    terms = [(h, x[d]) for d, h in enumerate(vector) if h]
+    denom = math.lcm(*(xd.denominator for _, xd in terms))
+    return Fraction(sum(h * xd.numerator * (denom // xd.denominator) for h, xd in terms), denom)
+
+
+def test_integer_hooks_match_per_element_lcm():
+    rng = Random(11)
+    for entry in catalog():
+        P = entry.poset
+        a = analyze(P)
+        count = a.diagonals.count
+        points = [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(3)]
+        for x in points:
+            expected = tuple(_lcm_hook_eval(v, x) for v in a.hook_vectors)
+            assert a.hook_polynomials(x) == expected, (entry.name, x)
+            assert tuple(hook_polynomial_eval(v, x) for v in a.hook_vectors) == expected
+            hooks, denom, cover_pairs = verify._polytope(P, PolytopeSpec("fillings", x), a)
+            assert (hooks, denom) == common_denominator(expected), (entry.name, x)
+            assert cover_pairs == []
+
+
+def test_hook_polynomials_reject_a_short_point():
+    for P in (d_k_one(4), young((3, 2)), chain(3)):
+        a = analyze(P)
+        x = random_rational_point(a.diagonals.count, Random(0))
+        with pytest.raises(ValueError):
+            a.hook_polynomials(x[:-1])
 
 
 def test_points_are_exact():

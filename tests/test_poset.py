@@ -6,6 +6,7 @@ import pytest
 
 from dcposets import (
     CycleError,
+    analyze,
     catalog,
     ExtensionLimitError,
     Poset,
@@ -16,11 +17,11 @@ from dcposets import (
     shifted_young,
     young,
 )
-from dcposets.families import shifted_box_ids, young_box_ids
+from dcposets.families import young_box_ids
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
 from dcposets.poset import order_ideal_masks
 
-from conftest import antichain, chain, is_convex, is_isomorphic, restrict, upper_set_masks
+from conftest import antichain, chain, is_convex, is_isomorphic, lt, restrict, shifted_box_ids, upper_set_masks
 
 
 def test_singleton():
@@ -133,7 +134,7 @@ def test_descending_extension_matches_all_pairs_definition():
     small = [e.poset for e in catalog() if e.poset.n <= 6]
     for P in small:
         for perm in permutations(range(P.n)):
-            expected = not any(P.lt(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
+            expected = not any(lt(P, a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
             assert is_descending_extension(P, perm) == expected
     P = d_k_one(3)
     assert not is_descending_extension(P, (3, 2, 1))
@@ -182,6 +183,25 @@ def test_ideal_limit():
     assert count_linear_extensions(antichain(16)) == math.factorial(16)
     with pytest.raises(ExtensionLimitError, match="IDEAL_LIMIT"):
         count_linear_extensions(antichain(17))
+
+
+def _chain_push_count(lattice):
+    """Maximal chains of the ideal lattice: each ideal's count pushed to the ideals covering it."""
+    start, successors = lattice.successor_start, lattice.successors
+    chains = [0] * len(lattice.first)
+    chains[0] = 1
+    for i in range(len(chains)):
+        c = chains[i]
+        for j in successors[start[i] : start[i + 1]]:
+            chains[j] += c
+    return chains[-1]
+
+
+def test_count_fold_matches_chain_push():
+    posets = [entry.poset for entry in catalog()] + [antichain(16), chain(1200)]
+    for P in posets:
+        a = analyze(P)
+        assert count_linear_extensions(P, analysis=a) == _chain_push_count(a.ideal_lattice), P
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,14 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _positive(text: str) -> int:
+    """The argparse type of a count option: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _load_poset(path: str) -> Poset:
     return poset_from_text(Path(path).read_text())
 
@@ -259,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     vh = sub.add_parser("verify-hlf", help="check the multivariate identity at random points")
     vh.add_argument("poset")
-    vh.add_argument("--points", type=int, default=20)
+    vh.add_argument("--points", type=_positive, default=20)
     vh.add_argument("--seed", type=int, default=0)
 
     vol = sub.add_parser("volume", help="Monte Carlo volume of one of the two polytopes")
     vol.add_argument("poset")
     vol.add_argument("--kind", choices=("fillings", "rpp"), required=True)
-    vol.add_argument("--samples", type=int, default=10**6)
+    vol.add_argument("--samples", type=_positive, default=10**6)
     vol.add_argument("--seed", type=int, default=0)
 
     cr = sub.add_parser("classical-rsk", help="insertion RSK and toggle RPP of an integer matrix")
@@ -273,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run the full acceptance battery")
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--points", type=int, default=20)
-    suite.add_argument("--trials", type=int, default=100)
-    suite.add_argument("--samples", type=int, default=10**6)
+    suite.add_argument("--points", type=_positive, default=20)
+    suite.add_argument("--trials", type=_positive, default=100)
+    suite.add_argument("--samples", type=_positive, default=10**6)
     suite.add_argument("--subset", help="comma-separated catalog names to restrict the battery")
 
     return parser

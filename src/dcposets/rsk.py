@@ -227,8 +227,9 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
     A d-interval is completed exactly when its bottom has been inserted,
     since everything else in it dominates the bottom.  ``intervals`` are
     the d-intervals of P.  Each element keeps the number of completed
-    intervals whose neck holds it, so a side's verdict is one lookup,
-    less one if the side is in its own interval's neck.
+    intervals whose neck holds it, so a side's verdict is one lookup: an
+    interval's sides and neck are disjoint by construction in
+    ``find_d_intervals``, so any owner is another interval.
     """
     order = tuple(order)
     if not is_descending_extension(P, order):
@@ -244,7 +245,7 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
                 neck_owners[e] += 1
         for interval in fresh:
             for side in interval.sides:
-                if neck_owners[side] > (side in interval.neck):
+                if neck_owners[side]:
                     return False
     return True
 
@@ -260,48 +261,46 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
 
     What remains is always an upper set, so a d-interval [bottom, top]
     lies inside it iff its bottom does, and a minimal element of what
-    remains lies in such an interval iff it is that interval's bottom.  A
-    d-interval's mask is [bottom, top], whose least and greatest elements
-    are its bottom and top, so distinct d-intervals have distinct masks,
-    and a mask's strict supersets are larger than it.  Scanning the
-    present intervals from largest to smallest, an interval is therefore
-    maximal iff no maximal interval kept so far contains it.
+    remains lies in such an interval iff it is that interval's bottom.
+    On a d-complete poset every element is the bottom of at most one
+    d-interval and the top of at most one (the facts ``structure_report``
+    checks), and containment is written in the neck: for distinct
+    d-intervals I and J, I lies in J iff top(I) is a neck element of J
+    other than top(J).  (<=) A neck element of J tops exactly one
+    d-interval, and J contains it: this is neck containment.  (=>)
+    Everything of J below a side or a tail element is a chain, so a top
+    there would put I, with its two incomparable sides, inside a chain.
+    Each element keeps the number of present intervals whose neck holds
+    it, as in ``is_stable``, so a present interval is maximal iff its top
+    has one owner: the interval itself.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    bottoms = {iv.bottom for iv in a.d_intervals}
-    # Largest first.  The sort is stable, so intervals of one size keep the
-    # (bottom, top) order in which ``min`` below breaks ties.
-    present = sorted(
-        ((iv, iv.member_mask) for iv in a.d_intervals), key=lambda e: -e[1].bit_count()
-    )
-    remaining = (1 << P.n) - 1
+    present = {iv.bottom: iv for iv in a.d_intervals}
+    neck_owners = [0] * P.n
+    for iv in a.d_intervals:
+        for e in iv.neck:
+            neck_owners[e] += 1
     # The minimal elements of what remains, ascending: an element joins
     # them once its last lower cover is stripped.
     waiting = [len(lower) for lower in P._lower]
     minimal = [v for v in range(P.n) if not waiting[v]]
     reversed_order: list[int] = []
     while minimal:
-        free = [p for p in minimal if p not in bottoms]
+        free = [p for p in minimal if p not in present]
         if free:
             c = free[0]
         else:
-            maximal: list[tuple[DInterval, int]] = []
-            for iv, m in present:
-                for _, kept in maximal:
-                    if m & kept == m:
-                        break
-                else:
-                    maximal.append((iv, m))
-            lowest_tops = P.minimal_in_mask(mask_of(iv.diamond_top for iv, _ in maximal))
-            lowest = [iv for iv, _ in maximal if iv.diamond_top in lowest_tops]
+            maximal = [iv for iv in present.values() if neck_owners[iv.top] == 1]
+            tops = mask_of(iv.diamond_top for iv in maximal)
+            lowest = [iv for iv in maximal if P._dn[iv.diamond_top] & tops == 1 << iv.diamond_top]
             chosen = min(lowest, key=lambda iv: (iv.diamond_top, iv.bottom))
             c = chosen.bottom
-            if P._dn[c] & remaining != 1 << c:
+            if c not in minimal:
                 raise RuntimeError("stable-order construction picked a non-minimal element")
-            present = [(iv, m) for iv, m in present if iv.bottom != c]
+            for e in present.pop(c).neck:
+                neck_owners[e] -= 1
         reversed_order.append(c)
-        remaining ^= 1 << c
         minimal.remove(c)
         for u in P._upper[c]:
             waiting[u] -= 1

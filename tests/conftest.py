@@ -25,6 +25,17 @@ def shifted_box_ids(shape) -> dict[tuple[int, int], int]:
     return {box: e for e, box in enumerate(boxes)}
 
 
+def random_shape(rng, max_boxes: int, strict: bool = False) -> tuple[int, ...]:
+    """A random Young shape (distinct rows when ``strict``) of at most ``max_boxes`` boxes."""
+    while True:
+        if strict:
+            rows = rng.sample(range(1, 13), rng.randint(1, 8))
+        else:
+            rows = [rng.randint(1, 10) for _ in range(rng.randint(1, 10))]
+        if sum(rows) <= max_boxes:
+            return tuple(sorted(rows, reverse=True))
+
+
 def is_adjacent(part, c: int, d: int) -> bool:
     """Whether diagonals c and d of the partition are adjacent."""
     return (min(c, d), max(c, d)) in part.pairs()

@@ -198,6 +198,30 @@ def test_parse_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    ("command", "option", "value"),
+    [
+        ("volume", "--samples", "0"),
+        ("volume", "--samples", "-5"),
+        ("verify-hlf", "--points", "-3"),
+        ("suite", "--points", "0"),
+        ("suite", "--trials", "-1"),
+        ("suite", "--samples", "0"),
+    ],
+)
+def test_non_positive_count_is_usage_error(tmp_path, capsys, command, option, value):
+    # Once a ZeroDivisionError traceback (exit 1) or a silent pass (exit 0).
+    path = tmp_path / "d4.poset"
+    path.write_text(poset_to_text(d_k_one(4)))
+    argv = [command] if command == "suite" else [command, str(path)]
+    if command == "volume":
+        argv += ["--kind", "fillings"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + [option, value])
+    assert err.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_sample10_check(tmp_path, capsys):
     path = tmp_path / "s.poset"
     path.write_text(poset_to_text(builtin_poset("sample10")))

@@ -26,7 +26,7 @@ from dcposets.dstructure import (
 )
 from dcposets.poset import bits, mask_of
 
-from conftest import chain, is_convex, is_isomorphic, restrict, upper_set_masks
+from conftest import chain, is_convex, is_isomorphic, random_shape, restrict, upper_set_masks
 
 
 def _interval(P: Poset, bottom: int, top: int):
@@ -218,6 +218,27 @@ def test_interval_uniqueness_structure(analyses):
         for iv in intervals:
             for x in iv.neck:
                 assert by_top[x].members <= iv.members
+
+
+def test_containment_is_read_off_the_neck():
+    # stable_insertion_order reads maximality off this lemma: for distinct
+    # d-intervals I and J, I lies in J iff top(I) is a neck element of J
+    # other than top(J).
+    posets = [e.poset for e in catalog()]
+    posets += [shifted_young(tuple(range(12, 0, -1))), shifted_young((9, 7, 4, 2, 1))]
+    posets += [young((10,) * 10), d_k_one(50)]
+    rng = Random(12)
+    posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
+    nested = 0
+    for P in posets:
+        intervals = analyze(P).d_intervals
+        for inner in intervals:
+            for outer in intervals:
+                if inner is not outer:
+                    inside = inner.member_mask & ~outer.member_mask == 0
+                    assert inside == (inner.top in outer.neck[1:]), (P, inner, outer)
+                    nested += inside
+    assert nested >= 1000
 
 
 def test_upper_sets_stay_d_complete(family):

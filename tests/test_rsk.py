@@ -35,7 +35,7 @@ from dcposets.rsk import (
     random_descending_extension,
 )
 
-from conftest import chain, is_adjacent, lt, restrict, shifted_box_ids
+from conftest import chain, is_adjacent, lt, random_shape, restrict, shifted_box_ids
 
 WORKED_ORDER = (5, 4, 2, 3, 1, 0)
 WORKED_INPUT = (2, 2, 3, 4, 2, 1)
@@ -206,6 +206,9 @@ def test_stable_order_matches_all_pairs_reference():
     posets = [e.poset for e in catalog()]
     posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1))]
     posets += [d_k_one(k) for k in range(3, 61)]
+    rng = Random(21)
+    posets += [young(random_shape(rng, 45)) for _ in range(40)]
+    posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
     for P in posets:
         assert stable_insertion_order(P) == _reference_stable_order(P)
 
@@ -255,6 +258,19 @@ def test_long_double_tailed_diamond_stable_order():
     order = a.stable_order
     assert time.perf_counter() - start < 1.0
     assert order == tuple(range(P.n - 1, -1, -1))
+
+
+@pytest.mark.parametrize("name", ["young-30x30", "shifted-40..1"])
+def test_large_shape_stable_order(name):
+    # A construction that rescanned the present intervals' masks for
+    # containment at every step took 7-11 s on each of these.
+    P = {"young-30x30": young((30,) * 30), "shifted-40..1": shifted_young(tuple(range(40, 0, -1)))}[name]
+    a = analyze(P)
+    a.axiom_report
+    start = time.perf_counter()
+    order = a.stable_order
+    assert time.perf_counter() - start < 2.0
+    assert is_stable(P, order, a.d_intervals)
 
 
 def test_diagonal_sums_partition_identity(family, analyses):

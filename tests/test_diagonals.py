@@ -263,10 +263,17 @@ def _assert_matches_reference(P, part, intervals):
             assert all(P.upset_mask(v) & ~um == 0 for v in bits(um)), f
 
 
-def test_diagonal_report_matches_reference_on_catalog():
+def _relabel(P, rng):
+    """P with its elements renumbered by a seeded random permutation."""
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    return Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
+
+
+def _check_own_split_and_merged(posets) -> int:
+    """Compare each poset's own, split and merged partitions with the reference; return how many were wrong."""
     wrong = 0
-    for entry in catalog():
-        P = entry.poset
+    for P in posets:
         a = analyze(P)
         part, intervals = a.diagonals, a.d_intervals
         _assert_matches_reference(P, part, intervals)
@@ -276,7 +283,49 @@ def test_diagonal_report_matches_reference_on_catalog():
         if part.pairs():
             _assert_matches_reference(P, _partition(P, _merge_first_adjacent_pair(P, part)), intervals)
             wrong += 1
-    assert wrong >= 300
+    return wrong
+
+
+def test_diagonal_report_matches_reference_on_catalog():
+    assert _check_own_split_and_merged(entry.poset for entry in catalog()) >= 300
+
+
+def test_diagonal_report_matches_reference_on_relabelled_catalog():
+    # In the catalog's Young and shifted shapes each diagonal's top has its
+    # smallest id; renumbered copies give diagonals whose ids follow no order.
+    rng = random.Random(11)
+    posets = [_relabel(entry.poset, rng) for entry in catalog()[::3]]
+    assert _check_own_split_and_merged(posets) >= 100
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3, 4), (3, 4, 1, 0, 2)])
+def test_diagonal_report_finds_adjacency_lost_in_an_upper_set(perm):
+    # A diamond whose bottom has a third upper cover 4: the diagonal {0, 3}
+    # meets {4} only in the cover 0 < 4, which up(3) | up(4) does not hold.
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4)]
+    P = Poset(5, [(perm[a], perm[b]) for a, b in covers])
+    a = analyze(P)
+    report = diagonal_report(P, a.diagonals, a.d_intervals)
+    expected = _reference_diagonal_report(P, a.diagonals, a.d_intervals)
+    assert {f.prop for f in report.failures} == {f.prop for f in expected.failures} == {5}
+    assert set(report.failures) <= set(expected.failures)
+    c, d = sorted((a.diagonals.diagonal_of[perm[3]], a.diagonals.diagonal_of[perm[4]]))
+    um = P.upset_mask(perm[3]) | P.upset_mask(perm[4])
+    assert DiagonalFailure(5, (c, d, um)) in report.failures
+    if perm == (0, 1, 2, 3, 4):
+        assert (c, d, um) == (0, 3, 24)
+
+
+def test_diagonal_report_checks_upper_sets_beyond_adjacent_pairs():
+    # On this wrong partition the reference finds (5) for diagonals (0, 2)
+    # only on up(2) | up(5) = 62, and 2 and 5 lie on diagonals that are not
+    # adjacent: a family of upper sets generated by adjacent pairs misses it.
+    P = Poset(6, [(0, 1), (1, 3), (2, 3), (4, 3), (5, 1), (5, 4)])
+    part = _partition(P, [[0, 5], [1, 4], [2], [3]])
+    intervals = analyze(P).d_intervals
+    _assert_matches_reference(P, part, intervals)
+    assert [f.witness for f in _reference_diagonal_report(P, part, intervals).failures if f.prop == 5] == [(0, 2, 62)]
+    assert DiagonalFailure(5, (0, 2, 62)) in diagonal_report(P, part, intervals).failures
 
 
 def _random_classes(P, part, rng):
@@ -324,10 +373,20 @@ def test_diagonal_report_matches_reference_beyond_d_complete():
         _assert_matches_reference(P, _partition(P, _random_classes(P, a.diagonals, rng)), a.d_intervals)
 
 
-@pytest.mark.parametrize("name", ["young-8x8", "d200"])
+LADDER = {
+    "young-8x8": lambda: young((8,) * 8),
+    "d200": lambda: d_k_one(200),
+    "chain-2000": lambda: chain(2000),
+    "young-30x30": lambda: young((30,) * 30),
+    "shifted-40..1": lambda: shifted_young(tuple(range(40, 0, -1))),
+    "d1000": lambda: d_k_one(1000),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
 def test_diagonal_report_needs_no_upper_set_walk(name):
-    P = young((8,) * 8) if name == "young-8x8" else d_k_one(200)
-    a = analyze(P)
+    a = analyze(LADDER[name]())
+    P = a.poset
     part, intervals = a.diagonals, a.d_intervals
     start = time.perf_counter()
     report = diagonal_report(P, part, intervals)

@@ -39,12 +39,21 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _at_least(text: str, low: int, kind: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text}")
+    return value
+
+
 def _positive(text: str) -> int:
     """The argparse type of a count option: a positive integer."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    return _at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """The argparse type of a ``--seed`` option: a non-negative integer."""
+    return _at_least(text, 0, "non-negative")
 
 
 def _load_poset(path: str) -> Poset:
@@ -104,7 +113,7 @@ def _cmd_diagonals(args) -> int:
     for d, members in enumerate(part.classes):
         listed = ",".join(str(m) for m in sorted(members))
         print(f"diagonal {d} members={listed}")
-    for c, d in part.pairs():
+    for c, d in part.adjacent:
         print(f"adjacent {c} {d}")
     return 0
 
@@ -268,19 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     vh = sub.add_parser("verify-hlf", help="check the multivariate identity at random points")
     vh.add_argument("poset")
     vh.add_argument("--points", type=_positive, default=20)
-    vh.add_argument("--seed", type=int, default=0)
+    vh.add_argument("--seed", type=_seed, default=0)
 
     vol = sub.add_parser("volume", help="Monte Carlo volume of one of the two polytopes")
     vol.add_argument("poset")
     vol.add_argument("--kind", choices=("fillings", "rpp"), required=True)
     vol.add_argument("--samples", type=_positive, default=10**6)
-    vol.add_argument("--seed", type=int, default=0)
+    vol.add_argument("--seed", type=_seed, default=0)
 
     cr = sub.add_parser("classical-rsk", help="insertion RSK and toggle RPP of an integer matrix")
     cr.add_argument("matrix")
 
     suite = sub.add_parser("suite", help="run the full acceptance battery")
-    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--seed", type=_seed, default=0)
     suite.add_argument("--points", type=_positive, default=20)
     suite.add_argument("--trials", type=_positive, default=100)
     suite.add_argument("--samples", type=_positive, default=10**6)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dstructure import DInterval
-from .poset import Poset, bits
+from .poset import Poset
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class DiagonalPartition:
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.adjacent
 
 
 def compute_diagonals(P: Poset, intervals: tuple[DInterval, ...]) -> DiagonalPartition:
@@ -138,24 +135,18 @@ def diagonal_report(
     each diagonal is a chain whose non-top members bottom d-intervals, so
     ``own`` is rooted; on a d-complete poset (Proctor 1999) it always is.
 
-    On any other partition (``part`` is not ``own``, or ``own`` is not
-    rooted) (5) is checked on P and on each upper set generated by one or
-    two elements.  Each diagonal of ``part`` met in U maps to U's diagonal
-    of its first element, and a pair of ``part``'s diagonals met in U is
-    adjacent in U when a cover inside U joins their images.  This family
-    has no proof of its own: the tests check it against a reference that
-    walks every upper set.  On such a partition the reference's (5)
-    verdict depends on how P's elements are numbered, since the first
-    element of a diagonal that U splits picks its image.  Renumbering P
-    once, by a seeded permutation, flipped (5) on 188 of the tests' 1,200
-    random-partition cases and (3) on none.  The family reproduces the
-    reference, numbering included.
+    (5) is checked only where (3) holds, and there Lemma B decides it.
+    A maximal member of a diagonal bottoms no d-interval, so (3) fails
+    exactly when ``part`` is not ``own`` or Lemma A finds a diagonal of
+    ``own`` with two members that bottom none.  Where (3) fails the report
+    lists (3) and not (5): (5) compares the adjacency of partitions that
+    (3) says agree, so it has no numbering-free meaning there.
     """
     failures: list[DiagonalFailure] = []
 
     spans = {(iv.bottom, iv.top) for iv in intervals}
     for members in part.classes:
-        chain = sorted(members, key=lambda v: bin(P._dn[v]).count("1"))
+        chain = sorted(members, key=lambda v: P._dn[v].bit_count())
         for a, b in zip(chain, chain[1:]):
             if (a, b) not in spans:
                 failures.append(DiagonalFailure(1, (a, b)))
@@ -165,10 +156,9 @@ def diagonal_report(
             failures.append(DiagonalFailure(2, (a, b)))
 
     minimal_in_p = set(P.minimal_elements())
-    minima = [min(members, key=lambda v: (bin(P._dn[v]).count("1"), v)) for members in part.classes]
-    adjacent_pairs = part.pairs()
+    minima = [min(members, key=lambda v: (P._dn[v].bit_count(), v)) for members in part.classes]
 
-    for c, d in adjacent_pairs:
+    for c, d in part.adjacent:
         for first, second in ((c, d), (d, c)):
             if minima[first] in minimal_in_p:
                 for x in part.classes[second]:
@@ -179,7 +169,7 @@ def diagonal_report(
                     if not touches:
                         failures.append(DiagonalFailure(4, (first, second, x)))
 
-    for c, d in adjacent_pairs:
+    for c, d in part.adjacent:
         if minima[c] in minimal_in_p and minima[d] in minimal_in_p:
             failures.append(DiagonalFailure(6, (c, d, minima[c], minima[d])))
 
@@ -198,35 +188,14 @@ def diagonal_report(
         unbottomed = [sorted(v for v in members if v not in bottoms) for members in part.classes]
         for x, y, *_ in (u for u in unbottomed if len(u) > 1):
             failures.append(DiagonalFailure(3, (x, y, up[x] | up[y])))
-
-    if not moved and all(len(u) == 1 for u in unbottomed):
-        # Lemma B: each adjacent pair needs a cover with lower end in up(top c) | up(top d).
-        missing = {(c, d): up[unbottomed[c][0]] | up[unbottomed[d][0]] for c, d in adjacent_pairs}
-        for a, b in P.covers:
-            pair = tuple(sorted((part.diagonal_of[a], part.diagonal_of[b])))
-            if missing.get(pair, 0) >> a & 1:
-                del missing[pair]
-        failures.extend(DiagonalFailure(5, (c, d, um)) for (c, d), um in missing.items())
-    else:
-        for um in {full} | {up[x] | up[y] for x in range(P.n) for y in range(x, P.n)}:
-            sub = compute_diagonals(P, tuple(iv for iv in intervals if um >> iv.bottom & 1))
-            # Each diagonal of ``part`` met in U maps to U's diagonal of its first element.
-            p_to_u: dict[int, int] = {}
-            for v in bits(um):
-                p_to_u.setdefault(part.diagonal_of[v], sub.diagonal_of[v])
-            preimages: dict[int, list[int]] = {}
-            for dp, du in p_to_u.items():
-                preimages.setdefault(du, []).append(dp)
-            # Elements outside U are singletons in ``sub`` and have no preimage.
-            in_u = {
-                (min(c, d), max(c, d))
-                for x, y in sub.pairs()
-                for c in preimages.get(x, ())
-                for d in preimages.get(y, ())
-            }
-            in_part = {(c, d) for c, d in adjacent_pairs if c in p_to_u and d in p_to_u}
-            for c, d in in_u ^ in_part:
-                failures.append(DiagonalFailure(5, (c, d, um)))
+        if all(len(u) == 1 for u in unbottomed):
+            # Lemma B: each adjacent pair needs a cover with lower end in up(top c) | up(top d).
+            missing = {(c, d): up[unbottomed[c][0]] | up[unbottomed[d][0]] for c, d in part.adjacent}
+            for a, b in P.covers:
+                pair = tuple(sorted((part.diagonal_of[a], part.diagonal_of[b])))
+                if missing.get(pair, 0) >> a & 1:
+                    del missing[pair]
+            failures.extend(DiagonalFailure(5, (c, d, um)) for (c, d), um in missing.items())
 
     failures.sort(key=lambda f: (f.prop, f.witness))
     return DiagonalReport(ok=not failures, failures=tuple(failures))

@@ -38,7 +38,7 @@ def random_shape(rng, max_boxes: int, strict: bool = False) -> tuple[int, ...]:
 
 def is_adjacent(part, c: int, d: int) -> bool:
     """Whether diagonals c and d of the partition are adjacent."""
-    return (min(c, d), max(c, d)) in part.pairs()
+    return (min(c, d), max(c, d)) in part.adjacent
 
 
 def restrict(P: Poset, members) -> tuple[Poset, tuple[int, ...]]:

@@ -207,10 +207,14 @@ def test_parse_error_exit_code():
         ("suite", "--points", "0"),
         ("suite", "--trials", "-1"),
         ("suite", "--samples", "0"),
+        ("verify-hlf", "--seed", "-1"),
+        ("volume", "--seed", "-1"),
+        ("suite", "--seed", "-2"),
     ],
 )
 def test_non_positive_count_is_usage_error(tmp_path, capsys, command, option, value):
-    # Once a ZeroDivisionError traceback (exit 1) or a silent pass (exit 0).
+    # Once a ZeroDivisionError traceback (exit 1) or a silent pass (exit 0);
+    # a negative seed, once numpy's ValueError (exit 1) or a silent pass.
     path = tmp_path / "d4.poset"
     path.write_text(poset_to_text(d_k_one(4)))
     argv = [command] if command == "suite" else [command, str(path)]
@@ -219,7 +223,8 @@ def test_non_positive_count_is_usage_error(tmp_path, capsys, command, option, va
     with pytest.raises(SystemExit) as err:
         main(argv + [option, value])
     assert err.value.code == 2
-    assert "must be a positive integer" in capsys.readouterr().err
+    kind = "non-negative" if option == "--seed" else "positive"
+    assert f"must be a {kind} integer, got {value}" in capsys.readouterr().err
 
 
 def test_sample10_check(tmp_path, capsys):

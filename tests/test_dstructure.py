@@ -243,8 +243,7 @@ def test_containment_is_read_off_the_neck():
 
 def test_upper_sets_stay_d_complete(family):
     # An upper set's d-intervals are P's d-intervals with bottom in it:
-    # diagonal_report's lemmas, and its check of (5) on other partitions,
-    # build an upper set's diagonals on this fact.
+    # diagonal_report's lemmas build an upper set's diagonals on this fact.
     for name in ("d4", "d5", "sample10", "young-3.2", "shifted-4.3.1", "tree-mixed"):
         P = family[name]
         intervals = analyze(P).d_intervals

@@ -33,6 +33,7 @@ class ExtensionLimitError(RuntimeError):
 # live levels of masks and its per-ideal arrays set the peak memory of exact
 # counting.
 IDEAL_LIMIT = 2**16
+_REFUSAL = f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -275,6 +276,65 @@ class IdealLattice(NamedTuple):
     successors: array
 
 
+def _frontier_ideal_count(P: Poset) -> int | None:
+    """Count P's order ideals by a frontier sweep, or refuse early.
+
+    Elements are taken bottom-up, the smallest available id first.  The
+    frontier is the taken elements that still have an untaken upper cover;
+    each holds a slot bit, reused once it leaves.  The state maps each
+    in/out pattern of the frontier to the number of ideals of the taken
+    elements Q with that pattern.  Taking v keeps every ideal and adds v to
+    those holding all of v's lower covers, which all lie on the frontier.
+    Q is a downset, and I -> I & Q maps the ideals of P onto those of Q, so
+    the running total bounds |J(P)| from below: past ``IDEAL_LIMIT`` it
+    raises :class:`ExtensionLimitError`.  Returns |J(P)|, or None once
+    ``IDEAL_LIMIT`` state updates are spent, which leaves the decision to
+    the lattice walk.
+    """
+    upper, lower = P._upper, P._lower
+    pending_below = [len(lower[v]) for v in range(P.n)]
+    pending_above = [len(upper[v]) for v in range(P.n)]
+    ready = mask_of(v for v in range(P.n) if not pending_below[v])
+    slot = [0] * P.n
+    used = 0
+    state = {0: 1}
+    total, updates = 1, 0
+    while ready:
+        v = (ready & -ready).bit_length() - 1
+        ready ^= 1 << v
+        updates += len(state)
+        if updates > IDEAL_LIMIT:
+            return None
+        need = retire = 0
+        for u in lower[v]:
+            need |= slot[u]
+            pending_above[u] -= 1
+            if not pending_above[u]:
+                retire |= slot[u]
+        # taken before the retiring slots are freed, so v shares a bit with none of them
+        if upper[v]:
+            slot[v] = ~used & (used + 1)
+            used |= slot[v]
+        keep = ~retire
+        grown: dict[int, int] = {}
+        for key, count in state.items():
+            k = key & keep
+            grown[k] = grown.get(k, 0) + count
+            if key & need == need:
+                k = (key | slot[v]) & keep
+                grown[k] = grown.get(k, 0) + count
+                total += count
+        used &= keep
+        state = grown
+        if total > IDEAL_LIMIT:
+            raise ExtensionLimitError(_REFUSAL)
+        for w in upper[v]:
+            pending_below[w] -= 1
+            if not pending_below[w]:
+                ready |= 1 << w
+    return total
+
+
 def compile_ideal_lattice(P: Poset) -> IdealLattice:
     """Walk the lattice of order ideals once, a level at a time.
 
@@ -283,9 +343,18 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     new ideal's addable mask is its first parent's minus the added element
     plus those upper covers of that element that became addable, so a step
     costs O(covers), not O(n).  The masks of a level are dropped once the
-    next level is built.  Raises :class:`ExtensionLimitError` on meeting
+    next level is built.  Raises :class:`ExtensionLimitError` when P has
     more than ``IDEAL_LIMIT`` ideals, however few elements P has.
+
+    Before the walk allocates anything, :func:`_frontier_ideal_count`
+    sweeps P once: its running count of the ideals of the elements taken
+    so far is a lower bound on P's, so it refuses as soon as that count
+    passes ``IDEAL_LIMIT`` (Young 12x12 in about 1 ms, where the walk
+    would meet 65,536 ideals first).  Its work is capped at
+    ``IDEAL_LIMIT`` state updates; a sweep that spends them decides
+    nothing, and the walk refuses at its own per-ideal check.
     """
+    _frontier_ideal_count(P)
     below = tuple(d ^ (1 << v) for v, d in enumerate(P._dn))
     upper = P._upper
     level_sizes = [1]
@@ -309,9 +378,7 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
                 if j is None:
                     j = index[grown] = len(first)
                     if j >= IDEAL_LIMIT:
-                        raise ExtensionLimitError(
-                            f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
-                        )
+                        raise ExtensionLimitError(_REFUSAL)
                     v = low.bit_length() - 1
                     reach = addable ^ low
                     for w in upper[v]:
@@ -345,20 +412,23 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     integer by induction and S(J) divides M_k, so every U is an integer.
     Returns U(P) and M = M_1 * ... * M_n, so W(P) = U(P) / M.  With
     every weight 1, S(J) = M_k = k on level k, so U(J) counts the maximal
-    chains from the empty ideal to J and U(P) = e(P).
+    chains from the empty ideal to J and U(P) = e(P); the fold then skips
+    the sums, the level lcms and the scaling, and M is n!.
     """
     first, added = lattice.first, lattice.added
     start, successors = lattice.successor_start, lattice.successors
-    sums = [0] * len(first)
-    for j in range(1, len(first)):
-        sums[j] = sums[first[j]] + weights[added[j]]
     value = [0] * len(first)
     value[0] = 1
+    unit = all(w == 1 for w in weights)
+    if not unit:
+        sums = [0] * len(first)
+        for j in range(1, len(first)):
+            sums[j] = sums[first[j]] + weights[added[j]]
     product = 1
     lo = 0
     for size in lattice.level_sizes:
         hi = lo + size
-        if lo:
+        if lo and not unit:
             level_lcm = math.lcm(*sums[lo:hi])
             product *= level_lcm
             for j in range(lo, hi):
@@ -368,7 +438,7 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
             for j in successors[start[i] : start[i + 1]]:
                 value[j] += v
         lo = hi
-    return value[-1], product
+    return value[-1], math.factorial(len(lattice.level_sizes) - 1) if unit else product
 
 
 def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 from random import Random
 
@@ -19,7 +20,8 @@ from dcposets import (
 )
 from dcposets.families import young_box_ids
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
-from dcposets.poset import order_ideal_masks
+from dcposets import poset as poset_module
+from dcposets.poset import compile_ideal_lattice, order_ideal_masks
 
 from conftest import antichain, chain, is_convex, is_isomorphic, lt, restrict, shifted_box_ids, upper_set_masks
 
@@ -183,6 +185,69 @@ def test_ideal_limit():
     assert count_linear_extensions(antichain(16)) == math.factorial(16)
     with pytest.raises(ExtensionLimitError, match="IDEAL_LIMIT"):
         count_linear_extensions(antichain(17))
+
+
+REFUSAL = "poset has more than IDEAL_LIMIT = 65536 order ideals; refusing"
+
+
+def _random_poset(rng, n):
+    rank = list(range(n))
+    rng.shuffle(rank)
+    density = rng.random() / 2
+    pairs = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)]
+    return Poset(n, [pair for pair in pairs if rng.random() < density])
+
+
+def _walk_only(monkeypatch, P):
+    """The lattice walk's ideal count or refusal message, with the sweep switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(poset_module, "_frontier_ideal_count", lambda P: None)
+        try:
+            return len(compile_ideal_lattice(P).first)
+        except ExtensionLimitError as exc:
+            return str(exc)
+
+
+def _sweep(P):
+    try:
+        return poset_module._frontier_ideal_count(P)
+    except ExtensionLimitError as exc:
+        return str(exc)
+
+
+def test_frontier_sweep_matches_walk(monkeypatch):
+    rng = Random(15)
+    posets = [entry.poset for entry in catalog()]
+    posets += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
+    posets += [young((8,) * 8), shifted_young(tuple(range(12, 0, -1)))]
+    posets += [young((12,) * 12), antichain(17)]
+    for P in posets:
+        assert _sweep(P) == _walk_only(monkeypatch, P), P
+    assert _sweep(young((8,) * 8)) == 12870
+    assert _sweep(shifted_young(tuple(range(12, 0, -1)))) == 4096
+    assert _sweep(young((12,) * 12)) == REFUSAL
+
+
+def test_young_12x12_refused_before_the_walk():
+    P = young((12,) * 12)
+    start = time.perf_counter()
+    with pytest.raises(ExtensionLimitError) as err:
+        count_linear_extensions(P)
+    assert time.perf_counter() - start < 0.05
+    assert str(err.value) == REFUSAL
+
+
+def test_sweep_budget_leaves_the_decision_to_the_walk():
+    # 15 minimal elements below both T = 15 and Z = 116, and the chain
+    # 16 < ... < 115 above T: the sweep takes the chain before Z, so its
+    # 2**15 frontier patterns would be swept once per chain element
+    pairs = [(i, t) for i in range(15) for t in (15, 116)] + [(i, i + 1) for i in range(15, 115)]
+    P = Poset(117, pairs)
+    assert poset_module._frontier_ideal_count(P) is None
+    start = time.perf_counter()
+    lattice = compile_ideal_lattice(P)
+    assert time.perf_counter() - start < 0.5
+    assert len(lattice.first) == 2**15 - 1 + 204 == 32971
 
 
 def _chain_push_count(lattice):

@@ -346,15 +346,16 @@ def rsk_jacobian_det(
     """Exact Jacobian determinant of the insertion map at a generic point.
 
     Every toggle is a piecewise-linear involution, so the map is piecewise
-    linear.  One run at the base point records, per toggle, the upper
-    cover of largest label and the lower cover of smallest label; a tie
-    raises :class:`NonGenericPoint` as soon as it appears.  When every gap
-    is strictly positive, the same choices are made on a neighborhood of
-    the point, so there the map is the linear map those choices spell
-    out.  Replaying them on integer coefficient rows (inserting c sets
-    row_c = -e_c, a toggle sets row_e = row_max + row_min - row_e) yields
-    that map exactly; its determinant is taken by fraction-free integer
-    elimination.
+    linear.  One run at the base point picks, per toggle, the upper cover
+    of largest label and the lower cover of smallest label; a tie raises
+    :class:`NonGenericPoint` as soon as it appears.  When every gap is
+    strictly positive, the same choices are made on a neighborhood of the
+    point, so there the map is the linear map those choices spell out.
+    :func:`_jacobian_rows` replays them during that run on integer
+    coefficient rows, kept sparse as ``{column: coefficient}`` dicts (on
+    Young 12x12 a row holds about 13 of 144 entries), and
+    :func:`_bareiss` takes their determinant by fraction-free
+    elimination on those rows, pivoting on the sparsest row that fits.
 
     Each insertion or toggle is the identity with one row replaced, and
     that row's diagonal entry is -1, so the determinant is (-1)^(n + T)
@@ -365,25 +366,36 @@ def rsk_jacobian_det(
     a = analysis or analyze(P)
     a.ensure_d_complete()
     t = normalize_filling(P.n, filling, require_nonnegative=True)
-    program = _program(P, order, a)
     labels, _ = _scale(t)
-    trace = []
+    rows = _jacobian_rows(labels, _program(P, order, a))
+    return Fraction(_bareiss(rows[: P.n]))
+
+
+def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
+    """Run ``program`` on ``labels`` in place, replaying its choices on coefficient rows.
+
+    Row e maps the input filling to e's label, as ``{column: coefficient}``
+    with no zero stored.  Inserting c sets row_c = -e_c, and a toggle sets
+    row_e = row_max + row_min - row_e for the chosen covers.  The
+    sentinel's row, the last, is empty.
+    """
+    rows: list[dict[int, int]] = [{} for _ in labels]
     for c, toggles in program:
         labels[c] = -labels[c]
+        rows[c] = {c: -1}
         chosen = tuple(
             (e, (_select(labels, ups, 1),), (_select(labels, los, -1),))
             for e, ups, los in toggles
         )
         _toggle_all(labels, chosen)
-        trace.append((c, chosen))
-
-    n = P.n
-    rows = [[0] * n for _ in range(n + 1)]  # row n, the sentinel's, stays zero
-    for c, chosen in trace:
-        rows[c][c] = -1
-        for e, (cx,), (cy,) in chosen:
-            rows[e] = [x + y - z for x, y, z in zip(rows[cx], rows[cy], rows[e])]
-    return Fraction(_bareiss(rows[:n]))
+        for e, (x,), (y,) in chosen:
+            row = dict(rows[x])
+            for j, v in rows[y].items():
+                row[j] = row.get(j, 0) + v
+            for j, v in rows[e].items():
+                row[j] = row.get(j, 0) - v
+            rows[e] = {j: v for j, v in row.items() if v}
+    return rows
 
 
 def _select(labels: list[int], candidates: tuple[int, ...], sign: int) -> int:
@@ -398,33 +410,75 @@ def _select(labels: list[int], candidates: tuple[int, ...], sign: int) -> int:
     return best
 
 
-def _bareiss(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _bareiss(rows: Sequence[Mapping[int, int]]) -> int:
+    """Determinant of a square integer matrix given as sparse rows, by Bareiss elimination.
 
-    Every entry after step k is a (k+1)-minor of the input, so each
-    division by the previous pivot is exact.
+    Row i is ``{column: entry}`` with no zero stored; n rows give an
+    n x n matrix A.  Columns are eliminated in the fixed order 0..n-1.
+    At step k the pivot is the row, among those not yet pivoted, with a
+    nonzero in column k and the fewest nonzeros, the first in input
+    order on a tie; if there is none, the determinant is 0.  The pivot
+    leaves the list of remaining rows, kept in input order, and is
+    negated if its entry pk is negative.  Each remaining row r with
+    f = r[k] != 0 becomes (pk * r - f * pivot) / prev, prev being the
+    last step's pk (1 before step 0), and a row with f = 0 becomes
+    pk * r / prev, which leaves it alone when pk == prev.  The product by
+    pk is skipped when pk == 1, the division when prev == 1.
+
+    Sign.  The rows in the order picked are a row permutation of A.
+    Picking the row at position i of the remaining list moves it past i
+    rows, so the permutation has the parity of the sum of those
+    positions, and each negated pivot flips the sign once more.  The
+    determinant is that sign times the last pk.
+
+    Exact division.  Let A' be A with its rows in the order picked, each
+    negated pivot negated.  Plain Bareiss on A' pivots on row k at step
+    k without swaps, and by Sylvester's identity its entries after step k
+    are (k+1)-minors of A' (rows 0..k and the entry's row, columns 0..k
+    and the entry's column), so each division by prev, the leading
+    k-minor, is exact.  This run does the same arithmetic.  Step k
+    applies to every row not yet pivoted one map, fixed by the pivot and
+    prev and linear in the row, so in both runs a row not yet pivoted
+    holds the same image of its input row.  Picking the pivot among those
+    rows is a swap of two of them, which commutes with the earlier
+    steps, since they applied the same formula to both; by linearity,
+    negating it commutes with them too.  So the pivot picked at step k is
+    row k of plain Bareiss on A' after k steps, both runs share every
+    pivot and prev, and every entry here is a minor of A'.  When no
+    remaining row has a nonzero in column k, the steps so far scaled rows
+    by nonzero factors and subtracted multiples of pivot rows, reaching a
+    block triangular matrix whose lower block has a zero column: det A
+    is 0.
     """
-    m = [row[:] for row in matrix]
-    n = len(m)
+    rest = list(rows)
     sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
+    for k in range(len(rest)):
+        at = -1
+        for i, r in enumerate(rest):
+            if k in r and (at < 0 or len(r) < len(rest[at])):
+                at = i
+        if at < 0:
             return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
+        pivot = rest.pop(at)
+        if at & 1:
             sign = -sign
-        if m[k][k] < 0:  # a positive pivot spares rescaling the rows it leaves alone
-            m[k] = [-x for x in m[k]]
+        pk = pivot[k]
+        if pk < 0:  # a positive pivot spares rescaling the rows it leaves alone
+            pivot = {j: -v for j, v in pivot.items()}
+            pk = -pk
             sign = -sign
-        rk = m[k]
-        pk = rk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            f = ri[k]
+        for i, r in enumerate(rest):
+            f = r.get(k)
             if f:
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
+                row = dict(r) if pk == 1 else {j: pk * v for j, v in r.items()}
+                for j, v in pivot.items():
+                    v = row.get(j, 0) - f * v
+                    if v:
+                        row[j] = v
+                    else:  # column k always lands here
+                        del row[j]
+                rest[i] = row if prev == 1 else {j: v // prev for j, v in row.items()}
             elif pk != prev:
-                m[i] = [pk * x // prev for x in ri]
+                rest[i] = {j: pk * v // prev for j, v in r.items()}
         prev = pk
     return sign * prev

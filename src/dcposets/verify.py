@@ -470,22 +470,27 @@ def monte_carlo_volumes(
         pts = np.empty((CHUNK, n))
         dots = np.empty(CHUNK)
         inside = np.empty(CHUNK, dtype=bool)
-        ordered = np.empty(CHUNK, dtype=bool)
         done = 0
         while done < samples:
             take = min(CHUNK, samples - done)
             rng.random(out=u[:take])
-            p, d, ok, cmp = pts[:take], dots[:take], inside[:take], ordered[:take]
+            d, ok = dots[:take], inside[:take]
             for edge, members in by_edge.items():
-                np.multiply(u[:take], edge, out=p)
+                if edge == 1.0:  # x * 1.0 == x exactly
+                    p = u[:take]
+                else:
+                    p = np.multiply(u[:take], edge, out=pts[:take])
                 for i in members:
                     _, coefficients, cover_pairs = tests[i]
                     np.matmul(p, coefficients, out=d)
                     np.less_equal(d, 1.0, out=ok)
+                    # the cover comparisons run only on the points under the
+                    # hyperplane: p[ok], which np.compress selects faster
+                    under = np.compress(ok, p, axis=0)
+                    kept = np.ones(len(under), dtype=bool)
                     for low, high in cover_pairs:
-                        np.greater_equal(p[:, low], p[:, high], out=cmp)
-                        ok &= cmp
-                    hits[i] += int(np.count_nonzero(ok))
+                        kept &= under[:, low] >= under[:, high]
+                    hits[i] += int(np.count_nonzero(kept))
             done += take
     estimates = []
     for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):

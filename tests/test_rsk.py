@@ -29,7 +29,9 @@ from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
 from dcposets.rsk import (
     _bareiss,
+    _jacobian_rows,
     _program,
+    _scale,
     compile_program,
     normalize_filling,
     random_descending_extension,
@@ -461,13 +463,68 @@ def test_jacobian_matches_finite_difference(family, analyses, name):
 
 
 def test_bareiss_matches_fraction_elimination():
+    # entries other than +-1 make pivots other than 1, which run the exact
+    # division and the rescale of rows with a zero in the pivot column
     rng = Random(5)
-    for n in range(7):
-        for _ in range(40):
-            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+    zero_column = [[1, 0, 2], [3, 0, -1], [0, 0, 5]]
+    singular = [[2, -1, 0, 3], [0, 7, 1, 0], [2, 6, 1, 3], [0, 0, -3, 1]]  # row 2 = row 0 + row 1
+    cases = [[], [[-1]], zero_column, singular]
+    for n in range(1, 13):
+        for _ in range(30):
+            entries = (0,) * rng.choice((3, 8, 2 * n)) + (1, -1, 2, -3, 7)
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
             if n > 1 and rng.random() < 0.2:
                 m[-1] = [x + y for x, y in zip(m[0], m[1])]  # singular
-            assert _bareiss(m) == _det([[Fraction(x) for x in row] for row in m])
+            cases.append(m)
+    dets = []
+    for m in cases:
+        det = _bareiss([{j: x for j, x in enumerate(row) if x} for row in m])
+        assert det == _det([[Fraction(x) for x in row] for row in m]), m
+        dets.append(det)
+    assert dets[:4] == [1, -1, 0, 0]
+    assert sum(1 for m, det in zip(cases, dets) if len(m) >= 8 and det not in (0, 1, -1)) > 50
+
+
+def _dense_jacobian_rows(P, a, order, t):
+    """The reference image, and the Jacobian's rows replayed densely from its choices."""
+    trace = []
+    image = _reference_insertion(P, a, order, t, trace)
+    zero = [0] * P.n
+    rows = [zero] * P.n
+    part = a.diagonals
+    toggles = iter(trace)
+    present = set()
+    for c in order:
+        present.add(c)
+        rows[c] = [-1 if j == c else 0 for j in range(P.n)]
+        for _ in present.intersection(part.classes[part.diagonal_of[c]]):
+            e, up, lo = next(toggles)
+            up_row = rows[up] if up >= 0 else zero
+            lo_row = rows[lo] if lo >= 0 else zero
+            rows[e] = [x + y - z for x, y, z in zip(up_row, lo_row, rows[e])]
+    return image, rows
+
+
+def test_jacobian_rows_match_dense_replay():
+    P = young((4, 4, 4, 4))
+    a = analyze(P)
+    rng = Random(41)
+    checked = 0
+    for order in (None, random_descending_extension(P, rng)):
+        seq = a.stable_order if order is None else order
+        program = _program(P, order, a)
+        for _ in range(10):
+            t = random_filling(P.n, rng)
+            labels, denom = _scale(t)
+            try:
+                rows = _jacobian_rows(labels, program)
+            except NonGenericPoint:
+                continue
+            image, dense = _dense_jacobian_rows(P, a, seq, t)
+            assert tuple(Fraction(v, denom) for v in labels[:-1]) == image
+            assert rows == [{j: x for j, x in enumerate(row) if x} for row in dense] + [{}]
+            checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize(

@@ -351,11 +351,12 @@ def rsk_jacobian_det(
     :class:`NonGenericPoint` as soon as it appears.  When every gap is
     strictly positive, the same choices are made on a neighborhood of the
     point, so there the map is the linear map those choices spell out.
-    :func:`_jacobian_rows` replays them during that run on integer
-    coefficient rows, kept sparse as ``{column: coefficient}`` dicts (on
-    Young 12x12 a row holds about 13 of 144 entries), and
-    :func:`_bareiss` takes their determinant by fraction-free
-    elimination on those rows, pivoting on the sparsest row that fits.
+    :func:`_jacobian_rows` records them and, once the run has finished
+    without a tie, replays them on integer coefficient rows, kept sparse
+    as ``{column: coefficient}`` dicts (on Young 12x12 a row holds about
+    13 of 144 entries), and :func:`_bareiss` takes their determinant by
+    fraction-free elimination on those rows, pivoting on the sparsest
+    row that fits.
 
     Each insertion or toggle is the identity with one row replaced, and
     that row's diagonal entry is -1, so the determinant is (-1)^(n + T)
@@ -372,22 +373,28 @@ def rsk_jacobian_det(
 
 
 def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
-    """Run ``program`` on ``labels`` in place, replaying its choices on coefficient rows.
+    """Run ``program`` on ``labels`` in place, then replay its choices on coefficient rows.
 
-    Row e maps the input filling to e's label, as ``{column: coefficient}``
-    with no zero stored.  Inserting c sets row_c = -e_c, and a toggle sets
+    The run records each toggle's chosen covers; the rows are built only
+    after it has finished, so a tie costs no row.  Row e maps the input
+    filling to e's label, as ``{column: coefficient}`` with no zero
+    stored.  Inserting c sets row_c = -e_c, and a toggle sets
     row_e = row_max + row_min - row_e for the chosen covers.  The
     sentinel's row, the last, is empty.
     """
-    rows: list[dict[int, int]] = [{} for _ in labels]
+    trace = []
     for c, toggles in program:
         labels[c] = -labels[c]
-        rows[c] = {c: -1}
         chosen = tuple(
             (e, (_select(labels, ups, 1),), (_select(labels, los, -1),))
             for e, ups, los in toggles
         )
         _toggle_all(labels, chosen)
+        trace.append((c, chosen))
+
+    rows: list[dict[int, int]] = [{} for _ in labels]
+    for c, chosen in trace:
+        rows[c] = {c: -1}
         for e, (x,), (y,) in chosen:
             row = dict(rows[x])
             for j, v in rows[y].items():

@@ -474,12 +474,9 @@ def monte_carlo_volumes(
         while done < samples:
             take = min(CHUNK, samples - done)
             rng.random(out=u[:take])
-            d, ok = dots[:take], inside[:take]
+            p, d, ok = pts[:take], dots[:take], inside[:take]
             for edge, members in by_edge.items():
-                if edge == 1.0:  # x * 1.0 == x exactly
-                    p = u[:take]
-                else:
-                    p = np.multiply(u[:take], edge, out=pts[:take])
+                np.multiply(u[:take], edge, out=p)
                 for i in members:
                     _, coefficients, cover_pairs = tests[i]
                     np.matmul(p, coefficients, out=d)

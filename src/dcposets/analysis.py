@@ -1,10 +1,10 @@
 """Cached per-poset analysis bundle.
 
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
-a stable insertion order and its toggle program, the compiled lattice of
-order ideals and the linear-extension count) is computed once per poset
-and reused across the many evaluation points of the verification
-routines.  This is the one place that wires the derivation chain: the
+the hook program, a stable insertion order and its toggle program, the
+compiled lattice of order ideals and the linear-extension count) is
+computed once per poset and reused across the many evaluation points of
+the verification routines.  This is the one place that wires the derivation chain: the
 functions it calls take each input they need as an argument and
 recompute nothing.
 """
@@ -23,7 +23,14 @@ from .dstructure import (
     find_d_intervals,
     find_d_minus_convex_sets,
 )
-from .hooks import HookVector, hook_lengths, hook_numerators, hook_vectors
+from .hooks import (
+    HookProgram,
+    HookVector,
+    compile_hook_program,
+    hook_lengths,
+    hook_numerators,
+    hook_vectors,
+)
 from .poset import IdealLattice, Poset, compile_ideal_lattice, count_linear_extensions
 
 
@@ -80,6 +87,12 @@ class PosetAnalysis:
         return hook_lengths(self.hook_vectors)
 
     @cached_property
+    def hook_program(self) -> HookProgram:
+        """The hook recursion that evaluates every H_p at a point, without the dense vectors."""
+        self.ensure_d_complete()
+        return compile_hook_program(self.poset, self.diagonals, self.d_intervals)
+
+    @cached_property
     def stable_order(self) -> tuple[int, ...]:
         from .rsk import stable_insertion_order
 
@@ -94,7 +107,7 @@ class PosetAnalysis:
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
         """All hook polynomials H_p evaluated at the rational point x."""
-        numerators, denom = hook_numerators(self.hook_vectors, x)
+        numerators, denom = hook_numerators(self.hook_program, x)
         return tuple(Fraction(a, denom) for a in numerators)
 
 

@@ -112,7 +112,8 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
     interval between them, that is, iff it equals [bottom, top].  A
     non-convex shape is not kept, and it is not grown either: growing
     only adds elements outside [bottom, top], so the missing element
-    stays missing.
+    stays missing.  The sets come back sorted by k, then bottom, then
+    their ascending tuple of members.
     """
     out: list[DMinusConvexSet] = []
     # frame: (sides, tail descending, neck descending, member mask)
@@ -134,7 +135,15 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
                 grown = m | 1 << nt | 1 << nn
                 if P.interval_mask(nt, nn) == grown:
                     stack.append((sides, tail + (nt,), (nn,) + neck, grown))
-    return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(bits(s.member_mask)))))
+    # Sets of one k have the same size, so their ascending member tuples
+    # compare at the first member they differ in: the lowest bit of the XOR
+    # of their masks, and the set holding it sorts first.  Reversing the n
+    # bits makes that the highest bit, so the negated reversed mask gives
+    # the same order without listing any member.
+    width = f"0{P.n}b"
+    return tuple(
+        sorted(out, key=lambda s: (s.k, s.bottom, -int(format(s.member_mask, width)[::-1], 2)))
+    )
 
 
 def check_d_complete(

@@ -1,8 +1,10 @@
 """Hook vectors, hook polynomial evaluation, and exact rational points.
 
 The hook vector of an element is indexed by diagonals and sums to the
-classical hook length; it is defined recursively through d-intervals and
-evaluated here with exact integer/rational arithmetic.
+classical hook length; it is defined recursively through d-intervals.
+The same recursion, compiled once per poset into a :class:`HookProgram`,
+evaluates every hook polynomial at a point with exact integer
+arithmetic, without building the vectors.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ import math
 import operator
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
-from .poset import Poset, mask_of
+from .poset import Poset, bits, mask_of
 
 HookVector = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -53,26 +55,100 @@ def hook_lengths(vectors: Sequence[HookVector]) -> tuple[int, ...]:
     return tuple(sum(v) for v in vectors)
 
 
-def hook_numerators(vectors: Sequence[HookVector], x: Sequence[Fraction]) -> tuple[list[int], int]:
+class HookProgram(NamedTuple):
+    """Every hook polynomial of a d-complete poset as a recursion on its elements.
+
+    ``sums`` lists, bottom-up, ``(p, q, rest)``: the downset sum of p is
+    its own weight, plus q's downset sum (q is n when p is minimal), plus
+    the weights of ``rest``.  ``tops`` lists, bottom-up, ``(p, w, z, b)``
+    for each d-interval [b, p] with sides w and z.  ``diagonal_of`` maps
+    each element to its diagonal, and ``count`` is the number of
+    diagonals.  :func:`hook_numerators` evaluates it.
+    """
+
+    diagonal_of: tuple[int, ...]
+    count: int
+    sums: tuple[tuple[int, int, tuple[int, ...]], ...]
+    tops: tuple[tuple[int, int, int, int], ...]
+
+
+def compile_hook_program(
+    P: Poset, part: DiagonalPartition, intervals: tuple[DInterval, ...]
+) -> HookProgram:
+    """The hook recursion of :func:`hook_vectors`, at a point instead of per diagonal.
+
+    At a point x, H_p(x) = sum_D h_p^(D) x_D is linear in the hook
+    vector, so the top of a d-interval [b, p] with sides w, z has
+    H_p = H_w + H_z - H_b.  Every other element counts its own downset
+    per diagonal, so its hook is its downset sum
+    DS(p) = sum_{m <= p} x_(D(m)).  Let q be p's lower cover with the
+    largest downset and rest = down(p) - ({p} | down(q)).  Then down(p) is
+    the disjoint union of {p}, down(q) and rest, so
+    DS(p) = x_(D(p)) + DS(q) + sum_{m in rest} x_(D(m)) exactly.  A
+    downset sum is kept for each element that tops no d-interval, and for
+    the q of each element whose downset sum is kept; elements run
+    bottom-up, by downset size, so every value a step reads is already
+    set.  Evaluating the program costs O(n + sum |rest|) additions, where
+    the dense vectors cost n times the number of diagonals: on a chain,
+    every rest is empty.  The intervals must be those of a d-complete
+    poset, in which each element tops at most one:
+    :attr:`PosetAnalysis.hook_program` checks the axioms first.
+    """
+    n = P.n
+    dn, lower = P._dn, P._lower
+    size = [d.bit_count() for d in dn]
+    order = sorted(range(n), key=size.__getitem__)
+    top_interval = {interval.top: interval for interval in intervals}
+    kept = [p not in top_interval for p in range(n)]
+    largest_below = [n] * n
+    for p in reversed(order):
+        if kept[p] and lower[p]:
+            q = largest_below[p] = max(lower[p], key=size.__getitem__)
+            kept[q] = True
+    sums, tops = [], []
+    for p in order:
+        if kept[p]:
+            q = largest_below[p]
+            rest = dn[p] ^ 1 << p ^ (dn[q] if q < n else 0)
+            sums.append((p, q, tuple(bits(rest))))
+        interval = top_interval.get(p)
+        if interval is not None:
+            tops.append((p, *interval.sides, interval.bottom))
+    return HookProgram(part.diagonal_of, part.count, tuple(sums), tuple(tops))
+
+
+def hook_numerators(program: HookProgram, x: Sequence[Fraction]) -> tuple[list[int], int]:
     """Every H_p(x) = sum_D h_p^(D) x_D as an integer A_p over one denominator L.
 
     x is written once as integers c over its least common denominator L,
-    so A_p = h_p . c is one integer dot product per element.  On a
-    d-complete poset L is also the least common denominator of the
-    H_p(x) (:func:`verify.rsk_polytope_check` proves it), so the A_p are
-    the hooks' own numerators over it.
+    and the :class:`HookProgram` runs on the weights c_(D(p)), so every
+    A_p is an integer.  On a d-complete poset L is also the least common
+    denominator of the H_p(x) (:func:`verify.rsk_polytope_check` proves
+    it), so the A_p are the hooks' own numerators over it.
     """
     c, denom = common_denominator(x)
-    for vector in vectors:
-        if len(vector) != len(c):
-            raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(c)}")
-    return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
+    if len(c) != program.count:
+        raise ValueError(f"program is indexed by {program.count} diagonals, point by {len(c)}")
+    weight = [c[d] for d in program.diagonal_of]
+    n = len(weight)
+    down = [0] * (n + 1)  # down[n] = 0 stands for the missing lower cover of a minimal element
+    for p, q, rest in program.sums:
+        total = weight[p] + down[q]
+        for m in rest:
+            total += weight[m]
+        down[p] = total
+    hooks = down[:n]
+    for p, w, z, b in program.tops:
+        hooks[p] = hooks[w] + hooks[z] - hooks[b]
+    return hooks, denom
 
 
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
-    """Evaluate sum_D h^(D) * x_D exactly, by :func:`hook_numerators`."""
-    (numerator,), denom = hook_numerators((vector,), x)
-    return Fraction(numerator, denom)
+    """Evaluate sum_D h^(D) * x_D exactly, as one integer dot product over x's least common denominator."""
+    c, denom = common_denominator(x)
+    if len(vector) != len(c):
+        raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(c)}")
+    return Fraction(sum(map(operator.mul, vector, c)), denom)
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

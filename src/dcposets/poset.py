@@ -335,6 +335,42 @@ def _frontier_ideal_count(P: Poset) -> int | None:
     return total
 
 
+def _chain_bound(P: Poset) -> int:
+    """An upper bound on P's number of order ideals, from a greedy chain partition.
+
+    Elements are taken bottom-up; each joins the chain whose top it
+    covers, if one of its lower covers is still a chain's top, and starts
+    a new chain otherwise.  Consecutive members of a chain are covers, so
+    each chain C is totally ordered, and the chains partition P.  An
+    ideal I is down-closed, so I & C is a prefix of C: one of |C| + 1
+    choices.  I is the union of its parts I & C, so I -> (I & C)_C is
+    injective and |J(P)| <= prod_C (|C| + 1).  O(n + covers).
+    """
+    upper, lower = P._upper, P._lower
+    pending = [len(below) for below in lower]
+    ready = [v for v in range(P.n) if not pending[v]]
+    chain_of = [0] * P.n
+    tops: list[int] = []
+    lengths: list[int] = []
+    for v in ready:  # grows as elements become ready
+        for u in lower[v]:
+            c = chain_of[u]
+            if tops[c] == u:
+                break
+        else:
+            c = len(tops)
+            tops.append(v)
+            lengths.append(0)
+        chain_of[v] = c
+        tops[c] = v
+        lengths[c] += 1
+        for w in upper[v]:
+            pending[w] -= 1
+            if not pending[w]:
+                ready.append(w)
+    return math.prod(length + 1 for length in lengths)
+
+
 def compile_ideal_lattice(P: Poset) -> IdealLattice:
     """Walk the lattice of order ideals once, a level at a time.
 
@@ -346,15 +382,19 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     next level is built.  Raises :class:`ExtensionLimitError` when P has
     more than ``IDEAL_LIMIT`` ideals, however few elements P has.
 
-    Before the walk allocates anything, :func:`_frontier_ideal_count`
-    sweeps P once: its running count of the ideals of the elements taken
-    so far is a lower bound on P's, so it refuses as soon as that count
-    passes ``IDEAL_LIMIT`` (Young 12x12 in about 1 ms, where the walk
-    would meet 65,536 ideals first).  Its work is capped at
-    ``IDEAL_LIMIT`` state updates; a sweep that spends them decides
-    nothing, and the walk refuses at its own per-ideal check.
+    When :func:`_chain_bound` proves that P has at most ``IDEAL_LIMIT``
+    ideals, the walk starts at once: no refusal can happen (chain(2000)
+    has a bound of 2,001).  Otherwise, before the walk allocates
+    anything, :func:`_frontier_ideal_count` sweeps P once: its running
+    count of the ideals of the elements taken so far is a lower bound on
+    P's, so it refuses as soon as that count passes ``IDEAL_LIMIT``
+    (Young 12x12 in about 1 ms, where the walk would meet 65,536 ideals
+    first).  Its work is capped at ``IDEAL_LIMIT`` state updates; a sweep
+    that spends them decides nothing, and the walk refuses at its own
+    per-ideal check.
     """
-    _frontier_ideal_count(P)
+    if _chain_bound(P) > IDEAL_LIMIT:
+        _frontier_ideal_count(P)
     below = tuple(d ^ (1 << v) for v, d in enumerate(P._dn))
     upper = P._upper
     level_sizes = [1]
@@ -406,14 +446,27 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     chain sum.  S(J) = S(first parent) + c_(added element) costs one
     addition per ideal.
 
-    The fold runs on integers.  Let M_k be the lcm of S(J) over the
-    ideals J with k elements, and U(J) = W(J) * M_1 * ... * M_k.  Then
-    U(empty) = 1 and U(J) = (sum of U(I)) * (M_k / S(J)): the sum is an
-    integer by induction and S(J) divides M_k, so every U is an integer.
-    Returns U(P) and M = M_1 * ... * M_n, so W(P) = U(P) / M.  With
-    every weight 1, S(J) = M_k = k on level k, so U(J) counts the maximal
-    chains from the empty ideal to J and U(P) = e(P); the fold then skips
-    the sums, the level lcms and the scaling, and M is n!.
+    The fold runs on reduced integers.  U(empty) = 1 and M_0 = 1.  Once
+    level k - 1 has pushed its values, ideal J on level k holds R(J), the
+    sum of U(I) over the ideals I it covers.  Let g = gcd(R(J), S(J)),
+    m_k the lcm of S(J) / g over the level, and
+    U(J) = (R(J) / g) * (m_k * g / S(J)).  S(J) / g divides m_k, so U(J)
+    is an integer.  Claim: W(J) = U(J) / M_k with M_k = m_1 * ... * m_k.
+    By induction each I on level k - 1 has W(I) = U(I) / M_(k-1), so
+    W(J) = R(J) / (S(J) * M_(k-1)) = (R(J) / g) / ((S(J) / g) * M_(k-1)),
+    and multiplying top and bottom by m_k / (S(J) / g) gives
+    U(J) / (m_k * M_(k-1)) = U(J) / M_k.  Returns U(P) and M = M_n, so
+    W(P) = U(P) / M.  Dividing out g before the lcm keeps the integers
+    near the size of the reduced values: with the lcm of the raw S(J),
+    every level multiplies by factors that R(J) already cancels, and at
+    a random point of Young 8x8 the values grow past 200,000 bits where
+    these stay under 1,000.  S(J) is a small integer, so each gcd costs
+    about one pass over R(J).
+
+    With every weight 1, S(J) = k on level k, and the fold keeps the
+    unreduced form m_k = k: U(J) counts the maximal chains from the
+    empty ideal to J and U(P) = e(P); the fold then skips the sums, the
+    gcds and the scaling, and M is n!.
     """
     first, added = lattice.first, lattice.added
     start, successors = lattice.successor_start, lattice.successors
@@ -429,10 +482,12 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     for size in lattice.level_sizes:
         hi = lo + size
         if lo and not unit:
-            level_lcm = math.lcm(*sums[lo:hi])
+            # d = S(J) / g, so R(J) / g = R(J) // (S(J) // d)
+            reduced = [sums[j] // math.gcd(value[j], sums[j]) for j in range(lo, hi)]
+            level_lcm = math.lcm(*reduced)
             product *= level_lcm
-            for j in range(lo, hi):
-                value[j] *= level_lcm // sums[j]
+            for j, d in zip(range(lo, hi), reduced):
+                value[j] = value[j] // (sums[j] // d) * (level_lcm // d)
         for i in range(lo, hi):
             v = value[i]
             for j in successors[start[i] : start[i + 1]]:

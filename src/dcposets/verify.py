@@ -92,7 +92,10 @@ def weight_sum(
     a descending extension is a downset.  With x = c / L over its least
     common denominator, the sum is U * L^n / M for the integers U and M
     that :func:`poset.fold_ideal_lattice` returns on the weights
-    c_{D(p)}; its docstring gives the argument.  ``analysis`` supplies
+    c_{D(p)}; its docstring gives the argument.  The fold reduces each
+    ideal's value by its gcd with S(J) before it scales a level, so its
+    integers stay near the size of the reduced values, and U / M is the
+    same Fraction as with no reduction.  ``analysis`` supplies
     P's compiled lattice (:attr:`PosetAnalysis.ideal_lattice`); without
     it the lattice is compiled here.  Posets with more than
     ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
@@ -175,7 +178,7 @@ def verify_multivariate(
     for _ in range(points):
         x = random_rational_point(part.count, rng)
         lhs = weight_sum(P, part, x, analysis=a)
-        hooks, denom = hook_numerators(a.hook_vectors, x)
+        hooks, denom = hook_numerators(a.hook_program, x)
         rhs = Fraction(denom**P.n, math.prod(hooks))
         if lhs != rhs:
             failures.append(MultivariateFailure(point=x, lhs=lhs, rhs=rhs))
@@ -221,7 +224,7 @@ def _polytope(
     """
     x = validate_point(spec.x, a.diagonals.count)
     if spec.kind == "fillings":
-        hooks, denom = hook_numerators(a.hook_vectors, x)
+        hooks, denom = hook_numerators(a.hook_program, x)
         return hooks, denom, []
     numerators, denom = common_denominator(x)
     return [numerators[d] for d in a.diagonals.diagonal_of], denom, sorted(P.covers)
@@ -409,7 +412,7 @@ def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis 
     x = validate_point(spec.x, a.diagonals.count)
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
-        hooks, denom = hook_numerators(a.hook_vectors, x)
+        hooks, denom = hook_numerators(a.hook_program, x)
         return Fraction(denom**P.n, n_fact * math.prod(hooks))
     return weight_sum(P, a.diagonals, x, analysis=a) / n_fact
 

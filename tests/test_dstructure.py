@@ -347,6 +347,14 @@ def test_cover_anchored_scans_match_all_pairs_scans():
     assert configurations >= 10
 
 
+def test_d_minus_sets_sorted_by_ascending_members():
+    posets = [entry.poset for entry in catalog()]
+    posets += [young((8,) * 8), d_k_one(200), shifted_young(tuple(range(12, 0, -1)))]
+    for P in posets:
+        sets = find_d_minus_convex_sets(P)
+        assert sets == tuple(sorted(sets, key=lambda s: (s.k, s.bottom, tuple(bits(s.member_mask))))), P
+
+
 def test_long_double_tailed_diamond_structure():
     # d_1000(1): one d_k^- set and one d_k-interval for each k = 3..1000
     P = d_k_one(1000)

@@ -1,6 +1,8 @@
 import math
+import operator
+import time
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from random import Random
 
 import pytest
@@ -19,10 +21,11 @@ from dcposets import (
 )
 from dcposets import verify
 from dcposets.families import young_box_ids
-from dcposets.hooks import common_denominator, random_scaled_point, validate_point
+from dcposets.hooks import common_denominator, hook_numerators, random_scaled_point, validate_point
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain
+from test_diagonals import _random_perm, _renumber
 
 
 def classical_hook_length(shape, i, j):
@@ -141,6 +144,50 @@ def test_integer_hooks_match_per_element_lcm():
             hooks, denom, cover_pairs = verify._polytope(P, PolytopeSpec("fillings", x), a)
             assert (hooks, denom) == common_denominator(expected), (entry.name, x)
             assert cover_pairs == []
+
+
+def _dense_numerators(vectors, x):
+    """Every H_p(x) as the dense dot product h_p . c, with x = c / L over its least common denominator."""
+    c, denom = common_denominator(x)
+    return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
+
+
+def test_hook_program_matches_dense_vectors_on_catalog():
+    rng = Random(12)
+    for entry in catalog():
+        relabelled = _renumber(entry.poset, _random_perm(entry.poset.n, rng))
+        for P in (entry.poset, relabelled):
+            a = analyze(P)
+            count = a.diagonals.count
+            points = [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(3)]
+            for x in points:
+                expected = _dense_numerators(a.hook_vectors, x)
+                assert hook_numerators(a.hook_program, x) == expected, (entry.name, x)
+
+
+SCALE_POSETS = {
+    "chain-2000": lambda: chain(2000),
+    "d1000(1)": lambda: d_k_one(1000),
+    "young-12x12": lambda: young((12,) * 12),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_POSETS)
+def test_hook_program_matches_dense_vectors_at_scale(name):
+    a = analyze(SCALE_POSETS[name]())
+    x = random_rational_point(a.diagonals.count, Random(name))
+    assert hook_numerators(a.hook_program, x) == _dense_numerators(a.hook_vectors, x)
+
+
+def test_hook_polynomials_on_a_long_chain_are_fast():
+    a = analyze(chain(2000))
+    x = random_rational_point(a.diagonals.count, Random(2000))
+    a.hook_polynomials(x)
+    start = time.perf_counter()
+    hooks = a.hook_polynomials(x)
+    assert time.perf_counter() - start < 0.02
+    # element p of the chain is diagonal p, and its hook is x_0 + ... + x_p
+    assert hooks == tuple(accumulate(x))
 
 
 def test_hook_polynomials_reject_a_short_point():

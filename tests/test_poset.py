@@ -21,7 +21,7 @@ from dcposets import (
 from dcposets.families import young_box_ids
 from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
 from dcposets import poset as poset_module
-from dcposets.poset import compile_ideal_lattice, order_ideal_masks
+from dcposets.poset import IDEAL_LIMIT, compile_ideal_lattice, order_ideal_masks
 
 from conftest import antichain, chain, is_convex, is_isomorphic, lt, restrict, shifted_box_ids, upper_set_masks
 
@@ -226,6 +226,29 @@ def test_frontier_sweep_matches_walk(monkeypatch):
     assert _sweep(young((8,) * 8)) == 12870
     assert _sweep(shifted_young(tuple(range(12, 0, -1)))) == 4096
     assert _sweep(young((12,) * 12)) == REFUSAL
+
+
+def test_chain_bound_caps_the_ideal_count():
+    rng = Random(16)
+    posets = [entry.poset for entry in catalog()]
+    posets += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
+    posets += [young((8,) * 8), shifted_young(tuple(range(12, 0, -1)))]
+    for P in posets:
+        assert poset_module._chain_bound(P) >= len(compile_ideal_lattice(P).first), P
+    assert poset_module._chain_bound(chain(2000)) == 2001
+    assert poset_module._chain_bound(young((5,) * 6)) <= IDEAL_LIMIT
+    assert poset_module._chain_bound(young((12,) * 12)) > IDEAL_LIMIT
+
+
+def test_no_sweep_where_the_chain_bound_rules_out_a_refusal(monkeypatch):
+    def sweep(P):
+        raise AssertionError("swept a poset whose chain bound is within IDEAL_LIMIT")
+
+    monkeypatch.setattr(poset_module, "_frontier_ideal_count", sweep)
+    assert len(compile_ideal_lattice(chain(2000)).first) == 2001
+    assert len(compile_ideal_lattice(young((5,) * 6)).first) == 462
+    # antichain(16) has a bound of exactly 2**16 = IDEAL_LIMIT
+    assert count_linear_extensions(antichain(16)) == math.factorial(16)
 
 
 def test_young_12x12_refused_before_the_walk():

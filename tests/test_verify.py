@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -33,6 +34,7 @@ from dcposets import analysis as analysis_module
 from dcposets import poset as poset_module
 from dcposets import verify
 from dcposets.acceptance import counting_identity, multivariate_identity
+from dcposets.hooks import common_denominator
 from dcposets.poset import order_ideal_masks
 from dcposets.verify import BijectionReport, PolytopeSpec
 
@@ -181,6 +183,67 @@ def test_integer_fold_matches_fraction_fold(name, P):
     levels = list(_reference_ideal_levels(P))
     assert list(order_ideal_masks(P)) == [mask for level in levels for mask in level]
     assert a.extension_count == levels[-1][(1 << P.n) - 1][0]
+
+
+def _level_lcm_fold(lattice, weights):
+    """The ideal-lattice fold with each level scaled by the lcm of all its S(J), nothing reduced.
+
+    U(J) = (sum of U(I) over the ideals I that J covers) * (M_k / S(J)),
+    where M_k is the lcm of S(J) over level k; returns U(P) and
+    M_1 * ... * M_n.
+    """
+    first, added = lattice.first, lattice.added
+    start, successors = lattice.successor_start, lattice.successors
+    value = [0] * len(first)
+    value[0] = 1
+    sums = [0] * len(first)
+    for j in range(1, len(first)):
+        sums[j] = sums[first[j]] + weights[added[j]]
+    product = 1
+    lo = 0
+    for size in lattice.level_sizes:
+        hi = lo + size
+        if lo:
+            level_lcm = math.lcm(*sums[lo:hi])
+            product *= level_lcm
+            for j in range(lo, hi):
+                value[j] *= level_lcm // sums[j]
+        for i in range(lo, hi):
+            for j in successors[start[i] : start[i + 1]]:
+                value[j] += value[i]
+        lo = hi
+    return value[-1], product
+
+
+FOLD_POSETS = [(e.name, e.poset) for e in catalog()] + [
+    ("young-6x6", young((6,) * 6)),
+    ("young-8x6", young((6,) * 8)),
+    ("shifted-12..1", shifted_young(tuple(range(12, 0, -1)))),
+]
+
+
+def test_reduced_fold_matches_level_lcm_fold():
+    rng = Random(17)
+    for name, P in FOLD_POSETS:
+        a = analyze(P)
+        count = a.diagonals.count
+        for x in [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(2)]:
+            numerators, _ = common_denominator(x)
+            weights = [numerators[d] for d in a.diagonals.diagonal_of]
+            total, denominator = poset_module.fold_ideal_lattice(a.ideal_lattice, weights)
+            expected, expected_denominator = _level_lcm_fold(a.ideal_lattice, weights)
+            assert Fraction(total, denominator) == Fraction(expected, expected_denominator), (name, x)
+
+
+def test_weight_sum_on_young_8x8_is_fast():
+    P = young((8,) * 8)
+    a = analyze(P)
+    a.ideal_lattice
+    x = random_rational_point(a.diagonals.count, Random(88))
+    start = time.perf_counter()
+    total = weight_sum(P, a.diagonals, x, analysis=a)
+    assert time.perf_counter() - start < 1.0
+    assert total == 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
 
 
 def test_c1_then_c2_walk_the_lattice_once(monkeypatch):

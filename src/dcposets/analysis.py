@@ -26,8 +26,8 @@ from .dstructure import (
 from .hooks import (
     HookProgram,
     HookVector,
+    all_ones_point,
     compile_hook_program,
-    hook_lengths,
     hook_numerators,
     hook_vectors,
 )
@@ -84,7 +84,9 @@ class PosetAnalysis:
 
     @cached_property
     def hook_lengths(self) -> tuple[int, ...]:
-        return hook_lengths(self.hook_vectors)
+        """Classical hook lengths: every hook polynomial at the all-ones point."""
+        lengths, _ = hook_numerators(self.hook_program, all_ones_point(self.diagonals.count))
+        return tuple(lengths)
 
     @cached_property
     def hook_program(self) -> HookProgram:

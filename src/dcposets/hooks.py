@@ -162,8 +162,20 @@ def all_ones_point(count: int) -> RationalPoint:
 
 
 def _random_pairs(count: int, rng: Random) -> list[tuple[int, int]]:
-    """Per coordinate, a numerator and then a denominator, each in 1..16."""
-    return [(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(count)]
+    """Per coordinate, a numerator and then a denominator, each in 1..16.
+
+    Each value is ``rng.randint(1, 16)`` of a :class:`random.Random`, drawn
+    the way that call draws it: ``getrandbits(5)`` until the draw is below
+    16, plus 1.  ``test_random_points_keep_their_draws`` pins the stream.
+    """
+    getrandbits = rng.getrandbits
+    values = []
+    for _ in range(2 * count):
+        r = getrandbits(5)
+        while r >= 16:
+            r = getrandbits(5)
+        values.append(r + 1)
+    return list(zip(values[::2], values[1::2]))
 
 
 def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:

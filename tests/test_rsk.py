@@ -1,4 +1,5 @@
 import time
+from bisect import insort
 from fractions import Fraction
 from random import Random
 
@@ -27,8 +28,11 @@ from dcposets import (
 )
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
+from dcposets.hooks import random_scaled_point
 from dcposets.rsk import (
     _bareiss,
+    _extract,
+    _insert,
     _jacobian_rows,
     _program,
     _scale,
@@ -559,6 +563,74 @@ def test_kernel_matches_reference(family, analyses, name):
         state = {p: v for p, v in enumerate(t) if rng.random() < 0.7}
         for p in state:
             assert toggle(P, state, p) == _reference_toggle(P, state, p)
+
+
+def _general_step(labels, toggles):
+    """The toggle as written, max over the upper candidates plus min over the lower, minus the label."""
+    get = labels.__getitem__
+    for e, ups, los in toggles:
+        labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e]
+
+
+def test_kernel_fast_path_matches_general_step():
+    posets = [(e.name, e.poset) for e in catalog()] + [
+        ("young-12x12", young((12,) * 12)),
+        ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1))),
+    ]
+    rng = Random(43)
+    shapes = set()
+    for name, P in posets:
+        a = analyze(P)
+        for order in (None, random_descending_extension(P, rng)):
+            program = _program(P, order, a)
+            shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
+            for _ in range(3):
+                t, _ = random_scaled_point(P.n, rng)
+                t.append(0)  # the kernel's sentinel label
+                image, expected = t[:], t[:]
+                _insert(image, program)
+                for c, toggles in program:
+                    expected[c] = -expected[c]
+                    _general_step(expected, toggles)
+                assert image == expected, (name, order)
+                _extract(image, program)
+                for c, toggles in reversed(program):
+                    _general_step(expected, toggles)
+                    expected[c] = -expected[c]
+                assert image == expected == t, (name, order)
+    # the one-candidate reads and both general reductions all ran
+    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+
+
+def _choice_descending_extension(P, rng):
+    """The sampler as first written, one ``rng.choice`` per pick: the oracle for its draws."""
+    waiting = [len(u) for u in P._upper]
+    maximal = [v for v in range(P.n) if not waiting[v]]
+    out = []
+    while maximal:
+        c = rng.choice(maximal)
+        out.append(c)
+        maximal.remove(c)
+        for v in P._lower[c]:
+            waiting[v] -= 1
+            if not waiting[v]:
+                insort(maximal, v)
+    return tuple(out)
+
+
+def test_random_orders_keep_their_draws():
+    # the battery's seeds pin these orders; a Python whose random stream
+    # differs from choice's rejection loop on getrandbits fails here
+    posets = [(e.name, e.poset) for e in catalog()] + [
+        ("young-12x12", young((12,) * 12)),
+        ("d50(1)", d_k_one(50)),
+    ]
+    for name, P in posets:
+        for seed in range(4):
+            rng, oracle = Random(seed), Random(seed)
+            for _ in range(3):
+                assert random_descending_extension(P, rng) == _choice_descending_extension(P, oracle)
+            assert rng.getstate() == oracle.getstate(), (name, seed)
 
 
 def test_jacobian_determinant_unimodular(family, analyses):

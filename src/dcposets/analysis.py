@@ -7,10 +7,17 @@ computed once per poset and reused across the many evaluation points of
 the verification routines.  This is the one place that wires the derivation chain: the
 functions it calls take each input they need as an argument and
 recompute nothing.
+
+A poset has at most one live analysis: :func:`analyze` returns the one
+still in use, so every entry point called without ``analysis=`` reuses
+what a caller's analysis has already derived.  The poset keeps only a
+weak reference to it; once no caller holds the analysis it is freed, and
+the next :func:`analyze` builds a fresh one.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 
@@ -114,4 +121,9 @@ class PosetAnalysis:
 
 
 def analyze(P: Poset) -> PosetAnalysis:
-    return PosetAnalysis(P)
+    """P's live analysis: the one a caller still holds, or a new one."""
+    a = None if P._analysis is None else P._analysis()
+    if a is None:
+        a = PosetAnalysis(P)
+        P._analysis = weakref.ref(a)
+    return a

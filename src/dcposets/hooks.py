@@ -191,7 +191,13 @@ def random_rational_point(count: int, rng: Random) -> RationalPoint:
 
 
 def exact_value(value) -> Fraction:
-    """``value`` as a Fraction; floats are refused, since exact paths never round."""
+    """``value`` as a Fraction; floats are refused, since exact paths never round.
+
+    A Fraction (and not a subclass) is returned as it is: it is immutable,
+    so rebuilding it would only cost time.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"exact values only: pass int or Fraction, not float {value!r}")
     return Fraction(value)

@@ -57,9 +57,15 @@ class Poset:
     The reflexive-transitive closure is computed eagerly; redundant input
     pairs are silently removed by transitive reduction.  A cycle in the
     input raises :class:`CycleError` naming a witness.
+
+    ``_analysis`` is a weak reference to the poset's live
+    :class:`~dcposets.analysis.PosetAnalysis`, or None; only
+    :func:`~dcposets.analysis.analyze` sets it.  The poset itself holds
+    no derived data, and the reference is weak so that poset and analysis
+    form no cycle: an analysis nobody holds is freed at once.
     """
 
-    __slots__ = ("n", "names", "covers", "_up", "_dn", "_upper", "_lower")
+    __slots__ = ("n", "names", "covers", "_up", "_dn", "_upper", "_lower", "_analysis")
 
     def __init__(
         self,
@@ -116,6 +122,7 @@ class Poset:
         for key in self.names:
             if not 0 <= key < n:
                 raise ValueError(f"name given for unknown element {key}")
+        self._analysis = None
 
     # -- order queries ---------------------------------------------------
 
@@ -172,6 +179,11 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={sorted(self.covers)})"
+
+    def __reduce__(self):
+        # rebuilt from its defining data: a weak reference cannot be pickled,
+        # and a copy starts with no analysis of its own
+        return Poset, (self.n, sorted(self.covers), self.names)
 
 
 def _topological_order(n: int, edges: list[list[int]]) -> list[int]:
@@ -499,12 +511,14 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
 def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:
     """Exact number of linear extensions: :func:`fold_ideal_lattice` with every weight 1.
 
-    ``analysis`` supplies P's compiled lattice
-    (``PosetAnalysis.ideal_lattice``); without it the lattice is compiled
-    here.  A poset with more than ``IDEAL_LIMIT`` order ideals raises
-    :class:`ExtensionLimitError`.
+    The lattice is ``PosetAnalysis.ideal_lattice`` of ``analysis``, or
+    else of ``analyze(P)``, P's live analysis: a lattice some caller's
+    analysis already holds is not walked again.  A poset with more than
+    ``IDEAL_LIMIT`` order ideals raises :class:`ExtensionLimitError`.
     """
-    lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
+    from .analysis import analyze
+
+    lattice = (analysis or analyze(P)).ideal_lattice
     return fold_ideal_lattice(lattice, [1] * P.n)[0]
 
 

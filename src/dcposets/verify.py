@@ -33,7 +33,6 @@ from .hooks import (
 )
 from .poset import (
     Poset,
-    compile_ideal_lattice,
     fold_ideal_lattice,
     is_descending_extension,
     linear_extensions,
@@ -95,9 +94,10 @@ def weight_sum(
     c_{D(p)}; its docstring gives the argument.  The fold reduces each
     ideal's value by its gcd with S(J) before it scales a level, so its
     integers stay near the size of the reduced values, and U / M is the
-    same Fraction as with no reduction.  ``analysis`` supplies
-    P's compiled lattice (:attr:`PosetAnalysis.ideal_lattice`); without
-    it the lattice is compiled here.  Posets with more than
+    same Fraction as with no reduction.  The lattice is
+    :attr:`PosetAnalysis.ideal_lattice` of ``analysis``, or else of
+    ``analyze(P)``, P's live analysis, so evaluating many points walks
+    it once while some caller holds that analysis.  Posets with more than
     ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
     ``enumerate`` sums extension by extension; it is the reference the
     tests compare against.  Both are exact and agree.
@@ -111,7 +111,7 @@ def weight_sum(
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
 
-    lattice = compile_ideal_lattice(P) if analysis is None else analysis.ideal_lattice
+    lattice = (analysis or analyze(P)).ideal_lattice
     numerators, scale = common_denominator(x)
     total, denominator = fold_ideal_lattice(lattice, [numerators[d] for d in part.diagonal_of])
     return Fraction(total * scale**P.n, denominator)
@@ -479,14 +479,19 @@ def monte_carlo_volumes(
             rng.random(out=u[:take])
             p, d, ok = pts[:take], dots[:take], inside[:take]
             for edge, members in by_edge.items():
-                np.multiply(u[:take], edge, out=p)
+                # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
+                # at the all-ones point) tests the draws themselves
+                box = u[:take] if edge == 1.0 else np.multiply(u[:take], edge, out=p)
                 for i in members:
                     _, coefficients, cover_pairs = tests[i]
-                    np.matmul(p, coefficients, out=d)
+                    np.matmul(box, coefficients, out=d)
                     np.less_equal(d, 1.0, out=ok)
+                    if not cover_pairs:
+                        hits[i] += int(np.count_nonzero(ok))
+                        continue
                     # the cover comparisons run only on the points under the
-                    # hyperplane: p[ok], which np.compress selects faster
-                    under = np.compress(ok, p, axis=0)
+                    # hyperplane: box[ok], which np.compress selects faster
+                    under = np.compress(ok, box, axis=0)
                     kept = np.ones(len(under), dtype=bool)
                     for low, high in cover_pairs:
                         kept &= under[:, low] >= under[:, high]

@@ -219,10 +219,22 @@ def test_hook_polynomials_reject_a_short_point():
             a.hook_polynomials(x[:-1])
 
 
+class Half(Fraction):
+    pass
+
+
 def test_points_are_exact():
     assert validate_point([Fraction(1, 2), 1], 2) == (Fraction(1, 2), Fraction(1))
     with pytest.raises(TypeError):
         validate_point([0.5, 1], 2)
+    with pytest.raises(TypeError):
+        validate_point([Fraction(1, 2), 0.5], 2)
+    # a Fraction is kept as it is; ints and subclasses become plain Fractions
+    x = [Fraction(3, 4), Fraction(5), 2, Half(1, 2)]
+    point = validate_point(x, 4)
+    assert all(point[i] is x[i] for i in (0, 1))
+    assert point == (Fraction(3, 4), Fraction(5), Fraction(2), Fraction(1, 2))
+    assert all(type(v) is Fraction for v in point)
     P = d_k_one(3)
     a = analyze(P)
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)

@@ -1,4 +1,7 @@
+import copy
+import gc
 import math
+import pickle
 import time
 from itertools import permutations
 from random import Random
@@ -425,3 +428,35 @@ def test_order_relation_is_partial_order(family):
                 for c in range(P.n):
                     if P.leq(a, b) and P.leq(b, c):
                         assert P.leq(a, c)
+
+
+def test_analyze_returns_the_live_analysis():
+    P = young((3, 3, 1))
+    a = analyze(P)
+    assert analyze(P) is a
+    # every derived field is built, so none of them can hold a reference back to a
+    a.extension_count, a.hook_lengths, a.hook_vectors, a.insertion_program
+    ref = P._analysis
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del a
+        # freed by reference counting alone: poset and analysis form no cycle
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    fresh = analyze(P)
+    assert fresh.poset is P and P._analysis() is fresh
+
+
+def test_poset_pickles_and_copies_without_its_analysis():
+    P = young((3, 2))
+    a = analyze(P)
+    a.extension_count
+    for Q in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+        assert Q == P and Q is not P and Q.names == P.names
+        b = analyze(Q)
+        assert b is not a and b.poset is Q
+        assert b.extension_count == a.extension_count
+    assert analyze(P) is a

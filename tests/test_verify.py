@@ -246,7 +246,9 @@ def test_weight_sum_on_young_8x8_is_fast():
     assert total == 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
 
 
-def test_c1_then_c2_walk_the_lattice_once(monkeypatch):
+@pytest.fixture
+def lattice_walks(monkeypatch):
+    """The poset of every compile_ideal_lattice call, in call order."""
     walks = []
     original = poset_module.compile_ideal_lattice
 
@@ -257,14 +259,41 @@ def test_c1_then_c2_walk_the_lattice_once(monkeypatch):
     for module in (poset_module, analysis_module, verify):
         if getattr(module, "compile_ideal_lattice", None) is original:
             monkeypatch.setattr(module, "compile_ideal_lattice", spy)
+    return walks
+
+
+def test_c1_then_c2_walk_the_lattice_once(lattice_walks):
+    walks = lattice_walks
     entry = next(e for e in catalog() if e.name == "young-3.3.1")
-    a = analyze(entry.poset)
-    prepared = [(entry.name, entry.poset, a)]
+    # a fresh poset: no analysis another test keeps alive can have walked it
+    P = Poset(entry.poset.n, entry.poset.covers, entry.poset.names)
+    a = analyze(P)
+    prepared = [(entry.name, P, a)]
     assert counting_identity(prepared).ok
     assert multivariate_identity(prepared).ok
     spec = PolytopeSpec("rpp", all_ones_point(a.diagonals.count))
-    closed_form_volume(entry.poset, spec, analysis=a)
-    assert [P for P in walks if P is entry.poset] == [entry.poset]
+    closed_form_volume(P, spec, analysis=a)
+    assert [Q for Q in walks if Q is P] == [P]
+
+
+def test_weight_sums_reuse_the_live_analysis(lattice_walks):
+    P = young((3, 3, 1))
+    a = analyze(P)
+    a.extension_count
+    assert lattice_walks == [P]
+    rng = Random(19)
+    points = [random_rational_point(a.diagonals.count, rng) for _ in range(10)]
+    sums = [weight_sum(P, a.diagonals, x) for x in points]
+    # without analysis=, every sum folds the lattice that a holds
+    assert lattice_walks == [P]
+    assert sums == [1 / math.prod(a.hook_polynomials(x), start=Fraction(1)) for x in points]
+
+
+def test_standalone_counts_walk_once_each(lattice_walks):
+    P = young((3, 3, 1))
+    # nothing holds the analysis a call builds, so the next call walks again
+    assert count_linear_extensions(P) == count_linear_extensions(P) == 21
+    assert lattice_walks == [P, P]
 
 
 def test_weight_sum_signature_keeps_traced_names():
@@ -600,6 +629,60 @@ def _reference_monte_carlo_volume(P, spec, samples, seed, a):
         estimate=rate * box_volume,
         std_error=math.sqrt(rate * (1.0 - rate) / samples) * box_volume,
     )
+
+
+def _unshortcut_monte_carlo_hits(cases, samples, seed):
+    """monte_carlo_volumes' hit counts with every box scaled and every case compressed."""
+    tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
+    hits = [0] * len(cases)
+    groups = {}
+    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
+        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
+    for n, by_edge in groups.items():
+        rng = np.random.default_rng(seed)
+        u = np.empty((verify.CHUNK, n))
+        pts = np.empty((verify.CHUNK, n))
+        dots = np.empty(verify.CHUNK)
+        inside = np.empty(verify.CHUNK, dtype=bool)
+        done = 0
+        while done < samples:
+            take = min(verify.CHUNK, samples - done)
+            rng.random(out=u[:take])
+            p, d, ok = pts[:take], dots[:take], inside[:take]
+            for edge, members in by_edge.items():
+                np.multiply(u[:take], edge, out=p)
+                for i in members:
+                    _, coefficients, cover_pairs = tests[i]
+                    np.matmul(p, coefficients, out=d)
+                    np.less_equal(d, 1.0, out=ok)
+                    under = np.compress(ok, p, axis=0)
+                    kept = np.ones(len(under), dtype=bool)
+                    for low, high in cover_pairs:
+                        kept &= under[:, low] >= under[:, high]
+                    hits[i] += int(np.count_nonzero(kept))
+            done += take
+    return hits
+
+
+def test_monte_carlo_shortcuts_keep_every_hit():
+    cases = []
+    for entry in catalog():
+        P, a = entry.poset, analyze(entry.poset)
+        rng = Random(entry.name)
+        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
+        for point in (all_ones_point(a.diagonals.count), x):
+            cases += [(P, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
+    samples = verify.CHUNK + 999
+    estimates = verify.monte_carlo_volumes(cases, samples, seed=3)
+    assert [e.hits for e in estimates] == _unshortcut_monte_carlo_hits(cases, samples, 3)
+    # cases with hits to compare ran on both sides of each shortcut:
+    # unit and scaled boxes, with and without cover pairs
+    sides = {
+        (e.box_volume == 1.0, bool(verify._volume_test(P, s, a)[2]))
+        for (P, s, a), e in zip(cases, estimates)
+        if e.hits
+    }
+    assert sides == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_monte_carlo_volumes_match_reference(monkeypatch):

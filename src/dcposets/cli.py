@@ -10,10 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .analysis import analyze
 from .catalog import catalog, catalog_map, catalog_names
-from .classical import classical_insert_rsk, gt_from_rpp, toggle_rpp
 from .fileformats import (
     FormatError,
     filling_from_text,
@@ -51,8 +49,8 @@ def _positive(text: str) -> int:
     return _at_least(text, 1, "positive")
 
 
-def _seed(text: str) -> int:
-    """The argparse type of a ``--seed`` option: a non-negative integer."""
+def _non_negative(text: str) -> int:
+    """The argparse type of ``--seed`` and ``--cap``: a non-negative integer."""
     return _at_least(text, 0, "non-negative")
 
 
@@ -195,6 +193,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_classical(args) -> int:
+    from .classical import classical_insert_rsk, gt_from_rpp, toggle_rpp
+
     matrix = matrix_from_text(Path(args.matrix).read_text())
     p, q = classical_insert_rsk(matrix)
     for row in p.rows:
@@ -214,6 +214,8 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import acceptance
+
     entries = None
     if args.subset:
         wanted = args.subset.split(",")
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extensions", help="count (and optionally list) linear extensions")
     ext.add_argument("poset")
     ext.add_argument("--list", action="store_true")
-    ext.add_argument("--cap", type=int, default=10**6, help="most extensions --list prints")
+    ext.add_argument("--cap", type=_non_negative, default=10**6, help="most extensions --list prints")
 
     for name in ("rsk", "inverse-rsk"):
         cmd = sub.add_parser(name, help=f"apply the {name.replace('-', ' ')} map to a filling")
@@ -277,19 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     vh = sub.add_parser("verify-hlf", help="check the multivariate identity at random points")
     vh.add_argument("poset")
     vh.add_argument("--points", type=_positive, default=20)
-    vh.add_argument("--seed", type=_seed, default=0)
+    vh.add_argument("--seed", type=_non_negative, default=0)
 
     vol = sub.add_parser("volume", help="Monte Carlo volume of one of the two polytopes")
     vol.add_argument("poset")
     vol.add_argument("--kind", choices=("fillings", "rpp"), required=True)
     vol.add_argument("--samples", type=_positive, default=10**6)
-    vol.add_argument("--seed", type=_seed, default=0)
+    vol.add_argument("--seed", type=_non_negative, default=0)
 
     cr = sub.add_parser("classical-rsk", help="insertion RSK and toggle RPP of an integer matrix")
     cr.add_argument("matrix")
 
     suite = sub.add_parser("suite", help="run the full acceptance battery")
-    suite.add_argument("--seed", type=_seed, default=0)
+    suite.add_argument("--seed", type=_non_negative, default=0)
     suite.add_argument("--points", type=_positive, default=20)
     suite.add_argument("--trials", type=_positive, default=100)
     suite.add_argument("--samples", type=_positive, default=10**6)

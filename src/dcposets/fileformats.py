@@ -100,12 +100,18 @@ def filling_from_text(text: str) -> dict[int, Fraction]:
 
 
 def matrix_from_text(text: str) -> list[list[int]]:
+    """Nonnegative integer rows of equal length, one row per line."""
     rows = []
     for lineno, fields in _content_lines(text):
         try:
-            rows.append([int(v) for v in fields])
+            row = [int(v) for v in fields]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(f"line {lineno}: row has {len(row)} entries, the first row {len(rows[0])}")
+        if min(row) < 0:
+            raise FormatError(f"line {lineno}: negative entry {min(row)}")
+        rows.append(row)
     if not rows:
         raise FormatError("matrix text contains no rows")
     return rows

@@ -185,9 +185,15 @@ def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:
     return [v * (denom // d) for v, d in pairs], denom
 
 
+# Fraction(v, d) at index 16 * (v - 1) + (d - 1), for v and d in 1..16:
+# every random point shares these 256 objects instead of building its own.
+_RATIONALS = tuple(Fraction(v, d) for v in range(1, 17) for d in range(1, 17))
+
+
 def random_rational_point(count: int, rng: Random) -> RationalPoint:
     """Strictly positive rationals with numerators and denominators in 1..16."""
-    return tuple(Fraction(v, d) for v, d in _random_pairs(count, rng))
+    table = _RATIONALS
+    return tuple(table[16 * v + d - 17] for v, d in _random_pairs(count, rng))
 
 
 def exact_value(value) -> Fraction:

@@ -19,8 +19,6 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .hooks import (
@@ -438,6 +436,8 @@ def _volume_test(P: Poset, spec: PolytopeSpec, a: PosetAnalysis):
     values 1 / min_p H_p(x) (fillings) or 1 / min_D x_D (rpp), and H_p(x)
     or x_{D(p)}.
     """
+    import numpy as np
+
     weights, bound, cover_pairs = _polytope(P, spec, a)
     return bound / min(weights), np.array([w / bound for w in weights]), cover_pairs
 
@@ -461,6 +461,8 @@ def monte_carlo_volumes(
     conservative (see :func:`acceptance.monte_carlo_agreement`).
     Estimates come back in input order.
     """
+    import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
+
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
     hits = [0] * len(cases)
     # size -> box edge -> case indices; one U stream per size, one pts per edge

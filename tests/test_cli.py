@@ -171,6 +171,60 @@ def test_classical_rsk_command(tmp_path, capsys):
     assert "gt_lower 4,2,1" in lines and "gt_upper 4,2,1" in lines
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("1 2\n3\n", "line 2: row has 1 entries, the first row 2"),
+        ("1 -2\n3 0\n", "line 1: negative entry -2"),
+    ],
+    ids=["ragged-rows", "negative-entry"],
+)
+def test_malformed_matrix_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "classical-rsk", str(path))
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
+def test_negative_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d4.poset"
+    path.write_text(poset_to_text(d_k_one(4)))
+    with pytest.raises(SystemExit) as err:
+        main(["extensions", str(path), "--list", "--cap", "-3"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a non-negative integer, got -3" in captured.err
+
+
+def test_cold_start_leaves_numpy_and_the_battery_unloaded(tmp_path):
+    # numpy is imported by the first Monte Carlo call, and the battery only by `suite`
+    path = tmp_path / "c2.poset"
+    path.write_text("elements 2\ncover 0 1\n")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import dcposets\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import dcposets.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'dcposets.acceptance' not in sys.modules\n"
+        "sys.exit(dcposets.cli.main(['volume', sys.argv[2], '--kind', 'fillings', '--samples', '20000']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "kind=fillings samples=20000 seed=0 hits=4914 box_volume=1.0 estimate=0.2457 "
+        "std_error=0.003044105040894614 closed_form=1/4\n"
+    )
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "does-not-exist.poset")
     assert code == 2 and "error:" in err

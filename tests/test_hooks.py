@@ -21,7 +21,14 @@ from dcposets import (
 )
 from dcposets import verify
 from dcposets.families import young_box_ids
-from dcposets.hooks import common_denominator, hook_numerators, random_scaled_point, validate_point
+from dcposets.hooks import (
+    _RATIONALS,
+    common_denominator,
+    hook_numerators,
+    random_scaled_point,
+    validate_point,
+)
+from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain
@@ -243,10 +250,21 @@ def test_points_are_exact():
 
 
 def test_random_points_keep_their_draws():
-    # the battery's seeds pin these draws: one numerator, then one denominator, per coordinate
-    for seed in range(20):
-        rng = Random(seed)
-        expected = tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(9))
-        assert random_rational_point(9, Random(seed)) == expected
-        numerators, denom = random_scaled_point(9, Random(seed))
-        assert tuple(Fraction(v, denom) for v in numerators) == expected
+    # the battery's seeds pin these draws: one numerator, then one denominator, per coordinate;
+    # 200 is chain-200's weight point count in the exact benchmark
+    for count in (9, 200):
+        for seed in range(20):
+            oracle = Random(seed)
+            expected = tuple(Fraction(oracle.randint(1, 16), oracle.randint(1, 16)) for _ in range(count))
+            for draw in (random_rational_point, random_filling):
+                rng = Random(seed)
+                assert draw(count, rng) == expected
+                assert rng.getstate() == oracle.getstate()
+            rng = Random(seed)
+            numerators, denom = random_scaled_point(count, rng)
+            assert tuple(Fraction(v, denom) for v in numerators) == expected
+            assert rng.getstate() == oracle.getstate()
+    assert len(_RATIONALS) == 256
+    for v in range(1, 17):
+        for d in range(1, 17):
+            assert _RATIONALS[16 * (v - 1) + d - 1] == Fraction(v, d)

@@ -61,6 +61,9 @@ def normalize_filling(n: int, values, require_nonnegative: bool = False) -> Fill
         missing = [i for i in range(n) if i not in values]
         if missing:
             raise ValueError(f"filling is missing elements {missing}")
+        extra = [k for k in values if k not in range(n)]
+        if extra:
+            raise ValueError(f"filling names elements outside 0..{n - 1}: {extra}")
         seq = [values[i] for i in range(n)]
     else:
         seq = list(values)
@@ -263,53 +266,70 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
 def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -> tuple[int, ...]:
     """Construct a stable insertion order for a d-complete poset.
 
-    Working from the last insertion backwards: strip a minimal element
-    lying in no d-interval when one exists; otherwise strip the bottom of
-    a maximal d-interval whose diamond top is minimal among those of all
-    maximal d-intervals.  The result is verified against the stability
-    predicate before being returned.
+    Working from the last insertion backwards, strip a minimal element of
+    what remains, U.  When some minimal element bottoms no d-interval,
+    strip the smallest such id.  Otherwise every minimal element bottoms
+    one; among those intervals, keep the ones whose diamond top has no
+    other of their diamond tops strictly below it, and strip the bottom of
+    the least by (diamond top, bottom).  The result is verified against
+    the stability predicate before being returned.
 
-    What remains is always an upper set, so a d-interval [bottom, top]
-    lies inside it iff its bottom does, and a minimal element of what
-    remains lies in such an interval iff it is that interval's bottom.
-    On a d-complete poset every element is the bottom of at most one
-    d-interval and the top of at most one (the facts ``structure_report``
-    checks), and containment is written in the neck: for distinct
-    d-intervals I and J, I lies in J iff top(I) is a neck element of J
-    other than top(J).  (<=) A neck element of J tops exactly one
-    d-interval, and J contains it: this is neck containment.  (=>)
-    Everything of J below a side or a tail element is a chain, so a top
-    there would put I, with its two incomparable sides, inside a chain.
-    Each element keeps the number of present intervals whose neck holds
-    it, as in ``is_stable``, so a present interval is maximal iff its top
-    has one owner: the interval itself.
+    This is the rule "strip the bottom of a maximal d-interval in U whose
+    diamond top is lowest among those of all maximal d-intervals in U",
+    read off the minimal elements alone.  U is an upper set, so a
+    d-interval lies in U iff its bottom does: call it present.  The proof
+    uses facts of d-complete posets that ``structure_report`` checks: an
+    element bottoms at most one d-interval; a tail element of a d-interval
+    has all its upper covers in it, and bottoms a d-interval contained in
+    it.  It also uses axiom 1 on {x, y, z}, for y and z two upper covers
+    of x: some t covering both makes [x, t] a d_3-interval.  Nested
+    d-intervals share their diamond top, the one element covering both
+    sides, since the sides are the only incomparable pair of each.
+
+    (A) A present interval I whose bottom b is minimal in U is maximal
+    among the present intervals: a present J containing I has its bottom
+    in U and at or below b, hence b, and b bottoms one interval.
+
+    (B) Let J be a maximal present interval whose bottom b is not minimal
+    in U, at a step where every minimal element of U bottoms an interval.
+    Then some present interval has a diamond top strictly below dt(J).
+    Walk down from x_0 = b: while x_i is not minimal in U, it has a lower
+    cover x_{i+1} in U; stop once x_{i+1} has a second upper cover y.  No
+    x_i with i >= 1 bottoms an interval K: x_{i-1}, its one upper cover,
+    would be K's tail element above the bottom, so the interval x_{i-1}
+    bottoms would lie in K; for i = 1 that is J, contradicting maximality,
+    and for i >= 2 there is none.  So the walk cannot reach a minimal
+    element of U, and it stops: [x_{i+1}, t], with t covering x_i and y,
+    is a present d_3-interval whose diamond top is t.  If i = 0, t covers
+    J's bottom, so t lies in J among the covers of its bottom, below
+    dt(J).  If i >= 1, t is x_i's one upper cover x_{i-1} <= b < dt(J).
+
+    A maximal present interval containing [x_{i+1}, t] has diamond top t;
+    repeating (B) on it, while its bottom is not minimal, lowers the
+    diamond top each time, so it ends at a minimal-bottomed interval with
+    diamond top strictly below dt(J).  So by (A) and (B) the maximal
+    intervals with lowest diamond tops are exactly the minimal-bottomed
+    ones with lowest diamond tops, and both rules strip the same element;
+    the maximal-interval rule's choice is always minimal in U.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    present = {iv.bottom: iv for iv in a.d_intervals}
-    neck_owners = [0] * P.n
-    for iv in a.d_intervals:
-        for e in iv.neck:
-            neck_owners[e] += 1
+    by_bottom = {iv.bottom: iv for iv in a.d_intervals}
     # The minimal elements of what remains, ascending: an element joins
     # them once its last lower cover is stripped.
     waiting = [len(lower) for lower in P._lower]
     minimal = [v for v in range(P.n) if not waiting[v]]
     reversed_order: list[int] = []
     while minimal:
-        free = [p for p in minimal if p not in present]
-        if free:
-            c = free[0]
-        else:
-            maximal = [iv for iv in present.values() if neck_owners[iv.top] == 1]
-            tops = mask_of(iv.diamond_top for iv in maximal)
-            lowest = [iv for iv in maximal if P._dn[iv.diamond_top] & tops == 1 << iv.diamond_top]
-            chosen = min(lowest, key=lambda iv: (iv.diamond_top, iv.bottom))
-            c = chosen.bottom
-            if c not in minimal:
-                raise RuntimeError("stable-order construction picked a non-minimal element")
-            for e in present.pop(c).neck:
-                neck_owners[e] -= 1
+        c = next((p for p in minimal if p not in by_bottom), None)
+        if c is None:
+            bottomed = [by_bottom[p] for p in minimal]
+            tops = mask_of(iv.diamond_top for iv in bottomed)
+            c = min(
+                (iv.diamond_top, iv.bottom)
+                for iv in bottomed
+                if P._dn[iv.diamond_top] & tops == 1 << iv.diamond_top
+            )[1]
         reversed_order.append(c)
         minimal.remove(c)
         for u in P._upper[c]:

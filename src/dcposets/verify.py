@@ -461,6 +461,8 @@ def monte_carlo_volumes(
     conservative (see :func:`acceptance.monte_carlo_agreement`).
     Estimates come back in input order.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]

@@ -1,6 +1,9 @@
+from functools import cache
+from random import Random
+
 import pytest
 
-from dcposets import Poset, analyze, builtin_poset, d_k_one, shifted_young, tree, young
+from dcposets import Poset, analyze, builtin_poset, catalog, d_k_one, shifted_young, tree, young
 from dcposets.poset import bits, mask_of, order_ideal_masks
 
 
@@ -34,6 +37,35 @@ def random_shape(rng, max_boxes: int, strict: bool = False) -> tuple[int, ...]:
             rows = [rng.randint(1, 10) for _ in range(rng.randint(1, 10))]
         if sum(rows) <= max_boxes:
             return tuple(sorted(rows, reverse=True))
+
+
+def join(P: Poset, Q: Poset, y: int) -> Poset:
+    """P with Q hung below y: Q's top becomes a new lower cover of y, and Q's ids follow P's."""
+    (top,) = (q for q in range(Q.n) if not Q.upper_covers(q))
+    pairs = [*P.covers, *((a + P.n, b + P.n) for a, b in Q.covers), (top + P.n, y)]
+    return Poset(P.n + Q.n, pairs)
+
+
+@cache
+def seeded_joins(seed: int = 21, count: int = 60) -> tuple[Poset, ...]:
+    """``count`` d-complete posets grown by joins of catalog pieces with at most 6 elements.
+
+    Each starts from a random piece and tries 2..10 joins, each hanging a
+    random piece below a random element; a join is kept when it is
+    d-complete.  Only posets that took at least one join are returned.
+    """
+    rng = Random(seed)
+    pieces = [e.poset for e in catalog() if e.poset.n <= 6]
+    out: list[Poset] = []
+    while len(out) < count:
+        P = start = rng.choice(pieces)
+        for _ in range(rng.randint(2, 10)):
+            joined = join(P, rng.choice(pieces), rng.randrange(P.n))
+            if analyze(joined).is_d_complete:
+                P = joined
+        if P is not start:
+            out.append(P)
+    return tuple(out)
 
 
 def is_adjacent(part, c: int, d: int) -> bool:

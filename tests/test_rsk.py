@@ -41,7 +41,7 @@ from dcposets.rsk import (
     random_descending_extension,
 )
 
-from conftest import chain, is_adjacent, lt, random_shape, restrict, shifted_box_ids
+from conftest import chain, is_adjacent, lt, random_shape, restrict, seeded_joins, shifted_box_ids
 
 WORKED_ORDER = (5, 4, 2, 3, 1, 0)
 WORKED_INPUT = (2, 2, 3, 4, 2, 1)
@@ -149,6 +149,16 @@ def test_input_validation():
         rsk(P, (0.5, 1, 1, 1))
 
 
+def test_filling_mapping_rejects_extra_ids():
+    with pytest.raises(ValueError, match=r"outside 0\.\.0: \[5\]"):
+        rsk(Poset(1), {0: 1, 5: 3})
+    with pytest.raises(ValueError, match=r"outside 0\.\.2: \[-1, 3\]"):
+        normalize_filling(3, {0: 1, -1: 2, 1: 1, 2: 1, 3: 4})
+    with pytest.raises(ValueError, match="missing elements"):
+        normalize_filling(3, {0: 1, 2: 1, 3: 4})
+    assert normalize_filling(2, {1: 2, 0: 1}) == (Fraction(1), Fraction(2))
+
+
 def test_zero_filling_maps_to_zero(family, analyses):
     for name, P in family.items():
         z = (Fraction(0),) * P.n
@@ -215,8 +225,42 @@ def test_stable_order_matches_all_pairs_reference():
     rng = Random(21)
     posets += [young(random_shape(rng, 45)) for _ in range(40)]
     posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
+    posets += seeded_joins()
     for P in posets:
         assert stable_insertion_order(P) == _reference_stable_order(P)
+
+
+def test_minimal_bottoms_decide_the_stable_order():
+    """Lemmas (A) and (B) of ``stable_insertion_order`` at every choosing step.
+
+    Containment is all-pairs, as in ``_reference_stable_order``.  At a step
+    where every minimal element of what remains bottoms a d-interval, (A):
+    each interval with a minimal bottom is maximal among the present ones;
+    (B): each maximal one whose bottom is not minimal has a minimal-bottomed
+    interval with a diamond top strictly below its own.
+    """
+    posets = [e.poset for e in catalog()] + list(seeded_joins())
+    posets += [young((10,) * 10), shifted_young(tuple(range(8, 0, -1)))]
+    steps = deep = 0
+    for P in posets:
+        intervals = [(iv, iv.member_mask) for iv in analyze(P).d_intervals]
+        remaining = (1 << P.n) - 1
+        for c in reversed(stable_insertion_order(P)):
+            minimal = P.minimal_in_mask(remaining)
+            present = [(iv, m) for iv, m in intervals if m & remaining == m]
+            on_minimal = [iv for iv, _ in present if iv.bottom in minimal]
+            if len(on_minimal) == len(minimal):
+                steps += 1
+                maximal = [
+                    iv for iv, m in present if not any(m2 != m and m | m2 == m2 for _, m2 in present)
+                ]
+                assert all(iv in maximal for iv in on_minimal), (P, c)
+                above = [J for J in maximal if J.bottom not in minimal]
+                deep += bool(above)
+                for J in above:
+                    assert any(lt(P, I.diamond_top, J.diamond_top) for I in on_minimal), (P, c, J)
+            remaining ^= 1 << c
+    assert steps >= 250 and deep >= 100, (steps, deep)
 
 
 def _reference_is_stable(P, order, intervals):
@@ -242,6 +286,7 @@ def test_stability_verdicts_match_reference():
         ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1))),
         ("young-5.4.3.2", young((5, 4, 3, 2))),
     ]
+    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
     verdicts = []
     for name, P in posets:
         a = analyze(P)
@@ -266,16 +311,27 @@ def test_long_double_tailed_diamond_stable_order():
     assert order == tuple(range(P.n - 1, -1, -1))
 
 
-@pytest.mark.parametrize("name", ["young-30x30", "shifted-40..1"])
+LARGE_POSETS = {
+    "young-30x30": lambda: young((30,) * 30),
+    "shifted-40..1": lambda: shifted_young(tuple(range(40, 0, -1))),
+    "young-50x50": lambda: young((50,) * 50),
+    "shifted-60..1": lambda: shifted_young(tuple(range(60, 0, -1))),
+    "d2000(1)": lambda: d_k_one(2000),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_POSETS)
 def test_large_shape_stable_order(name):
     # A construction that rescanned the present intervals' masks for
-    # containment at every step took 7-11 s on each of these.
-    P = {"young-30x30": young((30,) * 30), "shifted-40..1": shifted_young(tuple(range(40, 0, -1)))}[name]
+    # containment at every step took 7-11 s on each of the first two; one
+    # that rescanned the present intervals for maximality took 2-3 s on
+    # young-50x50 and 1.3 s on shifted-60..1.
+    P = LARGE_POSETS[name]()
     a = analyze(P)
     a.axiom_report
     start = time.perf_counter()
     order = a.stable_order
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 1.0
     assert is_stable(P, order, a.d_intervals)
 
 

@@ -593,6 +593,16 @@ def test_monte_carlo_deterministic_per_seed(monkeypatch):
     assert monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a) == first
 
 
+def test_monte_carlo_needs_a_sample():
+    P = d_k_one(3)
+    a = analyze(P)
+    spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            monte_carlo_volume(P, spec, samples=samples, analysis=a)
+    assert monte_carlo_volume(P, spec, samples=1, analysis=a).samples == 1
+
+
 def _reference_monte_carlo_volume(P, spec, samples, seed, a):
     """The per-spec loop: one fresh uniform stream per polytope."""
     x = spec.x

@@ -29,6 +29,7 @@ from dcposets import (
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
 from dcposets.hooks import random_scaled_point
+from dcposets.poset import mask_of
 from dcposets.rsk import (
     _bareiss,
     _extract,
@@ -36,6 +37,7 @@ from dcposets.rsk import (
     _jacobian_rows,
     _program,
     _scale,
+    _select,
     compile_program,
     normalize_filling,
     random_descending_extension,
@@ -147,6 +149,23 @@ def test_input_validation():
         inverse_rsk(P, (0, 1, 1, 2))  # increasing up the order
     with pytest.raises(TypeError):
         rsk(P, (0.5, 1, 1, 1))
+
+
+def test_sign_and_order_checks_read_exact_values():
+    # 1/3 and 1/2 on one cover: over their common denominator 6 they are 2
+    # and 3, so the checks on scaled labels must order them as the rationals
+    P = chain(2)  # 0 < 1
+    lo, hi = Fraction(1, 3), Fraction(1, 2)
+    with pytest.raises(ValueError, match="image filling must be order-reversing"):
+        inverse_rsk(P, {0: lo, 1: hi})
+    with pytest.raises(ValueError, match="image filling must be nonnegative"):
+        inverse_rsk(P, {0: hi, 1: -lo})
+    t = inverse_rsk(P, {0: hi, 1: lo})
+    assert rsk(P, t) == (hi, lo)
+    with pytest.raises(ValueError, match="filling must be nonnegative; element 1 has value -1/3"):
+        rsk(P, (hi, -lo))
+    with pytest.raises(ValueError, match="filling must be nonnegative; element 0 has value -1/2"):
+        rsk_jacobian_det(P, {0: -hi, 1: lo})
 
 
 def test_filling_mapping_rejects_extra_ids():
@@ -292,6 +311,8 @@ def test_stability_verdicts_match_reference():
         a = analyze(P)
         rng = Random(f"stable {name}")
         orders = [a.stable_order] + [random_descending_extension(P, rng) for _ in range(20)]
+        for iv in a.d_intervals:  # the neck mask ``is_stable`` unions
+            assert P._up[iv.diamond_top] & P._dn[iv.top] == mask_of(iv.neck), (name, iv)
         for order in orders:
             verdict = is_stable(P, order, a.d_intervals)
             assert verdict == _reference_is_stable(P, order, a.d_intervals), (name, order)
@@ -309,6 +330,18 @@ def test_long_double_tailed_diamond_stable_order():
     order = a.stable_order
     assert time.perf_counter() - start < 1.0
     assert order == tuple(range(P.n - 1, -1, -1))
+
+
+def test_long_double_tailed_diamond_stability_check():
+    # Counting neck owners element by element visits every neck, Θ(k²) on
+    # d_k(1): 0.08-0.11 s on a 2-core VM, where one mask of completed necks
+    # takes 2.5-4.2 ms.
+    P = d_k_one(2000)
+    a = analyze(P)
+    order = a.stable_order
+    start = time.perf_counter()
+    assert is_stable(P, order, a.d_intervals)
+    assert time.perf_counter() - start < 0.05
 
 
 LARGE_POSETS = {
@@ -528,21 +561,97 @@ def test_bareiss_matches_fraction_elimination():
     rng = Random(5)
     zero_column = [[1, 0, 2], [3, 0, -1], [0, 0, 5]]
     singular = [[2, -1, 0, 3], [0, 7, 1, 0], [2, 6, 1, 3], [0, 0, -3, 1]]  # row 2 = row 0 + row 1
-    cases = [[], [[-1]], zero_column, singular]
+    swapped = [[1, 1], [1, 0]]  # sparse column 1 goes first: an odd column order
+    cases = [[], [[-1]], zero_column, singular, swapped]
     for n in range(1, 13):
         for _ in range(30):
             entries = (0,) * rng.choice((3, 8, 2 * n)) + (1, -1, 2, -3, 7)
             m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
             if n > 1 and rng.random() < 0.2:
                 m[-1] = [x + y for x, y in zip(m[0], m[1])]  # singular
+            if rng.random() < 0.1:
+                zero = rng.randrange(n)
+                for row in m:
+                    row[zero] = 0
             cases.append(m)
     dets = []
     for m in cases:
         det = _bareiss([{j: x for j, x in enumerate(row) if x} for row in m])
         assert det == _det([[Fraction(x) for x in row] for row in m]), m
         dets.append(det)
-    assert dets[:4] == [1, -1, 0, 0]
+        # columns are eliminated by nonzero count, so a column permutation
+        # changes the order they go in and must change only the sign
+        perm = rng.sample(range(len(m)), len(m))
+        permuted = [[row[j] for j in perm] for row in m]
+        assert _bareiss([{j: x for j, x in enumerate(row) if x} for row in permuted]) == _det(
+            [[Fraction(x) for x in row] for row in permuted]
+        ), (m, perm)
+    assert dets[:5] == [1, -1, 0, 0, -1]
     assert sum(1 for m, det in zip(cases, dets) if len(m) >= 8 and det not in (0, 1, -1)) > 50
+
+
+def _reference_jacobian_rows(labels, program):
+    """``_jacobian_rows`` with every side, one candidate or more, read by ``_select``."""
+    trace = []
+    for c, toggles in program:
+        labels[c] = -labels[c]
+        chosen = tuple(
+            (e, (_select(labels, ups, 1),), (_select(labels, los, -1),)) for e, ups, los in toggles
+        )
+        for e, (x,), (y,) in chosen:
+            labels[e] = labels[x] + labels[y] - labels[e]
+        trace.append((c, chosen))
+    rows = [{} for _ in labels]
+    for c, chosen in trace:
+        rows[c] = {c: -1}
+        for e, (x,), (y,) in chosen:
+            row = dict(rows[x])
+            for j, v in rows[y].items():
+                row[j] = row.get(j, 0) + v
+            for j, v in rows[e].items():
+                row[j] = row.get(j, 0) - v
+            rows[e] = {j: v for j, v in row.items() if v}
+    return rows
+
+
+def test_one_candidate_sides_keep_the_ties():
+    # a side with one candidate skips ``_select``; the fillings that tie, and
+    # the rows of those that do not, are the ones every side selecting gives
+    posets = [(e.name, e.poset) for e in catalog()] + [("young-4x4", young((4, 4, 4, 4)))]
+    rng = Random(47)
+    outcomes = {"tie": 0, "rows": 0}
+    for name, P in posets:
+        a = analyze(P)
+        for order in (None, random_descending_extension(P, rng)):
+            program = _program(P, order, a)
+            for t in _seeded_fillings(P.n, rng, 6):
+                labels, _ = _scale(t)
+                expected_labels = labels[:]
+                try:
+                    expected = _reference_jacobian_rows(expected_labels, program)
+                except NonGenericPoint:
+                    with pytest.raises(NonGenericPoint):
+                        _jacobian_rows(labels, program)
+                    outcomes["tie"] += 1
+                    continue
+                assert _jacobian_rows(labels, program) == expected, (name, order, t)
+                assert labels == expected_labels
+                outcomes["rows"] += 1
+    assert outcomes["tie"] >= 50 and outcomes["rows"] >= 1000, outcomes
+
+
+def test_running_best_tie_rule():
+    # [3, 3, 5]: the running best ties at the second candidate, before the
+    # unique maximum 5 is read, and that raises; a lone candidate never does
+    labels = [3, 3, 5, 1, 0]
+    with pytest.raises(NonGenericPoint):
+        _select(labels, (0, 1, 2), 1)
+    assert _select(labels, (0, 2, 1), 1) == 2
+    assert _select(labels, (3,), -1) == 3
+    program = ((3, ((3, (0, 1, 2), (4,)),)),)  # element 3 toggled against 0, 1, 2 above
+    for replay in (_jacobian_rows, _reference_jacobian_rows):
+        with pytest.raises(NonGenericPoint):
+            replay(labels[:], program)
 
 
 def _dense_jacobian_rows(P, a, order, t):

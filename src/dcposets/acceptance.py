@@ -9,10 +9,9 @@ comparison is statistical, with its seed pinned in the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import PosetAnalysis, analyze
 from .catalog import CatalogEntry, catalog
@@ -51,8 +50,7 @@ from .verify import (
 MONTE_CARLO_MAX_ELEMENTS = 6
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     ok: bool
     lines: tuple[str, ...]

@@ -7,9 +7,8 @@ and the two named built-ins.  Every member is d-complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .families import builtin_poset, d_k_one, shifted_young, tree, young
 from .poset import Poset
@@ -19,8 +18,7 @@ MAX_TREE_NODES = 8
 DIAMOND_KS = (3, 4, 5, 6)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     poset: Poset
 

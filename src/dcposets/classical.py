@@ -10,28 +10,31 @@ Young-diagram posets.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Matrix = list[list[int]]
 Coords = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SSYT:
-    """Semistandard Young tableau: weakly increasing rows, strictly increasing columns."""
-
+class _Rows(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for row in self.rows:
+
+class SSYT(_Rows):
+    """Semistandard Young tableau: weakly increasing rows, strictly increasing columns."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        for row in rows:
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {row} is not weakly increasing")
-        for upper, lower in zip(self.rows, self.rows[1:]):
+        for upper, lower in zip(rows, rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("shape is not a partition")
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError("columns must strictly increase")
+        return super().__new__(cls, rows)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -42,25 +45,25 @@ class SSYT:
         return sum(self.shape)
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(_Rows):
     """Triangular array with interlacing rows, longest row first."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for i, row in enumerate(self.rows):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        n = len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n - i:
                 raise ValueError("rows must shrink by one")
             if any(v < 0 for v in row):
                 raise ValueError("entries must be nonnegative")
-        for wide, narrow in zip(self.rows, self.rows[1:]):
+        for wide, narrow in zip(rows, rows[1:]):
             for j, v in enumerate(narrow):
                 if not wide[j] >= v >= wide[j + 1]:
                     raise ValueError(
                         f"interlacing fails: {wide[j]} >= {v} >= {wide[j + 1]} is false"
                     )
+        return super().__new__(cls, rows)
 
 
 def _validated_matrix(matrix: Sequence[Sequence[int]], rectangular: bool) -> Matrix:

@@ -6,14 +6,13 @@ transitively; this generalizes the content diagonals of a Young diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dstructure import DInterval
 from .poset import Poset
 
 
-@dataclass(frozen=True)
-class DiagonalPartition:
+class DiagonalPartition(NamedTuple):
     """Partition of the elements into diagonals plus diagonal adjacency.
 
     Diagonal ids are canonical: classes are numbered by their smallest
@@ -62,14 +61,12 @@ def compute_diagonals(P: Poset, intervals: tuple[DInterval, ...]) -> DiagonalPar
     return DiagonalPartition(tuple(diagonal_of), classes, tuple(sorted(adjacent)))
 
 
-@dataclass(frozen=True)
-class DiagonalFailure:
+class DiagonalFailure(NamedTuple):
     prop: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     ok: bool
     failures: tuple[DiagonalFailure, ...]
 

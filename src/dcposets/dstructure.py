@@ -12,17 +12,32 @@ top, and an interval is one mask intersection (``Poset.interval_mask``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .poset import Poset, bits, mask_of
 
 
-@dataclass(frozen=True)
-class DInterval:
-    """A detected d_k-interval [bottom, top]."""
+class _Shape:
+    """The members of a d-interval or a d^- set: its sides, neck and tail.
 
+    The records are NamedTuples; this mixin gives them an instance dict,
+    so ``member_mask`` is computed at most once per object, from its own
+    fields (a ``_replace`` copy starts with an empty dict).  The finders
+    store the mask they already know in that dict.
+    """
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.sides + self.neck + self.tail)
+
+    @cached_property
+    def member_mask(self) -> int:
+        return mask_of(self.sides + self.neck + self.tail)
+
+
+class _DIntervalFields(NamedTuple):
     k: int
     bottom: int
     top: int
@@ -30,13 +45,9 @@ class DInterval:
     neck: tuple[int, ...]  # descending chain; neck[0] == top
     tail: tuple[int, ...]  # descending chain; tail[-1] == bottom
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.sides + self.neck + self.tail)
 
-    @cached_property
-    def member_mask(self) -> int:
-        return mask_of(self.sides + self.neck + self.tail)
+class DInterval(_DIntervalFields, _Shape):
+    """A detected d_k-interval [bottom, top]."""
 
     @property
     def diamond_top(self) -> int:
@@ -44,33 +55,24 @@ class DInterval:
         return self.neck[-1]
 
 
-@dataclass(frozen=True)
-class DMinusConvexSet:
-    """A convex subposet isomorphic to d_k(1) minus its maximum."""
-
+class _DMinusFields(NamedTuple):
     k: int
     bottom: int
     sides: tuple[int, int]
     neck: tuple[int, ...]  # descending; empty when k == 3
     tail: tuple[int, ...]  # descending; tail[-1] == bottom
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.sides + self.neck + self.tail)
 
-    @cached_property
-    def member_mask(self) -> int:
-        return mask_of(self.sides + self.neck + self.tail)
+class DMinusConvexSet(_DMinusFields, _Shape):
+    """A convex subposet isomorphic to d_k(1) minus its maximum."""
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: int  # 1 completion, 2 top-cover closure, 3 minimal-difference
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     is_d_complete: bool
     violations: tuple[AxiomViolation, ...]
 
@@ -180,14 +182,12 @@ def check_d_complete(
     return AxiomReport(is_d_complete=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class StructureFailure:
+class StructureFailure(NamedTuple):
     check: str
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     ok: bool
     failures: tuple[StructureFailure, ...]
 

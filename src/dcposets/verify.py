@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
@@ -39,14 +38,14 @@ from .rsk import Filling, _extract, _insert, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
+GRAIN_BITS = (GRAIN + 1).bit_length()  # a draw in 0..GRAIN takes this many random bits
 # Monte Carlo points drawn per numpy batch.  2**14 points on 6 elements take
 # 768 KiB; 2**17-point batches raised peak RSS by up to 24 MiB, depending on
 # where the allocator placed them, and ran slower.  The draws are the same.
 CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class WeightEvaluation:
+class WeightEvaluation(NamedTuple):
     extension: tuple[int, ...]
     value: Fraction
 
@@ -115,8 +114,7 @@ def weight_sum(
     return Fraction(total * scale**P.n, denominator)
 
 
-@dataclass(frozen=True)
-class ProctorReport:
+class ProctorReport(NamedTuple):
     extensions: int
     hook_product: int
     factorial: int
@@ -138,15 +136,13 @@ def verify_proctor(P: Poset, *, analysis: PosetAnalysis | None = None) -> Procto
     )
 
 
-@dataclass(frozen=True)
-class MultivariateFailure:
+class MultivariateFailure(NamedTuple):
     point: RationalPoint
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class MultivariateReport:
+class MultivariateReport(NamedTuple):
     points: int
     seed: int
     extensions: int
@@ -192,20 +188,24 @@ def verify_multivariate(
 # -- polytopes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolytopeSpec:
+class _PolytopeFields(NamedTuple):
+    kind: str
+    x: RationalPoint
+
+
+class PolytopeSpec(_PolytopeFields):
     """One of the two polytopes, pinned at a positive rational point.
 
     ``fillings``: t >= 0 with sum_p H_p(x) t_p <= 1 (a rescaled simplex).
     ``rpp``: s >= 0, order-reversing, with sum_p x_{D(p)} s_p <= 1.
     """
 
-    kind: str
-    x: RationalPoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("fillings", "rpp"):
-            raise ValueError(f"kind must be 'fillings' or 'rpp', got {self.kind!r}")
+    def __new__(cls, kind: str, x: RationalPoint):
+        if kind not in ("fillings", "rpp"):
+            raise ValueError(f"kind must be 'fillings' or 'rpp', got {kind!r}")
+        return super().__new__(cls, kind, x)
 
 
 def _polytope(
@@ -266,11 +266,29 @@ def _simplex_gaps(n: int, rng: Random) -> list[int]:
     """A uniform point of the simplex {u >= 0, sum u <= 1} on a grid, as integers over GRAIN.
 
     Sorted-uniform gaps give a uniform point of the simplex; the gaps are
-    dealt to the elements in a uniformly random order.
+    dealt to the elements in a uniformly random order.  The draws are
+    those of ``rng.randrange(0, GRAIN + 1)`` n times and then
+    ``rng.shuffle`` of 0..n-1 on a :class:`random.Random`, made the way
+    those calls make them: a value below m is ``getrandbits(m.bit_length())``
+    until the draw is below m, and the shuffle is Fisher-Yates from the
+    last position down.  ``test_simplex_gaps_keep_their_draws`` pins the
+    stream.
     """
-    draws = sorted(rng.randrange(0, GRAIN + 1) for _ in range(n))
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(n):
+        r = getrandbits(GRAIN_BITS)
+        while r > GRAIN:
+            r = getrandbits(GRAIN_BITS)
+        draws.append(r)
+    draws.sort()
     order = list(range(n))
-    rng.shuffle(order)
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     gaps = [0] * n
     previous = 0
     for draw, p in zip(draws, order):
@@ -310,8 +328,7 @@ def sample_fillings_point(
     return tuple(Fraction(g * f, denom) for g, f in zip(_simplex_gaps(P.n, rng), factors))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     trials: int
     seed: int
     ok: bool
@@ -393,8 +410,7 @@ def rsk_polytope_check(
 # -- Monte Carlo volumes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
+class VolumeEstimate(NamedTuple):
     kind: str
     samples: int
     seed: int
@@ -474,22 +490,29 @@ def monte_carlo_volumes(
     for n, by_edge in groups.items():
         rng = np.random.default_rng(seed)
         u = np.empty((CHUNK, n))
-        pts = np.empty((CHUNK, n))
-        dots = np.empty(CHUNK)
-        inside = np.empty(CHUNK, dtype=bool)
+        ones = np.ones(n)
+        sums = np.empty(CHUNK)
+        near = np.empty(CHUNK, dtype=bool)
         done = 0
         while done < samples:
             take = min(CHUNK, samples - done)
-            rng.random(out=u[:take])
-            p, d, ok = pts[:take], dots[:take], inside[:take]
+            drawn = u[:take]
+            rng.random(out=drawn)
+            # Every case has edge * c_p >= 1 (edge = 1 / min_p c_p), so a hit,
+            # c . (edge * u) <= 1, has sum u <= 1 up to a few roundings: the
+            # rows whose float sum is at most 1 + 1e-9 hold every case's hits,
+            # and only they are tested, by the same matmul as the whole chunk.
+            # (A matmul by ones sums rows several times faster than np.sum.)
+            np.matmul(drawn, ones, out=sums[:take])
+            np.less_equal(sums[:take], 1.0 + 1e-9, out=near[:take])
+            candidates = np.compress(near[:take], drawn, axis=0)
             for edge, members in by_edge.items():
                 # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
                 # at the all-ones point) tests the draws themselves
-                box = u[:take] if edge == 1.0 else np.multiply(u[:take], edge, out=p)
+                box = candidates if edge == 1.0 else candidates * edge
                 for i in members:
                     _, coefficients, cover_pairs = tests[i]
-                    np.matmul(box, coefficients, out=d)
-                    np.less_equal(d, 1.0, out=ok)
+                    ok = np.matmul(box, coefficients) <= 1.0
                     if not cover_pairs:
                         hits[i] += int(np.count_nonzero(ok))
                         continue

@@ -199,16 +199,20 @@ def test_negative_cap_is_usage_error(tmp_path, capsys):
 
 
 def test_cold_start_leaves_numpy_and_the_battery_unloaded(tmp_path):
-    # numpy is imported by the first Monte Carlo call, and the battery only by `suite`
+    # numpy is imported by the first Monte Carlo call, and the battery only by
+    # `suite`; the records are NamedTuples, so dataclasses (and the inspect it
+    # imports) never load
     path = tmp_path / "c2.poset"
     path.write_text("elements 2\ncover 0 1\n")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "import dcposets\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
         "import dcposets.cli\n"
         "assert 'numpy' not in sys.modules\n"
         "assert 'dcposets.acceptance' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
         "sys.exit(dcposets.cli.main(['volume', sys.argv[2], '--kind', 'fillings', '--samples', '20000']))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"

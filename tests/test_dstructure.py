@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from itertools import combinations
 from random import Random
 
@@ -421,7 +420,7 @@ def _swapped(P: Poset, intervals, which: str):
             continue
         for j in (0, len(chain_) - 1):
             swapped = chain_[:j] + (outside[(i + j) % len(outside)],) + chain_[j + 1 :]
-            yield intervals[:i] + (replace(iv, **{which: swapped}),) + intervals[i + 1 :]
+            yield intervals[:i] + (iv._replace(**{which: swapped}),) + intervals[i + 1 :]
 
 
 def test_structure_report_matches_frozenset_reference():

@@ -590,6 +590,92 @@ def test_bareiss_matches_fraction_elimination():
     assert sum(1 for m, det in zip(cases, dets) if len(m) >= 8 and det not in (0, 1, -1)) > 50
 
 
+def _two_scan_bareiss(rows):
+    """``_bareiss`` with each step's pivot found by a scan of its own: (det, pivot positions)."""
+    rest = list(rows)
+    n = len(rest)
+    count = [0] * n
+    for r in rest:
+        for j in r:
+            count[j] += 1
+    columns = sorted(range(n), key=count.__getitem__)
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = columns[j]
+    sign = -1 if (n - cycles) & 1 else 1
+    picks = []
+    prev = 1
+    for c in columns:
+        at = -1
+        for i, r in enumerate(rest):
+            if c in r and (at < 0 or len(r) < len(rest[at])):
+                at = i
+        if at < 0:
+            return 0, picks
+        picks.append(at)
+        pivot = rest.pop(at)
+        if at & 1:
+            sign = -sign
+        pk = pivot[c]
+        if pk < 0:
+            pivot = {j: -v for j, v in pivot.items()}
+            pk = -pk
+            sign = -sign
+        for i, r in enumerate(rest):
+            f = r.get(c)
+            if f:
+                row = {j: pk * v for j, v in r.items()}
+                for j, v in pivot.items():
+                    row[j] = row.get(j, 0) - f * v
+                rest[i] = {j: v // prev for j, v in row.items() if v}
+            else:
+                rest[i] = {j: pk * v // prev for j, v in r.items()}
+        prev = pk
+    return sign * prev, picks
+
+
+@pytest.mark.parametrize(
+    "P", [young((12,) * 12), d_k_one(50)], ids=["young-12x12", "d50(1)"]
+)
+def test_bareiss_pivots_match_two_scan_search(P):
+    # the next column's pivot is found during the current column's updates;
+    # the pivots are the ones a scan of their own finds, step by step
+    a = analyze(P)
+    program = _program(P, None, a)
+    rng = Random(9)
+    checked = 0
+    for _ in range(200):
+        labels, _ = _scale(random_filling(P.n, rng))
+        try:
+            rows = _jacobian_rows(labels, program)[: P.n]
+        except NonGenericPoint:
+            continue
+        picks = []
+        det = _bareiss(rows, picks)
+        assert (det, picks) == _two_scan_bareiss(rows)
+        assert len(picks) == P.n and any(picks)
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
+    # sparse random matrices, some singular, stop at the same step
+    stops = set()
+    for n in range(1, 10):
+        for _ in range(20):
+            m = [{j: rng.choice((1, -1, 2, 5)) for j in range(n) if rng.random() < 0.3} for _ in range(n)]
+            picks = []
+            det = _bareiss(m, picks)
+            assert (det, picks) == _two_scan_bareiss(m), m
+            stops.add(len(picks) < n)
+    assert stops == {True, False}
+
+
 def _reference_jacobian_rows(labels, program):
     """``_jacobian_rows`` with every side, one candidate or more, read by ``_select``."""
     trace = []

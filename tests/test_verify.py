@@ -724,3 +724,88 @@ def test_monte_carlo_volumes_match_reference(monkeypatch):
     assert all(e.box_volume < 1.0 and e.hits > 0 for e in expected)
     # a size where the two kinds' boxes differ, so one draw is scaled twice
     assert any(f.box_volume != r.box_volume for f, r in zip(expected[::2], expected[1::2]))
+
+
+def _randrange_gaps(n, rng):
+    """``_simplex_gaps`` as written with ``randrange`` and ``shuffle``."""
+    draws = sorted(rng.randrange(0, verify.GRAIN + 1) for _ in range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    gaps = [0] * n
+    previous = 0
+    for draw, p in zip(draws, order):
+        gaps[p] = draw - previous
+        previous = draw
+    return gaps
+
+
+def test_simplex_gaps_keep_their_draws():
+    # c7's samples are pinned by these draws; n = 0 and 1 draw no shuffle bits
+    for n in (0, 1, 2, 3, 6, 8, 17, 64):
+        for seed in range(30):
+            oracle, rng = Random(seed), Random(seed)
+            for _ in range(5):
+                gaps = verify._simplex_gaps(n, rng)
+                assert gaps == _randrange_gaps(n, oracle)
+                assert all(g >= 0 for g in gaps) and sum(gaps) <= verify.GRAIN
+            assert rng.getstate() == oracle.getstate()
+    assert verify.GRAIN_BITS == 21
+
+
+def _chunk_monte_carlo_hits(cases, samples, seed):
+    """monte_carlo_volumes' hit counts with every case's matmul run on the whole chunk."""
+    tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
+    hits = [0] * len(cases)
+    groups = {}
+    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
+        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
+    for n, by_edge in groups.items():
+        rng = np.random.default_rng(seed)
+        u = np.empty((verify.CHUNK, n))
+        pts = np.empty((verify.CHUNK, n))
+        dots = np.empty(verify.CHUNK)
+        inside = np.empty(verify.CHUNK, dtype=bool)
+        done = 0
+        while done < samples:
+            take = min(verify.CHUNK, samples - done)
+            rng.random(out=u[:take])
+            p, d, ok = pts[:take], dots[:take], inside[:take]
+            for edge, members in by_edge.items():
+                box = u[:take] if edge == 1.0 else np.multiply(u[:take], edge, out=p)
+                for i in members:
+                    _, coefficients, cover_pairs = tests[i]
+                    np.matmul(box, coefficients, out=d)
+                    np.less_equal(d, 1.0, out=ok)
+                    if not cover_pairs:
+                        hits[i] += int(np.count_nonzero(ok))
+                        continue
+                    under = np.compress(ok, box, axis=0)
+                    kept = np.ones(len(under), dtype=bool)
+                    for low, high in cover_pairs:
+                        kept &= under[:, low] >= under[:, high]
+                    hits[i] += int(np.count_nonzero(kept))
+            done += take
+    return hits
+
+
+def test_monte_carlo_candidates_keep_every_hit():
+    # only rows with sum u <= 1 + 1e-9 reach a case's matmul; criterion 10's
+    # cases (every catalog poset with n <= 6, both kinds at the all-ones
+    # point) and the same posets at a point with a box edge below 1 count the
+    # hits of a matmul over the whole chunk, at seeds 0-9
+    cases = []
+    for entry in catalog():
+        P = entry.poset
+        if P.n > 6:
+            continue
+        a = analyze(P)
+        rng = Random(entry.name)
+        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
+        for point in (all_ones_point(a.diagonals.count), x):
+            cases += [(P, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
+    assert len(cases) == 4 * 82
+    samples = 2 * verify.CHUNK + 999
+    for seed in range(10):
+        hits = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
+        assert hits == _chunk_monte_carlo_hits(cases, samples, seed), seed
+        assert sum(1 for h in hits if h) > len(cases) // 2

@@ -47,6 +47,9 @@ from .verify import (
 # Criterion 10 checks posets with at most this many elements.  A chain's
 # fillings polytope fills 1/(n!)^2 of its box, so past n = 6 its expected
 # hits at 10^6 samples drop below one (10^6 / 5040^2, about 0.04, at n = 7).
+# The limit also keeps c10 reproducible bit for bit: from n = 8 on, OpenBLAS
+# can round a row's dot product differently depending on which rows share
+# its np.matmul (see verify.monte_carlo_volumes), while n <= 7 agreed.
 MONTE_CARLO_MAX_ELEMENTS = 6
 
 

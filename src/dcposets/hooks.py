@@ -210,9 +210,15 @@ def exact_value(value) -> Fraction:
 
 
 def validate_point(x: Sequence[Fraction], count: int) -> RationalPoint:
+    """``x`` as a tuple of ``count`` strictly positive Fractions.
+
+    :func:`exact_value` returns a Fraction, whose denominator is positive,
+    so its sign is its numerator's: comparing that int with 0 skips
+    Fraction's rich comparison.
+    """
     point = tuple(exact_value(v) for v in x)
     if len(point) != count:
         raise ValueError(f"expected {count} diagonal values, got {len(point)}")
-    if any(v <= 0 for v in point):
+    if any(v.numerator <= 0 for v in point):
         raise ValueError("diagonal values must be strictly positive")
     return point

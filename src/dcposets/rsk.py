@@ -387,14 +387,17 @@ def rsk_jacobian_det(
 
     Every toggle is a piecewise-linear involution, so the map is piecewise
     linear.  One run at the base point picks, per toggle, the upper cover
-    of largest label and the lower cover of smallest label; a tie raises
-    :class:`NonGenericPoint` as soon as it appears.  When every gap is
-    strictly positive, the same choices are made on a neighborhood of the
-    point, so there the map is the linear map those choices spell out.
-    :func:`_jacobian_rows` records them and, once the run has finished
-    without a tie, replays them on integer coefficient rows, kept sparse
-    as ``{column: coefficient}`` dicts (on Young 12x12 a row holds about
-    13 of 144 entries), and :func:`_bareiss` takes their determinant by
+    of largest label and the lower cover of smallest label, by a running
+    best compared with each later candidate as the toggle is read; a
+    label equal to the running best raises :class:`NonGenericPoint` at
+    once.  When every gap is strictly positive, the same choices are made
+    on a neighborhood of the point, so there the map is the linear map
+    those choices spell out.  :func:`_jacobian_rows` records them as one
+    ``(element, upper, lower)`` triple per toggle and, once the run has
+    finished without a tie, replays them on integer coefficient rows,
+    kept sparse as ``{column: coefficient}`` dicts (on Young 12x12 a row
+    holds about 13 of 144 entries) and built in place, each zero dropped
+    as it arises.  :func:`_bareiss` takes their determinant by
     fraction-free elimination on those rows, sparsest columns first, each
     pivoting on the sparsest row that has a nonzero in it.
 
@@ -402,7 +405,7 @@ def rsk_jacobian_det(
     that row's diagonal entry is -1, so the determinant is (-1)^(n + T)
     for the program's T toggles, whatever choices were made.  A check
     of this value (criterion 6) therefore tests the replay and
-    :func:`_bareiss`, not the arithmetic of :func:`_toggle_all`.
+    :func:`_bareiss`, not the arithmetic of the base run's toggles.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
@@ -415,53 +418,80 @@ def rsk_jacobian_det(
 def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
     """Run ``program`` on ``labels`` in place, then replay its choices on coefficient rows.
 
-    The run records each toggle's chosen covers; the rows are built only
-    after it has finished, so a tie costs no row.  A side with one
-    candidate keeps the program's 1-tuple, since a lone candidate ties
-    with nothing, and :func:`_select` runs only on sides with two or more:
-    ties raise on the same fillings as when every side went through it.
+    The run chooses, per toggle, the upper cover of largest label and the
+    lower cover of smallest label.  A side with one candidate is read
+    directly, since a lone candidate ties with nothing.  On a side with
+    two or more, a running best starts at the first candidate and each
+    later one is compared with it: an equal label raises
+    :class:`NonGenericPoint`, a strictly larger one (upper side) or
+    strictly smaller one (lower side) becomes the best.  Equal labels
+    that never meet the running best, such as 5 and 5 after a 7 above, do
+    not raise: the chosen cover beats both strictly, so the choice holds
+    near the point.  Equal labels that do meet it raise even when a larger
+    label follows, as 3, 3, 5 above does.  A step's toggles run after all
+    of its choices are made, and the run records each choice as one
+    ``(e, x, y)``: e toggled against x above and y below.  The rows are
+    built only after the run has finished, so a tie costs no row.
+
     Row e maps the input filling to e's label, as ``{column:
-    coefficient}`` with no zero stored.  Inserting c sets row_c = -e_c,
-    and a toggle sets row_e = row_max + row_min - row_e for the chosen
-    covers.  The sentinel's row, the last, is empty.
+    coefficient}`` with no zero stored.  Inserting c sets row_c = -e_c;
+    no toggle reads or writes an element before it is inserted, so every
+    inserted element's row is set to that at the start.  A toggle sets
+    row_e = row_x + row_y - row_e: one copy of row_x, with row_y added
+    and row_e subtracted in place.  An entry is deleted the moment its sum
+    is 0, and one that is absent is added as it is, which is never 0 since
+    no row stores a zero.  So the copy never holds a zero, and at the end
+    it holds exactly the nonzero sums, the row a rebuild dropping zeros
+    would give.  The sentinel's row, the last, is empty.
     """
-    trace = []
+    trace: list[tuple[int, int, int]] = []
     for c, toggles in program:
         labels[c] = -labels[c]
-        chosen = tuple(
-            (
-                e,
-                ups if len(ups) == 1 else (_select(labels, ups, 1),),
-                los if len(los) == 1 else (_select(labels, los, -1),),
-            )
-            for e, ups, los in toggles
-        )
-        _toggle_all(labels, chosen)
-        trace.append((c, chosen))
+        chosen = []
+        for e, ups, los in toggles:
+            x = ups[0]
+            if len(ups) > 1:
+                best = labels[x]
+                for u in ups[1:]:
+                    v = labels[u]
+                    if v == best:
+                        raise NonGenericPoint("tie between toggle candidates at the base point")
+                    if v > best:
+                        x, best = u, v
+            y = los[0]
+            if len(los) > 1:
+                best = labels[y]
+                for u in los[1:]:
+                    v = labels[u]
+                    if v == best:
+                        raise NonGenericPoint("tie between toggle candidates at the base point")
+                    if v < best:
+                        y, best = u, v
+            chosen.append((e, x, y))
+        for e, x, y in chosen:
+            labels[e] = labels[x] + labels[y] - labels[e]
+        trace += chosen
 
     rows: list[dict[int, int]] = [{} for _ in labels]
-    for c, chosen in trace:
+    for c, _ in program:
         rows[c] = {c: -1}
-        for e, (x,), (y,) in chosen:
-            row = dict(rows[x])
-            for j, v in rows[y].items():
-                row[j] = row.get(j, 0) + v
-            for j, v in rows[e].items():
-                row[j] = row.get(j, 0) - v
-            rows[e] = {j: v for j, v in row.items() if v}
+    for e, x, y in trace:
+        row = dict(rows[x])
+        get = row.get
+        for j, v in rows[y].items():
+            v += get(j, 0)
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        for j, v in rows[e].items():
+            v = get(j, 0) - v
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        rows[e] = row
     return rows
-
-
-def _select(labels: list[int], candidates: tuple[int, ...], sign: int) -> int:
-    """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
-    best = candidates[0]
-    for u in candidates[1:]:
-        gap = sign * (labels[u] - labels[best])
-        if gap == 0:
-            raise NonGenericPoint("tie between toggle candidates at the base point")
-        if gap > 0:
-            best = u
-    return best
 
 
 def _bareiss(rows: Sequence[Mapping[int, int]], picks: list[int] | None = None) -> int:

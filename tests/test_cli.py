@@ -160,6 +160,18 @@ def test_volume_command(tmp_path, capsys):
     assert out == out2
 
 
+def test_volume_command_on_empty_poset(tmp_path, capsys):
+    path = tmp_path / "empty.poset"
+    path.write_text("elements 0\n")
+    for kind in ("fillings", "rpp"):
+        code, out, err = run(capsys, "volume", str(path), "--kind", kind, "--samples", "1000")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"kind={kind} samples=1000 seed=0 hits=1000 box_volume=1.0 estimate=1.0 "
+            "std_error=0.0 closed_form=1/1\n"
+        )
+
+
 def test_classical_rsk_command(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("1 0 2\n0 2 0\n1 1 0\n")

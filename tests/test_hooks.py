@@ -24,6 +24,7 @@ from dcposets.families import young_box_ids
 from dcposets.hooks import (
     _RATIONALS,
     common_denominator,
+    exact_value,
     hook_numerators,
     random_scaled_point,
     validate_point,
@@ -247,6 +248,43 @@ def test_points_are_exact():
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
     with pytest.raises(TypeError):
         polytope_membership(P, spec, (0,) * P.n, analysis=a)
+
+
+def _reference_validate_point(x, count):
+    """``validate_point`` with the sign read by Fraction comparison."""
+    point = tuple(exact_value(v) for v in x)
+    if len(point) != count:
+        raise ValueError(f"expected {count} diagonal values, got {len(point)}")
+    if any(v <= 0 for v in point):
+        raise ValueError("diagonal values must be strictly positive")
+    return point
+
+
+def test_point_sign_is_the_numerator_sign():
+    # zero, negative, int and Fraction-subclass entries: same points, same errors
+    cases = [
+        [Fraction(1, 2), 3],
+        [Fraction(0), 1],
+        [0, Fraction(1, 3)],
+        [Fraction(-1, 2), 1],
+        [-2, 1],
+        [Half(-1, 2), 1],
+        [Half(0, 5), 1],
+        [Half(3, 7), True],
+        [Fraction(7, -3), 1],
+        [1, 2, 3],
+    ]
+    for x in cases:
+        try:
+            expected = _reference_validate_point(x, 2)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                validate_point(x, 2)
+            assert str(caught.value) == str(exc), x
+            continue
+        assert validate_point(x, 2) == expected, x
+    with pytest.raises(ValueError, match="^diagonal values must be strictly positive$"):
+        validate_point([Half(-1, 2), 1], 2)
 
 
 def test_random_points_keep_their_draws():

@@ -37,7 +37,7 @@ from dcposets.rsk import (
     _jacobian_rows,
     _program,
     _scale,
-    _select,
+    _toggle_all,
     compile_program,
     normalize_filling,
     random_descending_extension,
@@ -676,17 +676,38 @@ def test_bareiss_pivots_match_two_scan_search(P):
     assert stops == {True, False}
 
 
+def _select(labels, candidates, sign):
+    """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
+    best = candidates[0]
+    for u in candidates[1:]:
+        gap = sign * (labels[u] - labels[best])
+        if gap == 0:
+            raise NonGenericPoint("tie between toggle candidates at the base point")
+        if gap > 0:
+            best = u
+    return best
+
+
 def _reference_jacobian_rows(labels, program):
-    """``_jacobian_rows`` with every side, one candidate or more, read by ``_select``."""
+    """The two-step Jacobian rows: ``_select`` per multi-candidate side, then a rebuilt replay.
+
+    Each step's choices go through ``_toggle_all``; each row is summed
+    with ``get(j, 0)`` and rebuilt once more to drop its zeros.
+    """
     trace = []
     for c, toggles in program:
         labels[c] = -labels[c]
         chosen = tuple(
-            (e, (_select(labels, ups, 1),), (_select(labels, los, -1),)) for e, ups, los in toggles
+            (
+                e,
+                ups if len(ups) == 1 else (_select(labels, ups, 1),),
+                los if len(los) == 1 else (_select(labels, los, -1),),
+            )
+            for e, ups, los in toggles
         )
-        for e, (x,), (y,) in chosen:
-            labels[e] = labels[x] + labels[y] - labels[e]
+        _toggle_all(labels, chosen)
         trace.append((c, chosen))
+
     rows = [{} for _ in labels]
     for c, chosen in trace:
         rows[c] = {c: -1}
@@ -701,28 +722,41 @@ def _reference_jacobian_rows(labels, program):
 
 
 def test_one_candidate_sides_keep_the_ties():
-    # a side with one candidate skips ``_select``; the fillings that tie, and
-    # the rows of those that do not, are the ones every side selecting gives
-    posets = [(e.name, e.poset) for e in catalog()] + [("young-4x4", young((4, 4, 4, 4)))]
+    # the fused run reads a lone candidate directly and applies the running-best
+    # rule inline; the fillings that tie, the labels the run leaves and the rows
+    # built in place are those of the two-step reference, on the catalog, large
+    # posets and joins, under the stable order and a random one
+    posets = [(e.name, e.poset) for e in catalog()] + [
+        ("young-4x4", young((4, 4, 4, 4))),
+        ("young-12x12", young((12,) * 12)),
+        ("d50(1)", d_k_one(50)),
+    ]
+    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
     rng = Random(47)
     outcomes = {"tie": 0, "rows": 0}
+    verdicts: dict[str, set[str]] = {}
     for name, P in posets:
         a = analyze(P)
+        seen = verdicts.setdefault("joins" if name.startswith("join-") else name, set())
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
-            for t in _seeded_fillings(P.n, rng, 6):
+            for t in _seeded_fillings(P.n, rng, 24 if P.n >= 50 else 6):
                 labels, _ = _scale(t)
                 expected_labels = labels[:]
                 try:
                     expected = _reference_jacobian_rows(expected_labels, program)
-                except NonGenericPoint:
-                    with pytest.raises(NonGenericPoint):
+                except NonGenericPoint as exc:
+                    with pytest.raises(NonGenericPoint, match=str(exc)):
                         _jacobian_rows(labels, program)
                     outcomes["tie"] += 1
+                    seen.add("tie")
                     continue
                 assert _jacobian_rows(labels, program) == expected, (name, order, t)
                 assert labels == expected_labels
                 outcomes["rows"] += 1
+                seen.add("rows")
+    for name in ("young-12x12", "d50(1)", "joins"):
+        assert verdicts[name] == {"tie", "rows"}, (name, verdicts[name])
     assert outcomes["tie"] >= 50 and outcomes["rows"] >= 1000, outcomes
 
 
@@ -738,6 +772,22 @@ def test_running_best_tie_rule():
     for replay in (_jacobian_rows, _reference_jacobian_rows):
         with pytest.raises(NonGenericPoint):
             replay(labels[:], program)
+    # [1, 1, 0] below ties the same way on the lower side; on the programs the
+    # other tests run, a filling that ties on one side also ties on the other
+    # in the same run, so only programs like these tell the two checks apart
+    labels = [1, 1, 0, 4, 2, 0]
+    program = ((3, ((3, (4,), (0, 1, 2)),)),)
+    for replay in (_jacobian_rows, _reference_jacobian_rows):
+        with pytest.raises(NonGenericPoint):
+            replay(labels[:], program)
+    # [5, 3, 3] above and [1, 2, 2] below: the equal pair never meets the
+    # running best, so neither side raises, and both runs choose 0 and 1
+    labels = [5, 3, 3, 1, 2, 2, 9, 0]
+    program = ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
+    expected_labels = labels[:]
+    expected = _reference_jacobian_rows(expected_labels, program)
+    assert _jacobian_rows(labels, program) == expected
+    assert labels == expected_labels and labels[6] == 5 + 1 + 9
 
 
 def _dense_jacobian_rows(P, a, order, t):

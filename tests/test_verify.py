@@ -603,6 +603,23 @@ def test_monte_carlo_needs_a_sample():
     assert monte_carlo_volume(P, spec, samples=1, analysis=a).samples == 1
 
 
+def test_monte_carlo_empty_poset():
+    # the 0-dimensional box has edge 1: every draw hits, the estimate is the
+    # exact volume 1 with standard error 0, and a case batched with it keeps
+    # its own draws
+    P = Poset(0)
+    other = chain(2)
+    other_spec = PolytopeSpec("fillings", all_ones_point(analyze(other).diagonals.count))
+    alone = monte_carlo_volume(other, other_spec, samples=5_000, seed=3)
+    for kind in ("fillings", "rpp"):
+        spec = PolytopeSpec(kind, ())
+        estimate = monte_carlo_volume(P, spec, samples=5_000, seed=3)
+        assert estimate == verify.VolumeEstimate(kind, 5_000, 3, 5_000, 1.0, 1.0, 0.0)
+        assert closed_form_volume(P, spec) == estimate.estimate
+        batch = verify.monte_carlo_volumes([(P, spec, None), (other, other_spec, None)], 5_000, 3)
+        assert batch == [estimate, alone]
+
+
 def _reference_monte_carlo_volume(P, spec, samples, seed, a):
     """The per-spec loop: one fresh uniform stream per polytope."""
     x = spec.x

@@ -16,7 +16,6 @@ from .dstructure import (
 from .families import builtin_poset, d_k_one, shifted_young, tree, young
 from .hooks import (
     all_ones_point,
-    hook_lengths,
     hook_polynomial_eval,
     hook_vectors,
     random_rational_point,

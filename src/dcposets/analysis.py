@@ -35,6 +35,7 @@ from .hooks import (
     HookVector,
     all_ones_point,
     compile_hook_program,
+    exact_value,
     hook_numerators,
     hook_vectors,
 )
@@ -86,8 +87,8 @@ class PosetAnalysis:
 
     @cached_property
     def hook_vectors(self) -> tuple[HookVector, ...]:
-        self.ensure_d_complete()
-        return hook_vectors(self.poset, self.diagonals, self.d_intervals)
+        """The dense hook vectors: the hook program run once per diagonal."""
+        return hook_vectors(self.hook_program)
 
     @cached_property
     def hook_lengths(self) -> tuple[int, ...]:
@@ -97,7 +98,7 @@ class PosetAnalysis:
 
     @cached_property
     def hook_program(self) -> HookProgram:
-        """The hook recursion that evaluates every H_p at a point, without the dense vectors."""
+        """The d-interval hook recursion: every H_p at a point, and the dense vectors per diagonal."""
         self.ensure_d_complete()
         return compile_hook_program(self.poset, self.diagonals, self.d_intervals)
 
@@ -115,8 +116,8 @@ class PosetAnalysis:
         return compile_program(self.poset, self.diagonals, self.stable_order)
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
-        """All hook polynomials H_p evaluated at the rational point x."""
-        numerators, denom = hook_numerators(self.hook_program, x)
+        """All hook polynomials H_p evaluated at the exact point x; floats are refused."""
+        numerators, denom = hook_numerators(self.hook_program, [exact_value(v) for v in x])
         return tuple(Fraction(a, denom) for a in numerators)
 
 

@@ -2,9 +2,10 @@
 
 The hook vector of an element is indexed by diagonals and sums to the
 classical hook length; it is defined recursively through d-intervals.
-The same recursion, compiled once per poset into a :class:`HookProgram`,
+That recursion, compiled once per poset into a :class:`HookProgram`,
 evaluates every hook polynomial at a point with exact integer
-arithmetic, without building the vectors.
+arithmetic, without building the vectors, and builds the vectors when
+run once per diagonal.
 """
 
 from __future__ import annotations
@@ -17,42 +18,10 @@ from typing import NamedTuple, Sequence
 
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
-from .poset import Poset, bits, mask_of
+from .poset import Poset, bits
 
 HookVector = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
-
-
-def hook_vectors(
-    P: Poset, part: DiagonalPartition, intervals: tuple[DInterval, ...]
-) -> tuple[HookVector, ...]:
-    """Hook vector of every element, indexed by diagonal id.
-
-    An element that tops no d-interval counts, per diagonal, the elements
-    it nonstrictly dominates; the top of the d-interval [b, p] with sides
-    w, z gets h(w) + h(z) - h(b).  Elements are processed bottom-up, by
-    downset size; any bottom-up order gives the same result.  The
-    intervals must be those of a d-complete poset, in which each element
-    tops at most one: :attr:`PosetAnalysis.hook_vectors` checks the axioms
-    first.
-    """
-    top_interval = {interval.top: interval for interval in intervals}
-    class_masks = [mask_of(members) for members in part.classes]
-    vectors: list[HookVector] = [()] * P.n
-    for p in sorted(range(P.n), key=lambda v: P._dn[v].bit_count()):
-        interval = top_interval.get(p)
-        if interval is None:
-            dn = P._dn[p]
-            vectors[p] = tuple((dn & cm).bit_count() for cm in class_masks)
-        else:
-            w, z = interval.sides
-            hw, hz, hb = vectors[w], vectors[z], vectors[interval.bottom]
-            vectors[p] = tuple(a + b - c for a, b, c in zip(hw, hz, hb))
-    return tuple(vectors)
-
-
-def hook_lengths(vectors: Sequence[HookVector]) -> tuple[int, ...]:
-    return tuple(sum(v) for v in vectors)
 
 
 class HookProgram(NamedTuple):
@@ -63,7 +32,8 @@ class HookProgram(NamedTuple):
     the weights of ``rest``.  ``tops`` lists, bottom-up, ``(p, w, z, b)``
     for each d-interval [b, p] with sides w and z.  ``diagonal_of`` maps
     each element to its diagonal, and ``count`` is the number of
-    diagonals.  :func:`hook_numerators` evaluates it.
+    diagonals.  :func:`hook_numerators` evaluates it at a point, and
+    :func:`hook_vectors` once per diagonal.
     """
 
     diagonal_of: tuple[int, ...]
@@ -75,24 +45,26 @@ class HookProgram(NamedTuple):
 def compile_hook_program(
     P: Poset, part: DiagonalPartition, intervals: tuple[DInterval, ...]
 ) -> HookProgram:
-    """The hook recursion of :func:`hook_vectors`, at a point instead of per diagonal.
+    """The d-interval recursion that defines every hook vector, compiled once per poset.
 
-    At a point x, H_p(x) = sum_D h_p^(D) x_D is linear in the hook
-    vector, so the top of a d-interval [b, p] with sides w, z has
-    H_p = H_w + H_z - H_b.  Every other element counts its own downset
-    per diagonal, so its hook is its downset sum
-    DS(p) = sum_{m <= p} x_(D(m)).  Let q be p's lower cover with the
+    The top of a d-interval [b, p] with sides w, z gets the hook vector
+    h_p = h_w + h_z - h_b; every other element's vector counts, per
+    diagonal, its downset: DS(p) = sum_{m <= p} e_(D(m)).  At a point x,
+    H_p(x) = sum_D h_p^(D) x_D is linear in h_p, so the same recursion
+    holds with x_(D(m)) for e_(D(m)).  Let q be p's lower cover with the
     largest downset and rest = down(p) - ({p} | down(q)).  Then down(p) is
     the disjoint union of {p}, down(q) and rest, so
-    DS(p) = x_(D(p)) + DS(q) + sum_{m in rest} x_(D(m)) exactly.  A
+    DS(p) = e_(D(p)) + DS(q) + sum_{m in rest} e_(D(m)) exactly.  A
     downset sum is kept for each element that tops no d-interval, and for
     the q of each element whose downset sum is kept; elements run
     bottom-up, by downset size, so every value a step reads is already
-    set.  Evaluating the program costs O(n + sum |rest|) additions, where
-    the dense vectors cost n times the number of diagonals: on a chain,
-    every rest is empty.  The intervals must be those of a d-complete
-    poset, in which each element tops at most one:
-    :attr:`PosetAnalysis.hook_program` checks the axioms first.
+    set.  :func:`hook_numerators` runs the program at a point in
+    O(n + sum |rest|) additions, where a dot product with every dense
+    vector costs n times the number of diagonals (on a chain, every rest
+    is empty); :func:`hook_vectors` runs it once per diagonal.  The
+    intervals must be those of a d-complete poset, in which each element
+    tops at most one: :attr:`PosetAnalysis.hook_program` checks the axioms
+    first.
     """
     n = P.n
     dn, lower = P._dn, P._lower
@@ -143,9 +115,30 @@ def hook_numerators(program: HookProgram, x: Sequence[Fraction]) -> tuple[list[i
     return hooks, denom
 
 
+def hook_vectors(program: HookProgram) -> tuple[HookVector, ...]:
+    """Hook vector of every element, indexed by diagonal id: the :class:`HookProgram` run once per diagonal.
+
+    This is :func:`hook_numerators` with unit vectors for weights.  The
+    output has n times the number of diagonals entries, so on a chain it
+    is quadratic whatever the recursion.
+    """
+    diagonal_of = program.diagonal_of
+    n = len(diagonal_of)
+    vectors = [(0,) * program.count] * (n + 1)  # vectors[n]: the missing lower cover of a minimal element
+    for p, q, rest in program.sums:
+        vector = list(vectors[q])
+        vector[diagonal_of[p]] += 1
+        for m in rest:
+            vector[diagonal_of[m]] += 1
+        vectors[p] = tuple(vector)
+    for p, w, z, b in program.tops:
+        vectors[p] = tuple(map(operator.sub, map(operator.add, vectors[w], vectors[z]), vectors[b]))
+    return tuple(vectors[:n])
+
+
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
-    """Evaluate sum_D h^(D) * x_D exactly, as one integer dot product over x's least common denominator."""
-    c, denom = common_denominator(x)
+    """Evaluate sum_D h^(D) * x_D exactly (floats refused), as one integer dot product over x's least common denominator."""
+    c, denom = common_denominator([exact_value(v) for v in x])
     if len(vector) != len(c):
         raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(c)}")
     return Fraction(sum(map(operator.mul, vector, c)), denom)

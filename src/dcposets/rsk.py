@@ -156,20 +156,24 @@ def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
 def toggle(P: Poset, state: Mapping[int, Fraction], p: int) -> dict[int, Fraction]:
     """Toggle the label of p against its present neighbors.
 
-    ``state`` may label only part of the poset; absent neighbors read as
-    zero.  Returns a new mapping; toggling twice restores the input.
+    ``state`` maps elements 0..n-1 to exact values and may label only
+    part of the poset; absent neighbors read as zero.  Returns a new
+    mapping of Fractions; toggling twice restores the input.
     """
-    if p not in state:
+    out = {q: exact_value(v) for q, v in state.items()}
+    extra = [q for q in out if q not in range(P.n)]
+    if extra:
+        raise ValueError(f"state names elements outside 0..{P.n - 1}: {extra}")
+    if p not in out:
         raise ValueError(f"element {p} carries no label")
-    ups = tuple(u for u in P.upper_covers(p) if u in state)
-    los = tuple(v for v in P.lower_covers(p) if v in state)
+    ups = tuple(u for u in P.upper_covers(p) if u in out)
+    los = tuple(v for v in P.lower_covers(p) if v in out)
     read = (p, *ups, *los)
-    scaled, denom = _scale([Fraction(state[q]) for q in read])
+    scaled, denom = _scale([out[q] for q in read])
     labels = [0] * (P.n + 1)
     for q, v in zip(read, scaled):
         labels[q] = v
     _toggle_all(labels, ((p, ups or (P.n,), los or (P.n,)),))
-    out = dict(state)
     out[p] = Fraction(labels[p], denom)
     return out
 

@@ -78,6 +78,21 @@ def test_toggle_uses_max_cover_and_min_covered():
     assert toggle(P, state, 4)[4] == Fraction(4) + Fraction(6) - Fraction(5)
 
 
+def test_toggle_takes_exact_labels_on_its_own_elements():
+    P = d_k_one(4)
+    # ints become Fractions, unread labels included; floats are refused wherever they sit
+    assert toggle(P, {5: 2, 4: 1, 0: 3}, 5) == {5: Fraction(-1), 4: Fraction(1), 0: Fraction(3)}
+    assert all(type(v) is Fraction for v in toggle(P, {5: 2, 0: 3}, 5).values())
+    for state in ({5: 0.5, 4: 1}, {5: 1, 4: 0.5}, {5: 1, 0: 0.5}):
+        with pytest.raises(TypeError):
+            toggle(P, state, 5)
+    for state, p in (({6: 1}, 6), ({5: 1, 6: 1}, 5), ({-1: 1}, -1), ({5: 1, -2: 1}, 5)):
+        with pytest.raises(ValueError, match="outside 0..5"):
+            toggle(P, state, p)
+    with pytest.raises(ValueError, match="carries no label"):
+        toggle(P, {4: 1}, 5)
+
+
 def test_singleton_map_is_identity():
     P = Poset(1)
     assert rsk(P, (Fraction(5, 3),)) == (Fraction(5, 3),)

@@ -47,9 +47,6 @@ from .verify import (
 # Criterion 10 checks posets with at most this many elements.  A chain's
 # fillings polytope fills 1/(n!)^2 of its box, so past n = 6 its expected
 # hits at 10^6 samples drop below one (10^6 / 5040^2, about 0.04, at n = 7).
-# The limit also keeps c10 reproducible bit for bit: from n = 8 on, OpenBLAS
-# can round a row's dot product differently depending on which rows share
-# its np.matmul (see verify.monte_carlo_volumes), while n <= 7 agreed.
 MONTE_CARLO_MAX_ELEMENTS = 6
 
 
@@ -361,9 +358,12 @@ def monte_carlo_agreement(
 ) -> CriterionResult:
     """Volume estimates within 4 true standard errors of the closed forms.
 
-    All estimates come from one :func:`monte_carlo_volumes` call, so the
-    posets of one size share their draws, and the fillings and rpp
-    estimates of one poset are correlated.  The spread test's
+    All estimates come from one :func:`monte_carlo_volumes` call.  Per
+    size it draws only the simplex points that can hit, and its docstring
+    proves that the hit counts of one size have the joint law of
+    ``samples`` box points shared by all its cases.  So the posets of one
+    size share their draws, and the fillings and rpp estimates of one
+    poset are correlated.  The spread test's
     ``combined = hypot(se_fillings, se_rpp)`` assumes independent
     estimates, so it is conservative: where hits are common the two hit
     indicators are positively correlated and the spread's true standard

@@ -192,13 +192,16 @@ def random_rational_point(count: int, rng: Random) -> RationalPoint:
 def exact_value(value) -> Fraction:
     """``value`` as a Fraction; floats are refused, since exact paths never round.
 
-    A Fraction (and not a subclass) is returned as it is: it is immutable,
-    so rebuilding it would only cost time.
+    Strings are refused too: ``Fraction("1")`` parses text, which is the
+    file readers' job (``fileformats.parse_fraction``), not a library
+    edge's.  A Fraction (and not a subclass) is returned as it is: it is
+    immutable, so rebuilding it would only cost time.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"exact values only: pass int or Fraction, not float {value!r}")
+    if isinstance(value, (float, str)):
+        kind = type(value).__name__
+        raise TypeError(f"exact values only: pass int or Fraction, not {kind} {value!r}")
     return Fraction(value)
 
 

@@ -76,9 +76,18 @@ def normalize_filling(n: int, values, require_nonnegative: bool = False) -> Fill
     return tuple(out)
 
 
-def is_order_reversing(P: Poset, s: Sequence[Fraction]) -> bool:
-    """True iff labels weakly decrease going up the order."""
-    return all(s[a] >= s[b] for a, b in P.covers)
+def is_order_reversing(P: Poset, s) -> bool:
+    """True iff a filling's labels weakly decrease going up the order.
+
+    ``s`` is read by :func:`normalize_filling`, so it must give every
+    element an exact value.
+    """
+    return _reverses(P, normalize_filling(P.n, s))
+
+
+def _reverses(P: Poset, labels: Sequence) -> bool:
+    """:func:`is_order_reversing` on exact labels, read by element id only."""
+    return all(labels[a] >= labels[b] for a, b in P.covers)
 
 
 # -- the toggle kernel -------------------------------------------------------
@@ -217,16 +226,17 @@ def inverse_rsk(
     # The checks read the integer labels: they share one positive denominator.
     if any(v < 0 for v in state):
         raise ValueError("image filling must be nonnegative")
-    if not is_order_reversing(P, state):
+    if not _reverses(P, state):
         raise ValueError("image filling must be order-reversing")
     program = _program(P, order, a)
     _extract(state, program)
     return tuple(Fraction(v, denom) for v in state[:-1])
 
 
-def diagonal_sums(P: Poset, part: DiagonalPartition, s: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Per-diagonal sums of a filling's labels."""
-    return tuple(sum((Fraction(s[p]) for p in members), Fraction(0)) for members in part.classes)
+def diagonal_sums(P: Poset, part: DiagonalPartition, s) -> tuple[Fraction, ...]:
+    """Per-diagonal sums of a filling's labels, read by :func:`normalize_filling`."""
+    t = normalize_filling(P.n, s)
+    return tuple(sum((t[p] for p in members), Fraction(0)) for members in part.classes)
 
 
 # A random input filling: n positive rationals, numerators and denominators in 1..16.

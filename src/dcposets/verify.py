@@ -39,10 +39,11 @@ from .rsk import Filling, _extract, _insert, normalize_filling
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
 GRAIN_BITS = (GRAIN + 1).bit_length()  # a draw in 0..GRAIN takes this many random bits
-# Monte Carlo points drawn per numpy batch.  2**14 points on 6 elements take
-# 768 KiB; 2**17-point batches raised peak RSS by up to 24 MiB, depending on
-# where the allocator placed them, and ran slower.  The draws are the same.
-CHUNK = 1 << 14
+# Monte Carlo simplex points drawn per numpy batch.  Every point is tested by
+# every case of its size, so the batch is kept small: 2**14-point batches
+# raised battery peak RSS from 51.8-51.9 to 53.8-54.0 MiB (3 runs each) and
+# ran no faster.  The draws are the same.
+CHUNK = 1 << 12
 
 
 class WeightEvaluation(NamedTuple):
@@ -443,7 +444,9 @@ def monte_carlo_volume(
     return monte_carlo_volumes([(P, spec, analysis)], samples, seed)[0]
 
 
-def _volume_test(P: Poset, spec: PolytopeSpec, a: PosetAnalysis):
+def _volume_test(
+    P: Poset, spec: PolytopeSpec, a: PosetAnalysis
+) -> tuple[float, tuple[float, ...], tuple[tuple[int, int], ...]]:
     """Box edge B / min(A), coefficients c_p = A_p / B and cover pairs of a polytope record.
 
     A box point is inside iff c . pts <= 1 and pts[low] >= pts[high] for
@@ -454,11 +457,9 @@ def _volume_test(P: Poset, spec: PolytopeSpec, a: PosetAnalysis):
     [0, 1]^0, given edge 1, which every draw hits, so the estimate is 1,
     the exact volume, with standard error 0.
     """
-    import numpy as np
-
     weights, bound, cover_pairs = _polytope(P, spec, a)
     edge = bound / min(weights) if weights else 1.0
-    return edge, np.array([w / bound for w in weights]), cover_pairs
+    return edge, tuple(w / bound for w in weights), tuple(cover_pairs)
 
 
 def monte_carlo_volumes(
@@ -469,26 +470,44 @@ def monte_carlo_volumes(
     """Hit-rate estimates over the bounding boxes, with binomial standard errors.
 
     Boxes: [0, max_p 1/H_p(x)]^n for fillings, [0, 1/min_D x_D]^n for rpp.
-    Each case draws ``samples`` points of ``edge * U`` with U uniform on
-    [0, 1)^n from ``np.random.default_rng(seed)``, the same points as
-    ``rng.uniform(0, edge)``.  U depends only on n and the seed, so the
-    cases are grouped by size and each batch of U is drawn once per group
-    and tested against every case in it.  Cases of the same size and seed
-    therefore share their draws, and the fillings and rpp estimates of one
-    poset are correlated, not independent: a spread test that combines
-    their standard errors as if independent, ``hypot(se_f, se_r)``, is
-    conservative (see :func:`acceptance.monte_carlo_agreement`).
-    Estimates come back in input order.
+    Each case estimates vol / box from ``samples`` box points edge * U,
+    U uniform on [0, 1)^n, but only the points that can hit are drawn.
 
-    For n >= 8 the hit counts can depend on which rows share one
-    ``np.matmul``, and so on ``CHUNK`` and on the candidate mask: with
-    OpenBLAS 0.3.31 (Haswell kernels), 25 of 100 random (16384, 8) @ (8,)
-    products differed in the last bit from the same rows' products inside
-    the full array, and 33 of 100 for a row-offset slice, while n = 1..7
-    agreed bit for bit on all 100.  A point within one rounding of a
-    hyperplane could then count differently.  Criterion 10 checks n <= 6
-    only (``acceptance.MONTE_CARLO_MAX_ELEMENTS``), so it stays
-    reproducible bit for bit.
+    Why each hit count keeps its law, Binomial(samples, vol / box).  Let
+    S = {u >= 0, sum u <= 1}, of volume 1/n! in the unit cube.  Every
+    case has edge * c_p >= 1 (edge = 1 / min_p c_p), so a hit,
+    c . (edge * U) <= 1, has sum U <= sum_p edge c_p U_p <= 1: every hit
+    lies in S.  Of ``samples`` independent uniform U, the number K in S
+    is Binomial(samples, 1/n!), and given K those points are K
+    independent uniform points of S, each a hit with probability
+    q = n! vol / box, independently.  So the hit count is Binomial(K, q)
+    given K, and Binomial(samples, q / n!) = Binomial(samples, vol / box)
+    unconditionally.  The same holds for the vector of every case's hit
+    indicators at one point, so the joint law of one size's hit counts
+    is also the box sampler's.  Only float rounding at the boundary
+    differs: a box point within a few roundings of sum U = 1 could pass
+    a case's float test outside S.
+
+    So per size, one ``np.random.default_rng(seed)`` draws
+    K ~ Binomial(samples, 1/n!) and then K uniform points of S: with
+    E_0, ..., E_n independent standard exponentials and T their sum,
+    (E_0/T, ..., E_n/T) is uniform on the standard n-simplex, and its
+    first n coordinates are uniform on S (L. Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. V).  1 / n! is int division, which
+    rounds to 0.0 past n = 170, where K is then 0.  Every case then runs
+    its test on those points as on box points: the edge scaling, the
+    hyperplane test and the cover comparisons.  Cases of one size share
+    K and the points, so the fillings and rpp estimates of one poset are
+    correlated, not independent: a spread test that combines their
+    standard errors as if independent, ``hypot(se_f, se_r)``, is
+    conservative (see :func:`acceptance.monte_carlo_agreement`).
+
+    The rows are drawn in batches of at most ``CHUNK`` into reused
+    buffers.  A row's sum T is added column by column, and each case's
+    dot product is box[:, 0] * c_0 + box[:, 1] * c_1 + ... column by
+    column, so every row rounds the same whatever rows share its batch:
+    the hit counts do not depend on ``CHUNK``.  Estimates come back in
+    input order.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -496,46 +515,56 @@ def monte_carlo_volumes(
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
     hits = [0] * len(cases)
-    # size -> box edge -> case indices; one U stream per size, one pts per edge
-    groups: dict[int, dict[float, list[int]]] = {}
-    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
-        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
+    # size -> box edge -> (coefficients, cover pairs) -> case indices: one draw
+    # stream per size, one scaling per edge, and one test for the cases whose
+    # tests are equal (the catalog's one-element posets all test alike)
+    groups: dict[int, dict[float, dict[tuple, list[int]]]] = {}
+    for i, ((P, _, _), (edge, coefficients, cover_pairs)) in enumerate(zip(cases, tests)):
+        by_edge = groups.setdefault(P.n, {})
+        by_edge.setdefault(edge, {}).setdefault((coefficients, cover_pairs), []).append(i)
     for n, by_edge in groups.items():
         rng = np.random.default_rng(seed)
-        u = np.empty((CHUNK, n))
-        ones = np.ones(n)
-        sums = np.empty(CHUNK)
-        near = np.empty(CHUNK, dtype=bool)
+        inside = int(rng.binomial(samples, 1 / math.factorial(n)))
+        drawn = np.empty((CHUNK, n + 1))
+        total = np.empty(CHUNK)
+        # the points coordinate by coordinate, so that a column is contiguous
+        u = np.empty((n, CHUNK))
+        pts = np.empty((n, CHUNK))
+        dots = np.empty(CHUNK)
+        term = np.empty(CHUNK)
+        ok = np.empty(CHUNK, dtype=bool)
         done = 0
-        while done < samples:
-            take = min(CHUNK, samples - done)
-            drawn = u[:take]
-            rng.random(out=drawn)
-            # Every case has edge * c_p >= 1 (edge = 1 / min_p c_p), so a hit,
-            # c . (edge * u) <= 1, has sum u <= 1 up to a few roundings: the
-            # rows whose float sum is at most 1 + 1e-9 hold every case's hits,
-            # and only they are tested, by the same matmul as the whole chunk.
-            # (A matmul by ones sums rows several times faster than np.sum.)
-            np.matmul(drawn, ones, out=sums[:take])
-            np.less_equal(sums[:take], 1.0 + 1e-9, out=near[:take])
-            candidates = np.compress(near[:take], drawn, axis=0)
-            for edge, members in by_edge.items():
+        while done < inside:
+            take = min(CHUNK, inside - done)
+            e, t, d, w, below = drawn[:take], total[:take], dots[:take], term[:take], ok[:take]
+            rng.standard_exponential(out=e)
+            np.copyto(t, e[:, 0])
+            for j in range(1, n + 1):
+                t += e[:, j]
+            for p in range(n):
+                np.divide(e[:, p], t, out=u[p, :take])
+            for edge, by_test in by_edge.items():
                 # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
-                # at the all-ones point) tests the draws themselves
-                box = candidates if edge == 1.0 else candidates * edge
-                for i in members:
-                    _, coefficients, cover_pairs = tests[i]
-                    ok = np.matmul(box, coefficients) <= 1.0
-                    if not cover_pairs:
-                        hits[i] += int(np.count_nonzero(ok))
-                        continue
-                    # the cover comparisons run only on the points under the
-                    # hyperplane: box[ok], which np.compress selects faster
-                    under = np.compress(ok, box, axis=0)
-                    kept = np.ones(len(under), dtype=bool)
-                    for low, high in cover_pairs:
-                        kept &= under[:, low] >= under[:, high]
-                    hits[i] += int(np.count_nonzero(kept))
+                # at the all-ones point) tests the points themselves
+                box = u[:, :take] if edge == 1.0 else np.multiply(u[:, :take], edge, out=pts[:, :take])
+                for (coefficients, cover_pairs), members in by_test.items():
+                    d.fill(0.0)
+                    for p, c in enumerate(coefficients):
+                        # x * 1.0 == x exactly, so a unit coefficient adds its column
+                        d += box[p] if c == 1.0 else np.multiply(box[p], c, out=w)
+                    np.less_equal(d, 1.0, out=below)
+                    if cover_pairs:
+                        # the cover comparisons run only on the points under
+                        # the hyperplane, which np.compress selects
+                        under = np.compress(below, box, axis=1)
+                        kept = np.ones(under.shape[1], dtype=bool)
+                        for low, high in cover_pairs:
+                            kept &= under[low] >= under[high]
+                        count = int(np.count_nonzero(kept))
+                    else:
+                        count = int(np.count_nonzero(below))
+                    for i in members:
+                        hits[i] += count
             done += take
     estimates = []
     for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):

@@ -166,6 +166,30 @@ def test_input_validation():
         rsk(P, (0.5, 1, 1, 1))
 
 
+_D4 = d_k_one(4)  # 6 elements
+_FILLING_EDGES = {
+    "is_order_reversing": lambda s: is_order_reversing(_D4, s),
+    "diagonal_sums": lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s),
+    "rsk": lambda s: rsk(_D4, s),
+    "inverse_rsk": lambda s: inverse_rsk(_D4, s),
+}
+_BAD_FILLINGS = {
+    "float": ((0.5,) * 6, TypeError, "not float 0.5"),
+    "nan": ((float("nan"),) * 6, TypeError, "not float nan"),
+    "str": (("1",) * 6, TypeError, "not str '1'"),
+    "short": ((1,) * 5, ValueError, "filling has 5 values for 6 elements"),
+    "extra-key": ({**dict.fromkeys(range(6), 1), 6: 1}, ValueError, r"outside 0..5: \[6\]"),
+}
+
+
+@pytest.mark.parametrize("edge", _FILLING_EDGES)
+@pytest.mark.parametrize("bad", _BAD_FILLINGS)
+def test_filling_edges_raise_typed_errors(edge, bad):
+    filling, error, message = _BAD_FILLINGS[bad]
+    with pytest.raises(error, match=message):
+        _FILLING_EDGES[edge](filling)
+
+
 def test_sign_and_order_checks_read_exact_values():
     # 1/3 and 1/2 on one cover: over their common denominator 6 they are 2
     # and 3, so the checks on scaled labels must order them as the rationals

@@ -620,32 +620,44 @@ def test_monte_carlo_empty_poset():
         assert batch == [estimate, alone]
 
 
+def _simplex_points(rng, samples, n):
+    """K ~ Binomial(samples, 1/n!) uniform points of {u >= 0, sum u <= 1}, drawn at once.
+
+    n + 1 exponentials per row, divided by their sum added column by
+    column, first n kept.
+    """
+    inside = int(rng.binomial(samples, 1 / math.factorial(n)))
+    e = rng.standard_exponential(size=(inside, n + 1))
+    total = e[:, 0]
+    for j in range(1, n + 1):
+        total = total + e[:, j]
+    return e[:, :n] / total[:, None]
+
+
+def _column_dot(pts, coefficients):
+    """pts[:, 0] * c_0 + pts[:, 1] * c_1 + ..., column by column."""
+    return sum((pts[:, p] * c for p, c in enumerate(coefficients)), np.zeros(len(pts)))
+
+
 def _reference_monte_carlo_volume(P, spec, samples, seed, a):
-    """The per-spec loop: one fresh uniform stream per polytope."""
+    """The per-spec loop: one fresh stream per polytope, its simplex points drawn at once."""
     x = spec.x
     n = P.n
     rng = np.random.default_rng(seed)
     if spec.kind == "fillings":
-        hooks = np.array([float(h) for h in a.hook_polynomials(x)])
+        coefficients = [float(h) for h in a.hook_polynomials(x)]
         edge = float(max(Fraction(1) / h for h in a.hook_polynomials(x)))
+        cover_pairs = []
     else:
-        weights = np.array([float(x[a.diagonals.diagonal_of[p]]) for p in range(n)])
+        coefficients = [float(x[a.diagonals.diagonal_of[p]]) for p in range(n)]
         edge = float(1 / min(x))
         cover_pairs = sorted(P.covers)
     box_volume = edge**n
-    hits = 0
-    done = 0
-    while done < samples:
-        take = min(verify.CHUNK, samples - done)
-        pts = rng.uniform(0.0, edge, size=(take, n))
-        if spec.kind == "fillings":
-            inside = pts @ hooks <= 1.0
-        else:
-            inside = pts @ weights <= 1.0
-            for low, high in cover_pairs:
-                inside &= pts[:, low] >= pts[:, high]
-        hits += int(inside.sum())
-        done += take
+    pts = _simplex_points(rng, samples, n) * edge
+    inside = _column_dot(pts, coefficients) <= 1.0
+    for low, high in cover_pairs:
+        inside &= pts[:, low] >= pts[:, high]
+    hits = int(inside.sum())
     rate = hits / samples
     return verify.VolumeEstimate(
         kind=spec.kind,
@@ -659,47 +671,39 @@ def _reference_monte_carlo_volume(P, spec, samples, seed, a):
 
 
 def _unshortcut_monte_carlo_hits(cases, samples, seed):
-    """monte_carlo_volumes' hit counts with every box scaled and every case compressed."""
-    tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
-    hits = [0] * len(cases)
-    groups = {}
-    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
-        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
-    for n, by_edge in groups.items():
-        rng = np.random.default_rng(seed)
-        u = np.empty((verify.CHUNK, n))
-        pts = np.empty((verify.CHUNK, n))
-        dots = np.empty(verify.CHUNK)
-        inside = np.empty(verify.CHUNK, dtype=bool)
-        done = 0
-        while done < samples:
-            take = min(verify.CHUNK, samples - done)
-            rng.random(out=u[:take])
-            p, d, ok = pts[:take], dots[:take], inside[:take]
-            for edge, members in by_edge.items():
-                np.multiply(u[:take], edge, out=p)
-                for i in members:
-                    _, coefficients, cover_pairs = tests[i]
-                    np.matmul(p, coefficients, out=d)
-                    np.less_equal(d, 1.0, out=ok)
-                    under = np.compress(ok, p, axis=0)
-                    kept = np.ones(len(under), dtype=bool)
-                    for low, high in cover_pairs:
-                        kept &= under[:, low] >= under[:, high]
-                    hits[i] += int(np.count_nonzero(kept))
-            done += take
+    """monte_carlo_volumes' hit counts with one draw per size, every box scaled,
+    every case tested on its own and every case compressed."""
+    points = {}
+    hits = []
+    for P, spec, a in cases:
+        edge, coefficients, cover_pairs = verify._volume_test(P, spec, a)
+        if P.n not in points:
+            points[P.n] = _simplex_points(np.random.default_rng(seed), samples, P.n)
+        pts = points[P.n] * edge
+        under = np.compress(_column_dot(pts, coefficients) <= 1.0, pts, axis=0)
+        kept = np.ones(len(under), dtype=bool)
+        for low, high in cover_pairs:
+            kept &= under[:, low] >= under[:, high]
+        hits.append(int(np.count_nonzero(kept)))
     return hits
 
 
-def test_monte_carlo_shortcuts_keep_every_hit():
+def _cases_at_two_points(posets):
+    """Both kinds of each (P, a) at the all-ones point and at a point with every x_D in (1, 5/4]."""
     cases = []
-    for entry in catalog():
-        P, a = entry.poset, analyze(entry.poset)
-        rng = Random(entry.name)
-        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
-        for point in (all_ones_point(a.diagonals.count), x):
+    for P, a in posets:
+        count = a.diagonals.count
+        x = tuple(Fraction(21 + d % 5, 20) for d in range(count))
+        for point in (all_ones_point(count), x):
             cases += [(P, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
-    samples = verify.CHUNK + 999
+    return cases
+
+
+def test_monte_carlo_shortcuts_keep_every_hit():
+    # every catalog poset at seed 3, and criterion 10's posets (n <= 6) at
+    # seeds 0-9, each at two points, one with box edges below 1
+    cases = _cases_at_two_points((e.poset, analyze(e.poset)) for e in catalog())
+    samples = 4 * verify.CHUNK + 999
     estimates = verify.monte_carlo_volumes(cases, samples, seed=3)
     assert [e.hits for e in estimates] == _unshortcut_monte_carlo_hits(cases, samples, 3)
     # cases with hits to compare ran on both sides of each shortcut:
@@ -710,6 +714,13 @@ def test_monte_carlo_shortcuts_keep_every_hit():
         if e.hits
     }
     assert sides == {(True, True), (True, False), (False, True), (False, False)}
+    small = [case for case in cases if case[0].n <= 6]
+    assert len(small) == 4 * 82
+    samples = 8 * verify.CHUNK + 999
+    for seed in range(10):
+        hits = [e.hits for e in verify.monte_carlo_volumes(small, samples, seed)]
+        assert hits == _unshortcut_monte_carlo_hits(small, samples, seed), seed
+        assert sum(1 for h in hits if h) > len(small) // 2
 
 
 def test_monte_carlo_volumes_match_reference(monkeypatch):
@@ -730,17 +741,58 @@ def test_monte_carlo_volumes_match_reference(monkeypatch):
         rng = Random(n)
         x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
         at_random += [(P, PolytopeSpec(kind, x), a) for kind in ("fillings", "rpp")]
-    for cases, samples, seed in ((at_ones, 20_000, 0), (at_random, 50_000, 5)):
-        expected = [_reference_monte_carlo_volume(P, s, samples, seed, a) for P, s, a in cases]
-        assert verify.monte_carlo_volumes(cases, samples, seed) == expected
+    # an 8-element star, whose hit rate is 1/8 of the simplex points: at
+    # 10^8 samples about 2,480 of them, three batches at CHUNK = 999
+    star = tree([None] + [0] * 7)
+    a8 = analyze(star)
+    ones8 = all_ones_point(a8.diagonals.count)
+    at_eight = [(star, PolytopeSpec(kind, ones8), a8) for kind in ("fillings", "rpp")]
+    runs = ((at_ones, 20_000, 0), (at_random, 50_000, 5), (at_eight, 10**8, 8))
+    expected = {}
+    for cases, samples, seed in runs:
+        expected[seed] = [_reference_monte_carlo_volume(P, s, samples, seed, a) for P, s, a in cases]
+        assert verify.monte_carlo_volumes(cases, samples, seed) == expected[seed]
         # the batch size does not change the draws
         with monkeypatch.context() as m:
             m.setattr(verify, "CHUNK", 999)
-            assert verify.monte_carlo_volumes(cases, samples, seed) == expected
+            assert verify.monte_carlo_volumes(cases, samples, seed) == expected[seed]
     assert sorted(widest) == [1, 2, 3, 4, 5, 6]
-    assert all(e.box_volume < 1.0 and e.hits > 0 for e in expected)
+    assert all(e.box_volume < 1.0 and e.hits > 0 for e in expected[5])
     # a size where the two kinds' boxes differ, so one draw is scaled twice
-    assert any(f.box_volume != r.box_volume for f, r in zip(expected[::2], expected[1::2]))
+    assert any(f.box_volume != r.box_volume for f, r in zip(expected[5][::2], expected[5][1::2]))
+    # the star's points span three batches at CHUNK = 999, and both kinds hit
+    assert np.random.default_rng(8).binomial(10**8, 1 / math.factorial(8)) > 2 * 999
+    assert all(e.hits > 0 for e in expected[8])
+
+
+def test_simplex_points_keep_the_box_law():
+    # The hit count of each case is Binomial(samples, vol / box) under both
+    # samplers (monte_carlo_volumes' docstring).  Bound and seeds fixed in
+    # advance: |z| <= 4.5 for every case, simplex seeds 0-2 against box seeds
+    # 100-102 (distinct, so the two counts are independent), 10^6 samples.
+    posets = [chain(2), chain(3), young((2, 1)), tree([None] + [0] * 5), young((3, 2, 1))]
+    cases = _cases_at_two_points((P, analyze(P)) for P in posets)
+    samples = 10**6
+    for seed in range(3):
+        simplex = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
+        box = _box_monte_carlo_hits(cases, samples, seed + 100)
+        for (P, spec, _), h_simplex, h_box in zip(cases, simplex, box):
+            rate = (h_simplex + h_box) / (2 * samples)
+            assert 0.0 < rate < 1.0, (P.n, spec)
+            z = (h_simplex - h_box) / math.sqrt(2 * samples * rate * (1.0 - rate))
+            assert abs(z) <= 4.5, (P.n, spec, seed, h_simplex, h_box)
+
+
+def test_monte_carlo_past_170_elements_draws_nothing():
+    # 1 / 200! rounds to 0.0 (int division; 1.0 / 200! would overflow), so no
+    # point is drawn, where the box sampler drew 2 * 10^8 doubles
+    P = chain(200)
+    a = analyze(P)
+    spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
+    start = time.perf_counter()
+    estimate = monte_carlo_volume(P, spec, samples=10**6, analysis=a)
+    assert time.perf_counter() - start < 0.1
+    assert estimate == verify.VolumeEstimate("fillings", 10**6, 0, 0, 1.0, 0.0, 0.0)
 
 
 def _randrange_gaps(n, rng):
@@ -769,8 +821,15 @@ def test_simplex_gaps_keep_their_draws():
     assert verify.GRAIN_BITS == 21
 
 
-def _chunk_monte_carlo_hits(cases, samples, seed):
-    """monte_carlo_volumes' hit counts with every case's matmul run on the whole chunk."""
+def _box_monte_carlo_hits(cases, samples, seed):
+    """Hit counts of the box sampler, the law the simplex points must keep.
+
+    ``monte_carlo_volumes`` before it drew only the points that can hit:
+    per size, one stream of box points edge * U with U uniform on
+    [0, 1)^n, in 2**14-row batches; only the rows with sum U <= 1 + 1e-9
+    reach a case's test, which holds every hit since each case's
+    edge * c_p >= 1.
+    """
     tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
     hits = [0] * len(cases)
     groups = {}
@@ -778,51 +837,18 @@ def _chunk_monte_carlo_hits(cases, samples, seed):
         groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
     for n, by_edge in groups.items():
         rng = np.random.default_rng(seed)
-        u = np.empty((verify.CHUNK, n))
-        pts = np.empty((verify.CHUNK, n))
-        dots = np.empty(verify.CHUNK)
-        inside = np.empty(verify.CHUNK, dtype=bool)
         done = 0
         while done < samples:
-            take = min(verify.CHUNK, samples - done)
-            rng.random(out=u[:take])
-            p, d, ok = pts[:take], dots[:take], inside[:take]
+            take = min(1 << 14, samples - done)
+            drawn = rng.random((take, n))
+            candidates = drawn[drawn.sum(axis=1) <= 1.0 + 1e-9]
             for edge, members in by_edge.items():
-                box = u[:take] if edge == 1.0 else np.multiply(u[:take], edge, out=p)
+                box = candidates * edge
                 for i in members:
                     _, coefficients, cover_pairs = tests[i]
-                    np.matmul(box, coefficients, out=d)
-                    np.less_equal(d, 1.0, out=ok)
-                    if not cover_pairs:
-                        hits[i] += int(np.count_nonzero(ok))
-                        continue
-                    under = np.compress(ok, box, axis=0)
-                    kept = np.ones(len(under), dtype=bool)
+                    ok = box @ np.array(coefficients) <= 1.0
                     for low, high in cover_pairs:
-                        kept &= under[:, low] >= under[:, high]
-                    hits[i] += int(np.count_nonzero(kept))
+                        ok &= box[:, low] >= box[:, high]
+                    hits[i] += int(np.count_nonzero(ok))
             done += take
     return hits
-
-
-def test_monte_carlo_candidates_keep_every_hit():
-    # only rows with sum u <= 1 + 1e-9 reach a case's matmul; criterion 10's
-    # cases (every catalog poset with n <= 6, both kinds at the all-ones
-    # point) and the same posets at a point with a box edge below 1 count the
-    # hits of a matmul over the whole chunk, at seeds 0-9
-    cases = []
-    for entry in catalog():
-        P = entry.poset
-        if P.n > 6:
-            continue
-        a = analyze(P)
-        rng = Random(entry.name)
-        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
-        for point in (all_ones_point(a.diagonals.count), x):
-            cases += [(P, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
-    assert len(cases) == 4 * 82
-    samples = 2 * verify.CHUNK + 999
-    for seed in range(10):
-        hits = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
-        assert hits == _chunk_monte_carlo_hits(cases, samples, seed), seed
-        assert sum(1 for h in hits if h) > len(cases) // 2

@@ -700,8 +700,7 @@ def _cases_at_two_points(posets):
 
 
 def test_monte_carlo_shortcuts_keep_every_hit():
-    # every catalog poset at seed 3, and criterion 10's posets (n <= 6) at
-    # seeds 0-9, each at two points, one with box edges below 1
+    # every catalog poset at seed 3, at two points, one with box edges below 1
     cases = _cases_at_two_points((e.poset, analyze(e.poset)) for e in catalog())
     samples = 4 * verify.CHUNK + 999
     estimates = verify.monte_carlo_volumes(cases, samples, seed=3)
@@ -714,13 +713,38 @@ def test_monte_carlo_shortcuts_keep_every_hit():
         if e.hits
     }
     assert sides == {(True, True), (True, False), (False, True), (False, False)}
-    small = [case for case in cases if case[0].n <= 6]
-    assert len(small) == 4 * 82
+
+
+def test_monte_carlo_candidates_keep_every_hit():
+    # only simplex points (sum u <= 1) are drawn.  On criterion 10's cases
+    # (every catalog poset with n <= 6) at two points, one with box edges
+    # below 1: every edge * c_p is at least 1, no box point with
+    # sum u > 1 + 1e-9 passes a case's test, and at seeds 0-9 the batched
+    # hit counts equal the unshortcut ones
+    cases = _cases_at_two_points(
+        (e.poset, analyze(e.poset)) for e in catalog() if e.poset.n <= 6
+    )
+    assert len(cases) == 4 * 82
+    box_hits_outside = 0
+    for n in sorted({P.n for P, _, _ in cases}):
+        u = np.random.default_rng(n).random((4 * verify.CHUNK, n))
+        outside = u.sum(axis=1) > 1 + 1e-9
+        for P, spec, a in cases:
+            if P.n != n:
+                continue
+            edge, coefficients, cover_pairs = verify._volume_test(P, spec, a)
+            assert all(edge * c >= 1.0 - 1e-12 for c in coefficients), (P.n, spec)
+            pts = u * edge
+            hit = _column_dot(pts, coefficients) <= 1.0
+            for low, high in cover_pairs:
+                hit &= pts[:, low] >= pts[:, high]
+            box_hits_outside += int(np.count_nonzero(hit & outside))
+    assert box_hits_outside == 0
     samples = 8 * verify.CHUNK + 999
     for seed in range(10):
-        hits = [e.hits for e in verify.monte_carlo_volumes(small, samples, seed)]
-        assert hits == _unshortcut_monte_carlo_hits(small, samples, seed), seed
-        assert sum(1 for h in hits if h) > len(small) // 2
+        hits = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
+        assert hits == _unshortcut_monte_carlo_hits(cases, samples, seed), seed
+        assert sum(1 for h in hits if h) > len(cases) // 2
 
 
 def test_monte_carlo_volumes_match_reference(monkeypatch):

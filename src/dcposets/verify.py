@@ -515,13 +515,10 @@ def monte_carlo_volumes(
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
     hits = [0] * len(cases)
-    # size -> box edge -> (coefficients, cover pairs) -> case indices: one draw
-    # stream per size, one scaling per edge, and one test for the cases whose
-    # tests are equal (the catalog's one-element posets all test alike)
-    groups: dict[int, dict[float, dict[tuple, list[int]]]] = {}
-    for i, ((P, _, _), (edge, coefficients, cover_pairs)) in enumerate(zip(cases, tests)):
-        by_edge = groups.setdefault(P.n, {})
-        by_edge.setdefault(edge, {}).setdefault((coefficients, cover_pairs), []).append(i)
+    # size -> box edge -> case indices; one draw stream per size, one scaling per edge
+    groups: dict[int, dict[float, list[int]]] = {}
+    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
+        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
     for n, by_edge in groups.items():
         rng = np.random.default_rng(seed)
         inside = int(rng.binomial(samples, 1 / math.factorial(n)))
@@ -543,28 +540,26 @@ def monte_carlo_volumes(
                 t += e[:, j]
             for p in range(n):
                 np.divide(e[:, p], t, out=u[p, :take])
-            for edge, by_test in by_edge.items():
+            for edge, members in by_edge.items():
                 # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
                 # at the all-ones point) tests the points themselves
                 box = u[:, :take] if edge == 1.0 else np.multiply(u[:, :take], edge, out=pts[:, :take])
-                for (coefficients, cover_pairs), members in by_test.items():
+                for i in members:
+                    _, coefficients, cover_pairs = tests[i]
                     d.fill(0.0)
                     for p, c in enumerate(coefficients):
-                        # x * 1.0 == x exactly, so a unit coefficient adds its column
-                        d += box[p] if c == 1.0 else np.multiply(box[p], c, out=w)
+                        d += np.multiply(box[p], c, out=w)
                     np.less_equal(d, 1.0, out=below)
-                    if cover_pairs:
-                        # the cover comparisons run only on the points under
-                        # the hyperplane, which np.compress selects
-                        under = np.compress(below, box, axis=1)
-                        kept = np.ones(under.shape[1], dtype=bool)
-                        for low, high in cover_pairs:
-                            kept &= under[low] >= under[high]
-                        count = int(np.count_nonzero(kept))
-                    else:
-                        count = int(np.count_nonzero(below))
-                    for i in members:
-                        hits[i] += count
+                    if not cover_pairs:
+                        hits[i] += int(np.count_nonzero(below))
+                        continue
+                    # the cover comparisons run only on the points under the
+                    # hyperplane, which np.compress selects
+                    under = np.compress(below, box, axis=1)
+                    kept = np.ones(under.shape[1], dtype=bool)
+                    for low, high in cover_pairs:
+                        kept &= under[low] >= under[high]
+                    hits[i] += int(np.count_nonzero(kept))
             done += take
     estimates = []
     for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):

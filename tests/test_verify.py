@@ -689,19 +689,32 @@ def _unshortcut_monte_carlo_hits(cases, samples, seed):
 
 
 def _cases_at_two_points(posets):
-    """Both kinds of each (P, a) at the all-ones point and at a point with every x_D in (1, 5/4]."""
+    """Both kinds of each (P, a, x) at the all-ones point and at x."""
     cases = []
-    for P, a in posets:
-        count = a.diagonals.count
-        x = tuple(Fraction(21 + d % 5, 20) for d in range(count))
-        for point in (all_ones_point(count), x):
+    for P, a, x in posets:
+        for point in (all_ones_point(a.diagonals.count), x):
             cases += [(P, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
     return cases
 
 
+def _catalog_at_two_points(max_elements=None):
+    """Catalog posets with at most max_elements elements, each also at a point
+    of its own with every x_D in [21/20, 5/4], so with box edges below 1."""
+    posets = []
+    for entry in catalog():
+        P = entry.poset
+        if max_elements is not None and P.n > max_elements:
+            continue
+        a = analyze(P)
+        rng = Random(entry.name)
+        x = tuple(Fraction(rng.randint(21, 25), 20) for _ in range(a.diagonals.count))
+        posets.append((P, a, x))
+    return _cases_at_two_points(posets)
+
+
 def test_monte_carlo_shortcuts_keep_every_hit():
     # every catalog poset at seed 3, at two points, one with box edges below 1
-    cases = _cases_at_two_points((e.poset, analyze(e.poset)) for e in catalog())
+    cases = _catalog_at_two_points()
     samples = 4 * verify.CHUNK + 999
     estimates = verify.monte_carlo_volumes(cases, samples, seed=3)
     assert [e.hits for e in estimates] == _unshortcut_monte_carlo_hits(cases, samples, 3)
@@ -721,9 +734,7 @@ def test_monte_carlo_candidates_keep_every_hit():
     # below 1: every edge * c_p is at least 1, no box point with
     # sum u > 1 + 1e-9 passes a case's test, and at seeds 0-9 the batched
     # hit counts equal the unshortcut ones
-    cases = _cases_at_two_points(
-        (e.poset, analyze(e.poset)) for e in catalog() if e.poset.n <= 6
-    )
+    cases = _catalog_at_two_points(max_elements=6)
     assert len(cases) == 4 * 82
     box_hits_outside = 0
     for n in sorted({P.n for P, _, _ in cases}):
@@ -795,7 +806,12 @@ def test_simplex_points_keep_the_box_law():
     # advance: |z| <= 4.5 for every case, simplex seeds 0-2 against box seeds
     # 100-102 (distinct, so the two counts are independent), 10^6 samples.
     posets = [chain(2), chain(3), young((2, 1)), tree([None] + [0] * 5), young((3, 2, 1))]
-    cases = _cases_at_two_points((P, analyze(P)) for P in posets)
+    analyses = [analyze(P) for P in posets]
+    cases = _cases_at_two_points(
+        # x_D = (21 + D % 5) / 20: box edges 20/21 and below
+        (P, a, tuple(Fraction(21 + d % 5, 20) for d in range(a.diagonals.count)))
+        for P, a in zip(posets, analyses)
+    )
     samples = 10**6
     for seed in range(3):
         simplex = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
@@ -848,11 +864,12 @@ def test_simplex_gaps_keep_their_draws():
 def _box_monte_carlo_hits(cases, samples, seed):
     """Hit counts of the box sampler, the law the simplex points must keep.
 
-    ``monte_carlo_volumes`` before it drew only the points that can hit:
-    per size, one stream of box points edge * U with U uniform on
-    [0, 1)^n, in 2**14-row batches; only the rows with sum U <= 1 + 1e-9
-    reach a case's test, which holds every hit since each case's
-    edge * c_p >= 1.
+    The box sampler of ``monte_carlo_volumes`` at f4176d2: per size, one
+    stream of box points edge * U with U uniform on [0, 1)^n, in
+    2**14-row batches; only the rows with sum U <= 1 + 1e-9 reach a
+    case's test.  That filter keeps every hit because each case's
+    edge * c_p >= 1, the premise test_monte_carlo_candidates_keep_every_hit
+    checks.
     """
     tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
     hits = [0] * len(cases)

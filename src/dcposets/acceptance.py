@@ -19,12 +19,13 @@ from .classical import classical_insert_rsk, gt_from_rpp, is_rpp, order_from_ran
 from .diagonals import diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
-from .hooks import all_ones_point, random_scaled_point
+from .hooks import all_ones_point, random_scaled_points
 from .poset import Poset
 from .rsk import (
     NonGenericPoint,
     Program,
     _insert,
+    _run_columns,
     compile_program,
     diagonal_sums,
     inverse_rsk,
@@ -140,32 +141,42 @@ def worked_insertion_example() -> CriterionResult:
 def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) -> CriterionResult:
     """S(D) == sum_p h^(D)(p) t_p exactly on random fillings, every catalog poset.
 
-    Each filling is drawn as integer labels over a common denominator
-    (the draws of ``random_filling``); both sides of every diagonal's
-    identity are then integer sums over that denominator.
+    A poset's fillings come from one :func:`random_scaled_points` draw,
+    each as integer labels over its own common denominator, one column
+    per trial; both sides of every diagonal's identity are then integer
+    sums over that denominator.  The stable program runs once over all
+    the columns, and every diagonal's identity is compared in every
+    column at once.  A failure names the first failing trial and, in
+    it, the first failing diagonal.
     """
+    import numpy as np  # numpy loads with the battery's first trials, not with the package
+
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        program = a.insertion_program
+        n = poset.n
+        labels = random_scaled_points(n, trials, rng)
+        t = np.zeros((n + 1, trials), dtype=object)  # the last row: the kernel's sentinel labels
+        t[:n] = labels
+        s = t.copy()
+        _run_columns(s, a.insertion_program)
         hooks = a.hook_vectors
-        # per diagonal: its members, and the (element, h^(D)(p)) pairs with h^(D)(p) != 0
-        diagonals = [
-            (members, [(p, h[d]) for p, h in enumerate(hooks) if h[d]])
-            for d, members in enumerate(a.diagonals.classes)
-        ]
-        for trial in range(trials):
-            t, _ = random_scaled_point(poset.n, rng)
-            t.append(0)  # the kernel's sentinel label
-            s = t[:]
-            _insert(s, program)
-            for d, (members, column) in enumerate(diagonals):
-                if sum(s[p] for p in members) != sum(h * t[p] for p, h in column):
-                    failures.append(f"fail poset={name} trial={trial} diagonal={d}")
-                    break
-            else:
-                continue
-            break
+        classes = a.diagonals.classes
+        zero = t[n]
+        # per diagonal and trial: do the two sides differ?
+        wrong = np.array(
+            [
+                sum((s[p] for p in members), zero)
+                != sum((h[d] * t[p] for p, h in enumerate(hooks) if h[d]), zero)
+                for d, members in enumerate(classes)
+            ],
+            dtype=bool,
+        ).reshape(len(classes), trials)
+        failed = wrong.any(axis=0)
+        if failed.any():
+            trial = int(failed.argmax())
+            diagonal = int(wrong[:, trial].argmax())
+            failures.append(f"fail poset={name} seed={seed} trial={trial} diagonal={diagonal}")
     poset = d_k_one(4)
     a = analyze(poset)
     sums = diagonal_sums(poset, a.diagonals, rsk(poset, WORKED_INPUT, WORKED_ORDER, analysis=a))
@@ -182,9 +193,10 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
 def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> CriterionResult:
     """Identical images under two independently sampled insertion orders.
 
-    Each filling is drawn as integer labels over a common denominator
-    (the draws of ``random_filling``), and both orders' programs run on
-    copies of them.  The orders are compiled without the public entry
+    A poset's fillings come from one :func:`random_scaled_points` draw,
+    each as integer labels over its own common denominator, and then each
+    trial draws its two orders; both orders' programs run on copies of
+    the trial's labels.  The orders are compiled without the public entry
     points' descending-extension check, since a random descending
     extension is one by construction.  Each distinct order is compiled
     once per poset: small posets draw the same orders again and again
@@ -196,8 +208,8 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
         a.ensure_d_complete()
         part = a.diagonals
         programs: dict[tuple[int, ...], Program] = {}
-        for trial in range(trials):
-            s1, _ = random_scaled_point(poset.n, rng)
+        labels = random_scaled_points(poset.n, trials, rng)
+        for trial, s1 in enumerate(labels.T.tolist()):
             s1.append(0)  # the kernel's sentinel label
             s2 = s1[:]
             for s in (s1, s2):
@@ -207,7 +219,7 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
                     program = programs[order] = compile_program(poset, part, order)
                 _insert(s, program)
             if s1 != s2:
-                failures.append(f"fail poset={name} trial={trial}")
+                failures.append(f"fail poset={name} seed={seed} trial={trial}")
                 break
     return _result(
         "order-independence", failures, [f"posets={len(prepared)} trials={trials} seed={seed}"]
@@ -252,7 +264,7 @@ def polytope_bijection(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
     for name, poset, a in prepared:
         report = rsk_polytope_check(poset, trials=trials, seed=seed, analysis=a)
         if not report.ok:
-            failures.append(f"fail poset={name} first={report.failures[0]}")
+            failures.append(f"fail poset={name} seed={seed} first={report.failures[0]}")
     poset = d_k_one(4)
     a = analyze(poset)
     image = rsk(poset, WORKED_INPUT, analysis=a)

@@ -171,11 +171,30 @@ def _random_pairs(count: int, rng: Random) -> list[tuple[int, int]]:
     return list(zip(values[::2], values[1::2]))
 
 
-def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:
-    """The draws of :func:`random_rational_point` as integers over a common denominator."""
-    pairs = _random_pairs(count, rng)
-    denom = math.lcm(*(d for _, d in pairs))
-    return [v * (denom // d) for v, d in pairs], denom
+def random_scaled_points(count: int, trials: int, rng: Random):
+    """``trials`` random points of ``count`` coordinates, from one ``rng.getrandbits(8 * count * trials)``.
+
+    Byte k of the draw, its bits 8k to 8k + 7, is coordinate k % count of
+    point k // count: its high nibble plus 1 is the numerator and its low
+    nibble plus 1 the denominator.  The 256 byte values map one to one
+    onto the 256 (numerator, denominator) pairs, so every numerator and
+    denominator is uniform on 1..16, all independent: the law of
+    :func:`random_rational_point`'s ``randint(1, 16)`` pairs, on another
+    stream.  Returns a ``count x trials`` numpy array of ``dtype=object``
+    whose column j is point j as Python ints over the least common
+    denominator of its own coordinates.  The decoding runs in int64,
+    which holds it exactly: a label is at most 16 * lcm(1..16) =
+    11,531,520, below 2**24.
+    """
+    import numpy as np  # numpy loads with the first batched draw, not with the package
+
+    size = count * trials
+    draw = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), dtype=np.uint8)
+    pairs = draw.reshape(trials, count).astype(np.int64)
+    numerators, denominators = (pairs >> 4) + 1, (pairs & 15) + 1
+    denoms = np.lcm.reduce(denominators, axis=1, initial=1)
+    labels = numerators * (denoms[:, None] // denominators)
+    return labels.T.astype(object)
 
 
 # Fraction(v, d) at index 16 * (v - 1) + (d - 1), for v and d in 1..16:

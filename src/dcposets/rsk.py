@@ -16,10 +16,21 @@ toggles its step, and ``_extract`` undoes the steps in reverse.  Both go
 through one step function, ``_toggle_all``, which reads a side with one
 candidate cover directly: the max or min of one label is that label, and
 on d-complete posets most toggles have one candidate on each side.
-``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges over them, and
-the acceptance battery calls the loops directly.  Elements of one
-diagonal never cover each other, so the toggles of one step read no
-label another of them writes: they commute.
+``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges over them.
+Elements of one diagonal never cover each other, so the toggles of one
+step read no label another of them writes: they commute.
+
+The same program has a second runner, ``_run_columns``, for many
+fillings at once: a numpy matrix of ``dtype=object`` whose row p holds
+element p's label in every column, one column per filling.  It runs the
+same steps on whole rows, forward or backward, so each column gets
+exactly the labels ``_insert`` or ``_extract`` would give it, as Python
+ints.  The scalar loops serve one filling per program (``rsk``,
+``inverse_rsk``, ``toggle``, the Jacobian, order independence's random
+orders), where numpy's cost per call would outweigh the work; the column
+runner serves the battery's trials on the stable program (diagonal sums,
+the polytope bijection), where one row operation does the work of a
+hundred scalar toggles.
 
 Integer labels are exact because the map is positively homogeneous: a
 toggle is max + min - label, and negation and toggling commute with
@@ -144,6 +155,43 @@ def _extract(labels: list[int], program: Program) -> None:
     for c, toggles in reversed(program):
         _toggle_all(labels, toggles)
         labels[c] = -labels[c]
+
+
+def _toggle_columns(labels, toggles: Iterable[Toggle]) -> None:
+    """:func:`_toggle_all` on a matrix of labels, one column per filling.
+
+    A one-candidate side reads its row directly; a side with more takes
+    the element-wise max or min of its rows.
+    """
+    import numpy as np  # numpy loads with the first column run, not with the package
+
+    for e, ups, los in toggles:
+        hi = labels[ups[0]]
+        for u in ups[1:]:
+            hi = np.maximum(hi, labels[u])
+        lo = labels[los[0]]
+        for v in los[1:]:
+            lo = np.minimum(lo, labels[v])
+        labels[e] = hi + lo - labels[e]
+
+
+def _run_columns(labels, program: Program, backward: bool = False) -> None:
+    """Run ``program`` in place on every column of ``labels``, forward or backward.
+
+    ``labels`` is an (n + 1) x trials numpy array of ``dtype=object``
+    whose row p holds element p's label in every trial, the last row
+    the sentinel's zeros.  Forward is :func:`_insert` on each column and
+    backward :func:`_extract`; every entry stays a Python int, so the
+    arithmetic is exact.
+    """
+    if backward:
+        for c, toggles in reversed(program):
+            _toggle_columns(labels, toggles)
+            labels[c] = -labels[c]
+    else:
+        for c, toggles in program:
+            labels[c] = -labels[c]
+            _toggle_columns(labels, toggles)
 
 
 def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -34,7 +34,7 @@ from .poset import (
     is_descending_extension,
     linear_extensions,
 )
-from .rsk import Filling, _extract, _insert, normalize_filling
+from .rsk import Filling, _run_columns, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
@@ -358,7 +358,12 @@ def rsk_polytope_check(
     T >= 0 and sum A_p T_p <= C L; s is in the rpp polytope iff S >= 0,
     S is order-reversing and sum X_p S_p <= C L; the identity is
     sum X S == sum A T; the round trip is equality of label lists.
-    Fractions are built only for failure entries.
+    Fractions are built only for failure entries.  The samples are drawn
+    trial by trial, and the stable program then runs once over all of
+    them, one trial per column (:func:`rsk._run_columns`), forward for
+    the images and backward for the round trips.  The failures list the
+    trials in order, each with its failed checks in the order above; a
+    sample outside the fillings polytope is reported alone.
 
     Why C is also the least common denominator B of the H_p(x) on a
     d-complete poset, so that A are their reduced numerators.  H(x) = h x
@@ -371,41 +376,63 @@ def rsk_polytope_check(
     unitriangular integer matrix U with U x = (H_{m_D}(x))_D, so
     x = U^-1 (H_{m_D}(x))_D has denominators dividing B: C | B.
     """
+    import numpy as np  # numpy loads with the first check, not with the package
+
     a = analysis or analyze(P)
     a.ensure_d_complete()
     if x is None:
         x = all_ones_point(a.diagonals.count)
     hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
     weights, _, cover_pairs = _polytope(P, PolytopeSpec("rpp", x), a)
+    n = P.n
     rng = Random(seed)
     factors, denom = _sample_scale(hooks, hooks_denom)
     bound = hooks_denom * denom
     program = a.insertion_program
 
-    def fractions(labels):
-        return tuple(Fraction(v, denom) for v in labels[: P.n])
+    # row p holds element p's label in every trial; the last row is the kernel's sentinel
+    t = np.zeros((n + 1, trials), dtype=object)
+    gaps = np.array([_simplex_gaps(n, rng) for _ in range(trials)], dtype=object)
+    t[:n] = gaps.reshape(trials, n).T * np.array(factors, dtype=object).reshape(n, 1)
+    hook_side = np.dot(np.array(hooks, dtype=object), t[:n])
+    source = _inside_columns(t, hook_side, bound, ())
+    s = t.copy()
+    _run_columns(s, program)
+    weight_side = np.dot(np.array(weights, dtype=object), s[:n])
+    image = _inside_columns(s, weight_side, bound, cover_pairs)
+    summed = weight_side == hook_side
+    back = s.copy()
+    _run_columns(back, program, backward=True)
+    returned = (back == t).all(axis=0)
+
+    def fractions(labels, trial):
+        return tuple(Fraction(v, denom) for v in labels[:n, trial])
 
     failures = []
-    for trial in range(trials):
-        t = [g * f for g, f in zip(_simplex_gaps(P.n, rng), factors)]
-        t.append(0)  # the kernel's sentinel label
-        hook_side = _dot(hooks, t)
-        if not _inside(t, hook_side, bound, ()):
-            failures.append((trial, "source-membership", fractions(t)))
+    for trial in np.flatnonzero(~(source & image & summed & returned)).tolist():
+        if not source[trial]:
+            failures.append((trial, "source-membership", fractions(t, trial)))
             continue
-        s = t[:]
-        _insert(s, program)
-        weight_side = _dot(weights, s)
-        if not _inside(s, weight_side, bound, cover_pairs):
-            failures.append((trial, "image-membership", fractions(t), fractions(s)))
-        if weight_side != hook_side:
-            lhs, rhs = Fraction(weight_side, bound), Fraction(hook_side, bound)
+        if not image[trial]:
+            failures.append((trial, "image-membership", fractions(t, trial), fractions(s, trial)))
+        if not summed[trial]:
+            lhs, rhs = Fraction(weight_side[trial], bound), Fraction(hook_side[trial], bound)
             failures.append((trial, "weighted-sum", lhs, rhs))
-        back = s[:]
-        _extract(back, program)
-        if back != t:
-            failures.append((trial, "round-trip", fractions(t), fractions(s)))
+        if not returned[trial]:
+            failures.append((trial, "round-trip", fractions(t, trial), fractions(s, trial)))
     return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
+
+
+def _inside_columns(v, weighted, bound: int, cover_pairs: Sequence[tuple[int, int]]):
+    """:func:`_inside` per column of a label matrix: one bool per column.
+
+    ``v`` holds a trial's labels in each column (a sentinel row of zeros
+    changes nothing), and ``weighted`` its sums sum_p A_p v_p.
+    """
+    inside = (v >= 0).all(axis=0) & (weighted <= bound)
+    for low, high in cover_pairs:
+        inside &= v[low] >= v[high]
+    return inside
 
 
 # -- Monte Carlo volumes ------------------------------------------------------
@@ -502,6 +529,16 @@ def monte_carlo_volumes(
     standard errors as if independent, ``hypot(se_f, se_r)``, is
     conservative (see :func:`acceptance.monte_carlo_agreement`).
 
+    Sizes 0 and 1 skip the draw where it can be skipped.  At n = 1 a
+    point is u = E_0 / (E_0 + E_1), at most 1.0 in floating point, since
+    E_0 <= E_0 + E_1 after rounding (a row of two exponentials both
+    0.0, probability about 2**-106, would give NaN).  A case's test,
+    (u * edge) * c_0 <= 1.0, is monotone in u, since float products are.
+    So a case that passes at u = 1.0 hits at every point, and its count
+    is K with no point drawn; at n = 0 the test has no coefficient and
+    passes everywhere.  A size whose cases all pass draws nothing after
+    K.  Every count is the one the draws would give.
+
     The rows are drawn in batches of at most ``CHUNK`` into reused
     buffers.  A row's sum T is added column by column, and each case's
     dot product is box[:, 0] * c_0 + box[:, 1] * c_1 + ... column by
@@ -522,6 +559,24 @@ def monte_carlo_volumes(
     for n, by_edge in groups.items():
         rng = np.random.default_rng(seed)
         inside = int(rng.binomial(samples, 1 / math.factorial(n)))
+        if n <= 1:
+            # a case that hits at u = (1.0,) * n hits at every point; edge * 1.0
+            # is edge, so its test there is edge * c_0 <= 1.0
+            sure = {
+                i
+                for edge, members in by_edge.items()
+                for i in members
+                if all(edge * c <= 1.0 for c in tests[i][1])
+            }
+            for i in sure:
+                hits[i] = inside
+            by_edge = {
+                edge: rest
+                for edge, members in by_edge.items()
+                if (rest := [i for i in members if i not in sure])
+            }
+            if not by_edge:
+                continue
         drawn = np.empty((CHUNK, n + 1))
         total = np.empty(CHUNK)
         # the points coordinate by coordinate, so that a column is contiguous

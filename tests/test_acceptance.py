@@ -6,11 +6,18 @@ Carlo comparison uses a pinned seed.
 """
 
 import importlib
+from fractions import Fraction
+from functools import reduce
+from random import Random
 
+import numpy as np
 import pytest
 
-from dcposets import acceptance, rsk_polytope_check
+from dcposets import acceptance, rsk_polytope_check, verify
+from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
+from dcposets.hooks import random_scaled_points
+from dcposets.verify import BijectionReport
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -82,14 +89,25 @@ def _leaky_step(labels, toggles):
         labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e] + labels[(e + 1) % n]
 
 
+def _leaky_columns(labels, toggles):
+    """:func:`_leaky_step` on a matrix of labels, one column per filling."""
+    n = len(labels) - 1
+    for e, ups, los in toggles:
+        hi = reduce(np.maximum, (labels[u] for u in ups))
+        lo = reduce(np.minimum, (labels[v] for v in los))
+        labels[e] = hi + lo - labels[e] + labels[(e + 1) % n]
+
+
 def test_broken_kernel_fails_integer_checks(monkeypatch):
-    # the trial loops of criteria 4, 5 and 7 run the kernel on integer labels;
-    # a wrong step must make each of them fail on every poset, not only in
-    # the worked examples, and must trip every check of criterion 7 that
-    # reads the image
+    # the trial loops of criteria 4, 5 and 7 run the kernel on integer labels,
+    # criterion 5 one filling at a time and criteria 4 and 7 on all trials'
+    # columns at once; a wrong step must make each of them fail on every
+    # poset, not only in the worked examples, and must trip every check of
+    # criterion 7 that reads the image
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     subset = acceptance.prepare([e for e in catalog() if e.name in names])
     monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
+    monkeypatch.setattr(rsk_module, "_toggle_columns", _leaky_columns)
     for criterion in (
         acceptance.diagonal_sum_identity,
         acceptance.order_independence,
@@ -108,3 +126,204 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
         for failure in rsk_polytope_check(poset, trials=5, seed=SEED, analysis=a).failures
     }
     assert kinds == {"image-membership", "weighted-sum", "round-trip"}
+
+
+# -- the batched criteria against their per-trial loops ------------------------
+
+
+def _loop_diagonal_sums(prepared, trials, seed):
+    """Criterion 4's fail lines from the per-trial loop: one filling at a time
+    through the scalar kernel, the same draw read trial by trial."""
+    failures = []
+    for name, poset, a in prepared:
+        labels = random_scaled_points(poset.n, trials, Random(seed))
+        program = a.insertion_program
+        hooks = a.hook_vectors
+        diagonals = [
+            (members, [(p, h[d]) for p, h in enumerate(hooks) if h[d]])
+            for d, members in enumerate(a.diagonals.classes)
+        ]
+        for trial, t in enumerate(labels.T.tolist()):
+            t.append(0)
+            s = t[:]
+            rsk_module._insert(s, program)
+            for d, (members, column) in enumerate(diagonals):
+                if sum(s[p] for p in members) != sum(h * t[p] for p, h in column):
+                    failures.append(f"fail poset={name} seed={seed} trial={trial} diagonal={d}")
+                    break
+            else:
+                continue
+            break
+    return failures
+
+
+def _loop_polytope_check(P, a, trials, seed):
+    """rsk_polytope_check as a per-trial loop through the scalar kernel."""
+    x = tuple(Fraction(1) for _ in range(a.diagonals.count))
+    hooks, hooks_denom, _ = verify._polytope(P, verify.PolytopeSpec("fillings", x), a)
+    weights, _, cover_pairs = verify._polytope(P, verify.PolytopeSpec("rpp", x), a)
+    rng = Random(seed)
+    factors, denom = verify._sample_scale(hooks, hooks_denom)
+    bound = hooks_denom * denom
+    program = a.insertion_program
+
+    def fractions(labels):
+        return tuple(Fraction(v, denom) for v in labels[: P.n])
+
+    failures = []
+    for trial in range(trials):
+        t = [g * f for g, f in zip(verify._simplex_gaps(P.n, rng), factors)]
+        t.append(0)
+        hook_side = verify._dot(hooks, t)
+        if not verify._inside(t, hook_side, bound, ()):
+            failures.append((trial, "source-membership", fractions(t)))
+            continue
+        s = t[:]
+        rsk_module._insert(s, program)
+        weight_side = verify._dot(weights, s)
+        if not verify._inside(s, weight_side, bound, cover_pairs):
+            failures.append((trial, "image-membership", fractions(t), fractions(s)))
+        if weight_side != hook_side:
+            lhs, rhs = Fraction(weight_side, bound), Fraction(hook_side, bound)
+            failures.append((trial, "weighted-sum", lhs, rhs))
+        back = s[:]
+        rsk_module._extract(back, program)
+        if back != t:
+            failures.append((trial, "round-trip", fractions(t), fractions(s)))
+    return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
+
+
+def _drop_toggle(program):
+    """The program without the last toggle of its longest step."""
+    k = max(range(len(program)), key=lambda i: len(program[i][1]))
+    c, toggles = program[k]
+    return program[:k] + ((c, toggles[:-1]),) + program[k + 1 :]
+
+
+def _drop_candidate(program):
+    """The program with the last candidate cut from the last side that has two or more:
+    that toggle then goes wrong only in the trials where the cut candidate wins."""
+    steps = [list(step) for _, step in program]
+    sides = [
+        (k, i)
+        for k, step in enumerate(steps)
+        for i, (_, ups, los) in enumerate(step)
+        if len(ups) > 1 or len(los) > 1
+    ]
+    if not sides:
+        return program
+    k, i = sides[-1]
+    e, ups, los = steps[k][i]
+    steps[k][i] = (e, ups, los[:-1]) if len(los) > 1 else (e, ups[:-1], los)
+    return tuple((c, tuple(step)) for (c, _), step in zip(program, steps))
+
+
+def _non_commuting(program):
+    """The program with each step's first toggle e followed, in the same step, by a
+    toggle of e's upper cover against e, so running the step again no longer undoes it."""
+    sentinel = len(program)
+    out = []
+    for c, step in program:
+        e, ups, _ = step[0]
+        if ups[0] != sentinel:
+            step += ((ups[0], ups, (e,)),)
+        out.append((c, step))
+    return tuple(out)
+
+
+def _bump_hook_vector(hooks):
+    """The hook vectors with the last element's last entry one larger."""
+    *rest, last = hooks
+    return (*rest, (*last[:-1], last[-1] + 1))
+
+
+PROGRAM_MUTANTS = {
+    "drop-toggle": _drop_toggle,
+    "drop-candidate": _drop_candidate,
+    "non-commuting": _non_commuting,
+}
+MUTANT_POSETS = ("d4", "d5", "young-3.2", "young-3.3.2", "shifted-4.2", "shifted-4.3.1", "sample10", "tree-0")
+
+
+def _mutant_subset(mutant):
+    """The subset with fresh analyses, so a mutant leaves every live analysis alone."""
+    subset = [(e.name, e.poset, PosetAnalysis(e.poset)) for e in catalog() if e.name in MUTANT_POSETS]
+    assert len(subset) == len(MUTANT_POSETS)
+    for _, _, a in subset:
+        if mutant in PROGRAM_MUTANTS:
+            a.insertion_program = PROGRAM_MUTANTS[mutant](a.insertion_program)
+        elif mutant == "bump-hook-vector":
+            a.hook_vectors = _bump_hook_vector(a.hook_vectors)
+    return subset
+
+
+@pytest.mark.parametrize("mutant", ["drop-toggle", "drop-candidate", "bump-hook-vector"])
+def test_diagonal_sums_fail_like_the_trial_loop(mutant):
+    # criterion 4 names the first failing trial and, in it, the first failing
+    # diagonal, as the per-trial loop does
+    lines = []
+    for seed in range(3):
+        subset = _mutant_subset(mutant)
+        result = acceptance.diagonal_sum_identity(subset, trials=100, seed=seed)
+        got = [line for line in result.lines if line.startswith("fail poset=")]
+        assert got == _loop_diagonal_sums(subset, 100, seed), seed
+        lines += got
+    assert lines
+    if mutant == "drop-candidate":
+        # it fails only where the cut candidate wins, so not always at trial 0
+        assert any(" trial=0 " not in line for line in lines)
+
+
+def _bump_hook(polytope):
+    def bumped(P, spec, a):
+        weights, bound, pairs = polytope(P, spec, a)
+        if spec.kind == "fillings":
+            weights = [*weights[:-1], weights[-1] + 1]
+        return weights, bound, pairs
+
+    return bumped
+
+
+def _swap_cover_pair(polytope):
+    def swapped(P, spec, a):
+        weights, bound, pairs = polytope(P, spec, a)
+        if pairs:
+            (low, high), *rest = pairs
+            pairs = [(high, low), *rest]
+        return weights, bound, pairs
+
+    return swapped
+
+
+def _double_last_factor(sample_scale):
+    def scaled(hooks, hooks_denom):
+        factors, denom = sample_scale(hooks, hooks_denom)
+        return [*factors[:-1], 2 * factors[-1]], denom
+
+    return scaled
+
+
+# mutant -> (the verify function it wraps, the wrapper, the failure kinds it must trip)
+POLYTOPE_MUTANTS = {
+    "drop-toggle": (None, None, {"image-membership", "weighted-sum"}),
+    "drop-candidate": (None, None, {"weighted-sum"}),
+    "non-commuting": (None, None, {"round-trip"}),
+    "bump-hook": ("_polytope", _bump_hook, {"weighted-sum"}),
+    "swap-cover-pair": ("_polytope", _swap_cover_pair, {"image-membership"}),
+    "scale": ("_sample_scale", _double_last_factor, {"source-membership"}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(POLYTOPE_MUTANTS))
+def test_polytope_check_fails_like_the_trial_loop(monkeypatch, mutant):
+    # criterion 7's failure tuples, trial by trial, equal the per-trial loop's
+    name, wrap, kinds = POLYTOPE_MUTANTS[mutant]
+    if name:
+        monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    seen = set()
+    for _, P, a in _mutant_subset(mutant):
+        for seed in range(2):
+            report = rsk_polytope_check(P, trials=100, seed=seed, analysis=a)
+            assert report == _loop_polytope_check(P, a, 100, seed), (P, seed)
+            seen.update(failure[1] for failure in report.failures)
+    assert kinds <= seen

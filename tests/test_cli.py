@@ -1,9 +1,11 @@
+import importlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dcposets import builtin_poset, d_k_one, young
@@ -15,6 +17,9 @@ from dcposets.fileformats import (
     parse_fraction,
     poset_to_text,
 )
+
+# the package's ``rsk`` attribute is the function, not the module
+rsk_module = importlib.import_module("dcposets.rsk")
 
 
 def run(capsys, *argv):
@@ -324,3 +329,47 @@ def test_suite_subset(capsys):
 def test_suite_unknown_subset(capsys):
     code, _, err = run(capsys, "suite", "--subset", "not-a-poset")
     assert code == 2 and "unknown catalog" in err
+
+
+def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):
+    # a step that goes wrong only where a toggled label lands on a multiple of
+    # 5 fails criteria 4, 5 and 7 at trials that depend on the draws; each
+    # fail line names its poset and seed, and `suite --subset NAME --seed S`
+    # prints the same line again
+    toggle_all, toggle_columns = rsk_module._toggle_all, rsk_module._toggle_columns
+
+    def faulty(labels, toggles):
+        toggle_all(labels, toggles)
+        for e, _, _ in toggles:
+            if labels[e] % 5 == 0:
+                labels[e] += 1
+
+    def faulty_columns(labels, toggles):
+        toggle_columns(labels, toggles)
+        for e, _, _ in toggles:
+            labels[e] = np.where(labels[e] % 5 == 0, labels[e] + 1, labels[e])
+
+    monkeypatch.setattr(rsk_module, "_toggle_all", faulty)
+    monkeypatch.setattr(rsk_module, "_toggle_columns", faulty_columns)
+    names = ("d4", "young-3.2", "shifted-4.2", "sample10")
+    settings = ("--trials", "20", "--points", "2", "--samples", "1000")
+    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
+    assert code == 1
+    criterion = None
+    fails = []
+    for line in out.splitlines():
+        if line.startswith("criterion name="):
+            criterion = line.split()[1]
+        elif line.startswith("  fail poset=") and criterion in (
+            "name=diagonal-sum-identity",
+            "name=order-independence",
+            "name=polytope-bijection",
+        ):
+            fails.append(line)
+    assert {line.split()[1] for line in fails} == {f"poset={name}" for name in names}
+    assert any(" trial=0 " not in line and "first=(0," not in line for line in fails)
+    for line in fails:
+        name, seed = line.split()[1:3]
+        assert seed == "seed=3"
+        _, replay, _ = run(capsys, "suite", "--subset", name[len("poset="):], "--seed", "3", *settings)
+        assert line in replay.splitlines()

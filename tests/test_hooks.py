@@ -25,7 +25,7 @@ from dcposets.hooks import (
     common_denominator,
     exact_value,
     hook_numerators,
-    random_scaled_point,
+    random_scaled_points,
     validate_point,
 )
 from dcposets.poset import mask_of
@@ -365,11 +365,66 @@ def test_random_points_keep_their_draws():
                 rng = Random(seed)
                 assert draw(count, rng) == expected
                 assert rng.getstate() == oracle.getstate()
-            rng = Random(seed)
-            numerators, denom = random_scaled_point(count, rng)
-            assert tuple(Fraction(v, denom) for v in numerators) == expected
-            assert rng.getstate() == oracle.getstate()
     assert len(_RATIONALS) == 256
     for v in range(1, 17):
         for d in range(1, 17):
             assert _RATIONALS[16 * (v - 1) + d - 1] == Fraction(v, d)
+
+
+def _byte_points(count, trials, rng):
+    """The batched draw decoded byte by byte: per point, its (numerator, denominator) pairs."""
+    bits = rng.getrandbits(8 * count * trials)
+    points = []
+    for trial in range(trials):
+        point = []
+        for p in range(count):
+            byte = (bits >> 8 * (trial * count + p)) & 0xFF
+            point.append((byte // 16 + 1, byte % 16 + 1))
+        points.append(point)
+    return points
+
+
+class _RecordingRandom(Random):
+    """A Random that records the width of every getrandbits call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+def test_batched_points_keep_their_draw():
+    # one getrandbits(8 * count * trials) per call: byte k is coordinate
+    # k % count of point k // count, its high nibble plus 1 the numerator
+    # and its low nibble plus 1 the denominator
+    for count, trials in ((1, 1), (7, 100), (12, 3), (0, 5), (5, 0)):
+        for seed in range(10):
+            rng, oracle = _RecordingRandom(seed), Random(seed)
+            labels = random_scaled_points(count, trials, rng)
+            expected = _byte_points(count, trials, oracle)
+            assert rng.calls == [8 * count * trials]
+            assert rng.getstate() == oracle.getstate()
+            assert labels.shape == (count, trials)
+            for j, point in enumerate(expected):
+                denom = math.lcm(*(d for _, d in point))
+                column = labels[:, j].tolist()
+                assert all(type(v) is int for v in column)
+                assert column == [v * (denom // d) for v, d in point]
+    # the 256 byte values decode to the 256 (numerator, denominator) pairs of
+    # 1..16 x 1..16 once each, so both are uniform on 1..16 and independent.
+    # Point b is (byte b, byte 0xF0): its second coordinate is 16/1, so its
+    # labels are b's numerator and 16 times b's denominator
+    draw = int.from_bytes(bytes(v for b in range(256) for v in (b, 0xF0)), "little")
+
+    class Bytes:
+        def getrandbits(self, k):
+            assert k == 8 * 2 * 256
+            return draw
+
+    numerators, sixteens = random_scaled_points(2, 256, Bytes()).tolist()
+    pairs = [(v, w // 16) for v, w in zip(numerators, sixteens)]
+    assert pairs == [(b // 16 + 1, b % 16 + 1) for b in range(256)]
+    assert sorted(pairs) == [(v, d) for v in range(1, 17) for d in range(1, 17)]

@@ -28,7 +28,7 @@ from dcposets import (
 )
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
-from dcposets.hooks import random_scaled_point
+from dcposets.hooks import common_denominator
 from dcposets.poset import mask_of
 from dcposets.rsk import (
     _bareiss,
@@ -36,6 +36,7 @@ from dcposets.rsk import (
     _insert,
     _jacobian_rows,
     _program,
+    _run_columns,
     _scale,
     _toggle_all,
     compile_program,
@@ -925,7 +926,7 @@ def test_kernel_fast_path_matches_general_step():
             program = _program(P, order, a)
             shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
             for _ in range(3):
-                t, _ = random_scaled_point(P.n, rng)
+                t, _ = common_denominator(random_filling(P.n, rng))
                 t.append(0)  # the kernel's sentinel label
                 image, expected = t[:], t[:]
                 _insert(image, program)
@@ -939,6 +940,42 @@ def test_kernel_fast_path_matches_general_step():
                     expected[c] = -expected[c]
                 assert image == expected == t, (name, order)
     # the one-candidate reads and both general reductions all ran
+    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+
+
+def _columns_match_scalar_loops(P, program, trials, rng):
+    """Run ``program`` both ways on random label columns: the column runner against
+    ``_insert``/``_extract`` on each column, from two unrelated starting matrices."""
+    import numpy as np
+
+    for backward, scalar in ((False, _insert), (True, _extract)):
+        columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] + [0] for _ in range(trials)]
+        labels = np.array(columns, dtype=object).T.copy()
+        _run_columns(labels, program, backward)
+        for j, column in enumerate(columns):
+            scalar(column, program)
+            assert labels[:, j].tolist() == column, (P.n, backward, j)
+        assert {type(v) for v in labels[:, -1]} <= {int}
+
+
+def test_column_runner_matches_scalar_loops():
+    # on the catalog, the 60 seeded joins, Young 12x12 and d_50(1): one trial
+    # along the stable program and along a random order's; 100 trials along
+    # the stable program of the two large posets and of every tenth other one
+    posets = [e.poset for e in catalog()] + list(seeded_joins())
+    posets += [young((12,) * 12), d_k_one(50)]
+    rng = Random(47)
+    shapes = set()
+    for i, P in enumerate(posets):
+        a = analyze(P)
+        for order in (None, random_descending_extension(P, rng)):
+            program = _program(P, order, a)
+            shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
+            _columns_match_scalar_loops(P, program, 1, rng)
+        if i % 10 == 0 or P.n > 60:
+            _columns_match_scalar_loops(P, a.insertion_program, 100, rng)
+    assert min(P.n for P in posets) == 1
+    # the one-candidate reads and both multi-candidate reductions all ran
     assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
 
 

@@ -893,3 +893,53 @@ def _box_monte_carlo_hits(cases, samples, seed):
                     hits[i] += int(np.count_nonzero(ok))
             done += take
     return hits
+
+
+def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
+    # a case of at most one element that passes its test at u = (1.0,) * n
+    # hits at every simplex point, so its count is K with no point drawn: at
+    # 10**6 samples and seeds 0-9, criterion 10's one-element cases count
+    # every sample, as the drawn points did.  At x = 3/17 the float
+    # edge * c_0 rounds above 1.0, so that case still draws, and at seeds
+    # 0-9 both kinds count what the drawn points give.
+    one = [
+        (e.poset, PolytopeSpec(kind, all_ones_point(1)), analyze(e.poset))
+        for e in catalog()
+        if e.poset.n == 1
+        for kind in ("fillings", "rpp")
+    ]
+    assert len(one) == 6
+    single, point = Poset(1), (Fraction(3, 17),)
+    rounding = [(single, PolytopeSpec(kind, point), analyze(single)) for kind in ("fillings", "rpp")]
+    for case in rounding:
+        edge, coefficients, _ = verify._volume_test(*case)
+        assert edge * coefficients[0] > 1.0
+    empty = [(Poset(0), PolytopeSpec(kind, ()), None) for kind in ("fillings", "rpp")]
+    default_rng = np.random.default_rng
+    draws = []
+
+    class Recorder:
+        """A numpy Generator that records each exponential batch it draws."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def binomial(self, n, p):
+            return self.rng.binomial(n, p)
+
+        def standard_exponential(self, out):
+            draws.append(len(out))
+            return self.rng.standard_exponential(out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", Recorder)
+        for seed in range(10):
+            hits = [e.hits for e in verify.monte_carlo_volumes(one + empty, 10**6, seed)]
+            assert hits == [10**6] * len(one + empty)
+        assert not draws
+        verify.monte_carlo_volumes(one + rounding, 10**6, 0)
+        assert draws
+    samples = 8 * verify.CHUNK + 999
+    for seed in range(10):
+        hits = [e.hits for e in verify.monte_carlo_volumes(one + rounding, samples, seed)]
+        assert hits == _unshortcut_monte_carlo_hits(one + rounding, samples, seed), seed

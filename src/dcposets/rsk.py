@@ -26,11 +26,16 @@ element p's label in every column, one column per filling.  It runs the
 same steps on whole rows, forward or backward, so each column gets
 exactly the labels ``_insert`` or ``_extract`` would give it, as Python
 ints.  The scalar loops serve one filling per program (``rsk``,
-``inverse_rsk``, ``toggle``, the Jacobian, order independence's random
-orders), where numpy's cost per call would outweigh the work; the column
-runner serves the battery's trials on the stable program (diagonal sums,
-the polytope bijection), where one row operation does the work of a
-hundred scalar toggles.
+``inverse_rsk``, ``toggle``, the Jacobian), where numpy's cost per call
+would outweigh the work; the column runner serves the battery's trials
+on the stable program (diagonal sums, the polytope bijection), where one
+row operation does the work of a hundred scalar toggles.
+
+Order independence inserts every filling along its own random order, so
+no program is shared.  ``_random_order_insertion`` draws each order one
+pick at a time and runs each pick's step through ``_toggle_all`` as it
+is drawn; the steps are ``compile_program``'s, built once per set of
+inserted elements and pick, since that is all a step depends on.
 
 Integer labels are exact because the map is positively homogeneous: a
 toggle is max + min - label, and negation and toggling commute with
@@ -45,7 +50,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
@@ -415,6 +420,8 @@ def random_descending_extension(P: Poset, rng: Random) -> tuple[int, ...]:
     until the draw is below m, which is what ``rng.choice`` does on a
     :class:`random.Random`, so the orders are those of ``choice`` on the
     same stream (``test_random_orders_keep_their_draws`` pins them).
+    Order independence draws the same orders, from the same stream,
+    through :func:`_random_order_insertion`'s walk.
     """
     getrandbits = rng.getrandbits
     waiting = [len(u) for u in P._upper]
@@ -433,6 +440,90 @@ def random_descending_extension(P: Poset, rng: Random) -> tuple[int, ...]:
             if not waiting[v]:
                 insort(maximal, v)
     return tuple(out)
+
+
+# A node of the walk: (m, k, children, maximal, inserted).  ``maximal`` holds
+# the m maximal elements of what remains, ascending, k is m.bit_length(), and
+# child slot i, filled on first use, is (next node, maximal[i], step toggles).
+_Node = tuple[int, int, list, tuple[int, ...], int]
+
+
+def _random_order_insertion(
+    P: Poset, part: DiagonalPartition, rng: Random
+) -> Callable[[list[int]], None]:
+    """A function inserting one label list in place along a fresh random descending extension.
+
+    Each call draws its order from ``rng`` exactly as
+    :func:`random_descending_extension` does, one pick at a time, and runs
+    the step of each pick as it is drawn: the labels end as ``_insert``
+    along :func:`compile_program`'s program for that order leaves them,
+    and ``rng`` ends in the same state.  What a pick and its step need
+    depends only on the set of elements inserted so far, so the walk is
+    memoized on that set's mask.  A node holds the maximal elements of
+    what remains; an edge, built on first use, holds the picked element c,
+    the next node and c's step.  The members of c's diagonal inserted so
+    far are those at or above c, since a diagonal is a chain and every
+    member above c is greater than c; listed top down they are the order
+    in which a descending extension inserts them.  Each carries its upper
+    covers and its inserted lower covers, ascending, with the sentinel n
+    on an empty side: ``compile_program``'s step at that position.  So a
+    step is built once per edge of the walk, not once per order and step,
+    and the memo holds at most one node per inserted prefix drawn.
+    """
+    getrandbits = rng.getrandbits
+    sentinel = (P.n,)
+    ups = [u or sentinel for u in P._upper]
+    lower = P._lower
+    covering = [mask_of(u) for u in P._upper]
+    chain_of: list[tuple[int, ...]] = [()] * P.n
+    for members in part.classes:
+        chain = tuple(sorted(members, key=lambda e: P._up[e].bit_count()))
+        for e in members:
+            chain_of[e] = chain
+    nodes: dict[int, _Node] = {}
+
+    def node(inserted: int, maximal: tuple[int, ...]) -> _Node:
+        m = len(maximal)
+        made = nodes[inserted] = (m, m.bit_length(), [None] * m, maximal, inserted)
+        return made
+
+    def edge(parent: _Node, i: int) -> tuple[_Node, int, tuple[Toggle, ...]]:
+        _, _, children, maximal, mask = parent
+        c = maximal[i]
+        inserted = mask | 1 << c
+        child = nodes.get(inserted)
+        if child is None:
+            rest = list(maximal)
+            del rest[i]
+            for v in lower[c]:
+                if not covering[v] & ~inserted:
+                    insort(rest, v)
+            child = node(inserted, tuple(rest))
+        toggles = tuple(
+            [
+                (e, ups[e], tuple([v for v in lower[e] if inserted >> v & 1]) or sentinel)
+                for e in chain_of[c]
+                if inserted >> e & 1
+            ]
+        )
+        made = children[i] = (child, c, toggles)
+        return made
+
+    root = node(0, tuple(v for v in range(P.n) if not P._upper[v]))
+
+    def insert(labels: list[int]) -> None:
+        current = root
+        m, k, children, _, _ = current
+        while m:
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            current, c, toggles = children[i] or edge(current, i)
+            labels[c] = -labels[c]
+            _toggle_all(labels, toggles)
+            m, k, children, _, _ = current
+
+    return insert
 
 
 # -- volume preservation ---------------------------------------------------

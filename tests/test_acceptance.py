@@ -17,6 +17,7 @@ from dcposets import acceptance, rsk_polytope_check, verify
 from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
 from dcposets.hooks import random_scaled_points
+from dcposets.rsk import Program, _insert, _toggle_all, compile_program, random_descending_extension
 from dcposets.verify import BijectionReport
 
 # the package's ``rsk`` attribute is the function, not the module
@@ -272,6 +273,82 @@ def test_diagonal_sums_fail_like_the_trial_loop(mutant):
     if mutant == "drop-candidate":
         # it fails only where the cut candidate wins, so not always at trial 0
         assert any(" trial=0 " not in line for line in lines)
+
+
+def _loop_order_independence(prepared, trials, seed):
+    """Criterion 5 as a per-trial loop: each trial's two orders drawn whole by
+    random_descending_extension, compiled once per distinct order, and run
+    through ``_insert``."""
+    failures: list[str] = []
+    for name, poset, a in prepared:
+        rng = Random(seed)
+        a.ensure_d_complete()
+        part = a.diagonals
+        programs: dict[tuple[int, ...], Program] = {}
+        labels = random_scaled_points(poset.n, trials, rng)
+        for trial, s1 in enumerate(labels.T.tolist()):
+            s1.append(0)  # the kernel's sentinel label
+            s2 = s1[:]
+            for s in (s1, s2):
+                order = random_descending_extension(poset, rng)
+                program = programs.get(order)
+                if program is None:
+                    program = programs[order] = compile_program(poset, part, order)
+                _insert(s, program)
+            if s1 != s2:
+                failures.append(f"fail poset={name} seed={seed} trial={trial}")
+                break
+    return acceptance._result(
+        "order-independence", failures, [f"posets={len(prepared)} trials={trials} seed={seed}"]
+    )
+
+
+def _step_off_multiples_of_five(labels, toggles):
+    """The replay test's wrong step function: a toggled label landing on a
+    multiple of 5 gains 1.  It breaks criteria 4 and 7, but every image it
+    gives is still independent of the order, so criterion 5 passes under it."""
+    _toggle_all(labels, toggles)
+    for e, _, _ in toggles:
+        if labels[e] % 5 == 0:
+            labels[e] += 1
+
+
+def _leak_on_multiples_of_seven(labels, toggles):
+    """:func:`_leaky_step`'s leak, only where a toggled label lands on a multiple of 7:
+    the first failing trial then depends on the draws."""
+    _toggle_all(labels, toggles)
+    n = len(labels) - 1
+    for e, _, _ in toggles:
+        if labels[e] % 7 == 0:
+            labels[e] += labels[(e + 1) % n]
+
+
+C5_STEPS = {
+    "leaky": _leaky_step,
+    "leak-on-multiples-of-7": _leak_on_multiples_of_seven,
+    "off-multiples-of-5": _step_off_multiples_of_five,
+}
+
+
+@pytest.mark.parametrize("step", [None, *C5_STEPS])
+def test_order_independence_fails_like_the_trial_loop(monkeypatch, step):
+    # criterion 5 walks its orders through one memo per poset; its result,
+    # fail lines included, equals the per-trial loop's on the same stream
+    if step is not None:
+        monkeypatch.setattr(rsk_module, "_toggle_all", C5_STEPS[step])
+    lines = []
+    for seed in range(3):
+        subset = _mutant_subset(None)
+        result = acceptance.order_independence(subset, trials=100, seed=seed)
+        assert result == _loop_order_independence(subset, 100, seed), seed
+        lines += [line for line in result.lines if line.startswith("fail poset=")]
+    if step in (None, "off-multiples-of-5"):
+        assert not lines
+    else:
+        # tree-0 has one linear extension, so no step can make it fail
+        names = {line.split()[1] for line in lines}
+        assert names == {f"poset={name}" for name in MUTANT_POSETS if name != "tree-0"}
+        assert any(not line.endswith(" trial=0") for line in lines)
 
 
 def _bump_hook(polytope):

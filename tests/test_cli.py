@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcposets import builtin_poset, d_k_one, young
+from dcposets import acceptance, builtin_poset, d_k_one, verify, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -369,6 +369,59 @@ def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):
     assert {line.split()[1] for line in fails} == {f"poset={name}" for name in names}
     assert any(" trial=0 " not in line and "first=(0," not in line for line in fails)
     for line in fails:
+        name, seed = line.split()[1:3]
+        assert seed == "seed=3"
+        _, replay, _ = run(capsys, "suite", "--subset", name[len("poset="):], "--seed", "3", *settings)
+        assert line in replay.splitlines()
+
+
+def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
+    # criteria 2 and 6 restart their stream per poset as 4, 5 and 7 do, so
+    # their fail lines name the seed too.  Each mutant below goes wrong only at
+    # some draws: a weight sum doubled where the point's first coordinate has
+    # an even denominator (c2), a determinant doubled where the filling's
+    # first label has one (c6), and the leak of test_acceptance's _leaky_step
+    # only where a toggled label lands on a multiple of 7 (c5; the replay test
+    # above fails c4 and c7 only).  Every poset fails each criterion, and
+    # `suite --subset NAME --seed S` prints each line again.
+    toggle_all = rsk_module._toggle_all
+    weight_sum = verify.weight_sum
+    jacobian_det = acceptance.rsk_jacobian_det
+
+    def leak_on_multiples_of_seven(labels, toggles):
+        toggle_all(labels, toggles)
+        n = len(labels) - 1
+        for e, _, _ in toggles:
+            if labels[e] % 7 == 0:
+                labels[e] += labels[(e + 1) % n]
+
+    def doubled_weight_sum(P, part, x, *args, **kwargs):
+        value = weight_sum(P, part, x, *args, **kwargs)
+        return 2 * value if x[0].denominator % 2 == 0 else value
+
+    def doubled_det(P, t, *args, **kwargs):
+        value = jacobian_det(P, t, *args, **kwargs)
+        return 2 * value if t[0].denominator % 2 == 0 else value
+
+    monkeypatch.setattr(rsk_module, "_toggle_all", leak_on_multiples_of_seven)
+    monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
+    monkeypatch.setattr(acceptance, "rsk_jacobian_det", doubled_det)
+    names = ("d4", "young-3.2", "shifted-4.2", "sample10")
+    settings = ("--trials", "100", "--points", "20", "--samples", "1000")
+    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
+    assert code == 1
+    criteria = ("name=multivariate-identity", "name=order-independence", "name=volume-preservation")
+    criterion = None
+    fails = {c: [] for c in criteria}
+    for line in out.splitlines():
+        if line.startswith("criterion name="):
+            criterion = line.split()[1]
+        elif line.startswith("  fail poset=") and criterion in criteria:
+            fails[criterion].append(line)
+    for lines in fails.values():
+        assert {line.split()[1] for line in lines} == {f"poset={name}" for name in names}
+    assert any(not line.endswith(" trial=0") for line in fails["name=order-independence"])
+    for line in sum(fails.values(), []):
         name, seed = line.split()[1:3]
         assert seed == "seed=3"
         _, replay, _ = run(capsys, "suite", "--subset", name[len("poset="):], "--seed", "3", *settings)

@@ -1,3 +1,4 @@
+import importlib
 import time
 from bisect import insort
 from fractions import Fraction
@@ -29,13 +30,14 @@ from dcposets import (
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
 from dcposets.hooks import common_denominator
-from dcposets.poset import mask_of
+from dcposets.poset import is_descending_extension, mask_of
 from dcposets.rsk import (
     _bareiss,
     _extract,
     _insert,
     _jacobian_rows,
     _program,
+    _random_order_insertion,
     _run_columns,
     _scale,
     _toggle_all,
@@ -45,6 +47,9 @@ from dcposets.rsk import (
 )
 
 from conftest import chain, is_adjacent, lt, random_shape, restrict, seeded_joins, shifted_box_ids
+
+# the package's ``rsk`` attribute is the function, not the module
+rsk_module = importlib.import_module("dcposets.rsk")
 
 WORKED_ORDER = (5, 4, 2, 3, 1, 0)
 WORKED_INPUT = (2, 2, 3, 4, 2, 1)
@@ -1007,6 +1012,45 @@ def test_random_orders_keep_their_draws():
             rng, oracle = Random(seed), Random(seed)
             for _ in range(3):
                 assert random_descending_extension(P, rng) == _choice_descending_extension(P, oracle)
+            assert rng.getstate() == oracle.getstate(), (name, seed)
+
+
+def test_order_walk_matches_compiled_random_orders(monkeypatch):
+    # order independence's walk against the path it replaced: _insert along
+    # compile_program of random_descending_extension, drawn from a twin
+    # stream with the same labels drawn in between.  Every draw gives the
+    # same image, each walked path is a descending extension whose steps are
+    # the compiled program's, toggles in the same order, and the two streams
+    # end in the same state.  Three draws per seed revisit the memo's edges.
+    posets = [(e.name, e.poset) for e in catalog()]
+    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
+    posets += [("young-12x12", young((12,) * 12)), ("d50(1)", d_k_one(50))]
+    steps = []
+
+    def recording(labels, toggles):
+        steps.append(tuple(toggles))
+        _toggle_all(labels, toggles)
+
+    monkeypatch.setattr(rsk_module, "_toggle_all", recording)
+    for name, P in posets:
+        part = analyze(P).diagonals
+        for seed in range(4):
+            rng, oracle = Random(seed), Random(seed)
+            insert = _random_order_insertion(P, part, rng)
+            for draw in range(3):
+                t = [rng.randrange(1, 1000) for _ in range(P.n)] + [0]
+                assert t == [oracle.randrange(1, 1000) for _ in range(P.n)] + [0]
+                walked = t[:]
+                steps.clear()
+                insert(walked)
+                # a step's last toggle is its inserted element's
+                path = tuple(step[-1][0] for step in steps)
+                assert is_descending_extension(P, path), (name, seed, draw)
+                program = compile_program(P, part, random_descending_extension(P, oracle))
+                assert path == tuple(c for c, _ in program), (name, seed, draw)
+                assert tuple(steps) == tuple(toggles for _, toggles in program), (name, seed, draw)
+                _insert(t, program)
+                assert walked == t, (name, seed, draw)
             assert rng.getstate() == oracle.getstate(), (name, seed)
 
 

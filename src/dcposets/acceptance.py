@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial, reduce
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -24,7 +25,7 @@ from .poset import Poset
 from .rsk import (
     NonGenericPoint,
     _random_order_insertion,
-    _run_columns,
+    _run,
     diagonal_sums,
     inverse_rsk,
     is_stable,
@@ -151,6 +152,7 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
     import numpy as np  # numpy loads with the battery's first trials, not with the package
 
     failures: list[str] = []
+    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
     for name, poset, a in prepared:
         rng = Random(seed)
         n = poset.n
@@ -158,7 +160,7 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
         t = np.zeros((n + 1, trials), dtype=object)  # the last row: the kernel's sentinel labels
         t[:n] = labels
         s = t.copy()
-        _run_columns(s, a.insertion_program)
+        _run(s, a.insertion_program, reductions=extremes)
         hooks = a.hook_vectors
         classes = a.diagonals.classes
         zero = t[n]

@@ -10,26 +10,18 @@ with missing neighbors contributing 0.
 Which elements are present at each step depends only on the insertion
 order, so a (poset, order) pair is compiled once into a toggle program:
 per inserted element, the present members of its diagonal, each with its
-present upper and lower covers.  Two loops run a program in place on a
-list of integer labels: ``_insert`` negates each inserted label and
-toggles its step, and ``_extract`` undoes the steps in reverse.  Both go
-through one step function, ``_toggle_all``, which reads a side with one
-candidate cover directly: the max or min of one label is that label, and
-on d-complete posets most toggles have one candidate on each side.
-``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges over them.
-Elements of one diagonal never cover each other, so the toggles of one
-step read no label another of them writes: they commute.
-
-The same program has a second runner, ``_run_columns``, for many
-fillings at once: a numpy matrix of ``dtype=object`` whose row p holds
-element p's label in every column, one column per filling.  It runs the
-same steps on whole rows, forward or backward, so each column gets
-exactly the labels ``_insert`` or ``_extract`` would give it, as Python
-ints.  The scalar loops serve one filling per program (``rsk``,
-``inverse_rsk``, ``toggle``, the Jacobian), where numpy's cost per call
-would outweigh the work; the column runner serves the battery's trials
-on the stable program (diagonal sums, the polytope bijection), where one
-row operation does the work of a hundred scalar toggles.
+present upper and lower covers.  One runner, ``_run``, runs a program in
+place, forward or backward, through one step function, ``_toggle_all``,
+on a list of integer labels or on a label matrix: a numpy array of
+``dtype=object`` holding Python ints, whose row p holds element p's label
+in every column, one column per filling.  The battery's trials on the
+stable program (diagonal sums, the polytope bijection) run as one
+matrix, where one row operation does the work of a hundred scalar
+toggles.  ``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges
+over them, and the Jacobian's base run is ``_run`` with a step that
+records its choices.  Elements of one diagonal never cover each other,
+so the toggles of one step read no label another of them writes: they
+commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
@@ -49,6 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -133,70 +126,45 @@ def compile_program(P: Poset, part: DiagonalPartition, order: Sequence[int]) -> 
     return tuple(program)
 
 
-def _toggle_all(labels: list[int], toggles: Iterable[Toggle]) -> None:
+def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
     """The step function: toggle each element against its candidate covers.
 
-    A side with one candidate is read directly, since the max or min of
-    one label is that label; on d-complete posets most toggles have one
-    candidate on each side (1,988 of the 2,126 in the catalog's stable
-    programs).
+    A side with one candidate is read directly, on a label list or a
+    label matrix alike: the max or min of one label is that label, and on
+    d-complete posets most toggles have one candidate on each side (1,988
+    of the 2,126 in the catalog's stable programs).  A side with more
+    passes its labels to ``top`` or ``bottom``: ``max`` and ``min`` on a
+    list, the element-wise max and min of rows on a matrix.
     """
     get = labels.__getitem__
     for e, ups, los in toggles:
-        hi = labels[ups[0]] if len(ups) == 1 else max(map(get, ups))
-        lo = labels[los[0]] if len(los) == 1 else min(map(get, los))
+        hi = labels[ups[0]] if len(ups) == 1 else top(map(get, ups))
+        lo = labels[los[0]] if len(los) == 1 else bottom(map(get, los))
         labels[e] = hi + lo - labels[e]
 
 
-def _insert(labels: list[int], program: Program) -> None:
-    """The forward loop: per step, negate the inserted label, then toggle the step."""
-    for c, toggles in program:
-        labels[c] = -labels[c]
-        _toggle_all(labels, toggles)
+def _run(labels, program: Program, backward: bool = False, step=None, reductions=None) -> None:
+    """Run ``program`` in place on a label list or label matrix, forward or backward.
 
-
-def _extract(labels: list[int], program: Program) -> None:
-    """The backward loop: undo the steps of ``_insert`` in reverse, toggles being involutions."""
-    for c, toggles in reversed(program):
-        _toggle_all(labels, toggles)
-        labels[c] = -labels[c]
-
-
-def _toggle_columns(labels, toggles: Iterable[Toggle]) -> None:
-    """:func:`_toggle_all` on a matrix of labels, one column per filling.
-
-    A one-candidate side reads its row directly; a side with more takes
-    the element-wise max or min of its rows.
+    Forward negates each step's inserted label, then toggles the step;
+    backward undoes the steps in reverse, toggles being involutions.
+    ``step`` defaults to :func:`_toggle_all` as named at the call, so a
+    replaced one reaches every run.  A matrix run passes the element-wise
+    max and min of rows as ``reductions``, which reach the step as its
+    ``top`` and ``bottom``; each column ends as a run on it alone would.
     """
-    import numpy as np  # numpy loads with the first column run, not with the package
-
-    for e, ups, los in toggles:
-        hi = labels[ups[0]]
-        for u in ups[1:]:
-            hi = np.maximum(hi, labels[u])
-        lo = labels[los[0]]
-        for v in los[1:]:
-            lo = np.minimum(lo, labels[v])
-        labels[e] = hi + lo - labels[e]
-
-
-def _run_columns(labels, program: Program, backward: bool = False) -> None:
-    """Run ``program`` in place on every column of ``labels``, forward or backward.
-
-    ``labels`` is an (n + 1) x trials numpy array of ``dtype=object``
-    whose row p holds element p's label in every trial, the last row
-    the sentinel's zeros.  Forward is :func:`_insert` on each column and
-    backward :func:`_extract`; every entry stays a Python int, so the
-    arithmetic is exact.
-    """
+    step = step or _toggle_all
+    if reductions:
+        top, bottom = reductions
+        step = partial(step, top=top, bottom=bottom)
     if backward:
         for c, toggles in reversed(program):
-            _toggle_columns(labels, toggles)
+            step(labels, toggles)
             labels[c] = -labels[c]
     else:
         for c, toggles in program:
             labels[c] = -labels[c]
-            _toggle_columns(labels, toggles)
+            step(labels, toggles)
 
 
 def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -206,10 +174,18 @@ def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return labels, denom
 
 
+def _require_ids(ids: Iterable, what: str) -> None:
+    """Refuse element ids that are not ints, naming the first such entry."""
+    bad = [q for q in ids if not isinstance(q, int)]
+    if bad:
+        raise TypeError(f"{what} must be int, not {type(bad[0]).__name__} {bad[0]!r}")
+
+
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
     if order is None:
         return analysis.insertion_program
     order = tuple(order)
+    _require_ids(order, "insertion order entries")
     if not is_descending_extension(P, order):
         raise ValueError("insertion order must be a descending linear extension")
     return compile_program(P, analysis.diagonals, order)
@@ -218,10 +194,11 @@ def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
 def toggle(P: Poset, state: Mapping[int, Fraction], p: int) -> dict[int, Fraction]:
     """Toggle the label of p against its present neighbors.
 
-    ``state`` maps elements 0..n-1 to exact values and may label only
-    part of the poset; absent neighbors read as zero.  Returns a new
-    mapping of Fractions; toggling twice restores the input.
+    ``state`` maps elements 0..n-1, as ints, to exact values and may
+    label only part of the poset; absent neighbors read as zero.  Returns
+    a new mapping of Fractions; toggling twice restores the input.
     """
+    _require_ids((p, *state), "element ids")
     out = {q: exact_value(v) for q, v in state.items()}
     extra = [q for q in out if q not in range(P.n)]
     if extra:
@@ -257,7 +234,7 @@ def rsk(
     t = normalize_filling(P.n, filling, require_nonnegative=True)
     program = _program(P, order, a)
     labels, denom = _scale(t)
-    _insert(labels, program)
+    _run(labels, program)
     return tuple(Fraction(v, denom) for v in labels[:-1])
 
 
@@ -282,7 +259,7 @@ def inverse_rsk(
     if not _reverses(P, state):
         raise ValueError("image filling must be order-reversing")
     program = _program(P, order, a)
-    _extract(state, program)
+    _run(state, program, backward=True)
     return tuple(Fraction(v, denom) for v in state[:-1])
 
 
@@ -455,7 +432,7 @@ def _random_order_insertion(
 
     Each call draws its order from ``rng`` exactly as
     :func:`random_descending_extension` does, one pick at a time, and runs
-    the step of each pick as it is drawn: the labels end as ``_insert``
+    the step of each pick as it is drawn: the labels end as :func:`_run`
     along :func:`compile_program`'s program for that order leaves them,
     and ``rng`` ends in the same state.  What a pick and its step need
     depends only on the set of elements inserted so far, so the walk is
@@ -581,26 +558,32 @@ def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
     that never meet the running best, such as 5 and 5 after a 7 above, do
     not raise: the chosen cover beats both strictly, so the choice holds
     near the point.  Equal labels that do meet it raise even when a larger
-    label follows, as 3, 3, 5 above does.  A step's toggles run after all
-    of its choices are made, and the run records each choice as one
-    ``(e, x, y)``: e toggled against x above and y below.  The rows are
-    built only after the run has finished, so a tie costs no row.
+    label follows, as 3, 3, 5 above does.  The run is :func:`_run` with a
+    step that makes each toggle's choice, records it as one ``(e, x, y)``,
+    e toggled against x above and y below, and toggles e at once.
+    Elements of one diagonal never cover each other, so no toggle reads a
+    label an earlier toggle of its step wrote: the choices, hence the
+    trace, the rows and the points that raise, are those of making every
+    choice of a step before any of its toggles.  The rows are built only
+    after the run has finished, so a tie costs no row.
 
     Row e maps the input filling to e's label, as ``{column:
     coefficient}`` with no zero stored.  Inserting c sets row_c = -e_c;
     no toggle reads or writes an element before it is inserted, so every
-    inserted element's row is set to that at the start.  A toggle sets
-    row_e = row_x + row_y - row_e: one copy of row_x, with row_y added
-    and row_e subtracted in place.  An entry is deleted the moment its sum
-    is 0, and one that is absent is added as it is, which is never 0 since
-    no row stores a zero.  So the copy never holds a zero, and at the end
-    it holds exactly the nonzero sums, the row a rebuild dropping zeros
-    would give.  The sentinel's row, the last, is empty.
+    inserted element's row is set to that at the start; the inserted
+    elements are the toggled ones, since each step toggles the element it
+    inserts.  A toggle sets row_e = row_x + row_y - row_e: one copy of
+    row_x, with row_y added and row_e subtracted in place.  An entry is
+    deleted the moment its sum is 0, and one that is absent is added as it
+    is, which is never 0 since no row stores a zero.  So the copy never
+    holds a zero, and at the end it holds exactly the nonzero sums, the
+    row a rebuild dropping zeros would give.  The sentinel's row, the
+    last, is empty.
     """
     trace: list[tuple[int, int, int]] = []
-    for c, toggles in program:
-        labels[c] = -labels[c]
-        chosen = []
+    record = trace.append
+
+    def choose(labels: list[int], toggles: tuple[Toggle, ...]) -> None:
         for e, ups, los in toggles:
             x = ups[0]
             if len(ups) > 1:
@@ -620,14 +603,13 @@ def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
                         raise NonGenericPoint("tie between toggle candidates at the base point")
                     if v < best:
                         y, best = u, v
-            chosen.append((e, x, y))
-        for e, x, y in chosen:
             labels[e] = labels[x] + labels[y] - labels[e]
-        trace += chosen
+            record((e, x, y))
 
+    _run(labels, program, step=choose)
     rows: list[dict[int, int]] = [{} for _ in labels]
-    for c, _ in program:
-        rows[c] = {c: -1}
+    for e in {e for e, _, _ in trace}:
+        rows[e] = {e: -1}
     for e, x, y in trace:
         row = dict(rows[x])
         get = row.get

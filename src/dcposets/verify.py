@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import partial, reduce
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -34,7 +35,7 @@ from .poset import (
     is_descending_extension,
     linear_extensions,
 )
-from .rsk import Filling, _run_columns, normalize_filling
+from .rsk import Filling, _run, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
@@ -151,6 +152,14 @@ class MultivariateReport(NamedTuple):
     failures: tuple[MultivariateFailure, ...]
 
 
+def _require_count(count, name: str) -> None:
+    """Refuse a count that is not an int (TypeError) or is below 1 (ValueError)."""
+    if not isinstance(count, int):
+        raise TypeError(f"{name} must be an int, not {type(count).__name__} {count!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def verify_multivariate(
     P: Poset,
     points: int = 20,
@@ -165,6 +174,7 @@ def verify_multivariate(
     posets with more than ``IDEAL_LIMIT`` order ideals raise
     :class:`ExtensionLimitError`.
     """
+    _require_count(points, "points")
     a = analysis or analyze(P)
     a.ensure_d_complete()
     part = a.diagonals
@@ -360,10 +370,10 @@ def rsk_polytope_check(
     sum X S == sum A T; the round trip is equality of label lists.
     Fractions are built only for failure entries.  The samples are drawn
     trial by trial, and the stable program then runs once over all of
-    them, one trial per column (:func:`rsk._run_columns`), forward for
-    the images and backward for the round trips.  The failures list the
-    trials in order, each with its failed checks in the order above; a
-    sample outside the fillings polytope is reported alone.
+    them, one trial per column (:func:`rsk._run` on a label matrix),
+    forward for the images and backward for the round trips.  The
+    failures list the trials in order, each with its failed checks in the
+    order above; a sample outside the fillings polytope is reported alone.
 
     Why C is also the least common denominator B of the H_p(x) on a
     d-complete poset, so that A are their reduced numerators.  H(x) = h x
@@ -378,6 +388,7 @@ def rsk_polytope_check(
     """
     import numpy as np  # numpy loads with the first check, not with the package
 
+    _require_count(trials, "trials")
     a = analysis or analyze(P)
     a.ensure_d_complete()
     if x is None:
@@ -396,13 +407,14 @@ def rsk_polytope_check(
     t[:n] = gaps.reshape(trials, n).T * np.array(factors, dtype=object).reshape(n, 1)
     hook_side = np.dot(np.array(hooks, dtype=object), t[:n])
     source = _inside_columns(t, hook_side, bound, ())
+    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
     s = t.copy()
-    _run_columns(s, program)
+    _run(s, program, reductions=extremes)
     weight_side = np.dot(np.array(weights, dtype=object), s[:n])
     image = _inside_columns(s, weight_side, bound, cover_pairs)
     summed = weight_side == hook_side
     back = s.copy()
-    _run_columns(back, program, backward=True)
+    _run(back, program, backward=True, reductions=extremes)
     returned = (back == t).all(axis=0)
 
     def fractions(labels, trial):
@@ -546,8 +558,7 @@ def monte_carlo_volumes(
     the hit counts do not depend on ``CHUNK``.  Estimates come back in
     input order.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _require_count(samples, "samples")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]

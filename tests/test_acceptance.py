@@ -7,17 +7,15 @@ Carlo comparison uses a pinned seed.
 
 import importlib
 from fractions import Fraction
-from functools import reduce
 from random import Random
 
-import numpy as np
 import pytest
 
 from dcposets import acceptance, rsk_polytope_check, verify
 from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
 from dcposets.hooks import random_scaled_points
-from dcposets.rsk import Program, _insert, _toggle_all, compile_program, random_descending_extension
+from dcposets.rsk import Program, _run, _toggle_all, compile_program, random_descending_extension
 from dcposets.verify import BijectionReport
 
 # the package's ``rsk`` attribute is the function, not the module
@@ -78,24 +76,17 @@ def test_criterion_10_monte_carlo_volumes(prepared):
     report(acceptance.monte_carlo_agreement(prepared, samples=10**6, seed=SEED))
 
 
-def _leaky_step(labels, toggles):
+def _leaky_step(labels, toggles, top=max, bottom=min):
     """A wrong step function: each toggle also adds the label of element e + 1 (mod n).
 
     That element is no cover of e, and whether it has been inserted yet
-    depends on the insertion order, so the error does too.
+    depends on the insertion order, so the error does too.  It takes the
+    step's reductions, so it leaks on label lists and label matrices alike.
     """
-    get = labels.__getitem__
     n = len(labels) - 1
     for e, ups, los in toggles:
-        labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e] + labels[(e + 1) % n]
-
-
-def _leaky_columns(labels, toggles):
-    """:func:`_leaky_step` on a matrix of labels, one column per filling."""
-    n = len(labels) - 1
-    for e, ups, los in toggles:
-        hi = reduce(np.maximum, (labels[u] for u in ups))
-        lo = reduce(np.minimum, (labels[v] for v in los))
+        hi = top([labels[u] for u in ups])
+        lo = bottom([labels[v] for v in los])
         labels[e] = hi + lo - labels[e] + labels[(e + 1) % n]
 
 
@@ -108,7 +99,6 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     subset = acceptance.prepare([e for e in catalog() if e.name in names])
     monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
-    monkeypatch.setattr(rsk_module, "_toggle_columns", _leaky_columns)
     for criterion in (
         acceptance.diagonal_sum_identity,
         acceptance.order_independence,
@@ -147,7 +137,7 @@ def _loop_diagonal_sums(prepared, trials, seed):
         for trial, t in enumerate(labels.T.tolist()):
             t.append(0)
             s = t[:]
-            rsk_module._insert(s, program)
+            rsk_module._run(s, program)
             for d, (members, column) in enumerate(diagonals):
                 if sum(s[p] for p in members) != sum(h * t[p] for p, h in column):
                     failures.append(f"fail poset={name} seed={seed} trial={trial} diagonal={d}")
@@ -180,7 +170,7 @@ def _loop_polytope_check(P, a, trials, seed):
             failures.append((trial, "source-membership", fractions(t)))
             continue
         s = t[:]
-        rsk_module._insert(s, program)
+        rsk_module._run(s, program)
         weight_side = verify._dot(weights, s)
         if not verify._inside(s, weight_side, bound, cover_pairs):
             failures.append((trial, "image-membership", fractions(t), fractions(s)))
@@ -188,7 +178,7 @@ def _loop_polytope_check(P, a, trials, seed):
             lhs, rhs = Fraction(weight_side, bound), Fraction(hook_side, bound)
             failures.append((trial, "weighted-sum", lhs, rhs))
         back = s[:]
-        rsk_module._extract(back, program)
+        rsk_module._run(back, program, backward=True)
         if back != t:
             failures.append((trial, "round-trip", fractions(t), fractions(s)))
     return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
@@ -278,7 +268,7 @@ def test_diagonal_sums_fail_like_the_trial_loop(mutant):
 def _loop_order_independence(prepared, trials, seed):
     """Criterion 5 as a per-trial loop: each trial's two orders drawn whole by
     random_descending_extension, compiled once per distinct order, and run
-    through ``_insert``."""
+    through ``_run``."""
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
@@ -294,7 +284,7 @@ def _loop_order_independence(prepared, trials, seed):
                 program = programs.get(order)
                 if program is None:
                     program = programs[order] = compile_program(poset, part, order)
-                _insert(s, program)
+                _run(s, program)
             if s1 != s2:
                 failures.append(f"fail poset={name} seed={seed} trial={trial}")
                 break

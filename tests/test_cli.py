@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dcposets import acceptance, builtin_poset, d_k_one, verify, young
@@ -336,21 +335,15 @@ def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):
     # 5 fails criteria 4, 5 and 7 at trials that depend on the draws; each
     # fail line names its poset and seed, and `suite --subset NAME --seed S`
     # prints the same line again
-    toggle_all, toggle_columns = rsk_module._toggle_all, rsk_module._toggle_columns
+    toggle_all = rsk_module._toggle_all
 
-    def faulty(labels, toggles):
-        toggle_all(labels, toggles)
+    def faulty(labels, toggles, **reductions):
+        # a label list's entry gains True, a label matrix's row gains a row of bools
+        toggle_all(labels, toggles, **reductions)
         for e, _, _ in toggles:
-            if labels[e] % 5 == 0:
-                labels[e] += 1
-
-    def faulty_columns(labels, toggles):
-        toggle_columns(labels, toggles)
-        for e, _, _ in toggles:
-            labels[e] = np.where(labels[e] % 5 == 0, labels[e] + 1, labels[e])
+            labels[e] += labels[e] % 5 == 0
 
     monkeypatch.setattr(rsk_module, "_toggle_all", faulty)
-    monkeypatch.setattr(rsk_module, "_toggle_columns", faulty_columns)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     settings = ("--trials", "20", "--points", "2", "--samples", "1000")
     code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
@@ -388,12 +381,12 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     weight_sum = verify.weight_sum
     jacobian_det = acceptance.rsk_jacobian_det
 
-    def leak_on_multiples_of_seven(labels, toggles):
-        toggle_all(labels, toggles)
+    def leak_on_multiples_of_seven(labels, toggles, **reductions):
+        # on label lists and label matrices alike, so criteria 4 and 7 fail too
+        toggle_all(labels, toggles, **reductions)
         n = len(labels) - 1
         for e, _, _ in toggles:
-            if labels[e] % 7 == 0:
-                labels[e] += labels[(e + 1) % n]
+            labels[e] += (labels[e] % 7 == 0) * labels[(e + 1) % n]
 
     def doubled_weight_sum(P, part, x, *args, **kwargs):
         value = weight_sum(P, part, x, *args, **kwargs)

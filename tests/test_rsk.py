@@ -2,6 +2,7 @@ import importlib
 import time
 from bisect import insort
 from fractions import Fraction
+from functools import partial, reduce
 from random import Random
 
 import pytest
@@ -33,12 +34,10 @@ from dcposets.hooks import common_denominator
 from dcposets.poset import is_descending_extension, mask_of
 from dcposets.rsk import (
     _bareiss,
-    _extract,
-    _insert,
     _jacobian_rows,
     _program,
     _random_order_insertion,
-    _run_columns,
+    _run,
     _scale,
     _toggle_all,
     compile_program,
@@ -194,6 +193,26 @@ def test_filling_edges_raise_typed_errors(edge, bad):
     filling, error, message = _BAD_FILLINGS[bad]
     with pytest.raises(error, match=message):
         _FILLING_EDGES[edge](filling)
+
+
+def test_float_ids_raise_typed_errors():
+    # a float id equal to an element passes the permutation and membership
+    # checks, so each edge refuses it by type, naming the entry
+    P = _D4
+    order = (5.0, 4, 2, 3, 1, 0)
+    assert is_descending_extension(P, (5, 4, 2, 3, 1, 0))
+    image = rsk(P, (1,) * 6)
+    for edge in (
+        lambda: rsk(P, (1,) * 6, order),
+        lambda: inverse_rsk(P, image, order),
+        lambda: rsk_jacobian_det(P, (1,) * 6, order),
+        lambda: rsk(P, (1,) * 6, iter([5, 4, 2, 3, 1, 0.0])),
+    ):
+        with pytest.raises(TypeError, match=r"insertion order entries must be int, not float (5|0)\.0"):
+            edge()
+    for state, p in (({0: 1}, 0.0), ({0.0: 1}, 0), ({5: 1, 4.0: 2}, 5)):
+        with pytest.raises(TypeError, match=r"element ids must be int, not float [045]\.0"):
+            toggle(P, state, p)
 
 
 def test_sign_and_order_checks_read_exact_values():
@@ -934,12 +953,12 @@ def test_kernel_fast_path_matches_general_step():
                 t, _ = common_denominator(random_filling(P.n, rng))
                 t.append(0)  # the kernel's sentinel label
                 image, expected = t[:], t[:]
-                _insert(image, program)
+                _run(image, program)
                 for c, toggles in program:
                     expected[c] = -expected[c]
                     _general_step(expected, toggles)
                 assert image == expected, (name, order)
-                _extract(image, program)
+                _run(image, program, backward=True)
                 for c, toggles in reversed(program):
                     _general_step(expected, toggles)
                     expected[c] = -expected[c]
@@ -949,16 +968,17 @@ def test_kernel_fast_path_matches_general_step():
 
 
 def _columns_match_scalar_loops(P, program, trials, rng):
-    """Run ``program`` both ways on random label columns: the column runner against
-    ``_insert``/``_extract`` on each column, from two unrelated starting matrices."""
+    """Run ``program`` both ways on random label columns: ``_run`` on the label
+    matrix against ``_run`` on each column's list, from two unrelated starting matrices."""
     import numpy as np
 
-    for backward, scalar in ((False, _insert), (True, _extract)):
+    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
+    for backward in (False, True):
         columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] + [0] for _ in range(trials)]
         labels = np.array(columns, dtype=object).T.copy()
-        _run_columns(labels, program, backward)
+        _run(labels, program, backward, reductions=extremes)
         for j, column in enumerate(columns):
-            scalar(column, program)
+            _run(column, program, backward)
             assert labels[:, j].tolist() == column, (P.n, backward, j)
         assert {type(v) for v in labels[:, -1]} <= {int}
 
@@ -1016,7 +1036,7 @@ def test_random_orders_keep_their_draws():
 
 
 def test_order_walk_matches_compiled_random_orders(monkeypatch):
-    # order independence's walk against the path it replaced: _insert along
+    # order independence's walk against the path it replaced: _run along
     # compile_program of random_descending_extension, drawn from a twin
     # stream with the same labels drawn in between.  Every draw gives the
     # same image, each walked path is a descending extension whose steps are
@@ -1049,7 +1069,7 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
                 program = compile_program(P, part, random_descending_extension(P, oracle))
                 assert path == tuple(c for c, _ in program), (name, seed, draw)
                 assert tuple(steps) == tuple(toggles for _, toggles in program), (name, seed, draw)
-                _insert(t, program)
+                _run(t, program)
                 assert walked == t, (name, seed, draw)
             assert rng.getstate() == oracle.getstate(), (name, seed)
 

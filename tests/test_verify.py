@@ -603,6 +603,27 @@ def test_monte_carlo_needs_a_sample():
     assert monte_carlo_volume(P, spec, samples=1, analysis=a).samples == 1
 
 
+def test_counts_refuse_non_positive_and_non_int_values():
+    # the library edges refuse what the CLI refuses with exit 2
+    P = d_k_one(3)
+    a = analyze(P)
+    spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
+    edges = {
+        "points": lambda k: verify_multivariate(P, points=k, analysis=a),
+        "trials": lambda k: rsk_polytope_check(P, trials=k, analysis=a),
+        "samples": lambda k: monte_carlo_volume(P, spec, samples=k, analysis=a),
+    }
+    for name, edge in edges.items():
+        for count in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1, got {count}"):
+                edge(count)
+        for count, kind in ((10.5, "float"), (2.0, "float"), ("3", "str")):
+            with pytest.raises(TypeError, match=f"{name} must be an int, not {kind}"):
+                edge(count)
+    assert verify_multivariate(P, points=1, analysis=a).ok
+    assert rsk_polytope_check(P, trials=1, analysis=a).ok
+
+
 def test_monte_carlo_empty_poset():
     # the 0-dimensional box has edge 1: every draw hits, the estimate is the
     # exact volume 1 with standard error 0, and a case batched with it keeps

@@ -26,6 +26,7 @@ from .rsk import (
     NonGenericPoint,
     _random_order_insertion,
     _run,
+    compile_program,
     diagonal_sums,
     inverse_rsk,
     is_stable,
@@ -35,6 +36,7 @@ from .rsk import (
 )
 from .verify import (
     PolytopeSpec,
+    _require_count,
     closed_form_volume,
     monte_carlo_volumes,
     rsk_polytope_check,
@@ -151,6 +153,7 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
     """
     import numpy as np  # numpy loads with the battery's first trials, not with the package
 
+    _require_count(trials, "trials")
     failures: list[str] = []
     extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
     for name, poset, a in prepared:
@@ -204,6 +207,7 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
     catalog's 59,200 orders take 409,000 steps along 12,647 edges
     between 6,529 nodes).
     """
+    _require_count(trials, "trials")
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
@@ -228,6 +232,7 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
 
 def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> CriterionResult:
     """The insertion map's exact Jacobian determinant is +-1 at generic points."""
+    _require_count(points, "points")
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
@@ -308,7 +313,7 @@ APPENDIX_P = ((1, 1, 2, 2), (2, 3), (3,))
 APPENDIX_Q = ((1, 1, 1, 3), (2, 2), (3,))
 
 
-def _pipelines_agree(matrix, shape_poset: Poset, a: PosetAnalysis, box_ids) -> bool:
+def _pipelines_agree(matrix, image, box_ids) -> bool:
     rpp = toggle_rpp(matrix)
     if not is_rpp(rpp):
         return False
@@ -316,20 +321,20 @@ def _pipelines_agree(matrix, shape_poset: Poset, a: PosetAnalysis, box_ids) -> b
     lower, upper = gt_from_rpp(rpp)
     if (ssyt_from_gt(lower).rows, ssyt_from_gt(upper).rows) != (insert_p.rows, insert_q.rows):
         return False
-    # element ids of young() are row-major, so id order is a valid (and
-    # row-major) descending insertion order matching toggle_rpp's default
-    flat = [0] * shape_poset.n
-    for (i, j), e in box_ids.items():
-        flat[e] = matrix[i - 1][j - 1]
-    image = rsk(shape_poset, flat, range(shape_poset.n), analysis=a)
-    for (i, j), e in box_ids.items():
-        if image[e] != rpp[i - 1][j - 1]:
-            return False
-    return True
+    return all(image[e] == rpp[i - 1][j - 1] for (i, j), e in box_ids.items())
 
 
 def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
-    """Insertion RSK and toggle construction agree, pinned example plus random matrices."""
+    """Insertion RSK and toggle construction agree, pinned example plus random matrices.
+
+    The even trials draw 3x3 matrices and the odd ones 4x4, all drawn
+    first.  Per square the generalized map then runs once, one trial per
+    column, along id order: young()'s ids are row-major, so that is a
+    descending order matching toggle_rpp's default.
+    """
+    import numpy as np  # numpy loads with the battery's first trials, not with the package
+
+    _require_count(trials, "trials")
     failures: list[str] = []
     rpp = toggle_rpp(list(map(list, APPENDIX_MATRIX)), order_from_ranks(APPENDIX_RANKS))
     if tuple(map(tuple, rpp)) != APPENDIX_RPP:
@@ -344,17 +349,25 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
         failures.append("fail pinned pattern-to-tableau reconstruction")
 
     rng = Random(seed)
-    posets = {}
+    matrices = [
+        [[rng.randint(0, 4) for _ in range(size)] for _ in range(size)]
+        for size in (3 if trial % 2 == 0 else 4 for trial in range(trials))
+    ]
+    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
+    checks: list = [None] * trials
     for size in (3, 4):
         shape = (size,) * size
-        square = young(shape)
-        posets[size] = (square, young_box_ids(shape), analyze(square))
-    for trial in range(trials):
-        size = 3 if trial % 2 == 0 else 4
-        matrix = [[rng.randint(0, 4) for _ in range(size)] for _ in range(size)]
-        shape_poset, box_ids, a = posets[size]
-        if not _pipelines_agree(matrix, shape_poset, a, box_ids):
-            failures.append(f"fail trial={trial} matrix={matrix}")
+        square, box_ids, drawn = young(shape), young_box_ids(shape), matrices[size - 3 :: 2]
+        # row e holds element e's label in every trial of this size; the last row is the sentinel
+        labels = np.zeros((square.n + 1, len(drawn)), dtype=object)
+        for (i, j), e in box_ids.items():
+            labels[e] = [matrix[i - 1][j - 1] for matrix in drawn]
+        program = compile_program(square, analyze(square).diagonals, range(square.n))
+        _run(labels, program, reductions=extremes)
+        checks[size - 3 :: 2] = [(matrix, image, box_ids) for matrix, image in zip(drawn, labels.T)]
+    for trial, check in enumerate(checks):
+        if not _pipelines_agree(*check):
+            failures.append(f"fail trial={trial} matrix={check[0]}")
             break
     return _result("classical-equivalence", failures, [f"trials={trials} seed={seed}"])
 

@@ -161,21 +161,17 @@ def toggle_rpp(matrix: Sequence[Sequence[int]], order: Coords | None = None) -> 
         order = tuple((i, j) for i, j in order)
     _check_square_order(shape, order)
 
-    out: dict[tuple[int, int], int] = {}
-
-    def read(i: int, j: int) -> int:
-        return out.get((i, j), 0)
-
+    # cell (i, j) at grid[i + 1][j + 1]: absent and not yet placed cells read 0
+    grid = [[0] * (shape[0] + 2) for _ in range(len(shape) + 2)]
+    placed: dict[int, list[tuple[int, int]]] = {}  # content diagonal -> its placed cells
     for i, j in order:
-        out[(i, j)] = max(read(i - 1, j), read(i, j - 1)) + rows[i][j]
-        for x, y in order:
-            if (x, y) in out and (x, y) != (i, j) and x - y == i - j:
-                out[(x, y)] = (
-                    max(read(x - 1, y), read(x, y - 1))
-                    + min(read(x + 1, y), read(x, y + 1))
-                    - out[(x, y)]
-                )
-    return [[out[(i, j)] for j in range(width)] for i, width in enumerate(shape)]
+        grid[i + 1][j + 1] = max(grid[i][j + 1], grid[i + 1][j]) + rows[i][j]
+        diagonal = placed.setdefault(i - j, [])
+        for x, y in diagonal:
+            above, row, below = grid[x - 1 : x + 2]
+            row[y] = max(above[y], row[y - 1]) + min(below[y], row[y + 1]) - row[y]
+        diagonal.append((i + 1, j + 1))
+    return [grid[i + 1][1 : width + 1] for i, width in enumerate(shape)]
 
 
 def is_rpp(rows: Sequence[Sequence[int]]) -> bool:

@@ -39,7 +39,6 @@ from .rsk import Filling, _run, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
-GRAIN_BITS = (GRAIN + 1).bit_length()  # a draw in 0..GRAIN takes this many random bits
 # Monte Carlo simplex points drawn per numpy batch.  Every point is tested by
 # every case of its size, so the batch is kept small: 2**14-point batches
 # raised battery peak RSS from 51.8-51.9 to 53.8-54.0 MiB (3 runs each) and
@@ -273,39 +272,31 @@ def _inside(
     )
 
 
-def _simplex_gaps(n: int, rng: Random) -> list[int]:
-    """A uniform point of the simplex {u >= 0, sum u <= 1} on a grid, as integers over GRAIN.
+def _simplex_gap_rows(n: int, trials: int, rng: Random):
+    """``trials`` uniform grid points of the simplex {u >= 0, sum u <= 1}, as integers over GRAIN.
 
-    Sorted-uniform gaps give a uniform point of the simplex; the gaps are
-    dealt to the elements in a uniformly random order.  The draws are
-    those of ``rng.randrange(0, GRAIN + 1)`` n times and then
-    ``rng.shuffle`` of 0..n-1 on a :class:`random.Random`, made the way
-    those calls make them: a value below m is ``getrandbits(m.bit_length())``
-    until the draw is below m, and the shuffle is Fisher-Yates from the
-    last position down.  ``test_simplex_gaps_keep_their_draws`` pins the
-    stream.
+    Row k of the (trials, n) int64 array is trial k's point.  One
+    ``rng.getrandbits(128)`` seeds a numpy PCG64 generator; it draws n
+    values on 0..GRAIN per row, and each row's sorted spacings (its least
+    value, then each step up) are shuffled on their own.
+
+    This is the law of n i.i.d. uniform draws on 0..GRAIN, sorted, with
+    the spacings dealt to the elements by a uniform permutation pi,
+    independent of the draws.  ``integers`` draws bounded values without
+    bias, so each row's values are i.i.d. uniform.  ``permuted`` runs
+    Fisher-Yates on unbiased bounded draws made after the values, so each
+    row gets its own uniform permutation sigma, independent of its values,
+    and element p gets spacing sigma(p).  Dealing spacing j to element
+    pi(j) gives p spacing pi^-1(p), and pi^-1 is uniform when pi is.  The
+    deal matters: on a grid the spacings are not exchangeable (at
+    GRAIN = 3 and n = 2 they are (0, 3) with probability 2/16, (3, 0) 1/16).
     """
-    getrandbits = rng.getrandbits
-    draws = []
-    for _ in range(n):
-        r = getrandbits(GRAIN_BITS)
-        while r > GRAIN:
-            r = getrandbits(GRAIN_BITS)
-        draws.append(r)
-    draws.sort()
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
-    gaps = [0] * n
-    previous = 0
-    for draw, p in zip(draws, order):
-        gaps[p] = draw - previous
-        previous = draw
-    return gaps
+    import numpy as np  # numpy loads with the first sample, not with the package
+
+    gen = np.random.default_rng(rng.getrandbits(128))
+    draws = gen.integers(0, GRAIN, size=(trials, n), endpoint=True)
+    draws.sort(axis=1)
+    return gen.permuted(np.diff(draws, axis=1, prepend=0), axis=1)
 
 
 def _sample_scale(hooks: Sequence[int], hooks_denom: int) -> tuple[list[int], int]:
@@ -331,12 +322,13 @@ def sample_fillings_point(
     {u >= 0, sum u <= 1}; dividing coordinatewise by the hook polynomials
     lands in the fillings polytope.  This matches the distribution of
     rejection sampling from the bounding box without its 1/n! acceptance
-    rate.  :func:`rsk_polytope_check` makes the same draws on integers.
+    rate.  The gaps are one :func:`_simplex_gap_rows` row, as in :func:`rsk_polytope_check`.
     """
     a = analysis or analyze(P)
     hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
     factors, denom = _sample_scale(hooks, hooks_denom)
-    return tuple(Fraction(g * f, denom) for g, f in zip(_simplex_gaps(P.n, rng), factors))
+    (gaps,) = _simplex_gap_rows(P.n, 1, rng).tolist()
+    return tuple(Fraction(g * f, denom) for g, f in zip(gaps, factors))
 
 
 class BijectionReport(NamedTuple):
@@ -361,17 +353,16 @@ def rsk_polytope_check(
 
     The checks run on integer labels, from the two polytopes' records
     (:func:`_polytope`), both over the least common denominator C of x:
-    H_p(x) = A_p / C and x_{D(p)} = X_p / C.  Each sample is drawn (by
-    the same ``rng`` calls as :func:`sample_fillings_point`) as labels T
-    over L = GRAIN * lcm(A).  The insertion map commutes with scaling by
-    L, so its image is labels S over L: t is in the fillings polytope iff
-    T >= 0 and sum A_p T_p <= C L; s is in the rpp polytope iff S >= 0,
-    S is order-reversing and sum X_p S_p <= C L; the identity is
-    sum X S == sum A T; the round trip is equality of label lists.
-    Fractions are built only for failure entries.  The samples are drawn
-    trial by trial, and the stable program then runs once over all of
-    them, one trial per column (:func:`rsk._run` on a label matrix),
-    forward for the images and backward for the round trips.  The
+    H_p(x) = A_p / C and x_{D(p)} = X_p / C.  The samples are the rows of
+    one :func:`_simplex_gap_rows` draw, scaled as in :func:`sample_fillings_point`
+    to labels T over L = GRAIN * lcm(A).  The insertion map commutes with
+    scaling by L, so its image is labels S over L: t is in the fillings
+    polytope iff T >= 0 and sum A_p T_p <= C L; s is in the rpp polytope
+    iff S >= 0, S is order-reversing and sum X_p S_p <= C L; the identity
+    is sum X S == sum A T; the round trip is equality of label lists.
+    Fractions are built only for failure entries.  The stable program runs
+    once over all samples, one trial per column (:func:`rsk._run` on a label
+    matrix), forward for the images and backward for the round trips.  The
     failures list the trials in order, each with its failed checks in the
     order above; a sample outside the fillings polytope is reported alone.
 
@@ -403,8 +394,8 @@ def rsk_polytope_check(
 
     # row p holds element p's label in every trial; the last row is the kernel's sentinel
     t = np.zeros((n + 1, trials), dtype=object)
-    gaps = np.array([_simplex_gaps(n, rng) for _ in range(trials)], dtype=object)
-    t[:n] = gaps.reshape(trials, n).T * np.array(factors, dtype=object).reshape(n, 1)
+    gaps = _simplex_gap_rows(n, trials, rng).T.astype(object)
+    t[:n] = gaps * np.array(factors, dtype=object).reshape(n, 1)
     hook_side = np.dot(np.array(hooks, dtype=object), t[:n])
     source = _inside_columns(t, hook_side, bound, ())
     extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))

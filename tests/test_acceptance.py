@@ -12,8 +12,18 @@ from random import Random
 import pytest
 
 from dcposets import acceptance, rsk_polytope_check, verify
+from dcposets import analyze, young
 from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
+from dcposets.classical import (
+    classical_insert_rsk,
+    gt_from_rpp,
+    is_rpp,
+    order_from_ranks,
+    row_major_order,
+    ssyt_from_gt,
+)
+from dcposets.families import young_box_ids
 from dcposets.hooks import random_scaled_points
 from dcposets.rsk import Program, _run, _toggle_all, compile_program, random_descending_extension
 from dcposets.verify import BijectionReport
@@ -119,6 +129,24 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
     assert kinds == {"image-membership", "weighted-sum", "round-trip"}
 
 
+@pytest.mark.parametrize("count, error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])
+def test_criteria_refuse_bad_counts(count, error):
+    # a count below 1 checked nothing, and -1 or 2.5 leaked random's own errors
+    subset = acceptance.prepare([e for e in catalog() if e.name == "d4"])
+    calls = {
+        "trials": (
+            lambda: acceptance.diagonal_sum_identity(subset, trials=count),
+            lambda: acceptance.order_independence(subset, trials=count),
+            lambda: acceptance.classical_equivalence(trials=count),
+        ),
+        "points": (lambda: acceptance.volume_preservation(subset, points=count),),
+    }
+    for name, runs in calls.items():
+        for run in runs:
+            with pytest.raises(error, match=f"^{name} must be "):
+                run()
+
+
 # -- the batched criteria against their per-trial loops ------------------------
 
 
@@ -162,8 +190,9 @@ def _loop_polytope_check(P, a, trials, seed):
         return tuple(Fraction(v, denom) for v in labels[: P.n])
 
     failures = []
+    rows = verify._simplex_gap_rows(P.n, trials, rng).tolist()
     for trial in range(trials):
-        t = [g * f for g, f in zip(verify._simplex_gaps(P.n, rng), factors)]
+        t = [g * f for g, f in zip(rows[trial], factors)]
         t.append(0)
         hook_side = verify._dot(hooks, t)
         if not verify._inside(t, hook_side, bound, ()):
@@ -394,3 +423,117 @@ def test_polytope_check_fails_like_the_trial_loop(monkeypatch, mutant):
             assert report == _loop_polytope_check(P, a, 100, seed), (P, seed)
             seen.update(failure[1] for failure in report.failures)
     assert kinds <= seen
+
+
+def _loop_pipelines_agree(matrix, shape_poset, a, box_ids) -> bool:
+    """Criterion 9's per-matrix check as the per-trial loop ran it: one rsk() call."""
+    rpp = acceptance.toggle_rpp(matrix)
+    if not is_rpp(rpp):
+        return False
+    insert_p, insert_q = classical_insert_rsk(matrix)
+    lower, upper = gt_from_rpp(rpp)
+    if (ssyt_from_gt(lower).rows, ssyt_from_gt(upper).rows) != (insert_p.rows, insert_q.rows):
+        return False
+    # element ids of young() are row-major, so id order is a valid (and
+    # row-major) descending insertion order matching toggle_rpp's default
+    flat = [0] * shape_poset.n
+    for (i, j), e in box_ids.items():
+        flat[e] = matrix[i - 1][j - 1]
+    image = rsk_module.rsk(shape_poset, flat, range(shape_poset.n), analysis=a)
+    for (i, j), e in box_ids.items():
+        if image[e] != rpp[i - 1][j - 1]:
+            return False
+    return True
+
+
+def _loop_classical_equivalence(trials, seed, agree=_loop_pipelines_agree):
+    """Criterion 9 as the per-trial loop: each matrix drawn, then checked alone."""
+    A = acceptance
+    failures: list[str] = []
+    rpp = A.toggle_rpp(list(map(list, A.APPENDIX_MATRIX)), order_from_ranks(A.APPENDIX_RANKS))
+    if tuple(map(tuple, rpp)) != A.APPENDIX_RPP:
+        failures.append(f"fail pinned rpp={rpp}")
+    lower, upper = gt_from_rpp(rpp)
+    if lower.rows != A.APPENDIX_LOWER_GT or upper.rows != A.APPENDIX_UPPER_GT:
+        failures.append(f"fail pinned patterns {lower.rows} {upper.rows}")
+    p, q = classical_insert_rsk(A.APPENDIX_MATRIX)
+    if p.rows != A.APPENDIX_P or q.rows != A.APPENDIX_Q:
+        failures.append(f"fail pinned tableaux {p.rows} {q.rows}")
+    if (ssyt_from_gt(lower).rows, ssyt_from_gt(upper).rows) != (A.APPENDIX_P, A.APPENDIX_Q):
+        failures.append("fail pinned pattern-to-tableau reconstruction")
+
+    rng = Random(seed)
+    posets = {}
+    for size in (3, 4):
+        shape = (size,) * size
+        square = young(shape)
+        posets[size] = (square, young_box_ids(shape), analyze(square))
+    for trial in range(trials):
+        size = 3 if trial % 2 == 0 else 4
+        matrix = [[rng.randint(0, 4) for _ in range(size)] for _ in range(size)]
+        shape_poset, box_ids, a = posets[size]
+        if not agree(matrix, shape_poset, a, box_ids):
+            failures.append(f"fail trial={trial} matrix={matrix}")
+            break
+    return A._result("classical-equivalence", failures, [f"trials={trials} seed={seed}"])
+
+
+def _toggle_rpp_skipping_a_toggle(matrix, order=None):
+    """toggle_rpp, except that placing cell (3, 3) leaves cell (0, 0) untoggled:
+    only 4x4 matrices go wrong, and only where that toggle changes the label."""
+    rows = [list(row) for row in matrix]
+    shape = [len(row) for row in rows]
+    out = {}
+
+    def read(i, j):
+        return out.get((i, j), 0)
+
+    for i, j in order or row_major_order(shape):
+        out[(i, j)] = max(read(i - 1, j), read(i, j - 1)) + rows[i][j]
+        for x, y in list(out):
+            if (x, y) != (i, j) and x - y == i - j and ((i, j), (x, y)) != ((3, 3), (0, 0)):
+                out[(x, y)] = (
+                    max(read(x - 1, y), read(x, y - 1))
+                    + min(read(x + 1, y), read(x, y + 1))
+                    - out[(x, y)]
+                )
+    return [[out[(i, j)] for j in range(width)] for i, width in enumerate(shape)]
+
+
+@pytest.mark.parametrize("mutant", [None, "leaky-step", "skip-a-toggle"])
+def test_classical_equivalence_fails_like_the_trial_loop(monkeypatch, mutant):
+    # criterion 9 draws every matrix first and runs each square's trials as one
+    # label matrix; its result, fail line included, equals the per-trial loop's
+    if mutant == "leaky-step":
+        monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
+    elif mutant == "skip-a-toggle":
+        monkeypatch.setattr(acceptance, "toggle_rpp", _toggle_rpp_skipping_a_toggle)
+    lines = []
+    for seed in range(3):
+        result = acceptance.classical_equivalence(trials=200, seed=seed)
+        assert result == _loop_classical_equivalence(200, seed), seed
+        lines += [line for line in result.lines if line.startswith("fail")]
+    assert bool(lines) == (mutant is not None)
+    if mutant == "skip-a-toggle":
+        assert not any(line.startswith("fail pinned") for line in lines)
+        assert any(not line.startswith("fail trial=1 ") for line in lines)
+
+
+def test_classical_equivalence_draws_the_loops_matrices(monkeypatch):
+    # the batched draw gives the per-trial loop's matrices, trial by trial
+    for seed in range(3):
+        batched, looped = [], []
+
+        def record_batched(matrix, image, box_ids, agree=acceptance._pipelines_agree):
+            batched.append(matrix)
+            return agree(matrix, image, box_ids)
+
+        def record_looped(matrix, *rest):
+            looped.append(matrix)
+            return _loop_pipelines_agree(matrix, *rest)
+
+        monkeypatch.setattr(acceptance, "_pipelines_agree", record_batched)
+        assert acceptance.classical_equivalence(trials=200, seed=seed).ok
+        monkeypatch.undo()
+        assert _loop_classical_equivalence(200, seed, agree=record_looped).ok
+        assert len(batched) == 200 and batched == looped, seed

@@ -6,6 +6,8 @@ from dcposets import analyze, rsk, young
 from dcposets.classical import (
     GTPattern,
     SSYT,
+    _check_square_order,
+    _validated_matrix,
     classical_insert_rsk,
     gt_from_rpp,
     is_rpp,
@@ -58,27 +60,68 @@ def test_toggle_rpp_pinned_example():
     assert is_rpp(rpp)
 
 
+def _random_valid_order(shape, rng):
+    remaining = set(row_major_order(shape))
+    out = []
+    while remaining:
+        ready = [
+            (i, j)
+            for (i, j) in remaining
+            if (i - 1, j) not in remaining and (i, j - 1) not in remaining
+        ]
+        out.append(ready[rng.randrange(len(ready))])
+        remaining.remove(out[-1])
+    return tuple(out)
+
+
 def test_toggle_rpp_order_independent():
     rng = Random(8)
     shape = (3, 3, 3)
-
-    def random_valid_order():
-        remaining = set(row_major_order(shape))
-        out = []
-        while remaining:
-            ready = [
-                (i, j)
-                for (i, j) in remaining
-                if (i - 1, j) not in remaining and (i, j - 1) not in remaining
-            ]
-            out.append(ready[rng.randrange(len(ready))])
-            remaining.remove(out[-1])
-        return tuple(out)
-
     for _ in range(20):
         matrix = [[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]
         base = toggle_rpp(matrix)
-        assert toggle_rpp(matrix, random_valid_order()) == base
+        assert toggle_rpp(matrix, _random_valid_order(shape, rng)) == base
+
+
+def _full_scan_toggle_rpp(matrix, order=None):
+    """toggle_rpp as first written: a dict of placed cells, and every placement
+    scans all of ``order`` for the placed cells of its content diagonal."""
+    rows = _validated_matrix(matrix, rectangular=False)
+    shape = tuple(len(r) for r in rows)
+    if order is None:
+        order = row_major_order(shape)
+    else:
+        order = tuple((i, j) for i, j in order)
+    _check_square_order(shape, order)
+
+    out: dict[tuple[int, int], int] = {}
+
+    def read(i: int, j: int) -> int:
+        return out.get((i, j), 0)
+
+    for i, j in order:
+        out[(i, j)] = max(read(i - 1, j), read(i, j - 1)) + rows[i][j]
+        for x, y in order:
+            if (x, y) in out and (x, y) != (i, j) and x - y == i - j:
+                out[(x, y)] = (
+                    max(read(x - 1, y), read(x, y - 1))
+                    + min(read(x + 1, y), read(x, y + 1))
+                    - out[(x, y)]
+                )
+    return [[out[(i, j)] for j in range(width)] for i, width in enumerate(shape)]
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (5,), (1, 1, 1), (3, 2), (4, 2, 1), (2, 2, 1), (5, 3, 3, 1), (6, 4, 4, 2, 1, 1)]
+)
+def test_toggle_rpp_matches_the_full_scan(shape):
+    # the toggles of each placement, found through the placed cells of its
+    # diagonal, are the full scan's, under the default order and random ones
+    rng = Random(len(shape) * 10 + shape[0])
+    for _ in range(15):
+        matrix = [[rng.randint(0, 4) for _ in range(width)] for width in shape]
+        for order in (None, _random_valid_order(shape, rng), _random_valid_order(shape, rng)):
+            assert toggle_rpp(matrix, order) == _full_scan_toggle_rpp(matrix, order), (matrix, order)
 
 
 def test_toggle_rpp_rejects_bad_order():

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -460,16 +461,10 @@ def test_hook_and_weight_denominators_are_equal():
     assert points > 1000
 
 
-def _reference_sample(P, hooks, rng):
-    """The fillings-polytope draw on Fractions: sorted-uniform gaps divided by the hooks."""
-    draws = sorted(Fraction(rng.randrange(0, verify.GRAIN + 1), verify.GRAIN) for _ in range(P.n))
-    gaps = [draws[0]] + [b - c for b, c in zip(draws[1:], draws)]
-    order = list(range(P.n))
-    rng.shuffle(order)
-    t = [Fraction(0)] * P.n
-    for gap, p in zip(gaps, order):
-        t[p] = gap / hooks[p]
-    return tuple(t)
+def _reference_sample(hooks, gaps):
+    """The fillings-polytope point of one sampler row on Fractions: each gap over GRAIN
+    divided by its hook."""
+    return tuple(Fraction(g, verify.GRAIN) / h for g, h in zip(gaps, hooks))
 
 
 def _reference_inside(P, a, kind, x, v):
@@ -487,11 +482,11 @@ def _reference_polytope_check(P, a, x, trials, seed):
     """rsk_polytope_check on Fractions, each check written as its definition states it."""
     if x is None:
         x = all_ones_point(a.diagonals.count)
-    rng = Random(seed)
+    rows = verify._simplex_gap_rows(P.n, trials, Random(seed)).tolist()
     hooks = a.hook_polynomials(x)
     failures = []
     for trial in range(trials):
-        t = _reference_sample(P, hooks, rng)
+        t = _reference_sample(hooks, rows[trial])
         if not _reference_inside(P, a, "fillings", x, t):
             failures.append((trial, "source-membership", t))
             continue
@@ -526,7 +521,8 @@ def test_samples_and_membership_match_fractions(family, analyses, name):
         rng, reference_rng = Random(4), Random(4)
         for _ in range(10):
             t = sample_fillings_point(P, x, rng, analysis=a)
-            assert t == _reference_sample(P, a.hook_polynomials(x), reference_rng)
+            (row,) = verify._simplex_gap_rows(P.n, 1, reference_rng).tolist()
+            assert t == _reference_sample(a.hook_polynomials(x), row)
             for point in (t, rsk(P, t, analysis=a), tuple(3 * v for v in t)):
                 for kind in ("fillings", "rpp"):
                     inside = _reference_inside(P, a, kind, x, point)
@@ -869,17 +865,67 @@ def _randrange_gaps(n, rng):
     return gaps
 
 
-def test_simplex_gaps_keep_their_draws():
-    # c7's samples are pinned by these draws; n = 0 and 1 draw no shuffle bits
+def test_simplex_gap_rows_keep_their_draws():
+    # c7's samples are pinned by these draws: one getrandbits(128) seeds a
+    # PCG64 generator, which draws the values, then deals each row's spacings
     for n in (0, 1, 2, 3, 6, 8, 17, 64):
-        for seed in range(30):
-            oracle, rng = Random(seed), Random(seed)
-            for _ in range(5):
-                gaps = verify._simplex_gaps(n, rng)
-                assert gaps == _randrange_gaps(n, oracle)
-                assert all(g >= 0 for g in gaps) and sum(gaps) <= verify.GRAIN
-            assert rng.getstate() == oracle.getstate()
-    assert verify.GRAIN_BITS == 21
+        for trials in (1, 5):
+            for seed in range(10):
+                oracle, rng = Random(seed), Random(seed)
+                rows = verify._simplex_gap_rows(n, trials, rng)
+                gen = np.random.default_rng(oracle.getrandbits(128))
+                draws = gen.integers(0, verify.GRAIN, size=(trials, n), endpoint=True)
+                spacings = [[b - a for a, b in zip([0, *row], row)] for row in map(sorted, draws.tolist())]
+                expected = gen.permuted(np.array(spacings, dtype=np.int64).reshape(trials, n), axis=1)
+                assert rows.shape == (trials, n)
+                assert rows.tolist() == expected.tolist()
+                assert (rows >= 0).all() and (rows.sum(axis=1) <= verify.GRAIN).all()
+                assert rng.getstate() == oracle.getstate()
+
+
+class _ScriptedRandom:
+    """Stands in for ``Random`` in ``_randrange_gaps``: randrange returns the given
+    draws in turn, and shuffle puts the given permutation in place."""
+
+    def __init__(self, draws, permutation):
+        self.draws = iter(draws)
+        self.permutation = permutation
+
+    def randrange(self, start, stop):
+        return next(self.draws)
+
+    def shuffle(self, x):
+        x[:] = self.permutation
+
+
+# chi-square bounds at upper tail 1e-4, fixed before the first run: df 9 (n = 2)
+# and df 19 (n = 3), from scipy.stats.chi2.ppf(1 - 1e-4, df)
+GAP_LAW_CHI2 = {2: 33.72, 3: 50.80}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_simplex_gap_rows_keep_the_law(monkeypatch, n):
+    # the exact law of _randrange_gaps at GRAIN = 3: every tuple of n draws and
+    # every permutation, the ones Random's randrange and shuffle make uniformly
+    monkeypatch.setattr(verify, "GRAIN", 3)
+    law = {}
+    for draws in itertools.product(range(4), repeat=n):
+        for permutation in itertools.permutations(range(n)):
+            gaps = tuple(_randrange_gaps(n, _ScriptedRandom(draws, list(permutation))))
+            law[gaps] = law.get(gaps, 0) + 1
+    total = sum(law.values())
+    assert len(law) - 1 == {2: 9, 3: 19}[n]
+    trials = 20_000
+    for seed in range(3):
+        seen = {}
+        for row in map(tuple, verify._simplex_gap_rows(n, trials, Random(seed)).tolist()):
+            seen[row] = seen.get(row, 0) + 1
+        assert set(seen) <= set(law), seed
+        statistic = sum(
+            (seen.get(gaps, 0) - trials * k / total) ** 2 / (trials * k / total)
+            for gaps, k in law.items()
+        )
+        assert statistic <= GAP_LAW_CHI2[n], (n, seed, statistic)
 
 
 def _box_monte_carlo_hits(cases, samples, seed):

@@ -257,9 +257,9 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
 
 
 def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
-    """True iff ``order`` lists all elements with larger elements first."""
+    """True iff ``order`` lists all elements, as ints, with larger elements first."""
     seq = tuple(order)
-    if sorted(seq) != list(range(P.n)):
+    if not all(isinstance(v, int) for v in seq) or sorted(seq) != list(range(P.n)):
         return False
     pos = [0] * P.n
     for i, v in enumerate(seq):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -143,20 +143,22 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
         labels[e] = hi + lo - labels[e]
 
 
-def _run(labels, program: Program, backward: bool = False, step=None, reductions=None) -> None:
+def _run(labels, program: Program, backward: bool = False, step=None) -> None:
     """Run ``program`` in place on a label list or label matrix, forward or backward.
 
     Forward negates each step's inserted label, then toggles the step;
     backward undoes the steps in reverse, toggles being involutions.
     ``step`` defaults to :func:`_toggle_all` as named at the call, so a
-    replaced one reaches every run.  A matrix run passes the element-wise
-    max and min of rows as ``reductions``, which reach the step as its
-    ``top`` and ``bottom``; each column ends as a run on it alone would.
+    replaced one reaches every run.  Handed a matrix, the runner binds the
+    element-wise max and min of rows as the step's ``top`` and
+    ``bottom``; each column ends as a run on it alone would.  A list run
+    calls the step with its two arguments only.
     """
     step = step or _toggle_all
-    if reductions:
-        top, bottom = reductions
-        step = partial(step, top=top, bottom=bottom)
+    if type(labels) is not list:
+        import numpy as np  # a label matrix is a numpy array, so numpy is loaded
+
+        step = partial(step, top=partial(reduce, np.maximum), bottom=partial(reduce, np.minimum))
     if backward:
         for c, toggles in reversed(program):
             step(labels, toggles)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import partial, reduce
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -398,14 +397,13 @@ def rsk_polytope_check(
     t[:n] = gaps * np.array(factors, dtype=object).reshape(n, 1)
     hook_side = np.dot(np.array(hooks, dtype=object), t[:n])
     source = _inside_columns(t, hook_side, bound, ())
-    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
     s = t.copy()
-    _run(s, program, reductions=extremes)
+    _run(s, program)
     weight_side = np.dot(np.array(weights, dtype=object), s[:n])
     image = _inside_columns(s, weight_side, bound, cover_pairs)
     summed = weight_side == hook_side
     back = s.copy()
-    _run(back, program, backward=True, reductions=extremes)
+    _run(back, program, backward=True)
     returned = (back == t).all(axis=0)
 
     def fractions(labels, trial):
@@ -542,8 +540,8 @@ def monte_carlo_volumes(
     passes everywhere.  A size whose cases all pass draws nothing after
     K.  Every count is the one the draws would give.
 
-    The rows are drawn in batches of at most ``CHUNK`` into reused
-    buffers.  A row's sum T is added column by column, and each case's
+    The rows are drawn in batches of at most ``CHUNK``, each into fresh
+    arrays.  A row's sum T is added column by column, and each case's
     dot product is box[:, 0] * c_0 + box[:, 1] * c_1 + ... column by
     column, so every row rounds the same whatever rows share its batch:
     the hit counts do not depend on ``CHUNK``.  Estimates come back in
@@ -554,70 +552,40 @@ def monte_carlo_volumes(
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
     hits = [0] * len(cases)
-    # size -> box edge -> case indices; one draw stream per size, one scaling per edge
-    groups: dict[int, dict[float, list[int]]] = {}
-    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
-        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
-    for n, by_edge in groups.items():
+    sizes: dict[int, list[int]] = {}
+    for i, (P, _, _) in enumerate(cases):
+        sizes.setdefault(P.n, []).append(i)
+    for n, members in sizes.items():
         rng = np.random.default_rng(seed)
         inside = int(rng.binomial(samples, 1 / math.factorial(n)))
         if n <= 1:
             # a case that hits at u = (1.0,) * n hits at every point; edge * 1.0
             # is edge, so its test there is edge * c_0 <= 1.0
-            sure = {
-                i
-                for edge, members in by_edge.items()
-                for i in members
-                if all(edge * c <= 1.0 for c in tests[i][1])
-            }
+            sure = [i for i in members if all(tests[i][0] * c <= 1.0 for c in tests[i][1])]
             for i in sure:
                 hits[i] = inside
-            by_edge = {
-                edge: rest
-                for edge, members in by_edge.items()
-                if (rest := [i for i in members if i not in sure])
-            }
-            if not by_edge:
+            members = [i for i in members if i not in sure]
+            if not members:
                 continue
-        drawn = np.empty((CHUNK, n + 1))
-        total = np.empty(CHUNK)
-        # the points coordinate by coordinate, so that a column is contiguous
-        u = np.empty((n, CHUNK))
-        pts = np.empty((n, CHUNK))
-        dots = np.empty(CHUNK)
-        term = np.empty(CHUNK)
-        ok = np.empty(CHUNK, dtype=bool)
-        done = 0
-        while done < inside:
+        for done in range(0, inside, CHUNK):
             take = min(CHUNK, inside - done)
-            e, t, d, w, below = drawn[:take], total[:take], dots[:take], term[:take], ok[:take]
-            rng.standard_exponential(out=e)
-            np.copyto(t, e[:, 0])
+            e = rng.standard_exponential((take, n + 1))
+            t = e[:, 0].copy()
             for j in range(1, n + 1):
                 t += e[:, j]
-            for p in range(n):
-                np.divide(e[:, p], t, out=u[p, :take])
-            for edge, members in by_edge.items():
+            u = [e[:, p] / t for p in range(n)]
+            for i in members:
+                edge, coefficients, cover_pairs = tests[i]
                 # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
                 # at the all-ones point) tests the points themselves
-                box = u[:, :take] if edge == 1.0 else np.multiply(u[:, :take], edge, out=pts[:, :take])
-                for i in members:
-                    _, coefficients, cover_pairs = tests[i]
-                    d.fill(0.0)
-                    for p, c in enumerate(coefficients):
-                        d += np.multiply(box[p], c, out=w)
-                    np.less_equal(d, 1.0, out=below)
-                    if not cover_pairs:
-                        hits[i] += int(np.count_nonzero(below))
-                        continue
-                    # the cover comparisons run only on the points under the
-                    # hyperplane, which np.compress selects
-                    under = np.compress(below, box, axis=1)
-                    kept = np.ones(under.shape[1], dtype=bool)
-                    for low, high in cover_pairs:
-                        kept &= under[low] >= under[high]
-                    hits[i] += int(np.count_nonzero(kept))
-            done += take
+                box = u if edge == 1.0 else [x * edge for x in u]
+                dot = np.zeros(take)
+                for p, c in enumerate(coefficients):
+                    dot += box[p] * c
+                ok = dot <= 1.0
+                for low, high in cover_pairs:
+                    ok &= box[low] >= box[high]
+                hits[i] += int(np.count_nonzero(ok))
     estimates = []
     for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):
         box_volume = edge**P.n

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from dcposets import acceptance, rsk_polytope_check, verify
-from dcposets import analyze, young
+from dcposets import Poset, analyze, young
 from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
 from dcposets.classical import (
@@ -22,6 +22,7 @@ from dcposets.classical import (
     order_from_ranks,
     row_major_order,
     ssyt_from_gt,
+    toggle_rpp,
 )
 from dcposets.families import young_box_ids
 from dcposets.hooks import random_scaled_points
@@ -76,6 +77,18 @@ def test_criterion_07_polytope_bijection(prepared):
 
 def test_criterion_08_structural_properties(prepared):
     report(acceptance.structural_properties(prepared))
+
+
+def test_structural_properties_names_a_failed_axiom():
+    # a poset that is not d-complete gets one fail line, naming its first
+    # violation, and none of the other structure checks
+    P = Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    result = acceptance.structural_properties([("two-diamonds", P, analyze(P))])
+    assert not result.ok
+    assert result.lines == (
+        "posets=1",
+        "fail poset=two-diamonds axioms=(AxiomViolation(axiom=3, witness=(0, 1, 2, 3)),)",
+    )
 
 
 def test_criterion_09_classical_equivalence():
@@ -500,22 +513,36 @@ def _toggle_rpp_skipping_a_toggle(matrix, order=None):
     return [[out[(i, j)] for j in range(width)] for i, width in enumerate(shape)]
 
 
-@pytest.mark.parametrize("mutant", [None, "leaky-step", "skip-a-toggle"])
+def _toggle_rpp_swapping_two_cells(matrix, order=None):
+    """toggle_rpp, except that on a 4x4 matrix cells (0, 0) and (3, 3) trade
+    labels: the result is no RPP wherever the two differ."""
+    rpp = toggle_rpp(matrix, order)
+    if len(rpp) == 4:
+        rpp[0][0], rpp[3][3] = rpp[3][3], rpp[0][0]
+    return rpp
+
+
+@pytest.mark.parametrize("mutant", [None, "leaky-step", "skip-a-toggle", "non-rpp"])
 def test_classical_equivalence_fails_like_the_trial_loop(monkeypatch, mutant):
     # criterion 9 draws every matrix first and runs each square's trials as one
-    # label matrix; its result, fail line included, equals the per-trial loop's
+    # label matrix; its result, fail line included, equals the per-trial loop's.
+    # The non-RPP mutant fails the loop's is_rpp check and criterion 9's
+    # gt_from_rpp refusal alike
     if mutant == "leaky-step":
         monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
     elif mutant == "skip-a-toggle":
         monkeypatch.setattr(acceptance, "toggle_rpp", _toggle_rpp_skipping_a_toggle)
+    elif mutant == "non-rpp":
+        monkeypatch.setattr(acceptance, "toggle_rpp", _toggle_rpp_swapping_two_cells)
     lines = []
     for seed in range(3):
         result = acceptance.classical_equivalence(trials=200, seed=seed)
         assert result == _loop_classical_equivalence(200, seed), seed
         lines += [line for line in result.lines if line.startswith("fail")]
     assert bool(lines) == (mutant is not None)
-    if mutant == "skip-a-toggle":
+    if mutant in ("skip-a-toggle", "non-rpp"):
         assert not any(line.startswith("fail pinned") for line in lines)
+    if mutant == "skip-a-toggle":
         assert any(not line.startswith("fail trial=1 ") for line in lines)
 
 

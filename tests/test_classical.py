@@ -196,3 +196,10 @@ def test_toggle_rpp_matches_generalized_map(shape):
         assert is_rpp(rpp)
         for (i, j), e in ids.items():
             assert image[e] == rpp[i - 1][j - 1]
+
+
+def test_is_rpp_reads_columns():
+    # each row weakly increases, so only a column can refuse
+    assert is_rpp([[0, 1], [1]])
+    assert not is_rpp([[1, 1], [0]])
+    assert not is_rpp([[1], [0]])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dcposets import acceptance, builtin_poset, d_k_one, verify, young
+from dcposets import Poset, acceptance, builtin_poset, d_k_one, verify, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -120,6 +120,21 @@ def test_extensions_list_over_cap_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == "count=5\n"
     assert "--cap 2" in err
+
+
+def test_refused_posets_exit_1(tmp_path, capsys):
+    # a poset the command cannot take is no usage error: exit 1, with the
+    # refusal's own message
+    path = tmp_path / "two-diamonds.poset"
+    path.write_text(poset_to_text(Poset(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)])))
+    code, out, err = run(capsys, "hooks", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: poset is not d-complete: axiom 3 fails at (0, 1, 2, 3)\n"
+    path = tmp_path / "young-12x12.poset"
+    path.write_text(poset_to_text(young((12,) * 12)))
+    code, out, err = run(capsys, "extensions", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: poset has more than IDEAL_LIMIT = 65536 order ideals; refusing\n"
 
 
 def test_rsk_round_trip_through_files(tmp_path, capsys):

@@ -174,6 +174,8 @@ def test_minimal_difference_axiom_violation():
     P = Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
     report = analyze(P).axiom_report
     assert any(v.axiom == 3 for v in report.violations)
+    with pytest.raises(ValueError, match=r"^poset is not d-complete: axiom 3 fails at \(0, 1, 2, 3\)$"):
+        analyze(P).ensure_d_complete()
 
 
 def test_top_cover_axiom_violation():

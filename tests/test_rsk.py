@@ -2,7 +2,6 @@ import importlib
 import time
 from bisect import insort
 from fractions import Fraction
-from functools import partial, reduce
 from random import Random
 
 import pytest
@@ -213,6 +212,27 @@ def test_float_ids_raise_typed_errors():
     for state, p in (({0: 1}, 0.0), ({0.0: 1}, 0), ({5: 1, 4.0: 2}, 5)):
         with pytest.raises(TypeError, match=r"element ids must be int, not float [045]\.0"):
             toggle(P, state, p)
+
+
+@pytest.mark.parametrize(
+    "order, error, message",
+    [
+        ((5.0, 4, 2, 3, 1, 0), TypeError, r"insertion order entries must be int, not float 5\.0"),
+        (("5", 4, 2, 3, 1, 0), TypeError, r"insertion order entries must be int, not str '5'"),
+        ((0, 1, 2, 3, 4, 5), ValueError, r"insertion order must be a descending linear extension"),
+    ],
+    ids=["float", "str", "ascending"],
+)
+def test_orders_that_are_no_descending_extension(order, error, message):
+    # a float equal to an element and a string are refused as entries, not by
+    # Python's own indexing or comparison errors, as an ascending order is;
+    # is_stable refuses all three, and rsk still names the first bad entry
+    P = _D4
+    assert not is_descending_extension(P, order)
+    with pytest.raises(ValueError, match="^order must be a descending linear extension$"):
+        is_stable(P, order, analyze(P).d_intervals)
+    with pytest.raises(error, match=message):
+        rsk(P, (1,) * 6, order)
 
 
 def test_sign_and_order_checks_read_exact_values():
@@ -972,11 +992,10 @@ def _columns_match_scalar_loops(P, program, trials, rng):
     matrix against ``_run`` on each column's list, from two unrelated starting matrices."""
     import numpy as np
 
-    extremes = (partial(reduce, np.maximum), partial(reduce, np.minimum))
     for backward in (False, True):
         columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] + [0] for _ in range(trials)]
         labels = np.array(columns, dtype=object).T.copy()
-        _run(labels, program, backward, reductions=extremes)
+        _run(labels, program, backward)
         for j, column in enumerate(columns):
             _run(column, program, backward)
             assert labels[:, j].tolist() == column, (P.n, backward, j)

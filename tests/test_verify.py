@@ -994,9 +994,9 @@ def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
         def binomial(self, n, p):
             return self.rng.binomial(n, p)
 
-        def standard_exponential(self, out):
-            draws.append(len(out))
-            return self.rng.standard_exponential(out=out)
+        def standard_exponential(self, size):
+            draws.append(size)
+            return self.rng.standard_exponential(size)
 
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", Recorder)
@@ -1010,3 +1010,11 @@ def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
     for seed in range(10):
         hits = [e.hits for e in verify.monte_carlo_volumes(one + rounding, samples, seed)]
         assert hits == _unshortcut_monte_carlo_hits(one + rounding, samples, seed), seed
+
+
+def test_weight_sum_refuses_an_unknown_method():
+    P = d_k_one(4)
+    a = analyze(P)
+    x = all_ones_point(a.diagonals.count)
+    with pytest.raises(ValueError, match=r"^unknown method 'brute'$"):
+        weight_sum(P, a.diagonals, x, "brute")

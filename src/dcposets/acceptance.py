@@ -23,6 +23,7 @@ from .hooks import all_ones_point, random_scaled_points
 from .poset import Poset
 from .rsk import (
     NonGenericPoint,
+    _derivative_check,
     _random_order_insertion,
     _run,
     compile_program,
@@ -31,7 +32,6 @@ from .rsk import (
     is_stable,
     random_filling,
     rsk,
-    rsk_jacobian_det,
 )
 from .verify import (
     PolytopeSpec,
@@ -229,7 +229,17 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
 
 
 def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> CriterionResult:
-    """The insertion map's exact Jacobian determinant is +-1 at generic points."""
+    """At generic points the insertion map's Jacobian has determinant +-1 and is the kernel's derivative.
+
+    Per poset, fillings are drawn from ``Random(seed)`` until ``points`` of
+    them are generic.  At each, :func:`_derivative_check` makes one
+    choosing run, which gives the determinant, draws a direction from the
+    same stream and runs the kernel once along it.  A determinant other
+    than +-1 fails with the point, and a kernel whose result is not the
+    map's own derivative fails with the point's index among the generic
+    points and the first element that disagrees; either ends the poset's
+    checks.
+    """
     _require_count(points, "points")
     failures: list[str] = []
     for name, poset, a in prepared:
@@ -240,11 +250,14 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
             attempts += 1
             t = random_filling(poset.n, rng)
             try:
-                det = rsk_jacobian_det(poset, t, analysis=a)
+                det, wrong = _derivative_check(poset, t, rng, a)
             except NonGenericPoint:
                 continue
             if det not in (Fraction(1), Fraction(-1)):
                 failures.append(f"fail poset={name} seed={seed} det={det} at t={t}")
+                break
+            if wrong is not None:
+                failures.append(f"fail poset={name} seed={seed} point={done} element={wrong}")
                 break
             done += 1
         else:

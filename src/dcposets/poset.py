@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -44,6 +45,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _require_ids(ids: Iterable, what: str) -> None:
+    """Refuse element ids that are not ints, naming the first such entry."""
+    bad = [q for q in ids if not isinstance(q, int)]
+    if bad:
+        raise TypeError(f"{what} must be int, not {type(bad[0]).__name__} {bad[0]!r}")
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
@@ -56,7 +64,8 @@ class Poset:
 
     The reflexive-transitive closure is computed eagerly; redundant input
     pairs are silently removed by transitive reduction.  A cycle in the
-    input raises :class:`CycleError` naming a witness.
+    input raises :class:`CycleError` naming a witness, and an element
+    count or id that is not an int raises ``TypeError`` naming it.
 
     ``_analysis`` is a weak reference to the poset's live
     :class:`~dcposets.analysis.PosetAnalysis`, or None; only
@@ -73,8 +82,11 @@ class Poset:
         pairs: Iterable[tuple[int, int]] = (),
         names: Mapping[int, str] | None = None,
     ):
+        _require_ids((n,), "element count")
         if n < 0:
             raise ValueError("element count must be nonnegative")
+        pairs = list(pairs)
+        _require_ids(chain.from_iterable(pairs), "cover pair ids")
         edges: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for a, b in pairs:
@@ -119,6 +131,7 @@ class Poset:
         self._upper = tuple(tuple(sorted(u)) for u in upper)
         self._lower = tuple(tuple(sorted(v)) for v in lower)
         self.names = dict(names) if names else {}
+        _require_ids(self.names, "named element ids")
         for key in self.names:
             if not 0 <= key < n:
                 raise ValueError(f"name given for unknown element {key}")

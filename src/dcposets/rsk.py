@@ -18,10 +18,12 @@ in every column, one column per filling.  The battery's trials on the
 stable program (diagonal sums, the polytope bijection) run as one
 matrix, where one row operation does the work of a hundred scalar
 toggles.  ``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges
-over them, and the Jacobian's base run is ``_run`` with a step that
-records its choices.  Elements of one diagonal never cover each other,
-so the toggles of one step read no label another of them writes: they
-commute.
+over them.  The Jacobian builds no matrix: its base run is ``_run`` with
+a step that records its choices, its determinant is the parity of the
+run's length, and criterion 6 checks the kernel's derivative along a
+random direction against those choices replayed on it.  Elements of one
+diagonal never cover each other, so the toggles of one step read no
+label another of them writes: they commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
@@ -49,7 +51,7 @@ from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
 from .hooks import common_denominator, exact_value, random_rational_point
-from .poset import Poset, is_descending_extension, mask_of
+from .poset import Poset, _require_ids, is_descending_extension, mask_of
 
 Filling = tuple[Fraction, ...]
 # One toggle: (element, candidate upper covers, candidate lower covers).  An
@@ -174,13 +176,6 @@ def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     labels, denom = common_denominator(values)
     labels.append(0)
     return labels, denom
-
-
-def _require_ids(ids: Iterable, what: str) -> None:
-    """Refuse element ids that are not ints, naming the first such entry."""
-    bad = [q for q in ids if not isinstance(q, int)]
-    if bad:
-        raise TypeError(f"{what} must be int, not {type(bad[0]).__name__} {bad[0]!r}")
 
 
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
@@ -507,6 +502,14 @@ def _random_order_insertion(
 
 # -- volume preservation ---------------------------------------------------
 
+# Criterion 6 checks the map's derivative along directions with entries in
+# -V..V-1 for this V, a power of two; a wrong derivative escapes one check
+# with probability at most 1/(2V).
+DIRECTION_BOUND = 2**32
+
+# One toggle of a run, as it was chosen: (element, upper cover, lower cover).
+Choice = tuple[int, int, int]
+
 
 def rsk_jacobian_det(
     P: Poset,
@@ -518,37 +521,35 @@ def rsk_jacobian_det(
     """Exact Jacobian determinant of the insertion map at a generic point.
 
     Every toggle is a piecewise-linear involution, so the map is piecewise
-    linear.  One run at the base point picks, per toggle, the upper cover
-    of largest label and the lower cover of smallest label, by a running
-    best compared with each later candidate as the toggle is read; a
-    label equal to the running best raises :class:`NonGenericPoint` at
-    once.  When every gap is strictly positive, the same choices are made
-    on a neighborhood of the point, so there the map is the linear map
-    those choices spell out.  :func:`_jacobian_rows` records them as one
-    ``(element, upper, lower)`` triple per toggle and, once the run has
-    finished without a tie, replays them on integer coefficient rows,
-    kept sparse as ``{column: coefficient}`` dicts (on Young 12x12 a row
-    holds about 13 of 144 entries) and built in place, each zero dropped
-    as it arises.  :func:`_bareiss` takes their determinant by
-    fraction-free elimination on those rows, sparsest columns first, each
-    pivoting on the sparsest row that has a nonzero in it.
+    linear.  :func:`_choices` runs the map at the point, choosing per
+    toggle the upper cover of largest label and the lower cover of
+    smallest label, and raises :class:`NonGenericPoint` on a tie.  When
+    every gap is strictly positive, the same choices are made on a
+    neighborhood of the point, so there the map is the linear map those
+    choices spell out: the product, over the run's n insertions and T
+    toggles, of one linear map of the n labels each.
 
-    Each insertion or toggle is the identity with one row replaced, and
-    that row's diagonal entry is -1, so the determinant is (-1)^(n + T)
-    for the program's T toggles, whatever choices were made.  A check
-    of this value (criterion 6) therefore tests the replay and
-    :func:`_bareiss`, not the arithmetic of the base run's toggles.
+    Each factor is the identity with one row replaced, and that row's
+    diagonal entry is -1.  Inserting c replaces label c by its negation.
+    Toggling e against x above and y below replaces label e by
+    l_x + l_y - l_e, where x and y are covers of e, never e itself, and
+    the sentinel's label is the constant 0.  The identity with row i
+    replaced by r is I + e_i (r - e_i)^T, whose determinant is
+    1 + (r - e_i)_i = r_i.  So the determinant is (-1)^(n + T) for the
+    T toggles of the run, whatever choices were made, and the one run
+    serves only to refuse the points where a tie leaves the map without
+    a derivative.  Criterion 6 checks the choices themselves through
+    :func:`_derivative_check`.
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    t = normalize_filling(P.n, filling, require_nonnegative=True)
-    labels, _ = _scale(t)
-    rows = _jacobian_rows(labels, _program(P, order, a))
-    return Fraction(_bareiss(rows[: P.n]))
+    labels, _ = _scale(normalize_filling(P.n, filling, require_nonnegative=True))
+    trace, _ = _choices(labels, _program(P, order, a))
+    return Fraction((-1) ** (P.n + len(trace)))
 
 
-def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
-    """Run ``program`` on ``labels`` in place, then replay its choices on coefficient rows.
+def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
+    """Run ``program`` on ``labels`` in place, recording each toggle's choice: (trace, g).
 
     The run chooses, per toggle, the upper cover of largest label and the
     lower cover of smallest label.  A side with one candidate is read
@@ -565,25 +566,18 @@ def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
     e toggled against x above and y below, and toggles e at once.
     Elements of one diagonal never cover each other, so no toggle reads a
     label an earlier toggle of its step wrote: the choices, hence the
-    trace, the rows and the points that raise, are those of making every
-    choice of a step before any of its toggles.  The rows are built only
-    after the run has finished, so a tie costs no row.
+    trace and the points that raise, are those of making every choice of
+    a step before any of its toggles.
 
-    Row e maps the input filling to e's label, as ``{column:
-    coefficient}`` with no zero stored.  Inserting c sets row_c = -e_c;
-    no toggle reads or writes an element before it is inserted, so every
-    inserted element's row is set to that at the start; the inserted
-    elements are the toggled ones, since each step toggles the element it
-    inserts.  A toggle sets row_e = row_x + row_y - row_e: one copy of
-    row_x, with row_y added and row_e subtracted in place.  An entry is
-    deleted the moment its sum is 0, and one that is absent is added as it
-    is, which is never 0 since no row stores a zero.  So the copy never
-    holds a zero, and at the end it holds exactly the nonzero sums, the
-    row a rebuild dropping zeros would give.  The sentinel's row, the
-    last, is empty.
+    g is the smallest gap between two compared labels, or 0 when the run
+    compares none.  The chosen cover of a side lies at least g from every
+    other candidate: each was compared with a running best at or short of
+    the chosen label, and lost to it by at least g or became it and was
+    beaten later.
     """
-    trace: list[tuple[int, int, int]] = []
-    record = trace.append
+    trace: list[Choice] = []
+    gaps: list[int] = []
+    record, seen = trace.append, gaps.append
 
     def choose(labels: list[int], toggles: tuple[Toggle, ...]) -> None:
         for e, ups, los in toggles:
@@ -591,149 +585,99 @@ def _jacobian_rows(labels: list[int], program: Program) -> list[dict[int, int]]:
             if len(ups) > 1:
                 best = labels[x]
                 for u in ups[1:]:
-                    v = labels[u]
-                    if v == best:
+                    gap = labels[u] - best
+                    if not gap:
                         raise NonGenericPoint("tie between toggle candidates at the base point")
-                    if v > best:
-                        x, best = u, v
+                    if gap > 0:
+                        x, best = u, labels[u]
+                    seen(abs(gap))
             y = los[0]
             if len(los) > 1:
                 best = labels[y]
                 for u in los[1:]:
-                    v = labels[u]
-                    if v == best:
+                    gap = best - labels[u]
+                    if not gap:
                         raise NonGenericPoint("tie between toggle candidates at the base point")
-                    if v < best:
-                        y, best = u, v
+                    if gap > 0:
+                        y, best = u, labels[u]
+                    seen(abs(gap))
             labels[e] = labels[x] + labels[y] - labels[e]
             record((e, x, y))
 
     _run(labels, program, step=choose)
-    rows: list[dict[int, int]] = [{} for _ in labels]
-    for e in {e for e, _, _ in trace}:
-        rows[e] = {e: -1}
-    for e, x, y in trace:
-        row = dict(rows[x])
-        get = row.get
-        for j, v in rows[y].items():
-            v += get(j, 0)
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-        for j, v in rows[e].items():
-            v = get(j, 0) - v
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-        rows[e] = row
-    return rows
+    return trace, min(gaps, default=0)
 
 
-def _bareiss(rows: Sequence[Mapping[int, int]], picks: list[int] | None = None) -> int:
-    """Determinant of a square integer matrix given as sparse rows, by Bareiss elimination.
+def _jacobian_times(trace: Sequence[Choice], v: Sequence[int]) -> tuple[list[int], int]:
+    """J v for the linear map a run's choices spell out, and B, a bound on its rows' L1 norms.
 
-    Row i is ``{column: entry}`` with no zero stored; n rows give an
-    n x n matrix A.  Columns are eliminated in ascending order of their
-    nonzero count in A, ties by index: step k eliminates column c_k.  At
-    step k the pivot is the row, among those not yet pivoted, with a
-    nonzero in column c_k and the fewest nonzeros, the first in input
-    order on a tie; if there is none, the determinant is 0, and a zero
-    column of A, eliminated first, ends the run at once.  The pivot
-    leaves the list of remaining rows, kept in input order, and is
-    negated if its entry pk is negative.  Each remaining row r with
-    f = r[c_k] != 0 becomes (pk * r - f * pivot) / prev, prev being the
-    last step's pk (1 before step 0), and a row with f = 0 becomes
-    pk * r / prev, which leaves it alone when pk == prev.  The product by
-    pk is skipped when pk == 1, the division when prev == 1.  Sparse
-    columns first mean fewer row updates: on Young 12x12 Jacobians the
-    updates write 3,100-3,600 entries, against 11,000-15,000 in the
-    order 0..n-1.  Step k's update loop looks at each row once it holds
-    its new value and keeps the pivot for column c_{k+1}, so each step
-    passes over the remaining rows once, not twice.  ``picks``, when
-    given, receives each step's pivot position in the remaining rows.
-
-    Sign.  Let Q be the permutation matrix with A Q's column k equal to
-    A's column c_k; det A = sign(Q) det(A Q).  Each cycle of length m of
-    k -> c_k has sign (-1)^(m - 1), so sign(Q) = (-1)^(n - cycles).
-    Eliminating columns c_0, c_1, ... of A is eliminating columns 0, 1,
-    ... of A Q, so the rest of this argument is about A Q.  The rows in the order picked are a row
-    permutation of it.  Picking the row at position i of the remaining
-    list moves it past i rows, so that permutation has the parity of the
-    sum of those positions, and each negated pivot flips the sign once
-    more.  The determinant is sign(Q) times that sign times the last pk.
-
-    Exact division.  Let A' be A Q with its rows in the order picked,
-    each negated pivot negated.  Plain Bareiss on A' pivots on row k at
-    step k without swaps, and by Sylvester's identity its entries after
-    step k are (k+1)-minors of A' (rows 0..k and the entry's row, columns
-    0..k and the entry's column), so each division by prev, the leading
-    k-minor, is exact.  This run does the same arithmetic.  Step k
-    applies to every row not yet pivoted one map, fixed by the pivot and
-    prev and linear in the row, so in both runs a row not yet pivoted
-    holds the same image of its input row.  Picking the pivot among those
-    rows is a swap of two of them, which commutes with the earlier
-    steps, since they applied the same formula to both; by linearity,
-    negating it commutes with them too.  So the pivot picked at step k is
-    row k of plain Bareiss on A' after k steps, both runs share every
-    pivot and prev, and every entry here is a minor of A'.  When no
-    remaining row has a nonzero in column c_k, the steps so far scaled
-    rows by nonzero factors and subtracted multiples of pivot rows,
-    reaching a block triangular matrix whose lower block has a zero
-    column: det A is 0.
+    The choices are replayed on v as scalars: d_c = -v_c for every
+    element c, then d_e <- d_x + d_y - d_e per recorded (e, x, y).  No
+    toggle reads an element before it is inserted, and every element is
+    inserted, so negating all of v first is negating each entry at its
+    insertion.  The same recursion on L1 norms, N_c = 1 and
+    N_e <- N_x + N_y + N_e, bounds the L1 norm of each label's row of the
+    partial product at every step by N_e, and N only grows, so every row
+    met in the run has L1 norm at most B = max N.  The sentinel, last,
+    has d = 0 and N = 0.
     """
-    rest = list(rows)
-    n = len(rest)
-    count = [0] * n
-    for r in rest:
-        for j in r:
-            count[j] += 1
-    columns = sorted(range(n), key=count.__getitem__)
-    cycles = 0
-    seen = [False] * n
-    for start in range(n):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = columns[j]
-    sign = -1 if (n - cycles) & 1 else 1
-    prev = 1
-    at = size = -1  # the next pivot's position and nonzero count
-    for i, r in enumerate(rest):
-        if columns[0] in r and (at < 0 or len(r) < size):
-            at, size = i, len(r)
-    for k, c in enumerate(columns):
-        if at < 0:
-            return 0
-        if picks is not None:
-            picks.append(at)
-        pivot = rest.pop(at)
-        if at & 1:
-            sign = -sign
-        pk = pivot[c]
-        if pk < 0:  # a positive pivot spares rescaling the rows it leaves alone
-            pivot = {j: -v for j, v in pivot.items()}
-            pk = -pk
-            sign = -sign
-        following = columns[k + 1] if k + 1 < n else -1
-        at = size = -1
-        for i, r in enumerate(rest):
-            f = r.get(c)
-            if f:
-                row = dict(r) if pk == 1 else {j: pk * v for j, v in r.items()}
-                for j, v in pivot.items():
-                    v = row.get(j, 0) - f * v
-                    if v:
-                        row[j] = v
-                    else:  # column c always lands here
-                        del row[j]
-                r = rest[i] = row if prev == 1 else {j: v // prev for j, v in row.items()}
-            elif pk != prev:
-                r = rest[i] = {j: pk * v // prev for j, v in r.items()}
-            if following in r and (at < 0 or len(r) < size):
-                at, size = i, len(r)
-        prev = pk
-    return sign * prev
+    d = [-w for w in v]
+    d.append(0)
+    norms = [1] * len(v)
+    norms.append(0)
+    for e, x, y in trace:
+        d[e] = d[x] + d[y] - d[e]
+        norms[e] += norms[x] + norms[y]
+    return d, max(norms)
+
+
+def _derivative_check(
+    P: Poset, filling, rng: Random, analysis: PosetAnalysis
+) -> tuple[Fraction, int | None]:
+    """The Jacobian determinant at a generic point, and the first element where the kernel's derivative there is not J.
+
+    One :func:`_choices` run along the stable program on the filling's
+    integer labels T gives the determinant (-1)^(n + T'), T' the toggle
+    count, as in :func:`rsk_jacobian_det`, the image Phi(T), the choices
+    and g; a tie raises :class:`NonGenericPoint` before ``rng`` is read.
+    Then a direction v with entries uniform on -V..V-1, V =
+    ``DIRECTION_BOUND``, is drawn from ``rng`` by one ``getrandbits``, each
+    entry a slice of log2(2V) bits less V, and :func:`_jacobian_times`
+    gives J v and B.  With K = floor(2BV / g) + 1, or K = 1 when the run
+    compared no labels, :func:`_run`, the kernel under test with its own
+    step function, must map K T + v to K Phi(T) + J v exactly; the result
+    names the first element, by id, where it does not, or None.
+
+    Why K suffices.  Run the true map on K T + v beside the base run on T.
+    By induction over the steps, every label is K l + r.v, with l the
+    base run's label at that step and r its row of the partial product,
+    so |r.v| <= B V.  A toggle's chosen cover x and another candidate u
+    of the same side have K |l_x - l_u| >= K g > 2 B V >= |r_x.v - r_u.v|,
+    so x's label stays strictly the larger (upper side) or the smaller
+    (lower side) and the max or min is x's label: the toggle writes
+    K (l_x + l_y - l_e) + (r_x + r_y - r_e).v, and a negation
+    K (-l_c) + (-r_c).v, the next step's form.  At the end the labels are
+    K Phi(T) + J v, since Phi(K T) = K Phi(T) by homogeneity.
+
+    What it catches.  Say the kernel under test gives
+    K Phi(T) + J v + delta(v) with delta_e(v) = c + w.v on some element e,
+    (c, w) != 0.  If w = 0 the check fails at every v.  Otherwise some
+    w_j != 0, and whatever the other entries of v, at most one of the
+    2V values of v_j makes delta_e(v) = 0: a discrepancy linear in v is
+    missed with probability at most 1/(2V).
+    """
+    analysis.ensure_d_complete()
+    base, _ = _scale(normalize_filling(P.n, filling, require_nonnegative=True))
+    image = base[:]
+    program = analysis.insertion_program
+    trace, gap = _choices(image, program)
+    width = DIRECTION_BOUND.bit_length()
+    bits = rng.getrandbits(width * P.n)
+    v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
+    d, bound = _jacobian_times(trace, v)
+    k = 2 * bound * DIRECTION_BOUND // gap + 1 if gap else 1
+    moved = [k * s + w for s, w in zip(base, v)]
+    moved.append(0)
+    _run(moved, program)
+    wrong = next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)
+    return Fraction((-1) ** (P.n + len(trace))), wrong

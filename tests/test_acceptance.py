@@ -116,7 +116,8 @@ def _leaky_step(labels, toggles, top=max, bottom=min):
 def test_broken_kernel_fails_integer_checks(monkeypatch):
     # the trial loops of criteria 4, 5 and 7 run the kernel on integer labels,
     # criterion 5 one filling at a time and criteria 4 and 7 on all trials'
-    # columns at once; a wrong step must make each of them fail on every
+    # columns at once, and criterion 6 runs it along a direction at each
+    # generic point; a wrong step must make each of them fail on every
     # poset, not only in the worked examples, and must trip every check of
     # criterion 7 that reads the image
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
@@ -125,6 +126,7 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
     for criterion in (
         acceptance.diagonal_sum_identity,
         acceptance.order_independence,
+        lambda subset, trials, seed: acceptance.volume_preservation(subset, points=trials, seed=seed),
         acceptance.polytope_bijection,
     ):
         result = criterion(subset, trials=5, seed=SEED)
@@ -140,6 +142,33 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
         for failure in rsk_polytope_check(poset, trials=5, seed=SEED, analysis=a).failures
     }
     assert kinds == {"image-membership", "weighted-sum", "round-trip"}
+
+
+def _max_below_step(labels, toggles, top=max, bottom=min):
+    """A wrong step function: the lower side is read with the max, as the upper side is."""
+    _toggle_all(labels, toggles, top, top)
+
+
+def _first_candidate_step(labels, toggles, top=max, bottom=min):
+    """A wrong step function: each side is read at its first candidate only."""
+    _toggle_all(labels, [(e, ups[:1], los[:1]) for e, ups, los in toggles], top, bottom)
+
+
+@pytest.mark.parametrize("step", [_max_below_step, _first_candidate_step], ids=["max-below", "first-candidate"])
+def test_volume_preservation_catches_wrong_choices(prepared, monkeypatch, step):
+    # both steps agree with the kernel wherever every side has one candidate,
+    # so criterion 6 must fail exactly on the posets whose stable program has
+    # a side with two or more, and pass on the rest
+    multiple = {
+        name
+        for name, _, a in prepared
+        if any(len(ups) > 1 or len(los) > 1 for _, toggles in a.insertion_program for _, ups, los in toggles)
+    }
+    monkeypatch.setattr(rsk_module, "_toggle_all", step)
+    result = acceptance.volume_preservation(prepared, points=25, seed=SEED)
+    failed = {line.split()[1][len("poset="):] for line in result.lines if line.startswith("fail poset=")}
+    assert len(multiple) == 46 and failed == multiple
+    assert all(" point=" in line and " element=" in line for line in result.lines[1:])
 
 
 @pytest.mark.parametrize("count, error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])

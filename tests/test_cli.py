@@ -388,13 +388,14 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     # their fail lines name the seed too.  Each mutant below goes wrong only at
     # some draws: a weight sum doubled where the point's first coordinate has
     # an even denominator (c2), a determinant doubled where the filling's
-    # first label has one (c6), and the leak of test_acceptance's _leaky_step
-    # only where a toggled label lands on a multiple of 7 (c5; the replay test
-    # above fails c4 and c7 only).  Every poset fails each criterion, and
-    # `suite --subset NAME --seed S` prints each line again.
+    # last label has one (c6's det= line), and the leak of test_acceptance's
+    # _leaky_step only where a toggled label lands on a multiple of 7 (c5, and
+    # c6's derivative check, whose line names the point and element; the
+    # replay test above fails c4 and c7 only).  Every poset fails each
+    # criterion, and `suite --subset NAME --seed S` prints each line again.
     toggle_all = rsk_module._toggle_all
     weight_sum = verify.weight_sum
-    jacobian_det = acceptance.rsk_jacobian_det
+    derivative_check = acceptance._derivative_check
 
     def leak_on_multiples_of_seven(labels, toggles, **reductions):
         # on label lists and label matrices alike, so criteria 4 and 7 fail too
@@ -408,12 +409,12 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
         return 2 * value if x[0].denominator % 2 == 0 else value
 
     def doubled_det(P, t, *args, **kwargs):
-        value = jacobian_det(P, t, *args, **kwargs)
-        return 2 * value if t[0].denominator % 2 == 0 else value
+        value, wrong = derivative_check(P, t, *args, **kwargs)
+        return (2 * value if t[-1].denominator % 2 == 0 else value), wrong
 
     monkeypatch.setattr(rsk_module, "_toggle_all", leak_on_multiples_of_seven)
     monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
-    monkeypatch.setattr(acceptance, "rsk_jacobian_det", doubled_det)
+    monkeypatch.setattr(acceptance, "_derivative_check", doubled_det)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     settings = ("--trials", "100", "--points", "20", "--samples", "1000")
     code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
@@ -429,6 +430,7 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     for lines in fails.values():
         assert {line.split()[1] for line in lines} == {f"poset={name}" for name in names}
     assert any(not line.endswith(" trial=0") for line in fails["name=order-independence"])
+    assert {" det=" in line for line in fails["name=volume-preservation"]} == {True, False}
     for line in sum(fails.values(), []):
         name, seed = line.split()[1:3]
         assert seed == "seed=3"

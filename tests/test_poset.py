@@ -19,6 +19,7 @@ from dcposets import (
     is_descending_extension,
     linear_extensions,
     shifted_young,
+    tree,
     young,
 )
 from dcposets.families import young_box_ids
@@ -104,6 +105,25 @@ def test_cycle_detection():
 def test_bad_ids_rejected():
     with pytest.raises(ValueError):
         Poset(2, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poset(3, [(0, 1.0)]), r"cover pair ids must be int, not float 1\.0"),
+        (lambda: Poset(3, [(0, 1), ("2", 1)]), r"cover pair ids must be int, not str '2'"),
+        (lambda: tree([None, 0.0]), r"cover pair ids must be int, not float 0\.0"),
+        (lambda: Poset(2.0), r"element count must be int, not float 2\.0"),
+        (lambda: Poset(None), r"element count must be int, not NoneType None"),
+        (lambda: Poset(2, [(0, 1)], names={1.0: "b"}), r"named element ids must be int, not float 1\.0"),
+    ],
+    ids=["float-pair", "str-pair", "float-parent", "float-count", "none-count", "float-name"],
+)
+def test_non_int_ids_raise_typed_errors(build, message):
+    # a float id equal to an element passed the range checks and then leaked
+    # list indexing's or range's own TypeError
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
 
 
 def test_interval():

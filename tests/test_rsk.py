@@ -32,8 +32,9 @@ from dcposets.families import young_box_ids
 from dcposets.hooks import common_denominator
 from dcposets.poset import is_descending_extension, mask_of
 from dcposets.rsk import (
-    _bareiss,
-    _jacobian_rows,
+    DIRECTION_BOUND,
+    _choices,
+    _jacobian_times,
     _program,
     _random_order_insertion,
     _run,
@@ -639,127 +640,6 @@ def test_jacobian_matches_finite_difference(family, analyses, name):
     assert "tie" in outcomes and outcomes - {"tie"} <= {1, -1}
 
 
-def test_bareiss_matches_fraction_elimination():
-    # entries other than +-1 make pivots other than 1, which run the exact
-    # division and the rescale of rows with a zero in the pivot column
-    rng = Random(5)
-    zero_column = [[1, 0, 2], [3, 0, -1], [0, 0, 5]]
-    singular = [[2, -1, 0, 3], [0, 7, 1, 0], [2, 6, 1, 3], [0, 0, -3, 1]]  # row 2 = row 0 + row 1
-    swapped = [[1, 1], [1, 0]]  # sparse column 1 goes first: an odd column order
-    cases = [[], [[-1]], zero_column, singular, swapped]
-    for n in range(1, 13):
-        for _ in range(30):
-            entries = (0,) * rng.choice((3, 8, 2 * n)) + (1, -1, 2, -3, 7)
-            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-            if n > 1 and rng.random() < 0.2:
-                m[-1] = [x + y for x, y in zip(m[0], m[1])]  # singular
-            if rng.random() < 0.1:
-                zero = rng.randrange(n)
-                for row in m:
-                    row[zero] = 0
-            cases.append(m)
-    dets = []
-    for m in cases:
-        det = _bareiss([{j: x for j, x in enumerate(row) if x} for row in m])
-        assert det == _det([[Fraction(x) for x in row] for row in m]), m
-        dets.append(det)
-        # columns are eliminated by nonzero count, so a column permutation
-        # changes the order they go in and must change only the sign
-        perm = rng.sample(range(len(m)), len(m))
-        permuted = [[row[j] for j in perm] for row in m]
-        assert _bareiss([{j: x for j, x in enumerate(row) if x} for row in permuted]) == _det(
-            [[Fraction(x) for x in row] for row in permuted]
-        ), (m, perm)
-    assert dets[:5] == [1, -1, 0, 0, -1]
-    assert sum(1 for m, det in zip(cases, dets) if len(m) >= 8 and det not in (0, 1, -1)) > 50
-
-
-def _two_scan_bareiss(rows):
-    """``_bareiss`` with each step's pivot found by a scan of its own: (det, pivot positions)."""
-    rest = list(rows)
-    n = len(rest)
-    count = [0] * n
-    for r in rest:
-        for j in r:
-            count[j] += 1
-    columns = sorted(range(n), key=count.__getitem__)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = columns[j]
-    sign = -1 if (n - cycles) & 1 else 1
-    picks = []
-    prev = 1
-    for c in columns:
-        at = -1
-        for i, r in enumerate(rest):
-            if c in r and (at < 0 or len(r) < len(rest[at])):
-                at = i
-        if at < 0:
-            return 0, picks
-        picks.append(at)
-        pivot = rest.pop(at)
-        if at & 1:
-            sign = -sign
-        pk = pivot[c]
-        if pk < 0:
-            pivot = {j: -v for j, v in pivot.items()}
-            pk = -pk
-            sign = -sign
-        for i, r in enumerate(rest):
-            f = r.get(c)
-            if f:
-                row = {j: pk * v for j, v in r.items()}
-                for j, v in pivot.items():
-                    row[j] = row.get(j, 0) - f * v
-                rest[i] = {j: v // prev for j, v in row.items() if v}
-            else:
-                rest[i] = {j: pk * v // prev for j, v in r.items()}
-        prev = pk
-    return sign * prev, picks
-
-
-@pytest.mark.parametrize(
-    "P", [young((12,) * 12), d_k_one(50)], ids=["young-12x12", "d50(1)"]
-)
-def test_bareiss_pivots_match_two_scan_search(P):
-    # the next column's pivot is found during the current column's updates;
-    # the pivots are the ones a scan of their own finds, step by step
-    a = analyze(P)
-    program = _program(P, None, a)
-    rng = Random(9)
-    checked = 0
-    for _ in range(200):
-        labels, _ = _scale(random_filling(P.n, rng))
-        try:
-            rows = _jacobian_rows(labels, program)[: P.n]
-        except NonGenericPoint:
-            continue
-        picks = []
-        det = _bareiss(rows, picks)
-        assert (det, picks) == _two_scan_bareiss(rows)
-        assert len(picks) == P.n and any(picks)
-        checked += 1
-        if checked == 3:
-            break
-    assert checked == 3
-    # sparse random matrices, some singular, stop at the same step
-    stops = set()
-    for n in range(1, 10):
-        for _ in range(20):
-            m = [{j: rng.choice((1, -1, 2, 5)) for j in range(n) if rng.random() < 0.3} for _ in range(n)]
-            picks = []
-            det = _bareiss(m, picks)
-            assert (det, picks) == _two_scan_bareiss(m), m
-            stops.add(len(picks) < n)
-    assert stops == {True, False}
-
-
 def _select(labels, candidates, sign):
     """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
     best = candidates[0]
@@ -805,11 +685,23 @@ def _reference_jacobian_rows(labels, program):
     return rows
 
 
+# v_j = 2^(64 j): J v spells each row of J in base 2^64.  Rows whose entries
+# lie below 2^63 in size give equal products only when they are equal, so
+# comparing J v with a reference's rows times v compares the rows.
+def _spelling_direction(n):
+    return [2 ** (64 * j) for j in range(n)]
+
+
+def _times(rows, v):
+    """Each sparse row ``{column: entry}``'s product with v."""
+    return [sum(x * v[j] for j, x in row.items()) for row in rows]
+
+
 def test_one_candidate_sides_keep_the_ties():
     # the fused run reads a lone candidate directly and applies the running-best
-    # rule inline; the fillings that tie, the labels the run leaves and the rows
-    # built in place are those of the two-step reference, on the catalog, large
-    # posets and joins, under the stable order and a random one
+    # rule inline; the fillings that tie, the labels the run leaves and the
+    # Jacobian its choices spell are those of the two-step reference, on the
+    # catalog, large posets and joins, under the stable order and a random one
     posets = [(e.name, e.poset) for e in catalog()] + [
         ("young-4x4", young((4, 4, 4, 4))),
         ("young-12x12", young((12,) * 12)),
@@ -821,6 +713,7 @@ def test_one_candidate_sides_keep_the_ties():
     verdicts: dict[str, set[str]] = {}
     for name, P in posets:
         a = analyze(P)
+        v = _spelling_direction(P.n)
         seen = verdicts.setdefault("joins" if name.startswith("join-") else name, set())
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
@@ -831,11 +724,14 @@ def test_one_candidate_sides_keep_the_ties():
                     expected = _reference_jacobian_rows(expected_labels, program)
                 except NonGenericPoint as exc:
                     with pytest.raises(NonGenericPoint, match=str(exc)):
-                        _jacobian_rows(labels, program)
+                        _choices(labels, program)
                     outcomes["tie"] += 1
                     seen.add("tie")
                     continue
-                assert _jacobian_rows(labels, program) == expected, (name, order, t)
+                trace, _ = _choices(labels, program)
+                jv, bound = _jacobian_times(trace, v)
+                assert bound < 2**63 and jv == _times(expected, v), (name, order, t)
+                assert bound >= max(sum(map(abs, row.values())) for row in expected)
                 assert labels == expected_labels
                 outcomes["rows"] += 1
                 seen.add("rows")
@@ -853,7 +749,7 @@ def test_running_best_tie_rule():
     assert _select(labels, (0, 2, 1), 1) == 2
     assert _select(labels, (3,), -1) == 3
     program = ((3, ((3, (0, 1, 2), (4,)),)),)  # element 3 toggled against 0, 1, 2 above
-    for replay in (_jacobian_rows, _reference_jacobian_rows):
+    for replay in (_choices, _reference_jacobian_rows):
         with pytest.raises(NonGenericPoint):
             replay(labels[:], program)
     # [1, 1, 0] below ties the same way on the lower side; on the programs the
@@ -861,16 +757,23 @@ def test_running_best_tie_rule():
     # in the same run, so only programs like these tell the two checks apart
     labels = [1, 1, 0, 4, 2, 0]
     program = ((3, ((3, (4,), (0, 1, 2)),)),)
-    for replay in (_jacobian_rows, _reference_jacobian_rows):
+    for replay in (_choices, _reference_jacobian_rows):
         with pytest.raises(NonGenericPoint):
             replay(labels[:], program)
     # [5, 3, 3] above and [1, 2, 2] below: the equal pair never meets the
-    # running best, so neither side raises, and both runs choose 0 and 1
+    # running best, so neither side raises, and both runs choose 0 and 3.
+    # Elements 0..5 are first inserted and toggled against the sentinel
+    # alone, which leaves their labels as they are and makes the program
+    # insert every element, as the Jacobian's replay assumes
     labels = [5, 3, 3, 1, 2, 2, 9, 0]
-    program = ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
+    program = tuple((c, ((c, (7,), (7,)),)) for c in range(6))
+    program += ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
     expected_labels = labels[:]
     expected = _reference_jacobian_rows(expected_labels, program)
-    assert _jacobian_rows(labels, program) == expected
+    trace, gap = _choices(labels, program)
+    v = _spelling_direction(7)
+    assert trace[-1] == (6, 0, 3) and gap == 1
+    assert _jacobian_times(trace, v)[0] == _times(expected, v)
     assert labels == expected_labels and labels[6] == 5 + 1 + 9
 
 
@@ -898,6 +801,7 @@ def test_jacobian_rows_match_dense_replay():
     P = young((4, 4, 4, 4))
     a = analyze(P)
     rng = Random(41)
+    v = _spelling_direction(P.n)
     checked = 0
     for order in (None, random_descending_extension(P, rng)):
         seq = a.stable_order if order is None else order
@@ -906,14 +810,53 @@ def test_jacobian_rows_match_dense_replay():
             t = random_filling(P.n, rng)
             labels, denom = _scale(t)
             try:
-                rows = _jacobian_rows(labels, program)
+                trace, _ = _choices(labels, program)
             except NonGenericPoint:
                 continue
             image, dense = _dense_jacobian_rows(P, a, seq, t)
-            assert tuple(Fraction(v, denom) for v in labels[:-1]) == image
-            assert rows == [{j: x for j, x in enumerate(row) if x} for row in dense] + [{}]
+            assert tuple(Fraction(x, denom) for x in labels[:-1]) == image
+            jv, bound = _jacobian_times(trace, v)
+            assert bound < 2**63
+            assert jv == [sum(x * w for x, w in zip(row, v)) for row in dense] + [0]
             checked += 1
     assert checked >= 10
+
+
+def test_derivative_scale_keeps_every_choice():
+    # g is the smallest gap the reference insertion sees between compared
+    # labels, and at K T + v, with K = floor(2 B V / g) + 1, the reference
+    # makes the base point's choices and lands on K Phi(T) + J v, for v at
+    # corners of the box [-V, V]^n and at random in it
+    posets = [e.poset for e in catalog()][::6] + [young((4, 4, 4, 4)), *seeded_joins()[::6]]
+    rng = Random(53)
+    big = DIRECTION_BOUND
+    checked = 0
+    for P in posets:
+        a = analyze(P)
+        for t in _seeded_fillings(P.n, rng, 3):
+            labels, denom = _scale(t)
+            image = labels[:]
+            try:
+                trace, gap = _choices(image, a.insertion_program)
+            except NonGenericPoint:
+                continue
+            base_trace, gaps = [], []
+            _reference_insertion(P, a, a.stable_order, t, base_trace, gaps)
+            assert Fraction(gap, denom) == min(gaps, default=0)
+            for v in (
+                [rng.choice((-big, big)) for _ in range(P.n)],
+                [rng.randint(-big, big) for _ in range(P.n)],
+            ):
+                d, bound = _jacobian_times(trace, v)
+                k = 2 * bound * big // gap + 1 if gap else 1
+                moved_trace = []
+                moved = _reference_insertion(
+                    P, a, a.stable_order, [Fraction(k * x + w, denom) for x, w in zip(labels, v)], moved_trace
+                )
+                assert moved_trace == base_trace
+                assert moved == tuple(Fraction(k * x + w, denom) for x, w in zip(image[:-1], d))
+            checked += 1
+    assert checked >= 60
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ from .rsk import (
     rsk,
     rsk_jacobian_det,
     stable_insertion_order,
-    toggle,
 )
 from .verify import (
     PolytopeSpec,
@@ -49,7 +48,6 @@ from .verify import (
     sample_fillings_point,
     verify_multivariate,
     verify_proctor,
-    weight_eval,
     weight_sum,
 )
 

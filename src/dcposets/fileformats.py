@@ -42,12 +42,25 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def poset_to_text(P: Poset) -> str:
+    """``P`` in the poset format; a name the reader would read as another raises :class:`FormatError`."""
     lines = [f"elements {P.n}"]
     for i in sorted(P.names):
-        lines.append(f"name {i} {P.names[i]}")
+        name = P.names[i]
+        if not isinstance(name, str) or not name or "#" in name or name != " ".join(name.split()):
+            raise FormatError(f"name of element {i} does not round-trip: {name!r}")
+        lines.append(f"name {i} {name}")
     for a, b in sorted(P.covers):
         lines.append(f"cover {a} {b}")
     return "\n".join(lines) + "\n"
+
+
+# Each directive's form and its number of int fields; ``name`` takes the
+# rest of its line as the name, and the others take nothing more.
+_POSET_FORMS = {
+    "elements": ("elements <n>", 1),
+    "cover": ("cover <lower> <upper>", 2),
+    "name": ("name <id> <text>", 1),
+}
 
 
 def poset_from_text(text: str) -> Poset:
@@ -55,22 +68,26 @@ def poset_from_text(text: str) -> Poset:
     names: dict[int, str] = {}
     pairs: list[tuple[int, int]] = []
     for lineno, fields in _content_lines(text):
-        kind = fields[0]
+        kind, args = fields[0], fields[1:]
+        if kind not in _POSET_FORMS:
+            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
+        form, k = _POSET_FORMS[kind]
         try:
-            if kind == "elements":
-                if n is not None:
-                    raise FormatError(f"line {lineno}: repeated elements line")
-                n = int(fields[1])
-            elif kind == "name":
-                names[int(fields[1])] = " ".join(fields[2:])
-            elif kind == "cover":
-                pairs.append((int(fields[1]), int(fields[2])))
-            else:
-                raise FormatError(f"line {lineno}: unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {lineno}: {exc}") from None
+            ids = [int(v) for v in args[:k]]
+        except ValueError:
+            ids = []
+        if len(ids) < k or bool(args[k:]) != (kind == "name"):
+            raise FormatError(f"line {lineno}: expected '{form}', got {' '.join(fields)!r}")
+        if kind == "elements":
+            if n is not None:
+                raise FormatError(f"line {lineno}: repeated elements line")
+            n = ids[0]
+        elif kind == "name":
+            if ids[0] in names:
+                raise FormatError(f"line {lineno}: repeated name for element {ids[0]}")
+            names[ids[0]] = " ".join(args[1:])
+        else:
+            pairs.append((ids[0], ids[1]))
     if n is None:
         raise FormatError("missing 'elements <n>' line")
     try:

@@ -154,23 +154,6 @@ def all_ones_point(count: int) -> RationalPoint:
     return (Fraction(1),) * count
 
 
-def _random_pairs(count: int, rng: Random) -> list[tuple[int, int]]:
-    """Per coordinate, a numerator and then a denominator, each in 1..16.
-
-    Each value is ``rng.randint(1, 16)`` of a :class:`random.Random`, drawn
-    the way that call draws it: ``getrandbits(5)`` until the draw is below
-    16, plus 1.  ``test_random_points_keep_their_draws`` pins the stream.
-    """
-    getrandbits = rng.getrandbits
-    values = []
-    for _ in range(2 * count):
-        r = getrandbits(5)
-        while r >= 16:
-            r = getrandbits(5)
-        values.append(r + 1)
-    return list(zip(values[::2], values[1::2]))
-
-
 def random_scaled_points(count: int, trials: int, rng: Random):
     """``trials`` random points of ``count`` coordinates, from one ``rng.getrandbits(8 * count * trials)``.
 
@@ -178,9 +161,9 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     point k // count: its high nibble plus 1 is the numerator and its low
     nibble plus 1 the denominator.  The 256 byte values map one to one
     onto the 256 (numerator, denominator) pairs, so every numerator and
-    denominator is uniform on 1..16, all independent: the law of
-    :func:`random_rational_point`'s ``randint(1, 16)`` pairs, on another
-    stream.  Returns a ``count x trials`` numpy array of ``dtype=object``
+    denominator is uniform on 1..16, all independent.  This is
+    :func:`random_rational_point`'s decoding, ``trials`` points at a time.
+    Returns a ``count x trials`` numpy array of ``dtype=object``
     whose column j is point j as Python ints over the least common
     denominator of its own coordinates.  The decoding runs in int64,
     which holds it exactly: a label is at most 16 * lcm(1..16) =
@@ -197,15 +180,28 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     return labels.T.astype(object)
 
 
-# Fraction(v, d) at index 16 * (v - 1) + (d - 1), for v and d in 1..16:
-# every random point shares these 256 objects instead of building its own.
-_RATIONALS = tuple(Fraction(v, d) for v in range(1, 17) for d in range(1, 17))
+# Byte b decoded, Fraction(b // 16 + 1, b % 16 + 1), at index b: every random
+# point shares these 256 objects instead of building its own.
+_RATIONALS = tuple(Fraction(b // 16 + 1, b % 16 + 1) for b in range(256))
+
+
+def _require_count(count, name: str, least: int = 1) -> None:
+    """Refuse a count that is not an int (TypeError) or is below ``least`` (ValueError)."""
+    if not isinstance(count, int):
+        raise TypeError(f"{name} must be an int, not {type(count).__name__} {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
 
 
 def random_rational_point(count: int, rng: Random) -> RationalPoint:
-    """Strictly positive rationals with numerators and denominators in 1..16."""
-    table = _RATIONALS
-    return tuple(table[16 * v + d - 17] for v, d in _random_pairs(count, rng))
+    """``count`` strictly positive rationals from one ``rng.getrandbits(8 * count)``.
+
+    Byte k of the draw, of value b, is coordinate k, ``_RATIONALS[b]``:
+    :func:`random_scaled_points`' decoding, so the point is column 0 of
+    ``random_scaled_points(count, 1, rng)`` over its common denominator.
+    """
+    _require_count(count, "coordinate count", 0)
+    return tuple(map(_RATIONALS.__getitem__, rng.getrandbits(8 * count).to_bytes(count, "little")))
 
 
 def exact_value(value) -> Fraction:

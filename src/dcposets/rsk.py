@@ -17,8 +17,8 @@ on a list of integer labels or on a label matrix: a numpy array of
 in every column, one column per filling.  The battery's trials on the
 stable program (diagonal sums, the polytope bijection) run as one
 matrix, where one row operation does the work of a hundred scalar
-toggles.  ``rsk``, ``inverse_rsk`` and ``toggle`` are Fraction edges
-over them.  The Jacobian builds no matrix: its base run is ``_run`` with
+toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over
+them.  The Jacobian builds no matrix: its base run is ``_run`` with
 a step that records its choices, its determinant is the parity of the
 run's length, and criterion 6 checks the kernel's derivative along a
 random direction against those choices replayed on it.  Elements of one
@@ -186,32 +186,6 @@ def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
     if not is_descending_extension(P, order):
         raise ValueError("insertion order must be a descending linear extension")
     return compile_program(P, analysis.diagonals, order)
-
-
-def toggle(P: Poset, state: Mapping[int, Fraction], p: int) -> dict[int, Fraction]:
-    """Toggle the label of p against its present neighbors.
-
-    ``state`` maps elements 0..n-1, as ints, to exact values and may
-    label only part of the poset; absent neighbors read as zero.  Returns
-    a new mapping of Fractions; toggling twice restores the input.
-    """
-    _require_ids((p, *state), "element ids")
-    out = {q: exact_value(v) for q, v in state.items()}
-    extra = [q for q in out if q not in range(P.n)]
-    if extra:
-        raise ValueError(f"state names elements outside 0..{P.n - 1}: {extra}")
-    if p not in out:
-        raise ValueError(f"element {p} carries no label")
-    ups = tuple(u for u in P.upper_covers(p) if u in out)
-    los = tuple(v for v in P.lower_covers(p) if v in out)
-    read = (p, *ups, *los)
-    scaled, denom = _scale([out[q] for q in read])
-    labels = [0] * (P.n + 1)
-    for q, v in zip(read, scaled):
-        labels[q] = v
-    _toggle_all(labels, ((p, ups or (P.n,), los or (P.n,)),))
-    out[p] = Fraction(labels[p], denom)
-    return out
 
 
 def rsk(
@@ -631,22 +605,21 @@ def _jacobian_times(trace: Sequence[Choice], v: Sequence[int]) -> tuple[list[int
     return d, max(norms)
 
 
-def _derivative_check(
-    P: Poset, filling, rng: Random, analysis: PosetAnalysis
-) -> tuple[Fraction, int | None]:
-    """The Jacobian determinant at a generic point, and the first element where the kernel's derivative there is not J.
+def _derivative_check(P: Poset, filling, rng: Random, analysis: PosetAnalysis) -> int | None:
+    """The first element where the kernel's derivative at a generic point is not J, or None.
 
     One :func:`_choices` run along the stable program on the filling's
-    integer labels T gives the determinant (-1)^(n + T'), T' the toggle
-    count, as in :func:`rsk_jacobian_det`, the image Phi(T), the choices
-    and g; a tie raises :class:`NonGenericPoint` before ``rng`` is read.
-    Then a direction v with entries uniform on -V..V-1, V =
-    ``DIRECTION_BOUND``, is drawn from ``rng`` by one ``getrandbits``, each
-    entry a slice of log2(2V) bits less V, and :func:`_jacobian_times`
-    gives J v and B.  With K = floor(2BV / g) + 1, or K = 1 when the run
-    compared no labels, :func:`_run`, the kernel under test with its own
-    step function, must map K T + v to K Phi(T) + J v exactly; the result
-    names the first element, by id, where it does not, or None.
+    integer labels T gives the image Phi(T), the choices and g; a tie
+    raises :class:`NonGenericPoint` before ``rng`` is read.  Then a
+    direction v with entries uniform on -V..V-1, V = ``DIRECTION_BOUND``,
+    is drawn from ``rng`` by one ``getrandbits``, each entry a slice of
+    log2(2V) bits less V, and :func:`_jacobian_times` gives J v and B.
+    With K = floor(2BV / g) + 1, or K = 1 when the run compared no labels,
+    :func:`_run`, the kernel under test with its own step function, must
+    map K T + v to K Phi(T) + J v exactly; the result names the first
+    element, by id, where it does not, or None.  J's determinant is not
+    checked: it is (-1)^(n + T'), T' the toggle count, whatever the
+    choices (:func:`rsk_jacobian_det`).
 
     Why K suffices.  Run the true map on K T + v beside the base run on T.
     By induction over the steps, every label is K l + r.v, with l the
@@ -679,5 +652,4 @@ def _derivative_check(
     moved = [k * s + w for s, w in zip(base, v)]
     moved.append(0)
     _run(moved, program)
-    wrong = next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)
-    return Fraction((-1) ** (P.n + len(trace))), wrong
+    return next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)

@@ -22,18 +22,14 @@ from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .hooks import (
     RationalPoint,
+    _require_count,
     all_ones_point,
     common_denominator,
     hook_numerators,
     random_rational_point,
     validate_point,
 )
-from .poset import (
-    Poset,
-    fold_ideal_lattice,
-    is_descending_extension,
-    linear_extensions,
-)
+from .poset import Poset, fold_ideal_lattice, linear_extensions
 from .rsk import Filling, _run, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
@@ -43,35 +39,6 @@ GRAIN = 2**20
 # raised battery peak RSS from 51.8-51.9 to 53.8-54.0 MiB (3 runs each) and
 # ran no faster.  The draws are the same.
 CHUNK = 1 << 12
-
-
-class WeightEvaluation(NamedTuple):
-    extension: tuple[int, ...]
-    value: Fraction
-
-
-def weight_eval(
-    P: Poset,
-    part: DiagonalPartition,
-    extension: Sequence[int],
-    x: RationalPoint,
-) -> WeightEvaluation:
-    """Weight of one linear extension at a rational point.
-
-    The reciprocal weight is the product over positions i of the sum of
-    x over the diagonals of the suffix p_i..p_n (elements counted with
-    multiplicity).
-    """
-    ext = tuple(extension)
-    if not is_descending_extension(P, ext):
-        raise ValueError("extension must list every element, larger elements first")
-    x = validate_point(x, part.count)
-    suffix = Fraction(0)
-    inverse = Fraction(1)
-    for p in reversed(ext):
-        suffix += x[part.diagonal_of[p]]
-        inverse *= suffix
-    return WeightEvaluation(extension=ext, value=1 / inverse)
 
 
 def weight_sum(
@@ -96,14 +63,20 @@ def weight_sum(
     ``analyze(P)``, P's live analysis, so evaluating many points walks
     it once while some caller holds that analysis.  Posets with more than
     ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
-    ``enumerate`` sums extension by extension; it is the reference the
-    tests compare against.  Both are exact and agree.
+    ``enumerate`` sums extension by extension: the weight of p_1..p_n is
+    1 over the product, over positions i, of x summed over the diagonals
+    of the suffix p_i..p_n.  It is the reference the tests compare
+    against.  Both are exact and agree.
     """
     x = validate_point(x, part.count)
     if method == "enumerate":
         total = Fraction(0)
         for ext in linear_extensions(P):
-            total += weight_eval(P, part, ext, x).value
+            suffix, inverse = Fraction(0), Fraction(1)
+            for p in reversed(ext):
+                suffix += x[part.diagonal_of[p]]
+                inverse *= suffix
+            total += 1 / inverse
         return total
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
@@ -148,14 +121,6 @@ class MultivariateReport(NamedTuple):
     extensions: int
     ok: bool
     failures: tuple[MultivariateFailure, ...]
-
-
-def _require_count(count, name: str) -> None:
-    """Refuse a count that is not an int (TypeError) or is below 1 (ValueError)."""
-    if not isinstance(count, int):
-        raise TypeError(f"{name} must be an int, not {type(count).__name__} {count!r}")
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def verify_multivariate(

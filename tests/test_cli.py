@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dcposets import Poset, acceptance, builtin_poset, d_k_one, verify, young
+from dcposets import Poset, builtin_poset, d_k_one, verify, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -273,6 +273,15 @@ def test_bad_format_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_poset_line_is_usage_error(tmp_path, capsys):
+    # once read as a 3-element chain, the extra fields ignored
+    path = tmp_path / "extra.poset"
+    path.write_text("elements 3\ncover 0 1 2\ncover 1 2\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert "line 2: expected 'cover <lower> <upper>', got 'cover 0 1 2'" in err
+
+
 def test_incomplete_filling_rejected(tmp_path, capsys):
     poset_path = tmp_path / "d3.poset"
     poset_path.write_text(poset_to_text(d_k_one(3)))
@@ -387,15 +396,13 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     # criteria 2 and 6 restart their stream per poset as 4, 5 and 7 do, so
     # their fail lines name the seed too.  Each mutant below goes wrong only at
     # some draws: a weight sum doubled where the point's first coordinate has
-    # an even denominator (c2), a determinant doubled where the filling's
-    # last label has one (c6's det= line), and the leak of test_acceptance's
-    # _leaky_step only where a toggled label lands on a multiple of 7 (c5, and
-    # c6's derivative check, whose line names the point and element; the
-    # replay test above fails c4 and c7 only).  Every poset fails each
-    # criterion, and `suite --subset NAME --seed S` prints each line again.
+    # an even denominator (c2), and the leak of test_acceptance's _leaky_step
+    # only where a toggled label lands on a multiple of 7 (c5, and c6's
+    # derivative check, whose line names the point and element; the replay
+    # test above fails c4 and c7 only).  Every poset fails each criterion, and
+    # `suite --subset NAME --seed S` prints each line again.
     toggle_all = rsk_module._toggle_all
     weight_sum = verify.weight_sum
-    derivative_check = acceptance._derivative_check
 
     def leak_on_multiples_of_seven(labels, toggles, **reductions):
         # on label lists and label matrices alike, so criteria 4 and 7 fail too
@@ -408,13 +415,8 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
         value = weight_sum(P, part, x, *args, **kwargs)
         return 2 * value if x[0].denominator % 2 == 0 else value
 
-    def doubled_det(P, t, *args, **kwargs):
-        value, wrong = derivative_check(P, t, *args, **kwargs)
-        return (2 * value if t[-1].denominator % 2 == 0 else value), wrong
-
     monkeypatch.setattr(rsk_module, "_toggle_all", leak_on_multiples_of_seven)
     monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
-    monkeypatch.setattr(acceptance, "_derivative_check", doubled_det)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     settings = ("--trials", "100", "--points", "20", "--samples", "1000")
     code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
@@ -430,7 +432,7 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     for lines in fails.values():
         assert {line.split()[1] for line in lines} == {f"poset={name}" for name in names}
     assert any(not line.endswith(" trial=0") for line in fails["name=order-independence"])
-    assert {" det=" in line for line in fails["name=volume-preservation"]} == {True, False}
+    assert all(" point=" in line and " element=" in line for line in fails["name=volume-preservation"])
     for line in sum(fails.values(), []):
         name, seed = line.split()[1:3]
         assert seed == "seed=3"

@@ -355,20 +355,43 @@ def test_point_sign_is_the_numerator_sign():
 
 
 def test_random_points_keep_their_draws():
-    # the battery's seeds pin these draws: one numerator, then one denominator, per coordinate;
+    # one getrandbits(8 * count), decoded as the batched draw decodes it: the
+    # point is column 0 of a one-trial batch over that column's denominator;
     # 200 is chain-200's weight point count in the exact benchmark
-    for count in (9, 200):
+    for count in (0, 1, 2, 9, 200):
         for seed in range(20):
-            oracle = Random(seed)
-            expected = tuple(Fraction(oracle.randint(1, 16), oracle.randint(1, 16)) for _ in range(count))
+            twin = Random(seed)
+            column = random_scaled_points(count, 1, twin)[:, 0].tolist()
+            (pairs,) = _byte_points(count, 1, Random(seed))
+            denom = math.lcm(*(d for _, d in pairs))
+            expected = tuple(Fraction(v, denom) for v in column)
             for draw in (random_rational_point, random_filling):
                 rng = Random(seed)
-                assert draw(count, rng) == expected
-                assert rng.getstate() == oracle.getstate()
+                point = draw(count, rng)
+                assert point == expected
+                assert all(type(v) is Fraction for v in point)
+                assert rng.getstate() == twin.getstate()
     assert len(_RATIONALS) == 256
     for v in range(1, 17):
         for d in range(1, 17):
             assert _RATIONALS[16 * (v - 1) + d - 1] == Fraction(v, d)
+
+
+@pytest.mark.parametrize(
+    "count, error, message",
+    [
+        (-2, ValueError, r"^coordinate count must be at least 0, got -2$"),
+        (2.0, TypeError, r"^coordinate count must be an int, not float 2\.0$"),
+        ("2", TypeError, r"^coordinate count must be an int, not str '2'$"),
+    ],
+    ids=["negative", "float", "str"],
+)
+def test_random_points_refuse_bad_counts(count, error, message):
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(error, match=message):
+        random_rational_point(count, rng)
+    assert rng.getstate() == state
 
 
 def _byte_points(count, trials, rng):

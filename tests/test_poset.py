@@ -380,11 +380,37 @@ def test_text_parsing_errors():
         poset_from_text("elements 2\nwobble 0 1\n")
     with pytest.raises(FormatError):
         poset_from_text("elements 2\ncover 0 5\n")
+    # each directive takes exactly its fields, and names the line and its form;
+    # the first was once read as a 3-element chain, the others raised IndexError's text
+    for text, line, form in (
+        ("elements 3 7\ncover 0 1 2\ncover 1 2 junk\n", 1, "elements <n>"),
+        ("elements 3\ncover 0 1 2\n", 2, "cover <lower> <upper>"),
+        ("elements 3\ncover 1 2 junk\n", 2, "cover <lower> <upper>"),
+        ("elements\n", 1, "elements <n>"),
+        ("elements 3\ncover 0\n", 2, "cover <lower> <upper>"),
+        ("elements 3\ncover 0 x\n", 2, "cover <lower> <upper>"),
+        ("elements 3\nname 1\n", 2, "name <id> <text>"),
+        ("elements 3\nname x low\n", 2, "name <id> <text>"),
+        ("elements two\n", 1, "elements <n>"),
+    ):
+        with pytest.raises(FormatError, match=f"^line {line}: expected '{form}', got "):
+            poset_from_text(text)
+    # the writer names an element once; a second name once replaced the first
+    with pytest.raises(FormatError, match="^line 3: repeated name for element 0$"):
+        poset_from_text("elements 2\nname 0 a\nname 0 b\n")
 
 
 def test_names_round_trip():
     P = Poset(2, [(0, 1)], {0: "low", 1: "high"})
     assert poset_from_text(poset_to_text(P)) == P
+    # the rest of a name line is the name, comment cut and spaces collapsed
+    P = Poset(2, [(0, 1)], {0: "low one", 1: "x=1,y=2"})
+    assert poset_from_text(poset_to_text(P)) == P
+    assert poset_from_text("elements 1\nname 0  low   one  # a comment\n").names == {0: "low one"}
+    # a name that would read back as another, or add a line, is refused
+    for name in ("x\ncover 0 1", "a#b", "two  spaces", " edge", "edge ", "tab\there", "", 5):
+        with pytest.raises(FormatError, match="^name of element 0 does not round-trip: "):
+            poset_to_text(Poset(2, [(0, 1)], {0: name}))
 
 
 def _reference_diagram(shape, shifted):

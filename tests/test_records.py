@@ -26,7 +26,6 @@ from dcposets.verify import (
     PolytopeSpec,
     ProctorReport,
     VolumeEstimate,
-    WeightEvaluation,
 )
 
 # (record built from positional fields, its repr as the frozen dataclasses printed it)
@@ -62,10 +61,6 @@ RECORDS = [
     (
         lambda: CatalogEntry("young-2", young((2,))),
         "CatalogEntry(name='young-2', poset=Poset(n=2, covers=[(1, 0)]))",
-    ),
-    (
-        lambda: WeightEvaluation((1, 0), Fraction(1, 2)),
-        "WeightEvaluation(extension=(1, 0), value=Fraction(1, 2))",
     ),
     (
         lambda: ProctorReport(2, 3, 6, True),

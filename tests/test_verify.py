@@ -17,6 +17,7 @@ from dcposets import (
     count_linear_extensions,
     d_k_one,
     inverse_rsk,
+    linear_extensions,
     monte_carlo_volume,
     polytope_membership,
     random_rational_point,
@@ -27,7 +28,6 @@ from dcposets import (
     tree,
     verify_multivariate,
     verify_proctor,
-    weight_eval,
     weight_sum,
     young,
 )
@@ -47,15 +47,18 @@ def test_weight_singleton():
     P = Poset(1)
     a = analyze(P)
     x = (Fraction(3, 7),)
-    assert weight_eval(P, a.diagonals, (0,), x).value == Fraction(7, 3)
+    for method in ("enumerate", "ideal-dp"):
+        assert weight_sum(P, a.diagonals, x, method) == Fraction(7, 3)
 
 
 def test_weight_double_tailed_all_ones():
+    # at x = 1 every extension weighs 1/n!
     P = d_k_one(4)
     a = analyze(P)
     ones = all_ones_point(a.diagonals.count)
-    w = weight_eval(P, a.diagonals, (5, 4, 3, 2, 1, 0), ones)
-    assert w.value == Fraction(1, 720)
+    assert count_linear_extensions(P) == 2
+    for method in ("enumerate", "ideal-dp"):
+        assert weight_sum(P, a.diagonals, ones, method) == Fraction(2, 720)
 
 
 def test_weight_termwise_product():
@@ -63,23 +66,20 @@ def test_weight_termwise_product():
     P = d_k_one(4)
     a = analyze(P)
     x = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-    ext = (5, 4, 3, 2, 1, 0)
-    suffix = Fraction(0)
-    product = Fraction(1)
-    for p in reversed(ext):
-        suffix += x[a.diagonals.diagonal_of[p]]
-        product *= suffix
-    assert product == Fraction(1) * Fraction(3, 2) * Fraction(11, 6) * Fraction(
-        25, 12
-    ) * Fraction(31, 12) * Fraction(43, 12)
-    assert weight_eval(P, a.diagonals, ext, x).value == 1 / product
 
+    def inverse_weight(ext):
+        suffix = Fraction(0)
+        product = Fraction(1)
+        for p in reversed(ext):
+            suffix += x[a.diagonals.diagonal_of[p]]
+            product *= suffix
+        return product
 
-def test_weight_eval_rejects_bad_extension():
-    P = d_k_one(3)
-    a = analyze(P)
-    with pytest.raises(ValueError):
-        weight_eval(P, a.diagonals, (0, 1, 2, 3), all_ones_point(a.diagonals.count))
+    assert inverse_weight((5, 4, 3, 2, 1, 0)) == Fraction(1) * Fraction(3, 2) * Fraction(
+        11, 6
+    ) * Fraction(25, 12) * Fraction(31, 12) * Fraction(43, 12)
+    total = sum(1 / inverse_weight(ext) for ext in linear_extensions(P))
+    assert weight_sum(P, a.diagonals, x, "enumerate") == total
 
 
 @pytest.mark.parametrize("name", ["d4", "sample10", "young-3.2", "shifted-4.3.1", "tree-mixed"])

@@ -155,20 +155,16 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        n = poset.n
-        labels = random_scaled_points(n, trials, rng)
-        t = np.zeros((n + 1, trials), dtype=object)  # the last row: the kernel's sentinel labels
-        t[:n] = labels
+        t = random_scaled_points(poset.n, trials, rng)
         s = t.copy()
         _run(s, a.insertion_program)
         hooks = a.hook_vectors
         classes = a.diagonals.classes
-        zero = t[n]
         # per diagonal and trial: do the two sides differ?
         wrong = np.array(
             [
-                sum((s[p] for p in members), zero)
-                != sum((h[d] * t[p] for p, h in enumerate(hooks) if h[d]), zero)
+                sum(s[p] for p in members)
+                != sum(h[d] * t[p] for p, h in enumerate(hooks) if h[d])
                 for d, members in enumerate(classes)
             ],
             dtype=bool,
@@ -212,7 +208,6 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
         labels = random_scaled_points(poset.n, trials, rng)
         insert = _random_order_insertion(poset, a.diagonals, rng)
         for trial, s1 in enumerate(labels.T.tolist()):
-            s1.append(0)  # the kernel's sentinel label
             s2 = s1[:]
             insert(s1)
             insert(s2)
@@ -364,8 +359,8 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
     for size in (3, 4):
         shape = (size,) * size
         square, box_ids, drawn = young(shape), young_box_ids(shape), matrices[size - 3 :: 2]
-        # row e holds element e's label in every trial of this size; the last row is the sentinel
-        labels = np.zeros((square.n + 1, len(drawn)), dtype=object)
+        # row e holds element e's label in every trial of this size
+        labels = np.zeros((square.n, len(drawn)), dtype=object)
         for (i, j), e in box_ids.items():
             labels[e] = [matrix[i - 1][j - 1] for matrix in drawn]
         program = compile_program(square, analyze(square).diagonals, range(square.n))

@@ -46,7 +46,7 @@ def poset_to_text(P: Poset) -> str:
     lines = [f"elements {P.n}"]
     for i in sorted(P.names):
         name = P.names[i]
-        if not isinstance(name, str) or not name or "#" in name or name != " ".join(name.split()):
+        if not name or "#" in name or name != " ".join(name.split()):
             raise FormatError(f"name of element {i} does not round-trip: {name!r}")
         lines.append(f"name {i} {name}")
     for a, b in sorted(P.covers):

@@ -167,8 +167,11 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     whose column j is point j as Python ints over the least common
     denominator of its own coordinates.  The decoding runs in int64,
     which holds it exactly: a label is at most 16 * lcm(1..16) =
-    11,531,520, below 2**24.
+    11,531,520, below 2**24.  A count that is not an int, or is negative,
+    is refused before ``rng`` is read; zero trials give a ``count x 0`` array.
     """
+    _require_count(count, "coordinate count", 0)
+    _require_count(trials, "trials", 0)
     import numpy as np  # numpy loads with the first batched draw, not with the package
 
     size = count * trials

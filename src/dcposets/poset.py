@@ -65,7 +65,8 @@ class Poset:
     The reflexive-transitive closure is computed eagerly; redundant input
     pairs are silently removed by transitive reduction.  A cycle in the
     input raises :class:`CycleError` naming a witness, and an element
-    count or id that is not an int raises ``TypeError`` naming it.
+    count or id that is not an int, or a name that is not a str, raises
+    ``TypeError`` naming it.
 
     ``_analysis`` is a weak reference to the poset's live
     :class:`~dcposets.analysis.PosetAnalysis`, or None; only
@@ -132,9 +133,11 @@ class Poset:
         self._lower = tuple(tuple(sorted(v)) for v in lower)
         self.names = dict(names) if names else {}
         _require_ids(self.names, "named element ids")
-        for key in self.names:
+        for key, name in self.names.items():
             if not 0 <= key < n:
                 raise ValueError(f"name given for unknown element {key}")
+            if not isinstance(name, str):
+                raise TypeError(f"name of element {key} must be str, not {type(name).__name__} {name!r}")
         self._analysis = None
 
     # -- order queries ---------------------------------------------------

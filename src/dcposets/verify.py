@@ -217,7 +217,7 @@ def polytope_membership(
 
 
 def _dot(coefficients: Sequence[int], labels: Sequence[int]) -> int:
-    """sum_p c_p * l_p over the coefficients' length (a trailing sentinel label is skipped)."""
+    """sum_p c_p * l_p, the integer dot product of coefficients and labels."""
     return sum(map(operator.mul, coefficients, labels))
 
 
@@ -356,15 +356,14 @@ def rsk_polytope_check(
     bound = hooks_denom * denom
     program = a.insertion_program
 
-    # row p holds element p's label in every trial; the last row is the kernel's sentinel
-    t = np.zeros((n + 1, trials), dtype=object)
+    # row p holds element p's label in every trial
     gaps = _simplex_gap_rows(n, trials, rng).T.astype(object)
-    t[:n] = gaps * np.array(factors, dtype=object).reshape(n, 1)
-    hook_side = np.dot(np.array(hooks, dtype=object), t[:n])
+    t = gaps * np.array(factors, dtype=object).reshape(n, 1)
+    hook_side = np.dot(np.array(hooks, dtype=object), t)
     source = _inside_columns(t, hook_side, bound, ())
     s = t.copy()
     _run(s, program)
-    weight_side = np.dot(np.array(weights, dtype=object), s[:n])
+    weight_side = np.dot(np.array(weights, dtype=object), s)
     image = _inside_columns(s, weight_side, bound, cover_pairs)
     summed = weight_side == hook_side
     back = s.copy()
@@ -372,7 +371,7 @@ def rsk_polytope_check(
     returned = (back == t).all(axis=0)
 
     def fractions(labels, trial):
-        return tuple(Fraction(v, denom) for v in labels[:n, trial])
+        return tuple(Fraction(v, denom) for v in labels[:, trial])
 
     failures = []
     for trial in np.flatnonzero(~(source & image & summed & returned)).tolist():
@@ -392,8 +391,8 @@ def rsk_polytope_check(
 def _inside_columns(v, weighted, bound: int, cover_pairs: Sequence[tuple[int, int]]):
     """:func:`_inside` per column of a label matrix: one bool per column.
 
-    ``v`` holds a trial's labels in each column (a sentinel row of zeros
-    changes nothing), and ``weighted`` its sums sum_p A_p v_p.
+    ``v`` holds a trial's labels in each column, and ``weighted`` its
+    sums sum_p A_p v_p.
     """
     inside = (v >= 0).all(axis=0) & (weighted <= bound)
     for low, high in cover_pairs:

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from dcposets import acceptance, rsk_polytope_check, verify
-from dcposets import Poset, analyze, young
+from dcposets import Poset, analyze, inverse_rsk, rsk, rsk_jacobian_det, young
 from dcposets.analysis import PosetAnalysis
 from dcposets.catalog import catalog
 from dcposets.classical import (
@@ -104,12 +104,13 @@ def _leaky_step(labels, toggles, top=max, bottom=min):
 
     That element is no cover of e, and whether it has been inserted yet
     depends on the insertion order, so the error does too.  It takes the
-    step's reductions, so it leaks on label lists and label matrices alike.
+    step's reductions, so it leaks on label lists and label matrices alike,
+    and reads an empty side as 0, as the kernel does.
     """
-    n = len(labels) - 1
+    n = len(labels)
     for e, ups, los in toggles:
-        hi = top([labels[u] for u in ups])
-        lo = bottom([labels[v] for v in los])
+        hi = top([labels[u] for u in ups]) if ups else 0
+        lo = bottom([labels[v] for v in los]) if los else 0
         labels[e] = hi + lo - labels[e] + labels[(e + 1) % n]
 
 
@@ -171,6 +172,29 @@ def test_volume_preservation_catches_wrong_choices(prepared, monkeypatch, step):
     assert all(" point=" in line and " element=" in line for line in result.lines[1:])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_kernel_runs_on_the_smallest_posets(n):
+    # the kernel's label lists and matrices have exactly n rows, so the empty
+    # poset runs it on zero-row matrices and the one-element poset on one row
+    P = Poset(n)
+    a = analyze(P)
+    filling = (1,) * n
+    image = rsk(P, filling, analysis=a)
+    assert image == (Fraction(1),) * n
+    assert inverse_rsk(P, image, analysis=a) == image
+    assert rsk_jacobian_det(P, filling, analysis=a) == 1
+    assert rsk_polytope_check(P, trials=10, seed=SEED, analysis=a).ok
+    subset = [(f"poset-{n}", P, a)]
+    for criterion in (
+        acceptance.diagonal_sum_identity,
+        acceptance.order_independence,
+        acceptance.volume_preservation,
+        acceptance.polytope_bijection,
+    ):
+        result = criterion(subset, 10, SEED)
+        assert result.ok, result
+
+
 @pytest.mark.parametrize("count, error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])
 def test_criteria_refuse_bad_counts(count, error):
     # a count below 1 checked nothing, and -1 or 2.5 leaked random's own errors
@@ -205,7 +229,6 @@ def _loop_diagonal_sums(prepared, trials, seed):
             for d, members in enumerate(a.diagonals.classes)
         ]
         for trial, t in enumerate(labels.T.tolist()):
-            t.append(0)
             s = t[:]
             rsk_module._run(s, program)
             for d, (members, column) in enumerate(diagonals):
@@ -229,13 +252,12 @@ def _loop_polytope_check(P, a, trials, seed):
     program = a.insertion_program
 
     def fractions(labels):
-        return tuple(Fraction(v, denom) for v in labels[: P.n])
+        return tuple(Fraction(v, denom) for v in labels)
 
     failures = []
     rows = verify._simplex_gap_rows(P.n, trials, rng).tolist()
     for trial in range(trials):
         t = [g * f for g, f in zip(rows[trial], factors)]
-        t.append(0)
         hook_side = verify._dot(hooks, t)
         if not verify._inside(t, hook_side, bound, ()):
             failures.append((trial, "source-membership", fractions(t)))
@@ -283,11 +305,10 @@ def _drop_candidate(program):
 def _non_commuting(program):
     """The program with each step's first toggle e followed, in the same step, by a
     toggle of e's upper cover against e, so running the step again no longer undoes it."""
-    sentinel = len(program)
     out = []
     for c, step in program:
         e, ups, _ = step[0]
-        if ups[0] != sentinel:
+        if ups:
             step += ((ups[0], ups, (e,)),)
         out.append((c, step))
     return tuple(out)
@@ -348,7 +369,6 @@ def _loop_order_independence(prepared, trials, seed):
         programs: dict[tuple[int, ...], Program] = {}
         labels = random_scaled_points(poset.n, trials, rng)
         for trial, s1 in enumerate(labels.T.tolist()):
-            s1.append(0)  # the kernel's sentinel label
             s2 = s1[:]
             for s in (s1, s2):
                 order = random_descending_extension(poset, rng)
@@ -378,7 +398,7 @@ def _leak_on_multiples_of_seven(labels, toggles):
     """:func:`_leaky_step`'s leak, only where a toggled label lands on a multiple of 7:
     the first failing trial then depends on the draws."""
     _toggle_all(labels, toggles)
-    n = len(labels) - 1
+    n = len(labels)
     for e, _, _ in toggles:
         if labels[e] % 7 == 0:
             labels[e] += labels[(e + 1) % n]

@@ -261,6 +261,36 @@ def test_cold_start_leaves_numpy_and_the_battery_unloaded(tmp_path):
     )
 
 
+def test_cold_start_runs_the_list_kernel_without_numpy(tmp_path):
+    # rsk and inverse-rsk insert one label list, which never takes the
+    # runner's label-matrix branch, so numpy stays unloaded through both
+    poset_path = tmp_path / "d4.poset"
+    poset_path.write_text(poset_to_text(d_k_one(4)))
+    fill_path = tmp_path / "t.fill"
+    fill_path.write_text(filling_to_text([Fraction(v) for v in (2, 2, 3, 4, 2, 1)]))
+    image_path = tmp_path / "s.fill"
+    code = (
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1])\n"
+        "import dcposets.cli\n"
+        "image = io.StringIO()\n"
+        "with contextlib.redirect_stdout(image):\n"
+        "    assert dcposets.cli.main(['rsk', sys.argv[2], sys.argv[3]]) == 0\n"
+        "open(sys.argv[4], 'w').write(image.getvalue())\n"
+        "assert dcposets.cli.main(['inverse-rsk', sys.argv[2], sys.argv[4]]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(poset_path), str(fill_path), str(image_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert filling_from_text(image_path.read_text()) == dict(enumerate(map(Fraction, (11, 9, 6, 7, 4, 3))))
+    assert filling_from_text(proc.stdout) == dict(enumerate(map(Fraction, (2, 2, 3, 4, 2, 1))))
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "does-not-exist.poset")
     assert code == 2 and "error:" in err

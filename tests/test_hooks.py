@@ -2,6 +2,7 @@ import math
 import operator
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice
 from random import Random
 
@@ -378,19 +379,24 @@ def test_random_points_keep_their_draws():
 
 
 @pytest.mark.parametrize(
-    "count, error, message",
+    "draw, error, message",
     [
-        (-2, ValueError, r"^coordinate count must be at least 0, got -2$"),
-        (2.0, TypeError, r"^coordinate count must be an int, not float 2\.0$"),
-        ("2", TypeError, r"^coordinate count must be an int, not str '2'$"),
+        (partial(random_rational_point, -2), ValueError, r"^coordinate count must be at least 0, got -2$"),
+        (partial(random_rational_point, 2.0), TypeError, r"^coordinate count must be an int, not float 2\.0$"),
+        (partial(random_rational_point, "2"), TypeError, r"^coordinate count must be an int, not str '2'$"),
+        # these three leaked getrandbits' own errors; zero trials stay an empty
+        # draw (test_batched_points_keep_their_draw)
+        (partial(random_scaled_points, -1, 3), ValueError, r"^coordinate count must be at least 0, got -1$"),
+        (partial(random_scaled_points, 2, -2), ValueError, r"^trials must be at least 0, got -2$"),
+        (partial(random_scaled_points, 2, 1.5), TypeError, r"^trials must be an int, not float 1\.5$"),
     ],
-    ids=["negative", "float", "str"],
+    ids=["negative", "float", "str", "scaled-negative-count", "scaled-negative-trials", "scaled-float-trials"],
 )
-def test_random_points_refuse_bad_counts(count, error, message):
+def test_random_points_refuse_bad_counts(draw, error, message):
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(error, match=message):
-        random_rational_point(count, rng)
+        draw(rng)
     assert rng.getstate() == state
 
 

@@ -116,12 +116,14 @@ def test_bad_ids_rejected():
         (lambda: Poset(2.0), r"element count must be int, not float 2\.0"),
         (lambda: Poset(None), r"element count must be int, not NoneType None"),
         (lambda: Poset(2, [(0, 1)], names={1.0: "b"}), r"named element ids must be int, not float 1\.0"),
+        (lambda: Poset(2, [(0, 1)], {0: 5}), r"name of element 0 must be str, not int 5"),
     ],
-    ids=["float-pair", "str-pair", "float-parent", "float-count", "none-count", "float-name"],
+    ids=["float-pair", "str-pair", "float-parent", "float-count", "none-count", "float-name", "int-name"],
 )
 def test_non_int_ids_raise_typed_errors(build, message):
     # a float id equal to an element passed the range checks and then leaked
-    # list indexing's or range's own TypeError
+    # list indexing's or range's own TypeError; a name that is not a str was
+    # kept and refused only when the poset was written
     with pytest.raises(TypeError, match=f"^{message}$"):
         build()
 
@@ -408,7 +410,7 @@ def test_names_round_trip():
     assert poset_from_text(poset_to_text(P)) == P
     assert poset_from_text("elements 1\nname 0  low   one  # a comment\n").names == {0: "low one"}
     # a name that would read back as another, or add a line, is refused
-    for name in ("x\ncover 0 1", "a#b", "two  spaces", " edge", "edge ", "tab\there", "", 5):
+    for name in ("x\ncover 0 1", "a#b", "two  spaces", " edge", "edge ", "tab\there", ""):
         with pytest.raises(FormatError, match="^name of element 0 does not round-trip: "):
             poset_to_text(Poset(2, [(0, 1)], {0: name}))
 

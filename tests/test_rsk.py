@@ -37,7 +37,6 @@ from dcposets.rsk import (
     _program,
     _random_order_insertion,
     _run,
-    _scale,
     _toggle_all,
     compile_program,
     normalize_filling,
@@ -56,9 +55,9 @@ WORKED_IMAGE = tuple(Fraction(v) for v in (11, 9, 6, 7, 4, 3))
 
 def _toggle(P, labels, p):
     """``labels``, one int per element, with p toggled once by the kernel's step against all its covers."""
-    out = [*labels, 0]
-    _toggle_all(out, ((p, P.upper_covers(p) or (P.n,), P.lower_covers(p) or (P.n,)),))
-    return out[:-1]
+    out = list(labels)
+    _toggle_all(out, ((p, P.upper_covers(p), P.lower_covers(p)),))
+    return out
 
 
 def test_toggle_isolated_negates():
@@ -470,7 +469,7 @@ def test_oracles(family, analyses, name):
     for _ in range(3):
         program = compile_program(P, part, random_descending_extension(P, rng))
         for c, toggles in program:
-            assert all(los != (P.n,) for e, _, los in toggles if e != c), (c, toggles)
+            assert all(los != () for e, _, los in toggles if e != c), (c, toggles)
 
     removals = []
     for c in P.minimal_elements():
@@ -643,26 +642,29 @@ def _reference_jacobian_rows(labels, program):
     """The two-step Jacobian rows: ``_select`` per multi-candidate side, then a rebuilt replay.
 
     Each step's choices go through ``_toggle_all``; each row is summed
-    with ``get(j, 0)`` and rebuilt once more to drop its zeros.
+    with ``get(j, 0)`` and rebuilt once more to drop its zeros.  Row n,
+    one past the labels, is an absent cover's: empty, so zero.
     """
+    n = len(labels)
     trace = []
     for c, toggles in program:
         labels[c] = -labels[c]
         chosen = tuple(
             (
                 e,
-                ups if len(ups) == 1 else (_select(labels, ups, 1),),
-                los if len(los) == 1 else (_select(labels, los, -1),),
+                ups if len(ups) <= 1 else (_select(labels, ups, 1),),
+                los if len(los) <= 1 else (_select(labels, los, -1),),
             )
             for e, ups, los in toggles
         )
         _toggle_all(labels, chosen)
         trace.append((c, chosen))
 
-    rows = [{} for _ in labels]
+    rows = [{} for _ in range(n + 1)]
     for c, chosen in trace:
         rows[c] = {c: -1}
-        for e, (x,), (y,) in chosen:
+        for e, ups, los in chosen:
+            (x,), (y,) = ups or (n,), los or (n,)
             row = dict(rows[x])
             for j, v in rows[y].items():
                 row[j] = row.get(j, 0) + v
@@ -705,7 +707,7 @@ def test_one_candidate_sides_keep_the_ties():
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
             for t in _seeded_fillings(P.n, rng, 24 if P.n >= 50 else 6):
-                labels, _ = _scale(t)
+                labels, _ = common_denominator(t)
                 expected_labels = labels[:]
                 try:
                     expected = _reference_jacobian_rows(expected_labels, program)
@@ -730,30 +732,30 @@ def test_one_candidate_sides_keep_the_ties():
 def test_running_best_tie_rule():
     # [3, 3, 5]: the running best ties at the second candidate, before the
     # unique maximum 5 is read, and that raises; a lone candidate never does
-    labels = [3, 3, 5, 1, 0]
+    labels = [3, 3, 5, 1]
     with pytest.raises(NonGenericPoint):
         _select(labels, (0, 1, 2), 1)
     assert _select(labels, (0, 2, 1), 1) == 2
     assert _select(labels, (3,), -1) == 3
-    program = ((3, ((3, (0, 1, 2), (4,)),)),)  # element 3 toggled against 0, 1, 2 above
+    program = ((3, ((3, (0, 1, 2), ()),)),)  # element 3 toggled against 0, 1, 2 above
     for replay in (_choices, _reference_jacobian_rows):
         with pytest.raises(NonGenericPoint):
             replay(labels[:], program)
     # [1, 1, 0] below ties the same way on the lower side; on the programs the
     # other tests run, a filling that ties on one side also ties on the other
     # in the same run, so only programs like these tell the two checks apart
-    labels = [1, 1, 0, 4, 2, 0]
+    labels = [1, 1, 0, 4, 2]
     program = ((3, ((3, (4,), (0, 1, 2)),)),)
     for replay in (_choices, _reference_jacobian_rows):
         with pytest.raises(NonGenericPoint):
             replay(labels[:], program)
     # [5, 3, 3] above and [1, 2, 2] below: the equal pair never meets the
     # running best, so neither side raises, and both runs choose 0 and 3.
-    # Elements 0..5 are first inserted and toggled against the sentinel
-    # alone, which leaves their labels as they are and makes the program
-    # insert every element, as the Jacobian's replay assumes
-    labels = [5, 3, 3, 1, 2, 2, 9, 0]
-    program = tuple((c, ((c, (7,), (7,)),)) for c in range(6))
+    # Elements 0..5 are first inserted and toggled with both sides empty,
+    # which leaves their labels as they are and makes the program insert
+    # every element, as the Jacobian's replay assumes
+    labels = [5, 3, 3, 1, 2, 2, 9]
+    program = tuple((c, ((c, (), ()),)) for c in range(6))
     program += ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
     expected_labels = labels[:]
     expected = _reference_jacobian_rows(expected_labels, program)
@@ -795,13 +797,13 @@ def test_jacobian_rows_match_dense_replay():
         program = _program(P, order, a)
         for _ in range(10):
             t = random_filling(P.n, rng)
-            labels, denom = _scale(t)
+            labels, denom = common_denominator(t)
             try:
                 trace, _ = _choices(labels, program)
             except NonGenericPoint:
                 continue
             image, dense = _dense_jacobian_rows(P, a, seq, t)
-            assert tuple(Fraction(x, denom) for x in labels[:-1]) == image
+            assert tuple(Fraction(x, denom) for x in labels) == image
             jv, bound = _jacobian_times(trace, v)
             assert bound < 2**63
             assert jv == [sum(x * w for x, w in zip(row, v)) for row in dense] + [0]
@@ -821,7 +823,7 @@ def test_derivative_scale_keeps_every_choice():
     for P in posets:
         a = analyze(P)
         for t in _seeded_fillings(P.n, rng, 3):
-            labels, denom = _scale(t)
+            labels, denom = common_denominator(t)
             image = labels[:]
             try:
                 trace, gap = _choices(image, a.insertion_program)
@@ -841,7 +843,7 @@ def test_derivative_scale_keeps_every_choice():
                     P, a, a.stable_order, [Fraction(k * x + w, denom) for x, w in zip(labels, v)], moved_trace
                 )
                 assert moved_trace == base_trace
-                assert moved == tuple(Fraction(k * x + w, denom) for x, w in zip(image[:-1], d))
+                assert moved == tuple(Fraction(k * x + w, denom) for x, w in zip(image, d))
             checked += 1
     assert checked >= 60
 
@@ -878,10 +880,11 @@ def test_kernel_matches_reference(family, analyses, name):
 
 
 def _general_step(labels, toggles):
-    """The toggle as written, max over the upper candidates plus min over the lower, minus the label."""
+    """The toggle as written, max over the upper candidates plus min over the lower, minus
+    the label, an empty side reading 0."""
     get = labels.__getitem__
     for e, ups, los in toggles:
-        labels[e] = max(map(get, ups)) + min(map(get, los)) - labels[e]
+        labels[e] = max(map(get, ups), default=0) + min(map(get, los), default=0) - labels[e]
 
 
 def test_kernel_fast_path_matches_general_step():
@@ -898,7 +901,6 @@ def test_kernel_fast_path_matches_general_step():
             shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
             for _ in range(3):
                 t, _ = common_denominator(random_filling(P.n, rng))
-                t.append(0)  # the kernel's sentinel label
                 image, expected = t[:], t[:]
                 _run(image, program)
                 for c, toggles in program:
@@ -910,8 +912,10 @@ def test_kernel_fast_path_matches_general_step():
                     _general_step(expected, toggles)
                     expected[c] = -expected[c]
                 assert image == expected == t, (name, order)
-    # the one-candidate reads and both general reductions all ran
-    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+    # the empty-side, one-candidate and general reads all ran, each against
+    # each read of the other side that these programs have; none has a toggle
+    # with two upper candidates and one lower one
+    assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)} <= shapes
 
 
 def _columns_match_scalar_loops(P, program, trials, rng):
@@ -920,7 +924,7 @@ def _columns_match_scalar_loops(P, program, trials, rng):
     import numpy as np
 
     for backward in (False, True):
-        columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] + [0] for _ in range(trials)]
+        columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] for _ in range(trials)]
         labels = np.array(columns, dtype=object).T.copy()
         _run(labels, program, backward)
         for j, column in enumerate(columns):
@@ -942,12 +946,15 @@ def test_column_runner_matches_scalar_loops():
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
             shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
+            # a side with no present cover is empty: every toggle names elements only
+            assert all(q < P.n for _, step in program for e, ups, los in step for q in (e, *ups, *los))
             _columns_match_scalar_loops(P, program, 1, rng)
         if i % 10 == 0 or P.n > 60:
             _columns_match_scalar_loops(P, a.insertion_program, 100, rng)
     assert min(P.n for P in posets) == 1
-    # the one-candidate reads and both multi-candidate reductions all ran
-    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+    # the empty-side, one-candidate and multi-candidate reads all ran, each
+    # against each read of the other side that these programs have
+    assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)} <= shapes
 
 
 def _choice_descending_extension(P, rng):
@@ -1004,8 +1011,8 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
             rng, oracle = Random(seed), Random(seed)
             insert = _random_order_insertion(P, part, rng)
             for draw in range(3):
-                t = [rng.randrange(1, 1000) for _ in range(P.n)] + [0]
-                assert t == [oracle.randrange(1, 1000) for _ in range(P.n)] + [0]
+                t = [rng.randrange(1, 1000) for _ in range(P.n)]
+                assert t == [oracle.randrange(1, 1000) for _ in range(P.n)]
                 walked = t[:]
                 steps.clear()
                 insert(walked)
@@ -1015,6 +1022,7 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
                 program = compile_program(P, part, random_descending_extension(P, oracle))
                 assert path == tuple(c for c, _ in program), (name, seed, draw)
                 assert tuple(steps) == tuple(toggles for _, toggles in program), (name, seed, draw)
+                assert all(q < P.n for step in steps for e, ups, los in step for q in (e, *ups, *los))
                 _run(t, program)
                 assert walked == t, (name, seed, draw)
             assert rng.getstate() == oracle.getstate(), (name, seed)

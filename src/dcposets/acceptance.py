@@ -19,7 +19,7 @@ from .classical import classical_insert_rsk, gt_from_rpp, order_from_ranks, ssyt
 from .diagonals import diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
-from .hooks import _require_count, all_ones_point, random_scaled_points
+from .hooks import _require_count, all_ones_point, random_scaled_point, random_scaled_points
 from .poset import Poset
 from .rsk import (
     NonGenericPoint,
@@ -30,7 +30,6 @@ from .rsk import (
     diagonal_sums,
     inverse_rsk,
     is_stable,
-    random_filling,
     rsk,
 )
 from .verify import (
@@ -226,12 +225,14 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
     """At generic points the insertion map's Jacobian is the kernel's derivative.
 
     Per poset, fillings are drawn from ``Random(seed)`` until ``points`` of
-    them are generic.  At each, :func:`_derivative_check` makes one
-    choosing run, draws a direction from the same stream and runs the
-    kernel once along it.  A kernel whose result is not the map's own
-    derivative fails with the point's index among the generic points and
-    the first element that disagrees, which ends the poset's checks.  The
-    determinant needs no check: it is (-1)^(n + T) whatever the choices.
+    them are generic, each by :func:`random_scaled_point` as integer
+    labels over its common denominator.  At each,
+    :func:`_derivative_check` makes one choosing run, draws a direction
+    from the same stream and runs the kernel once along it.  A kernel
+    whose result is not the map's own derivative fails with the point's
+    index among the generic points and the first element that disagrees,
+    which ends the poset's checks.  The determinant needs no check: it is
+    (-1)^(n + T) whatever the choices.
     """
     _require_count(points, "points")
     failures: list[str] = []
@@ -241,7 +242,7 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
         attempts = 0
         while done < points and attempts < points * 40:
             attempts += 1
-            t = random_filling(poset.n, rng)
+            t, _ = random_scaled_point(poset.n, rng)
             try:
                 wrong = _derivative_check(poset, t, rng, a)
             except NonGenericPoint:

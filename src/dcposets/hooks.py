@@ -28,17 +28,18 @@ class HookProgram(NamedTuple):
     """Every hook polynomial of a d-complete poset as a recursion on its elements.
 
     ``sums`` lists, bottom-up, ``(p, q, rest)``: the downset sum of p is
-    its own weight, plus q's downset sum (q is n when p is minimal), plus
-    the weights of ``rest``.  ``tops`` lists, bottom-up, ``(p, w, z, b)``
-    for each d-interval [b, p] with sides w and z.  ``diagonal_of`` maps
-    each element to its diagonal, and ``count`` is the number of
-    diagonals.  :func:`hook_numerators` evaluates it at a point, and
-    :func:`hook_vectors` once per diagonal.
+    its own weight, plus the downset sum of q's one element (q is empty
+    when p is minimal), plus the weights of ``rest``.  ``tops`` lists,
+    bottom-up, ``(p, w, z, b)`` for each d-interval [b, p] with sides w
+    and z.  Every id the program names is an element, 0..n-1.
+    ``diagonal_of`` maps each element to its diagonal, and ``count`` is
+    the number of diagonals.  :func:`hook_integers` evaluates it at
+    integer weights, and :func:`hook_vectors` once per diagonal.
     """
 
     diagonal_of: tuple[int, ...]
     count: int
-    sums: tuple[tuple[int, int, tuple[int, ...]], ...]
+    sums: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
     tops: tuple[tuple[int, int, int, int], ...]
 
 
@@ -52,14 +53,14 @@ def compile_hook_program(
     diagonal, its downset: DS(p) = sum_{m <= p} e_(D(m)).  At a point x,
     H_p(x) = sum_D h_p^(D) x_D is linear in h_p, so the same recursion
     holds with x_(D(m)) for e_(D(m)).  Let q be p's lower cover with the
-    largest downset and rest = down(p) - ({p} | down(q)).  Then down(p) is
-    the disjoint union of {p}, down(q) and rest, so
-    DS(p) = e_(D(p)) + DS(q) + sum_{m in rest} e_(D(m)) exactly.  A
-    downset sum is kept for each element that tops no d-interval, and for
-    the q of each element whose downset sum is kept; elements run
-    bottom-up, by downset size, so every value a step reads is already
-    set.  :func:`hook_numerators` runs the program at a point in
-    O(n + sum |rest|) additions, where a dot product with every dense
+    largest downset, if p has one, and rest = down(p) - ({p} | down(q)).
+    Then down(p) is the disjoint union of {p}, down(q) and rest, so
+    DS(p) = e_(D(p)) + DS(q) + sum_{m in rest} e_(D(m)) exactly, with no
+    DS(q) term when p is minimal.  A downset sum is kept for each element
+    that tops no d-interval, and for the q of each element whose downset
+    sum is kept; elements run bottom-up, by downset size, so every value
+    a step reads is already set.  :func:`hook_integers` runs the program
+    in O(n + sum |rest|) additions, where a dot product with every dense
     vector costs n times the number of diagonals (on a chain, every rest
     is empty); :func:`hook_vectors` runs it once per diagonal.  The
     intervals must be those of a d-complete poset, in which each element
@@ -72,17 +73,19 @@ def compile_hook_program(
     order = sorted(range(n), key=size.__getitem__)
     top_interval = {interval.top: interval for interval in intervals}
     kept = [p not in top_interval for p in range(n)]
-    largest_below = [n] * n
+    largest_below: list[tuple[int, ...]] = [()] * n
     for p in reversed(order):
         if kept[p] and lower[p]:
-            q = largest_below[p] = max(lower[p], key=size.__getitem__)
+            q = max(lower[p], key=size.__getitem__)
+            largest_below[p] = (q,)
             kept[q] = True
     sums, tops = [], []
     for p in order:
         if kept[p]:
-            q = largest_below[p]
-            rest = dn[p] ^ 1 << p ^ (dn[q] if q < n else 0)
-            sums.append((p, q, tuple(bits(rest))))
+            rest = dn[p] ^ 1 << p
+            for q in largest_below[p]:
+                rest ^= dn[q]
+            sums.append((p, largest_below[p], tuple(bits(rest))))
         interval = top_interval.get(p)
         if interval is not None:
             tops.append((p, *interval.sides, interval.bottom))
@@ -93,47 +96,57 @@ def hook_numerators(program: HookProgram, x: Sequence[Fraction]) -> tuple[list[i
     """Every H_p(x) = sum_D h_p^(D) x_D as an integer A_p over one denominator L.
 
     x is written once as integers c over its least common denominator L,
-    and the :class:`HookProgram` runs on the weights c_(D(p)), so every
-    A_p is an integer.  On a d-complete poset L is also the least common
-    denominator of the H_p(x) (:func:`verify.rsk_polytope_check` proves
-    it), so the A_p are the hooks' own numerators over it.
+    and :func:`hook_integers` runs the :class:`HookProgram` on the
+    weights c_(D(p)), so every A_p is an integer.  On a d-complete poset
+    L is also the least common denominator of the H_p(x)
+    (:func:`verify.rsk_polytope_check` proves it), so the A_p are the
+    hooks' own numerators over it.
     """
     c, denom = common_denominator(x)
     if len(c) != program.count:
         raise ValueError(f"program is indexed by {program.count} diagonals, point by {len(c)}")
-    weight = [c[d] for d in program.diagonal_of]
-    n = len(weight)
-    down = [0] * (n + 1)  # down[n] = 0 stands for the missing lower cover of a minimal element
+    return hook_integers(program, [c[d] for d in program.diagonal_of]), denom
+
+
+def hook_integers(program: HookProgram, weights: Sequence[int]) -> list[int]:
+    """Every hook sum_D h_p^(D) c_D, from ``weights[p]`` = c_(D(p)): the :class:`HookProgram` run once.
+
+    Each kept downset sum is written at its element's entry; the interval
+    tops then overwrite theirs with their hooks, once no downset sum is
+    read any more.
+    """
+    hooks = [0] * len(weights)
     for p, q, rest in program.sums:
-        total = weight[p] + down[q]
+        total = weights[p]
+        for m in q:
+            total += hooks[m]
         for m in rest:
-            total += weight[m]
-        down[p] = total
-    hooks = down[:n]
+            total += weights[m]
+        hooks[p] = total
     for p, w, z, b in program.tops:
         hooks[p] = hooks[w] + hooks[z] - hooks[b]
-    return hooks, denom
+    return hooks
 
 
 def hook_vectors(program: HookProgram) -> tuple[HookVector, ...]:
     """Hook vector of every element, indexed by diagonal id: the :class:`HookProgram` run once per diagonal.
 
-    This is :func:`hook_numerators` with unit vectors for weights.  The
+    This is :func:`hook_integers` with unit vectors for weights.  The
     output has n times the number of diagonals entries, so on a chain it
     is quadratic whatever the recursion.
     """
     diagonal_of = program.diagonal_of
-    n = len(diagonal_of)
-    vectors = [(0,) * program.count] * (n + 1)  # vectors[n]: the missing lower cover of a minimal element
+    zero = (0,) * program.count
+    vectors = [zero] * len(diagonal_of)
     for p, q, rest in program.sums:
-        vector = list(vectors[q])
+        vector = list(vectors[q[0]] if q else zero)
         vector[diagonal_of[p]] += 1
         for m in rest:
             vector[diagonal_of[m]] += 1
         vectors[p] = tuple(vector)
     for p, w, z, b in program.tops:
         vectors[p] = tuple(map(operator.sub, map(operator.add, vectors[w], vectors[z]), vectors[b]))
-    return tuple(vectors[:n])
+    return tuple(vectors)
 
 
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
@@ -205,6 +218,27 @@ def random_rational_point(count: int, rng: Random) -> RationalPoint:
     """
     _require_count(count, "coordinate count", 0)
     return tuple(map(_RATIONALS.__getitem__, rng.getrandbits(8 * count).to_bytes(count, "little")))
+
+
+# The numerator and the reduced denominator of _RATIONALS[b], at index b, as
+# bytes.translate tables: both lie in 1..16.
+_NUMERATORS = bytes(r.numerator for r in _RATIONALS)
+_DENOMINATORS = bytes(r.denominator for r in _RATIONALS)
+
+
+def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:
+    """:func:`random_rational_point` as integer labels over its least common denominator.
+
+    The same ``rng.getrandbits(8 * count)`` is decoded, byte b to the
+    numerator and reduced denominator of ``_RATIONALS[b]``, so the result
+    is ``common_denominator(random_rational_point(count, rng))``, with
+    ``rng`` left in the same state and no Fraction built.
+    """
+    _require_count(count, "coordinate count", 0)
+    draw = rng.getrandbits(8 * count).to_bytes(count, "little")
+    denominators = draw.translate(_DENOMINATORS)
+    denom = math.lcm(*denominators)
+    return list(map(operator.mul, draw.translate(_NUMERATORS), map(denom.__floordiv__, denominators))), denom
 
 
 def exact_value(value) -> Fraction:

@@ -11,6 +11,7 @@ import math
 from array import array
 from collections import deque
 from itertools import chain
+from operator import add, floordiv, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -522,6 +523,44 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
                 value[j] += v
         lo = hi
     return value[-1], math.factorial(len(lattice.level_sizes) - 1) if unit else product
+
+
+def fold_columns(lattice: IdealLattice, rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """:func:`fold_ideal_lattice` on many weight rows in one walk: one (U, M) per row.
+
+    Every ideal carries one value and one sum S(J) per row, added a row
+    at a time by ``map``, and each level is reduced per row by that row's
+    own gcds and level lcm, as there.  So each pair is the scalar fold's,
+    except that an all-ones row is reduced too (U / M is still e(P) / n!).
+    Only two levels are live, the one pushing and the one pushed to, so
+    memory grows with the widest level times the rows.  One row costs
+    about three scalar folds, so a single weight sum keeps the scalar fold.
+    """
+    if not rows:
+        return []
+    count = len(rows)
+    by_element = list(zip(*rows))  # element e's weight in every row
+    first, added = lattice.first, lattice.added
+    start, successors = lattice.successor_start, lattice.successors
+    values, sums, products = [[1] * count], [[0] * count], [1] * count
+    lo = 0  # the live level's first ideal
+    for size in lattice.level_sizes[1:]:
+        hi = lo + len(values)
+        pushed: list = [None] * size
+        for i, value in enumerate(values, lo):
+            for j in successors[start[i] : start[i + 1]]:
+                seen = pushed[j - hi]
+                pushed[j - hi] = value if seen is None else list(map(add, seen, value))
+        sums = [list(map(add, sums[first[j] - lo], by_element[added[j]])) for j in range(hi, hi + size)]
+        gcds = [list(map(math.gcd, r, s)) for r, s in zip(pushed, sums)]
+        reduced = [list(map(floordiv, s, g)) for s, g in zip(sums, gcds)]
+        lcms = list(map(math.lcm, *reduced))
+        products = list(map(mul, products, lcms))
+        values = [
+            list(map(mul, map(floordiv, r, g), map(floordiv, lcms, d))) for r, g, d in zip(pushed, gcds, reduced)
+        ]
+        lo = hi
+    return list(zip(values[0], products))
 
 
 def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:

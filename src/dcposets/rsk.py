@@ -601,15 +601,17 @@ def _jacobian_times(trace: Sequence[Choice], v: Sequence[int]) -> tuple[list[int
     return d, max(norms)
 
 
-def _derivative_check(P: Poset, filling, rng: Random, analysis: PosetAnalysis) -> int | None:
+def _derivative_check(P: Poset, labels: Sequence[int], rng: Random, analysis: PosetAnalysis) -> int | None:
     """The first element where the kernel's derivative at a generic point is not J, or None.
 
-    One :func:`_choices` run along the stable program on the filling's
-    integer labels T gives the image Phi(T), the choices and g; a tie
-    raises :class:`NonGenericPoint` before ``rng`` is read.  Then a
-    direction v with entries uniform on -V..V-1, V = ``DIRECTION_BOUND``,
-    is drawn from ``rng`` by one ``getrandbits``, each entry a slice of
-    log2(2V) bits less V, and :func:`_jacobian_times` gives J v and B.
+    ``labels`` are a nonnegative filling's integer labels T over a common
+    denominator, as :func:`hooks.random_scaled_point` draws them.  One
+    :func:`_choices` run along the stable program on T gives the image
+    Phi(T), the choices and g; a tie raises :class:`NonGenericPoint`
+    before ``rng`` is read.  Then a direction v with entries uniform on
+    -V..V-1, V = ``DIRECTION_BOUND``, is drawn from ``rng`` by one
+    ``getrandbits``, each entry a slice of log2(2V) bits less V, and
+    :func:`_jacobian_times` gives J v and B.
     With K = floor(2BV / g) + 1, or K = 1 when the run compared no labels,
     :func:`_run`, the kernel under test with its own step function, must
     map K T + v to K Phi(T) + J v exactly; the result names the first
@@ -636,8 +638,7 @@ def _derivative_check(P: Poset, filling, rng: Random, analysis: PosetAnalysis) -
     missed with probability at most 1/(2V).
     """
     analysis.ensure_d_complete()
-    base, _ = common_denominator(normalize_filling(P.n, filling, require_nonnegative=True))
-    image = base[:]
+    image = list(labels)
     program = analysis.insertion_program
     trace, gap = _choices(image, program)
     width = DIRECTION_BOUND.bit_length()
@@ -645,6 +646,6 @@ def _derivative_check(P: Poset, filling, rng: Random, analysis: PosetAnalysis) -
     v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
     d, bound = _jacobian_times(trace, v)
     k = 2 * bound * DIRECTION_BOUND // gap + 1 if gap else 1
-    moved = [k * s + w for s, w in zip(base, v)]
+    moved = [k * s + w for s, w in zip(labels, v)]
     _run(moved, program)
     return next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)

@@ -25,11 +25,12 @@ from .hooks import (
     _require_count,
     all_ones_point,
     common_denominator,
+    hook_integers,
     hook_numerators,
-    random_rational_point,
+    random_scaled_point,
     validate_point,
 )
-from .poset import Poset, fold_ideal_lattice, linear_extensions
+from .poset import Poset, fold_columns, fold_ideal_lattice, linear_extensions
 from .rsk import Filling, _run, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
@@ -132,23 +133,30 @@ def verify_multivariate(
 ) -> MultivariateReport:
     """Check the weight sum against 1/prod(H_p) at random rational points.
 
-    Equality must be exact at every point.  The weight sum folds the
-    ideal lattice, so the number of linear extensions does not matter;
+    Equality must be exact at every point.  Each point x is drawn as
+    integers c over its least common denominator L.  On the weights
+    c_(D(p)), one :func:`poset.fold_columns` walk gives every point's
+    weight sum as U * L^n / M (see :func:`weight_sum`), and
+    :func:`hook_integers` gives H_p(x) = A_p / L, so the identity holds
+    exactly when U * prod A_p == M; Fractions are built only for a
+    failing point.  The number of linear extensions does not matter;
     posets with more than ``IDEAL_LIMIT`` order ideals raise
     :class:`ExtensionLimitError`.
     """
     _require_count(points, "points")
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    part = a.diagonals
+    program = a.hook_program
     rng = Random(seed)
+    draws = [random_scaled_point(program.count, rng) for _ in range(points)]
+    rows = [list(map(c.__getitem__, program.diagonal_of)) for c, _ in draws]
     failures = []
-    for _ in range(points):
-        x = random_rational_point(part.count, rng)
-        lhs = weight_sum(P, part, x, analysis=a)
-        hooks, denom = hook_numerators(a.hook_program, x)
-        rhs = Fraction(denom**P.n, math.prod(hooks))
-        if lhs != rhs:
+    for (c, denom), row, (total, product) in zip(draws, rows, fold_columns(a.ideal_lattice, rows)):
+        hook_product = math.prod(hook_integers(program, row))
+        if total * hook_product != product:
+            scale = denom**P.n
+            lhs, rhs = Fraction(total * scale, product), Fraction(scale, hook_product)
+            x = tuple(Fraction(v, denom) for v in c)
             failures.append(MultivariateFailure(point=x, lhs=lhs, rhs=rhs))
     return MultivariateReport(
         points=points,

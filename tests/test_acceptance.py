@@ -6,6 +6,7 @@ Carlo comparison uses a pinned seed.
 """
 
 import importlib
+import math
 from fractions import Fraction
 from random import Random
 
@@ -25,8 +26,18 @@ from dcposets.classical import (
     toggle_rpp,
 )
 from dcposets.families import young_box_ids
-from dcposets.hooks import random_scaled_points
-from dcposets.rsk import Program, _run, _toggle_all, compile_program, random_descending_extension
+from dcposets.hooks import common_denominator, hook_numerators, random_rational_point, random_scaled_points
+from dcposets.rsk import (
+    DIRECTION_BOUND,
+    NonGenericPoint,
+    Program,
+    _run,
+    _toggle_all,
+    compile_program,
+    normalize_filling,
+    random_descending_extension,
+    random_filling,
+)
 from dcposets.verify import BijectionReport
 
 # the package's ``rsk`` attribute is the function, not the module
@@ -430,6 +441,150 @@ def test_order_independence_fails_like_the_trial_loop(monkeypatch, step):
         names = {line.split()[1] for line in lines}
         assert names == {f"poset={name}" for name in MUTANT_POSETS if name != "tree-0"}
         assert any(not line.endswith(" trial=0") for line in lines)
+
+
+def _loop_multivariate_identity(prepared, points, seed):
+    """Criterion 2 as a per-point loop: each point drawn as Fractions, its
+    weight sum from ``verify.weight_sum`` (one scalar fold per point) and
+    its hooks from ``hook_numerators``, compared as Fractions."""
+    failures: list[str] = []
+    for name, poset, a in prepared:
+        a.ensure_d_complete()
+        part = a.diagonals
+        rng = Random(seed)
+        first = None
+        for _ in range(points):
+            x = random_rational_point(part.count, rng)
+            lhs = verify.weight_sum(poset, part, x, analysis=a)
+            hooks, denom = hook_numerators(a.hook_program, x)
+            rhs = Fraction(denom**poset.n, math.prod(hooks))
+            if lhs != rhs and first is None:
+                first = (x, lhs, rhs)
+        if first is not None:
+            x, lhs, rhs = first
+            failures.append(f"fail poset={name} seed={seed} point={x} lhs={lhs} rhs={rhs}")
+    return acceptance._result(
+        "multivariate-identity", failures, [f"posets={len(prepared)} points={points} seed={seed}"]
+    )
+
+
+def _double_where_first_denominator_is_even(monkeypatch):
+    """The c2 mutant: a weight sum doubled where the point's first coordinate
+    has an even denominator, both in ``verify.weight_sum`` (the point loop's
+    seam) and in ``verify.fold_columns`` (criterion 2's), whose rows are the
+    points ``verify.random_scaled_point`` drew last, in order."""
+    weight_sum, draw, fold = verify.weight_sum, verify.random_scaled_point, verify.fold_columns
+    drawn = []
+
+    def doubled_weight_sum(P, part, x, *args, **kwargs):
+        value = weight_sum(P, part, x, *args, **kwargs)
+        return 2 * value if x[0].denominator % 2 == 0 else value
+
+    def recorded_draw(count, rng):
+        labels, denom = draw(count, rng)
+        drawn.append(Fraction(labels[0], denom))
+        return labels, denom
+
+    def doubled_fold(lattice, rows):
+        points = drawn[-len(rows) :]
+        drawn.clear()
+        return [
+            (2 * total if x.denominator % 2 == 0 else total, product)
+            for x, (total, product) in zip(points, fold(lattice, rows))
+        ]
+
+    monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
+    monkeypatch.setattr(verify, "random_scaled_point", recorded_draw)
+    monkeypatch.setattr(verify, "fold_columns", doubled_fold)
+
+
+@pytest.mark.parametrize("mutant", [None, "doubled-fold"])
+def test_multivariate_identity_fails_like_the_point_loop(monkeypatch, mutant):
+    # criterion 2 folds all of a poset's points in one walk and compares
+    # integers; its result, fail lines included, equals the per-point loop's
+    if mutant is not None:
+        _double_where_first_denominator_is_even(monkeypatch)
+    lines = []
+    for seed in range(10):
+        subset = _mutant_subset(None)
+        result = acceptance.multivariate_identity(subset, points=20, seed=seed)
+        assert result == _loop_multivariate_identity(subset, 20, seed), seed
+        lines += [line for line in result.lines if line.startswith("fail poset=")]
+    if mutant is None:
+        assert not lines
+    else:
+        # every poset has a point with an even first denominator at some seed
+        assert {line.split()[1] for line in lines} == {f"poset={name}" for name in MUTANT_POSETS}
+
+
+def _loop_derivative_check(P, filling, rng, a):
+    """Criterion 6's per-point check as it read a Fraction filling:
+    normalized, then written over its common denominator."""
+    a.ensure_d_complete()
+    base, _ = common_denominator(normalize_filling(P.n, filling, require_nonnegative=True))
+    image = base[:]
+    program = a.insertion_program
+    trace, gap = rsk_module._choices(image, program)
+    width = DIRECTION_BOUND.bit_length()
+    bits = rng.getrandbits(width * P.n)
+    v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
+    d, bound = rsk_module._jacobian_times(trace, v)
+    k = 2 * bound * DIRECTION_BOUND // gap + 1 if gap else 1
+    moved = [k * s + w for s, w in zip(base, v)]
+    _run(moved, program)
+    return next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)
+
+
+def _loop_volume_preservation(prepared, points, seed):
+    """Criterion 6 with each filling drawn by ``random_filling`` as Fractions."""
+    failures: list[str] = []
+    for name, poset, a in prepared:
+        rng = Random(seed)
+        done = 0
+        attempts = 0
+        while done < points and attempts < points * 40:
+            attempts += 1
+            t = random_filling(poset.n, rng)
+            try:
+                wrong = _loop_derivative_check(poset, t, rng, a)
+            except NonGenericPoint:
+                continue
+            if wrong is not None:
+                failures.append(f"fail poset={name} seed={seed} point={done} element={wrong}")
+                break
+            done += 1
+        else:
+            if done < points:
+                failures.append(f"fail poset={name} seed={seed} found only {done} generic points")
+    return acceptance._result(
+        "volume-preservation", failures, [f"posets={len(prepared)} points={points} seed={seed}"]
+    )
+
+
+C6_STEPS = {
+    "leaky": _leaky_step,
+    "max-below": _max_below_step,
+    "first-candidate": _first_candidate_step,
+    "leak-on-multiples-of-7": _leak_on_multiples_of_seven,
+}
+
+
+@pytest.mark.parametrize("step", [None, *C6_STEPS])
+def test_volume_preservation_fails_like_the_point_loop(monkeypatch, step):
+    # criterion 6 decodes each filling straight to integer labels; its
+    # result, fail lines included, equals the loop's that drew Fractions
+    if step is not None:
+        monkeypatch.setattr(rsk_module, "_toggle_all", C6_STEPS[step])
+    lines = []
+    for seed in range(10):
+        subset = _mutant_subset(None)
+        result = acceptance.volume_preservation(subset, points=25, seed=seed)
+        assert result == _loop_volume_preservation(subset, 25, seed), seed
+        lines += [line for line in result.lines if line.startswith("fail poset=")]
+    assert bool(lines) == (step is not None)
+    if step == "leak-on-multiples-of-7":
+        # its first failing point depends on the draws
+        assert any(" point=0 " not in line for line in lines)
 
 
 def _bump_hook(polytope):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dcposets import Poset, builtin_poset, d_k_one, verify, young
+from dcposets import Poset, builtin_poset, d_k_one, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -16,6 +16,8 @@ from dcposets.fileformats import (
     parse_fraction,
     poset_to_text,
 )
+
+from test_acceptance import _double_where_first_denominator_is_even
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -426,27 +428,23 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     # criteria 2 and 6 restart their stream per poset as 4, 5 and 7 do, so
     # their fail lines name the seed too.  Each mutant below goes wrong only at
     # some draws: a weight sum doubled where the point's first coordinate has
-    # an even denominator (c2), and the leak of test_acceptance's _leaky_step
-    # only where a toggled label lands on a multiple of 7 (c5, and c6's
-    # derivative check, whose line names the point and element; the replay
-    # test above fails c4 and c7 only).  Every poset fails each criterion, and
+    # an even denominator (c2, in the one fold of all its points; see
+    # test_acceptance's _double_where_first_denominator_is_even), and the leak of test_acceptance's _leaky_step only where a toggled
+    # label lands on a multiple of 7 (c5, and c6's derivative check, whose
+    # line names the point and element; the replay test above fails c4 and
+    # c7 only).  Every poset fails each criterion, and
     # `suite --subset NAME --seed S` prints each line again.
     toggle_all = rsk_module._toggle_all
-    weight_sum = verify.weight_sum
 
     def leak_on_multiples_of_seven(labels, toggles, **reductions):
         # on label lists and label matrices alike, so criteria 4 and 7 fail too
         toggle_all(labels, toggles, **reductions)
-        n = len(labels) - 1
+        n = len(labels)
         for e, _, _ in toggles:
             labels[e] += (labels[e] % 7 == 0) * labels[(e + 1) % n]
 
-    def doubled_weight_sum(P, part, x, *args, **kwargs):
-        value = weight_sum(P, part, x, *args, **kwargs)
-        return 2 * value if x[0].denominator % 2 == 0 else value
-
     monkeypatch.setattr(rsk_module, "_toggle_all", leak_on_multiples_of_seven)
-    monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
+    _double_where_first_denominator_is_even(monkeypatch)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
     settings = ("--trials", "100", "--points", "20", "--samples", "1000")
     code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)

@@ -25,7 +25,9 @@ from dcposets.hooks import (
     _RATIONALS,
     common_denominator,
     exact_value,
+    hook_integers,
     hook_numerators,
+    random_scaled_point,
     random_scaled_points,
     validate_point,
 )
@@ -115,6 +117,32 @@ def test_hook_vectors_match_reference_on_joins():
     for P in seeded_joins():
         a = analyze(P)
         assert a.hook_vectors == _reference(a)
+
+
+def test_hook_program_names_elements_only():
+    # a minimal element's q is empty and every other element's q is one lower
+    # cover, so every id the program names is an element, 0..n-1
+    posets = [e.poset for e in catalog()] + list(seeded_joins()) + [young((12,) * 12), d_k_one(50)]
+    for P in posets:
+        program = analyze(P).hook_program
+        for p, q, rest in program.sums:
+            assert len(q) == (1 if P.lower_covers(p) else 0) and set(q) <= set(P.lower_covers(p))
+            assert all(0 <= v < P.n for v in (p, *q, *rest)), (P, p)
+        assert all(0 <= v < P.n for top in program.tops for v in top), P
+    assert min(P.n for P in posets) == 1
+
+
+def test_hook_integers_are_the_numerators():
+    # hook_numerators is hook_integers on x's numerators over its least
+    # common denominator, one weight per element
+    rng = Random(13)
+    for P in [e.poset for e in catalog()] + list(seeded_joins()):
+        a = analyze(P)
+        x = random_rational_point(a.diagonals.count, rng)
+        c, denom = common_denominator(x)
+        weights = [c[d] for d in a.diagonals.diagonal_of]
+        assert hook_numerators(a.hook_program, x) == (hook_integers(a.hook_program, weights), denom)
+        assert hook_integers(a.hook_program, weights) == _dense_numerators(_reference(a), x)[0]
 
 
 def test_hook_vectors_nonnegative(family, analyses):
@@ -378,19 +406,44 @@ def test_random_points_keep_their_draws():
             assert _RATIONALS[16 * (v - 1) + d - 1] == Fraction(v, d)
 
 
+def test_scaled_point_is_the_rational_point_over_its_denominator():
+    # the integer decoder reads the same bytes as random_rational_point, so
+    # on a twin stream it gives that point's labels over its least common
+    # denominator, draw after draw, and leaves the stream where it leaves it
+    for count in (0, 1, 8, 64):
+        for seed in range(10):
+            rng, twin = Random(seed), Random(seed)
+            for _ in range(5):
+                labels, denom = random_scaled_point(count, rng)
+                assert (labels, denom) == common_denominator(random_rational_point(count, twin))
+                assert all(type(v) is int for v in labels) and type(denom) is int
+                assert rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize(
     "draw, error, message",
     [
         (partial(random_rational_point, -2), ValueError, r"^coordinate count must be at least 0, got -2$"),
         (partial(random_rational_point, 2.0), TypeError, r"^coordinate count must be an int, not float 2\.0$"),
         (partial(random_rational_point, "2"), TypeError, r"^coordinate count must be an int, not str '2'$"),
+        (partial(random_scaled_point, -2), ValueError, r"^coordinate count must be at least 0, got -2$"),
+        (partial(random_scaled_point, 2.0), TypeError, r"^coordinate count must be an int, not float 2\.0$"),
         # these three leaked getrandbits' own errors; zero trials stay an empty
         # draw (test_batched_points_keep_their_draw)
         (partial(random_scaled_points, -1, 3), ValueError, r"^coordinate count must be at least 0, got -1$"),
         (partial(random_scaled_points, 2, -2), ValueError, r"^trials must be at least 0, got -2$"),
         (partial(random_scaled_points, 2, 1.5), TypeError, r"^trials must be an int, not float 1\.5$"),
     ],
-    ids=["negative", "float", "str", "scaled-negative-count", "scaled-negative-trials", "scaled-float-trials"],
+    ids=[
+        "negative",
+        "float",
+        "str",
+        "point-negative",
+        "point-float",
+        "scaled-negative-count",
+        "scaled-negative-trials",
+        "scaled-float-trials",
+    ],
 )
 def test_random_points_refuse_bad_counts(draw, error, message):
     rng = Random(0)

@@ -39,7 +39,7 @@ from dcposets.hooks import common_denominator
 from dcposets.poset import order_ideal_masks
 from dcposets.verify import BijectionReport, PolytopeSpec
 
-from conftest import chain
+from conftest import chain, seeded_joins
 from test_hooks import classical_hook_length
 
 
@@ -234,6 +234,74 @@ def test_reduced_fold_matches_level_lcm_fold():
             total, denominator = poset_module.fold_ideal_lattice(a.ideal_lattice, weights)
             expected, expected_denominator = _level_lcm_fold(a.ideal_lattice, weights)
             assert Fraction(total, denominator) == Fraction(expected, expected_denominator), (name, x)
+
+
+def _column_fold_posets():
+    """FOLD_POSETS, the seeded joins whose chain bound proves at most 2**13
+    order ideals, and the exact benchmark's weight posets."""
+    joins = [(f"join-{i}", P) for i, P in enumerate(seeded_joins()) if poset_module._chain_bound(P) <= 2**13]
+    assert len(joins) == 17
+    return FOLD_POSETS + joins + [
+        ("young-5x5", young((5,) * 5)),
+        ("young-6x5", young((5,) * 6)),
+        ("d50(1)", d_k_one(50)),
+        ("chain-200", chain(200)),
+    ]
+
+
+def _weight_rows(a, points):
+    """Each point x = c / L over its least common denominator, as the weights c_(D(p))."""
+    return [[c[d] for d in a.diagonals.diagonal_of] for c, _ in map(common_denominator, points)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 20])
+def test_column_fold_matches_scalar_folds(rows):
+    # every column of the one walk is the scalar fold of its row, and the first
+    # is the unreduced level-lcm fold's value where that fold is quick (at most
+    # 1,000 ideals); an all-ones row, the last of two or more, is reduced here
+    # and not by the scalar fold, so only its value is compared
+    assert poset_module.fold_columns(analyze(young((2, 1))).ideal_lattice, []) == []
+    rng = Random(rows)
+    for name, P in _column_fold_posets():
+        a = analyze(P)
+        lattice = a.ideal_lattice
+        count = a.diagonals.count
+        points = [random_rational_point(count, rng) for _ in range(rows - 1)]
+        points.append(all_ones_point(count) if rows > 1 else random_rational_point(count, rng))
+        weights = _weight_rows(a, points)
+        folded = poset_module.fold_columns(lattice, weights)
+        assert len(folded) == rows
+        for row, (total, denominator) in zip(weights, folded):
+            expected = poset_module.fold_ideal_lattice(lattice, row)
+            if any(w != 1 for w in row):
+                assert (total, denominator) == expected, name
+            assert Fraction(total, denominator) == Fraction(*expected), name
+        if len(lattice.first) <= 1000:
+            total, denominator = folded[0]
+            assert Fraction(total, denominator) == Fraction(*_level_lcm_fold(lattice, weights[0])), name
+
+
+def test_multivariate_identity_on_young_8x8_is_fast(monkeypatch):
+    # 20 points in one walk of 12,870 ideals; each column is reduced by its
+    # own gcds and level lcms, so U stays a few bits and M near the size of
+    # the hook product, where a fold scaled by the lcm of the raw sums grows
+    # past 200,000 bits
+    P = young((8,) * 8)
+    a = analyze(P)
+    a.ideal_lattice, a.hook_program, a.extension_count
+    fold, folded = verify.fold_columns, []
+
+    def recorded_fold(lattice, rows):
+        folded.extend(fold(lattice, rows))
+        return folded
+
+    monkeypatch.setattr(verify, "fold_columns", recorded_fold)
+    start = time.perf_counter()
+    report = verify_multivariate(P, points=20, seed=8, analysis=a)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok and report.points == len(folded) == 20
+    assert max(total.bit_length() for total, _ in folded) <= 64
+    assert max(denominator.bit_length() for _, denominator in folded) <= 4000
 
 
 def test_weight_sum_on_young_8x8_is_fast():

@@ -10,6 +10,7 @@ Young-diagram posets.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import ge, gt
 from typing import NamedTuple, Sequence
 
 Matrix = list[list[int]]
@@ -27,12 +28,12 @@ class SSYT(_Rows):
 
     def __new__(cls, rows: tuple[tuple[int, ...], ...]):
         for row in rows:
-            if any(a > b for a, b in zip(row, row[1:])):
+            if any(map(gt, row, row[1:])):
                 raise ValueError(f"row {row} is not weakly increasing")
         for upper, lower in zip(rows, rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("shape is not a partition")
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
+            if any(map(ge, upper, lower)):
                 raise ValueError("columns must strictly increase")
         return super().__new__(cls, rows)
 
@@ -55,14 +56,15 @@ class GTPattern(_Rows):
         for i, row in enumerate(rows):
             if len(row) != n - i:
                 raise ValueError("rows must shrink by one")
-            if any(v < 0 for v in row):
+            if min(row) < 0:  # nonempty: its length is n - i >= 1
                 raise ValueError("entries must be nonnegative")
         for wide, narrow in zip(rows, rows[1:]):
-            for j, v in enumerate(narrow):
-                if not wide[j] >= v >= wide[j + 1]:
-                    raise ValueError(
-                        f"interlacing fails: {wide[j]} >= {v} >= {wide[j + 1]} is false"
-                    )
+            if all(map(ge, wide, narrow)) and all(map(ge, narrow, wide[1:])):
+                continue
+            j = next(j for j, v in enumerate(narrow) if not wide[j] >= v >= wide[j + 1])
+            raise ValueError(
+                f"interlacing fails: {wide[j]} >= {narrow[j]} >= {wide[j + 1]} is false"
+            )
         return super().__new__(cls, rows)
 
 
@@ -152,6 +154,11 @@ def toggle_rpp(matrix: Sequence[Sequence[int]], order: Coords | None = None) -> 
     max(upper, left) + filling value; the other present cells of its
     content diagonal are toggled via
     max(up, left) + min(down, right) - value, absent neighbors read 0.
+
+    Only a given ``order`` is checked.  The default needs no check: the
+    row lengths are weakly decreasing, so the shape is a partition, and
+    row-major order lists each of its cells once, every cell after the
+    one to its left and the one above it.
     """
     rows = _validated_matrix(matrix, rectangular=False)
     shape = tuple(len(r) for r in rows)
@@ -159,7 +166,7 @@ def toggle_rpp(matrix: Sequence[Sequence[int]], order: Coords | None = None) -> 
         order = row_major_order(shape)
     else:
         order = tuple((i, j) for i, j in order)
-    _check_square_order(shape, order)
+        _check_square_order(shape, order)
 
     # cell (i, j) at grid[i + 1][j + 1]: absent and not yet placed cells read 0
     grid = [[0] * (shape[0] + 2) for _ in range(len(shape) + 2)]
@@ -175,14 +182,14 @@ def toggle_rpp(matrix: Sequence[Sequence[int]], order: Coords | None = None) -> 
 
 
 def is_rpp(rows: Sequence[Sequence[int]]) -> bool:
-    """Weakly increasing along rows and down columns."""
-    grid = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
-    for (i, j), v in grid.items():
-        if (i, j + 1) in grid and grid[(i, j + 1)] < v:
-            return False
-        if (i + 1, j) in grid and grid[(i + 1, j)] < v:
-            return False
-    return True
+    """Weakly increasing along rows and down columns.
+
+    Rows may be ragged: a column compares only the cells present in both
+    of two neighbouring rows, which ``zip`` pairs.
+    """
+    if any(any(map(gt, row, row[1:])) for row in rows):
+        return False
+    return not any(any(map(gt, upper, lower)) for upper, lower in zip(rows, rows[1:]))
 
 
 def gt_from_rpp(rpp: Sequence[Sequence[int]]) -> tuple[GTPattern, GTPattern]:

@@ -516,28 +516,33 @@ def monte_carlo_volumes(
     arrays.  A row's sum T is added column by column, and each case's
     dot product is box[:, 0] * c_0 + box[:, 1] * c_1 + ... column by
     column, so every row rounds the same whatever rows share its batch:
-    the hit counts do not depend on ``CHUNK``.  Estimates come back in
-    input order.
+    the hit counts do not depend on ``CHUNK``.
+
+    A case's count depends only on its size and its test: the edge, the
+    coefficients and the cover pairs.  So each distinct test of a size
+    runs once per batch, and cases with equal tests get its count (on
+    the full catalog, 164 cases make 107 distinct tests).  Estimates
+    come back in input order.
     """
     _require_count(samples, "samples")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
     tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
-    hits = [0] * len(cases)
-    sizes: dict[int, list[int]] = {}
-    for i, (P, _, _) in enumerate(cases):
-        sizes.setdefault(P.n, []).append(i)
-    for n, members in sizes.items():
+    # per size, one hit count per distinct test, shared by the cases that test alike
+    sizes: dict[int, dict[tuple, int]] = {}
+    for (P, _, _), test in zip(cases, tests):
+        sizes.setdefault(P.n, {})[test] = 0
+    for n, counts in sizes.items():
         rng = np.random.default_rng(seed)
         inside = int(rng.binomial(samples, 1 / math.factorial(n)))
+        pending = list(counts)
         if n <= 1:
             # a case that hits at u = (1.0,) * n hits at every point; edge * 1.0
             # is edge, so its test there is edge * c_0 <= 1.0
-            sure = [i for i in members if all(tests[i][0] * c <= 1.0 for c in tests[i][1])]
-            for i in sure:
-                hits[i] = inside
-            members = [i for i in members if i not in sure]
-            if not members:
+            sure = [test for test in pending if all(test[0] * c <= 1.0 for c in test[1])]
+            counts.update(dict.fromkeys(sure, inside))
+            pending = [test for test in pending if test not in sure]
+            if not pending:
                 continue
         for done in range(0, inside, CHUNK):
             take = min(CHUNK, inside - done)
@@ -546,8 +551,8 @@ def monte_carlo_volumes(
             for j in range(1, n + 1):
                 t += e[:, j]
             u = [e[:, p] / t for p in range(n)]
-            for i in members:
-                edge, coefficients, cover_pairs = tests[i]
+            for test in pending:
+                edge, coefficients, cover_pairs = test
                 # u * 1.0 == u exactly, so an edge of 1.0 (every catalog case
                 # at the all-ones point) tests the points themselves
                 box = u if edge == 1.0 else [x * edge for x in u]
@@ -557,9 +562,10 @@ def monte_carlo_volumes(
                 ok = dot <= 1.0
                 for low, high in cover_pairs:
                     ok &= box[low] >= box[high]
-                hits[i] += int(np.count_nonzero(ok))
+                counts[test] += int(np.count_nonzero(ok))
     estimates = []
-    for (P, spec, _), (edge, _, _), h in zip(cases, tests, hits):
+    for (P, spec, _), test in zip(cases, tests):
+        edge, h = test[0], sizes[P.n][test]
         box_volume = edge**P.n
         rate = h / samples
         estimates.append(

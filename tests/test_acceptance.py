@@ -66,8 +66,17 @@ def test_criterion_02_multivariate_identity(prepared):
     report(acceptance.multivariate_identity(prepared, points=20, seed=SEED))
 
 
+# d_4(1)'s count line is criterion 3's, with the worked insertion's line
+WORKED_LINES = (
+    "d4 extensions=2 hook_product=360 factorial=720",
+    "labels top-to-bottom 3,4,6,7,9,11",
+)
+
+
 def test_criterion_03_worked_insertion_example():
-    report(acceptance.worked_insertion_example())
+    result = acceptance.worked_insertion_example()
+    report(result)
+    assert result.lines == WORKED_LINES
 
 
 def test_criterion_04_diagonal_sum_identity(prepared):
@@ -108,6 +117,87 @@ def test_criterion_09_classical_equivalence():
 
 def test_criterion_10_monte_carlo_volumes(prepared):
     report(acceptance.monte_carlo_agreement(prepared, samples=10**6, seed=SEED))
+
+
+def test_catalog_criteria_build_no_worked_example(monkeypatch):
+    # criteria 1, 4 and 7 check their identities on the posets they are given
+    # and nothing else: d_4(1) is built only by criterion 3
+    def refuse(k):
+        raise AssertionError(f"d_k_one({k}) built outside criterion 3")
+
+    monkeypatch.setattr(acceptance, "d_k_one", refuse)
+    names = ("d4", "young-3.2", "shifted-4.2", "sample10")
+    subset = acceptance.prepare([e for e in catalog() if e.name in names])
+    results = (
+        acceptance.counting_identity(subset),
+        acceptance.diagonal_sum_identity(subset, trials=5, seed=SEED),
+        acceptance.polytope_bijection(subset, trials=5, seed=SEED),
+    )
+    assert [result.lines for result in results] == [
+        ("posets=4",),
+        (f"posets=4 trials=5 seed={SEED}",),
+        (f"posets=4 trials=5 seed={SEED}",),
+    ]
+    assert all(result.ok for result in results)
+    with pytest.raises(AssertionError, match="outside criterion 3"):
+        acceptance.worked_insertion_example()
+
+
+def _diagonal_sums_off_by_one(monkeypatch):
+    diagonal_sums = acceptance.diagonal_sums
+    monkeypatch.setattr(
+        acceptance, "diagonal_sums", lambda *args: tuple(s + 1 for s in diagonal_sums(*args))
+    )
+
+
+def _one_extension_too_many(monkeypatch):
+    verify_proctor = acceptance.verify_proctor
+
+    def wrong(P, **kwargs):
+        report = verify_proctor(P, **kwargs)
+        return report._replace(extensions=report.extensions + 1)
+
+    monkeypatch.setattr(acceptance, "verify_proctor", wrong)
+
+
+def _first_and_last_hooks_swapped(monkeypatch):
+    # d_4(1)'s hook lengths are (1, 2, 3, 3, 4, 5); swapped, their product
+    # and so the counting identity hold, but sum_p h_p t_p is 44, not 40
+    hook_lengths = PosetAnalysis.hook_lengths.func
+
+    def swapped(self):
+        first, *middle, last = hook_lengths(self)
+        return (last, *middle, first)
+
+    monkeypatch.setattr(PosetAnalysis, "hook_lengths", property(swapped))
+
+
+@pytest.mark.parametrize(
+    "mutant, lines",
+    [
+        (
+            _diagonal_sums_off_by_one,
+            WORKED_LINES
+            + (
+                "fail worked example diagonal sums (Fraction(15, 1), Fraction(14, 1), "
+                "Fraction(7, 1), Fraction(8, 1)) != (14, 13, 6, 7)",
+            ),
+        ),
+        (
+            _one_extension_too_many,
+            ("d4 extensions=3 hook_product=360 factorial=720", WORKED_LINES[1])
+            + ("fail d4 instance does not match (2, 360, 720)",),
+        ),
+        (_first_and_last_hooks_swapped, WORKED_LINES + ("fail worked example sums 40 != 44 != 40",)),
+    ],
+    ids=["diagonal-sums", "extension-count", "hook-lengths"],
+)
+def test_worked_example_fails_each_pinned_identity(monkeypatch, mutant, lines):
+    # the worked-example fail lines of criteria 1, 4 and 7 are criterion 3's
+    mutant(monkeypatch)
+    assert acceptance.worked_insertion_example() == acceptance.CriterionResult(
+        "worked-insertion-example", False, lines
+    )
 
 
 def _leaky_step(labels, toggles, top=max, bottom=min):

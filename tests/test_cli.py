@@ -379,6 +379,13 @@ def test_suite_subset(capsys):
     lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("criterion name=")) == 10
     assert lines[-1] == "suite ok=true"
+    # d_4(1)'s count prints in the worked example's block, not the counting identity's
+    assert lines[:2] == ["criterion name=counting-identity ok=true", "  posets=4"]
+    worked = lines.index("criterion name=worked-insertion-example ok=true")
+    assert lines[worked + 1 : worked + 3] == [
+        "  d4 extensions=2 hook_product=360 factorial=720",
+        "  labels top-to-bottom 3,4,6,7,9,11",
+    ]
 
 
 def test_suite_unknown_subset(capsys):

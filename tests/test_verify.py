@@ -34,7 +34,7 @@ from dcposets import (
 from dcposets import analysis as analysis_module
 from dcposets import poset as poset_module
 from dcposets import verify
-from dcposets.acceptance import counting_identity, multivariate_identity
+from dcposets.acceptance import MONTE_CARLO_MAX_ELEMENTS, counting_identity, multivariate_identity
 from dcposets.hooks import common_denominator
 from dcposets.poset import order_ideal_masks
 from dcposets.verify import BijectionReport, PolytopeSpec
@@ -1078,6 +1078,39 @@ def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
     for seed in range(10):
         hits = [e.hits for e in verify.monte_carlo_volumes(one + rounding, samples, seed)]
         assert hits == _unshortcut_monte_carlo_hits(one + rounding, samples, seed), seed
+
+
+def test_monte_carlo_tests_equal_cases_once(monkeypatch):
+    # criterion 10's full-catalog cases at its shipped samples and seed: the
+    # 164 cases make 107 distinct tests (8 -> 2 at n = 2, 14 -> 4 at n = 3).
+    # Each distinct test runs once per batch, and every hit count equals
+    # that of the per-case loop over the same draws
+    cases = []
+    for e in catalog():
+        if e.poset.n <= MONTE_CARLO_MAX_ELEMENTS:
+            a = analyze(e.poset)
+            point = all_ones_point(a.diagonals.count)
+            cases += [(e.poset, PolytopeSpec(kind, point), a) for kind in ("fillings", "rpp")]
+    distinct = {}
+    for P, spec, a in cases:
+        distinct.setdefault(P.n, set()).add(verify._volume_test(P, spec, a))
+    assert len(cases) == 164 and sum(map(len, distinct.values())) == 107
+    assert (len(distinct[2]), len(distinct[3])) == (2, 4)
+    # n = 1 has one test, a sure hit: nothing is drawn or tested there
+    assert [all(edge * c <= 1.0 for c in cs) for edge, cs, _ in distinct[1]] == [True]
+    samples, seed = 10**6, 0
+    count_nonzero = np.count_nonzero
+    tested = []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "count_nonzero", lambda ok: tested.append(len(ok)) or count_nonzero(ok))
+        estimates = verify.monte_carlo_volumes(cases, samples, seed)
+    runs = 0
+    for n, tests in distinct.items():
+        if n > 1:
+            inside = np.random.default_rng(seed).binomial(samples, 1 / math.factorial(n))
+            runs += len(tests) * math.ceil(inside / verify.CHUNK)
+    assert len(tested) == runs
+    assert [e.hits for e in estimates] == _unshortcut_monte_carlo_hits(cases, samples, seed)
 
 
 def test_weight_sum_refuses_an_unknown_method():

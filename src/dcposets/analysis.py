@@ -33,9 +33,9 @@ from .dstructure import (
 from .hooks import (
     HookProgram,
     HookVector,
-    all_ones_point,
     compile_hook_program,
     exact_value,
+    hook_integers,
     hook_numerators,
     hook_vectors,
 )
@@ -93,8 +93,7 @@ class PosetAnalysis:
     @cached_property
     def hook_lengths(self) -> tuple[int, ...]:
         """Classical hook lengths: every hook polynomial at the all-ones point."""
-        lengths, _ = hook_numerators(self.hook_program, all_ones_point(self.diagonals.count))
-        return tuple(lengths)
+        return tuple(hook_integers(self.hook_program, [1] * self.poset.n))
 
     @cached_property
     def hook_program(self) -> HookProgram:

@@ -424,11 +424,11 @@ class VolumeEstimate(NamedTuple):
 def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis | None = None) -> Fraction:
     """Exact volume: simplex formula for fillings, weight sum for rpp."""
     a = analysis or analyze(P)
-    x = validate_point(spec.x, a.diagonals.count)
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
-        hooks, denom = hook_numerators(a.hook_program, x)
+        hooks, denom, _ = _polytope(P, spec, a)
         return Fraction(denom**P.n, n_fact * math.prod(hooks))
+    x = validate_point(spec.x, a.diagonals.count)
     return weight_sum(P, a.diagonals, x, analysis=a) / n_fact
 
 

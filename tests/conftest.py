@@ -1,9 +1,10 @@
+from fractions import Fraction
 from functools import cache
 from random import Random
 
 import pytest
 
-from dcposets import Poset, analyze, builtin_poset, catalog, d_k_one, shifted_young, tree, young
+from dcposets import Poset, analyze, builtin_poset, catalog, d_k_one, shifted_young, tree, verify, young
 from dcposets.poset import bits, mask_of, order_ideal_masks
 
 
@@ -139,6 +140,47 @@ def is_isomorphic(P: Poset, Q: Poset) -> bool:
         return False
 
     return rec(0)
+
+
+def _double_where_first_denominator_is_even(monkeypatch):
+    """The c2 mutant: a weight sum doubled where the point's first coordinate
+    has an even denominator, both in ``verify.weight_sum`` (the point loop's
+    seam) and in ``verify.fold_columns`` (criterion 2's), whose rows are the
+    points ``verify.random_scaled_point`` drew last, in order."""
+    weight_sum, draw, fold = verify.weight_sum, verify.random_scaled_point, verify.fold_columns
+    drawn = []
+
+    def doubled_weight_sum(P, part, x, *args, **kwargs):
+        value = weight_sum(P, part, x, *args, **kwargs)
+        return 2 * value if x[0].denominator % 2 == 0 else value
+
+    def recorded_draw(count, rng):
+        labels, denom = draw(count, rng)
+        drawn.append(Fraction(labels[0], denom))
+        return labels, denom
+
+    def doubled_fold(lattice, rows):
+        points = drawn[-len(rows) :]
+        drawn.clear()
+        return [
+            (2 * total if x.denominator % 2 == 0 else total, product)
+            for x, (total, product) in zip(points, fold(lattice, rows))
+        ]
+
+    monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
+    monkeypatch.setattr(verify, "random_scaled_point", recorded_draw)
+    monkeypatch.setattr(verify, "fold_columns", doubled_fold)
+
+
+def _random_perm(n, rng) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _renumber(P, perm):
+    """P with each element v renumbered perm[v]."""
+    return Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
 
 
 FAMILY = {

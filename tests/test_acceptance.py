@@ -40,6 +40,8 @@ from dcposets.rsk import (
 )
 from dcposets.verify import BijectionReport
 
+from conftest import _double_where_first_denominator_is_even
+
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
 
@@ -556,36 +558,6 @@ def _loop_multivariate_identity(prepared, points, seed):
     return acceptance._result(
         "multivariate-identity", failures, [f"posets={len(prepared)} points={points} seed={seed}"]
     )
-
-
-def _double_where_first_denominator_is_even(monkeypatch):
-    """The c2 mutant: a weight sum doubled where the point's first coordinate
-    has an even denominator, both in ``verify.weight_sum`` (the point loop's
-    seam) and in ``verify.fold_columns`` (criterion 2's), whose rows are the
-    points ``verify.random_scaled_point`` drew last, in order."""
-    weight_sum, draw, fold = verify.weight_sum, verify.random_scaled_point, verify.fold_columns
-    drawn = []
-
-    def doubled_weight_sum(P, part, x, *args, **kwargs):
-        value = weight_sum(P, part, x, *args, **kwargs)
-        return 2 * value if x[0].denominator % 2 == 0 else value
-
-    def recorded_draw(count, rng):
-        labels, denom = draw(count, rng)
-        drawn.append(Fraction(labels[0], denom))
-        return labels, denom
-
-    def doubled_fold(lattice, rows):
-        points = drawn[-len(rows) :]
-        drawn.clear()
-        return [
-            (2 * total if x.denominator % 2 == 0 else total, product)
-            for x, (total, product) in zip(points, fold(lattice, rows))
-        ]
-
-    monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
-    monkeypatch.setattr(verify, "random_scaled_point", recorded_draw)
-    monkeypatch.setattr(verify, "fold_columns", doubled_fold)
 
 
 @pytest.mark.parametrize("mutant", [None, "doubled-fold"])

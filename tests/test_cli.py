@@ -17,7 +17,7 @@ from dcposets.fileformats import (
     poset_to_text,
 )
 
-from test_acceptance import _double_where_first_denominator_is_even
+from conftest import _double_where_first_denominator_is_even
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -175,7 +175,7 @@ def test_volume_command(tmp_path, capsys):
     code, out, _ = run(capsys, "volume", str(path), "--kind", "fillings", "--samples", "20000")
     assert code == 0
     assert "closed_form=1/4" in out
-    # the draw stream is pinned, not only bounded (test_verify's
+    # the draw stream is pinned, not only bounded (the oracle
     # _reference_monte_carlo_volume draws the same 5003 hits)
     assert " hits=5003 " in out
     code2, out2, _ = run(capsys, "volume", str(path), "--kind", "fillings", "--samples", "20000")
@@ -436,7 +436,7 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     # their fail lines name the seed too.  Each mutant below goes wrong only at
     # some draws: a weight sum doubled where the point's first coordinate has
     # an even denominator (c2, in the one fold of all its points; see
-    # test_acceptance's _double_where_first_denominator_is_even), and the leak of test_acceptance's _leaky_step only where a toggled
+    # conftest's _double_where_first_denominator_is_even), and the leak of test_acceptance's _leaky_step only where a toggled
     # label lands on a multiple of 7 (c5, and c6's derivative check, whose
     # line names the point and element; the replay test above fails c4 and
     # c7 only).  Every poset fails each criterion, and

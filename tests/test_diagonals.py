@@ -1,7 +1,5 @@
-import functools
 import random
 import time
-from itertools import combinations
 
 import pytest
 
@@ -16,11 +14,12 @@ from dcposets import (
     shifted_young,
     young,
 )
-from dcposets.diagonals import DiagonalFailure, DiagonalPartition, DiagonalReport
+from dcposets.diagonals import DiagonalFailure, DiagonalPartition
 from dcposets.families import young_box_ids
 from dcposets.poset import bits
 
-from conftest import chain, is_adjacent, restrict, shifted_box_ids, upper_set_masks
+from conftest import _random_perm, _renumber, chain, restrict, shifted_box_ids
+from oracles import _reference_diagonal_report
 
 
 def test_tree_diagonals_are_singletons(family):
@@ -185,73 +184,6 @@ def test_diagonal_report_rejects_wrong_partition(family, analyses, name, wrong, 
             assert (part.diagonal_of[x] == part.diagonal_of[y]) != same_u
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_set_diagonals(P, um):
-    """The upper set ``um`` of P rebuilt as a fresh poset: its old ids and its diagonals.
-
-    Both depend only on P and the mask, so each upper set is analyzed once
-    however many partitions of P the reference report checks.
-    """
-    sub, old_ids = restrict(P, bits(um))
-    return old_ids, analyze(sub).diagonals
-
-
-def _reference_diagonal_report(P, part, intervals) -> DiagonalReport:
-    """The six properties with (3) and (5) checked on every upper set, each
-    rebuilt as a fresh poset and analyzed anew."""
-    failures = []
-
-    spans = {(iv.bottom, iv.top) for iv in intervals}
-    for members in part.classes:
-        ordered = sorted(members, key=lambda v: bin(P.downset_mask(v)).count("1"))
-        for a, b in zip(ordered, ordered[1:]):
-            if (a, b) not in spans:
-                failures.append(DiagonalFailure(1, (a, b)))
-
-    for a, b in P.covers:
-        if part.diagonal_of[a] == part.diagonal_of[b]:
-            failures.append(DiagonalFailure(2, (a, b)))
-
-    minimal_in_p = set(P.minimal_elements())
-    minima = [min(members, key=lambda v: (bin(P.downset_mask(v)).count("1"), v)) for members in part.classes]
-
-    for c, d in part.adjacent:
-        for first, second in ((c, d), (d, c)):
-            if minima[first] in minimal_in_p:
-                for x in part.classes[second]:
-                    touches = any(
-                        part.diagonal_of[y] == first
-                        for y in P.upper_covers(x) + P.lower_covers(x)
-                    )
-                    if not touches:
-                        failures.append(DiagonalFailure(4, (first, second, x)))
-
-    for c, d in part.adjacent:
-        if minima[c] in minimal_in_p and minima[d] in minimal_in_p:
-            failures.append(DiagonalFailure(6, (c, d, minima[c], minima[d])))
-
-    for um in upper_set_masks(P):
-        if um == 0:
-            continue
-        old_ids, subpart = _upper_set_diagonals(P, um)
-        p_to_u = {}
-        u_to_p = {}
-        for new, old in enumerate(old_ids):
-            dp, du = part.diagonal_of[old], subpart.diagonal_of[new]
-            seen_u, a = p_to_u.setdefault(dp, (du, old))
-            seen_p, b = u_to_p.setdefault(du, (dp, old))
-            if seen_u != du:
-                failures.append(DiagonalFailure(3, (a, old, um)))
-            elif seen_p != dp:
-                failures.append(DiagonalFailure(3, (b, old, um)))
-        for c, d in combinations(sorted(p_to_u), 2):
-            if is_adjacent(part, c, d) != is_adjacent(subpart, p_to_u[c][0], p_to_u[d][0]):
-                failures.append(DiagonalFailure(5, (c, d, um)))
-
-    failures.sort(key=lambda f: (f.prop, f.witness))
-    return DiagonalReport(ok=not failures, failures=tuple(failures))
-
-
 def _failing_props(report) -> set[int]:
     return {f.prop for f in report.failures}
 
@@ -267,17 +199,6 @@ def _assert_matches_reference(P, part, intervals):
         if f.prop in (3, 5):
             um = f.witness[-1]
             assert all(P.upset_mask(v) & ~um == 0 for v in bits(um)), f
-
-
-def _random_perm(n, rng) -> list[int]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm
-
-
-def _renumber(P, perm):
-    """P with each element v renumbered perm[v]."""
-    return Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
 
 
 def _relabel(P, rng):

@@ -1,5 +1,4 @@
 import time
-from itertools import combinations
 from random import Random
 
 import pytest
@@ -15,17 +14,18 @@ from dcposets import (
     structure_report,
     young,
 )
-from dcposets.dstructure import (
-    AxiomViolation,
-    DInterval,
-    DMinusConvexSet,
-    StructureFailure,
-    StructureReport,
-    _forbidden_configuration,
-)
+from dcposets.dstructure import AxiomViolation, DInterval, _forbidden_configuration
 from dcposets.poset import bits, mask_of
 
-from conftest import chain, is_convex, is_isomorphic, random_shape, restrict, upper_set_masks
+from conftest import chain, random_shape, restrict, upper_set_masks
+from oracles import (
+    _brute_force_d_intervals,
+    _brute_force_dminus,
+    _dminus_model,
+    _reference_dminus,
+    _reference_forbidden,
+    _reference_structure_report,
+)
 
 
 def _interval(P: Poset, bottom: int, top: int):
@@ -68,47 +68,6 @@ def test_find_d_intervals_double_tailed():
     found = [(iv.bottom, iv.top, iv.k) for iv in analyze(P).d_intervals]
     assert found == [(0, 5, 4), (1, 4, 3)]
     assert analyze(Poset(3, [])).d_intervals == ()
-
-
-def _dminus_model(k: int) -> Poset:
-    """d_k(1) with its maximum removed, built independently."""
-    full = d_k_one(k)
-    sub, _ = restrict(full, range(full.n - 1))
-    return sub
-
-
-def _brute_force_dminus(P: Poset, kmax: int = 6):
-    """Oracle: scan all subsets of the right sizes for convex + isomorphic."""
-    found = set()
-    for k in range(3, kmax + 1):
-        size = 2 * k - 3
-        if size > P.n:
-            break
-        model = _dminus_model(k)
-        for subset in combinations(range(P.n), size):
-            if not is_convex(P, subset):
-                continue
-            sub, _ = restrict(P, subset)
-            if is_isomorphic(sub, model):
-                found.add(frozenset(subset))
-    return found
-
-
-def _brute_force_d_intervals(P: Poset, kmax: int = 6):
-    """Oracle: scan all intervals of size 2k-2 for isomorphism with d_k(1)."""
-    found = set()
-    for p in range(P.n):
-        for q in range(P.n):
-            if p == q or not P.leq(p, q):
-                continue
-            members = P.interval(p, q)
-            size = len(members)
-            if size % 2 or not 4 <= size <= 2 * kmax - 2:
-                continue
-            sub, _ = restrict(P, members)
-            if is_isomorphic(sub, d_k_one(size // 2 + 1)):
-                found.add((p, q, members))
-    return found
 
 
 BRUTE_FORCE_POSETS = ["d4-named", "d5", "sample10", "young-3.2", "shifted-4.3.1", "chain5"]
@@ -265,64 +224,6 @@ def test_upper_sets_stay_d_complete(family):
             assert mapped == [iv for iv in intervals if mask >> iv.bottom & 1], (name, mask)
 
 
-def _grow(P: Poset, sides, tail: list, neck: list, out: list) -> None:
-    """Grow tail and neck in lockstep by recursion, pruning by the all-pairs convexity check."""
-    if not is_convex(P, list(sides) + tail + neck):
-        return
-    out.append(
-        DMinusConvexSet(
-            k=len(tail) + 2,
-            bottom=tail[-1],
-            sides=sides,
-            neck=tuple(reversed(neck)),
-            tail=tuple(tail),
-        )
-    )
-    if neck:
-        next_necks = P.upper_covers(neck[-1])
-    else:
-        next_necks = tuple(set(P.upper_covers(sides[0])) & set(P.upper_covers(sides[1])))
-    for nt in P.lower_covers(tail[-1]):
-        for nn in next_necks:
-            _grow(P, sides, tail + [nt], neck + [nn], out)
-
-
-def _reference_dminus(P: Poset):
-    """The all-pairs scan: every incomparable pair with a common lower cover."""
-    out = []
-    for s1 in range(P.n):
-        for s2 in range(s1 + 1, P.n):
-            if not P.incomparable(s1, s2):
-                continue
-            for t in set(P.lower_covers(s1)) & set(P.lower_covers(s2)):
-                _grow(P, (s1, s2), [t], [], out)
-    return tuple(sorted(out, key=lambda s: (s.k, s.bottom, tuple(sorted(s.members)))))
-
-
-def _reference_forbidden(P: Poset):
-    """The all-pairs scan for the six-element double-cover configuration."""
-    n = P.n
-    shared = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if P.incomparable(a, b):
-                common = tuple(set(P.lower_covers(a)) & set(P.lower_covers(b)))
-                if common:
-                    shared[(a, b)] = common
-    for q1, q2 in shared:
-        for q3 in range(q2 + 1, n):
-            if not (P.incomparable(q1, q3) and P.incomparable(q2, q3)):
-                continue
-            for p1 in shared.get((q2, q3), ()):
-                for p2 in shared.get((q1, q3), ()):
-                    if p2 == p1:
-                        continue
-                    for p3 in shared.get((q1, q2), ()):
-                        if p3 not in (p1, p2):
-                            return (p1, p2, p3, q1, q2, q3)
-    return None
-
-
 def _random_posets(count: int, seed: int):
     """Seeded random posets: each element gets up to three random covers above it."""
     rng = Random(seed)
@@ -366,51 +267,6 @@ def test_long_double_tailed_diamond_structure():
     assert a.is_d_complete
     assert time.perf_counter() - start < 2.0
     assert [s.k for s in a.d_minus_sets] == list(range(3, 1001))
-
-
-def _reference_structure_report(P: Poset, intervals) -> StructureReport:
-    """The structural facts checked on ``members`` frozensets."""
-    failures = []
-    for v in range(P.n):
-        if len(P.upper_covers(v)) > 2:
-            failures.append(StructureFailure("cover-bound", (v,) + P.upper_covers(v)))
-    for interval in intervals:
-        members = interval.members
-        for x in interval.neck:
-            for below in P.lower_covers(x):
-                if below not in members:
-                    failures.append(
-                        StructureFailure("interval-closure", (interval.bottom, interval.top, x, below))
-                    )
-        for x in interval.tail:
-            for above in P.upper_covers(x):
-                if above not in members:
-                    failures.append(
-                        StructureFailure("interval-closure", (interval.bottom, interval.top, x, above))
-                    )
-    config = _reference_forbidden(P)
-    if config is not None:
-        failures.append(StructureFailure("forbidden-configuration", config))
-    by_bottom, by_top = {}, {}
-    for interval in intervals:
-        by_bottom.setdefault(interval.bottom, []).append(interval)
-        by_top.setdefault(interval.top, []).append(interval)
-    for p, group in sorted(by_bottom.items()):
-        if len(group) > 1:
-            failures.append(StructureFailure("unique-bottom", (p,) + tuple(iv.top for iv in group)))
-    for p, group in sorted(by_top.items()):
-        if len(group) > 1:
-            failures.append(StructureFailure("unique-top", (p,) + tuple(iv.bottom for iv in group)))
-    for interval in intervals:
-        for x in interval.neck:
-            owners = by_top.get(x, [])
-            if len(owners) != 1 or not owners[0].members <= interval.members:
-                failures.append(StructureFailure("neck-containment", (interval.bottom, interval.top, x)))
-        for x in interval.tail:
-            owners = by_bottom.get(x, [])
-            if len(owners) != 1 or not owners[0].members <= interval.members:
-                failures.append(StructureFailure("tail-containment", (interval.bottom, interval.top, x)))
-    return StructureReport(ok=not failures, failures=tuple(failures))
 
 
 def _swapped(P: Poset, intervals, which: str):

@@ -1,5 +1,4 @@
 import math
-import operator
 import time
 from fractions import Fraction
 from functools import partial
@@ -31,19 +30,11 @@ from dcposets.hooks import (
     random_scaled_points,
     validate_point,
 )
-from dcposets.poset import mask_of
 from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
 
-from conftest import chain, seeded_joins
-from test_diagonals import _random_perm, _renumber
-
-
-def classical_hook_length(shape, i, j):
-    """Arm + leg + 1 for a 1-based cell of a partition shape."""
-    arm = shape[i - 1] - j
-    leg = sum(1 for row in shape[i:] if row >= j)
-    return arm + leg + 1
+from conftest import _random_perm, _renumber, chain, seeded_joins
+from oracles import _dense_numerators, _reference_hook_vectors, classical_hook_length
 
 
 def test_double_tailed_diamond_vectors():
@@ -82,41 +73,10 @@ def test_young_hooks_match_classical(shape):
         assert a.hook_lengths[e] == classical_hook_length(shape, i, j)
 
 
-def _reference_hook_vectors(P, part, intervals):
-    """Hook vector of every element, indexed by diagonal id.
-
-    An element that tops no d-interval counts, per diagonal, the elements
-    it nonstrictly dominates; the top of the d-interval [b, p] with sides
-    w, z gets h(w) + h(z) - h(b).  Elements are processed bottom-up, by
-    downset size; any bottom-up order gives the same result.  The
-    intervals must be those of a d-complete poset, in which each element
-    tops at most one: :attr:`PosetAnalysis.hook_vectors` checks the axioms
-    first.
-    """
-    top_interval = {interval.top: interval for interval in intervals}
-    class_masks = [mask_of(members) for members in part.classes]
-    vectors = [()] * P.n
-    for p in sorted(range(P.n), key=lambda v: P._dn[v].bit_count()):
-        interval = top_interval.get(p)
-        if interval is None:
-            dn = P._dn[p]
-            vectors[p] = tuple((dn & cm).bit_count() for cm in class_masks)
-        else:
-            w, z = interval.sides
-            hw, hz, hb = vectors[w], vectors[z], vectors[interval.bottom]
-            vectors[p] = tuple(a + b - c for a, b, c in zip(hw, hz, hb))
-    return tuple(vectors)
-
-
-def _reference(a):
-    """The dense hook vectors by the per-class mask recursion, independent of the hook program."""
-    return _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
-
-
 def test_hook_vectors_match_reference_on_joins():
     for P in seeded_joins():
         a = analyze(P)
-        assert a.hook_vectors == _reference(a)
+        assert a.hook_vectors == _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
 
 
 def test_hook_program_names_elements_only():
@@ -142,7 +102,8 @@ def test_hook_integers_are_the_numerators():
         c, denom = common_denominator(x)
         weights = [c[d] for d in a.diagonals.diagonal_of]
         assert hook_numerators(a.hook_program, x) == (hook_integers(a.hook_program, weights), denom)
-        assert hook_integers(a.hook_program, weights) == _dense_numerators(_reference(a), x)[0]
+        vectors = _reference_hook_vectors(P, a.diagonals, a.d_intervals)
+        assert hook_integers(a.hook_program, weights) == _dense_numerators(vectors, x)[0]
 
 
 def test_hook_vectors_nonnegative(family, analyses):
@@ -151,29 +112,13 @@ def test_hook_vectors_nonnegative(family, analyses):
             assert min(vec) >= 0
 
 
-def _hook_vectors_in_order(P, a, order):
-    """The recursive definition of hook vectors, evaluated along ``order``."""
-    tops = {iv.top: iv for iv in a.d_intervals}
-    vectors = {}
-    for p in order:
-        iv = tops.get(p)
-        if iv is None:
-            vectors[p] = tuple(len(P.downset(p) & members) for members in a.diagonals.classes)
-        else:
-            w, z = iv.sides
-            vectors[p] = tuple(
-                x + y - b for x, y, b in zip(vectors[w], vectors[z], vectors[iv.bottom])
-            )
-    return tuple(vectors[p] for p in range(P.n))
-
-
 def test_hook_vectors_order_independent(family, analyses):
     for name in ("d4", "sample10", "shifted-4.3.1"):
         P = family[name]
         a = analyses[name]
         for ext in islice(linear_extensions(P), 2):
             # ascending processing orders
-            assert _hook_vectors_in_order(P, a, reversed(ext)) == a.hook_vectors
+            assert _reference_hook_vectors(P, a.diagonals, a.d_intervals, reversed(ext)) == a.hook_vectors
 
 
 def test_hook_polynomial_eval():
@@ -204,7 +149,8 @@ def test_hook_polynomials_match_naive_sum():
         a = analyze(entry.poset)
         for _ in range(2):
             x = random_rational_point(a.diagonals.count, rng)
-            naive = tuple(sum((h * xd for h, xd in zip(v, x)), Fraction(0)) for v in _reference(a))
+            vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
+            naive = tuple(sum((h * xd for h, xd in zip(v, x)), Fraction(0)) for v in vectors)
             assert a.hook_polynomials(x) == naive
             assert a.hook_polynomials(list(x)) == naive
 
@@ -222,7 +168,7 @@ def test_integer_hooks_match_per_element_lcm():
         P = entry.poset
         a = analyze(P)
         count = a.diagonals.count
-        vectors = _reference(a)
+        vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
         points = [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(3)]
         for x in points:
             expected = tuple(_lcm_hook_eval(v, x) for v in vectors)
@@ -233,19 +179,13 @@ def test_integer_hooks_match_per_element_lcm():
             assert cover_pairs == []
 
 
-def _dense_numerators(vectors, x):
-    """Every H_p(x) as the dense dot product h_p . c, with x = c / L over its least common denominator."""
-    c, denom = common_denominator(x)
-    return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
-
-
 def test_hook_program_matches_dense_vectors_on_catalog():
     rng = Random(12)
     for entry in catalog():
         relabelled = _renumber(entry.poset, _random_perm(entry.poset.n, rng))
         for P in (entry.poset, relabelled):
             a = analyze(P)
-            vectors = _reference(a)
+            vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
             assert a.hook_vectors == vectors, entry.name
             count = a.diagonals.count
             points = [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(3)]
@@ -264,7 +204,7 @@ SCALE_POSETS = {
 @pytest.mark.parametrize("name", SCALE_POSETS)
 def test_hook_program_matches_dense_vectors_at_scale(name):
     a = analyze(SCALE_POSETS[name]())
-    vectors = _reference(a)
+    vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
     assert a.hook_vectors == vectors
     x = random_rational_point(a.diagonals.count, Random(name))
     assert hook_numerators(a.hook_program, x) == _dense_numerators(vectors, x)

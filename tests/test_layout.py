@@ -1,0 +1,78 @@
+"""The layout of ``tests/``: one home per oracle, and no test module importing another.
+
+Both read the sources with ``ast``, parsed once, so they import nothing
+and take a fraction of a second.
+"""
+
+import ast
+from functools import cache
+from pathlib import Path
+
+TESTS = Path(__file__).parent
+
+# every brute-force oracle, each defined once, in oracles.py
+ORACLES = (
+    "_brute_force_order",
+    "_recursive_extensions",
+    "_reference_diagram",
+    "_brute_force_dminus",
+    "_brute_force_d_intervals",
+    "_dminus_model",
+    "_reference_dminus",
+    "_grow",
+    "_reference_forbidden",
+    "_reference_structure_report",
+    "_reference_diagonal_report",
+    "_upper_set_diagonals",
+    "_reference_hook_vectors",
+    "_dense_numerators",
+    "classical_hook_length",
+    "_reference_toggle",
+    "_reference_insertion",
+    "_reference_inverse",
+    "_det",
+    "_finite_difference_det",
+    "_dense_jacobian_rows",
+    "_reference_stable_order",
+    "_reference_is_stable",
+    "_reference_ideal_levels",
+    "_reference_weight_sum",
+    "_reference_sample",
+    "_reference_inside",
+    "_reference_polytope_check",
+    "_reference_monte_carlo_volume",
+    "_box_monte_carlo_hits",
+    "_simplex_points",
+    "_column_dot",
+)
+
+
+@cache
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(TESTS.glob("*.py"))}
+
+
+def test_no_test_module_imports_another():
+    imports = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            imports += [(name, m) for m in modules if m.split(".")[-1].startswith("test_")]
+    assert imports == []
+
+
+def test_each_oracle_is_defined_once_in_oracles():
+    modules = _modules()
+    homes = {}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ORACLES:
+                homes.setdefault(node.name, []).append(name)
+    assert homes == {oracle: ["oracles.py"] for oracle in ORACLES}
+    defined = {node.name for node in modules["oracles.py"].body if isinstance(node, ast.FunctionDef)}
+    assert defined == set(ORACLES)

@@ -28,6 +28,7 @@ from dcposets import poset as poset_module
 from dcposets.poset import IDEAL_LIMIT, compile_ideal_lattice, order_ideal_masks
 
 from conftest import antichain, chain, is_convex, is_isomorphic, lt, restrict, shifted_box_ids, upper_set_masks
+from oracles import _brute_force_order, _recursive_extensions, _reference_diagram
 
 
 def test_singleton():
@@ -47,27 +48,6 @@ def test_redundant_pairs_are_reduced():
     P = Poset(3, [(0, 1), (1, 2), (0, 2)])
     assert P.covers == frozenset({(0, 1), (1, 2)})
     assert P == Poset(3, [(0, 1), (1, 2)])
-
-
-def _brute_force_order(n, pairs):
-    """Reflexive-transitive closure by Warshall's algorithm, and its covers."""
-    leq = [[a == b for b in range(n)] for a in range(n)]
-    for a, b in pairs:
-        leq[a][b] = True
-    for k in range(n):
-        for a in range(n):
-            if leq[a][k]:
-                for b in range(n):
-                    leq[a][b] = leq[a][b] or leq[k][b]
-    covers = {
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b
-        and leq[a][b]
-        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
-    }
-    return leq, covers
 
 
 def test_construction_matches_brute_force_reduction():
@@ -166,24 +146,6 @@ def test_descending_extension_matches_all_pairs_definition():
     P = d_k_one(3)
     assert not is_descending_extension(P, (3, 2, 1))
     assert not is_descending_extension(P, (3, 2, 1, 1))
-
-
-def _recursive_extensions(P):
-    """Depth-first enumeration by recursion: smallest eligible id first."""
-    seq = []
-
-    def rec(remaining):
-        if not remaining:
-            yield tuple(seq)
-            return
-        for v in range(P.n):
-            low = 1 << v
-            if remaining & low and P.upset_mask(v) & remaining == low:
-                seq.append(v)
-                yield from rec(remaining ^ low)
-                seq.pop()
-
-    return rec((1 << P.n) - 1)
 
 
 def test_extension_order_matches_recursive_enumeration():
@@ -413,22 +375,6 @@ def test_names_round_trip():
     for name in ("x\ncover 0 1", "a#b", "two  spaces", " edge", "edge ", "tab\there", ""):
         with pytest.raises(FormatError, match="^name of element 0 does not round-trip: "):
             poset_to_text(Poset(2, [(0, 1)], {0: name}))
-
-
-def _reference_diagram(shape, shifted):
-    """Young or shifted Young diagram built box by box: (n, covers, names, box ids)."""
-    if shifted:
-        boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(i, i + row)]
-    else:
-        boxes = [(i, j) for i, row in enumerate(shape, start=1) for j in range(1, row + 1)]
-    index = {box: e for e, box in enumerate(boxes)}
-    covers = set()
-    for (i, j), e in index.items():
-        for above in ((i - 1, j), (i, j - 1)):
-            if above in index:
-                covers.add((e, index[above]))
-    names = {e: f"{i},{j}" for (i, j), e in index.items()}
-    return len(boxes), frozenset(covers), names, index
 
 
 def test_diagram_builders_match_reference():

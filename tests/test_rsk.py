@@ -44,6 +44,14 @@ from dcposets.rsk import (
 )
 
 from conftest import chain, is_adjacent, lt, random_shape, restrict, seeded_joins, shifted_box_ids
+from oracles import (
+    _dense_jacobian_rows,
+    _finite_difference_det,
+    _reference_insertion,
+    _reference_inverse,
+    _reference_is_stable,
+    _reference_stable_order,
+)
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -279,35 +287,6 @@ def test_unstable_order_detected():
     assert is_stable(P, stable, intervals)
 
 
-def _reference_stable_order(P):
-    """The stable order built with all-pairs containment and comparability scans."""
-    intervals = [(iv, iv.member_mask) for iv in analyze(P).d_intervals]
-    remaining = (1 << P.n) - 1
-    reversed_order = []
-    while remaining:
-        present = [(iv, m) for iv, m in intervals if m & remaining == m]
-        covered = 0
-        for _, m in present:
-            covered |= m
-        free = [p for p in P.minimal_in_mask(remaining) if not (covered >> p) & 1]
-        if free:
-            c = min(free)
-        else:
-            maximal = [
-                iv for iv, m in present if not any(m2 != m and m | m2 == m2 for _, m2 in present)
-            ]
-            tops = [iv.diamond_top for iv in maximal]
-            lowest = [
-                iv
-                for iv in maximal
-                if not any(t != iv.diamond_top and lt(P, t, iv.diamond_top) for t in tops)
-            ]
-            c = min(lowest, key=lambda iv: (iv.diamond_top, iv.bottom)).bottom
-        reversed_order.append(c)
-        remaining ^= 1 << c
-    return tuple(reversed(reversed_order))
-
-
 def test_stable_order_matches_all_pairs_reference():
     posets = [e.poset for e in catalog()]
     posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1))]
@@ -351,23 +330,6 @@ def test_minimal_bottoms_decide_the_stable_order():
                     assert any(lt(P, I.diamond_top, J.diamond_top) for I in on_minimal), (P, c, J)
             remaining ^= 1 << c
     assert steps >= 250 and deep >= 100, (steps, deep)
-
-
-def _reference_is_stable(P, order, intervals):
-    """Stability by scanning every completed interval's neck for each side."""
-    by_bottom = {}
-    for interval in intervals:
-        by_bottom.setdefault(interval.bottom, []).append(interval)
-    present = []
-    for p in order:
-        fresh = by_bottom.get(p, [])
-        present.extend(fresh)
-        for interval in fresh:
-            for side in interval.sides:
-                for other in present:
-                    if other is not interval and side in other.neck:
-                        return False
-    return True
 
 
 def test_stability_verdicts_match_reference():
@@ -490,109 +452,6 @@ def test_oracles(family, analyses, name):
             neighbors = [d for d in range(part.count) if is_adjacent(part, dc, d)]
             rhs = t[c] + sum((small_sum(d) for d in neighbors), Fraction(0))
             assert small_sum(dc) + big_sum == rhs, (c, t)
-
-
-# -- reference implementations ------------------------------------------------
-#
-# The dict-based insertion and the finite-difference Jacobian below are the
-# straightforward forms of the kernel; the compiled integer kernel must agree
-# with them value for value.
-
-
-def _reference_toggle(P, state, p):
-    above = [state[u] for u in P.upper_covers(p) if u in state]
-    below = [state[v] for v in P.lower_covers(p) if v in state]
-    out = dict(state)
-    out[p] = (max(above) if above else 0) + (min(below) if below else 0) - state[p]
-    return out
-
-
-def _reference_insertion(P, a, order, values, trace=None, gaps=None):
-    """Insert along ``order``, toggling the present diagonal in id order.
-
-    ``trace`` receives every toggle's (element, chosen upper, chosen lower),
-    -1 for absent; ``gaps`` receives the distance of each later selection
-    candidate from the running best.
-    """
-    part = a.diagonals
-    state = {}
-    for c in order:
-        state[c] = -values[c]
-        for e in sorted(x for x in part.classes[part.diagonal_of[c]] if x in state):
-            picks = []
-            for covers, better in ((P.upper_covers(e), 1), (P.lower_covers(e), -1)):
-                best = None
-                for u in covers:
-                    if u not in state:
-                        continue
-                    if best is None:
-                        best = u
-                        continue
-                    if gaps is not None:
-                        gaps.append(abs(state[u] - state[best]))
-                    if better * (state[u] - state[best]) > 0:
-                        best = u
-                picks.append(-1 if best is None else best)
-            if trace is not None:
-                trace.append((e, *picks))
-            state = _reference_toggle(P, state, e)
-    return tuple(state[i] for i in range(P.n))
-
-
-def _reference_inverse(P, a, order, labels):
-    part = a.diagonals
-    state = dict(enumerate(labels))
-    out = [None] * P.n
-    for c in reversed(order):
-        for e in sorted(x for x in part.classes[part.diagonal_of[c]] if x in state):
-            state = _reference_toggle(P, state, e)
-        out[c] = -state.pop(c)
-    return tuple(out)
-
-
-def _det(matrix):
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _finite_difference_det(P, a, t, order):
-    """Jacobian determinant from n perturbed runs, shrinking the step until
-    every run makes the base point's choices; ties raise NonGenericPoint."""
-    t = normalize_filling(P.n, t)
-    base_trace, gaps = [], []
-    base = _reference_insertion(P, a, order, t, base_trace, gaps)
-    if any(g == 0 for g in gaps):
-        raise NonGenericPoint("tie between toggle candidates at the base point")
-    eps = (min(gaps) if gaps else Fraction(1)) / 2**20
-    for _ in range(4):
-        columns = []
-        for j in range(P.n):
-            shifted = list(t)
-            shifted[j] += eps
-            trace = []
-            image = _reference_insertion(P, a, order, shifted, trace)
-            if trace != base_trace:
-                break
-            columns.append([(x - y) / eps for x, y in zip(image, base)])
-        else:
-            return _det([[columns[j][i] for j in range(P.n)] for i in range(P.n)])
-        eps /= 2**10
-    raise NonGenericPoint("could not confine the perturbation to one linearity cell")
 
 
 def _seeded_fillings(n, rng, count):
@@ -764,26 +623,6 @@ def test_running_best_tie_rule():
     assert trace[-1] == (6, 0, 3) and gap == 1
     assert _jacobian_times(trace, v)[0] == _times(expected, v)
     assert labels == expected_labels and labels[6] == 5 + 1 + 9
-
-
-def _dense_jacobian_rows(P, a, order, t):
-    """The reference image, and the Jacobian's rows replayed densely from its choices."""
-    trace = []
-    image = _reference_insertion(P, a, order, t, trace)
-    zero = [0] * P.n
-    rows = [zero] * P.n
-    part = a.diagonals
-    toggles = iter(trace)
-    present = set()
-    for c in order:
-        present.add(c)
-        rows[c] = [-1 if j == c else 0 for j in range(P.n)]
-        for _ in present.intersection(part.classes[part.diagonal_of[c]]):
-            e, up, lo = next(toggles)
-            up_row = rows[up] if up >= 0 else zero
-            lo_row = rows[lo] if lo >= 0 else zero
-            rows[e] = [x + y - z for x, y, z in zip(up_row, lo_row, rows[e])]
-    return image, rows
 
 
 def test_jacobian_rows_match_dense_replay():

@@ -16,7 +16,6 @@ from dcposets import (
     closed_form_volume,
     count_linear_extensions,
     d_k_one,
-    inverse_rsk,
     linear_extensions,
     monte_carlo_volume,
     polytope_membership,
@@ -37,10 +36,21 @@ from dcposets import verify
 from dcposets.acceptance import MONTE_CARLO_MAX_ELEMENTS, counting_identity, multivariate_identity
 from dcposets.hooks import common_denominator
 from dcposets.poset import order_ideal_masks
-from dcposets.verify import BijectionReport, PolytopeSpec
+from dcposets.verify import PolytopeSpec
 
 from conftest import chain, seeded_joins
-from test_hooks import classical_hook_length
+from oracles import (
+    _box_monte_carlo_hits,
+    _column_dot,
+    _reference_ideal_levels,
+    _reference_inside,
+    _reference_monte_carlo_volume,
+    _reference_polytope_check,
+    _reference_sample,
+    _reference_weight_sum,
+    _simplex_points,
+    classical_hook_length,
+)
 
 
 def test_weight_singleton():
@@ -92,55 +102,6 @@ def test_weight_sum_methods_agree(family, analyses, name):
         assert weight_sum(P, a.diagonals, x, "enumerate") == weight_sum(
             P, a.diagonals, x, "ideal-dp"
         )
-
-
-def _reference_ideal_levels(P, finish=None):
-    """The dict-of-levels walk the compiled lattice replaced, kept as the reference.
-
-    Each level maps an ideal's bitmask to ``[value, addable]``; ``value``
-    sums the values of the ideals it covers (1 for the empty ideal) and is
-    replaced by ``finish(mask, value)`` when ``finish`` is given.
-    """
-    below = tuple(d ^ (1 << v) for v, d in enumerate(P._dn))
-    level = {0: [1, sum(1 << v for v in range(P.n) if not below[v])]}
-    for _ in range(P.n):
-        yield level
-        nxt = {}
-        for mask, (value, addable) in level.items():
-            rest = addable
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                grown = mask | low
-                if grown in nxt:
-                    nxt[grown][0] += value
-                    continue
-                reach = addable ^ low
-                for w in P._upper[low.bit_length() - 1]:
-                    if not below[w] & ~grown:
-                        reach |= 1 << w
-                nxt[grown] = [value, reach]
-        if finish is not None:
-            for mask, entry in nxt.items():
-                entry[0] = finish(mask, entry[0])
-        level = nxt
-    yield level
-
-
-def _reference_weight_sum(P, part, x):
-    """Weight sum by a Fraction per ideal: its covered values' sum over its x-sum."""
-    scale = math.lcm(*(v.denominator for v in x))
-    diagonal_masks = [0] * part.count
-    for p in range(P.n):
-        diagonal_masks[part.diagonal_of[p]] |= 1 << p
-    scaled = [(int(v * scale), m) for v, m in zip(x, diagonal_masks)]
-
-    def finish(mask, total):
-        return Fraction(total, sum(c * (mask & m).bit_count() for c, m in scaled))
-
-    for level in _reference_ideal_levels(P, finish):
-        pass
-    return level[(1 << P.n) - 1][0] * Fraction(scale) ** P.n
 
 
 def _mixed_point(count, rng):
@@ -529,47 +490,6 @@ def test_hook_and_weight_denominators_are_equal():
     assert points > 1000
 
 
-def _reference_sample(hooks, gaps):
-    """The fillings-polytope point of one sampler row on Fractions: each gap over GRAIN
-    divided by its hook."""
-    return tuple(Fraction(g, verify.GRAIN) / h for g, h in zip(gaps, hooks))
-
-
-def _reference_inside(P, a, kind, x, v):
-    """The defining inequalities of the two polytopes, on Fractions."""
-    if any(value < 0 for value in v):
-        return False
-    if kind == "fillings":
-        return sum(h * value for h, value in zip(a.hook_polynomials(x), v)) <= 1
-    if any(v[lo] < v[hi] for lo, hi in P.covers):
-        return False
-    return sum(x[a.diagonals.diagonal_of[p]] * v[p] for p in range(P.n)) <= 1
-
-
-def _reference_polytope_check(P, a, x, trials, seed):
-    """rsk_polytope_check on Fractions, each check written as its definition states it."""
-    if x is None:
-        x = all_ones_point(a.diagonals.count)
-    rows = verify._simplex_gap_rows(P.n, trials, Random(seed)).tolist()
-    hooks = a.hook_polynomials(x)
-    failures = []
-    for trial in range(trials):
-        t = _reference_sample(hooks, rows[trial])
-        if not _reference_inside(P, a, "fillings", x, t):
-            failures.append((trial, "source-membership", t))
-            continue
-        s = rsk(P, t, analysis=a)
-        if not _reference_inside(P, a, "rpp", x, s):
-            failures.append((trial, "image-membership", t, s))
-        lhs = sum((x[a.diagonals.diagonal_of[p]] * s[p] for p in range(P.n)), Fraction(0))
-        rhs = sum((h * v for h, v in zip(hooks, t)), Fraction(0))
-        if lhs != rhs:
-            failures.append((trial, "weighted-sum", lhs, rhs))
-        if inverse_rsk(P, s, analysis=a) != t:
-            failures.append((trial, "round-trip", t, s))
-    return BijectionReport(trials=trials, seed=seed, ok=not failures, failures=tuple(failures))
-
-
 @pytest.mark.parametrize("entry", catalog()[::3], ids=lambda e: e.name)
 def test_polytope_check_matches_fraction_reference(entry):
     # at a random point the hook and weight denominators B and C differ from 1
@@ -703,56 +623,6 @@ def test_monte_carlo_empty_poset():
         assert closed_form_volume(P, spec) == estimate.estimate
         batch = verify.monte_carlo_volumes([(P, spec, None), (other, other_spec, None)], 5_000, 3)
         assert batch == [estimate, alone]
-
-
-def _simplex_points(rng, samples, n):
-    """K ~ Binomial(samples, 1/n!) uniform points of {u >= 0, sum u <= 1}, drawn at once.
-
-    n + 1 exponentials per row, divided by their sum added column by
-    column, first n kept.
-    """
-    inside = int(rng.binomial(samples, 1 / math.factorial(n)))
-    e = rng.standard_exponential(size=(inside, n + 1))
-    total = e[:, 0]
-    for j in range(1, n + 1):
-        total = total + e[:, j]
-    return e[:, :n] / total[:, None]
-
-
-def _column_dot(pts, coefficients):
-    """pts[:, 0] * c_0 + pts[:, 1] * c_1 + ..., column by column."""
-    return sum((pts[:, p] * c for p, c in enumerate(coefficients)), np.zeros(len(pts)))
-
-
-def _reference_monte_carlo_volume(P, spec, samples, seed, a):
-    """The per-spec loop: one fresh stream per polytope, its simplex points drawn at once."""
-    x = spec.x
-    n = P.n
-    rng = np.random.default_rng(seed)
-    if spec.kind == "fillings":
-        coefficients = [float(h) for h in a.hook_polynomials(x)]
-        edge = float(max(Fraction(1) / h for h in a.hook_polynomials(x)))
-        cover_pairs = []
-    else:
-        coefficients = [float(x[a.diagonals.diagonal_of[p]]) for p in range(n)]
-        edge = float(1 / min(x))
-        cover_pairs = sorted(P.covers)
-    box_volume = edge**n
-    pts = _simplex_points(rng, samples, n) * edge
-    inside = _column_dot(pts, coefficients) <= 1.0
-    for low, high in cover_pairs:
-        inside &= pts[:, low] >= pts[:, high]
-    hits = int(inside.sum())
-    rate = hits / samples
-    return verify.VolumeEstimate(
-        kind=spec.kind,
-        samples=samples,
-        seed=seed,
-        hits=hits,
-        box_volume=box_volume,
-        estimate=rate * box_volume,
-        std_error=math.sqrt(rate * (1.0 - rate) / samples) * box_volume,
-    )
 
 
 def _unshortcut_monte_carlo_hits(cases, samples, seed):
@@ -994,40 +864,6 @@ def test_simplex_gap_rows_keep_the_law(monkeypatch, n):
             for gaps, k in law.items()
         )
         assert statistic <= GAP_LAW_CHI2[n], (n, seed, statistic)
-
-
-def _box_monte_carlo_hits(cases, samples, seed):
-    """Hit counts of the box sampler, the law the simplex points must keep.
-
-    The box sampler of ``monte_carlo_volumes`` at f4176d2: per size, one
-    stream of box points edge * U with U uniform on [0, 1)^n, in
-    2**14-row batches; only the rows with sum U <= 1 + 1e-9 reach a
-    case's test.  That filter keeps every hit because each case's
-    edge * c_p >= 1, the premise test_monte_carlo_candidates_keep_every_hit
-    checks.
-    """
-    tests = [verify._volume_test(P, spec, a) for P, spec, a in cases]
-    hits = [0] * len(cases)
-    groups = {}
-    for i, ((P, _, _), (edge, _, _)) in enumerate(zip(cases, tests)):
-        groups.setdefault(P.n, {}).setdefault(edge, []).append(i)
-    for n, by_edge in groups.items():
-        rng = np.random.default_rng(seed)
-        done = 0
-        while done < samples:
-            take = min(1 << 14, samples - done)
-            drawn = rng.random((take, n))
-            candidates = drawn[drawn.sum(axis=1) <= 1.0 + 1e-9]
-            for edge, members in by_edge.items():
-                box = candidates * edge
-                for i in members:
-                    _, coefficients, cover_pairs = tests[i]
-                    ok = box @ np.array(coefficients) <= 1.0
-                    for low, high in cover_pairs:
-                        ok &= box[:, low] >= box[:, high]
-                    hits[i] += int(np.count_nonzero(ok))
-            done += take
-    return hits
 
 
 def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):

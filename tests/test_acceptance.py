@@ -8,6 +8,7 @@ Carlo comparison uses a pinned seed.
 import importlib
 import math
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
@@ -206,14 +207,15 @@ def _leaky_step(labels, toggles, top=max, bottom=min):
     """A wrong step function: each toggle also adds the label of element e + 1 (mod n).
 
     That element is no cover of e, and whether it has been inserted yet
-    depends on the insertion order, so the error does too.  It takes the
-    step's reductions, so it leaks on label lists and label matrices alike,
-    and reads an empty side as 0, as the kernel does.
+    depends on the insertion order, so the error does too.  It folds each
+    side through the step's binary reductions, so it leaks on label lists
+    and label matrices alike, and reads an empty side as 0, as the kernel
+    does.
     """
     n = len(labels)
     for e, ups, los in toggles:
-        hi = top([labels[u] for u in ups]) if ups else 0
-        lo = bottom([labels[v] for v in los]) if los else 0
+        hi = reduce(top, [labels[u] for u in ups]) if ups else 0
+        lo = reduce(bottom, [labels[v] for v in los]) if los else 0
         labels[e] = hi + lo - labels[e] + labels[(e + 1) % n]
 
 

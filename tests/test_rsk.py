@@ -1,6 +1,7 @@
 import importlib
 import time
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -93,6 +94,24 @@ def test_toggle_uses_max_cover_and_min_covered():
     P = Poset(9, pairs)
     labels = {8: 1, 6: 3, 7: 4, 3: 3, 4: 5, 5: 6, 1: 6, 2: 7, 0: 8}
     assert _toggle(P, [labels[p] for p in range(9)], 4)[4] == 4 + 6 - 5
+    # no side of a d-complete poset has three candidates, so this toggle is
+    # built by hand: element 6 against 0, 1, 2 above and 3, 4, 5 below, run
+    # as label lists and as one two-column label matrix.  The max above is
+    # the first candidate in one column and the last in the other, the min
+    # below the second and the last, so reading any two of three misses one
+    import numpy as np
+
+    program = ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
+    columns = [[9, 4, 7, 6, 2, 5, 10], [4, 9, 11, 8, 3, 1, 10]]
+    matrix = np.array(columns, dtype=object).T.copy()
+    _run(matrix, program)
+    for j, column in enumerate(columns):
+        expected = column[:]
+        expected[6] = -expected[6]
+        _general_step(expected, program[0][1])
+        _run(column, program)
+        assert column == expected == matrix[:, j].tolist()
+    assert matrix[6].tolist() == [9 + 2 + 10, 11 + 1 + 10]
 
 
 def test_singleton_map_is_identity():
@@ -623,6 +642,29 @@ def test_running_best_tie_rule():
     assert trace[-1] == (6, 0, 3) and gap == 1
     assert _jacobian_times(trace, v)[0] == _times(expected, v)
     assert labels == expected_labels and labels[6] == 5 + 1 + 9
+    # two candidates, the longest side a d-complete poset has: an equal pair
+    # raises on either side, and otherwise the strict winner is chosen,
+    # first or second, and the gap between the two is recorded
+    v = _spelling_direction(4)
+    inserted = tuple((c, ((c, (), ()),)) for c in range(3))
+    programs = {sides: inserted + ((3, ((3, *sides),)),) for sides in (((0, 1), (2,)), ((2,), (0, 1)))}
+    for program in programs.values():
+        for replay in (_choices, _reference_jacobian_rows):
+            with pytest.raises(NonGenericPoint):
+                replay([4, 4, 1, 9], program)
+    for ups, los, labels, chosen in (
+        ((0, 1), (2,), [5, 8, 1, 9], (1, 2)),
+        ((0, 1), (2,), [8, 5, 1, 9], (0, 2)),
+        ((2,), (0, 1), [5, 8, 1, 9], (2, 0)),
+        ((2,), (0, 1), [8, 5, 1, 9], (2, 1)),
+    ):
+        program = programs[ups, los]
+        expected_labels = labels[:]
+        expected = _reference_jacobian_rows(expected_labels, program)
+        trace, gap = _choices(labels, program)
+        assert trace[-1] == (3, *chosen) and gap == 3, (ups, los, labels)
+        assert _jacobian_times(trace, v)[0] == _times(expected, v)
+        assert labels == expected_labels
 
 
 def test_jacobian_rows_match_dense_replay():
@@ -755,6 +797,24 @@ def test_kernel_fast_path_matches_general_step():
     # each read of the other side that these programs have; none has a toggle
     # with two upper candidates and one lower one
     assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)} <= shapes
+
+
+def test_toggle_sides_have_at_most_two_candidates():
+    # the bound _toggle_all's docstring proves: every element has at most two
+    # upper covers, and an element toggled after its own insertion tops a
+    # d-interval, so covers at most two.  Checked on the catalog, the seeded
+    # joins and three larger posets, along the stable order and a random one,
+    # where both sides reach two candidates at once
+    posets = [e.poset for e in catalog()] + list(seeded_joins())
+    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50)]
+    rng = Random(59)
+    shapes = Counter()
+    for P in posets:
+        a = analyze(P)
+        for order in (None, random_descending_extension(P, rng)):
+            shapes.update((len(ups), len(los)) for _, step in _program(P, order, a) for _, ups, los in step)
+    assert max(map(max, shapes)) == 2, shapes
+    assert shapes[2, 2] >= 400, shapes
 
 
 def _columns_match_scalar_loops(P, program, trials, rng):

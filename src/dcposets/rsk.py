@@ -13,21 +13,22 @@ per inserted element, the present members of its diagonal, each with its
 present upper and lower covers.  One runner, ``_run``, runs a program in
 place, forward or backward, through one step function, ``_toggle_all``,
 on a list of integer labels or on a label matrix: a numpy array of
-``dtype=object`` holding Python ints, whose row p holds element p's label
-in every column, one column per filling.  The step reads a side's
+``dtype=object`` holding Python ints, whose row p holds element p's
+label in every column, one column per filling.  The step reads a side's
 extreme through a binary ``top`` or ``bottom``: ``max`` and ``min`` on a
 list, ``np.maximum`` and ``np.minimum`` on a matrix.  On d-complete
 posets no side has more than two candidates, so one binary call reads
-every side that is neither empty nor a lone candidate.  The battery's
-trials on the stable program (diagonal sums, the polytope bijection)
-run as one matrix, where one row operation does the work of a hundred
-scalar toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over
-them.  The Jacobian builds no matrix: its base run is ``_run`` with
-a step that records its choices, its determinant is the parity of the
-run's length, and criterion 6 checks the kernel's derivative along a
-random direction against those choices replayed on it.  Elements of one
-diagonal never cover each other, so the toggles of one step read no
-label another of them writes: they commute.
+every side that is neither empty nor a lone candidate, and a longer side
+raises ``ValueError``.  The battery's trials on the stable program
+(diagonal sums, the polytope bijection) run as one matrix, where one row
+operation does the work of a hundred scalar toggles.  ``rsk`` and
+``inverse_rsk`` are the Fraction edges over them.  The Jacobian builds
+no matrix: its base run is ``_run`` with a step that records its
+choices, its determinant is the parity of the run's length, and
+criterion 6 checks the kernel's derivative along a random direction
+against those choices replayed on it.  Elements of one diagonal never
+cover each other, so the toggles of one step read no label another of
+them writes: they commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -116,7 +117,9 @@ def compile_program(P: Poset, part: DiagonalPartition, order: Sequence[int]) -> 
     Along a descending extension every upper cover of an element is
     inserted before it, so its upper candidates never change; its lower
     candidates are the lower covers inserted so far.  Candidates are
-    listed by id, the order in which ties are detected.
+    listed by id.  A side has at most two (:func:`_toggle_all`), so a tie
+    is found the same way whatever their order; listing them by id only
+    keeps the programs equal to :func:`_random_order_insertion`'s steps.
     """
     ups = P._upper
     below: list[list[int]] = [[] for _ in range(P.n)]
@@ -142,7 +145,8 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
     one label is that label.  A side with two is read by one call of the
     binary ``top`` or ``bottom``, ``max`` and ``min`` on a list, the
     element-wise ``np.maximum`` and ``np.minimum`` of two rows on a
-    matrix; a longer side is folded through the same call.  In the
+    matrix.  Two is the longest side, proved below, so a longer one
+    raises ``ValueError`` at the unpack of its two candidates.  In the
     catalog's stable programs most toggles have an empty side (2,085 of
     2,126) and 1,988 have at most one candidate on each side.  On shapes
     most have a side with two: 627 of the 650 in Young 12x12's stable
@@ -167,18 +171,16 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
             hi = 0
         elif len(ups) == 1:
             hi = labels[ups[0]]
-        elif len(ups) == 2:
-            hi = top(labels[ups[0]], labels[ups[1]])
         else:
-            hi = reduce(top, map(labels.__getitem__, ups))
+            a, b = ups
+            hi = top(labels[a], labels[b])
         if not los:
             lo = 0
         elif len(los) == 1:
             lo = labels[los[0]]
-        elif len(los) == 2:
-            lo = bottom(labels[los[0]], labels[los[1]])
         else:
-            lo = reduce(bottom, map(labels.__getitem__, los))
+            a, b = los
+            lo = bottom(labels[a], labels[b])
         labels[e] = hi + lo - labels[e]
 
 
@@ -193,6 +195,8 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
     and min of two rows, as the step's ``top`` and ``bottom``; each column
     ends as a run on it alone would.  A list run calls the step with its
     two arguments only, so it reads its sides with ``max`` and ``min``.
+    Either way a side has at most two candidates; a program with a longer
+    one, which no d-complete poset compiles to, raises ``ValueError``.
     """
     step = step or _toggle_all
     if type(labels) is not list:
@@ -558,17 +562,13 @@ def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
     lower cover of smallest label.  An empty side is recorded as index n,
     one past the labels, and reads as 0: ``labels`` holds a 0 there for
     the run, popped after it.  A side with one candidate is read
-    directly, since a lone candidate ties with nothing.  On a side with
-    two or more, a running best starts at the first candidate and each
-    later one is compared with it: an equal label raises
-    :class:`NonGenericPoint`, a strictly larger one (upper side) or
-    strictly smaller one (lower side) becomes the best.  A side with two,
-    the longest on a d-complete poset (:func:`_toggle_all`), is that
-    rule's one comparison, made inline.  Equal labels that never meet the
-    running best, such as 5 and 5 after a 7 above, do not raise: the
-    chosen cover beats both strictly, so the choice holds near the point.
-    Equal labels that do meet it raise even when a larger label follows,
-    as 3, 3, 5 above does.  The run is :func:`_run` with a step that makes
+    directly, since a lone candidate ties with nothing.  Any other side
+    has two candidates, the longest on a d-complete poset
+    (:func:`_toggle_all`), and is compared once: equal labels raise
+    :class:`NonGenericPoint`; otherwise the strictly larger (upper side)
+    or strictly smaller (lower side) is chosen, and their gap is
+    recorded.  A longer side raises ``ValueError`` at the unpack, as in
+    :func:`_toggle_all`.  The run is :func:`_run` with a step that makes
     each toggle's choice, records it as one ``(e, x, y)``, e toggled
     against x above and y below, and toggles e at once.
     Elements of one diagonal never cover each other, so no toggle reads a
@@ -577,27 +577,13 @@ def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
     a step before any of its toggles.
 
     g is the smallest gap between two compared labels, or 0 when the run
-    compares none.  The chosen cover of a side lies at least g from every
-    other candidate: each was compared with a running best at or short of
-    the chosen label, and lost to it by at least g or became it and was
-    beaten later.
+    compares none.  So the chosen cover of a side lies at least g from the
+    other candidate, the one it was compared with.
     """
     trace: list[Choice] = []
     gaps: list[int] = []
     record, seen = trace.append, gaps.append
     absent = len(labels)
-
-    def running_best(labels: list[int], side: tuple[int, ...], sign: int) -> int:
-        x = side[0]
-        best = labels[x]
-        for u in side[1:]:
-            gap = sign * (labels[u] - best)
-            if not gap:
-                raise NonGenericPoint(_TIE)
-            if gap > 0:
-                x, best = u, labels[u]
-            seen(abs(gap))
-        return x
 
     def choose(labels: list[int], toggles: tuple[Toggle, ...]) -> None:
         for e, ups, los in toggles:
@@ -605,7 +591,7 @@ def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
                 x = absent
             elif len(ups) == 1:
                 x = ups[0]
-            elif len(ups) == 2:
+            else:
                 x, u = ups
                 gap = labels[u] - labels[x]
                 if gap > 0:
@@ -613,13 +599,11 @@ def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
                 elif not gap:
                     raise NonGenericPoint(_TIE)
                 seen(abs(gap))
-            else:
-                x = running_best(labels, ups, 1)
             if not los:
                 y = absent
             elif len(los) == 1:
                 y = los[0]
-            elif len(los) == 2:
+            else:
                 y, u = los
                 gap = labels[y] - labels[u]
                 if gap > 0:
@@ -627,8 +611,6 @@ def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
                 elif not gap:
                     raise NonGenericPoint(_TIE)
                 seen(abs(gap))
-            else:
-                y = running_best(labels, los, -1)
             labels[e] = labels[x] + labels[y] - labels[e]
             record((e, x, y))
 

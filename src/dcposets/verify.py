@@ -30,7 +30,7 @@ from .hooks import (
     random_scaled_point,
     validate_point,
 )
-from .poset import Poset, fold_columns, fold_ideal_lattice, linear_extensions
+from .poset import Poset, fold_columns, fold_ideal_lattice
 from .rsk import Filling, _run, normalize_filling
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
@@ -52,35 +52,26 @@ def weight_sum(
 ) -> Fraction:
     """Sum of extension weights at a rational point.
 
-    ``ideal-dp`` folds the sum up the lattice of downsets: each suffix of
-    a descending extension is a downset.  With x = c / L over its least
-    common denominator, the sum is U * L^n / M for the integers U and M
-    that :func:`poset.fold_ideal_lattice` returns on the weights
-    c_{D(p)}; its docstring gives the argument.  The fold reduces each
-    ideal's value by its gcd with S(J) before it scales a level, so its
-    integers stay near the size of the reduced values, and U / M is the
-    same Fraction as with no reduction.  The lattice is
-    :attr:`PosetAnalysis.ideal_lattice` of ``analysis``, or else of
-    ``analyze(P)``, P's live analysis, so evaluating many points walks
-    it once while some caller holds that analysis.  Posets with more than
-    ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
-    ``enumerate`` sums extension by extension: the weight of p_1..p_n is
-    1 over the product, over positions i, of x summed over the diagonals
-    of the suffix p_i..p_n.  It is the reference the tests compare
-    against.  Both are exact and agree.
+    The weight of an extension p_1..p_n is 1 over the product, over
+    positions i, of x summed over the diagonals of the suffix p_i..p_n.
+    The sum folds up the lattice of downsets: each such suffix is a
+    downset.  With x = c / L over its least common denominator, the sum is
+    U * L^n / M for the integers U and M that
+    :func:`poset.fold_ideal_lattice` returns on the weights c_{D(p)}; its
+    docstring gives the argument.  The fold reduces each ideal's value by
+    its gcd with S(J) before it scales a level, so its integers stay near
+    the size of the reduced values, and U / M is the same Fraction as with
+    no reduction.  The lattice is :attr:`PosetAnalysis.ideal_lattice` of
+    ``analysis``, or else of ``analyze(P)``, P's live analysis, so
+    evaluating many points walks it once while some caller holds that
+    analysis.  Posets with more than ``IDEAL_LIMIT`` downsets raise
+    :class:`ExtensionLimitError`.  ``method`` has the one value
+    ``"ideal-dp"``, kept because ``perfbench/tracer.py`` binds it by name;
+    any other value raises ``ValueError``.
     """
-    x = validate_point(x, part.count)
-    if method == "enumerate":
-        total = Fraction(0)
-        for ext in linear_extensions(P):
-            suffix, inverse = Fraction(0), Fraction(1)
-            for p in reversed(ext):
-                suffix += x[part.diagonal_of[p]]
-                inverse *= suffix
-            total += 1 / inverse
-        return total
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
+    x = validate_point(x, part.count)
 
     lattice = (analysis or analyze(P)).ideal_lattice
     numerators, scale = common_denominator(x)

@@ -94,24 +94,23 @@ def test_toggle_uses_max_cover_and_min_covered():
     P = Poset(9, pairs)
     labels = {8: 1, 6: 3, 7: 4, 3: 3, 4: 5, 5: 6, 1: 6, 2: 7, 0: 8}
     assert _toggle(P, [labels[p] for p in range(9)], 4)[4] == 4 + 6 - 5
-    # no side of a d-complete poset has three candidates, so this toggle is
-    # built by hand: element 6 against 0, 1, 2 above and 3, 4, 5 below, run
-    # as label lists and as one two-column label matrix.  The max above is
-    # the first candidate in one column and the last in the other, the min
-    # below the second and the last, so reading any two of three misses one
+    # no side of a d-complete poset has three candidates, so the kernel
+    # refuses this hand-built toggle: element 6 against 0, 1, 2 above and
+    # 3, 4, 5 below
+    program = ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
+    _refuses_long_sides([9, 4, 7, 6, 2, 5, 10], program)
+
+
+def _refuses_long_sides(labels, program):
+    """``_run`` on a label list and on a two-column label matrix, and ``_choices``,
+    each raise ValueError on a program with a three-candidate side: it fails
+    the unpack of a side's two candidates."""
     import numpy as np
 
-    program = ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
-    columns = [[9, 4, 7, 6, 2, 5, 10], [4, 9, 11, 8, 3, 1, 10]]
-    matrix = np.array(columns, dtype=object).T.copy()
-    _run(matrix, program)
-    for j, column in enumerate(columns):
-        expected = column[:]
-        expected[6] = -expected[6]
-        _general_step(expected, program[0][1])
-        _run(column, program)
-        assert column == expected == matrix[:, j].tolist()
-    assert matrix[6].tolist() == [9 + 2 + 10, 11 + 1 + 10]
+    matrix = np.array([labels, labels[::-1]], dtype=object).T.copy()
+    for run, start in ((_run, labels[:]), (_run, matrix), (_choices, labels[:])):
+        with pytest.raises(ValueError, match="unpack"):
+            run(start, program)
 
 
 def test_singleton_map_is_identity():
@@ -565,8 +564,8 @@ def _times(rows, v):
 
 
 def test_one_candidate_sides_keep_the_ties():
-    # the fused run reads a lone candidate directly and applies the running-best
-    # rule inline; the fillings that tie, the labels the run leaves and the
+    # the fused run reads a lone candidate directly and compares a pair of
+    # candidates once; the fillings that tie, the labels the run leaves and the
     # Jacobian its choices spell are those of the two-step reference, on the
     # catalog, large posets and joins, under the stable order and a random one
     posets = [(e.name, e.poset) for e in catalog()] + [
@@ -615,33 +614,14 @@ def test_running_best_tie_rule():
         _select(labels, (0, 1, 2), 1)
     assert _select(labels, (0, 2, 1), 1) == 2
     assert _select(labels, (3,), -1) == 3
-    program = ((3, ((3, (0, 1, 2), ()),)),)  # element 3 toggled against 0, 1, 2 above
-    for replay in (_choices, _reference_jacobian_rows):
-        with pytest.raises(NonGenericPoint):
-            replay(labels[:], program)
-    # [1, 1, 0] below ties the same way on the lower side; on the programs the
-    # other tests run, a filling that ties on one side also ties on the other
-    # in the same run, so only programs like these tell the two checks apart
-    labels = [1, 1, 0, 4, 2]
-    program = ((3, ((3, (4,), (0, 1, 2)),)),)
-    for replay in (_choices, _reference_jacobian_rows):
-        with pytest.raises(NonGenericPoint):
-            replay(labels[:], program)
-    # [5, 3, 3] above and [1, 2, 2] below: the equal pair never meets the
-    # running best, so neither side raises, and both runs choose 0 and 3.
-    # Elements 0..5 are first inserted and toggled with both sides empty,
-    # which leaves their labels as they are and makes the program insert
-    # every element, as the Jacobian's replay assumes
-    labels = [5, 3, 3, 1, 2, 2, 9]
+    # a program toggling element 3 against 0, 1, 2 above has a side no
+    # d-complete poset has, and the kernel refuses it before any comparison,
+    # as it does with [1, 1, 0] below, or with three candidates on each side
+    _refuses_long_sides(labels, ((3, ((3, (0, 1, 2), ()),)),))
+    _refuses_long_sides([1, 1, 0, 4, 2], ((3, ((3, (4,), (0, 1, 2)),)),))
     program = tuple((c, ((c, (), ()),)) for c in range(6))
     program += ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
-    expected_labels = labels[:]
-    expected = _reference_jacobian_rows(expected_labels, program)
-    trace, gap = _choices(labels, program)
-    v = _spelling_direction(7)
-    assert trace[-1] == (6, 0, 3) and gap == 1
-    assert _jacobian_times(trace, v)[0] == _times(expected, v)
-    assert labels == expected_labels and labels[6] == 5 + 1 + 9
+    _refuses_long_sides([5, 3, 3, 1, 2, 2, 9], program)
     # two candidates, the longest side a d-complete poset has: an equal pair
     # raises on either side, and otherwise the strict winner is chosen,
     # first or second, and the gap between the two is recorded
@@ -793,7 +773,7 @@ def test_kernel_fast_path_matches_general_step():
                     _general_step(expected, toggles)
                     expected[c] = -expected[c]
                 assert image == expected == t, (name, order)
-    # the empty-side, one-candidate and general reads all ran, each against
+    # the empty-side, one-candidate and two-candidate reads all ran, each against
     # each read of the other side that these programs have; none has a toggle
     # with two upper candidates and one lower one
     assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)} <= shapes

@@ -87,7 +87,7 @@ class PosetAnalysis:
 
     @cached_property
     def hook_vectors(self) -> tuple[HookVector, ...]:
-        """The dense hook vectors: the hook program run once per diagonal."""
+        """The dense hook vectors: the hook program run once, at a point that packs the diagonals."""
         return hook_vectors(self.hook_program)
 
     @cached_property
@@ -97,7 +97,7 @@ class PosetAnalysis:
 
     @cached_property
     def hook_program(self) -> HookProgram:
-        """The d-interval hook recursion: every H_p at a point, and the dense vectors per diagonal."""
+        """The d-interval hook recursion: every H_p at a point, and the dense vectors at a packed one."""
         self.ensure_d_complete()
         return compile_hook_program(self.poset, self.diagonals, self.d_intervals)
 

@@ -37,16 +37,8 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
 
 
 def strict_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing positive compositions of ``total``."""
-
-    def rec(remaining: int, largest: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield acc
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            yield from rec(remaining - part, part - 1, acc + (part,))
-
-    yield from rec(total, total, ())
+    """Strictly decreasing positive compositions of ``total``: the :func:`partitions` with distinct parts, in their order."""
+    return (parts for parts in partitions(total) if len(set(parts)) == len(parts))
 
 
 @cache

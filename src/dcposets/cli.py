@@ -59,12 +59,12 @@ def _load_poset(path: str) -> Poset:
 
 
 def _load_filling(path: str, n: int):
+    """A filling file's values for the ids 0..n-1; a missing or extra id is a format error (exit 2)."""
     mapping = filling_from_text(Path(path).read_text())
-    missing = [i for i in range(n) if i not in mapping]
-    extra = [i for i in mapping if not 0 <= i < n]
-    if missing or extra:
-        raise FormatError(f"filling does not match the poset: missing={missing} extra={extra}")
-    return normalize_filling(n, mapping)
+    try:
+        return normalize_filling(n, mapping)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _resolve_order(spec: str):

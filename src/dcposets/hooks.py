@@ -5,13 +5,14 @@ classical hook length; it is defined recursively through d-intervals.
 That recursion, compiled once per poset into a :class:`HookProgram`,
 evaluates every hook polynomial at a point with exact integer
 arithmetic, without building the vectors, and builds the vectors when
-run once per diagonal.
+run once at a point that packs each diagonal into its own bit field.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple, Sequence
@@ -34,7 +35,7 @@ class HookProgram(NamedTuple):
     and z.  Every id the program names is an element, 0..n-1.
     ``diagonal_of`` maps each element to its diagonal, and ``count`` is
     the number of diagonals.  :func:`hook_integers` evaluates it at
-    integer weights, and :func:`hook_vectors` once per diagonal.
+    integer weights, and :func:`hook_vectors` once at a packed point.
     """
 
     diagonal_of: tuple[int, ...]
@@ -62,7 +63,7 @@ def compile_hook_program(
     a step reads is already set.  :func:`hook_integers` runs the program
     in O(n + sum |rest|) additions, where a dot product with every dense
     vector costs n times the number of diagonals (on a chain, every rest
-    is empty); :func:`hook_vectors` runs it once per diagonal.  The
+    is empty); :func:`hook_vectors` runs it once at a packed point.  The
     intervals must be those of a d-complete poset, in which each element
     tops at most one: :attr:`PosetAnalysis.hook_program` checks the axioms
     first.
@@ -129,24 +130,26 @@ def hook_integers(program: HookProgram, weights: Sequence[int]) -> list[int]:
 
 
 def hook_vectors(program: HookProgram) -> tuple[HookVector, ...]:
-    """Hook vector of every element, indexed by diagonal id: the :class:`HookProgram` run once per diagonal.
+    """Hook vector of every element, indexed by diagonal id: :func:`hook_integers` run once at a packed point.
 
-    This is :func:`hook_integers` with unit vectors for weights.  The
+    Element p gets the weight 2^(s D(p)), for the least s of 8, 16 and 64
+    with n < 2^s, so each returned integer is sum_D v^(D) 2^(s D) for the
+    vector v that the recursion computes at that element (Kronecker
+    substitution): the program is linear in its weights, and Python ints
+    add and subtract exactly.  Every value the program stores is an
+    element's downset-count vector or hook vector, whose entries lie in
+    0..n, below 2^s, so the s-bit fields of each returned integer are
+    exactly that vector, whatever carries the sums passed through.  The
     output has n times the number of diagonals entries, so on a chain it
     is quadratic whatever the recursion.
     """
-    diagonal_of = program.diagonal_of
-    zero = (0,) * program.count
-    vectors = [zero] * len(diagonal_of)
-    for p, q, rest in program.sums:
-        vector = list(vectors[q[0]] if q else zero)
-        vector[diagonal_of[p]] += 1
-        for m in rest:
-            vector[diagonal_of[m]] += 1
-        vectors[p] = tuple(vector)
-    for p, w, z, b in program.tops:
-        vectors[p] = tuple(map(operator.sub, map(operator.add, vectors[w], vectors[z]), vectors[b]))
-    return tuple(vectors)
+    n, count = len(program.diagonal_of), program.count
+    width, code = next((width, code) for width, code in ((8, "B"), (16, "H"), (64, "Q")) if n < 1 << width)
+    shifts = [1 << width * d for d in range(count)]
+    hooks = hook_integers(program, [shifts[d] for d in program.diagonal_of])
+    size = count * width // 8
+    unpack = struct.Struct(f"<{count}{code}").unpack
+    return tuple(unpack(h.to_bytes(size, "little")) for h in hooks)
 
 
 def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
@@ -177,8 +180,12 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     denominator is uniform on 1..16, all independent.  This is
     :func:`random_rational_point`'s decoding, ``trials`` points at a time.
     Returns a ``count x trials`` numpy array of ``dtype=object``
-    whose column j is point j as Python ints over the least common
-    denominator of its own coordinates.  The decoding runs in int64,
+    whose column j is point j as Python ints over the lcm of its raw
+    denominators, the low nibbles plus 1, before any fraction is reduced.
+    That lcm can be a multiple of the point's least common denominator,
+    so a column can be a multiple of :func:`random_scaled_point`'s
+    labels: byte 0x22 decodes to 3/3, column [3] where
+    :func:`random_scaled_point` gives [1] over 1.  The decoding runs in int64,
     which holds it exactly: a label is at most 16 * lcm(1..16) =
     11,531,520, below 2**24.  A count that is not an int, or is negative,
     is refused before ``rng`` is read; zero trials give a ``count x 0`` array.
@@ -214,7 +221,8 @@ def random_rational_point(count: int, rng: Random) -> RationalPoint:
 
     Byte k of the draw, of value b, is coordinate k, ``_RATIONALS[b]``:
     :func:`random_scaled_points`' decoding, so the point is column 0 of
-    ``random_scaled_points(count, 1, rng)`` over its common denominator.
+    ``random_scaled_points(count, 1, rng)`` over the lcm of the raw
+    denominators b % 16 + 1.
     """
     _require_count(count, "coordinate count", 0)
     return tuple(map(_RATIONALS.__getitem__, rng.getrandbits(8 * count).to_bytes(count, "little")))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import subprocess
@@ -50,6 +51,9 @@ def test_gen_list(capsys):
     assert code == 0
     names = out.split()
     assert "d4" in names and "sample10" in names and len(names) == 296
+    # the catalog's order names every fail line's poset: pin it
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == "5156cb5e069b4b6fdf30f534269c274ecc555fe0816358b795350802f9f43eb2"
 
 
 def test_module_runs_cli():
@@ -320,7 +324,10 @@ def test_incomplete_filling_rejected(tmp_path, capsys):
     fill_path = tmp_path / "t.fill"
     fill_path.write_text("value 0 1/1\n")
     code, _, err = run(capsys, "rsk", str(poset_path), str(fill_path))
-    assert code == 2 and "missing" in err
+    assert code == 2 and "filling is missing elements [1, 2, 3]" in err
+    fill_path.write_text("".join(f"value {i} 1/1\n" for i in range(5)))
+    code, _, err = run(capsys, "rsk", str(poset_path), str(fill_path))
+    assert code == 2 and "filling names elements outside 0..3: [4]" in err
 
 
 def test_parse_error_exit_code():

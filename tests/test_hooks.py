@@ -25,10 +25,12 @@ from dcposets import verify
 from dcposets.families import young_box_ids
 from dcposets.hooks import (
     _RATIONALS,
+    HookProgram,
     common_denominator,
     exact_value,
     hook_integers,
     hook_numerators,
+    hook_vectors,
     random_scaled_point,
     random_scaled_points,
     validate_point,
@@ -36,7 +38,7 @@ from dcposets.hooks import (
 from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
 
-from conftest import _random_perm, _renumber, chain, seeded_joins
+from conftest import _random_perm, _renumber, chain, restrict, seeded_joins
 from oracles import _dense_numerators, _reference_hook_vectors, classical_hook_length
 
 
@@ -235,6 +237,57 @@ def test_dense_hook_vectors_at_n_2000_are_fast(name):
     vectors = a.hook_vectors
     assert time.perf_counter() - start < 1.0
     assert a.hook_lengths == tuple(map(sum, vectors))
+
+
+def test_packed_hook_vectors_take_64_bit_fields():
+    # a chain's downset counts on one diagonal: past n = 2^16 every entry
+    # needs a 64-bit field, and entries above 2^16 must come back whole
+    n = 70_000
+    sums = tuple((p, (p - 1,) if p else (), ()) for p in range(n))
+    program = HookProgram((0,) * n, 1, sums, ())
+    assert hook_vectors(program) == tuple((p + 1,) for p in range(n))
+
+
+def _downset_sizes(P):
+    return [P.downset_mask(p).bit_count() for p in range(P.n)]
+
+
+def _corner_sum(P, lengths):
+    """Sum over P's minimal elements m of prod lengths(P) / prod lengths(P - m).
+
+    Every linear extension starts with a minimal element, so e(P) is the
+    sum of the e(P - m), and the hook length formula on P and on each
+    P - m makes the sum n.  P - m is an order filter of P, so the
+    detector must also accept it as d-complete.
+    """
+    whole = math.prod(lengths(P))
+    total = Fraction(0)
+    for m in P.minimal_elements():
+        Q, _ = restrict(P, [p for p in range(P.n) if p != m])
+        assert analyze(Q).axiom_report.is_d_complete, m
+        total += Fraction(whole, math.prod(lengths(Q)))
+    return total
+
+
+CORNER_POSETS = {
+    "catalog": lambda: [entry.poset for entry in catalog()],
+    # 25 of the 60 are past IDEAL_LIMIT, where criterion 1 cannot run
+    "joins": seeded_joins,
+    "young-12.10.8.6.4.2": lambda: [young((12, 10, 8, 6, 4, 2))],
+}
+
+
+@pytest.mark.parametrize("name", CORNER_POSETS)
+def test_corner_recursion(name):
+    for P in CORNER_POSETS[name]():
+        assert _corner_sum(P, lambda Q: analyze(Q).hook_lengths) == P.n
+
+
+def test_corner_recursion_catches_downset_sizes_as_hooks():
+    posets = [entry.poset for entry in catalog()]
+    differ = [P for P in posets if list(analyze(P).hook_lengths) != _downset_sizes(P)]
+    assert len(differ) == 46
+    assert all(_corner_sum(P, _downset_sizes) != P.n for P in differ)
 
 
 def test_hook_lengths_on_a_long_chain_are_fast():

@@ -161,9 +161,16 @@ def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over their least common denominator, and that denominator."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+    """Numerators of ``values`` over their least common denominator, and that denominator.
+
+    Each value's ``as_integer_ratio()`` is read once: one call, where the
+    ``numerator`` and ``denominator`` properties would take three reads.
+    Every denominator is positive, so each integer label has its value's
+    sign, and labels over the one denominator compare as the values do.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*[d for _, d in ratios])
+    return [a * (denom // d) for a, d in ratios], denom
 
 
 def all_ones_point(count: int) -> RationalPoint:
@@ -254,15 +261,21 @@ def exact_value(value) -> Fraction:
 
     Strings are refused too: ``Fraction("1")`` parses text, which is the
     file readers' job (``fileformats.parse_fraction``), not a library
-    edge's.  A Fraction (and not a subclass) is returned as it is: it is
+    edge's.  Any other value is what ``Fraction(value)`` reads exactly,
+    such as an int or a ``Decimal``; one it cannot read (None, a complex,
+    a ``Decimal`` NaN) gets the same refusal, naming its type and value.
+    A Fraction (and not a subclass) is returned as it is: it is
     immutable, so rebuilding it would only cost time.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, (float, str)):
-        kind = type(value).__name__
-        raise TypeError(f"exact values only: pass int or Fraction, not {kind} {value!r}")
-    return Fraction(value)
+    if not isinstance(value, (float, str)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    kind = type(value).__name__
+    raise TypeError(f"exact values only: pass int or Fraction, not {kind} {value!r}")
 
 
 def validate_point(x: Sequence[Fraction], count: int) -> RationalPoint:

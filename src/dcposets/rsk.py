@@ -14,14 +14,14 @@ present upper and lower covers.  One runner, ``_run``, runs a program in
 place, forward or backward, through one step function, ``_toggle_all``,
 on a list of integer labels or on a label matrix: a numpy array of
 ``dtype=object`` holding Python ints, whose row p holds element p's
-label in every column, one column per filling.  The step reads a side's
-extreme through a binary ``top`` or ``bottom``: ``max`` and ``min`` on a
-list, ``np.maximum`` and ``np.minimum`` on a matrix.  On d-complete
-posets no side has more than two candidates, so one binary call reads
-every side that is neither empty nor a lone candidate, and a longer side
-raises ``ValueError``.  The battery's trials on the stable program
-(diagonal sums, the polytope bijection) run as one matrix, where one row
-operation does the work of a hundred scalar toggles.  ``rsk`` and
+label in every column, one column per filling.  On d-complete posets no
+side has more than two candidates, so the step reads every side that is
+neither empty nor a lone candidate from two labels: a list compares
+them once, and a matrix takes the element-wise ``np.maximum`` or
+``np.minimum`` of their rows.  A longer side raises ``ValueError``.
+The battery's trials on the stable program (diagonal sums, the polytope
+bijection) run as one matrix, where one row operation does the work of
+a hundred scalar toggles.  ``rsk`` and
 ``inverse_rsk`` are the Fraction edges over them.  The Jacobian builds
 no matrix: its base run is ``_run`` with a step that records its
 choices, its determinant is the parity of the run's length, and
@@ -73,7 +73,7 @@ class NonGenericPoint(RuntimeError):
 _TIE = "tie between toggle candidates at the base point"
 
 
-def normalize_filling(n: int, values, require_nonnegative: bool = False) -> Filling:
+def normalize_filling(n: int, values) -> Filling:
     """Coerce a sequence or mapping of exact values to a tuple of Fractions."""
     if isinstance(values, Mapping):
         missing = [i for i in range(n) if i not in values]
@@ -87,20 +87,32 @@ def normalize_filling(n: int, values, require_nonnegative: bool = False) -> Fill
         seq = list(values)
         if len(seq) != n:
             raise ValueError(f"filling has {len(seq)} values for {n} elements")
-    out = [exact_value(v) for v in seq]
-    if require_nonnegative and any(v.numerator < 0 for v in out):
-        bad = next(i for i, v in enumerate(out) if v.numerator < 0)
-        raise ValueError(f"filling must be nonnegative; element {bad} has value {out[bad]}")
-    return tuple(out)
+    return tuple([exact_value(v) for v in seq])
+
+
+def _nonnegative_labels(n: int, filling) -> tuple[list[int], int]:
+    """A nonnegative filling's integer labels over its common denominator, and that denominator.
+
+    The sign is checked on the labels: the denominator is positive, so
+    each label has its value's sign.
+    """
+    labels, denom = common_denominator(normalize_filling(n, filling))
+    if min(labels, default=0) < 0:
+        bad = next(i for i, v in enumerate(labels) if v < 0)
+        raise ValueError(f"filling must be nonnegative; element {bad} has value {Fraction(labels[bad], denom)}")
+    return labels, denom
 
 
 def is_order_reversing(P: Poset, s) -> bool:
     """True iff a filling's labels weakly decrease going up the order.
 
     ``s`` is read by :func:`normalize_filling`, so it must give every
-    element an exact value.
+    element an exact value.  The covers are compared on its integer
+    labels over one positive common denominator, which order as the
+    values do.
     """
-    return _reverses(P, normalize_filling(P.n, s))
+    labels, _ = common_denominator(normalize_filling(P.n, s))
+    return _reverses(P, labels)
 
 
 def _reverses(P: Poset, labels: Sequence) -> bool:
@@ -136,21 +148,25 @@ def compile_program(P: Poset, part: DiagonalPartition, order: Sequence[int]) -> 
     return tuple(program)
 
 
-def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
+def _toggle_all(labels, toggles: Iterable[Toggle], top=None, bottom=None) -> None:
     """The step function: toggle each element against its candidate covers.
 
     An empty side, with no present cover, reads as the constant 0, which
     broadcasts on a label matrix.  A side with one candidate is read
     directly, on a label list or a label matrix alike: the max or min of
-    one label is that label.  A side with two is read by one call of the
-    binary ``top`` or ``bottom``, ``max`` and ``min`` on a list, the
-    element-wise ``np.maximum`` and ``np.minimum`` of two rows on a
-    matrix.  Two is the longest side, proved below, so a longer one
-    raises ``ValueError`` at the unpack of its two candidates.  In the
-    catalog's stable programs most toggles have an empty side (2,085 of
-    2,126) and 1,988 have at most one candidate on each side.  On shapes
-    most have a side with two: 627 of the 650 in Young 12x12's stable
-    program, and 385 of those have two on each side.
+    one label is that label.  A side with two binds both labels and, on
+    a list, compares them once: ``a if a > b else b`` above and
+    ``a if a < b else b`` below, which give the same value on a tie.  On
+    a matrix, where a comparison of rows is no truth value, ``_run``
+    passes the binary ufuncs ``np.maximum`` and ``np.minimum`` as
+    ``top`` and ``bottom``, and a ``top`` or ``bottom`` given is called
+    on the two labels in place of the comparison.  Two is the longest
+    side, proved below, so a longer one raises ``ValueError`` at the
+    unpack of its two candidates.  In the catalog's stable programs most
+    toggles have an empty side (2,085 of 2,126) and 1,988 have at most
+    one candidate on each side.  On shapes most have a side with two: 627
+    of the 650 in Young 12x12's stable program, and 385 of those have two
+    on each side.
 
     No side on a d-complete poset has more than two candidates, under any
     descending extension.  An upper side holds every upper cover of e,
@@ -172,15 +188,19 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=max, bottom=min) -> None:
         elif len(ups) == 1:
             hi = labels[ups[0]]
         else:
-            a, b = ups
-            hi = top(labels[a], labels[b])
+            x, y = ups
+            a = labels[x]
+            b = labels[y]
+            hi = top(a, b) if top else (a if a > b else b)
         if not los:
             lo = 0
         elif len(los) == 1:
             lo = labels[los[0]]
         else:
-            a, b = los
-            lo = bottom(labels[a], labels[b])
+            x, y = los
+            a = labels[x]
+            b = labels[y]
+            lo = bottom(a, b) if bottom else (a if a < b else b)
         labels[e] = hi + lo - labels[e]
 
 
@@ -194,9 +214,10 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
     binary ufuncs ``np.maximum`` and ``np.minimum``, the element-wise max
     and min of two rows, as the step's ``top`` and ``bottom``; each column
     ends as a run on it alone would.  A list run calls the step with its
-    two arguments only, so it reads its sides with ``max`` and ``min``.
-    Either way a side has at most two candidates; a program with a longer
-    one, which no d-complete poset compiles to, raises ``ValueError``.
+    two arguments only, so it reads a two-candidate side by one
+    comparison of the two labels.  Either way a side has at most two
+    candidates; a program with a longer one, which no d-complete poset
+    compiles to, raises ``ValueError``.
     """
     step = step or _toggle_all
     if type(labels) is not list:
@@ -237,9 +258,8 @@ def rsk(
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    t = normalize_filling(P.n, filling, require_nonnegative=True)
+    labels, denom = _nonnegative_labels(P.n, filling)
     program = _program(P, order, a)
-    labels, denom = common_denominator(t)
     _run(labels, program)
     return tuple(Fraction(v, denom) for v in labels)
 
@@ -260,7 +280,7 @@ def inverse_rsk(
     a.ensure_d_complete()
     state, denom = common_denominator(normalize_filling(P.n, labels))
     # The checks read the integer labels: they share one positive denominator.
-    if any(v < 0 for v in state):
+    if min(state, default=0) < 0:
         raise ValueError("image filling must be nonnegative")
     if not _reverses(P, state):
         raise ValueError("image filling must be order-reversing")
@@ -550,7 +570,7 @@ def rsk_jacobian_det(
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    labels, _ = common_denominator(normalize_filling(P.n, filling, require_nonnegative=True))
+    labels, _ = _nonnegative_labels(P.n, filling)
     trace, _ = _choices(labels, _program(P, order, a))
     return Fraction((-1) ** (P.n + len(trace)))
 

@@ -367,6 +367,12 @@ def _reference_toggle(P, state, p):
     return out
 
 
+def _reference_is_order_reversing(P, s):
+    """Order-reversing by definition: s_a >= s_b for every a <= b, compared as Fractions."""
+    values = [Fraction(v) for v in s]
+    return all(values[a] >= values[b] for a in range(P.n) for b in range(P.n) if P.leq(a, b))
+
+
 def _reference_insertion(P, a, order, values, trace=None, gaps=None):
     """Insert along ``order``, toggling the present diagonal in id order.
 

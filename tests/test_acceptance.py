@@ -592,7 +592,7 @@ def _loop_derivative_check(P, filling, rng, a):
     """Criterion 6's per-point check as it read a Fraction filling:
     normalized, then written over its common denominator."""
     a.ensure_d_complete()
-    base, _ = common_denominator(normalize_filling(P.n, filling, require_nonnegative=True))
+    base, _ = common_denominator(normalize_filling(P.n, filling))
     image = base[:]
     program = a.insertion_program
     trace, gap = rsk_module._choices(image, program)

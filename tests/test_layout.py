@@ -28,6 +28,7 @@ ORACLES = (
     "_dense_numerators",
     "classical_hook_length",
     "_reference_toggle",
+    "_reference_is_order_reversing",
     "_reference_insertion",
     "_reference_inverse",
     "_det",

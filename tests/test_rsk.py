@@ -1,7 +1,9 @@
 import importlib
+import re
 import time
 from bisect import insort
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -25,6 +27,7 @@ from dcposets import (
     rsk_jacobian_det,
     shifted_young,
     stable_insertion_order,
+    weight_sum,
     young,
 )
 from dcposets.classical import toggle_rpp
@@ -50,6 +53,7 @@ from oracles import (
     _finite_difference_det,
     _reference_insertion,
     _reference_inverse,
+    _reference_is_order_reversing,
     _reference_is_stable,
     _reference_stable_order,
 )
@@ -210,6 +214,23 @@ def test_filling_edges_raise_typed_errors(edge, bad):
         _FILLING_EDGES[edge](filling)
 
 
+@pytest.mark.parametrize(
+    "value, kind", [(None, "NoneType"), (1j, "complex"), (Decimal("NaN"), "Decimal")], ids=["none", "complex", "nan"]
+)
+def test_unreadable_values_get_the_exact_value_refusal(value, kind):
+    # Fraction() refuses these with "argument should be a string or a
+    # Rational instance", though strings are refused too: every edge that
+    # reads values through exact_value names the type and value instead
+    message = f"^exact values only: pass int or Fraction, not {kind} {re.escape(repr(value))}$"
+    part = analyze(_D4).diagonals
+    edges = (*_FILLING_EDGES.values(), lambda s: weight_sum(_D4, part, s[: part.count]))
+    for edge in edges:
+        with pytest.raises(TypeError, match=message):
+            edge((1, value, 0, 1, 1, 1))
+    # a value Fraction() reads exactly is taken
+    assert rsk(_D4, (Decimal("1.5"),) * 6) == rsk(_D4, (Fraction(3, 2),) * 6)
+
+
 def test_float_ids_raise_typed_errors():
     # a float id equal to an element passes the permutation and membership
     # checks, so each edge refuses it by type, naming the entry
@@ -263,6 +284,30 @@ def test_sign_and_order_checks_read_exact_values():
         rsk(P, (hi, -lo))
     with pytest.raises(ValueError, match="filling must be nonnegative; element 0 has value -1/2"):
         rsk_jacobian_det(P, {0: -hi, 1: lo})
+
+
+def test_order_reversing_matches_fraction_reference(family, analyses):
+    # integer labels over one common denominator against the definition read
+    # Fraction by Fraction: random fillings, rsk images, images nudged by a
+    # third of their denominator, and small mixed int/Fraction entries of
+    # either sign, so both verdicts and many ties occur
+    rng = Random(61)
+    small = (-1, 0, 1, 2, Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(4, 2))
+    verdicts = []
+    for name, P in family.items():
+        for _ in range(10):
+            t = random_filling(P.n, rng)
+            s = rsk(P, t, analysis=analyses[name])
+            nudged = list(s)
+            p = rng.randrange(P.n)
+            nudged[p] += Fraction(rng.choice((-1, 1)), 3 * common_denominator(s)[1])
+            mixed = [rng.choice(small) for _ in range(P.n)]
+            negated = [-v if rng.getrandbits(1) else v for v in s]
+            for filling in (t, s, nudged, mixed, negated):
+                verdict = is_order_reversing(P, filling)
+                assert verdict == _reference_is_order_reversing(P, filling), (name, filling)
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200
 
 
 def test_filling_mapping_rejects_extra_ids():
@@ -797,13 +842,14 @@ def test_toggle_sides_have_at_most_two_candidates():
     assert shapes[2, 2] >= 400, shapes
 
 
-def _columns_match_scalar_loops(P, program, trials, rng):
+def _columns_match_scalar_loops(P, program, trials, draw):
     """Run ``program`` both ways on random label columns: ``_run`` on the label
-    matrix against ``_run`` on each column's list, from two unrelated starting matrices."""
+    matrix against ``_run`` on each column's list, from two unrelated starting
+    matrices, each label drawn by ``draw()``."""
     import numpy as np
 
     for backward in (False, True):
-        columns = [[rng.getrandbits(9) - 40 for _ in range(P.n)] for _ in range(trials)]
+        columns = [[draw() for _ in range(P.n)] for _ in range(trials)]
         labels = np.array(columns, dtype=object).T.copy()
         _run(labels, program, backward)
         for j, column in enumerate(columns):
@@ -815,11 +861,17 @@ def _columns_match_scalar_loops(P, program, trials, rng):
 def test_column_runner_matches_scalar_loops():
     # on the catalog, the 60 seeded joins, Young 12x12 and d_50(1): one trial
     # along the stable program and along a random order's; 100 trials along
-    # the stable program of the two large posets and of every tenth other one
+    # the stable program of the two large posets and of every tenth other one;
+    # and 4 trials along every stable program from a tie-heavy start, labels
+    # in 0..2, where two-candidate sides often hold equal labels, which a list
+    # reads by one comparison and a matrix by np.maximum or np.minimum
     posets = [e.poset for e in catalog()] + list(seeded_joins())
     posets += [young((12,) * 12), d_k_one(50)]
-    rng = Random(47)
+    rng, tie_rng = Random(47), Random(48)
+    spread = lambda: rng.getrandbits(9) - 40
+    ties = lambda: tie_rng.randrange(3)
     shapes = set()
+    tied = []
     for i, P in enumerate(posets):
         a = analyze(P)
         for order in (None, random_descending_extension(P, rng)):
@@ -827,13 +879,20 @@ def test_column_runner_matches_scalar_loops():
             shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
             # a side with no present cover is empty: every toggle names elements only
             assert all(q < P.n for _, step in program for e, ups, los in step for q in (e, *ups, *los))
-            _columns_match_scalar_loops(P, program, 1, rng)
+            _columns_match_scalar_loops(P, program, 1, spread)
         if i % 10 == 0 or P.n > 60:
-            _columns_match_scalar_loops(P, a.insertion_program, 100, rng)
+            _columns_match_scalar_loops(P, a.insertion_program, 100, spread)
+        _columns_match_scalar_loops(P, a.insertion_program, 4, ties)
+        # _choices refusing a tie-heavy start shows that a forward run met a tie
+        try:
+            _choices([ties() for _ in range(P.n)], a.insertion_program)
+        except NonGenericPoint:
+            tied.append(P.n)
     assert min(P.n for P in posets) == 1
     # the empty-side, one-candidate and multi-candidate reads all ran, each
     # against each read of the other side that these programs have
     assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)} <= shapes
+    assert len(tied) >= 30 and 144 in tied, tied
 
 
 def _choice_descending_extension(P, rng):

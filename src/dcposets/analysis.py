@@ -34,7 +34,6 @@ from .hooks import (
     HookProgram,
     HookVector,
     compile_hook_program,
-    exact_value,
     hook_integers,
     hook_numerators,
     hook_vectors,
@@ -115,8 +114,8 @@ class PosetAnalysis:
         return compile_program(self.poset, self.diagonals, self.stable_order)
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
-        """All hook polynomials H_p evaluated at the exact point x; floats are refused."""
-        numerators, denom = hook_numerators(self.hook_program, [exact_value(v) for v in x])
+        """All hook polynomials H_p at the exact point x, read as :func:`hooks.hook_numerators` reads it."""
+        numerators, denom = hook_numerators(self.hook_program, x)
         return tuple(Fraction(a, denom) for a in numerators)
 
 

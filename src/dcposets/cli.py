@@ -22,8 +22,9 @@ from .fileformats import (
     poset_from_text,
     poset_to_text,
 )
+from .hooks import exact_labels
 from .poset import ExtensionLimitError, Poset, count_linear_extensions, linear_extensions
-from .rsk import inverse_rsk, normalize_filling, rsk
+from .rsk import inverse_rsk, rsk
 from .verify import (
     PolytopeSpec,
     closed_form_volume,
@@ -62,9 +63,10 @@ def _load_filling(path: str, n: int):
     """A filling file's values for the ids 0..n-1; a missing or extra id is a format error (exit 2)."""
     mapping = filling_from_text(Path(path).read_text())
     try:
-        return normalize_filling(n, mapping)
+        exact_labels(mapping, n, "filling", "elements")
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    return mapping
 
 
 def _resolve_order(spec: str):

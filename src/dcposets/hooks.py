@@ -6,6 +6,8 @@ That recursion, compiled once per poset into a :class:`HookProgram`,
 evaluates every hook polynomial at a point with exact integer
 arithmetic, without building the vectors, and builds the vectors when
 run once at a point that packs each diagonal into its own bit field.
+Every exact input, a filling or a point, becomes integer labels over one
+denominator in :func:`exact_labels`, the package's one reader of them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 import struct
 from fractions import Fraction
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
@@ -93,19 +95,18 @@ def compile_hook_program(
     return HookProgram(part.diagonal_of, part.count, tuple(sums), tuple(tops))
 
 
-def hook_numerators(program: HookProgram, x: Sequence[Fraction]) -> tuple[list[int], int]:
+def hook_numerators(program: HookProgram, x) -> tuple[list[int], int]:
     """Every H_p(x) = sum_D h_p^(D) x_D as an integer A_p over one denominator L.
 
-    x is written once as integers c over its least common denominator L,
-    and :func:`hook_integers` runs the :class:`HookProgram` on the
-    weights c_(D(p)), so every A_p is an integer.  On a d-complete poset
-    L is also the least common denominator of the H_p(x)
-    (:func:`verify.rsk_polytope_check` proves it), so the A_p are the
-    hooks' own numerators over it.
+    x is read by :func:`exact_labels`, as ``program.count`` values or a
+    mapping by diagonal id, and written once as integers c over its least
+    common denominator L; :func:`hook_integers` runs the
+    :class:`HookProgram` on the weights c_(D(p)), so every A_p is an
+    integer.  On a d-complete poset L is also the least common
+    denominator of the H_p(x) (:func:`verify.rsk_polytope_check` proves
+    it), so the A_p are the hooks' own numerators over it.
     """
-    c, denom = common_denominator(x)
-    if len(c) != program.count:
-        raise ValueError(f"program is indexed by {program.count} diagonals, point by {len(c)}")
+    c, denom = exact_labels(x, program.count, "point", "diagonals")
     return hook_integers(program, [c[d] for d in program.diagonal_of]), denom
 
 
@@ -152,25 +153,14 @@ def hook_vectors(program: HookProgram) -> tuple[HookVector, ...]:
     return tuple(unpack(h.to_bytes(size, "little")) for h in hooks)
 
 
-def hook_polynomial_eval(vector: Sequence[int], x: RationalPoint) -> Fraction:
-    """Evaluate sum_D h^(D) * x_D exactly (floats refused), as one integer dot product over x's least common denominator."""
-    c, denom = common_denominator([exact_value(v) for v in x])
-    if len(vector) != len(c):
-        raise ValueError(f"vector is indexed by {len(vector)} diagonals, point by {len(c)}")
-    return Fraction(sum(map(operator.mul, vector, c)), denom)
+def hook_polynomial_eval(vector: Sequence[int], x) -> Fraction:
+    """Evaluate sum_D h^(D) * x_D exactly, as one integer dot product over x's least common denominator.
 
-
-def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over their least common denominator, and that denominator.
-
-    Each value's ``as_integer_ratio()`` is read once: one call, where the
-    ``numerator`` and ``denominator`` properties would take three reads.
-    Every denominator is positive, so each integer label has its value's
-    sign, and labels over the one denominator compare as the values do.
+    x is read by :func:`exact_labels`, as one value per entry of
+    ``vector`` or a mapping by diagonal id; floats are refused.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    denom = math.lcm(*[d for _, d in ratios])
-    return [a * (denom // d) for a, d in ratios], denom
+    c, denom = exact_labels(x, len(vector), "point", "diagonals")
+    return Fraction(sum(map(operator.mul, vector, c)), denom)
 
 
 def all_ones_point(count: int) -> RationalPoint:
@@ -246,7 +236,7 @@ def random_scaled_point(count: int, rng: Random) -> tuple[list[int], int]:
 
     The same ``rng.getrandbits(8 * count)`` is decoded, byte b to the
     numerator and reduced denominator of ``_RATIONALS[b]``, so the result
-    is ``common_denominator(random_rational_point(count, rng))``, with
+    is what :func:`exact_labels` reads from ``random_rational_point(count, rng)``, with
     ``rng`` left in the same state and no Fraction built.
     """
     _require_count(count, "coordinate count", 0)
@@ -278,16 +268,31 @@ def exact_value(value) -> Fraction:
     raise TypeError(f"exact values only: pass int or Fraction, not {kind} {value!r}")
 
 
-def validate_point(x: Sequence[Fraction], count: int) -> RationalPoint:
-    """``x`` as a tuple of ``count`` strictly positive Fractions.
+def exact_labels(values, count: int, what: str, unit: str) -> tuple[list[int], int]:
+    """``count`` exact values as integer labels over their least common denominator, and that denominator.
 
-    :func:`exact_value` returns a Fraction, whose denominator is positive,
-    so its sign is its numerator's: comparing that int with 0 skips
-    Fraction's rich comparison.
+    ``values`` is a sequence of ``count`` values, or a mapping that names
+    exactly the ids 0..count-1; any other length or set of ids raises
+    ``ValueError``, with the input named ``what`` and its ids ``unit``
+    (a "filling" of "elements", a "point" of "diagonals").  Each value is
+    read once, by :func:`exact_value` and then ``as_integer_ratio()``:
+    one call, where the ``numerator`` and ``denominator`` properties would
+    take three reads.  Every denominator is positive, so each label has
+    its value's sign, and labels over the one denominator compare as the
+    values do.
     """
-    point = tuple(exact_value(v) for v in x)
-    if len(point) != count:
-        raise ValueError(f"expected {count} diagonal values, got {len(point)}")
-    if any(v.numerator <= 0 for v in point):
-        raise ValueError("diagonal values must be strictly positive")
-    return point
+    if isinstance(values, Mapping):
+        missing = [i for i in range(count) if i not in values]
+        if missing:
+            raise ValueError(f"{what} is missing {unit} {missing}")
+        extra = [k for k in values if k not in range(count)]
+        if extra:
+            raise ValueError(f"{what} names {unit} outside 0..{count - 1}: {extra}")
+        values = [values[i] for i in range(count)]
+    else:
+        values = list(values)
+        if len(values) != count:
+            raise ValueError(f"{what} has {len(values)} values for {count} {unit}")
+    ratios = [exact_value(v).as_integer_ratio() for v in values]
+    denom = math.lcm(*[d for _, d in ratios])
+    return [a * (denom // d) for a, d in ratios], denom

@@ -50,12 +50,12 @@ from bisect import insort
 from fractions import Fraction
 from functools import partial
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import PosetAnalysis, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
-from .hooks import common_denominator, exact_value, random_rational_point
+from .hooks import exact_labels, random_rational_point
 from .poset import Poset, _require_ids, is_descending_extension, mask_of
 
 Filling = tuple[Fraction, ...]
@@ -73,30 +73,13 @@ class NonGenericPoint(RuntimeError):
 _TIE = "tie between toggle candidates at the base point"
 
 
-def normalize_filling(n: int, values) -> Filling:
-    """Coerce a sequence or mapping of exact values to a tuple of Fractions."""
-    if isinstance(values, Mapping):
-        missing = [i for i in range(n) if i not in values]
-        if missing:
-            raise ValueError(f"filling is missing elements {missing}")
-        extra = [k for k in values if k not in range(n)]
-        if extra:
-            raise ValueError(f"filling names elements outside 0..{n - 1}: {extra}")
-        seq = [values[i] for i in range(n)]
-    else:
-        seq = list(values)
-        if len(seq) != n:
-            raise ValueError(f"filling has {len(seq)} values for {n} elements")
-    return tuple([exact_value(v) for v in seq])
-
-
 def _nonnegative_labels(n: int, filling) -> tuple[list[int], int]:
     """A nonnegative filling's integer labels over its common denominator, and that denominator.
 
     The sign is checked on the labels: the denominator is positive, so
     each label has its value's sign.
     """
-    labels, denom = common_denominator(normalize_filling(n, filling))
+    labels, denom = exact_labels(filling, n, "filling", "elements")
     if min(labels, default=0) < 0:
         bad = next(i for i, v in enumerate(labels) if v < 0)
         raise ValueError(f"filling must be nonnegative; element {bad} has value {Fraction(labels[bad], denom)}")
@@ -106,12 +89,12 @@ def _nonnegative_labels(n: int, filling) -> tuple[list[int], int]:
 def is_order_reversing(P: Poset, s) -> bool:
     """True iff a filling's labels weakly decrease going up the order.
 
-    ``s`` is read by :func:`normalize_filling`, so it must give every
+    ``s`` is read by :func:`hooks.exact_labels`, so it must give every
     element an exact value.  The covers are compared on its integer
     labels over one positive common denominator, which order as the
     values do.
     """
-    labels, _ = common_denominator(normalize_filling(P.n, s))
+    labels, _ = exact_labels(s, P.n, "filling", "elements")
     return _reverses(P, labels)
 
 
@@ -278,7 +261,7 @@ def inverse_rsk(
     """
     a = analysis or analyze(P)
     a.ensure_d_complete()
-    state, denom = common_denominator(normalize_filling(P.n, labels))
+    state, denom = exact_labels(labels, P.n, "filling", "elements")
     # The checks read the integer labels: they share one positive denominator.
     if min(state, default=0) < 0:
         raise ValueError("image filling must be nonnegative")
@@ -290,9 +273,9 @@ def inverse_rsk(
 
 
 def diagonal_sums(P: Poset, part: DiagonalPartition, s) -> tuple[Fraction, ...]:
-    """Per-diagonal sums of a filling's labels, read by :func:`normalize_filling`."""
-    t = normalize_filling(P.n, s)
-    return tuple(sum((t[p] for p in members), Fraction(0)) for members in part.classes)
+    """Per-diagonal sums of a filling: its :func:`hooks.exact_labels` labels summed, over their denominator."""
+    labels, denom = exact_labels(s, P.n, "filling", "elements")
+    return tuple(Fraction(sum([labels[p] for p in members]), denom) for members in part.classes)
 
 
 # A random input filling: n positive rationals, numerators and denominators in 1..16.

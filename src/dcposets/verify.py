@@ -24,14 +24,12 @@ from .hooks import (
     RationalPoint,
     _require_count,
     all_ones_point,
-    common_denominator,
+    exact_labels,
     hook_integers,
-    hook_numerators,
     random_scaled_point,
-    validate_point,
 )
 from .poset import Poset, fold_columns, fold_ideal_lattice
-from .rsk import Filling, _run, normalize_filling
+from .rsk import Filling, _run
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
@@ -40,6 +38,14 @@ GRAIN = 2**20
 # raised battery peak RSS from 51.8-51.9 to 53.8-54.0 MiB (3 runs each) and
 # ran no faster.  The draws are the same.
 CHUNK = 1 << 12
+
+
+def _positive_labels(x, count: int) -> tuple[list[int], int]:
+    """A strictly positive point's :func:`hooks.exact_labels` labels, each signed as its value, and their denominator."""
+    labels, denom = exact_labels(x, count, "point", "diagonals")
+    if min(labels, default=1) <= 0:
+        raise ValueError("diagonal values must be strictly positive")
+    return labels, denom
 
 
 def weight_sum(
@@ -54,8 +60,10 @@ def weight_sum(
 
     The weight of an extension p_1..p_n is 1 over the product, over
     positions i, of x summed over the diagonals of the suffix p_i..p_n.
-    The sum folds up the lattice of downsets: each such suffix is a
-    downset.  With x = c / L over its least common denominator, the sum is
+    x is read by :func:`hooks.exact_labels`, as ``part.count`` values or
+    a mapping by diagonal id, and must be strictly positive.  The sum
+    folds up the lattice of downsets: each such suffix is a downset.
+    With x = c / L over its least common denominator, the sum is
     U * L^n / M for the integers U and M that
     :func:`poset.fold_ideal_lattice` returns on the weights c_{D(p)}; its
     docstring gives the argument.  The fold reduces each ideal's value by
@@ -71,10 +79,8 @@ def weight_sum(
     """
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
-    x = validate_point(x, part.count)
-
+    numerators, scale = _positive_labels(x, part.count)
     lattice = (analysis or analyze(P)).ideal_lattice
-    numerators, scale = common_denominator(x)
     total, denominator = fold_ideal_lattice(lattice, [numerators[d] for d in part.diagonal_of])
     return Fraction(total * scale**P.n, denominator)
 
@@ -187,18 +193,19 @@ def _polytope(
     """The polytope as an integer record ``(A, B, cover_pairs)``.
 
     The polytope is {v >= 0, v[low] >= v[high] for each cover pair,
-    sum_p A_p v_p <= B}.  B is the least common denominator of x.
-    Fillings: H_p(x) = A_p / B from :func:`hook_numerators`, and no cover
+    sum_p A_p v_p <= B}.  x, read by :func:`hooks.exact_labels` and
+    strictly positive, is c / B over its least common denominator B.
+    Fillings: H_p(x) = A_p / B, the :class:`hooks.HookProgram` run on the
+    weights c_(D(p)) as in :func:`hooks.hook_numerators`, and no cover
     pairs; B is also the least common denominator of the hook
-    polynomials (see :func:`rsk_polytope_check`).  rpp: x_{D(p)} =
-    A_p / B, and the covers of P.
+    polynomials (see :func:`rsk_polytope_check`).  rpp: A_p = c_(D(p)),
+    and the covers of P.
     """
-    x = validate_point(spec.x, a.diagonals.count)
+    numerators, denom = _positive_labels(spec.x, a.diagonals.count)
+    weights = [numerators[d] for d in a.diagonals.diagonal_of]
     if spec.kind == "fillings":
-        hooks, denom = hook_numerators(a.hook_program, x)
-        return hooks, denom, []
-    numerators, denom = common_denominator(x)
-    return [numerators[d] for d in a.diagonals.diagonal_of], denom, sorted(P.covers)
+        return hook_integers(a.hook_program, weights), denom, []
+    return weights, denom, sorted(P.covers)
 
 
 def polytope_membership(
@@ -211,7 +218,7 @@ def polytope_membership(
     """Exact evaluation of the defining inequalities."""
     a = analysis or analyze(P)
     weights, bound, cover_pairs = _polytope(P, spec, a)
-    v, denom = common_denominator(normalize_filling(P.n, values))
+    v, denom = exact_labels(values, P.n, "filling", "elements")
     return _inside(v, _dot(weights, v), bound * denom, cover_pairs)
 
 

@@ -25,9 +25,8 @@ import numpy as np
 from dcposets import Poset, all_ones_point, analyze, d_k_one, inverse_rsk, rsk, verify
 from dcposets.diagonals import DiagonalFailure, DiagonalReport
 from dcposets.dstructure import DMinusConvexSet, StructureFailure, StructureReport
-from dcposets.hooks import common_denominator
 from dcposets.poset import bits, mask_of
-from dcposets.rsk import NonGenericPoint, normalize_filling
+from dcposets.rsk import NonGenericPoint
 from dcposets.verify import BijectionReport
 
 from conftest import is_adjacent, is_convex, is_isomorphic, lt, restrict, upper_set_masks
@@ -348,7 +347,9 @@ def _reference_hook_vectors(P, part, intervals, order=None):
 
 def _dense_numerators(vectors, x):
     """Every H_p(x) as the dense dot product h_p . c, with x = c / L over its least common denominator."""
-    c, denom = common_denominator(x)
+    x = [Fraction(v) for v in x]
+    denom = math.lcm(*(v.denominator for v in x))
+    c = [int(v * denom) for v in x]
     return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
 
 
@@ -439,7 +440,7 @@ def _det(matrix):
 def _finite_difference_det(P, a, t, order):
     """Jacobian determinant from n perturbed runs, shrinking the step until
     every run makes the base point's choices; ties raise NonGenericPoint."""
-    t = normalize_filling(P.n, t)
+    t = tuple(map(Fraction, t))
     base_trace, gaps = [], []
     base = _reference_insertion(P, a, order, t, base_trace, gaps)
     if any(g == 0 for g in gaps):

@@ -27,7 +27,7 @@ from dcposets.classical import (
     toggle_rpp,
 )
 from dcposets.families import young_box_ids
-from dcposets.hooks import common_denominator, hook_numerators, random_rational_point, random_scaled_points
+from dcposets.hooks import exact_labels, hook_numerators, random_rational_point, random_scaled_points
 from dcposets.rsk import (
     DIRECTION_BOUND,
     NonGenericPoint,
@@ -35,7 +35,6 @@ from dcposets.rsk import (
     _run,
     _toggle_all,
     compile_program,
-    normalize_filling,
     random_descending_extension,
     random_filling,
 )
@@ -590,9 +589,9 @@ def test_multivariate_identity_fails_like_the_point_loop(monkeypatch, mutant):
 
 def _loop_derivative_check(P, filling, rng, a):
     """Criterion 6's per-point check as it read a Fraction filling:
-    normalized, then written over its common denominator."""
+    as integer labels over its common denominator."""
     a.ensure_d_complete()
-    base, _ = common_denominator(normalize_filling(P.n, filling))
+    base, _ = exact_labels(filling, P.n, "filling", "elements")
     image = base[:]
     program = a.insertion_program
     trace, gap = rsk_module._choices(image, program)

@@ -26,14 +26,13 @@ from dcposets.families import young_box_ids
 from dcposets.hooks import (
     _RATIONALS,
     HookProgram,
-    common_denominator,
+    exact_labels,
     exact_value,
     hook_integers,
     hook_numerators,
     hook_vectors,
     random_scaled_point,
     random_scaled_points,
-    validate_point,
 )
 from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
@@ -104,7 +103,7 @@ def test_hook_integers_are_the_numerators():
     for P in [e.poset for e in catalog()] + list(seeded_joins()):
         a = analyze(P)
         x = random_rational_point(a.diagonals.count, rng)
-        c, denom = common_denominator(x)
+        c, denom = exact_labels(x, len(x), "point", "diagonals")
         weights = [c[d] for d in a.diagonals.diagonal_of]
         assert hook_numerators(a.hook_program, x) == (hook_integers(a.hook_program, weights), denom)
         vectors = _reference_hook_vectors(P, a.diagonals, a.d_intervals)
@@ -180,7 +179,7 @@ def test_integer_hooks_match_per_element_lcm():
             assert a.hook_polynomials(x) == expected, (entry.name, x)
             assert tuple(hook_polynomial_eval(v, x) for v in vectors) == expected
             hooks, denom, cover_pairs = verify._polytope(P, PolytopeSpec("fillings", x), a)
-            assert (hooks, denom) == common_denominator(expected), (entry.name, x)
+            assert (hooks, denom) == exact_labels(expected, P.n, "filling", "elements"), (entry.name, x)
             assert cover_pairs == []
 
 
@@ -337,17 +336,19 @@ class Half(Fraction):
 
 
 def test_points_are_exact():
-    assert validate_point([Fraction(1, 2), 1], 2) == (Fraction(1, 2), Fraction(1))
+    assert exact_labels([Fraction(1, 2), 1], 2, "point", "diagonals") == ([1, 2], 2)
     with pytest.raises(TypeError):
-        validate_point([0.5, 1], 2)
+        exact_labels([0.5, 1], 2, "point", "diagonals")
     with pytest.raises(TypeError):
-        validate_point([Fraction(1, 2), 0.5], 2)
-    # a Fraction is kept as it is; ints and subclasses become plain Fractions
+        exact_labels([Fraction(1, 2), 0.5], 2, "point", "diagonals")
+    # a Fraction is read as it is; ints and subclasses as the plain Fractions
+    # they equal, and every label and the denominator are plain ints
     x = [Fraction(3, 4), Fraction(5), 2, Half(1, 2)]
-    point = validate_point(x, 4)
-    assert all(point[i] is x[i] for i in (0, 1))
-    assert point == (Fraction(3, 4), Fraction(5), Fraction(2), Fraction(1, 2))
-    assert all(type(v) is Fraction for v in point)
+    assert all(exact_value(x[i]) is x[i] for i in (0, 1))
+    assert all(type(exact_value(v)) is Fraction for v in x)
+    labels, denom = exact_labels(x, 4, "point", "diagonals")
+    assert (labels, denom) == ([3, 20, 8, 2], 4)
+    assert all(type(v) is int for v in labels) and type(denom) is int
     P = d_k_one(3)
     a = analyze(P)
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
@@ -355,18 +356,19 @@ def test_points_are_exact():
         polytope_membership(P, spec, (0,) * P.n, analysis=a)
 
 
-def _reference_validate_point(x, count):
-    """``validate_point`` with the sign read by Fraction comparison."""
+def _reference_positive_labels(x, count):
+    """The strictly positive point check with the sign read by Fraction comparison: labels over the lcm."""
+    if len(x) != count:
+        raise ValueError(f"point has {len(x)} values for {count} diagonals")
     point = tuple(exact_value(v) for v in x)
-    if len(point) != count:
-        raise ValueError(f"expected {count} diagonal values, got {len(point)}")
     if any(v <= 0 for v in point):
         raise ValueError("diagonal values must be strictly positive")
-    return point
+    denom = math.lcm(*(v.denominator for v in point))
+    return [int(v * denom) for v in point], denom
 
 
 def test_point_sign_is_the_numerator_sign():
-    # zero, negative, int and Fraction-subclass entries: same points, same errors
+    # zero, negative, int and Fraction-subclass entries: same labels, same errors
     cases = [
         [Fraction(1, 2), 3],
         [Fraction(0), 1],
@@ -381,15 +383,38 @@ def test_point_sign_is_the_numerator_sign():
     ]
     for x in cases:
         try:
-            expected = _reference_validate_point(x, 2)
+            expected = _reference_positive_labels(x, 2)
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                validate_point(x, 2)
+                verify._positive_labels(x, 2)
             assert str(caught.value) == str(exc), x
             continue
-        assert validate_point(x, 2) == expected, x
+        assert verify._positive_labels(x, 2) == expected, x
     with pytest.raises(ValueError, match="^diagonal values must be strictly positive$"):
-        validate_point([Half(-1, 2), 1], 2)
+        verify._positive_labels([Half(-1, 2), 1], 2)
+
+
+def test_mapping_points_are_read_by_id():
+    # keyed 1..4, the point was once read by the order of its keys, as
+    # (1, 2, 3, 4): a weight sum of 1/15120 and hooks (1, 3, 6, 7, 10, 12);
+    # keyed 0..3, it is the tuple
+    P = d_k_one(4)
+    a = analyze(P)
+    x = (1, 2, 3, 4)
+    edges = {
+        "weight_sum": lambda x: verify.weight_sum(P, a.diagonals, x),
+        "hook_polynomials": a.hook_polynomials,
+        "hook_polynomial_eval": lambda x: hook_polynomial_eval(a.hook_vectors[0], x),
+        "polytope_membership": lambda x: polytope_membership(P, PolytopeSpec("rpp", x), (Fraction(1, 24),) * 6),
+    }
+    for name, edge in edges.items():
+        with pytest.raises(ValueError, match=r"^point is missing diagonals \[0\]$"):
+            edge({d + 1: v for d, v in enumerate(x)})
+        assert edge(dict(enumerate(x))) == edge(x), name
+    assert edges["weight_sum"](x) == Fraction(1, 15120)
+    assert edges["hook_polynomials"](x) == (1, 3, 6, 7, 10, 12)
+    assert edges["hook_polynomial_eval"](x) == 1
+    assert edges["polytope_membership"](x) is True
 
 
 def test_random_points_keep_their_draws():
@@ -424,7 +449,7 @@ def test_scaled_point_is_the_rational_point_over_its_denominator():
             rng, twin = Random(seed), Random(seed)
             for _ in range(5):
                 labels, denom = random_scaled_point(count, rng)
-                assert (labels, denom) == common_denominator(random_rational_point(count, twin))
+                assert (labels, denom) == exact_labels(random_rational_point(count, twin), count, "point", "diagonals")
                 assert all(type(v) is int for v in labels) and type(denom) is int
                 assert rng.getstate() == twin.getstate()
 

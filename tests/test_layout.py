@@ -1,14 +1,17 @@
-"""The layout of ``tests/``: one home per oracle, and no test module importing another.
+"""The layout of ``tests/``: one home per oracle, and no test module importing another;
+and of ``src/dcposets/``: one reader of exact input.
 
-Both read the sources with ``ast``, parsed once, so they import nothing
+All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
 """
 
 import ast
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "dcposets"
 
 # every brute-force oracle, each defined once, in oracles.py
 ORACLES = (
@@ -77,3 +80,26 @@ def test_each_oracle_is_defined_once_in_oracles():
     assert homes == {oracle: ["oracles.py"] for oracle in ORACLES}
     defined = {node.name for node in modules["oracles.py"].body if isinstance(node, ast.FunctionDef)}
     assert defined == set(ORACLES)
+
+
+
+def _value_reads(tree):
+    """Each use of ``exact_value`` or ``as_integer_ratio`` in ``tree``, called or passed, by name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return Counter(name for name in names if name in ("exact_value", "as_integer_ratio"))
+
+
+def test_exact_labels_is_the_one_reader_of_exact_input():
+    # every exact value a caller passes is read by exact_value and then
+    # as_integer_ratio(), and only in hooks.exact_labels, so no edge grows a
+    # reader of its own with its own checks
+    reads = {path.name: _value_reads(ast.parse(path.read_text(), str(path))) for path in sorted(PACKAGE.glob("*.py"))}
+    hooks = ast.parse((PACKAGE / "hooks.py").read_text())
+    (reader,) = [node for node in hooks.body if isinstance(node, ast.FunctionDef) and node.name == "exact_labels"]
+    assert _value_reads(reader) == Counter(exact_value=1, as_integer_ratio=1)
+    assert {name: count for name, count in reads.items() if count} == {"hooks.py": _value_reads(reader)}

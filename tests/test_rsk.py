@@ -14,17 +14,22 @@ from hypothesis import strategies as st
 from dcposets import (
     NonGenericPoint,
     Poset,
+    PolytopeSpec,
     analyze,
     catalog,
+    closed_form_volume,
     d_k_one,
     diagonal_sums,
+    hook_polynomial_eval,
     inverse_rsk,
     is_order_reversing,
     is_stable,
     linear_extensions,
+    polytope_membership,
     random_filling,
     rsk,
     rsk_jacobian_det,
+    rsk_polytope_check,
     shifted_young,
     stable_insertion_order,
     weight_sum,
@@ -32,7 +37,7 @@ from dcposets import (
 )
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
-from dcposets.hooks import common_denominator
+from dcposets.hooks import exact_labels
 from dcposets.poset import is_descending_extension, mask_of
 from dcposets.rsk import (
     DIRECTION_BOUND,
@@ -43,7 +48,6 @@ from dcposets.rsk import (
     _run,
     _toggle_all,
     compile_program,
-    normalize_filling,
     random_descending_extension,
 )
 
@@ -190,28 +194,66 @@ def test_input_validation():
         rsk(P, (0.5, 1, 1, 1))
 
 
-_D4 = d_k_one(4)  # 6 elements
-_FILLING_EDGES = {
-    "is_order_reversing": lambda s: is_order_reversing(_D4, s),
-    "diagonal_sums": lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s),
-    "rsk": lambda s: rsk(_D4, s),
-    "inverse_rsk": lambda s: inverse_rsk(_D4, s),
+_D4 = d_k_one(4)  # 6 elements on 4 diagonals
+# Every edge that reads an exact input, by the kind it reads: a filling of
+# _D4's 6 elements or a point on its 4 diagonals, each through exact_labels
+_SIZES = {"filling": 6, "point": 4}
+_EDGES = {
+    "is_order_reversing": ("filling", lambda s: is_order_reversing(_D4, s)),
+    "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s)),
+    "rsk": ("filling", lambda s: rsk(_D4, s)),
+    "inverse_rsk": ("filling", lambda s: inverse_rsk(_D4, s)),
+    "rsk_jacobian_det": ("filling", lambda s: rsk_jacobian_det(_D4, s)),
+    "polytope_membership-values": ("filling", lambda s: polytope_membership(_D4, PolytopeSpec("rpp", (1,) * 4), s)),
+    "weight_sum": ("point", lambda x: weight_sum(_D4, analyze(_D4).diagonals, x)),
+    "hook_polynomials": ("point", lambda x: analyze(_D4).hook_polynomials(x)),
+    "hook_polynomial_eval": ("point", lambda x: hook_polynomial_eval((1, 2, 1, 1), x)),
+    "polytope_membership-point": ("point", lambda x: polytope_membership(_D4, PolytopeSpec("fillings", x), (0,) * 6)),
+    "closed_form_volume": ("point", lambda x: closed_form_volume(_D4, PolytopeSpec("rpp", x))),
+    "rsk_polytope_check": ("point", lambda x: rsk_polytope_check(_D4, x, trials=1)),
 }
-_BAD_FILLINGS = {
-    "float": ((0.5,) * 6, TypeError, "not float 0.5"),
-    "nan": ((float("nan"),) * 6, TypeError, "not float nan"),
-    "str": (("1",) * 6, TypeError, "not str '1'"),
-    "short": ((1,) * 5, ValueError, "filling has 5 values for 6 elements"),
-    "extra-key": ({**dict.fromkeys(range(6), 1), 6: 1}, ValueError, r"outside 0..5: \[6\]"),
+_UNREADABLE = "^exact values only: pass int or Fraction, not "
+# name: (the input for n values, its error, the error's text by kind)
+_BAD_INPUTS = {
+    "float": (lambda n: (0.5,) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "float 0.5$")),
+    "nan": (lambda n: (float("nan"),) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "float nan$")),
+    "str": (lambda n: ("1",) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "str '1'$")),
+    "short": (
+        lambda n: (1,) * (n - 1),
+        ValueError,
+        {"filling": "^filling has 5 values for 6 elements$", "point": "^point has 3 values for 4 diagonals$"},
+    ),
+    "long": (
+        lambda n: (1,) * (n + 1),
+        ValueError,
+        {"filling": "^filling has 7 values for 6 elements$", "point": "^point has 5 values for 4 diagonals$"},
+    ),
+    "extra-key": (
+        lambda n: {**dict.fromkeys(range(n), 1), n: 1},
+        ValueError,
+        {
+            "filling": r"^filling names elements outside 0\.\.5: \[6\]$",
+            "point": r"^point names diagonals outside 0\.\.3: \[4\]$",
+        },
+    ),
+    # ids 1..n: a mapping is read by id, not by the order of its keys
+    "missing-key": (
+        lambda n: dict.fromkeys(range(1, n + 1), 1),
+        ValueError,
+        {"filling": r"^filling is missing elements \[0\]$", "point": r"^point is missing diagonals \[0\]$"},
+    ),
 }
 
 
-@pytest.mark.parametrize("edge", _FILLING_EDGES)
-@pytest.mark.parametrize("bad", _BAD_FILLINGS)
+@pytest.mark.parametrize("edge", _EDGES)
+@pytest.mark.parametrize("bad", _BAD_INPUTS)
 def test_filling_edges_raise_typed_errors(edge, bad):
-    filling, error, message = _BAD_FILLINGS[bad]
-    with pytest.raises(error, match=message):
-        _FILLING_EDGES[edge](filling)
+    # fillings and points alike: the reader's TypeError or ValueError, never
+    # an IndexError, KeyError or AttributeError from the edge itself
+    kind, call = _EDGES[edge]
+    make, error, messages = _BAD_INPUTS[bad]
+    with pytest.raises(error, match=messages[kind]):
+        call(make(_SIZES[kind]))
 
 
 @pytest.mark.parametrize(
@@ -222,11 +264,9 @@ def test_unreadable_values_get_the_exact_value_refusal(value, kind):
     # Rational instance", though strings are refused too: every edge that
     # reads values through exact_value names the type and value instead
     message = f"^exact values only: pass int or Fraction, not {kind} {re.escape(repr(value))}$"
-    part = analyze(_D4).diagonals
-    edges = (*_FILLING_EDGES.values(), lambda s: weight_sum(_D4, part, s[: part.count]))
-    for edge in edges:
+    for what, edge in _EDGES.values():
         with pytest.raises(TypeError, match=message):
-            edge((1, value, 0, 1, 1, 1))
+            edge((1, value, 0, 1, 1, 1)[: _SIZES[what]])
     # a value Fraction() reads exactly is taken
     assert rsk(_D4, (Decimal("1.5"),) * 6) == rsk(_D4, (Fraction(3, 2),) * 6)
 
@@ -300,7 +340,7 @@ def test_order_reversing_matches_fraction_reference(family, analyses):
             s = rsk(P, t, analysis=analyses[name])
             nudged = list(s)
             p = rng.randrange(P.n)
-            nudged[p] += Fraction(rng.choice((-1, 1)), 3 * common_denominator(s)[1])
+            nudged[p] += Fraction(rng.choice((-1, 1)), 3 * exact_labels(s, P.n, "filling", "elements")[1])
             mixed = [rng.choice(small) for _ in range(P.n)]
             negated = [-v if rng.getrandbits(1) else v for v in s]
             for filling in (t, s, nudged, mixed, negated):
@@ -314,10 +354,12 @@ def test_filling_mapping_rejects_extra_ids():
     with pytest.raises(ValueError, match=r"outside 0\.\.0: \[5\]"):
         rsk(Poset(1), {0: 1, 5: 3})
     with pytest.raises(ValueError, match=r"outside 0\.\.2: \[-1, 3\]"):
-        normalize_filling(3, {0: 1, -1: 2, 1: 1, 2: 1, 3: 4})
+        exact_labels({0: 1, -1: 2, 1: 1, 2: 1, 3: 4}, 3, "filling", "elements")
     with pytest.raises(ValueError, match="missing elements"):
-        normalize_filling(3, {0: 1, 2: 1, 3: 4})
-    assert normalize_filling(2, {1: 2, 0: 1}) == (Fraction(1), Fraction(2))
+        exact_labels({0: 1, 2: 1, 3: 4}, 3, "filling", "elements")
+    # a mapping is read by id, whatever the order of its keys
+    assert exact_labels({1: 2, 0: 1}, 2, "filling", "elements") == ([1, 2], 1)
+    assert rsk(chain(2), {1: 2, 0: 1}) == rsk(chain(2), (1, 2))
 
 
 def test_zero_filling_maps_to_zero(family, analyses):
@@ -629,7 +671,7 @@ def test_one_candidate_sides_keep_the_ties():
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
             for t in _seeded_fillings(P.n, rng, 24 if P.n >= 50 else 6):
-                labels, _ = common_denominator(t)
+                labels, _ = exact_labels(t, P.n, "filling", "elements")
                 expected_labels = labels[:]
                 try:
                     expected = _reference_jacobian_rows(expected_labels, program)
@@ -703,7 +745,7 @@ def test_jacobian_rows_match_dense_replay():
         program = _program(P, order, a)
         for _ in range(10):
             t = random_filling(P.n, rng)
-            labels, denom = common_denominator(t)
+            labels, denom = exact_labels(t, P.n, "filling", "elements")
             try:
                 trace, _ = _choices(labels, program)
             except NonGenericPoint:
@@ -729,7 +771,7 @@ def test_derivative_scale_keeps_every_choice():
     for P in posets:
         a = analyze(P)
         for t in _seeded_fillings(P.n, rng, 3):
-            labels, denom = common_denominator(t)
+            labels, denom = exact_labels(t, P.n, "filling", "elements")
             image = labels[:]
             try:
                 trace, gap = _choices(image, a.insertion_program)
@@ -806,7 +848,7 @@ def test_kernel_fast_path_matches_general_step():
             program = _program(P, order, a)
             shapes.update((len(ups), len(los)) for _, step in program for _, ups, los in step)
             for _ in range(3):
-                t, _ = common_denominator(random_filling(P.n, rng))
+                t, _ = exact_labels(random_filling(P.n, rng), P.n, "filling", "elements")
                 image, expected = t[:], t[:]
                 _run(image, program)
                 for c, toggles in program:

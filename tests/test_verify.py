@@ -34,7 +34,7 @@ from dcposets import analysis as analysis_module
 from dcposets import poset as poset_module
 from dcposets import verify
 from dcposets.acceptance import MONTE_CARLO_MAX_ELEMENTS, counting_identity, multivariate_identity
-from dcposets.hooks import common_denominator
+from dcposets.hooks import exact_labels
 from dcposets.poset import order_ideal_masks
 from dcposets.verify import PolytopeSpec
 
@@ -186,7 +186,7 @@ def test_reduced_fold_matches_level_lcm_fold():
         a = analyze(P)
         count = a.diagonals.count
         for x in [all_ones_point(count)] + [random_rational_point(count, rng) for _ in range(2)]:
-            numerators, _ = common_denominator(x)
+            numerators, _ = exact_labels(x, count, "point", "diagonals")
             weights = [numerators[d] for d in a.diagonals.diagonal_of]
             total, denominator = poset_module.fold_ideal_lattice(a.ideal_lattice, weights)
             expected, expected_denominator = _level_lcm_fold(a.ideal_lattice, weights)
@@ -208,7 +208,11 @@ def _column_fold_posets():
 
 def _weight_rows(a, points):
     """Each point x = c / L over its least common denominator, as the weights c_(D(p))."""
-    return [[c[d] for d in a.diagonals.diagonal_of] for c, _ in map(common_denominator, points)]
+    rows = []
+    for x in points:
+        c, _ = exact_labels(x, a.diagonals.count, "point", "diagonals")
+        rows.append([c[d] for d in a.diagonals.diagonal_of])
+    return rows
 
 
 @pytest.mark.parametrize("rows", [1, 2, 20])

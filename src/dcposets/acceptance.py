@@ -19,8 +19,8 @@ from .classical import classical_insert_rsk, gt_from_rpp, order_from_ranks, ssyt
 from .diagonals import diagonal_report
 from .dstructure import structure_report
 from .families import d_k_one, young, young_box_ids
-from .hooks import _require_count, all_ones_point, random_scaled_point, random_scaled_points
-from .poset import Poset
+from .hooks import all_ones_point, random_scaled_point, random_scaled_points
+from .poset import Poset, _require_count
 from .rsk import (
     NonGenericPoint,
     _derivative_check,

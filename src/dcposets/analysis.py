@@ -12,7 +12,8 @@ A poset has at most one live analysis: :func:`analyze` returns the one
 still in use, so every entry point called without ``analysis=`` reuses
 what a caller's analysis has already derived.  The poset keeps only a
 weak reference to it; once no caller holds the analysis it is freed, and
-the next :func:`analyze` builds a fresh one.
+the next :func:`analyze` builds a fresh one.  Every ``analysis=`` is
+read by :func:`_resolve`.
 """
 
 from __future__ import annotations
@@ -125,4 +126,12 @@ def analyze(P: Poset) -> PosetAnalysis:
     if a is None:
         a = PosetAnalysis(P)
         P._analysis = weakref.ref(a)
+    return a
+
+
+def _resolve(P: Poset, analysis: PosetAnalysis | None) -> PosetAnalysis:
+    """``analysis`` if it is one of P or of an equal poset, P's live one if None, else ``ValueError``."""
+    a = analysis or analyze(P)
+    if a.poset is not P and a.poset != P:
+        raise ValueError("analysis was built for another poset")
     return a

@@ -121,7 +121,6 @@ def _cmd_diagonals(args) -> int:
 def _cmd_hooks(args) -> int:
     P = _load_poset(args.poset)
     a = analyze(P)
-    a.ensure_d_complete()
     for p in range(P.n):
         vector = ",".join(str(v) for v in a.hook_vectors[p])
         print(f"element {p} vector={vector} length={a.hook_lengths[p]}")

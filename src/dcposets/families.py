@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poset import Poset
+from .poset import Poset, _require_count
 
 
 def _box_ids(shape: Sequence[int], shifted: bool) -> dict[tuple[int, int], int]:
@@ -62,20 +62,12 @@ def tree(parent: Sequence[int | None]) -> Poset:
     """Rooted tree poset: each child is covered by its parent, root maximal.
 
     ``parent[i]`` is the parent id of node i; the single root uses None
-    (or -1).
+    (or -1); :class:`Poset` reads every other entry as a cover pair id.
     """
-    n = len(parent)
     roots = [i for i, p in enumerate(parent) if p is None or p == -1]
     if len(roots) != 1:
         raise ValueError(f"tree must have exactly one root, got {len(roots)}")
-    pairs = []
-    for i, p in enumerate(parent):
-        if p is None or p == -1:
-            continue
-        if not 0 <= p < n:
-            raise ValueError(f"parent id {p} out of range")
-        pairs.append((i, p))
-    return Poset(n, pairs)
+    return Poset(len(parent), [(i, p) for i, p in enumerate(parent) if i != roots[0]])
 
 
 def d_k_one(k: int) -> Poset:
@@ -84,8 +76,7 @@ def d_k_one(k: int) -> Poset:
     Ids run bottom-up: tail chain 0..k-3, side elements k-2 and k-1,
     neck chain k..2k-3 with the top at 2k-3.
     """
-    if k < 3:
-        raise ValueError("d_k(1) requires k >= 3")
+    _require_count(k, "k of d_k(1)", 3)
     n = 2 * k - 2
     pairs = []
     for i in range(k - 3):
@@ -140,8 +131,8 @@ def builtin_poset(name: str) -> Poset:
 def _check_partition(shape: tuple[int, ...], strict: bool) -> None:
     if not shape:
         raise ValueError("partition must be nonempty")
-    if any(part <= 0 for part in shape):
-        raise ValueError(f"partition parts must be positive: {shape}")
+    for part in shape:
+        _require_count(part, "partition part")
     for a, b in zip(shape, shape[1:]):
         if strict and a <= b:
             raise ValueError(f"strict partition required: {shape}")

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
-from .poset import Poset, bits
+from .poset import Poset, _require_count, _require_ids, bits
 
 HookVector = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -205,14 +205,6 @@ def random_scaled_points(count: int, trials: int, rng: Random):
 _RATIONALS = tuple(Fraction(b // 16 + 1, b % 16 + 1) for b in range(256))
 
 
-def _require_count(count, name: str, least: int = 1) -> None:
-    """Refuse a count that is not an int (TypeError) or is below ``least`` (ValueError)."""
-    if not isinstance(count, int):
-        raise TypeError(f"{name} must be an int, not {type(count).__name__} {count!r}")
-    if count < least:
-        raise ValueError(f"{name} must be at least {least}, got {count}")
-
-
 def random_rational_point(count: int, rng: Random) -> RationalPoint:
     """``count`` strictly positive rationals from one ``rng.getrandbits(8 * count)``.
 
@@ -274,20 +266,19 @@ def exact_labels(values, count: int, what: str, unit: str) -> tuple[list[int], i
     ``values`` is a sequence of ``count`` values, or a mapping that names
     exactly the ids 0..count-1; any other length or set of ids raises
     ``ValueError``, with the input named ``what`` and its ids ``unit``
-    (a "filling" of "elements", a "point" of "diagonals").  Each value is
-    read once, by :func:`exact_value` and then ``as_integer_ratio()``:
-    one call, where the ``numerator`` and ``denominator`` properties would
-    take three reads.  Every denominator is positive, so each label has
-    its value's sign, and labels over the one denominator compare as the
-    values do.
+    (a "filling" of "elements", a "point" of "diagonals").  Missing ids
+    are named first, then the keys are read by :func:`poset._require_ids`.
+    Each value is read once, by :func:`exact_value` and then
+    ``as_integer_ratio()``: one call, where the ``numerator`` and
+    ``denominator`` properties would take three reads.  Every denominator
+    is positive, so each label has its value's sign, and labels over the
+    one denominator compare as the values do.
     """
     if isinstance(values, Mapping):
         missing = [i for i in range(count) if i not in values]
         if missing:
             raise ValueError(f"{what} is missing {unit} {missing}")
-        extra = [k for k in values if k not in range(count)]
-        if extra:
-            raise ValueError(f"{what} names {unit} outside 0..{count - 1}: {extra}")
+        _require_ids(values, f"{what} names {unit}", count)
         values = [values[i] for i in range(count)]
     else:
         values = list(values)

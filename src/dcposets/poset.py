@@ -46,11 +46,27 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _require_ids(ids: Iterable, what: str) -> None:
-    """Refuse element ids that are not ints, naming the first such entry."""
-    bad = [q for q in ids if not isinstance(q, int)]
+def _require_ids(ids: Iterable, what: str, n: int) -> None:
+    """Refuse a non-int id (TypeError, naming the first; a bool is none) or ids outside 0..n-1 (ValueError).
+
+    One pass keeps the entries that are not ints in range, and only those
+    are read again: an int subclass other than bool is an id too.
+    """
+    bad = [q for q in ids if type(q) is not int or not 0 <= q < n]
+    wrong = [q for q in bad if type(q) is bool or not isinstance(q, int)]
+    if wrong:
+        raise TypeError(f"{what} must be int, not {type(wrong[0]).__name__} {wrong[0]!r}")
+    bad = [q for q in bad if not 0 <= q < n]
     if bad:
-        raise TypeError(f"{what} must be int, not {type(bad[0]).__name__} {bad[0]!r}")
+        raise ValueError(f"{what} outside 0..{n - 1}: {bad}")
+
+
+def _require_count(count, name: str, least: int = 1) -> None:
+    """Refuse a count that is not an int (TypeError; a bool is none) or is below ``least`` (ValueError)."""
+    if type(count) is bool or not isinstance(count, int):
+        raise TypeError(f"{name} must be an int, not {type(count).__name__} {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -65,9 +81,9 @@ class Poset:
 
     The reflexive-transitive closure is computed eagerly; redundant input
     pairs are silently removed by transitive reduction.  A cycle in the
-    input raises :class:`CycleError` naming a witness, and an element
-    count or id that is not an int, or a name that is not a str, raises
-    ``TypeError`` naming it.
+    input raises :class:`CycleError` naming a witness.  The count and the
+    ids are read by :func:`_require_count` and :func:`_require_ids`, and
+    a name that is not a str raises ``TypeError`` naming it.
 
     ``_analysis`` is a weak reference to the poset's live
     :class:`~dcposets.analysis.PosetAnalysis`, or None; only
@@ -84,16 +100,12 @@ class Poset:
         pairs: Iterable[tuple[int, int]] = (),
         names: Mapping[int, str] | None = None,
     ):
-        _require_ids((n,), "element count")
-        if n < 0:
-            raise ValueError("element count must be nonnegative")
+        _require_count(n, "element count", 0)
         pairs = list(pairs)
-        _require_ids(chain.from_iterable(pairs), "cover pair ids")
+        _require_ids(chain.from_iterable(pairs), "cover pair ids", n)
         edges: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"cover pair ({a}, {b}) references an element outside 0..{n - 1}")
             if a == b:
                 raise CycleError((a, a))
             if (a, b) not in seen:
@@ -133,10 +145,8 @@ class Poset:
         self._upper = tuple(tuple(sorted(u)) for u in upper)
         self._lower = tuple(tuple(sorted(v)) for v in lower)
         self.names = dict(names) if names else {}
-        _require_ids(self.names, "named element ids")
+        _require_ids(self.names, "named element ids", n)
         for key, name in self.names.items():
-            if not 0 <= key < n:
-                raise ValueError(f"name given for unknown element {key}")
             if not isinstance(name, str):
                 raise TypeError(f"name of element {key} must be str, not {type(name).__name__} {name!r}")
         self._analysis = None
@@ -274,14 +284,27 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
 
 
 def is_descending_extension(P: Poset, order: Iterable[int]) -> bool:
-    """True iff ``order`` lists all elements, as ints, with larger elements first."""
+    """True iff ``order`` lists all elements, as ints (no bools), with larger elements first."""
     seq = tuple(order)
-    if not all(isinstance(v, int) for v in seq) or sorted(seq) != list(range(P.n)):
+    if not all(type(v) is not bool and isinstance(v, int) for v in seq) or sorted(seq) != list(range(P.n)):
         return False
     pos = [0] * P.n
     for i, v in enumerate(seq):
         pos[v] = i
     return all(pos[b] < pos[a] for a, b in P.covers)
+
+
+def _require_order(P: Poset, order: Iterable) -> tuple[int, ...]:
+    """The one reader of insertion orders: ``order`` as a tuple, if it is a descending extension of P.
+
+    An entry that is no id of P is named by :func:`_require_ids`; any
+    other order :func:`is_descending_extension` refuses raises ``ValueError``.
+    """
+    seq = tuple(order)
+    _require_ids(seq, "insertion order entries", P.n)
+    if not is_descending_extension(P, seq):
+        raise ValueError("insertion order must be a descending linear extension")
+    return seq
 
 
 # -- the lattice of order ideals ------------------------------------------
@@ -568,12 +591,13 @@ def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) 
 
     The lattice is ``PosetAnalysis.ideal_lattice`` of ``analysis``, or
     else of ``analyze(P)``, P's live analysis: a lattice some caller's
-    analysis already holds is not walked again.  A poset with more than
+    analysis already holds is not walked again.  An analysis of another
+    poset raises ``ValueError``.  A poset with more than
     ``IDEAL_LIMIT`` order ideals raises :class:`ExtensionLimitError`.
     """
-    from .analysis import analyze
+    from .analysis import _resolve
 
-    lattice = (analysis or analyze(P)).ideal_lattice
+    lattice = _resolve(P, analysis).ideal_lattice
     return fold_ideal_lattice(lattice, [1] * P.n)[0]
 
 

@@ -52,11 +52,11 @@ from functools import partial
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .analysis import PosetAnalysis, analyze
+from .analysis import PosetAnalysis, _resolve
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
 from .hooks import exact_labels, random_rational_point
-from .poset import Poset, _require_ids, is_descending_extension, mask_of
+from .poset import Poset, _require_order, mask_of
 
 Filling = tuple[Fraction, ...]
 # One toggle: (element, candidate upper covers, candidate lower covers).  A
@@ -218,12 +218,11 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
 
 
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
+    """The stable toggle program (its order checks the axioms), or one along ``order``, read and checked here."""
     if order is None:
         return analysis.insertion_program
-    order = tuple(order)
-    _require_ids(order, "insertion order entries")
-    if not is_descending_extension(P, order):
-        raise ValueError("insertion order must be a descending linear extension")
+    order = _require_order(P, order)
+    analysis.ensure_d_complete()
     return compile_program(P, analysis.diagonals, order)
 
 
@@ -239,11 +238,8 @@ def rsk(
     The result is order-reversing and independent of the insertion order;
     when none is given a stable insertion order is used.
     """
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
     labels, denom = _nonnegative_labels(P.n, filling)
-    program = _program(P, order, a)
-    _run(labels, program)
+    _run(labels, _program(P, order, _resolve(P, analysis)))
     return tuple(Fraction(v, denom) for v in labels)
 
 
@@ -259,16 +255,11 @@ def inverse_rsk(
     Runs the insertion steps backwards; toggles are involutions, so
     undoing the toggles of each step exposes the negated inserted value.
     """
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
-    state, denom = exact_labels(labels, P.n, "filling", "elements")
     # The checks read the integer labels: they share one positive denominator.
-    if min(state, default=0) < 0:
-        raise ValueError("image filling must be nonnegative")
+    state, denom = _nonnegative_labels(P.n, labels)
     if not _reverses(P, state):
         raise ValueError("image filling must be order-reversing")
-    program = _program(P, order, a)
-    _run(state, program, backward=True)
+    _run(state, _program(P, order, _resolve(P, analysis)), backward=True)
     return tuple(Fraction(v, denom) for v in state)
 
 
@@ -286,7 +277,7 @@ random_filling = random_rational_point
 
 
 def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) -> bool:
-    """Stability of a descending linear extension.
+    """Stability of a descending linear extension, read by :func:`poset._require_order` as ``rsk`` reads one.
 
     Inserting the bottom of a d-interval is forbidden while a side of that
     interval is a neck element of another d-interval already completed.
@@ -299,9 +290,7 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
     diamond top up to the top, and nothing else of a d-interval lies
     above its diamond top, so its mask is the interval between the two.
     """
-    order = tuple(order)
-    if not is_descending_extension(P, order):
-        raise ValueError("order must be a descending linear extension")
+    order = _require_order(P, order)
     by_bottom: dict[int, list[DInterval]] = {}
     for interval in intervals:
         by_bottom.setdefault(interval.bottom, []).append(interval)
@@ -367,7 +356,7 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
     ones with lowest diamond tops, and both rules strip the same element;
     the maximal-interval rule's choice is always minimal in U.
     """
-    a = analysis or analyze(P)
+    a = _resolve(P, analysis)
     a.ensure_d_complete()
     by_bottom = {iv.bottom: iv for iv in a.d_intervals}
     # The minimal elements of what remains, ascending: an element joins
@@ -551,10 +540,8 @@ def rsk_jacobian_det(
     a derivative.  Criterion 6 checks the choices themselves through
     :func:`_derivative_check`.
     """
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
     labels, _ = _nonnegative_labels(P.n, filling)
-    trace, _ = _choices(labels, _program(P, order, a))
+    trace, _ = _choices(labels, _program(P, order, _resolve(P, analysis)))
     return Fraction((-1) ** (P.n + len(trace)))
 
 
@@ -682,7 +669,6 @@ def _derivative_check(P: Poset, labels: Sequence[int], rng: Random, analysis: Po
     2V values of v_j makes delta_e(v) = 0: a discrepancy linear in v is
     missed with probability at most 1/(2V).
     """
-    analysis.ensure_d_complete()
     image = list(labels)
     program = analysis.insertion_program
     trace, gap = _choices(image, program)

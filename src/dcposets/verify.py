@@ -18,17 +18,16 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .analysis import PosetAnalysis, analyze
+from .analysis import PosetAnalysis, _resolve
 from .diagonals import DiagonalPartition
 from .hooks import (
     RationalPoint,
-    _require_count,
     all_ones_point,
     exact_labels,
     hook_integers,
     random_scaled_point,
 )
-from .poset import Poset, fold_columns, fold_ideal_lattice
+from .poset import Poset, _require_count, fold_columns, fold_ideal_lattice
 from .rsk import Filling, _run
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
@@ -80,7 +79,7 @@ def weight_sum(
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
     numerators, scale = _positive_labels(x, part.count)
-    lattice = (analysis or analyze(P)).ideal_lattice
+    lattice = _resolve(P, analysis).ideal_lattice
     total, denominator = fold_ideal_lattice(lattice, [numerators[d] for d in part.diagonal_of])
     return Fraction(total * scale**P.n, denominator)
 
@@ -93,11 +92,10 @@ class ProctorReport(NamedTuple):
 
 
 def verify_proctor(P: Poset, *, analysis: PosetAnalysis | None = None) -> ProctorReport:
-    """Check extensions * product(hook lengths) == |P|! exactly."""
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
-    count = a.extension_count
+    """Check extensions * product(hook lengths) == |P|! exactly; the hooks refuse a non-d-complete P first."""
+    a = _resolve(P, analysis)
     product = math.prod(a.hook_lengths)
+    count = a.extension_count
     fact = math.factorial(P.n)
     return ProctorReport(
         extensions=count,
@@ -141,8 +139,7 @@ def verify_multivariate(
     :class:`ExtensionLimitError`.
     """
     _require_count(points, "points")
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
+    a = _resolve(P, analysis)
     program = a.hook_program
     rng = Random(seed)
     draws = [random_scaled_point(program.count, rng) for _ in range(points)]
@@ -216,7 +213,7 @@ def polytope_membership(
     analysis: PosetAnalysis | None = None,
 ) -> bool:
     """Exact evaluation of the defining inequalities."""
-    a = analysis or analyze(P)
+    a = _resolve(P, analysis)
     weights, bound, cover_pairs = _polytope(P, spec, a)
     v, denom = exact_labels(values, P.n, "filling", "elements")
     return _inside(v, _dot(weights, v), bound * denom, cover_pairs)
@@ -294,7 +291,7 @@ def sample_fillings_point(
     rejection sampling from the bounding box without its 1/n! acceptance
     rate.  The gaps are one :func:`_simplex_gap_rows` row, as in :func:`rsk_polytope_check`.
     """
-    a = analysis or analyze(P)
+    a = _resolve(P, analysis)
     hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
     factors, denom = _sample_scale(hooks, hooks_denom)
     (gaps,) = _simplex_gap_rows(P.n, 1, rng).tolist()
@@ -350,8 +347,7 @@ def rsk_polytope_check(
     import numpy as np  # numpy loads with the first check, not with the package
 
     _require_count(trials, "trials")
-    a = analysis or analyze(P)
-    a.ensure_d_complete()
+    a = _resolve(P, analysis)
     if x is None:
         x = all_ones_point(a.diagonals.count)
     hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
@@ -421,7 +417,7 @@ class VolumeEstimate(NamedTuple):
 
 def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis | None = None) -> Fraction:
     """Exact volume: simplex formula for fillings, weight sum for rpp."""
-    a = analysis or analyze(P)
+    a = _resolve(P, analysis)
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
         hooks, denom, _ = _polytope(P, spec, a)
@@ -524,7 +520,7 @@ def monte_carlo_volumes(
     _require_count(samples, "samples")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
-    tests = [_volume_test(P, spec, a or analyze(P)) for P, spec, a in cases]
+    tests = [_volume_test(P, spec, _resolve(P, a)) for P, spec, a in cases]
     # per size, one hit count per distinct test, shared by the cases that test alike
     sizes: dict[int, dict[tuple, int]] = {}
     for (P, _, _), test in zip(cases, tests):

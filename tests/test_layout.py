@@ -1,5 +1,6 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
-and of ``src/dcposets/``: one reader of exact input.
+and of ``src/dcposets/``: one reader of exact input, and one home for each
+check on caller ids, counts and ``analysis=``.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -103,3 +104,60 @@ def test_exact_labels_is_the_one_reader_of_exact_input():
     (reader,) = [node for node in hooks.body if isinstance(node, ast.FunctionDef) and node.name == "exact_labels"]
     assert _value_reads(reader) == Counter(exact_value=1, as_integer_ratio=1)
     assert {name: count for name, count in reads.items() if count} == {"hooks.py": _value_reads(reader)}
+
+
+@cache
+def _package():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _functions_where(test):
+    """``module.function`` of each innermost function in ``src/dcposets/`` holding a node that ``test`` accepts."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if test(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, tree in _package().items():
+        visit(tree, module)
+    return found
+
+
+def _is_call_of(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _checks_int(node):
+    """``isinstance(x, int)``, or ``isinstance`` with ``int`` in a tuple of types."""
+    if not _is_call_of(node, "isinstance") or len(node.args) != 2:
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(k, ast.Name) and k.id == "int" for k in kinds)
+
+
+def test_each_check_on_caller_input_has_one_home():
+    # ids and counts are typed by the readers in poset.py (and the order
+    # predicate); classical.py keeps its own check, as the independent oracle
+    assert _functions_where(_checks_int) == {
+        "poset._require_ids",
+        "poset._require_count",
+        "poset.is_descending_extension",
+        "classical._validated_matrix",
+    }
+    # every analysis= falls back to P's live analysis in the one resolver
+    falls_back = lambda node: isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or) and any(
+        _is_call_of(value, "analyze") for value in node.values
+    )
+    assert _functions_where(falls_back) == {"analysis._resolve"}
+    homes = [
+        module
+        for module, tree in _package().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_require_count"
+    ]
+    assert homes == ["poset"]

@@ -93,8 +93,8 @@ def test_bad_ids_rejected():
         (lambda: Poset(3, [(0, 1.0)]), r"cover pair ids must be int, not float 1\.0"),
         (lambda: Poset(3, [(0, 1), ("2", 1)]), r"cover pair ids must be int, not str '2'"),
         (lambda: tree([None, 0.0]), r"cover pair ids must be int, not float 0\.0"),
-        (lambda: Poset(2.0), r"element count must be int, not float 2\.0"),
-        (lambda: Poset(None), r"element count must be int, not NoneType None"),
+        (lambda: Poset(2.0), r"element count must be an int, not float 2\.0"),
+        (lambda: Poset(None), r"element count must be an int, not NoneType None"),
         (lambda: Poset(2, [(0, 1)], names={1.0: "b"}), r"named element ids must be int, not float 1\.0"),
         (lambda: Poset(2, [(0, 1)], {0: 5}), r"name of element 0 must be str, not int 5"),
     ],

@@ -25,6 +25,7 @@ from dcposets import (
     is_order_reversing,
     is_stable,
     linear_extensions,
+    monte_carlo_volume,
     polytope_membership,
     random_filling,
     rsk,
@@ -32,8 +33,19 @@ from dcposets import (
     rsk_polytope_check,
     shifted_young,
     stable_insertion_order,
+    tree,
+    verify_multivariate,
     weight_sum,
     young,
+)
+from dcposets.acceptance import (
+    classical_equivalence,
+    diagonal_sum_identity,
+    monte_carlo_agreement,
+    multivariate_identity,
+    order_independence,
+    polytope_bijection,
+    volume_preservation,
 )
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
@@ -195,65 +207,173 @@ def test_input_validation():
 
 
 _D4 = d_k_one(4)  # 6 elements on 4 diagonals
-# Every edge that reads an exact input, by the kind it reads: a filling of
-# _D4's 6 elements or a point on its 4 diagonals, each through exact_labels
-_SIZES = {"filling": 6, "point": 4}
+_ORDER = (5, 4, 2, 3, 1, 0)  # a descending extension of _D4
+_D3 = d_k_one(3)
+
+
+def _in_order(q):
+    """_ORDER with q in place of its first entry, 5."""
+    return (q,) + _ORDER[1:]
+
+
+def _d3_prepared():
+    return [("d3", _D3, analyze(_D3))]
+
+
+# Every edge that reads a caller's input: name -> (kind, call, what its reader
+# calls the input, size).  A filling of _D4's 6 elements or a point on its 4
+# diagonals, each read whole by exact_labels; an id of a 3-element poset or an
+# entry of an insertion order of _D4, read by _require_ids; a count, read by
+# _require_count, whose size is the least value it allows.  A tree's parent is
+# an id, but -1 marks a root.
 _EDGES = {
-    "is_order_reversing": ("filling", lambda s: is_order_reversing(_D4, s)),
-    "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s)),
-    "rsk": ("filling", lambda s: rsk(_D4, s)),
-    "inverse_rsk": ("filling", lambda s: inverse_rsk(_D4, s)),
-    "rsk_jacobian_det": ("filling", lambda s: rsk_jacobian_det(_D4, s)),
-    "polytope_membership-values": ("filling", lambda s: polytope_membership(_D4, PolytopeSpec("rpp", (1,) * 4), s)),
-    "weight_sum": ("point", lambda x: weight_sum(_D4, analyze(_D4).diagonals, x)),
-    "hook_polynomials": ("point", lambda x: analyze(_D4).hook_polynomials(x)),
-    "hook_polynomial_eval": ("point", lambda x: hook_polynomial_eval((1, 2, 1, 1), x)),
-    "polytope_membership-point": ("point", lambda x: polytope_membership(_D4, PolytopeSpec("fillings", x), (0,) * 6)),
-    "closed_form_volume": ("point", lambda x: closed_form_volume(_D4, PolytopeSpec("rpp", x))),
-    "rsk_polytope_check": ("point", lambda x: rsk_polytope_check(_D4, x, trials=1)),
+    "is_order_reversing": ("filling", lambda s: is_order_reversing(_D4, s), None, 6),
+    "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s), None, 6),
+    "rsk": ("filling", lambda s: rsk(_D4, s), None, 6),
+    "inverse_rsk": ("filling", lambda s: inverse_rsk(_D4, s), None, 6),
+    "rsk_jacobian_det": ("filling", lambda s: rsk_jacobian_det(_D4, s), None, 6),
+    "polytope_membership-values": (
+        "filling",
+        lambda s: polytope_membership(_D4, PolytopeSpec("rpp", (1,) * 4), s),
+        None,
+        6,
+    ),
+    "weight_sum": ("point", lambda x: weight_sum(_D4, analyze(_D4).diagonals, x), None, 4),
+    "hook_polynomials": ("point", lambda x: analyze(_D4).hook_polynomials(x), None, 4),
+    "hook_polynomial_eval": ("point", lambda x: hook_polynomial_eval((1, 2, 1, 1), x), None, 4),
+    "polytope_membership-point": (
+        "point",
+        lambda x: polytope_membership(_D4, PolytopeSpec("fillings", x), (0,) * 6),
+        None,
+        4,
+    ),
+    "closed_form_volume": ("point", lambda x: closed_form_volume(_D4, PolytopeSpec("rpp", x)), None, 4),
+    "rsk_polytope_check": ("point", lambda x: rsk_polytope_check(_D4, x, trials=1), None, 4),
+    "Poset-pairs": ("ids", lambda q: Poset(3, [(0, 1), (1, q)]), "cover pair ids", 3),
+    "Poset-names": ("ids", lambda q: Poset(3, names={q: "x"}), "named element ids", 3),
+    "tree": ("parent", lambda q: tree([None, 0, q]), "cover pair ids", 3),
+    "rsk-order": ("order", lambda q: rsk(_D4, (1,) * 6, _in_order(q)), "insertion order entries", 6),
+    "inverse_rsk-order": ("order", lambda q: inverse_rsk(_D4, (1,) * 6, _in_order(q)), "insertion order entries", 6),
+    "rsk_jacobian_det-order": (
+        "order",
+        lambda q: rsk_jacobian_det(_D4, (1,) * 6, _in_order(q)),
+        "insertion order entries",
+        6,
+    ),
+    "is_stable": (
+        "order",
+        lambda q: is_stable(_D4, _in_order(q), analyze(_D4).d_intervals),
+        "insertion order entries",
+        6,
+    ),
+    "Poset-count": ("count", Poset, "element count", 0),
+    "d_k_one": ("count", d_k_one, "k of d_k(1)", 3),
+    "young-part": ("count", lambda k: young((k,)), "partition part", 1),
+    "shifted_young-part": ("count", lambda k: shifted_young((k,)), "partition part", 1),
+    "verify_multivariate": ("count", lambda k: verify_multivariate(_D4, points=k), "points", 1),
+    "rsk_polytope_check-trials": ("count", lambda k: rsk_polytope_check(_D4, trials=k), "trials", 1),
+    "monte_carlo_volume": (
+        "count",
+        lambda k: monte_carlo_volume(_D4, PolytopeSpec("rpp", (1,) * 4), samples=k),
+        "samples",
+        1,
+    ),
+    "multivariate_identity": ("count", lambda k: multivariate_identity(_d3_prepared(), points=k), "points", 1),
+    "diagonal_sum_identity": ("count", lambda k: diagonal_sum_identity(_d3_prepared(), trials=k), "trials", 1),
+    "order_independence": ("count", lambda k: order_independence(_d3_prepared(), trials=k), "trials", 1),
+    "volume_preservation": ("count", lambda k: volume_preservation(_d3_prepared(), points=k), "points", 1),
+    "polytope_bijection": ("count", lambda k: polytope_bijection(_d3_prepared(), trials=k), "trials", 1),
+    "classical_equivalence": ("count", lambda k: classical_equivalence(trials=k), "trials", 1),
+    "monte_carlo_agreement": ("count", lambda k: monte_carlo_agreement(_d3_prepared(), samples=k), "samples", 1),
 }
-_UNREADABLE = "^exact values only: pass int or Fraction, not "
-# name: (the input for n values, its error, the error's text by kind)
+# Each reader's texts, as str.format templates of the edge's what, the last
+# id (size - 1) or least count (size), the bad value and its type's name
+_UNREADABLE = "exact values only: pass int or Fraction, not "
+_NOT_ID = "{what} must be int, not {kind} {value!r}"
+_OUTSIDE = "{what} outside 0..{last}: [{value!r}]"
+_NOT_COUNT = "{what} must be an int, not {kind} {value!r}"
+_BELOW = "{what} must be at least {least}, got {value!r}"
+
+
+def _ids(make, error, text):
+    """One cell for each kind of input that _require_ids reads."""
+    return dict.fromkeys(("ids", "parent", "order"), (make, error, text))
+
+
+def _key(key, kind):
+    """A mapping naming the ids 0..n-1, with ``key`` standing for id 1."""
+    what = {"filling": "filling names elements", "point": "point names diagonals"}[kind]
+    text = f"{what} must be int, not {type(key).__name__} {key!r}"
+    return (lambda n: {key if i == 1 else i: i + 1 for i in range(n)}, TypeError, text)
+
+
+def _extra_key(n):
+    return {**dict.fromkeys(range(n), 1), n: 1}
+
+
+# name: {kind: (the input or bad value, from the edge's size; its error; its text)}
 _BAD_INPUTS = {
-    "float": (lambda n: (0.5,) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "float 0.5$")),
-    "nan": (lambda n: (float("nan"),) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "float nan$")),
-    "str": (lambda n: ("1",) * n, TypeError, dict.fromkeys(_SIZES, _UNREADABLE + "str '1'$")),
-    "short": (
-        lambda n: (1,) * (n - 1),
-        ValueError,
-        {"filling": "^filling has 5 values for 6 elements$", "point": "^point has 3 values for 4 diagonals$"},
-    ),
-    "long": (
-        lambda n: (1,) * (n + 1),
-        ValueError,
-        {"filling": "^filling has 7 values for 6 elements$", "point": "^point has 5 values for 4 diagonals$"},
-    ),
-    "extra-key": (
-        lambda n: {**dict.fromkeys(range(n), 1), n: 1},
-        ValueError,
-        {
-            "filling": r"^filling names elements outside 0\.\.5: \[6\]$",
-            "point": r"^point names diagonals outside 0\.\.3: \[4\]$",
-        },
-    ),
+    "float": {
+        **dict.fromkeys(("filling", "point"), (lambda n: (0.5,) * n, TypeError, _UNREADABLE + "float 0.5")),
+        **_ids(lambda n: float(n - 1), TypeError, _NOT_ID),
+        "count": (lambda least: float(least + 1), TypeError, _NOT_COUNT),
+    },
+    "nan": dict.fromkeys(("filling", "point"), (lambda n: (float("nan"),) * n, TypeError, _UNREADABLE + "float nan")),
+    "str": {
+        **dict.fromkeys(("filling", "point"), (lambda n: ("1",) * n, TypeError, _UNREADABLE + "str '1'")),
+        **_ids(lambda n: str(n - 1), TypeError, _NOT_ID),
+        "count": (lambda least: str(least + 1), TypeError, _NOT_COUNT),
+    },
+    "short": {
+        "filling": (lambda n: (1,) * (n - 1), ValueError, "filling has 5 values for 6 elements"),
+        "point": (lambda n: (1,) * (n - 1), ValueError, "point has 3 values for 4 diagonals"),
+    },
+    "long": {
+        "filling": (lambda n: (1,) * (n + 1), ValueError, "filling has 7 values for 6 elements"),
+        "point": (lambda n: (1,) * (n + 1), ValueError, "point has 5 values for 4 diagonals"),
+    },
+    "extra-key": {
+        "filling": (_extra_key, ValueError, "filling names elements outside 0..5: [6]"),
+        "point": (_extra_key, ValueError, "point names diagonals outside 0..3: [4]"),
+    },
     # ids 1..n: a mapping is read by id, not by the order of its keys
-    "missing-key": (
-        lambda n: dict.fromkeys(range(1, n + 1), 1),
-        ValueError,
-        {"filling": r"^filling is missing elements \[0\]$", "point": r"^point is missing diagonals \[0\]$"},
-    ),
+    "missing-key": {
+        "filling": (lambda n: dict.fromkeys(range(1, n + 1), 1), ValueError, "filling is missing elements [0]"),
+        "point": (lambda n: dict.fromkeys(range(1, n + 1), 1), ValueError, "point is missing diagonals [0]"),
+    },
+    # keys equal to id 1, so that `1 in values` and values[1] both find them
+    "float-key": {kind: _key(1.0, kind) for kind in ("filling", "point")},
+    "bool-key": {kind: _key(True, kind) for kind in ("filling", "point")},
+    "bool": {**_ids(lambda n: True, TypeError, _NOT_ID), "count": (lambda least: True, TypeError, _NOT_COUNT)},
+    "minus-one": {
+        **_ids(lambda n: -1, ValueError, _OUTSIDE),
+        "parent": (lambda n: -1, ValueError, "tree must have exactly one root, got 2"),
+        "count": (lambda least: -1, ValueError, _BELOW),
+    },
+    "past-end": _ids(lambda n: n, ValueError, _OUTSIDE),
+    "below": {"count": (lambda least: least - 1, ValueError, _BELOW)},
 }
 
 
-@pytest.mark.parametrize("edge", _EDGES)
-@pytest.mark.parametrize("bad", _BAD_INPUTS)
+@pytest.mark.parametrize(
+    "edge, bad",
+    [
+        pytest.param(edge, bad, id=f"{bad}-{edge}")
+        for bad, cells in _BAD_INPUTS.items()
+        for edge, (kind, _, _, _) in _EDGES.items()
+        if kind in cells
+    ],
+)
 def test_filling_edges_raise_typed_errors(edge, bad):
-    # fillings and points alike: the reader's TypeError or ValueError, never
-    # an IndexError, KeyError or AttributeError from the edge itself
-    kind, call = _EDGES[edge]
-    make, error, messages = _BAD_INPUTS[bad]
-    with pytest.raises(error, match=messages[kind]):
-        call(make(_SIZES[kind]))
+    # every reader of caller input: its own TypeError or ValueError, in full,
+    # never an IndexError, KeyError, AttributeError or ZeroDivisionError from
+    # the edge itself, nor Python's "cannot be interpreted as an integer"
+    kind, call, what, size = _EDGES[edge]
+    make, error, text = _BAD_INPUTS[bad][kind]
+    value = make(size)
+    message = text.format(what=what, last=size - 1, least=size, value=value, kind=type(value).__name__)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 @pytest.mark.parametrize(
@@ -264,9 +384,10 @@ def test_unreadable_values_get_the_exact_value_refusal(value, kind):
     # Rational instance", though strings are refused too: every edge that
     # reads values through exact_value names the type and value instead
     message = f"^exact values only: pass int or Fraction, not {kind} {re.escape(repr(value))}$"
-    for what, edge in _EDGES.values():
-        with pytest.raises(TypeError, match=message):
-            edge((1, value, 0, 1, 1, 1)[: _SIZES[what]])
+    for kind, edge, _, size in _EDGES.values():
+        if kind in ("filling", "point"):
+            with pytest.raises(TypeError, match=message):
+                edge((1, value, 0, 1, 1, 1)[:size])
     # a value Fraction() reads exactly is taken
     assert rsk(_D4, (Decimal("1.5"),) * 6) == rsk(_D4, (Fraction(3, 2),) * 6)
 
@@ -284,26 +405,26 @@ def test_float_ids_raise_typed_errors():
         lambda: rsk_jacobian_det(P, (1,) * 6, order),
         lambda: rsk(P, (1,) * 6, iter([5, 4, 2, 3, 1, 0.0])),
     ):
-        with pytest.raises(TypeError, match=r"insertion order entries must be int, not float (5|0)\.0"):
+        with pytest.raises(TypeError, match=r"^insertion order entries must be int, not float (5|0)\.0$"):
             edge()
 
 
 @pytest.mark.parametrize(
     "order, error, message",
     [
-        ((5.0, 4, 2, 3, 1, 0), TypeError, r"insertion order entries must be int, not float 5\.0"),
-        (("5", 4, 2, 3, 1, 0), TypeError, r"insertion order entries must be int, not str '5'"),
-        ((0, 1, 2, 3, 4, 5), ValueError, r"insertion order must be a descending linear extension"),
+        ((5.0, 4, 2, 3, 1, 0), TypeError, r"^insertion order entries must be int, not float 5\.0$"),
+        (("5", 4, 2, 3, 1, 0), TypeError, r"^insertion order entries must be int, not str '5'$"),
+        ((0, 1, 2, 3, 4, 5), ValueError, r"^insertion order must be a descending linear extension$"),
     ],
     ids=["float", "str", "ascending"],
 )
 def test_orders_that_are_no_descending_extension(order, error, message):
     # a float equal to an element and a string are refused as entries, not by
     # Python's own indexing or comparison errors, as an ascending order is;
-    # is_stable refuses all three, and rsk still names the first bad entry
+    # is_stable and rsk read orders alike, naming the first bad entry
     P = _D4
     assert not is_descending_extension(P, order)
-    with pytest.raises(ValueError, match="^order must be a descending linear extension$"):
+    with pytest.raises(error, match=message):
         is_stable(P, order, analyze(P).d_intervals)
     with pytest.raises(error, match=message):
         rsk(P, (1,) * 6, order)
@@ -314,15 +435,15 @@ def test_sign_and_order_checks_read_exact_values():
     # and 3, so the checks on scaled labels must order them as the rationals
     P = chain(2)  # 0 < 1
     lo, hi = Fraction(1, 3), Fraction(1, 2)
-    with pytest.raises(ValueError, match="image filling must be order-reversing"):
+    with pytest.raises(ValueError, match="^image filling must be order-reversing$"):
         inverse_rsk(P, {0: lo, 1: hi})
-    with pytest.raises(ValueError, match="image filling must be nonnegative"):
+    with pytest.raises(ValueError, match="^filling must be nonnegative; element 1 has value -1/3$"):
         inverse_rsk(P, {0: hi, 1: -lo})
     t = inverse_rsk(P, {0: hi, 1: lo})
     assert rsk(P, t) == (hi, lo)
-    with pytest.raises(ValueError, match="filling must be nonnegative; element 1 has value -1/3"):
+    with pytest.raises(ValueError, match="^filling must be nonnegative; element 1 has value -1/3$"):
         rsk(P, (hi, -lo))
-    with pytest.raises(ValueError, match="filling must be nonnegative; element 0 has value -1/2"):
+    with pytest.raises(ValueError, match="^filling must be nonnegative; element 0 has value -1/2$"):
         rsk_jacobian_det(P, {0: -hi, 1: lo})
 
 

@@ -16,14 +16,17 @@ from dcposets import (
     closed_form_volume,
     count_linear_extensions,
     d_k_one,
+    inverse_rsk,
     linear_extensions,
     monte_carlo_volume,
     polytope_membership,
     random_rational_point,
     rsk,
+    rsk_jacobian_det,
     rsk_polytope_check,
     sample_fillings_point,
     shifted_young,
+    stable_insertion_order,
     tree,
     verify_multivariate,
     verify_proctor,
@@ -324,6 +327,45 @@ def test_standalone_counts_walk_once_each(lattice_walks):
     # nothing holds the analysis a call builds, so the next call walks again
     assert count_linear_extensions(P) == count_linear_extensions(P) == 21
     assert lattice_walks == [P, P]
+
+
+def _entry_points(P, analysis):
+    """The 13 entry points that take ``analysis=``, each called on d_4(1) with it."""
+    x = (1,) * 4  # the all-ones point on d_4(1)'s 4 diagonals
+    spec = PolytopeSpec("fillings", x)
+    return {
+        "count_linear_extensions": lambda: count_linear_extensions(P, analysis=analysis),
+        "rsk": lambda: rsk(P, (2, 2, 3, 4, 2, 1), (5, 4, 2, 3, 1, 0), analysis=analysis),
+        "inverse_rsk": lambda: inverse_rsk(P, (11, 9, 6, 7, 4, 3), analysis=analysis),
+        "stable_insertion_order": lambda: stable_insertion_order(P, analysis=analysis),
+        "rsk_jacobian_det": lambda: rsk_jacobian_det(P, (1, 2, 3, 4, 5, 6), analysis=analysis),
+        "weight_sum": lambda: weight_sum(P, analyze(P).diagonals, x, analysis=analysis),
+        "verify_proctor": lambda: verify_proctor(P, analysis=analysis),
+        "verify_multivariate": lambda: verify_multivariate(P, points=2, analysis=analysis),
+        "polytope_membership": lambda: polytope_membership(P, spec, (0,) * 6, analysis=analysis),
+        "sample_fillings_point": lambda: sample_fillings_point(P, x, Random(0), analysis=analysis),
+        "rsk_polytope_check": lambda: rsk_polytope_check(P, trials=3, analysis=analysis),
+        "closed_form_volume": lambda: closed_form_volume(P, spec, analysis=analysis),
+        "monte_carlo_volume": lambda: monte_carlo_volume(P, spec, samples=1000, analysis=analysis),
+    }
+
+
+def test_an_analysis_of_another_poset_is_refused():
+    # an analysis of Young (3, 3) passed for d_4(1) was read as d_4(1)'s:
+    # 5 extensions, hook product 144, weight sum 1/144 and a wrong image
+    P = d_k_one(4)
+    other = analyze(young((3, 3)))
+    for call in _entry_points(P, other).values():
+        with pytest.raises(ValueError, match="^analysis was built for another poset$"):
+            call()
+    # an analysis of an equal poset is taken, and gives P's own values
+    twin = analyze(d_k_one(4))
+    assert twin.poset is not P
+    own = {name: call() for name, call in _entry_points(P, None).items()}
+    assert {name: call() for name, call in _entry_points(P, twin).items()} == own
+    assert own["verify_proctor"][:3] == (2, 360, 720) and own["count_linear_extensions"] == 2
+    assert own["weight_sum"] == Fraction(1, 360)
+    assert own["rsk"] == (11, 9, 6, 7, 4, 3)
 
 
 def test_weight_sum_signature_keeps_traced_names():

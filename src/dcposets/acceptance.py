@@ -26,10 +26,10 @@ from .rsk import (
     _derivative_check,
     _random_order_insertion,
     _run,
-    compile_program,
     diagonal_sums,
     inverse_rsk,
     is_stable,
+    program_along,
     rsk,
 )
 from .verify import (
@@ -207,18 +207,16 @@ def order_independence(prepared: Prepared, trials: int = 100, seed: int = 0) -> 
     then inserts two copies of its labels, each along a fresh random
     descending extension drawn from the same stream, through one walk of
     the inserted sets per poset: the orders are those of
-    :func:`random_descending_extension`, and each step is built once per
-    edge of the walk, not once per order and step (at seed 0 the
-    catalog's 59,200 orders take 409,000 steps along 12,647 edges
-    between 6,529 nodes).
+    :func:`random_descending_extension`, and each pick reads its step from
+    the step table (at seed 0 the catalog's 59,200 orders make 409,000
+    picks along 12,647 edges between 6,529 nodes).
     """
     _require_count(trials, "trials")
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        a.ensure_d_complete()
         labels = random_scaled_points(poset.n, trials, rng)
-        insert = _random_order_insertion(poset, a.diagonals, rng)
+        insert = _random_order_insertion(poset, a.insertion_steps, rng)
         for trial, s1 in enumerate(labels.T.tolist()):
             s2 = s1[:]
             insert(s1)
@@ -368,8 +366,8 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
         labels = np.zeros((square.n, len(drawn)), dtype=object)
         for (i, j), e in box_ids.items():
             labels[e] = [matrix[i - 1][j - 1] for matrix in drawn]
-        program = compile_program(square, analyze(square).diagonals, range(square.n))
-        _run(labels, program)
+        # ids run row-major from the maximum, so ascending ids are a descending extension
+        _run(labels, program_along(analyze(square).insertion_steps, range(square.n)))
         checks[size - 3 :: 2] = [(matrix, image, box_ids) for matrix, image in zip(drawn, labels.T)]
     for trial, check in enumerate(checks):
         if not _pipelines_agree(*check):

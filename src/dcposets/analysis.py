@@ -1,12 +1,12 @@
 """Cached per-poset analysis bundle.
 
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
-the hook program, a stable insertion order and its toggle program, the
-compiled lattice of order ideals and the linear-extension count) is
-computed once per poset and reused across the many evaluation points of
-the verification routines.  This is the one place that wires the derivation chain: the
-functions it calls take each input they need as an argument and
-recompute nothing.
+the hook program, the insertion step table, a stable insertion order and
+its toggle program, the compiled lattice of order ideals and the
+linear-extension count) is computed once per poset and reused across the
+many evaluation points of the verification routines.  This is the one
+place that wires the derivation chain: the functions it calls take each
+input they need as an argument and recompute nothing.
 
 A poset has at most one live analysis: :func:`analyze` returns the one
 still in use, so every entry point called without ``analysis=`` reuses
@@ -108,11 +108,19 @@ class PosetAnalysis:
         return stable_insertion_order(self.poset, analysis=self)
 
     @cached_property
-    def insertion_program(self):
-        """The toggle program of the stable insertion order."""
-        from .rsk import compile_program
+    def insertion_steps(self):
+        """Per element, the toggles of inserting it along any descending extension."""
+        from .rsk import insertion_steps
 
-        return compile_program(self.poset, self.diagonals, self.stable_order)
+        self.ensure_d_complete()
+        return insertion_steps(self.poset, self.diagonals)
+
+    @cached_property
+    def insertion_program(self):
+        """The toggle program of the stable insertion order, read off the step table."""
+        from .rsk import program_along
+
+        return program_along(self.insertion_steps, self.stable_order)
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
         """All hook polynomials H_p at the exact point x, read as :func:`hooks.hook_numerators` reads it."""
@@ -130,7 +138,9 @@ def analyze(P: Poset) -> PosetAnalysis:
 
 
 def _resolve(P: Poset, analysis: PosetAnalysis | None) -> PosetAnalysis:
-    """``analysis`` if it is one of P or of an equal poset, P's live one if None, else ``ValueError``."""
+    """``analysis`` if it is one of P or of an equal poset, P's live one if None, else TypeError or ValueError."""
+    if analysis is not None and not isinstance(analysis, PosetAnalysis):
+        raise TypeError(f"analysis must be a PosetAnalysis or None, not {type(analysis).__name__}")
     a = analysis or analyze(P)
     if a.poset is not P and a.poset != P:
         raise ValueError("analysis was built for another poset")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from itertools import chain
 from operator import add, floordiv, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -61,6 +60,17 @@ def _require_ids(ids: Iterable, what: str, n: int) -> None:
         raise ValueError(f"{what} outside 0..{n - 1}: {bad}")
 
 
+def _pair_entries(pairs: Iterable) -> Iterator:
+    """Each cover pair's two entries in turn; any other pair raises its unpacking's error type, naming it."""
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError) as error:
+            raise type(error)(f"cover pair must be two ids, not {type(pair).__name__} {pair!r}") from None
+        yield a
+        yield b
+
+
 def _require_count(count, name: str, least: int = 1) -> None:
     """Refuse a count that is not an int (TypeError; a bool is none) or is below ``least`` (ValueError)."""
     if type(count) is bool or not isinstance(count, int):
@@ -82,7 +92,8 @@ class Poset:
     The reflexive-transitive closure is computed eagerly; redundant input
     pairs are silently removed by transitive reduction.  A cycle in the
     input raises :class:`CycleError` naming a witness.  The count and the
-    ids are read by :func:`_require_count` and :func:`_require_ids`, and
+    ids are read by :func:`_require_count` and :func:`_require_ids`, each
+    pair as exactly two ids by :func:`_pair_entries` in the same pass, and
     a name that is not a str raises ``TypeError`` naming it.
 
     ``_analysis`` is a weak reference to the poset's live
@@ -102,7 +113,7 @@ class Poset:
     ):
         _require_count(n, "element count", 0)
         pairs = list(pairs)
-        _require_ids(chain.from_iterable(pairs), "cover pair ids", n)
+        _require_ids(_pair_entries(pairs), "cover pair ids", n)
         edges: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for a, b in pairs:

@@ -7,34 +7,33 @@ its diagonal is toggled.  A toggle replaces a label by
 ``max(labels of covering elements) + min(labels of covered elements) - label``,
 with missing neighbors contributing 0.
 
-Which elements are present at each step depends only on the insertion
-order, so a (poset, order) pair is compiled once into a toggle program:
-per inserted element, the present members of its diagonal, each with its
-present upper and lower covers.  One runner, ``_run``, runs a program in
-place, forward or backward, through one step function, ``_toggle_all``,
-on a list of integer labels or on a label matrix: a numpy array of
-``dtype=object`` holding Python ints, whose row p holds element p's
-label in every column, one column per filling.  On d-complete posets no
-side has more than two candidates, so the step reads every side that is
-neither empty nor a lone candidate from two labels: a list compares
-them once, and a matrix takes the element-wise ``np.maximum`` or
-``np.minimum`` of their rows.  A longer side raises ``ValueError``.
-The battery's trials on the stable program (diagonal sums, the polytope
-bijection) run as one matrix, where one row operation does the work of
-a hundred scalar toggles.  ``rsk`` and
-``inverse_rsk`` are the Fraction edges over them.  The Jacobian builds
-no matrix: its base run is ``_run`` with a step that records its
-choices, its determinant is the parity of the run's length, and
-criterion 6 checks the kernel's derivative along a random direction
+What inserting an element c toggles depends on c alone, whatever the
+descending extension (:func:`insertion_steps` proves it).  So each poset
+has one step table, cached on :class:`~dcposets.analysis.PosetAnalysis`,
+and the toggle program of an order, per inserted element its step, is a
+lookup in it.  One runner, ``_run``, runs a program in place, forward or
+backward, through one step function, ``_toggle_all``, on a list of
+integer labels or on a label matrix: a numpy array of ``dtype=object``
+holding Python ints, whose row p holds element p's label in every
+column, one column per filling.  On d-complete posets no side has more
+than two candidates, so the step reads every side that is neither empty
+nor a lone candidate from two labels: a list compares them once, and a
+matrix takes the element-wise ``np.maximum`` or ``np.minimum`` of their
+rows.  A longer side raises ``ValueError``.  The battery's trials on the
+stable program (diagonal sums, the polytope bijection) run as one
+matrix, where one row operation does the work of a hundred scalar
+toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over them.
+The Jacobian builds no matrix: its base run is ``_run`` with a step that
+records its choices, its determinant is the parity of the run's length,
+and criterion 6 checks the kernel's derivative along a random direction
 against those choices replayed on it.  Elements of one diagonal never
 cover each other, so the toggles of one step read no label another of
 them writes: they commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
-pick at a time and runs each pick's step through ``_toggle_all`` as it
-is drawn; the steps are ``compile_program``'s, built once per set of
-inserted elements and pick, since that is all a step depends on.
+pick at a time and runs each pick's step, read from the table, through
+``_toggle_all`` as it is drawn.
 
 Integer labels are exact because the map is positively homogeneous: a
 toggle is max + min - label, and negation and toggling commute with
@@ -62,6 +61,8 @@ Filling = tuple[Fraction, ...]
 # One toggle: (element, candidate upper covers, candidate lower covers).  A
 # side without present covers is empty, and reads as 0.
 Toggle = tuple[int, tuple[int, ...], tuple[int, ...]]
+# Per element, by id: the toggles of inserting it (:func:`insertion_steps`).
+Steps = tuple[tuple[Toggle, ...], ...]
 # Per inserted element, in insertion order: (element, its step's toggles).
 Program = tuple[tuple[int, tuple[Toggle, ...]], ...]
 
@@ -106,29 +107,34 @@ def _reverses(P: Poset, labels: Sequence) -> bool:
 # -- the toggle kernel -------------------------------------------------------
 
 
-def compile_program(P: Poset, part: DiagonalPartition, order: Sequence[int]) -> Program:
-    """The toggles the insertion runs along ``order``, a descending extension.
+def insertion_steps(P: Poset, part: DiagonalPartition) -> Steps:
+    """The step table of a d-complete poset: entry c holds the toggles of inserting c.
 
-    Along a descending extension every upper cover of an element is
-    inserted before it, so its upper candidates never change; its lower
-    candidates are the lower covers inserted so far.  Candidates are
-    listed by id.  A side has at most two (:func:`_toggle_all`), so a tie
-    is found the same way whatever their order; listing them by id only
-    keeps the programs equal to :func:`_random_order_insertion`'s steps.
+    Those are the members of c's diagonal above c, top down, each with
+    all its upper and lower covers, then c with its upper covers and an
+    empty lower side, covers by id: the step inserting c makes along any
+    descending extension.  The members inserted before c are exactly those
+    above c, because a diagonal is a chain and the order descends.  Such a
+    member e and the member w next below it span a d-interval [w, e]
+    (diagonal property 1, which criterion 8 checks), and w >= c.  By axiom
+    2, e covers only elements strictly inside [w, e], and members of one
+    diagonal never cover each other, so all of e's lower covers lie above
+    c and are already inserted.  c's own lower covers come after c, and
+    every upper cover before.  The caller checks the axioms.
     """
-    ups = P._upper
-    below: list[list[int]] = [[] for _ in range(P.n)]
-    los: list[tuple[int, ...]] = [()] * P.n
-    inserted: list[list[int]] = [[] for _ in range(part.count)]
-    program = []
-    for c in order:
-        for u in P._upper[c]:
-            insort(below[u], c)
-            los[u] = tuple(below[u])
-        members = inserted[part.diagonal_of[c]]
-        members.append(c)
-        program.append((c, tuple([(e, ups[e], los[e]) for e in members])))
-    return tuple(program)
+    ups, lows = P._upper, P._lower
+    steps: list[tuple[Toggle, ...]] = [()] * P.n
+    for members in part.classes:
+        above: list[Toggle] = []
+        for c in sorted(members, key=lambda e: P._up[e].bit_count()):
+            steps[c] = (*above, (c, ups[c], ()))
+            above.append((c, ups[c], lows[c]))
+    return tuple(steps)
+
+
+def program_along(steps: Steps, order: Sequence[int]) -> Program:
+    """The toggle program of a descending extension ``order``: each element with its step from ``steps``."""
+    return tuple(zip(order, map(steps.__getitem__, order)))
 
 
 def _toggle_all(labels, toggles: Iterable[Toggle], top=None, bottom=None) -> None:
@@ -145,25 +151,21 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=None, bottom=None) -> Non
     ``top`` and ``bottom``, and a ``top`` or ``bottom`` given is called
     on the two labels in place of the comparison.  Two is the longest
     side, proved below, so a longer one raises ``ValueError`` at the
-    unpack of its two candidates.  In the catalog's stable programs most
-    toggles have an empty side (2,085 of 2,126) and 1,988 have at most
-    one candidate on each side.  On shapes most have a side with two: 627
-    of the 650 in Young 12x12's stable program, and 385 of those have two
-    on each side.
+    unpack of its two candidates.  In the catalog's step tables 2,085 of
+    the 2,126 toggles have an empty side and 1,988 at most one candidate
+    on each side; in Young 12x12's, 627 of 650 have a side with two, and
+    385 two on each side.
 
-    No side on a d-complete poset has more than two candidates, under any
-    descending extension.  An upper side holds every upper cover of e,
-    and in a d-complete poset every element has at most two (Proctor,
-    J. Algebraic Combin. 9 (1999) 61-94).  A lower side is empty when e
-    is the element just inserted, since its lower covers come after it.
-    Otherwise e was inserted earlier and the step inserts a member c of
-    e's diagonal; that diagonal is a chain, so c < e, and its member next
-    below e, w, spans a d-interval [w, e] with e (diagonal property 1,
-    which criterion 8 checks).  By axiom 2, e covers nothing outside
-    [w, e], and the top of a d-interval covers at most two of its
-    elements: the two sides of a d_3-interval, or one neck element.
-    ``test_toggle_sides_have_at_most_two_candidates`` pins the bound on
-    the catalog, the seeded joins and large shapes.
+    No side on a d-complete poset has more than two candidates, and the
+    bound reads off the step table (:func:`insertion_steps`), whose steps
+    make up every program.  An upper side holds every upper cover of e,
+    at most two in a d-complete poset (Proctor, J. Algebraic Combin. 9
+    (1999) 61-94).  A lower side is empty, or holds every lower cover of
+    a member e above the inserted element, all in the d-interval [w, e]
+    for w the member next below e; the top of a d-interval covers at
+    most two of its elements, the two sides of a d_3-interval or one neck
+    element.  ``test_toggle_sides_have_at_most_two_candidates`` pins the
+    bound on the tables of the catalog, the seeded joins and large shapes.
     """
     for e, ups, los in toggles:
         if not ups:
@@ -199,8 +201,8 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
     ends as a run on it alone would.  A list run calls the step with its
     two arguments only, so it reads a two-candidate side by one
     comparison of the two labels.  Either way a side has at most two
-    candidates; a program with a longer one, which no d-complete poset
-    compiles to, raises ``ValueError``.
+    candidates; a program with a longer one, which no step table of a
+    d-complete poset holds, raises ``ValueError``.
     """
     step = step or _toggle_all
     if type(labels) is not list:
@@ -218,12 +220,11 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
 
 
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:
-    """The stable toggle program (its order checks the axioms), or one along ``order``, read and checked here."""
+    """The stable toggle program, or the one along ``order``, read and checked here; the table checks the axioms."""
     if order is None:
         return analysis.insertion_program
     order = _require_order(P, order)
-    analysis.ensure_d_complete()
-    return compile_program(P, analysis.diagonals, order)
+    return program_along(analysis.insertion_steps, order)
 
 
 def rsk(
@@ -423,36 +424,22 @@ def random_descending_extension(P: Poset, rng: Random) -> tuple[int, ...]:
 _Node = tuple[int, int, list, tuple[int, ...], int]
 
 
-def _random_order_insertion(
-    P: Poset, part: DiagonalPartition, rng: Random
-) -> Callable[[list[int]], None]:
+def _random_order_insertion(P: Poset, steps: Steps, rng: Random) -> Callable[[list[int]], None]:
     """A function inserting one label list in place along a fresh random descending extension.
 
     Each call draws its order from ``rng`` exactly as
     :func:`random_descending_extension` does, one pick at a time, and runs
-    the step of each pick as it is drawn: the labels end as :func:`_run`
-    along :func:`compile_program`'s program for that order leaves them,
-    and ``rng`` ends in the same state.  What a pick and its step need
+    each pick's entry in ``steps`` (:func:`insertion_steps`) as it is
+    drawn: the labels end as :func:`_run` along that order's program
+    leaves them, and ``rng`` ends in the same state.  What a pick needs
     depends only on the set of elements inserted so far, so the walk is
-    memoized on that set's mask.  A node holds the maximal elements of
-    what remains; an edge, built on first use, holds the picked element c,
-    the next node and c's step.  The members of c's diagonal inserted so
-    far are those at or above c, since a diagonal is a chain and every
-    member above c is greater than c; listed top down they are the order
-    in which a descending extension inserts them.  Each carries its upper
-    covers and its inserted lower covers, ascending, an empty side as
-    ``()``: ``compile_program``'s step at that position.  So a
-    step is built once per edge of the walk, not once per order and step,
-    and the memo holds at most one node per inserted prefix drawn.
+    memoized on that set's mask: a node holds the maximal elements of what
+    remains, and an edge, built on first use, the next node, the picked
+    element and its step.
     """
     getrandbits = rng.getrandbits
-    ups, lower = P._upper, P._lower
-    covering = [mask_of(u) for u in ups]
-    chain_of: list[tuple[int, ...]] = [()] * P.n
-    for members in part.classes:
-        chain = tuple(sorted(members, key=lambda e: P._up[e].bit_count()))
-        for e in members:
-            chain_of[e] = chain
+    lower = P._lower
+    covering = [mask_of(u) for u in P._upper]
     nodes: dict[int, _Node] = {}
 
     def node(inserted: int, maximal: tuple[int, ...]) -> _Node:
@@ -472,14 +459,7 @@ def _random_order_insertion(
                 if not covering[v] & ~inserted:
                     insort(rest, v)
             child = node(inserted, tuple(rest))
-        toggles = tuple(
-            [
-                (e, ups[e], tuple([v for v in lower[e] if inserted >> v & 1]))
-                for e in chain_of[c]
-                if inserted >> e & 1
-            ]
-        )
-        made = children[i] = (child, c, toggles)
+        made = children[i] = (child, c, steps[c])
         return made
 
     root = node(0, tuple(v for v in range(P.n) if not P._upper[v]))

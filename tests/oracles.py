@@ -16,6 +16,7 @@ that follow it.
 import functools
 import math
 import operator
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -404,6 +405,28 @@ def _reference_insertion(P, a, order, values, trace=None, gaps=None):
                 trace.append((e, *picks))
             state = _reference_toggle(P, state, e)
     return tuple(state[i] for i in range(P.n))
+
+
+def _reference_program(P, part, order):
+    """The toggle program along ``order``, compiled step by step as the insertion meets it.
+
+    Per inserted element c: the members of c's diagonal inserted so far, in
+    insertion order, each with its upper covers and the lower covers
+    inserted so far, by id.  The oracle for the step table, which claims
+    the same steps for every descending extension.
+    """
+    below = [[] for _ in range(P.n)]
+    los = [()] * P.n
+    inserted = [[] for _ in range(part.count)]
+    program = []
+    for c in order:
+        for u in P.upper_covers(c):
+            insort(below[u], c)
+            los[u] = tuple(below[u])
+        members = inserted[part.diagonal_of[c]]
+        members.append(c)
+        program.append((c, tuple([(e, P.upper_covers(e), los[e]) for e in members])))
+    return tuple(program)
 
 
 def _reference_inverse(P, a, order, labels):

@@ -34,13 +34,13 @@ from dcposets.rsk import (
     Program,
     _run,
     _toggle_all,
-    compile_program,
     random_descending_extension,
     random_filling,
 )
 from dcposets.verify import BijectionReport
 
 from conftest import _double_where_first_denominator_is_even
+from oracles import _reference_program
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -485,7 +485,7 @@ def _loop_order_independence(prepared, trials, seed):
                 order = random_descending_extension(poset, rng)
                 program = programs.get(order)
                 if program is None:
-                    program = programs[order] = compile_program(poset, part, order)
+                    program = programs[order] = _reference_program(poset, part, order)
                 _run(s, program)
             if s1 != s2:
                 failures.append(f"fail poset={name} seed={seed} trial={trial}")

@@ -1,6 +1,7 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
-and of ``src/dcposets/``: one reader of exact input, and one home for each
-check on caller ids, counts and ``analysis=``.
+and of ``src/dcposets/``: one reader of exact input, one home for each
+check on caller ids, counts and ``analysis=``, and one builder of insertion
+steps.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -34,6 +35,7 @@ ORACLES = (
     "_reference_toggle",
     "_reference_is_order_reversing",
     "_reference_insertion",
+    "_reference_program",
     "_reference_inverse",
     "_det",
     "_finite_difference_det",
@@ -161,3 +163,12 @@ def test_each_check_on_caller_input_has_one_home():
         if isinstance(node, ast.FunctionDef) and node.name == "_require_count"
     ]
     assert homes == ["poset"]
+
+
+def test_insertion_steps_have_one_builder():
+    # the step table is the one builder of insertion steps, and it keeps no
+    # per-order bookkeeping: in rsk.py only the order draws keep a sorted
+    # list, the maximal or minimal elements of what remains (the walk's edge
+    # builds a new node's)
+    sorts = {where for where in _functions_where(lambda node: _is_call_of(node, "insort")) if where.startswith("rsk.")}
+    assert sorts == {"rsk.random_descending_extension", "rsk.stable_insertion_order", "rsk.edge"}

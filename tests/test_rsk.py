@@ -59,7 +59,6 @@ from dcposets.rsk import (
     _random_order_insertion,
     _run,
     _toggle_all,
-    compile_program,
     random_descending_extension,
 )
 
@@ -71,6 +70,7 @@ from oracles import (
     _reference_inverse,
     _reference_is_order_reversing,
     _reference_is_stable,
+    _reference_program,
     _reference_stable_order,
 )
 
@@ -224,8 +224,9 @@ def _d3_prepared():
 # calls the input, size).  A filling of _D4's 6 elements or a point on its 4
 # diagonals, each read whole by exact_labels; an id of a 3-element poset or an
 # entry of an insertion order of _D4, read by _require_ids; a count, read by
-# _require_count, whose size is the least value it allows.  A tree's parent is
-# an id, but -1 marks a root.
+# _require_count, whose size is the least value it allows; a list of cover
+# pairs of a 3-element poset, each read as two ids.  A tree's parent is an id,
+# but -1 marks a root.
 _EDGES = {
     "is_order_reversing": ("filling", lambda s: is_order_reversing(_D4, s), None, 6),
     "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s), None, 6),
@@ -266,6 +267,7 @@ _EDGES = {
         "insertion order entries",
         6,
     ),
+    "Poset-pair-list": ("pairs", lambda pairs: Poset(3, pairs), None, 3),
     "Poset-count": ("count", Poset, "element count", 0),
     "d_k_one": ("count", d_k_one, "k of d_k(1)", 3),
     "young-part": ("count", lambda k: young((k,)), "partition part", 1),
@@ -352,6 +354,12 @@ _BAD_INPUTS = {
     },
     "past-end": _ids(lambda n: n, ValueError, _OUTSIDE),
     "below": {"count": (lambda least: least - 1, ValueError, _BELOW)},
+    "three-entry-pair": {
+        "pairs": (lambda n: [(0, 1, 2)], ValueError, "cover pair must be two ids, not tuple (0, 1, 2)")
+    },
+    "one-entry-pair": {"pairs": (lambda n: [(0,)], ValueError, "cover pair must be two ids, not tuple (0,)")},
+    "int-pair": {"pairs": (lambda n: [5], TypeError, "cover pair must be two ids, not int 5")},
+    "none-pair": {"pairs": (lambda n: [(0, 1), None], TypeError, "cover pair must be two ids, not NoneType None")},
 }
 
 
@@ -655,7 +663,7 @@ def test_oracles(family, analyses, name):
     part = a.diagonals
     rng = Random(13)
     for _ in range(3):
-        program = compile_program(P, part, random_descending_extension(P, rng))
+        program = _reference_program(P, part, random_descending_extension(P, rng))
         for c, toggles in program:
             assert all(los != () for e, _, los in toggles if e != c), (c, toggles)
 
@@ -990,19 +998,34 @@ def test_kernel_fast_path_matches_general_step():
 def test_toggle_sides_have_at_most_two_candidates():
     # the bound _toggle_all's docstring proves: every element has at most two
     # upper covers, and an element toggled after its own insertion tops a
-    # d-interval, so covers at most two.  Checked on the catalog, the seeded
-    # joins and three larger posets, along the stable order and a random one,
-    # where both sides reach two candidates at once
+    # d-interval, so covers at most two.  Checked on the step tables of the
+    # catalog, the seeded joins and three larger posets, whose n steps make
+    # up every program, and where both sides reach two candidates at once
     posets = [e.poset for e in catalog()] + list(seeded_joins())
     posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50)]
-    rng = Random(59)
     shapes = Counter()
     for P in posets:
-        a = analyze(P)
-        for order in (None, random_descending_extension(P, rng)):
-            shapes.update((len(ups), len(los)) for _, step in _program(P, order, a) for _, ups, los in step)
+        steps = analyze(P).insertion_steps
+        assert len(steps) == P.n
+        shapes.update((len(ups), len(los)) for step in steps for _, ups, los in step)
     assert max(map(max, shapes)) == 2, shapes
     assert shapes[2, 2] >= 400, shapes
+
+
+def test_insertion_steps_match_per_order_compilation():
+    # every program read off the step table equals the one compiled step by
+    # step along its order: on the catalog, the seeded joins, Young 12x12,
+    # shifted 7..1 and d_50(1), along the stable order and 20 random ones
+    posets = [e.poset for e in catalog()] + list(seeded_joins())
+    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50)]
+    assert len(posets) == 359
+    rng = Random(61)
+    for P in posets:
+        a = analyze(P)
+        assert a.insertion_program == _reference_program(P, a.diagonals, a.stable_order)
+        for _ in range(20):
+            order = random_descending_extension(P, rng)
+            assert _program(P, order, a) == _reference_program(P, a.diagonals, order), order
 
 
 def _columns_match_scalar_loops(P, program, trials, draw):
@@ -1091,7 +1114,7 @@ def test_random_orders_keep_their_draws():
 
 def test_order_walk_matches_compiled_random_orders(monkeypatch):
     # order independence's walk against the path it replaced: _run along
-    # compile_program of random_descending_extension, drawn from a twin
+    # the per-order compilation of random_descending_extension, drawn from a twin
     # stream with the same labels drawn in between.  Every draw gives the
     # same image, each walked path is a descending extension whose steps are
     # the compiled program's, toggles in the same order, and the two streams
@@ -1107,10 +1130,11 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
 
     monkeypatch.setattr(rsk_module, "_toggle_all", recording)
     for name, P in posets:
-        part = analyze(P).diagonals
+        a = analyze(P)
+        part = a.diagonals
         for seed in range(4):
             rng, oracle = Random(seed), Random(seed)
-            insert = _random_order_insertion(P, part, rng)
+            insert = _random_order_insertion(P, a.insertion_steps, rng)
             for draw in range(3):
                 t = [rng.randrange(1, 1000) for _ in range(P.n)]
                 assert t == [oracle.randrange(1, 1000) for _ in range(P.n)]
@@ -1120,7 +1144,7 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
                 # a step's last toggle is its inserted element's
                 path = tuple(step[-1][0] for step in steps)
                 assert is_descending_extension(P, path), (name, seed, draw)
-                program = compile_program(P, part, random_descending_extension(P, oracle))
+                program = _reference_program(P, part, random_descending_extension(P, oracle))
                 assert path == tuple(c for c, _ in program), (name, seed, draw)
                 assert tuple(steps) == tuple(toggles for _, toggles in program), (name, seed, draw)
                 assert all(q < P.n for step in steps for e, ups, los in step for q in (e, *ups, *los))
@@ -1151,14 +1175,18 @@ def _toggle_count(program):
 
 def test_jacobian_sign_is_step_parity():
     # each step is the identity with one row replaced, whose diagonal entry is
-    # -1, so the determinant is (-1)^(n + T), T the program's toggle count
+    # -1, so the determinant is (-1)^(n + T), T the program's toggle count;
+    # inserting c toggles the members of its diagonal at or above it, so
+    # T = sum over the diagonals D of |D|(|D|+1)/2, whatever the order
     rng = Random(31)
     signs = set()
     for entry in catalog():
         P = entry.poset
         a = analyze(P)
+        toggles = sum(len(D) * (len(D) + 1) // 2 for D in a.diagonals.classes)
         for order in (None, random_descending_extension(P, rng)):
-            expected = (-1) ** (P.n + _toggle_count(_program(P, order, a)))
+            assert _toggle_count(_program(P, order, a)) == toggles, (entry.name, order)
+            expected = (-1) ** (P.n + toggles)
             done = 0
             for _ in range(40):
                 try:

@@ -358,6 +358,10 @@ def test_an_analysis_of_another_poset_is_refused():
     for call in _entry_points(P, other).values():
         with pytest.raises(ValueError, match="^analysis was built for another poset$"):
             call()
+    # something that is no analysis at all is refused by type, not read as one
+    for call in _entry_points(P, object()).values():
+        with pytest.raises(TypeError, match="^analysis must be a PosetAnalysis or None, not object$"):
+            call()
     # an analysis of an equal poset is taken, and gives P's own values
     twin = analyze(d_k_one(4))
     assert twin.poset is not P

@@ -23,7 +23,7 @@ from .fileformats import (
     poset_to_text,
 )
 from .hooks import exact_labels
-from .poset import ExtensionLimitError, Poset, count_linear_extensions, linear_extensions
+from .poset import ExtensionLimitError, Poset, _require_order, count_linear_extensions, linear_extensions
 from .rsk import inverse_rsk, rsk
 from .verify import (
     PolytopeSpec,
@@ -69,12 +69,17 @@ def _load_filling(path: str, n: int):
     return mapping
 
 
-def _resolve_order(spec: str):
+def _resolve_order(spec: str, P: Poset):
+    """None for the stable order, or an order file's ids, read against P; a bad order is a format error (exit 2)."""
     if spec == "stable":
         return None
-    if spec.startswith("given:"):
-        return order_from_text(Path(spec[len("given:"):]).read_text())
-    raise FormatError(f"--order must be 'stable' or 'given:<file>', got {spec!r}")
+    if not spec.startswith("given:"):
+        raise FormatError(f"--order must be 'stable' or 'given:<file>', got {spec!r}")
+    order = order_from_text(Path(spec[len("given:"):]).read_text())
+    try:
+        return _require_order(P, order)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _cmd_gen(args) -> int:
@@ -143,7 +148,7 @@ def _cmd_extensions(args) -> int:
 def _cmd_rsk(args, inverse: bool) -> int:
     P = _load_poset(args.poset)
     values = _load_filling(args.filling, P.n)
-    order = _resolve_order(args.order)
+    order = _resolve_order(args.order, P)
     image = inverse_rsk(P, values, order) if inverse else rsk(P, values, order)
     sys.stdout.write(filling_to_text(image))
     return 0

@@ -60,13 +60,18 @@ def _require_ids(ids: Iterable, what: str, n: int) -> None:
         raise ValueError(f"{what} outside 0..{n - 1}: {bad}")
 
 
-def _pair_entries(pairs: Iterable) -> Iterator:
-    """Each cover pair's two entries in turn; any other pair raises its unpacking's error type, naming it."""
+def _pair_entries(pairs: Iterable, read: list[tuple]) -> Iterator:
+    """Each cover pair's two entries in turn, the pair appended to ``read`` as a 2-tuple.
+
+    Each pair is unpacked once, so a pair that is a one-shot iterator is
+    read whole; any other pair raises its unpacking's error type, naming it.
+    """
     for pair in pairs:
         try:
             a, b = pair
         except (TypeError, ValueError) as error:
             raise type(error)(f"cover pair must be two ids, not {type(pair).__name__} {pair!r}") from None
+        read.append((a, b))
         yield a
         yield b
 
@@ -93,7 +98,8 @@ class Poset:
     pairs are silently removed by transitive reduction.  A cycle in the
     input raises :class:`CycleError` naming a witness.  The count and the
     ids are read by :func:`_require_count` and :func:`_require_ids`, each
-    pair as exactly two ids by :func:`_pair_entries` in the same pass, and
+    pair unpacked once as exactly two ids by :func:`_pair_entries` in the
+    same pass, the construction reading those 2-tuples, and
     a name that is not a str raises ``TypeError`` naming it.
 
     ``_analysis`` is a weak reference to the poset's live
@@ -112,16 +118,13 @@ class Poset:
         names: Mapping[int, str] | None = None,
     ):
         _require_count(n, "element count", 0)
-        pairs = list(pairs)
-        _require_ids(_pair_entries(pairs), "cover pair ids", n)
+        read: list[tuple[int, int]] = []
+        _require_ids(_pair_entries(pairs, read), "cover pair ids", n)
         edges: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for a, b in pairs:
+        for a, b in dict.fromkeys(read):  # each distinct pair once, in input order
             if a == b:
                 raise CycleError((a, a))
-            if (a, b) not in seen:
-                seen.add((a, b))
-                edges[a].append(b)
+            edges[a].append(b)
 
         order = _topological_order(n, edges)
         up = [0] * n

@@ -23,12 +23,14 @@ rows.  A longer side raises ``ValueError``.  The battery's trials on the
 stable program (diagonal sums, the polytope bijection) run as one
 matrix, where one row operation does the work of a hundred scalar
 toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over them.
-The Jacobian builds no matrix: its base run is ``_run`` with a step that
-records its choices, its determinant is the parity of the run's length,
-and criterion 6 checks the kernel's derivative along a random direction
-against those choices replayed on it.  Elements of one diagonal never
-cover each other, so the toggles of one step read no label another of
-them writes: they commute.
+The Jacobian builds no matrix and records nothing: its determinant is
+the parity of the step table's toggle count, and its one run is ``_run``
+with a step that reads each side as ``_toggle_all`` does on a list but
+refuses a tie.  Criterion 6 checks the kernel's derivative along a
+random direction against the choices of a run that records them,
+``_choices``, replayed on it.  Elements of one diagonal never cover each
+other, so the toggles of one step read no label another of them writes:
+they commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
@@ -500,10 +502,10 @@ def rsk_jacobian_det(
     """Exact Jacobian determinant of the insertion map at a generic point.
 
     Every toggle is a piecewise-linear involution, so the map is piecewise
-    linear.  :func:`_choices` runs the map at the point, choosing per
-    toggle the upper cover of largest label and the lower cover of
-    smallest label, and raises :class:`NonGenericPoint` on a tie.  When
-    every gap is strictly positive, the same choices are made on a
+    linear.  Its run at the point chooses per toggle the upper cover of
+    largest label and the lower cover of smallest label, and
+    :func:`_strict_step` raises :class:`NonGenericPoint` on a tie.  When
+    every compared pair differs, the same choices are made on a
     neighborhood of the point, so there the map is the linear map those
     choices spell out: the product, over the run's n insertions and T
     toggles, of one linear map of the n labels each.
@@ -515,18 +517,69 @@ def rsk_jacobian_det(
     an absent cover's label is the constant 0.  The identity with row i
     replaced by r is I + e_i (r - e_i)^T, whose determinant is
     1 + (r - e_i)_i = r_i.  So the determinant is (-1)^(n + T) for the
-    T toggles of the run, whatever choices were made, and the one run
-    serves only to refuse the points where a tie leaves the map without
-    a derivative.  Criterion 6 checks the choices themselves through
-    :func:`_derivative_check`.
+    T toggles of the run, whatever choices were made.  Every program runs
+    each element's step of the table (:func:`insertion_steps`) once,
+    whatever the order, so T is read off the table: the sum of its steps'
+    lengths.  The one run records nothing and serves only to refuse the
+    points where a tie leaves the map without a derivative.  Criterion 6
+    checks the choices themselves through :func:`_derivative_check`.
     """
     labels, _ = _nonnegative_labels(P.n, filling)
-    trace, _ = _choices(labels, _program(P, order, _resolve(P, analysis)))
-    return Fraction((-1) ** (P.n + len(trace)))
+    a = _resolve(P, analysis)
+    _run(labels, _program(P, order, a), step=_strict_step)
+    return Fraction((-1) ** (P.n + sum(map(len, a.insertion_steps))))
+
+
+def _strict_step(labels: list[int], toggles: Iterable[Toggle]) -> None:
+    """:func:`_toggle_all` on a label list, raising :class:`NonGenericPoint` where two candidates tie.
+
+    An empty side reads as 0 and a lone candidate is read directly, since
+    it ties with nothing.  Of two candidates the strictly larger (upper
+    side) or strictly smaller (lower side) is taken, and equal labels
+    raise.  Nothing is recorded, so a run through this step costs what a
+    run through :func:`_toggle_all` does.  A longer side raises
+    ``ValueError`` at the unpack, as there.  It refuses exactly the points
+    :func:`_choices` refuses: both compare the same two labels of every
+    two-candidate side when its toggle runs, and write the same labels.
+    """
+    for e, ups, los in toggles:
+        if not ups:
+            hi = 0
+        elif len(ups) == 1:
+            hi = labels[ups[0]]
+        else:
+            x, y = ups
+            a = labels[x]
+            b = labels[y]
+            if a > b:
+                hi = a
+            elif a < b:
+                hi = b
+            else:
+                raise NonGenericPoint(_TIE)
+        if not los:
+            lo = 0
+        elif len(los) == 1:
+            lo = labels[los[0]]
+        else:
+            x, y = los
+            a = labels[x]
+            b = labels[y]
+            if a < b:
+                lo = a
+            elif a > b:
+                lo = b
+            else:
+                raise NonGenericPoint(_TIE)
+        labels[e] = hi + lo - labels[e]
 
 
 def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
     """Run ``program`` on ``labels`` in place, recording each toggle's choice: (trace, g).
+
+    Its one caller is criterion 6's :func:`_derivative_check`, which
+    replays the trace and scales by g; :func:`rsk_jacobian_det` only
+    refuses ties, through :func:`_strict_step`, and records nothing.
 
     The run chooses, per toggle, the upper cover of largest label and the
     lower cover of smallest label.  An empty side is recorded as index n,

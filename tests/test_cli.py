@@ -297,6 +297,33 @@ def test_cold_start_runs_the_list_kernel_without_numpy(tmp_path):
     assert filling_from_text(proc.stdout) == dict(enumerate(map(Fraction, (2, 2, 3, 4, 2, 1))))
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("5 4 2 3 1 9", "insertion order entries outside 0..5: [9]"),
+        ("5 4 2", "insertion order must be a descending linear extension"),
+        ("0 1 2 3 4 5", "insertion order must be a descending linear extension"),
+    ],
+    ids=["outside", "short", "ascending"],
+)
+def test_bad_order_file_is_usage_error(tmp_path, capsys, order, message):
+    # an order file is input, read against the poset as a filling file is:
+    # once the reader's ValueError, exit 1, the verification-failure code
+    poset_path = tmp_path / "d4.poset"
+    poset_path.write_text(poset_to_text(d_k_one(4)))
+    fill_path = tmp_path / "t.fill"
+    order_path = tmp_path / "order.txt"
+    # the worked example's input, and its image, which inverse-rsk reads
+    for command, values in (("rsk", (2, 2, 3, 4, 2, 1)), ("inverse-rsk", (11, 9, 6, 7, 4, 3))):
+        fill_path.write_text(filling_to_text([Fraction(v) for v in values]))
+        order_path.write_text(order + "\n")
+        code, out, err = run(capsys, command, str(poset_path), str(fill_path), "--order", f"given:{order_path}")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+        order_path.write_text("5 4 2 3 1 0\n")
+        code, _, err = run(capsys, command, str(poset_path), str(fill_path), "--order", f"given:{order_path}")
+        assert code == 0 and err == "", command
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "does-not-exist.poset")
     assert code == 2 and "error:" in err

@@ -1,7 +1,7 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
 and of ``src/dcposets/``: one reader of exact input, one home for each
-check on caller ids, counts and ``analysis=``, and one builder of insertion
-steps.
+check on caller ids, counts and ``analysis=``, one builder of insertion
+steps, and one caller of the recording run.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -172,3 +172,17 @@ def test_insertion_steps_have_one_builder():
     # builds a new node's)
     sorts = {where for where in _functions_where(lambda node: _is_call_of(node, "insort")) if where.startswith("rsk.")}
     assert sorts == {"rsk.random_descending_extension", "rsk.stable_insertion_order", "rsk.edge"}
+
+
+def _names_in(function):
+    """``module.function`` of each innermost function in ``src/dcposets/`` that names ``function``, called or passed."""
+    return _functions_where(lambda node: isinstance(node, ast.Name) and node.id == function)
+
+
+def test_only_the_derivative_check_records_choices():
+    # the Jacobian's run refuses ties and records nothing: only criterion 6's
+    # derivative check runs _choices, and rsk_jacobian_det names neither the
+    # recording run nor the plain step
+    assert _functions_where(lambda node: _is_call_of(node, "_choices")) == {"rsk._derivative_check"}
+    assert "rsk.rsk_jacobian_det" not in _names_in("_choices") | _names_in("_toggle_all")
+    assert "rsk.rsk_jacobian_det" in _names_in("_strict_step")

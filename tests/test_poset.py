@@ -82,6 +82,15 @@ def test_cycle_detection():
         Poset(1, [(0, 0)])
 
 
+def test_one_shot_pairs_build_the_same_poset():
+    # each pair is unpacked once: a pair given as a one-shot iterator was
+    # consumed by the id check and then read again, empty, by the construction
+    pairs = [(0, 1), (1, 2), (0, 2), (3, 1)]
+    assert Poset(4, [iter(pair) for pair in pairs]) == Poset(4, pairs)
+    assert Poset(3, [iter((0, 1))]) == Poset(3, [(0, 1)])
+    assert Poset(2, (iter(pair) for pair in [(0, 1), (0, 1)])).covers == {(0, 1)}
+
+
 def test_bad_ids_rejected():
     with pytest.raises(ValueError):
         Poset(2, [(0, 5)])

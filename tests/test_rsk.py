@@ -1208,6 +1208,73 @@ def test_jacobian_rejects_ties():
         rsk_jacobian_det(P, (1, 1, 1, 1))
 
 
+def _refusal_mismatches(posets, seed, orders, count):
+    """Where ``rsk_jacobian_det`` and ``_choices`` disagree, and each poset's outcomes.
+
+    Per poset, under the stable order and ``orders`` random ones, on
+    ``count`` ``random_filling`` draws each: the Jacobian must raise
+    ``NonGenericPoint`` exactly when ``_choices`` does on the same labels
+    and program, and otherwise return (-1)^(n + len(trace)).
+    """
+    rng = Random(seed)
+    mismatches = []
+    outcomes: dict[str, Counter] = {}
+    for name, P in posets:
+        a = analyze(P)
+        seen = outcomes.setdefault(name, Counter())
+        for order in (None, *(random_descending_extension(P, rng) for _ in range(orders))):
+            program = _program(P, order, a)
+            for _ in range(count):
+                t = random_filling(P.n, rng)
+                labels, _ = exact_labels(t, P.n, "filling", "elements")
+                try:
+                    trace, _ = _choices(labels, program)
+                    expected = (-1) ** (P.n + len(trace))
+                except NonGenericPoint:
+                    expected = "tie"
+                try:
+                    got = rsk_jacobian_det(P, t, order, analysis=a)
+                except NonGenericPoint:
+                    got = "tie"
+                seen[expected] += 1
+                if got != expected:
+                    mismatches.append((name, order, t, expected, got))
+    return mismatches, outcomes
+
+
+def test_jacobian_refuses_exactly_the_choices_ties():
+    # the Jacobian's recording-free run refuses a point iff the recording run
+    # does, on the catalog, the seeded joins, Young 12x12 and d_50(1), under
+    # the stable order and three random orders, on 6 fillings per order, or
+    # 20 on the large two
+    small = [(e.name, e.poset) for e in catalog()] + [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
+    large = [("young-12x12", young((12,) * 12)), ("d50(1)", d_k_one(50))]
+    mismatches, outcomes = _refusal_mismatches(small, 59, 3, 6)
+    more, large_outcomes = _refusal_mismatches(large, 61, 3, 20)
+    assert mismatches + more == []
+    young_outcomes = large_outcomes["young-12x12"]
+    assert young_outcomes["tie"] and young_outcomes.total() > young_outcomes["tie"], young_outcomes
+    assert sum(seen["tie"] for seen in [*outcomes.values(), young_outcomes]) >= 80
+
+
+def _min_above(labels, toggles):
+    """A mutant of the strict step: the min of the upper side's candidates where the max belongs."""
+    for e, ups, los in toggles:
+        hi = labels[_select(labels, ups, -1)] if ups else 0
+        lo = labels[_select(labels, los, -1)] if los else 0
+        labels[e] = hi + lo - labels[e]
+
+
+@pytest.mark.parametrize("mutant", [_toggle_all, _min_above], ids=["never-raises", "min-above"])
+def test_refusal_check_catches_step_mutants(monkeypatch, mutant):
+    # each mutant of the Jacobian's step refuses other points than _choices
+    # on Young 12x12 and shifted 7..1, which the check above then reports
+    monkeypatch.setattr(rsk_module, "_strict_step", mutant)
+    posets = [("young-12x12", young((12,) * 12)), ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1)))]
+    mismatches, _ = _refusal_mismatches(posets, 59, 3, 10)
+    assert {name for name, *_ in mismatches} == {"young-12x12", "shifted-7..1"}
+
+
 def test_order_independence_explicit(family, analyses):
     P = family["sample10"]
     a = analyses["sample10"]

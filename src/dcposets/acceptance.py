@@ -73,8 +73,8 @@ def _result(name: str, failures: list[str], lines: list[str]) -> CriterionResult
 def counting_identity(prepared: Prepared) -> CriterionResult:
     """extensions * prod(hook lengths) == n! for every catalog poset."""
     failures: list[str] = []
-    for name, poset, a in prepared:
-        report = verify_proctor(poset, analysis=a)
+    for name, poset, _ in prepared:
+        report = verify_proctor(poset)
         if not report.ok:
             failures.append(
                 f"fail poset={name} extensions={report.extensions} "
@@ -89,8 +89,8 @@ def counting_identity(prepared: Prepared) -> CriterionResult:
 def multivariate_identity(prepared: Prepared, points: int = 20, seed: int = 0) -> CriterionResult:
     """Weight sum == 1/prod(H_p) exactly at random rational points."""
     failures: list[str] = []
-    for name, poset, a in prepared:
-        report = verify_multivariate(poset, points=points, seed=seed, analysis=a)
+    for name, poset, _ in prepared:
+        report = verify_multivariate(poset, points=points, seed=seed)
         if not report.ok:
             first = report.failures[0]
             failures.append(
@@ -125,20 +125,20 @@ def worked_insertion_example() -> CriterionResult:
     failures: list[str] = []
     poset = d_k_one(4)
     a = analyze(poset)
-    d4 = verify_proctor(poset, analysis=a)
+    d4 = verify_proctor(poset)
     if (d4.extensions, d4.hook_product, d4.factorial) != (2, 360, 720):
         failures.append("fail d4 instance does not match (2, 360, 720)")
-    image = rsk(poset, WORKED_INPUT, WORKED_ORDER, analysis=a)
+    image = rsk(poset, WORKED_INPUT, WORKED_ORDER)
     expected = tuple(Fraction(v) for v in WORKED_IMAGE)
     if image != expected:
         failures.append(f"fail image={image} expected={expected}")
-    recovered = inverse_rsk(poset, expected, WORKED_ORDER, analysis=a)
+    recovered = inverse_rsk(poset, expected, WORKED_ORDER)
     if recovered != tuple(Fraction(v) for v in WORKED_INPUT):
         failures.append(f"fail recovered={recovered}")
-    sums = diagonal_sums(poset, a.diagonals, image)
+    sums = diagonal_sums(poset, image)
     if sums != tuple(Fraction(v) for v in (14, 13, 6, 7)):
         failures.append(f"fail worked example diagonal sums {sums} != (14, 13, 6, 7)")
-    via_stable = rsk(poset, WORKED_INPUT, analysis=a)
+    via_stable = rsk(poset, WORKED_INPUT)
     if via_stable != expected:
         failures.append(f"fail stable-order image={via_stable}")
     weighted = sum(via_stable, Fraction(0))
@@ -276,8 +276,8 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
 def polytope_bijection(prepared: Prepared, trials: int = 100, seed: int = 0) -> CriterionResult:
     """Sampled fillings-polytope points map into the rpp polytope and round-trip."""
     failures: list[str] = []
-    for name, poset, a in prepared:
-        report = rsk_polytope_check(poset, trials=trials, seed=seed, analysis=a)
+    for name, poset, _ in prepared:
+        report = rsk_polytope_check(poset, trials=trials, seed=seed)
         if not report.ok:
             failures.append(f"fail poset={name} seed={seed} first={report.failures[0]}")
     return _result(
@@ -400,16 +400,16 @@ def monte_carlo_agreement(
     failures: list[str] = []
     checked = [entry for entry in prepared if entry[1].n <= MONTE_CARLO_MAX_ELEMENTS]
     cases = [
-        (poset, PolytopeSpec(kind, all_ones_point(a.diagonals.count)), a)
+        (poset, PolytopeSpec(kind, all_ones_point(a.diagonals.count)))
         for _, poset, a in checked
         for kind in ("fillings", "rpp")
     ]
     estimates = monte_carlo_volumes(cases, samples=samples, seed=seed)
-    for i, (name, poset, a) in enumerate(checked):
+    for i, (name, poset, _) in enumerate(checked):
         runs = {}
-        for (_, spec, _), estimate in zip(cases[2 * i : 2 * i + 2], estimates[2 * i : 2 * i + 2]):
+        for (_, spec), estimate in zip(cases[2 * i : 2 * i + 2], estimates[2 * i : 2 * i + 2]):
             kind = spec.kind
-            exact = closed_form_volume(poset, spec, analysis=a)
+            exact = closed_form_volume(poset, spec)
             p_true = min(max(float(exact) / estimate.box_volume, 0.0), 1.0)
             se_true = math.sqrt(p_true * (1.0 - p_true) / samples) * estimate.box_volume
             runs[kind] = (estimate.estimate, se_true)

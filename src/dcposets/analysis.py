@@ -9,11 +9,11 @@ place that wires the derivation chain: the functions it calls take each
 input they need as an argument and recompute nothing.
 
 A poset has at most one live analysis: :func:`analyze` returns the one
-still in use, so every entry point called without ``analysis=`` reuses
-what a caller's analysis has already derived.  The poset keeps only a
-weak reference to it; once no caller holds the analysis it is freed, and
-the next :func:`analyze` builds a fresh one.  Every ``analysis=`` is
-read by :func:`_resolve`.
+still in use, and every entry point reads it, so each reuses what a
+caller's analysis has already derived.  The poset keeps only a weak
+reference to it; once no caller holds the analysis it is freed, and the
+next :func:`analyze` builds a fresh one.  The four entry points that
+keep ``analysis=`` for the benchmark read it by :func:`_resolve`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .hooks import (
     hook_numerators,
     hook_vectors,
 )
-from .poset import IdealLattice, Poset, compile_ideal_lattice, count_linear_extensions
+from .poset import IdealLattice, Poset, compile_ideal_lattice, fold_ideal_lattice
 
 
 class PosetAnalysis:
@@ -79,7 +79,8 @@ class PosetAnalysis:
 
     @cached_property
     def extension_count(self) -> int:
-        return count_linear_extensions(self.poset, analysis=self)
+        """The number of linear extensions: :func:`poset.fold_ideal_lattice` with every weight 1."""
+        return fold_ideal_lattice(self.ideal_lattice, [1] * self.poset.n)[0]
 
     @cached_property
     def diagonals(self) -> DiagonalPartition:
@@ -105,7 +106,8 @@ class PosetAnalysis:
     def stable_order(self) -> tuple[int, ...]:
         from .rsk import stable_insertion_order
 
-        return stable_insertion_order(self.poset, analysis=self)
+        self.ensure_d_complete()
+        return stable_insertion_order(self.poset, self.d_intervals)
 
     @cached_property
     def insertion_steps(self):

@@ -187,8 +187,8 @@ def _cmd_volume(args) -> int:
     from .hooks import all_ones_point
 
     spec = PolytopeSpec(args.kind, all_ones_point(a.diagonals.count))
-    estimate = monte_carlo_volume(P, spec, samples=args.samples, seed=args.seed, analysis=a)
-    exact = closed_form_volume(P, spec, analysis=a)
+    estimate = monte_carlo_volume(P, spec, samples=args.samples, seed=args.seed)
+    exact = closed_form_volume(P, spec)
     print(
         f"kind={estimate.kind} samples={estimate.samples} seed={estimate.seed} "
         f"hits={estimate.hits} box_volume={estimate.box_volume!r} "
@@ -223,12 +223,15 @@ def _cmd_suite(args) -> int:
     from . import acceptance
 
     entries = None
-    if args.subset:
+    if args.subset is not None:
         wanted = args.subset.split(",")
         by_name = {entry.name: entry for entry in catalog()}
         unknown = [name for name in wanted if name not in by_name]
         if unknown:
-            raise FormatError(f"unknown catalog posets in --subset: {', '.join(unknown)}")
+            raise FormatError(f"unknown catalog posets in --subset: {', '.join(map(repr, unknown))}")
+        repeated = sorted({name for name in wanted if wanted.count(name) > 1})
+        if repeated:
+            raise FormatError(f"repeated catalog posets in --subset: {', '.join(repeated)}")
         entries = [by_name[name] for name in wanted]
     results = acceptance.run_all(
         seed=args.seed,

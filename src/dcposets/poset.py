@@ -11,10 +11,7 @@ import math
 from array import array
 from collections import deque
 from operator import add, floordiv, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .analysis import PosetAnalysis
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class CycleError(ValueError):
@@ -600,19 +597,17 @@ def fold_columns(lattice: IdealLattice, rows: Sequence[Sequence[int]]) -> list[t
     return list(zip(values[0], products))
 
 
-def count_linear_extensions(P: Poset, *, analysis: PosetAnalysis | None = None) -> int:
-    """Exact number of linear extensions: :func:`fold_ideal_lattice` with every weight 1.
+def count_linear_extensions(P: Poset) -> int:
+    """Exact number of linear extensions: ``analyze(P).extension_count``.
 
-    The lattice is ``PosetAnalysis.ideal_lattice`` of ``analysis``, or
-    else of ``analyze(P)``, P's live analysis: a lattice some caller's
-    analysis already holds is not walked again.  An analysis of another
-    poset raises ``ValueError``.  A poset with more than
-    ``IDEAL_LIMIT`` order ideals raises :class:`ExtensionLimitError`.
+    That count folds the ideal lattice of P's live analysis with every
+    weight 1, so a lattice or count some caller's analysis already holds
+    is not walked again.  A poset with more than ``IDEAL_LIMIT`` order
+    ideals raises :class:`ExtensionLimitError`.
     """
-    from .analysis import _resolve
+    from .analysis import analyze
 
-    lattice = _resolve(P, analysis).ideal_lattice
-    return fold_ideal_lattice(lattice, [1] * P.n)[0]
+    return analyze(P).extension_count
 
 
 def order_ideal_masks(P: Poset) -> Iterator[int]:

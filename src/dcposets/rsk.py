@@ -53,7 +53,7 @@ from functools import partial
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .analysis import PosetAnalysis, _resolve
+from .analysis import PosetAnalysis, _resolve, analyze
 from .diagonals import DiagonalPartition
 from .dstructure import DInterval
 from .hooks import exact_labels, random_rational_point
@@ -239,7 +239,10 @@ def rsk(
     """Image of a nonnegative filling under the insertion bijection.
 
     The result is order-reversing and independent of the insertion order;
-    when none is given a stable insertion order is used.
+    when none is given a stable insertion order is used.  ``analysis`` is
+    read by :func:`analysis._resolve`; it is kept because
+    ``perfbench/workloads.py`` passes it and ``perfbench/tracer.py`` binds
+    it by name.
     """
     labels, denom = _nonnegative_labels(P.n, filling)
     _run(labels, _program(P, order, _resolve(P, analysis)))
@@ -257,6 +260,7 @@ def inverse_rsk(
 
     Runs the insertion steps backwards; toggles are involutions, so
     undoing the toggles of each step exposes the negated inserted value.
+    ``analysis`` is kept, and read, as in :func:`rsk`.
     """
     # The checks read the integer labels: they share one positive denominator.
     state, denom = _nonnegative_labels(P.n, labels)
@@ -266,10 +270,11 @@ def inverse_rsk(
     return tuple(Fraction(v, denom) for v in state)
 
 
-def diagonal_sums(P: Poset, part: DiagonalPartition, s) -> tuple[Fraction, ...]:
-    """Per-diagonal sums of a filling: its :func:`hooks.exact_labels` labels summed, over their denominator."""
+def diagonal_sums(P: Poset, s) -> tuple[Fraction, ...]:
+    """Per diagonal of ``analyze(P)``, a filling's :func:`hooks.exact_labels` labels summed, over their denominator."""
     labels, denom = exact_labels(s, P.n, "filling", "elements")
-    return tuple(Fraction(sum([labels[p] for p in members]), denom) for members in part.classes)
+    classes = analyze(P).diagonals.classes
+    return tuple(Fraction(sum([labels[p] for p in members]), denom) for members in classes)
 
 
 # A random input filling: n positive rationals, numerators and denominators in 1..16.
@@ -310,8 +315,8 @@ def is_stable(P: Poset, order: Sequence[int], intervals: tuple[DInterval, ...]) 
     return True
 
 
-def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -> tuple[int, ...]:
-    """Construct a stable insertion order for a d-complete poset.
+def stable_insertion_order(P: Poset, intervals: tuple[DInterval, ...]) -> tuple[int, ...]:
+    """Construct a stable insertion order for a d-complete poset with d-intervals ``intervals``.
 
     Working from the last insertion backwards, strip a minimal element of
     what remains, U.  When some minimal element bottoms no d-interval,
@@ -319,7 +324,8 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
     one; among those intervals, keep the ones whose diamond top has no
     other of their diamond tops strictly below it, and strip the bottom of
     the least by (diamond top, bottom).  The result is verified against
-    the stability predicate before being returned.
+    the stability predicate before being returned.  The caller checks the
+    axioms, as :attr:`PosetAnalysis.stable_order` does.
 
     This is the rule "strip the bottom of a maximal d-interval in U whose
     diamond top is lowest among those of all maximal d-intervals in U",
@@ -359,9 +365,7 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
     ones with lowest diamond tops, and both rules strip the same element;
     the maximal-interval rule's choice is always minimal in U.
     """
-    a = _resolve(P, analysis)
-    a.ensure_d_complete()
-    by_bottom = {iv.bottom: iv for iv in a.d_intervals}
+    by_bottom = {iv.bottom: iv for iv in intervals}
     # The minimal elements of what remains, ascending: an element joins
     # them once its last lower cover is stripped.
     waiting = [len(lower) for lower in P._lower]
@@ -384,7 +388,7 @@ def stable_insertion_order(P: Poset, *, analysis: PosetAnalysis | None = None) -
             if not waiting[u]:
                 insort(minimal, u)
     order = tuple(reversed(reversed_order))
-    if not is_stable(P, order, a.d_intervals):
+    if not is_stable(P, order, intervals):
         raise RuntimeError("constructed insertion order failed the stability predicate")
     return order
 
@@ -523,6 +527,7 @@ def rsk_jacobian_det(
     lengths.  The one run records nothing and serves only to refuse the
     points where a tie leaves the map without a derivative.  Criterion 6
     checks the choices themselves through :func:`_derivative_check`.
+    ``analysis`` is kept, and read, as in :func:`rsk`.
     """
     labels, _ = _nonnegative_labels(P.n, filling)
     a = _resolve(P, analysis)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .analysis import PosetAnalysis, _resolve
+from .analysis import PosetAnalysis, _resolve, analyze
 from .diagonals import DiagonalPartition
 from .hooks import (
     RationalPoint,
@@ -52,8 +52,6 @@ def weight_sum(
     part: DiagonalPartition,
     x: RationalPoint,
     method: str = "ideal-dp",
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> Fraction:
     """Sum of extension weights at a rational point.
 
@@ -69,18 +67,21 @@ def weight_sum(
     its gcd with S(J) before it scales a level, so its integers stay near
     the size of the reduced values, and U / M is the same Fraction as with
     no reduction.  The lattice is :attr:`PosetAnalysis.ideal_lattice` of
-    ``analysis``, or else of ``analyze(P)``, P's live analysis, so
-    evaluating many points walks it once while some caller holds that
-    analysis.  Posets with more than ``IDEAL_LIMIT`` downsets raise
-    :class:`ExtensionLimitError`.  ``method`` has the one value
-    ``"ideal-dp"``, kept because ``perfbench/tracer.py`` binds it by name;
-    any other value raises ``ValueError``.
+    ``analyze(P)``, P's live analysis, so evaluating many points walks it
+    once while some caller holds that analysis.  Posets with more than
+    ``IDEAL_LIMIT`` downsets raise :class:`ExtensionLimitError`.
+    ``perfbench/workloads.py`` passes ``part`` and ``perfbench/tracer.py``
+    binds ``method`` by name, so both are kept: ``part`` must equal
+    ``analyze(P).diagonals`` by value, and ``method`` must be
+    ``"ideal-dp"``, or ``ValueError`` is raised.
     """
     if method != "ideal-dp":
         raise ValueError(f"unknown method {method!r}")
+    a = analyze(P)
+    if part != a.diagonals:
+        raise ValueError("part is not the diagonal partition of P")
     numerators, scale = _positive_labels(x, part.count)
-    lattice = _resolve(P, analysis).ideal_lattice
-    total, denominator = fold_ideal_lattice(lattice, [numerators[d] for d in part.diagonal_of])
+    total, denominator = fold_ideal_lattice(a.ideal_lattice, [numerators[d] for d in part.diagonal_of])
     return Fraction(total * scale**P.n, denominator)
 
 
@@ -92,7 +93,10 @@ class ProctorReport(NamedTuple):
 
 
 def verify_proctor(P: Poset, *, analysis: PosetAnalysis | None = None) -> ProctorReport:
-    """Check extensions * product(hook lengths) == |P|! exactly; the hooks refuse a non-d-complete P first."""
+    """Check extensions * product(hook lengths) == |P|! exactly; the hooks refuse a non-d-complete P first.
+
+    ``analysis`` is kept, and read, as in :func:`rsk.rsk`.
+    """
     a = _resolve(P, analysis)
     product = math.prod(a.hook_lengths)
     count = a.extension_count
@@ -123,8 +127,6 @@ def verify_multivariate(
     P: Poset,
     points: int = 20,
     seed: int = 0,
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> MultivariateReport:
     """Check the weight sum against 1/prod(H_p) at random rational points.
 
@@ -139,7 +141,7 @@ def verify_multivariate(
     :class:`ExtensionLimitError`.
     """
     _require_count(points, "points")
-    a = _resolve(P, analysis)
+    a = analyze(P)
     program = a.hook_program
     rng = Random(seed)
     draws = [random_scaled_point(program.count, rng) for _ in range(points)]
@@ -209,12 +211,9 @@ def polytope_membership(
     P: Poset,
     spec: PolytopeSpec,
     values,
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> bool:
     """Exact evaluation of the defining inequalities."""
-    a = _resolve(P, analysis)
-    weights, bound, cover_pairs = _polytope(P, spec, a)
+    weights, bound, cover_pairs = _polytope(P, spec, analyze(P))
     v, denom = exact_labels(values, P.n, "filling", "elements")
     return _inside(v, _dot(weights, v), bound * denom, cover_pairs)
 
@@ -280,8 +279,6 @@ def sample_fillings_point(
     P: Poset,
     x: RationalPoint,
     rng: Random,
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> Filling:
     """Uniform exact-rational point of the fillings polytope.
 
@@ -291,8 +288,7 @@ def sample_fillings_point(
     rejection sampling from the bounding box without its 1/n! acceptance
     rate.  The gaps are one :func:`_simplex_gap_rows` row, as in :func:`rsk_polytope_check`.
     """
-    a = _resolve(P, analysis)
-    hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
+    hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), analyze(P))
     factors, denom = _sample_scale(hooks, hooks_denom)
     (gaps,) = _simplex_gap_rows(P.n, 1, rng).tolist()
     return tuple(Fraction(g * f, denom) for g, f in zip(gaps, factors))
@@ -310,8 +306,6 @@ def rsk_polytope_check(
     x: RationalPoint | None = None,
     trials: int = 100,
     seed: int = 0,
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> BijectionReport:
     """Sampled points of the fillings polytope map into the rpp polytope.
 
@@ -347,7 +341,7 @@ def rsk_polytope_check(
     import numpy as np  # numpy loads with the first check, not with the package
 
     _require_count(trials, "trials")
-    a = _resolve(P, analysis)
+    a = analyze(P)
     if x is None:
         x = all_ones_point(a.diagonals.count)
     hooks, hooks_denom, _ = _polytope(P, PolytopeSpec("fillings", x), a)
@@ -415,14 +409,14 @@ class VolumeEstimate(NamedTuple):
     std_error: float
 
 
-def closed_form_volume(P: Poset, spec: PolytopeSpec, *, analysis: PosetAnalysis | None = None) -> Fraction:
+def closed_form_volume(P: Poset, spec: PolytopeSpec) -> Fraction:
     """Exact volume: simplex formula for fillings, weight sum for rpp."""
-    a = _resolve(P, analysis)
+    a = analyze(P)
     n_fact = math.factorial(P.n)
     if spec.kind == "fillings":
         hooks, denom, _ = _polytope(P, spec, a)
         return Fraction(denom**P.n, n_fact * math.prod(hooks))
-    return weight_sum(P, a.diagonals, spec.x, analysis=a) / n_fact
+    return weight_sum(P, a.diagonals, spec.x) / n_fact
 
 
 def monte_carlo_volume(
@@ -430,11 +424,9 @@ def monte_carlo_volume(
     spec: PolytopeSpec,
     samples: int = 10**6,
     seed: int = 0,
-    *,
-    analysis: PosetAnalysis | None = None,
 ) -> VolumeEstimate:
     """Hit-rate estimate over the bounding box; one case of :func:`monte_carlo_volumes`."""
-    return monte_carlo_volumes([(P, spec, analysis)], samples, seed)[0]
+    return monte_carlo_volumes([(P, spec)], samples, seed)[0]
 
 
 def _volume_test(
@@ -456,7 +448,7 @@ def _volume_test(
 
 
 def monte_carlo_volumes(
-    cases: Sequence[tuple[Poset, PolytopeSpec, PosetAnalysis | None]],
+    cases: Sequence[tuple[Poset, PolytopeSpec]],
     samples: int = 10**6,
     seed: int = 0,
 ) -> list[VolumeEstimate]:
@@ -514,16 +506,16 @@ def monte_carlo_volumes(
     A case's count depends only on its size and its test: the edge, the
     coefficients and the cover pairs.  So each distinct test of a size
     runs once per batch, and cases with equal tests get its count (on
-    the full catalog, 164 cases make 107 distinct tests).  Estimates
-    come back in input order.
+    the full catalog, 164 cases make 107 distinct tests).  Each case
+    (P, spec) reads ``analyze(P)``; estimates come back in input order.
     """
     _require_count(samples, "samples")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
-    tests = [_volume_test(P, spec, _resolve(P, a)) for P, spec, a in cases]
+    tests = [_volume_test(P, spec, analyze(P)) for P, spec in cases]
     # per size, one hit count per distinct test, shared by the cases that test alike
     sizes: dict[int, dict[tuple, int]] = {}
-    for (P, _, _), test in zip(cases, tests):
+    for (P, _), test in zip(cases, tests):
         sizes.setdefault(P.n, {})[test] = 0
     for n, counts in sizes.items():
         rng = np.random.default_rng(seed)
@@ -557,7 +549,7 @@ def monte_carlo_volumes(
                     ok &= box[low] >= box[high]
                 counts[test] += int(np.count_nonzero(ok))
     estimates = []
-    for (P, spec, _), test in zip(cases, tests):
+    for (P, spec), test in zip(cases, tests):
         edge, h = test[0], sizes[P.n][test]
         box_volume = edge**P.n
         rate = h / samples

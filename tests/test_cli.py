@@ -128,14 +128,37 @@ def test_extensions_list_over_cap_is_usage_error(tmp_path, capsys):
     assert "--cap 2" in err
 
 
-def test_refused_posets_exit_1(tmp_path, capsys):
+# not d-complete: axiom 3 fails at (0, 1, 2, 3)
+TWO_DIAMONDS = Poset(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)])
+# every command that needs a d-complete poset, with what it takes after the poset file
+NEEDS_D_COMPLETE = {
+    "hooks": (),
+    "diagonals": (),
+    "rsk": ("zero.fill",),
+    "inverse-rsk": ("zero.fill",),
+    "verify-proctor": (),
+    "verify-hlf": (),
+    "volume": ("--kind", "rpp"),
+}
+
+
+@pytest.mark.parametrize("command", list(NEEDS_D_COMPLETE))
+def test_refused_posets_exit_1(tmp_path, capsys, monkeypatch, command):
     # a poset the command cannot take is no usage error: exit 1, with the
     # refusal's own message
-    path = tmp_path / "two-diamonds.poset"
-    path.write_text(poset_to_text(Poset(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)])))
-    code, out, err = run(capsys, "hooks", str(path))
+    monkeypatch.chdir(tmp_path)
+    Path("two-diamonds.poset").write_text(poset_to_text(TWO_DIAMONDS))
+    Path("zero.fill").write_text(filling_to_text([Fraction(0)] * 5))
+    code, out, err = run(capsys, command, "two-diamonds.poset", *NEEDS_D_COMPLETE[command])
     assert (code, out) == (1, "")
     assert err == "error: poset is not d-complete: axiom 3 fails at (0, 1, 2, 3)\n"
+
+
+def test_extensions_count_any_poset_within_the_limit(tmp_path, capsys):
+    # extensions needs no d-completeness, only a lattice within IDEAL_LIMIT
+    path = tmp_path / "two-diamonds.poset"
+    path.write_text(poset_to_text(TWO_DIAMONDS))
+    assert run(capsys, "extensions", str(path)) == (0, "count=4\n", "")
     path = tmp_path / "young-12x12.poset"
     path.write_text(poset_to_text(young((12,) * 12)))
     code, out, err = run(capsys, "extensions", str(path))
@@ -425,6 +448,21 @@ def test_suite_subset(capsys):
 def test_suite_unknown_subset(capsys):
     code, _, err = run(capsys, "suite", "--subset", "not-a-poset")
     assert code == 2 and "unknown catalog" in err
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ("", "unknown catalog posets in --subset: ''"),
+        ("d4,", "unknown catalog posets in --subset: ''"),
+        ("d4,d4", "repeated catalog posets in --subset: d4"),
+        ("d5,d4,d5,d3,d4", "repeated catalog posets in --subset: d4, d5"),
+    ],
+    ids=["empty", "trailing-comma", "repeated", "two-repeated"],
+)
+def test_suite_subset_names_each_poset_once(capsys, subset, message):
+    # an empty --subset ran all 296 posets, and a repeated name ran its poset twice
+    assert run(capsys, "suite", "--subset", subset) == (2, "", f"error: {message}\n")
 
 
 def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):

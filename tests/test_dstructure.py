@@ -135,6 +135,10 @@ def test_minimal_difference_axiom_violation():
     assert any(v.axiom == 3 for v in report.violations)
     with pytest.raises(ValueError, match=r"^poset is not d-complete: axiom 3 fails at \(0, 1, 2, 3\)$"):
         analyze(P).ensure_d_complete()
+    # what the d-intervals define is refused the same way, the stable order included
+    for derived in ("hook_program", "insertion_steps", "stable_order"):
+        with pytest.raises(ValueError, match=r"^poset is not d-complete: axiom 3 fails"):
+            getattr(analyze(P), derived)
 
 
 def test_top_cover_axiom_violation():

@@ -353,7 +353,7 @@ def test_points_are_exact():
     a = analyze(P)
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
     with pytest.raises(TypeError):
-        polytope_membership(P, spec, (0,) * P.n, analysis=a)
+        polytope_membership(P, spec, (0,) * P.n)
 
 
 def _reference_positive_labels(x, count):

@@ -1,7 +1,8 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
 and of ``src/dcposets/``: one reader of exact input, one home for each
-check on caller ids, counts and ``analysis=``, one builder of insertion
-steps, and one caller of the recording run.
+check on caller ids, counts and ``analysis=``, four entry points that
+take ``analysis=``, one builder of insertion steps, and one caller of the
+recording run.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -163,6 +164,26 @@ def test_each_check_on_caller_input_has_one_home():
         if isinstance(node, ast.FunctionDef) and node.name == "_require_count"
     ]
     assert homes == ["poset"]
+
+
+# the entry points perfbench/workloads.py passes analysis= to; every other one reads analyze(P)
+TAKE_ANALYSIS = {"rsk.rsk", "rsk.inverse_rsk", "rsk.rsk_jacobian_det", "verify.verify_proctor"}
+
+
+def test_only_the_benchmarked_entry_points_take_analysis():
+    # only these public functions have an analysis parameter, only they
+    # call the resolver, and no call in the package passes analysis=
+    takes = set()
+    for module, tree in _package().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(arg.arg == "analysis" for arg in args):
+                    takes.add(f"{module}.{node.name}")
+    assert takes == TAKE_ANALYSIS
+    assert _functions_where(lambda node: _is_call_of(node, "_resolve")) == TAKE_ANALYSIS
+    passes = lambda node: isinstance(node, ast.Call) and any(k.arg == "analysis" for k in node.keywords)
+    assert _functions_where(passes) == set()
 
 
 def test_insertion_steps_have_one_builder():

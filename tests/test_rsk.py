@@ -144,7 +144,7 @@ def test_worked_example():
     a = analyze(P)
     image = rsk(P, WORKED_INPUT, WORKED_ORDER, analysis=a)
     assert image == WORKED_IMAGE
-    assert diagonal_sums(P, a.diagonals, image) == tuple(
+    assert diagonal_sums(P, image) == tuple(
         Fraction(v) for v in (14, 13, 6, 7)
     )
     assert inverse_rsk(P, WORKED_IMAGE, WORKED_ORDER, analysis=a) == tuple(
@@ -229,7 +229,7 @@ def _d3_prepared():
 # but -1 marks a root.
 _EDGES = {
     "is_order_reversing": ("filling", lambda s: is_order_reversing(_D4, s), None, 6),
-    "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, analyze(_D4).diagonals, s), None, 6),
+    "diagonal_sums": ("filling", lambda s: diagonal_sums(_D4, s), None, 6),
     "rsk": ("filling", lambda s: rsk(_D4, s), None, 6),
     "inverse_rsk": ("filling", lambda s: inverse_rsk(_D4, s), None, 6),
     "rsk_jacobian_det": ("filling", lambda s: rsk_jacobian_det(_D4, s), None, 6),
@@ -498,7 +498,8 @@ def test_zero_filling_maps_to_zero(family, analyses):
 
 
 def test_stable_order_of_chain_is_descending():
-    assert stable_insertion_order(chain(4)) == (3, 2, 1, 0)
+    P = chain(4)
+    assert stable_insertion_order(P, analyze(P).d_intervals) == (3, 2, 1, 0)
 
 
 def test_stable_orders_family(family, analyses):
@@ -517,7 +518,7 @@ def test_unstable_order_detected():
     order = tuple(ids[b] for b in boxes)
     intervals = analyze(P).d_intervals
     assert not is_stable(P, order, intervals)
-    stable = stable_insertion_order(P)
+    stable = stable_insertion_order(P, intervals)
     assert is_stable(P, stable, intervals)
 
 
@@ -530,7 +531,7 @@ def test_stable_order_matches_all_pairs_reference():
     posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
     posets += seeded_joins()
     for P in posets:
-        assert stable_insertion_order(P) == _reference_stable_order(P)
+        assert stable_insertion_order(P, analyze(P).d_intervals) == _reference_stable_order(P)
 
 
 def test_minimal_bottoms_decide_the_stable_order():
@@ -546,9 +547,10 @@ def test_minimal_bottoms_decide_the_stable_order():
     posets += [young((10,) * 10), shifted_young(tuple(range(8, 0, -1)))]
     steps = deep = 0
     for P in posets:
-        intervals = [(iv, iv.member_mask) for iv in analyze(P).d_intervals]
+        a = analyze(P)
+        intervals = [(iv, iv.member_mask) for iv in a.d_intervals]
         remaining = (1 << P.n) - 1
-        for c in reversed(stable_insertion_order(P)):
+        for c in reversed(stable_insertion_order(P, a.d_intervals)):
             minimal = P.minimal_in_mask(remaining)
             present = [(iv, m) for iv, m in intervals if m & remaining == m]
             on_minimal = [iv for iv, _ in present if iv.bottom in minimal]
@@ -639,12 +641,12 @@ def test_diagonal_sums_partition_identity(family, analyses):
     P = family["sample10"]
     a = analyses["sample10"]
     rng = Random(1)
-    zeros = diagonal_sums(P, a.diagonals, (Fraction(0),) * P.n)
+    zeros = diagonal_sums(P, (Fraction(0),) * P.n)
     assert set(zeros) == {Fraction(0)}
     for _ in range(10):
         t = random_filling(P.n, rng)
         s = rsk(P, t, analysis=a)
-        assert sum(diagonal_sums(P, a.diagonals, s), Fraction(0)) == sum(s, Fraction(0))
+        assert sum(diagonal_sums(P, s), Fraction(0)) == sum(s, Fraction(0))
 
 
 @pytest.mark.parametrize("name", ["d4", "d5", "sample10", "young-3.3", "shifted-4.3.1"])

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import time
@@ -26,7 +25,6 @@ from dcposets import (
     rsk_polytope_check,
     sample_fillings_point,
     shifted_young,
-    stable_insertion_order,
     tree,
     verify_multivariate,
     verify_proctor,
@@ -139,7 +137,6 @@ def test_integer_fold_matches_fraction_fold(name, P):
     points.append(all_ones_point(a.diagonals.count))
     for x in points:
         expected = _reference_weight_sum(P, a.diagonals, x)
-        assert weight_sum(P, a.diagonals, x, analysis=a) == expected
         assert weight_sum(P, a.diagonals, x) == expected
     levels = list(_reference_ideal_levels(P))
     assert list(order_ideal_masks(P)) == [mask for level in levels for mask in level]
@@ -261,7 +258,7 @@ def test_multivariate_identity_on_young_8x8_is_fast(monkeypatch):
 
     monkeypatch.setattr(verify, "fold_columns", recorded_fold)
     start = time.perf_counter()
-    report = verify_multivariate(P, points=20, seed=8, analysis=a)
+    report = verify_multivariate(P, points=20, seed=8)
     assert time.perf_counter() - start < 2.0
     assert report.ok and report.points == len(folded) == 20
     assert max(total.bit_length() for total, _ in folded) <= 64
@@ -274,7 +271,7 @@ def test_weight_sum_on_young_8x8_is_fast():
     a.ideal_lattice
     x = random_rational_point(a.diagonals.count, Random(88))
     start = time.perf_counter()
-    total = weight_sum(P, a.diagonals, x, analysis=a)
+    total = weight_sum(P, a.diagonals, x)
     assert time.perf_counter() - start < 1.0
     assert total == 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
 
@@ -305,7 +302,7 @@ def test_c1_then_c2_walk_the_lattice_once(lattice_walks):
     assert counting_identity(prepared).ok
     assert multivariate_identity(prepared).ok
     spec = PolytopeSpec("rpp", all_ones_point(a.diagonals.count))
-    closed_form_volume(P, spec, analysis=a)
+    closed_form_volume(P, spec)
     assert [Q for Q in walks if Q is P] == [P]
 
 
@@ -317,7 +314,7 @@ def test_weight_sums_reuse_the_live_analysis(lattice_walks):
     rng = Random(19)
     points = [random_rational_point(a.diagonals.count, rng) for _ in range(10)]
     sums = [weight_sum(P, a.diagonals, x) for x in points]
-    # without analysis=, every sum folds the lattice that a holds
+    # every sum reads analyze(P), so it folds the lattice that a holds
     assert lattice_walks == [P]
     assert sums == [1 / math.prod(a.hook_polynomials(x), start=Fraction(1)) for x in points]
 
@@ -330,29 +327,18 @@ def test_standalone_counts_walk_once_each(lattice_walks):
 
 
 def _entry_points(P, analysis):
-    """The 13 entry points that take ``analysis=``, each called on d_4(1) with it."""
-    x = (1,) * 4  # the all-ones point on d_4(1)'s 4 diagonals
-    spec = PolytopeSpec("fillings", x)
+    """The 4 entry points that take ``analysis=``, each called on d_4(1) with it."""
     return {
-        "count_linear_extensions": lambda: count_linear_extensions(P, analysis=analysis),
         "rsk": lambda: rsk(P, (2, 2, 3, 4, 2, 1), (5, 4, 2, 3, 1, 0), analysis=analysis),
         "inverse_rsk": lambda: inverse_rsk(P, (11, 9, 6, 7, 4, 3), analysis=analysis),
-        "stable_insertion_order": lambda: stable_insertion_order(P, analysis=analysis),
         "rsk_jacobian_det": lambda: rsk_jacobian_det(P, (1, 2, 3, 4, 5, 6), analysis=analysis),
-        "weight_sum": lambda: weight_sum(P, analyze(P).diagonals, x, analysis=analysis),
         "verify_proctor": lambda: verify_proctor(P, analysis=analysis),
-        "verify_multivariate": lambda: verify_multivariate(P, points=2, analysis=analysis),
-        "polytope_membership": lambda: polytope_membership(P, spec, (0,) * 6, analysis=analysis),
-        "sample_fillings_point": lambda: sample_fillings_point(P, x, Random(0), analysis=analysis),
-        "rsk_polytope_check": lambda: rsk_polytope_check(P, trials=3, analysis=analysis),
-        "closed_form_volume": lambda: closed_form_volume(P, spec, analysis=analysis),
-        "monte_carlo_volume": lambda: monte_carlo_volume(P, spec, samples=1000, analysis=analysis),
     }
 
 
 def test_an_analysis_of_another_poset_is_refused():
     # an analysis of Young (3, 3) passed for d_4(1) was read as d_4(1)'s:
-    # 5 extensions, hook product 144, weight sum 1/144 and a wrong image
+    # 5 extensions, hook product 144 and a wrong image
     P = d_k_one(4)
     other = analyze(young((3, 3)))
     for call in _entry_points(P, other).values():
@@ -367,15 +353,23 @@ def test_an_analysis_of_another_poset_is_refused():
     assert twin.poset is not P
     own = {name: call() for name, call in _entry_points(P, None).items()}
     assert {name: call() for name, call in _entry_points(P, twin).items()} == own
-    assert own["verify_proctor"][:3] == (2, 360, 720) and own["count_linear_extensions"] == 2
-    assert own["weight_sum"] == Fraction(1, 360)
+    assert own["verify_proctor"][:3] == (2, 360, 720)
     assert own["rsk"] == (11, 9, 6, 7, 4, 3)
 
 
-def test_weight_sum_signature_keeps_traced_names():
-    # perfbench's tracer binds weight_sum's arguments by these names
-    names = list(inspect.signature(weight_sum).parameters)
-    assert names[:4] == ["P", "part", "x", "method"]
+def test_weight_sum_refuses_a_partition_of_another_poset():
+    # d_4(1) with Young (3, 3)'s partition summed to 1/13860, and Young (2, 2)
+    # with d_4(1)'s to 13/15120
+    P = d_k_one(4)
+    x = (1, 2, 3, 4)
+    for Q, part in ((P, analyze(young((3, 3))).diagonals), (young((2, 2)), analyze(P).diagonals)):
+        with pytest.raises(ValueError, match="^part is not the diagonal partition of P$"):
+            weight_sum(Q, part, x)
+    # a partition equal by value, here an equal poset's, is P's own
+    a, twin = analyze(P), analyze(d_k_one(4))
+    assert twin.diagonals is not a.diagonals
+    expected = 1 / math.prod(a.hook_polynomials(x), start=Fraction(1))
+    assert weight_sum(P, twin.diagonals, x) == expected == Fraction(1, 15120)
 
 
 def test_proctor_double_tailed():
@@ -429,9 +423,9 @@ def test_multivariate_double_tailed_at_ones():
     assert math.prod(a.hook_polynomials(ones), start=Fraction(1)) == 360
 
 
-def test_multivariate_reports(family, analyses):
+def test_multivariate_reports(family):
     for name in ("chain5", "d4", "sample10", "shifted-4.3.1"):
-        report = verify_multivariate(family[name], points=20, seed=5, analysis=analyses[name])
+        report = verify_multivariate(family[name], points=20, seed=5)
         assert report.ok, (name, report.failures[:1])
 
 
@@ -458,24 +452,24 @@ def test_polytope_membership():
     fillings = PolytopeSpec("fillings", ones)
     rpp = PolytopeSpec("rpp", ones)
     zero = (Fraction(0),) * P.n
-    assert polytope_membership(P, fillings, zero, analysis=a)
-    assert polytope_membership(P, rpp, zero, analysis=a)
+    assert polytope_membership(P, fillings, zero)
+    assert polytope_membership(P, rpp, zero)
     # boundary vertex of the simplex in direction p
     for p in range(P.n):
         vertex = [Fraction(0)] * P.n
         vertex[p] = 1 / Fraction(a.hook_lengths[p])
-        assert polytope_membership(P, fillings, vertex, analysis=a)
+        assert polytope_membership(P, fillings, vertex)
         vertex[p] += Fraction(1, 1000)
-        assert not polytope_membership(P, fillings, vertex, analysis=a)
+        assert not polytope_membership(P, fillings, vertex)
     # constant vertex of the order-reversing polytope
     total = Fraction(P.n)  # sum of x over elements at all-ones
     constant = (1 / total,) * P.n
-    assert polytope_membership(P, rpp, constant, analysis=a)
-    assert not polytope_membership(P, rpp, (Fraction(1),) * P.n, analysis=a)
+    assert polytope_membership(P, rpp, constant)
+    assert not polytope_membership(P, rpp, (Fraction(1),) * P.n)
     # order-reversal violated
     bad = [Fraction(0)] * P.n
     bad[5] = Fraction(1, 100)
-    assert not polytope_membership(P, rpp, bad, analysis=a)
+    assert not polytope_membership(P, rpp, bad)
 
 
 def test_sampled_points_are_members(family, analyses):
@@ -485,13 +479,13 @@ def test_sampled_points_are_members(family, analyses):
         spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
         rng = Random(9)
         for _ in range(20):
-            t = sample_fillings_point(P, spec.x, rng, analysis=a)
-            assert polytope_membership(P, spec, t, analysis=a)
+            t = sample_fillings_point(P, spec.x, rng)
+            assert polytope_membership(P, spec, t)
 
 
 @pytest.mark.parametrize("name", ["d3", "d4", "sample10", "young-3.2", "shifted-4.3.1"])
-def test_polytope_bijection(family, analyses, name):
-    report = rsk_polytope_check(family[name], trials=40, seed=2, analysis=analyses[name])
+def test_polytope_bijection(family, name):
+    report = rsk_polytope_check(family[name], trials=40, seed=2)
     assert report.ok, report.failures[:2]
 
 
@@ -543,7 +537,7 @@ def test_polytope_check_matches_fraction_reference(entry):
     a = analyze(P)
     for x in (None, random_rational_point(a.diagonals.count, Random(P.n))):
         expected = _reference_polytope_check(P, a, x, trials=20, seed=3)
-        assert rsk_polytope_check(P, x, trials=20, seed=3, analysis=a) == expected
+        assert rsk_polytope_check(P, x, trials=20, seed=3) == expected
 
 
 @pytest.mark.parametrize("name", ["d4", "sample10", "young-3.3", "shifted-4.3.1"])
@@ -554,13 +548,13 @@ def test_samples_and_membership_match_fractions(family, analyses, name):
     for x in (all_ones_point(a.diagonals.count), random_rational_point(a.diagonals.count, Random(8))):
         rng, reference_rng = Random(4), Random(4)
         for _ in range(10):
-            t = sample_fillings_point(P, x, rng, analysis=a)
+            t = sample_fillings_point(P, x, rng)
             (row,) = verify._simplex_gap_rows(P.n, 1, reference_rng).tolist()
             assert t == _reference_sample(a.hook_polynomials(x), row)
             for point in (t, rsk(P, t, analysis=a), tuple(3 * v for v in t)):
                 for kind in ("fillings", "rpp"):
                     inside = _reference_inside(P, a, kind, x, point)
-                    assert polytope_membership(P, PolytopeSpec(kind, x), point, analysis=a) == inside
+                    assert polytope_membership(P, PolytopeSpec(kind, x), point) == inside
                     verdicts.add(inside)
     assert verdicts == {True, False}
 
@@ -572,8 +566,8 @@ def test_closed_forms_agree_between_kinds(family, analyses):
         P = family[name]
         a = analyses[name]
         x = all_ones_point(a.diagonals.count)
-        vf = closed_form_volume(P, PolytopeSpec("fillings", x), analysis=a)
-        vr = closed_form_volume(P, PolytopeSpec("rpp", x), analysis=a)
+        vf = closed_form_volume(P, PolytopeSpec("fillings", x))
+        vr = closed_form_volume(P, PolytopeSpec("rpp", x))
         assert vf == vr
 
 
@@ -581,23 +575,23 @@ def test_closed_form_values():
     two_chain = chain(2)
     a = analyze(two_chain)
     x = all_ones_point(a.diagonals.count)
-    assert closed_form_volume(two_chain, PolytopeSpec("fillings", x), analysis=a) == Fraction(1, 4)
+    assert closed_form_volume(two_chain, PolytopeSpec("fillings", x)) == Fraction(1, 4)
     three_chain = chain(3)
     a3 = analyze(three_chain)
     x3 = all_ones_point(a3.diagonals.count)
-    assert closed_form_volume(three_chain, PolytopeSpec("rpp", x3), analysis=a3) == Fraction(1, 36)
+    assert closed_form_volume(three_chain, PolytopeSpec("rpp", x3)) == Fraction(1, 36)
     diamond = d_k_one(3)
     ad = analyze(diamond)
     xd = all_ones_point(ad.diagonals.count)
     expected = Fraction(1, math.factorial(4)) / (1 * 2 * 2 * 3)
-    assert closed_form_volume(diamond, PolytopeSpec("fillings", xd), analysis=ad) == expected
+    assert closed_form_volume(diamond, PolytopeSpec("fillings", xd)) == expected
 
 
 def test_monte_carlo_two_chain():
     P = chain(2)
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
-    estimate = monte_carlo_volume(P, spec, samples=200_000, seed=4, analysis=a)
+    estimate = monte_carlo_volume(P, spec, samples=200_000, seed=4)
     assert abs(estimate.estimate - 0.25) < 5 * estimate.std_error
     assert estimate.hits > 0
 
@@ -606,7 +600,7 @@ def test_monte_carlo_rpp_chain3():
     P = chain(3)
     a = analyze(P)
     spec = PolytopeSpec("rpp", all_ones_point(a.diagonals.count))
-    estimate = monte_carlo_volume(P, spec, samples=400_000, seed=4, analysis=a)
+    estimate = monte_carlo_volume(P, spec, samples=400_000, seed=4)
     exact = float(Fraction(1, 36))
     assert abs(estimate.estimate - exact) < 5 * max(estimate.std_error, 1e-9)
 
@@ -615,12 +609,12 @@ def test_monte_carlo_deterministic_per_seed(monkeypatch):
     P = d_k_one(3)
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
-    first = monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a)
-    second = monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a)
+    first = monte_carlo_volume(P, spec, samples=50_000, seed=11)
+    second = monte_carlo_volume(P, spec, samples=50_000, seed=11)
     assert first == second
     # the batch size does not change the draws
     monkeypatch.setattr(verify, "CHUNK", 999)
-    assert monte_carlo_volume(P, spec, samples=50_000, seed=11, analysis=a) == first
+    assert monte_carlo_volume(P, spec, samples=50_000, seed=11) == first
 
 
 def test_monte_carlo_needs_a_sample():
@@ -629,8 +623,8 @@ def test_monte_carlo_needs_a_sample():
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be at least 1"):
-            monte_carlo_volume(P, spec, samples=samples, analysis=a)
-    assert monte_carlo_volume(P, spec, samples=1, analysis=a).samples == 1
+            monte_carlo_volume(P, spec, samples=samples)
+    assert monte_carlo_volume(P, spec, samples=1).samples == 1
 
 
 def test_counts_refuse_non_positive_and_non_int_values():
@@ -639,9 +633,9 @@ def test_counts_refuse_non_positive_and_non_int_values():
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
     edges = {
-        "points": lambda k: verify_multivariate(P, points=k, analysis=a),
-        "trials": lambda k: rsk_polytope_check(P, trials=k, analysis=a),
-        "samples": lambda k: monte_carlo_volume(P, spec, samples=k, analysis=a),
+        "points": lambda k: verify_multivariate(P, points=k),
+        "trials": lambda k: rsk_polytope_check(P, trials=k),
+        "samples": lambda k: monte_carlo_volume(P, spec, samples=k),
     }
     for name, edge in edges.items():
         for count in (0, -1):
@@ -650,8 +644,8 @@ def test_counts_refuse_non_positive_and_non_int_values():
         for count, kind in ((10.5, "float"), (2.0, "float"), ("3", "str")):
             with pytest.raises(TypeError, match=f"{name} must be an int, not {kind}"):
                 edge(count)
-    assert verify_multivariate(P, points=1, analysis=a).ok
-    assert rsk_polytope_check(P, trials=1, analysis=a).ok
+    assert verify_multivariate(P, points=1).ok
+    assert rsk_polytope_check(P, trials=1).ok
 
 
 def test_monte_carlo_empty_poset():
@@ -667,8 +661,13 @@ def test_monte_carlo_empty_poset():
         estimate = monte_carlo_volume(P, spec, samples=5_000, seed=3)
         assert estimate == verify.VolumeEstimate(kind, 5_000, 3, 5_000, 1.0, 1.0, 0.0)
         assert closed_form_volume(P, spec) == estimate.estimate
-        batch = verify.monte_carlo_volumes([(P, spec, None), (other, other_spec, None)], 5_000, 3)
+        batch = verify.monte_carlo_volumes([(P, spec), (other, other_spec)], 5_000, 3)
         assert batch == [estimate, alone]
+
+
+def _pairs(cases):
+    """The (P, spec) pairs that monte_carlo_volumes takes, from (P, spec, a) cases."""
+    return [(P, spec) for P, spec, _ in cases]
 
 
 def _unshortcut_monte_carlo_hits(cases, samples, seed):
@@ -717,7 +716,7 @@ def test_monte_carlo_shortcuts_keep_every_hit():
     # every catalog poset at seed 3, at two points, one with box edges below 1
     cases = _catalog_at_two_points()
     samples = 4 * verify.CHUNK + 999
-    estimates = verify.monte_carlo_volumes(cases, samples, seed=3)
+    estimates = verify.monte_carlo_volumes(_pairs(cases), samples, seed=3)
     assert [e.hits for e in estimates] == _unshortcut_monte_carlo_hits(cases, samples, 3)
     # cases with hits to compare ran on both sides of each shortcut:
     # unit and scaled boxes, with and without cover pairs
@@ -754,7 +753,7 @@ def test_monte_carlo_candidates_keep_every_hit():
     assert box_hits_outside == 0
     samples = 8 * verify.CHUNK + 999
     for seed in range(10):
-        hits = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
+        hits = [e.hits for e in verify.monte_carlo_volumes(_pairs(cases), samples, seed)]
         assert hits == _unshortcut_monte_carlo_hits(cases, samples, seed), seed
         assert sum(1 for h in hits if h) > len(cases) // 2
 
@@ -787,11 +786,11 @@ def test_monte_carlo_volumes_match_reference(monkeypatch):
     expected = {}
     for cases, samples, seed in runs:
         expected[seed] = [_reference_monte_carlo_volume(P, s, samples, seed, a) for P, s, a in cases]
-        assert verify.monte_carlo_volumes(cases, samples, seed) == expected[seed]
+        assert verify.monte_carlo_volumes(_pairs(cases), samples, seed) == expected[seed]
         # the batch size does not change the draws
         with monkeypatch.context() as m:
             m.setattr(verify, "CHUNK", 999)
-            assert verify.monte_carlo_volumes(cases, samples, seed) == expected[seed]
+            assert verify.monte_carlo_volumes(_pairs(cases), samples, seed) == expected[seed]
     assert sorted(widest) == [1, 2, 3, 4, 5, 6]
     assert all(e.box_volume < 1.0 and e.hits > 0 for e in expected[5])
     # a size where the two kinds' boxes differ, so one draw is scaled twice
@@ -815,7 +814,7 @@ def test_simplex_points_keep_the_box_law():
     )
     samples = 10**6
     for seed in range(3):
-        simplex = [e.hits for e in verify.monte_carlo_volumes(cases, samples, seed)]
+        simplex = [e.hits for e in verify.monte_carlo_volumes(_pairs(cases), samples, seed)]
         box = _box_monte_carlo_hits(cases, samples, seed + 100)
         for (P, spec, _), h_simplex, h_box in zip(cases, simplex, box):
             rate = (h_simplex + h_box) / (2 * samples)
@@ -831,7 +830,7 @@ def test_monte_carlo_past_170_elements_draws_nothing():
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
     start = time.perf_counter()
-    estimate = monte_carlo_volume(P, spec, samples=10**6, analysis=a)
+    estimate = monte_carlo_volume(P, spec, samples=10**6)
     assert time.perf_counter() - start < 0.1
     assert estimate == verify.VolumeEstimate("fillings", 10**6, 0, 0, 1.0, 0.0, 0.0)
 
@@ -951,14 +950,14 @@ def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", Recorder)
         for seed in range(10):
-            hits = [e.hits for e in verify.monte_carlo_volumes(one + empty, 10**6, seed)]
+            hits = [e.hits for e in verify.monte_carlo_volumes(_pairs(one + empty), 10**6, seed)]
             assert hits == [10**6] * len(one + empty)
         assert not draws
-        verify.monte_carlo_volumes(one + rounding, 10**6, 0)
+        verify.monte_carlo_volumes(_pairs(one + rounding), 10**6, 0)
         assert draws
     samples = 8 * verify.CHUNK + 999
     for seed in range(10):
-        hits = [e.hits for e in verify.monte_carlo_volumes(one + rounding, samples, seed)]
+        hits = [e.hits for e in verify.monte_carlo_volumes(_pairs(one + rounding), samples, seed)]
         assert hits == _unshortcut_monte_carlo_hits(one + rounding, samples, seed), seed
 
 
@@ -985,7 +984,7 @@ def test_monte_carlo_tests_equal_cases_once(monkeypatch):
     tested = []
     with monkeypatch.context() as patch:
         patch.setattr(np, "count_nonzero", lambda ok: tested.append(len(ok)) or count_nonzero(ok))
-        estimates = verify.monte_carlo_volumes(cases, samples, seed)
+        estimates = verify.monte_carlo_volumes(_pairs(cases), samples, seed)
     runs = 0
     for n, tests in distinct.items():
         if n > 1:

@@ -24,12 +24,14 @@ from .poset import Poset, _require_count
 from .rsk import (
     NonGenericPoint,
     _derivative_check,
+    _label_matrix,
     _random_order_insertion,
     _run,
     diagonal_sums,
     inverse_rsk,
     is_stable,
     program_along,
+    program_growth,
     rsk,
 )
 from .verify import (
@@ -165,6 +167,12 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
     the columns, and every diagonal's identity is compared in every
     column at once.  A failure names the first failing trial and, in
     it, the first failing diagonal.
+
+    The labels are a :func:`rsk._label_matrix` of growth n max(G, n), G
+    the stable program's forward growth: the run's labels are at most G
+    times the largest input label, a diagonal sum of the image adds at
+    most n of them, and the hook side of diagonal D weighs the inputs by
+    sum_p h_p^(D), at most the sum of the n hook lengths, each at most n.
     """
     import numpy as np  # numpy loads with the battery's first trials, not with the package
 
@@ -172,7 +180,8 @@ def diagonal_sum_identity(prepared: Prepared, trials: int = 100, seed: int = 0) 
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        t = random_scaled_points(poset.n, trials, rng)
+        forward, _ = a.insertion_growth
+        t = _label_matrix(random_scaled_points(poset.n, trials, rng), poset.n * max(forward, poset.n))
         s = t.copy()
         _run(s, a.insertion_program)
         hooks = a.hook_vectors
@@ -335,10 +344,9 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
     The even trials draw 3x3 matrices and the odd ones 4x4, all drawn
     first.  Per square the generalized map then runs once, one trial per
     column, along id order: young()'s ids are row-major, so that is a
-    descending order matching toggle_rpp's default.
+    descending order matching toggle_rpp's default.  The labels are a
+    :func:`rsk._label_matrix` of that program's forward growth.
     """
-    import numpy as np  # numpy loads with the battery's first trials, not with the package
-
     _require_count(trials, "trials")
     failures: list[str] = []
     rpp = toggle_rpp(list(map(list, APPENDIX_MATRIX)), order_from_ranks(APPENDIX_RANKS))
@@ -363,12 +371,14 @@ def classical_equivalence(trials: int = 200, seed: int = 0) -> CriterionResult:
         shape = (size,) * size
         square, box_ids, drawn = young(shape), young_box_ids(shape), matrices[size - 3 :: 2]
         # row e holds element e's label in every trial of this size
-        labels = np.zeros((square.n, len(drawn)), dtype=object)
+        rows: list = [None] * square.n
         for (i, j), e in box_ids.items():
-            labels[e] = [matrix[i - 1][j - 1] for matrix in drawn]
+            rows[e] = [matrix[i - 1][j - 1] for matrix in drawn]
         # ids run row-major from the maximum, so ascending ids are a descending extension
-        _run(labels, program_along(analyze(square).insertion_steps, range(square.n)))
-        checks[size - 3 :: 2] = [(matrix, image, box_ids) for matrix, image in zip(drawn, labels.T)]
+        program = program_along(analyze(square).insertion_steps, range(square.n))
+        labels = _label_matrix(rows, program_growth(program)[0])
+        _run(labels, program)
+        checks[size - 3 :: 2] = [(matrix, image, box_ids) for matrix, image in zip(drawn, labels.T.tolist())]
     for trial, check in enumerate(checks):
         if not _pipelines_agree(*check):
             failures.append(f"fail trial={trial} matrix={check[0]}")

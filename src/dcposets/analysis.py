@@ -1,12 +1,13 @@
 """Cached per-poset analysis bundle.
 
 Derived structure (d^- convex sets, d-intervals, diagonals, hook vectors,
-the hook program, the insertion step table, a stable insertion order and
-its toggle program, the compiled lattice of order ideals and the
-linear-extension count) is computed once per poset and reused across the
-many evaluation points of the verification routines.  This is the one
-place that wires the derivation chain: the functions it calls take each
-input they need as an argument and recompute nothing.
+the hook program, the insertion step table, a stable insertion order,
+its toggle program and that program's label growth, the compiled
+lattice of order ideals and the linear-extension count) is computed
+once per poset and reused across the many evaluation points of the
+verification routines.  This is the one place that wires the derivation
+chain: the functions it calls take each input they need as an argument
+and recompute nothing.
 
 A poset has at most one live analysis: :func:`analyze` returns the one
 still in use, and every entry point reads it, so each reuses what a
@@ -123,6 +124,13 @@ class PosetAnalysis:
         from .rsk import program_along
 
         return program_along(self.insertion_steps, self.stable_order)
+
+    @cached_property
+    def insertion_growth(self) -> tuple[int, int]:
+        """How far a forward and a backward run of the stable program can grow labels: :func:`rsk.program_growth`."""
+        from .rsk import program_growth
+
+        return program_growth(self.insertion_program)
 
     def hook_polynomials(self, x) -> tuple[Fraction, ...]:
         """All hook polynomials H_p at the exact point x, read as :func:`hooks.hook_numerators` reads it."""

@@ -9,6 +9,7 @@ Young-diagram posets.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from operator import ge, gt
 from typing import NamedTuple, Sequence
@@ -86,9 +87,21 @@ def _validated_matrix(matrix: Sequence[Sequence[int]], rectangular: bool) -> Mat
     return rows
 
 
+class BiwordLimitError(ValueError):
+    """A matrix whose biword is longer than ``sys.maxsize``, the most items a list can index."""
+
+
 def two_line_array(matrix: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Biword of a nonnegative integer matrix: (i, j) repeated entry times, 1-based."""
+    """Biword of a nonnegative integer matrix: (i, j) repeated entry times, 1-based.
+
+    The biword has as many pairs as the entries sum to; past
+    ``sys.maxsize`` no list can hold them, and :class:`BiwordLimitError`
+    names the limit before any pair is built.
+    """
     rows = _validated_matrix(matrix, rectangular=True)
+    length = sum(map(sum, rows))
+    if length > sys.maxsize:
+        raise BiwordLimitError(f"matrix entries sum to {length}, past sys.maxsize = {sys.maxsize} biword pairs")
     pairs = []
     for i, row in enumerate(rows, start=1):
         for j, mult in enumerate(row, start=1):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .analysis import analyze
 from .catalog import catalog, catalog_map, catalog_names
+from .classical import BiwordLimitError, classical_insert_rsk, gt_from_rpp, toggle_rpp
 from .fileformats import (
     FormatError,
     filling_from_text,
@@ -199,8 +200,6 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    from .classical import classical_insert_rsk, gt_from_rpp, toggle_rpp
-
     matrix = matrix_from_text(Path(args.matrix).read_text())
     p, q = classical_insert_rsk(matrix)
     for row in p.rows:
@@ -328,7 +327,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FormatError, OSError) as exc:
+    except (FormatError, BiwordLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ExtensionLimitError) as exc:

@@ -176,15 +176,17 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     onto the 256 (numerator, denominator) pairs, so every numerator and
     denominator is uniform on 1..16, all independent.  This is
     :func:`random_rational_point`'s decoding, ``trials`` points at a time.
-    Returns a ``count x trials`` numpy array of ``dtype=object``
-    whose column j is point j as Python ints over the lcm of its raw
+    Returns a ``count x trials`` numpy array of ``np.int64``
+    whose column j is point j as integers over the lcm of its raw
     denominators, the low nibbles plus 1, before any fraction is reduced.
     That lcm can be a multiple of the point's least common denominator,
     so a column can be a multiple of :func:`random_scaled_point`'s
     labels: byte 0x22 decodes to 3/3, column [3] where
     :func:`random_scaled_point` gives [1] over 1.  The decoding runs in int64,
     which holds it exactly: a label is at most 16 * lcm(1..16) =
-    11,531,520, below 2**24.  A count that is not an int, or is negative,
+    11,531,520, below 2**24.  A caller that runs the points reads them
+    into a label matrix by ``rsk._label_matrix``, which keeps int64 only
+    where the run provably stays in it.  A count that is not an int, or is negative,
     is refused before ``rng`` is read; zero trials give a ``count x 0`` array.
     """
     _require_count(count, "coordinate count", 0)
@@ -197,7 +199,7 @@ def random_scaled_points(count: int, trials: int, rng: Random):
     numerators, denominators = (pairs >> 4) + 1, (pairs & 15) + 1
     denoms = np.lcm.reduce(denominators, axis=1, initial=1)
     labels = numerators * (denoms[:, None] // denominators)
-    return labels.T.astype(object)
+    return labels.T
 
 
 # Byte b decoded, Fraction(b // 16 + 1, b % 16 + 1), at index b: every random
@@ -270,9 +272,12 @@ def exact_labels(values, count: int, what: str, unit: str) -> tuple[list[int], i
     are named first, then the keys are read by :func:`poset._require_ids`.
     Each value is read once, by :func:`exact_value` and then
     ``as_integer_ratio()``: one call, where the ``numerator`` and
-    ``denominator`` properties would take three reads.  Every denominator
-    is positive, so each label has its value's sign, and labels over the
-    one denominator compare as the values do.
+    ``denominator`` properties would take three reads.  Both parts then
+    pass through ``operator.index``, so every label and the denominator
+    are Python ints, exact at any size, even where a Fraction holds
+    fixed-width numpy integers (``Fraction(np.int64(3))`` does).  Every
+    denominator is positive, so each label has its value's sign, and
+    labels over the one denominator compare as the values do.
     """
     if isinstance(values, Mapping):
         missing = [i for i in range(count) if i not in values]
@@ -286,4 +291,5 @@ def exact_labels(values, count: int, what: str, unit: str) -> tuple[list[int], i
             raise ValueError(f"{what} has {len(values)} values for {count} {unit}")
     ratios = [exact_value(v).as_integer_ratio() for v in values]
     denom = math.lcm(*[d for _, d in ratios])
-    return [a * (denom // d) for a, d in ratios], denom
+    index = operator.index
+    return [index(a) * (denom // index(d)) for a, d in ratios], denom

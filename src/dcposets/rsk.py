@@ -13,9 +13,12 @@ has one step table, cached on :class:`~dcposets.analysis.PosetAnalysis`,
 and the toggle program of an order, per inserted element its step, is a
 lookup in it.  One runner, ``_run``, runs a program in place, forward or
 backward, through one step function, ``_toggle_all``, on a list of
-integer labels or on a label matrix: a numpy array of ``dtype=object``
-holding Python ints, whose row p holds element p's label in every
-column, one column per filling.  On d-complete posets no side has more
+integer labels or on a label matrix: a numpy array whose row p holds
+element p's label in every column, one column per filling.  Its dtype
+follows a proved bound (:func:`_label_matrix`): ``np.int64`` when
+:func:`program_growth`'s recursion over the program shows that every
+value the caller reaches stays below 2**62, and ``dtype=object``,
+holding Python ints, past it.  On d-complete posets no side has more
 than two candidates, so the step reads every side that is neither empty
 nor a lone candidate from two labels: a list compares them once, and a
 matrix takes the element-wise ``np.maximum`` or ``np.minimum`` of their
@@ -151,7 +154,9 @@ def _toggle_all(labels, toggles: Iterable[Toggle], top=None, bottom=None) -> Non
     a matrix, where a comparison of rows is no truth value, ``_run``
     passes the binary ufuncs ``np.maximum`` and ``np.minimum`` as
     ``top`` and ``bottom``, and a ``top`` or ``bottom`` given is called
-    on the two labels in place of the comparison.  Two is the longest
+    on the two labels in place of the comparison; the step is the same
+    on an ``np.int64`` matrix and a ``dtype=object`` one, and
+    :func:`_label_matrix` picks which.  Two is the longest
     side, proved below, so a longer one raises ``ValueError`` at the
     unpack of its two candidates.  In the catalog's step tables 2,085 of
     the 2,126 toggles have an empty side and 1,988 at most one candidate
@@ -199,8 +204,11 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
     ``step`` defaults to :func:`_toggle_all` as named at the call, so a
     replaced one reaches every run.  Handed a matrix, the runner binds the
     binary ufuncs ``np.maximum`` and ``np.minimum``, the element-wise max
-    and min of two rows, as the step's ``top`` and ``bottom``; each column
-    ends as a run on it alone would.  A list run calls the step with its
+    and min of two rows, as the step's ``top`` and ``bottom``; they serve
+    an ``np.int64`` matrix and a ``dtype=object`` one alike, and each column
+    ends as a run on it alone would, exactly so long as the matrix came
+    from :func:`_label_matrix`, whose dtype holds every value the run
+    reaches.  A list run calls the step with its
     two arguments only, so it reads a two-candidate side by one
     comparison of the two labels.  Either way a side has at most two
     candidates; a program with a longer one, which no step table of a
@@ -219,6 +227,58 @@ def _run(labels, program: Program, backward: bool = False, step=None) -> None:
         for c, toggles in program:
             labels[c] = -labels[c]
             step(labels, toggles)
+
+
+def program_growth(program: Program) -> tuple[int, int]:
+    """How many times the largest |label| it starts from a run of ``program`` can reach: (forward, backward).
+
+    A toggle writes hi + lo - l_e, where |hi| is at most the largest
+    |label| on e's upper side and |lo| on its lower side, an empty side
+    reading 0, and a negation keeps |l_c|.  So if every label starts at
+    most M_p in magnitude, M_e <- M_e + max M over the upper side + max M
+    over the lower side, toggle by toggle as the run makes them, bounds
+    every label at every step, and M never shrinks: its largest entry at
+    the end bounds every value the run reaches.  The recursion is
+    positively homogeneous, so it runs once from M = 1 everywhere and the
+    bound of a start of largest |label| B is B times the result.  A
+    backward run makes the same toggles over the reversed program.  The
+    recursion reads the program alone and calls no step, so it holds for
+    any program, mutated or not, run by :func:`_toggle_all`.
+    """
+
+    def grow(steps) -> int:
+        bound = [1] * len(program)
+        read = bound.__getitem__
+        for _, toggles in steps:
+            for e, ups, los in toggles:
+                bound[e] += (max(map(read, ups)) if ups else 0) + (max(map(read, los)) if los else 0)
+        return max(bound, default=1)
+
+    return grow(program), grow(reversed(program))
+
+
+# A label matrix is np.int64 while the bound on every value its caller
+# reaches stays below this, one bit short of int64's 2**63.
+_INT64_REACH = 2**62
+
+
+def _label_matrix(values, growth: int):
+    """``values``, integer rows, as a fresh label matrix: ``np.int64`` where that is proved exact, else Python ints.
+
+    ``growth`` bounds every value the caller computes from the matrix, its
+    runs' labels (:func:`program_growth`) and its sums and dot products, as
+    a multiple of B, the largest |value| or 1 if that is larger.  When
+    B * growth is below ``_INT64_REACH`` the matrix is ``np.int64``, where
+    every such value, and every constant at most ``growth`` that the
+    caller multiplies by, is exact; otherwise it is ``dtype=object``,
+    whose Python ints are exact at any size.  Only this function picks a
+    label matrix's dtype (``test_only_the_label_matrix_helper_picks_a_dtype``).
+    """
+    import numpy as np  # a label matrix is a numpy array, so numpy is loaded
+
+    rows = np.asarray(values)
+    top = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
+    return rows.astype(np.int64 if top * growth < _INT64_REACH else object)
 
 
 def _program(P: Poset, order, analysis: PosetAnalysis) -> Program:

@@ -28,7 +28,7 @@ from .hooks import (
     random_scaled_point,
 )
 from .poset import Poset, _require_count, fold_columns, fold_ideal_lattice
-from .rsk import Filling, _run
+from .rsk import Filling, _label_matrix, _run
 
 # Fillings-polytope samples draw their simplex coordinates from multiples of 1/GRAIN.
 GRAIN = 2**20
@@ -321,9 +321,17 @@ def rsk_polytope_check(
     polytope iff T >= 0 and sum A_p T_p <= C L; s is in the rpp polytope
     iff S >= 0, S is order-reversing and sum X_p S_p <= C L; the identity
     is sum X S == sum A T; the round trip is equality of label lists.
-    Fractions are built only for failure entries.  The stable program runs
-    once over all samples, one trial per column (:func:`rsk._run` on a label
-    matrix), forward for the images and backward for the round trips.  The
+    Fractions are built only for failure entries, from Python ints.  The
+    stable program runs once over all samples, one trial per column
+    (:func:`rsk._run` on a label matrix), forward for the images and
+    backward for the round trips.  The label matrix is a
+    :func:`rsk._label_matrix` of the gaps, which are at most GRAIN, and
+    every value computed from it is at most the largest gap times
+    F max(sum |A|, G max(sum |X|, G')), for F the largest factor and G
+    and G' the stable program's forward and backward growth: T is at most
+    F times a gap, the hook side weighs T by A, the image is at most G
+    times T, the weighted side weighs it by X, and the round trip starts
+    from the image.  So the factors, A and X fit the matrix's dtype too.  The
     failures list the trials in order, each with its failed checks in the
     order above; a sample outside the fillings polytope is reported alone.
 
@@ -352,14 +360,16 @@ def rsk_polytope_check(
     bound = hooks_denom * denom
     program = a.insertion_program
 
+    forward, backward = a.insertion_growth
+    growth = max(factors, default=0) * max(sum(map(abs, hooks)), forward * max(sum(map(abs, weights)), backward))
     # row p holds element p's label in every trial
-    gaps = _simplex_gap_rows(n, trials, rng).T.astype(object)
-    t = gaps * np.array(factors, dtype=object).reshape(n, 1)
-    hook_side = np.dot(np.array(hooks, dtype=object), t)
+    gaps = _label_matrix(_simplex_gap_rows(n, trials, rng).T, growth)
+    t = gaps * np.array(factors, dtype=gaps.dtype).reshape(n, 1)
+    hook_side = np.dot(np.array(hooks, dtype=gaps.dtype), t)
     source = _inside_columns(t, hook_side, bound, ())
     s = t.copy()
     _run(s, program)
-    weight_side = np.dot(np.array(weights, dtype=object), s)
+    weight_side = np.dot(np.array(weights, dtype=gaps.dtype), s)
     image = _inside_columns(s, weight_side, bound, cover_pairs)
     summed = weight_side == hook_side
     back = s.copy()
@@ -367,7 +377,7 @@ def rsk_polytope_check(
     returned = (back == t).all(axis=0)
 
     def fractions(labels, trial):
-        return tuple(Fraction(v, denom) for v in labels[:, trial])
+        return tuple(Fraction(v, denom) for v in labels[:, trial].tolist())
 
     failures = []
     for trial in np.flatnonzero(~(source & image & summed & returned)).tolist():
@@ -377,7 +387,7 @@ def rsk_polytope_check(
         if not image[trial]:
             failures.append((trial, "image-membership", fractions(t, trial), fractions(s, trial)))
         if not summed[trial]:
-            lhs, rhs = Fraction(weight_side[trial], bound), Fraction(hook_side[trial], bound)
+            lhs, rhs = Fraction(int(weight_side[trial]), bound), Fraction(int(hook_side[trial]), bound)
             failures.append((trial, "weighted-sum", lhs, rhs))
         if not returned[trial]:
             failures.append((trial, "round-trip", fractions(t, trial), fractions(s, trial)))

@@ -1,4 +1,5 @@
 import re
+import sys
 from random import Random
 
 import pytest
@@ -30,6 +31,17 @@ def test_two_line_array():
     assert two_line_array(MATRIX) == [
         (1, 1), (1, 3), (1, 3), (2, 2), (2, 2), (3, 1), (3, 2),
     ]
+
+
+def test_two_line_array_refuses_a_biword_past_sys_maxsize():
+    # an entry past sys.maxsize raised Python's OverflowError from the list
+    # repeat; a biword of more than sys.maxsize pairs is refused by name,
+    # before any pair is built, also where no one entry passes the limit
+    for matrix in ([[10**20, 1], [1, 1]], [[2**62, 2**62]]):
+        with pytest.raises(classical.BiwordLimitError, match=rf"past sys\.maxsize = {sys.maxsize} biword pairs$"):
+            two_line_array(matrix)
+        with pytest.raises(ValueError, match="sys.maxsize"):
+            classical_insert_rsk(matrix)
 
 
 def test_insertion_pair():

@@ -237,8 +237,12 @@ def test_classical_rsk_command(tmp_path, capsys):
     [
         ("1 2\n3\n", "line 2: row has 1 entries, the first row 2"),
         ("1 -2\n3 0\n", "line 1: negative entry -2"),
+        (
+            "99999999999999999999 1\n1 1\n",
+            f"matrix entries sum to 100000000000000000002, past sys.maxsize = {sys.maxsize} biword pairs",
+        ),
     ],
-    ids=["ragged-rows", "negative-entry"],
+    ids=["ragged-rows", "negative-entry", "biword-past-sys-maxsize"],
 )
 def test_malformed_matrix_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "m.txt"

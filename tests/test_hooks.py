@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice
@@ -16,9 +17,11 @@ from dcposets import (
     catalog,
     d_k_one,
     hook_polynomial_eval,
+    is_order_reversing,
     linear_extensions,
     polytope_membership,
     random_rational_point,
+    rsk,
     young,
 )
 from dcposets import verify
@@ -354,6 +357,25 @@ def test_points_are_exact():
     spec = PolytopeSpec("fillings", (0.5,) * a.diagonals.count)
     with pytest.raises(TypeError):
         polytope_membership(P, spec, (0,) * P.n)
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    # a numpy integer, or a Fraction built from numpy integers, once left
+    # fixed-width labels: rsk of np.int64(2**62) labels wrapped round into a
+    # negative image that is not order-reversing, with a RuntimeWarning, and a
+    # mix with a denominator past 2**63 raised OverflowError
+    import numpy as np
+
+    values = [np.int64(2**62), Fraction(np.int64(1), np.int64(3)), np.uint8(7), Fraction(1, 2**70)]
+    labels, denom = exact_labels(values, 4, "filling", "elements")
+    assert all(type(v) is int for v in labels) and type(denom) is int
+    assert (labels, denom) == exact_labels([2**62, Fraction(1, 3), 7, Fraction(1, 2**70)], 4, "filling", "elements")
+    P = d_k_one(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = rsk(P, [np.int64(2**62)] * P.n)
+    assert image == rsk(P, [2**62] * P.n)
+    assert is_order_reversing(P, image)
 
 
 def _reference_positive_labels(x, count):

@@ -1,8 +1,8 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
 and of ``src/dcposets/``: one reader of exact input, one home for each
 check on caller ids, counts and ``analysis=``, four entry points that
-take ``analysis=``, one builder of insertion steps, and one caller of the
-recording run.
+take ``analysis=``, one builder of insertion steps, one caller of the
+recording run, and one helper that picks a label matrix's dtype.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -207,3 +207,31 @@ def test_only_the_derivative_check_records_choices():
     assert _functions_where(lambda node: _is_call_of(node, "_choices")) == {"rsk._derivative_check"}
     assert "rsk.rsk_jacobian_det" not in _names_in("_choices") | _names_in("_toggle_all")
     assert "rsk.rsk_jacobian_det" in _names_in("_strict_step")
+
+
+# a numpy dtype a label matrix could take, written as a string
+_DTYPE_STRINGS = {"object", "O", "int64", "i8", "<i8"}
+
+
+def _names_a_label_dtype(node):
+    """``np.int64``, the name ``object``, or either as a string given as a dtype."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "int64"
+    if isinstance(node, ast.Name):
+        return node.id in ("object", "int64")
+    if isinstance(node, ast.keyword) and node.arg == "dtype":
+        return isinstance(node.value, ast.Constant) and node.value.value in _DTYPE_STRINGS
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+        return any(isinstance(arg, ast.Constant) and arg.value in _DTYPE_STRINGS for arg in node.args)
+    return False
+
+
+def test_only_the_label_matrix_helper_picks_a_dtype():
+    # rsk._label_matrix picks int64 only under the proved bound on every
+    # value a run reaches, and object past it, so no label matrix may take
+    # either dtype anywhere else.  The one other site is the batched draw's
+    # decode, exact in int64 by its docstring's bound, which its runners read
+    # through the helper
+    modules = ("rsk", "verify", "acceptance", "hooks")
+    named = {where for where in _functions_where(_names_a_label_dtype) if where.split(".")[0] in modules}
+    assert named == {"rsk._label_matrix", "hooks.random_scaled_points"}

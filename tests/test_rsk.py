@@ -59,6 +59,7 @@ from dcposets.rsk import (
     _random_order_insertion,
     _run,
     _toggle_all,
+    program_growth,
     random_descending_extension,
 )
 
@@ -1012,6 +1013,44 @@ def test_toggle_sides_have_at_most_two_candidates():
         shapes.update((len(ups), len(los)) for step in steps for _, ups, los in step)
     assert max(map(max, shapes)) == 2, shapes
     assert shapes[2, 2] >= 400, shapes
+
+
+def _largest_labels(labels, program, backward=False):
+    """``_run`` in place on a label matrix, with the largest |label| after each step."""
+    seen = []
+
+    def watched(labels, toggles, **reductions):
+        _toggle_all(labels, toggles, **reductions)
+        seen.append(int(abs(labels).max(initial=0)))
+
+    _run(labels, program, backward, step=watched)
+    return seen
+
+
+def test_program_growth_bounds_every_label_of_a_run(monkeypatch):
+    # program_growth bounds every |label| a run of the stable program reaches,
+    # as a multiple of the largest |label| it starts from: checked after every
+    # step of dtype=object runs, forward from random fillings and backward
+    # from their images, on the catalog, the seeded joins and Young 12x12.
+    # The recursion calls no step, so a replaced one leaves it as it is
+    import numpy as np
+
+    posets = [e.poset for e in catalog()] + list(seeded_joins()) + [young((12,) * 12)]
+    rng = Random(47)
+    reached = 0
+    for P in posets:
+        a = analyze(P)
+        program = a.insertion_program
+        forward, backward = a.insertion_growth
+        labels = np.array([[rng.randrange(2**40) for _ in range(20)] for _ in range(P.n)], dtype=object)
+        for growth, direction in ((forward, False), (backward, True)):
+            start = int(abs(labels).max(initial=0))
+            seen = _largest_labels(labels, program, direction)
+            assert max(seen, default=0) <= start * growth, (P, direction)
+            reached = max(reached, max(seen, default=0) / start)
+    assert reached > 10
+    monkeypatch.setattr(rsk_module, "_toggle_all", None)
+    assert program_growth(program) == a.insertion_growth == (34845003, 48364164)
 
 
 def test_insertion_steps_match_per_order_compilation():

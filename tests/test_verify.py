@@ -540,6 +540,33 @@ def test_polytope_check_matches_fraction_reference(entry):
         assert rsk_polytope_check(P, x, trials=20, seed=3) == expected
 
 
+def test_polytope_check_label_dtype_follows_the_bound(monkeypatch):
+    # criterion 7's label matrix is int64 where the proved bound is below
+    # 2**62, as at the all-ones point on every catalog poset, and Python ints
+    # past it: d_4(1) at the reciprocals of four primes near 1000 (bound about
+    # 2**211), where an int64 matrix raised OverflowError, and at 10**-30
+    # (about 2**131).  There the report is the Fraction reference's
+    label_matrix = verify._label_matrix
+    picked = []
+
+    def recorded(values, growth):
+        matrix = label_matrix(values, growth)
+        picked.append(matrix.dtype)
+        return matrix
+
+    monkeypatch.setattr(verify, "_label_matrix", recorded)
+    for entry in catalog():
+        assert rsk_polytope_check(entry.poset).ok, entry.name
+    assert picked == [np.dtype(np.int64)] * len(catalog())
+    P = d_k_one(4)
+    a = analyze(P)
+    for x in (tuple(Fraction(1, p) for p in (1009, 1013, 1019, 1021)), (Fraction(1, 10**30),) * 4):
+        picked.clear()
+        report = rsk_polytope_check(P, x)
+        assert picked == [np.dtype(object)], x
+        assert report.ok and report == _reference_polytope_check(P, a, x, trials=100, seed=0), x
+
+
 @pytest.mark.parametrize("name", ["d4", "sample10", "young-3.3", "shifted-4.3.1"])
 def test_samples_and_membership_match_fractions(family, analyses, name):
     P = family[name]

@@ -247,8 +247,9 @@ def volume_preservation(prepared: Prepared, points: int = 25, seed: int = 0) -> 
     Per poset, fillings are drawn from ``Random(seed)`` until ``points`` of
     them are generic, each by :func:`random_scaled_point` as integer
     labels over its common denominator.  At each,
-    :func:`_derivative_check` makes one choosing run, draws a direction
-    from the same stream and runs the kernel once along it.  A kernel
+    :func:`_derivative_check` refuses a tie by one strict run, draws a
+    direction from the same stream, and runs the strict step and the
+    kernel once each on the point scaled and moved along it.  A kernel
     whose result is not the map's own derivative fails with the point's
     index among the generic points and the first element that disagrees,
     which ends the poset's checks.  The determinant needs no check: it is

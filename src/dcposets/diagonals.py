@@ -152,7 +152,7 @@ def diagonal_report(
         if part.diagonal_of[a] == part.diagonal_of[b]:
             failures.append(DiagonalFailure(2, (a, b)))
 
-    minimal_in_p = set(P.minimal_elements())
+    minimal_in_p = {v for v in range(P.n) if not P._lower[v]}
     minima = [min(members, key=lambda v: (P._dn[v].bit_count(), v)) for members in part.classes]
 
     for c, d in part.adjacent:
@@ -161,7 +161,7 @@ def diagonal_report(
                 for x in part.classes[second]:
                     touches = any(
                         part.diagonal_of[y] == first
-                        for y in P.upper_covers(x) + P.lower_covers(x)
+                        for y in P._upper[x] + P._lower[x]
                     )
                     if not touches:
                         failures.append(DiagonalFailure(4, (first, second, x)))

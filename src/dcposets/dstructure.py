@@ -7,7 +7,10 @@ rather than generic graph isomorphism: d_k^- sets grow outwards from
 their unique incomparable pair, and the d-intervals are their
 one-element completions.  No step compares pairs of elements: a grown
 d^- shape is convex iff it is the interval between its bottom and its
-top, and an interval is one mask intersection (``Poset.interval_mask``).
+top, and an interval [a, b] is one mask intersection, ``P._up[a] & P._dn[b]``.
+Every such test here asks for an interval with a <= b by construction, so
+the finders read the poset's covers and closures directly, past the id
+checks of its public query methods.
 """
 
 from __future__ import annotations
@@ -86,16 +89,17 @@ def find_d_intervals(P: Poset, dminus: tuple[DMinusConvexSet, ...]) -> tuple[DIn
     (both sides when k == 3) with ``[bottom, z]`` equal to the set plus z.
     One set can have several completions, and all are kept.
     """
+    upper, up, dn = P._upper, P._up, P._dn
     found = []
     for shape in dminus:
         if shape.neck:
-            candidates = P.upper_covers(shape.neck[0])
+            candidates = upper[shape.neck[0]]
         else:
-            candidates = set(P.upper_covers(shape.sides[0])) & set(P.upper_covers(shape.sides[1]))
+            candidates = set(upper[shape.sides[0]]) & set(upper[shape.sides[1]])
         target = shape.member_mask
         for z in candidates:
             mask = target | 1 << z
-            if P.interval_mask(shape.bottom, z) == mask:
+            if up[shape.bottom] & dn[z] == mask:
                 found.append(DInterval(shape.k, shape.bottom, z, shape.sides, (z,) + shape.neck, shape.tail))
                 found[-1].__dict__["member_mask"] = mask  # the cached property, already known
     return tuple(sorted(found, key=lambda iv: (iv.bottom, iv.top)))
@@ -117,25 +121,26 @@ def find_d_minus_convex_sets(P: Poset) -> tuple[DMinusConvexSet, ...]:
     stays missing.  The sets come back sorted by k, then bottom, then
     their ascending tuple of members.
     """
+    upper, lower, up, dn = P._upper, P._lower, P._up, P._dn
     out: list[DMinusConvexSet] = []
     # frame: (sides, tail descending, neck descending, member mask)
     stack = [
         (sides, (t,), (), mask_of(sides) | 1 << t)
         for t in range(P.n)
-        for sides in combinations(P.upper_covers(t), 2)
+        for sides in combinations(upper[t], 2)
     ]
     while stack:
         sides, tail, neck, m = stack.pop()
         out.append(DMinusConvexSet(k=len(tail) + 2, bottom=tail[-1], sides=sides, neck=neck, tail=tail))
         out[-1].__dict__["member_mask"] = m  # the cached property, already known
         if neck:
-            next_necks = P.upper_covers(neck[0])
+            next_necks = upper[neck[0]]
         else:
-            next_necks = set(P.upper_covers(sides[0])) & set(P.upper_covers(sides[1]))
-        for nt in P.lower_covers(tail[-1]):
+            next_necks = set(upper[sides[0]]) & set(upper[sides[1]])
+        for nt in lower[tail[-1]]:
             for nn in next_necks:
                 grown = m | 1 << nt | 1 << nn
-                if P.interval_mask(nt, nn) == grown:
+                if up[nt] & dn[nn] == grown:
                     stack.append((sides, tail + (nt,), (nn,) + neck, grown))
     # Sets of one k have the same size, so their ascending member tuples
     # compare at the first member they differ in: the lowest bit of the XOR
@@ -167,7 +172,7 @@ def check_d_complete(
 
     for interval in intervals:
         mask = interval.member_mask
-        for x in P.lower_covers(interval.top):
+        for x in P._lower[interval.top]:
             if not mask >> x & 1:
                 violations.append(AxiomViolation(2, (interval.bottom, interval.top, x)))
 
@@ -201,22 +206,23 @@ def structure_report(P: Poset, intervals: tuple[DInterval, ...]) -> StructureRep
     d-intervals are unique; intervals having an element as a neck (tail)
     contain the unique interval it tops (bottoms).
     """
+    upper, lower = P._upper, P._lower
     failures: list[StructureFailure] = []
 
     for v in range(P.n):
-        if len(P.upper_covers(v)) > 2:
-            failures.append(StructureFailure("cover-bound", (v,) + P.upper_covers(v)))
+        if len(upper[v]) > 2:
+            failures.append(StructureFailure("cover-bound", (v,) + upper[v]))
 
     for interval in intervals:
         mask = interval.member_mask
         for x in interval.neck:
-            for below in P.lower_covers(x):
+            for below in lower[x]:
                 if not mask >> below & 1:
                     failures.append(
                         StructureFailure("interval-closure", (interval.bottom, interval.top, x, below))
                     )
         for x in interval.tail:
-            for above in P.upper_covers(x):
+            for above in upper[x]:
                 if not mask >> above & 1:
                     failures.append(
                         StructureFailure("interval-closure", (interval.bottom, interval.top, x, above))
@@ -262,7 +268,7 @@ def _forbidden_configuration(P: Poset) -> tuple[int, ...] | None:
     """
     shared: dict[tuple[int, int], list[int]] = {}  # (q, q') -> common lower covers, ascending
     for t in range(P.n):
-        for pair in combinations(P.upper_covers(t), 2):
+        for pair in combinations(P._upper[t], 2):
             shared.setdefault(pair, []).append(t)
     keys = sorted(shared)
     partners: dict[int, list[int]] = {}

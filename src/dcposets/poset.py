@@ -57,6 +57,19 @@ def _require_ids(ids: Iterable, what: str, n: int) -> None:
         raise ValueError(f"{what} outside 0..{n - 1}: {bad}")
 
 
+def _require_id(x, n: int) -> None:
+    """:func:`_require_ids` on one element id, past which a plain int in 0..n-1 goes at once."""
+    if type(x) is not int or not 0 <= x < n:
+        _require_ids((x,), "element id", n)
+
+
+def _require_mask(mask, n: int) -> None:
+    """Refuse a mask that is no int (TypeError; a bool is none), is negative, or has a bit past n - 1 (ValueError)."""
+    _require_count(mask, "mask", 0)
+    if mask >> n:
+        raise ValueError(f"mask has a bit at or past n = {n}: {mask:#x}")
+
+
 def _pair_entries(pairs: Iterable, read: list[tuple]) -> Iterator:
     """Each cover pair's two entries in turn, the pair appended to ``read`` as a 2-tuple.
 
@@ -163,32 +176,48 @@ class Poset:
         self._analysis = None
 
     # -- order queries ---------------------------------------------------
+    #
+    # Each reads its ids through _require_id and its mask through
+    # _require_mask, so a bool, a float, a negative id or one past n - 1
+    # raises instead of indexing another element.  The package's own layers
+    # read _upper, _lower, _up and _dn directly and never call these.
 
     def leq(self, a: int, b: int) -> bool:
+        _require_id(a, self.n)
+        _require_id(b, self.n)
         return (self._up[a] >> b) & 1 == 1
 
     def incomparable(self, a: int, b: int) -> bool:
-        return not self.leq(a, b) and not self.leq(b, a)
+        _require_id(a, self.n)
+        _require_id(b, self.n)
+        return not (self._up[a] >> b & 1 or self._up[b] >> a & 1)
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         """Elements covering ``x``."""
+        _require_id(x, self.n)
         return self._upper[x]
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
         """Elements covered by ``x``."""
+        _require_id(x, self.n)
         return self._lower[x]
 
     def upset_mask(self, x: int) -> int:
+        _require_id(x, self.n)
         return self._up[x]
 
     def downset_mask(self, x: int) -> int:
+        _require_id(x, self.n)
         return self._dn[x]
 
     def downset(self, x: int) -> frozenset[int]:
+        _require_id(x, self.n)
         return frozenset(bits(self._dn[x]))
 
     def interval_mask(self, p: int, q: int) -> int:
-        if not self.leq(p, q):
+        _require_id(p, self.n)
+        _require_id(q, self.n)
+        if not self._up[p] >> q & 1:
             raise ValueError(f"interval [{p}, {q}] is empty: {p} is not below {q}")
         return self._up[p] & self._dn[q]
 
@@ -197,13 +226,15 @@ class Poset:
         return frozenset(bits(self.interval_mask(p, q)))
 
     def minimal_in_mask(self, m: int) -> tuple[int, ...]:
+        _require_mask(m, self.n)
         return tuple(v for v in bits(m) if self._dn[v] & m == 1 << v)
 
     def maximal_in_mask(self, m: int) -> tuple[int, ...]:
+        _require_mask(m, self.n)
         return tuple(v for v in bits(m) if self._up[v] & m == 1 << v)
 
     def minimal_elements(self) -> tuple[int, ...]:
-        return self.minimal_in_mask((1 << self.n) - 1)
+        return tuple(v for v in range(self.n) if not self._lower[v])
 
     # -- housekeeping ----------------------------------------------------
 
@@ -268,7 +299,7 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
     """
     up, lower = P._up, P._lower
     full = (1 << P.n) - 1
-    top = mask_of(P.maximal_in_mask(full))
+    top = mask_of(v for v in range(P.n) if not P._upper[v])
     seq: list[int] = []
     # frame: [elements left, the maximal ones among them, those not tried yet]
     stack = [[full, top, top]]

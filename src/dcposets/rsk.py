@@ -28,12 +28,13 @@ matrix, where one row operation does the work of a hundred scalar
 toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over them.
 The Jacobian builds no matrix and records nothing: its determinant is
 the parity of the step table's toggle count, and its one run is ``_run``
-with a step that reads each side as ``_toggle_all`` does on a list but
-refuses a tie.  Criterion 6 checks the kernel's derivative along a
-random direction against the choices of a run that records them,
-``_choices``, replayed on it.  Elements of one diagonal never cover each
-other, so the toggles of one step read no label another of them writes:
-they commute.
+with ``_strict_step``, a step that reads each side as ``_toggle_all``
+does on a list but refuses a tie.  Criterion 6 checks the kernel's
+derivative along a random direction against that same strict step: at a
+point scaled far enough from every tie, the strict run makes the base
+point's choices, so it lands where the derivative says.  Elements of one
+diagonal never cover each other, so the toggles of one step read no
+label another of them writes: they commute.
 
 Order independence inserts every filling along its own random order, so
 no program is shared.  ``_random_order_insertion`` draws each order one
@@ -552,10 +553,6 @@ def _random_order_insertion(P: Poset, steps: Steps, rng: Random) -> Callable[[li
 # with probability at most 1/(2V).
 DIRECTION_BOUND = 2**32
 
-# One toggle of a run, as it was chosen: (element, upper cover, lower cover).
-Choice = tuple[int, int, int]
-
-
 def rsk_jacobian_det(
     P: Poset,
     filling,
@@ -586,8 +583,9 @@ def rsk_jacobian_det(
     whatever the order, so T is read off the table: the sum of its steps'
     lengths.  The one run records nothing and serves only to refuse the
     points where a tie leaves the map without a derivative.  Criterion 6
-    checks the choices themselves through :func:`_derivative_check`.
-    ``analysis`` is kept, and read, as in :func:`rsk`.
+    checks the choices themselves through :func:`_derivative_check`, the
+    one other caller of the strict step.  ``analysis`` is kept, and read,
+    as in :func:`rsk`.
     """
     labels, _ = _nonnegative_labels(P.n, filling)
     a = _resolve(P, analysis)
@@ -603,9 +601,12 @@ def _strict_step(labels: list[int], toggles: Iterable[Toggle]) -> None:
     side) or strictly smaller (lower side) is taken, and equal labels
     raise.  Nothing is recorded, so a run through this step costs what a
     run through :func:`_toggle_all` does.  A longer side raises
-    ``ValueError`` at the unpack, as there.  It refuses exactly the points
-    :func:`_choices` refuses: both compare the same two labels of every
-    two-candidate side when its toggle runs, and write the same labels.
+    ``ValueError`` at the unpack, as there.  Where it does not raise, it
+    writes what :func:`_toggle_all` writes, and it chooses the cover of
+    each side that the map's linear piece at the point reads.  Its two
+    callers are :func:`rsk_jacobian_det`, which refuses ties with it, and
+    :func:`_derivative_check`, which takes its run on a scaled point as
+    the reference for the kernel's derivative.
     """
     for e, ups, los in toggles:
         if not ups:
@@ -639,126 +640,40 @@ def _strict_step(labels: list[int], toggles: Iterable[Toggle]) -> None:
         labels[e] = hi + lo - labels[e]
 
 
-def _choices(labels: list[int], program: Program) -> tuple[list[Choice], int]:
-    """Run ``program`` on ``labels`` in place, recording each toggle's choice: (trace, g).
-
-    Its one caller is criterion 6's :func:`_derivative_check`, which
-    replays the trace and scales by g; :func:`rsk_jacobian_det` only
-    refuses ties, through :func:`_strict_step`, and records nothing.
-
-    The run chooses, per toggle, the upper cover of largest label and the
-    lower cover of smallest label.  An empty side is recorded as index n,
-    one past the labels, and reads as 0: ``labels`` holds a 0 there for
-    the run, popped after it.  A side with one candidate is read
-    directly, since a lone candidate ties with nothing.  Any other side
-    has two candidates, the longest on a d-complete poset
-    (:func:`_toggle_all`), and is compared once: equal labels raise
-    :class:`NonGenericPoint`; otherwise the strictly larger (upper side)
-    or strictly smaller (lower side) is chosen, and their gap is
-    recorded.  A longer side raises ``ValueError`` at the unpack, as in
-    :func:`_toggle_all`.  The run is :func:`_run` with a step that makes
-    each toggle's choice, records it as one ``(e, x, y)``, e toggled
-    against x above and y below, and toggles e at once.
-    Elements of one diagonal never cover each other, so no toggle reads a
-    label an earlier toggle of its step wrote: the choices, hence the
-    trace and the points that raise, are those of making every choice of
-    a step before any of its toggles.
-
-    g is the smallest gap between two compared labels, or 0 when the run
-    compares none.  So the chosen cover of a side lies at least g from the
-    other candidate, the one it was compared with.
-    """
-    trace: list[Choice] = []
-    gaps: list[int] = []
-    record, seen = trace.append, gaps.append
-    absent = len(labels)
-
-    def choose(labels: list[int], toggles: tuple[Toggle, ...]) -> None:
-        for e, ups, los in toggles:
-            if not ups:
-                x = absent
-            elif len(ups) == 1:
-                x = ups[0]
-            else:
-                x, u = ups
-                gap = labels[u] - labels[x]
-                if gap > 0:
-                    x = u
-                elif not gap:
-                    raise NonGenericPoint(_TIE)
-                seen(abs(gap))
-            if not los:
-                y = absent
-            elif len(los) == 1:
-                y = los[0]
-            else:
-                y, u = los
-                gap = labels[y] - labels[u]
-                if gap > 0:
-                    y = u
-                elif not gap:
-                    raise NonGenericPoint(_TIE)
-                seen(abs(gap))
-            labels[e] = labels[x] + labels[y] - labels[e]
-            record((e, x, y))
-
-    labels.append(0)
-    _run(labels, program, step=choose)
-    labels.pop()
-    return trace, min(gaps, default=0)
-
-
-def _jacobian_times(trace: Sequence[Choice], v: Sequence[int]) -> tuple[list[int], int]:
-    """J v for the linear map a run's choices spell out, and B, a bound on its rows' L1 norms.
-
-    The choices are replayed on v as scalars: d_c = -v_c for every
-    element c, then d_e <- d_x + d_y - d_e per recorded (e, x, y).  No
-    toggle reads an element before it is inserted, and every element is
-    inserted, so negating all of v first is negating each entry at its
-    insertion.  The same recursion on L1 norms, N_c = 1 and
-    N_e <- N_x + N_y + N_e, bounds the L1 norm of each label's row of the
-    partial product at every step by N_e, and N only grows, so every row
-    met in the run has L1 norm at most B = max N.  Index n, an absent
-    cover in the trace, has d = 0 and N = 0.
-    """
-    d = [-w for w in v]
-    d.append(0)
-    norms = [1] * len(v)
-    norms.append(0)
-    for e, x, y in trace:
-        d[e] = d[x] + d[y] - d[e]
-        norms[e] += norms[x] + norms[y]
-    return d, max(norms)
-
-
 def _derivative_check(P: Poset, labels: Sequence[int], rng: Random, analysis: PosetAnalysis) -> int | None:
     """The first element where the kernel's derivative at a generic point is not J, or None.
 
     ``labels`` are a nonnegative filling's integer labels T over a common
-    denominator, as :func:`hooks.random_scaled_point` draws them.  One
-    :func:`_choices` run along the stable program on T gives the image
-    Phi(T), the choices and g; a tie raises :class:`NonGenericPoint`
-    before ``rng`` is read.  Then a direction v with entries uniform on
-    -V..V-1, V = ``DIRECTION_BOUND``, is drawn from ``rng`` by one
-    ``getrandbits``, each entry a slice of log2(2V) bits less V, and
-    :func:`_jacobian_times` gives J v and B.
-    With K = floor(2BV / g) + 1, or K = 1 when the run compared no labels,
-    :func:`_run`, the kernel under test with its own step function, must
-    map K T + v to K Phi(T) + J v exactly; the result names the first
-    element, by id, where it does not, or None.  J's determinant is not
-    checked: it is (-1)^(n + T'), T' the toggle count, whatever the
-    choices (:func:`rsk_jacobian_det`).
+    denominator, as :func:`hooks.random_scaled_point` draws them, and J is
+    the linear map that the choices of the run on T spell out
+    (:func:`rsk_jacobian_det`).  A :func:`_strict_step` run along the
+    stable program on T raises :class:`NonGenericPoint` at a tie, before
+    ``rng`` is read.  Then a direction v with entries uniform on -V..V-1,
+    V = ``DIRECTION_BOUND``, is drawn from ``rng`` by one ``getrandbits``,
+    each entry a slice of log2(2V) bits less V.  With K = 2GV + 1, G the
+    program's forward growth (:func:`program_growth`), the strict step
+    and the kernel under test, :func:`_run` with its own step function,
+    each run on a copy of K T + v.  The strict run lands on
+    K Phi(T) + J v, as shown below, and the result names the first
+    element, by id, where the kernel's run differs from it, or None.  J's
+    determinant is not checked: it is (-1)^(n + T'), T' the toggle count,
+    whatever the choices.
 
-    Why K suffices.  Run the true map on K T + v beside the base run on T.
+    Why K suffices.  Run the strict step on K T + v beside its run on T.
     By induction over the steps, every label is K l + r.v, with l the
-    base run's label at that step and r its row of the partial product,
-    so |r.v| <= B V.  A toggle's chosen cover x and another candidate u
-    of the same side have K |l_x - l_u| >= K g > 2 B V >= |r_x.v - r_u.v|,
-    so x's label stays strictly the larger (upper side) or the smaller
-    (lower side) and the max or min is x's label: the toggle writes
-    K (l_x + l_y - l_e) + (r_x + r_y - r_e).v, and a negation
-    K (-l_c) + (-r_c).v, the next step's form.  At the end the labels are
-    K Phi(T) + J v, since Phi(K T) = K Phi(T) by homogeneity.
+    base run's label at that step and r its row of the partial product of
+    the base run's linear maps.  Those rows' L1 norms obey N_c = 1 and
+    N_e <- N_e + N_x + N_y, for e toggled against its chosen covers x and
+    y and an absent cover's N 0, and :func:`program_growth`'s
+    M_e <- M_e + max M above + max M below, a max over a side being at
+    least its chosen cover's, is at least N element by element.  So
+    |r.v| <= G V.  At T two candidates x and u of one side have distinct
+    integer labels, so K |l_x - l_u| >= K > 2 G V >= |r_x.v - r_u.v|:
+    the side meets no tie at K T + v, and its strict winner there is its
+    winner at T.  The toggle writes K (l_x + l_y - l_e) + (r_x + r_y - r_e).v,
+    and a negation K (-l_c) + (-r_c).v, the next step's form.  At the end
+    the labels are K Phi(T) + J v, since Phi(K T) = K Phi(T) by
+    homogeneity.
 
     What it catches.  Say the kernel under test gives
     K Phi(T) + J v + delta(v) with delta_e(v) = c + w.v on some element e,
@@ -767,14 +682,14 @@ def _derivative_check(P: Poset, labels: Sequence[int], rng: Random, analysis: Po
     2V values of v_j makes delta_e(v) = 0: a discrepancy linear in v is
     missed with probability at most 1/(2V).
     """
-    image = list(labels)
     program = analysis.insertion_program
-    trace, gap = _choices(image, program)
+    _run(list(labels), program, step=_strict_step)
     width = DIRECTION_BOUND.bit_length()
     bits = rng.getrandbits(width * P.n)
     v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
-    d, bound = _jacobian_times(trace, v)
-    k = 2 * bound * DIRECTION_BOUND // gap + 1 if gap else 1
-    moved = [k * s + w for s, w in zip(labels, v)]
+    k = 2 * analysis.insertion_growth[0] * DIRECTION_BOUND + 1
+    expected = [k * s + w for s, w in zip(labels, v)]
+    moved = expected[:]
+    _run(expected, program, step=_strict_step)
     _run(moved, program)
-    return next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)
+    return next((e for e in range(P.n) if moved[e] != expected[e]), None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple, Sequence
@@ -518,11 +519,22 @@ def monte_carlo_volumes(
     runs once per batch, and cases with equal tests get its count (on
     the full catalog, 164 cases make 107 distinct tests).  Each case
     (P, spec) reads ``analyze(P)``; estimates come back in input order.
+    A case whose box volume edge**n is past the largest float raises
+    ``ValueError`` naming it, before anything is drawn.
     """
     _require_count(samples, "samples")
     import numpy as np  # numpy loads on the first Monte Carlo call, not with the package
 
     tests = [_volume_test(P, spec, analyze(P)) for P, spec in cases]
+    boxes = []
+    for i, ((P, spec), (edge, _, _)) in enumerate(zip(cases, tests)):
+        try:
+            boxes.append(edge**P.n)
+        except OverflowError:
+            raise ValueError(
+                f"case {i} ({spec.kind}, n = {P.n}): box volume {edge!r}**{P.n} exceeds "
+                f"the float limit {sys.float_info.max!r}"
+            ) from None
     # per size, one hit count per distinct test, shared by the cases that test alike
     sizes: dict[int, dict[tuple, int]] = {}
     for (P, _), test in zip(cases, tests):
@@ -559,9 +571,8 @@ def monte_carlo_volumes(
                     ok &= box[low] >= box[high]
                 counts[test] += int(np.count_nonzero(ok))
     estimates = []
-    for (P, spec), test in zip(cases, tests):
-        edge, h = test[0], sizes[P.n][test]
-        box_volume = edge**P.n
+    for (P, spec), test, box_volume in zip(cases, tests, boxes):
+        h = sizes[P.n][test]
         rate = h / samples
         estimates.append(
             VolumeEstimate(

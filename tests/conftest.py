@@ -4,7 +4,18 @@ from random import Random
 
 import pytest
 
-from dcposets import Poset, analyze, builtin_poset, catalog, d_k_one, shifted_young, tree, verify, young
+from dcposets import (
+    NonGenericPoint,
+    Poset,
+    analyze,
+    builtin_poset,
+    catalog,
+    d_k_one,
+    shifted_young,
+    tree,
+    verify,
+    young,
+)
 from dcposets.poset import bits, mask_of, order_ideal_masks
 
 
@@ -170,6 +181,26 @@ def _double_where_first_denominator_is_even(monkeypatch):
     monkeypatch.setattr(verify, "weight_sum", doubled_weight_sum)
     monkeypatch.setattr(verify, "random_scaled_point", recorded_draw)
     monkeypatch.setattr(verify, "fold_columns", doubled_fold)
+
+
+def _select(labels, candidates, sign):
+    """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
+    best = candidates[0]
+    for u in candidates[1:]:
+        gap = sign * (labels[u] - labels[best])
+        if gap == 0:
+            raise NonGenericPoint("tie between toggle candidates at the base point")
+        if gap > 0:
+            best = u
+    return best
+
+
+def _min_above(labels, toggles):
+    """A mutant of the strict step: the min of the upper side's candidates where the max belongs."""
+    for e, ups, los in toggles:
+        hi = labels[_select(labels, ups, -1)] if ups else 0
+        lo = labels[_select(labels, los, -1)] if los else 0
+        labels[e] = hi + lo - labels[e]
 
 
 def _random_perm(n, rng) -> list[int]:

@@ -39,7 +39,7 @@ from dcposets.rsk import (
 )
 from dcposets.verify import BijectionReport
 
-from conftest import _double_where_first_denominator_is_even
+from conftest import _double_where_first_denominator_is_even, _min_above
 from oracles import _reference_program
 
 # the package's ``rsk`` attribute is the function, not the module
@@ -266,17 +266,22 @@ def _first_candidate_step(labels, toggles, top=max, bottom=min):
     _toggle_all(labels, [(e, ups[:1], los[:1]) for e, ups, los in toggles], top, bottom)
 
 
-@pytest.mark.parametrize("step", [_max_below_step, _first_candidate_step], ids=["max-below", "first-candidate"])
-def test_volume_preservation_catches_wrong_choices(prepared, monkeypatch, step):
-    # both steps agree with the kernel wherever every side has one candidate,
-    # so criterion 6 must fail exactly on the posets whose stable program has
-    # a side with two or more, and pass on the rest
+@pytest.mark.parametrize(
+    "seam, step",
+    [("_toggle_all", _max_below_step), ("_toggle_all", _first_candidate_step), ("_strict_step", _min_above)],
+    ids=["max-below", "first-candidate", "strict-min-above"],
+)
+def test_volume_preservation_catches_wrong_choices(prepared, monkeypatch, seam, step):
+    # each wrong step agrees with the right one wherever every side has one
+    # candidate, so criterion 6 must fail exactly on the posets whose stable
+    # program has a side with two or more, and pass on the rest: whether the
+    # kernel chooses wrongly or the strict step, its reference, does
     multiple = {
         name
         for name, _, a in prepared
         if any(len(ups) > 1 or len(los) > 1 for _, toggles in a.insertion_program for _, ups, los in toggles)
     }
-    monkeypatch.setattr(rsk_module, "_toggle_all", step)
+    monkeypatch.setattr(rsk_module, seam, step)
     result = acceptance.volume_preservation(prepared, points=25, seed=SEED)
     failed = {line.split()[1][len("poset="):] for line in result.lines if line.startswith("fail poset=")}
     assert len(multiple) == 46 and failed == multiple
@@ -592,17 +597,17 @@ def _loop_derivative_check(P, filling, rng, a):
     as integer labels over its common denominator."""
     a.ensure_d_complete()
     base, _ = exact_labels(filling, P.n, "filling", "elements")
-    image = base[:]
     program = a.insertion_program
-    trace, gap = rsk_module._choices(image, program)
+    _run(base[:], program, step=rsk_module._strict_step)
     width = DIRECTION_BOUND.bit_length()
     bits = rng.getrandbits(width * P.n)
     v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
-    d, bound = rsk_module._jacobian_times(trace, v)
-    k = 2 * bound * DIRECTION_BOUND // gap + 1 if gap else 1
-    moved = [k * s + w for s, w in zip(base, v)]
+    k = 2 * a.insertion_growth[0] * DIRECTION_BOUND + 1
+    expected = [k * s + w for s, w in zip(base, v)]
+    moved = expected[:]
+    _run(expected, program, step=rsk_module._strict_step)
     _run(moved, program)
-    return next((e for e in range(P.n) if moved[e] != k * image[e] + d[e]), None)
+    return next((e for e in range(P.n) if moved[e] != expected[e]), None)
 
 
 def _loop_volume_preservation(prepared, points, seed):

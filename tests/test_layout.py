@@ -1,14 +1,16 @@
 """The layout of ``tests/``: one home per oracle, and no test module importing another;
 and of ``src/dcposets/``: one reader of exact input, one home for each
 check on caller ids, counts and ``analysis=``, four entry points that
-take ``analysis=``, one builder of insertion steps, one caller of the
-recording run, and one helper that picks a label matrix's dtype.
+take ``analysis=``, one builder of insertion steps, no run that records
+its choices, two callers of the strict step, no call of a public
+``Poset`` query method, and one helper that picks a label matrix's dtype.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
 """
 
 import ast
+import re
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -200,13 +202,34 @@ def _names_in(function):
     return _functions_where(lambda node: isinstance(node, ast.Name) and node.id == function)
 
 
-def test_only_the_derivative_check_records_choices():
-    # the Jacobian's run refuses ties and records nothing: only criterion 6's
-    # derivative check runs _choices, and rsk_jacobian_det names neither the
-    # recording run nor the plain step
-    assert _functions_where(lambda node: _is_call_of(node, "_choices")) == {"rsk._derivative_check"}
-    assert "rsk.rsk_jacobian_det" not in _names_in("_choices") | _names_in("_toggle_all")
-    assert "rsk.rsk_jacobian_det" in _names_in("_strict_step")
+def test_no_run_records_its_choices():
+    # the Jacobian's run and criterion 6's reference refuse ties and record
+    # nothing: src/ names no recording run, replay or choice record, only
+    # those two run the strict step, and rsk_jacobian_det runs no plain step
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not re.search(r"\b(_choices|_jacobian_times|Choice)\b", path.read_text()), path.name
+    assert _names_in("_strict_step") == {"rsk.rsk_jacobian_det", "rsk._derivative_check"}
+    assert "rsk.rsk_jacobian_det" not in _names_in("_toggle_all")
+
+
+def test_no_module_calls_a_poset_query():
+    # the structure layer, the diagonals and the extension walk read
+    # P._upper, P._lower, P._up and P._dn, so the checks of Poset's public
+    # query methods stay off every hot path; a method may hand its own
+    # arguments on to another (interval to interval_mask), which checks them
+    (poset,) = [node for node in _package()["poset"].body if isinstance(node, ast.ClassDef) and node.name == "Poset"]
+    queries = {node.name for node in poset.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert len(queries) == 12 and {"leq", "upper_covers", "interval_mask", "minimal_in_mask"} <= queries
+
+    def calls_query(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in queries
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
+        )
+
+    assert _functions_where(calls_query) == set()
 
 
 # a numpy dtype a label matrix could take, written as a string

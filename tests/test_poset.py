@@ -72,6 +72,16 @@ def test_construction_matches_brute_force_reduction():
                 assert P.lower_covers(v) == tuple(sorted(a for a, b in covers if b == v))
                 assert P.upset_mask(v) == sum(1 << b for b in range(n) if leq[v][b])
                 assert P.downset_mask(v) == sum(1 << a for a in range(n) if leq[a][v])
+                for b in range(n):
+                    assert P.leq(v, b) == leq[v][b]
+                    assert P.incomparable(v, b) == (not leq[v][b] and not leq[b][v])
+            full = (1 << n) - 1
+            assert P.minimal_elements() == P.minimal_in_mask(full) == tuple(
+                v for v in range(n) if not any(leq[a][v] for a in range(n) if a != v)
+            )
+            assert P.maximal_in_mask(full) == tuple(
+                v for v in range(n) if not any(leq[v][b] for b in range(n) if b != v)
+            )
 
 
 def test_cycle_detection():
@@ -115,6 +125,57 @@ def test_non_int_ids_raise_typed_errors(build, message):
     # kept and refused only when the poset was written
     with pytest.raises(TypeError, match=f"^{message}$"):
         build()
+
+
+# every public query method of a Poset, with the arguments it takes: element
+# ids, or one bitmask of elements
+ID_QUERIES = {
+    "leq": 2,
+    "incomparable": 2,
+    "upper_covers": 1,
+    "lower_covers": 1,
+    "upset_mask": 1,
+    "downset_mask": 1,
+    "downset": 1,
+    "interval_mask": 2,
+    "interval": 2,
+}
+MASK_QUERIES = ("minimal_in_mask", "maximal_in_mask")
+
+
+@pytest.mark.parametrize("bad", ["-1", "n", "True", "1.0"])
+@pytest.mark.parametrize("method", [*ID_QUERIES, *MASK_QUERIES])
+def test_queries_refuse_what_is_no_id(method, bad):
+    # a negative id once answered for element n - 1, an id at n or a mask
+    # with a bit past n - 1 raised IndexError, and True and 1.0 passed as 1;
+    # now each argument slot refuses them, with the error of _require_ids
+    # (or, for a mask, of its count reader), whichever slot holds the bad one
+    P = d_k_one(4)
+    n = P.n
+    query = getattr(P, method)
+    if method in MASK_QUERIES:
+        value = {"-1": -1, "n": 1 << n | 1, "True": True, "1.0": 1.0}[bad]
+        kind, message = {
+            "-1": (ValueError, r"^mask must be at least 0, got -1$"),
+            "n": (ValueError, r"^mask has a bit at or past n = 6: 0x41$"),
+            "True": (TypeError, r"^mask must be an int, not bool True$"),
+            "1.0": (TypeError, r"^mask must be an int, not float 1\.0$"),
+        }[bad]
+        with pytest.raises(kind, match=message):
+            query(value)
+        return
+    value = {"-1": -1, "n": n, "True": True, "1.0": 1.0}[bad]
+    kind, message = {
+        "-1": (ValueError, r"^element id outside 0\.\.5: \[-1\]$"),
+        "n": (ValueError, r"^element id outside 0\.\.5: \[6\]$"),
+        "True": (TypeError, r"^element id must be int, not bool True$"),
+        "1.0": (TypeError, r"^element id must be int, not float 1\.0$"),
+    }[bad]
+    for slot in range(ID_QUERIES[method]):
+        args = [0] * ID_QUERIES[method]
+        args[slot] = value
+        with pytest.raises(kind, match=message):
+            query(*args)
 
 
 def test_interval():

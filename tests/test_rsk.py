@@ -53,17 +53,26 @@ from dcposets.hooks import exact_labels
 from dcposets.poset import is_descending_extension, mask_of
 from dcposets.rsk import (
     DIRECTION_BOUND,
-    _choices,
-    _jacobian_times,
     _program,
     _random_order_insertion,
     _run,
+    _strict_step,
     _toggle_all,
     program_growth,
     random_descending_extension,
 )
 
-from conftest import chain, is_adjacent, lt, random_shape, restrict, seeded_joins, shifted_box_ids
+from conftest import (
+    _min_above,
+    _select,
+    chain,
+    is_adjacent,
+    lt,
+    random_shape,
+    restrict,
+    seeded_joins,
+    shifted_box_ids,
+)
 from oracles import (
     _dense_jacobian_rows,
     _finite_difference_det,
@@ -122,14 +131,19 @@ def test_toggle_uses_max_cover_and_min_covered():
     _refuses_long_sides([9, 4, 7, 6, 2, 5, 10], program)
 
 
+def _strict_run(labels, program):
+    """``_run`` through the strict step, which refuses ties: what ``rsk_jacobian_det`` and criterion 6 run."""
+    _run(labels, program, step=_strict_step)
+
+
 def _refuses_long_sides(labels, program):
-    """``_run`` on a label list and on a two-column label matrix, and ``_choices``,
-    each raise ValueError on a program with a three-candidate side: it fails
-    the unpack of a side's two candidates."""
+    """``_run`` on a label list and on a two-column label matrix, and the strict
+    run, each raise ValueError on a program with a three-candidate side: it
+    fails the unpack of a side's two candidates."""
     import numpy as np
 
     matrix = np.array([labels, labels[::-1]], dtype=object).T.copy()
-    for run, start in ((_run, labels[:]), (_run, matrix), (_choices, labels[:])):
+    for run, start in ((_run, labels[:]), (_run, matrix), (_strict_run, labels[:])):
         with pytest.raises(ValueError, match="unpack"):
             run(start, program)
 
@@ -722,26 +736,13 @@ def test_jacobian_matches_finite_difference(family, analyses, name):
     assert "tie" in outcomes and outcomes - {"tie"} <= {1, -1}
 
 
-def _select(labels, candidates, sign):
-    """The candidate with the largest ``sign * label``; raises on a tie with the running best."""
-    best = candidates[0]
-    for u in candidates[1:]:
-        gap = sign * (labels[u] - labels[best])
-        if gap == 0:
-            raise NonGenericPoint("tie between toggle candidates at the base point")
-        if gap > 0:
-            best = u
-    return best
+def _reference_choices(labels, program):
+    """The reference's first step: ``_select`` per multi-candidate side, run in place.
 
-
-def _reference_jacobian_rows(labels, program):
-    """The two-step Jacobian rows: ``_select`` per multi-candidate side, then a rebuilt replay.
-
-    Each step's choices go through ``_toggle_all``; each row is summed
-    with ``get(j, 0)`` and rebuilt once more to drop its zeros.  Row n,
-    one past the labels, is an absent cover's: empty, so zero.
+    Each step's choices go through ``_toggle_all``, and the result is the
+    trace: per step, its inserted element and its toggles with each side
+    cut to the chosen cover.  A tie raises ``NonGenericPoint``.
     """
-    n = len(labels)
     trace = []
     for c, toggles in program:
         labels[c] = -labels[c]
@@ -755,9 +756,19 @@ def _reference_jacobian_rows(labels, program):
         )
         _toggle_all(labels, chosen)
         trace.append((c, chosen))
+    return trace
 
+
+def _reference_jacobian_rows(labels, program):
+    """The two-step Jacobian rows: :func:`_reference_choices`, then a rebuilt replay.
+
+    Each row is summed with ``get(j, 0)`` and rebuilt once more to drop
+    its zeros.  Row n, one past the labels, is an absent cover's: empty,
+    so zero.
+    """
+    n = len(labels)
     rows = [{} for _ in range(n + 1)]
-    for c, chosen in trace:
+    for c, chosen in _reference_choices(labels, program):
         rows[c] = {c: -1}
         for e, ups, los in chosen:
             (x,), (y,) = ups or (n,), los or (n,)
@@ -782,11 +793,21 @@ def _times(rows, v):
     return [sum(x * v[j] for j, x in row.items()) for row in rows]
 
 
+def _scaled(labels, v, growth):
+    """(K, K T + v) for T ``labels``, K = 2 G V + 1, G ``growth`` and V the largest |v_j|: criterion 6's scale."""
+    k = 2 * growth * max(map(abs, v), default=0) + 1
+    return k, [k * x + w for x, w in zip(labels, v)]
+
+
 def test_one_candidate_sides_keep_the_ties():
-    # the fused run reads a lone candidate directly and compares a pair of
-    # candidates once; the fillings that tie, the labels the run leaves and the
-    # Jacobian its choices spell are those of the two-step reference, on the
-    # catalog, large posets and joins, under the stable order and a random one
+    # the strict step reads a lone candidate directly and compares a pair of
+    # candidates once; the fillings that tie and the labels the run leaves are
+    # those of the two-step reference, on the catalog, large posets and joins,
+    # under the stable order and a random one.  At a generic point T the
+    # forward growth G of the program, and the stable program's, is at least
+    # the L1 norm of every row of the reference's Jacobian J, which is the
+    # map's derivative whatever the order; and the strict run on K T + v,
+    # K = 2 G V + 1, lands on K Phi(T) + J v, criterion 6's reference
     posets = [(e.name, e.poset) for e in catalog()] + [
         ("young-4x4", young((4, 4, 4, 4))),
         ("young-12x12", young((12,) * 12)),
@@ -799,9 +820,11 @@ def test_one_candidate_sides_keep_the_ties():
     for name, P in posets:
         a = analyze(P)
         v = _spelling_direction(P.n)
+        stable_growth, _ = a.insertion_growth
         seen = verdicts.setdefault("joins" if name.startswith("join-") else name, set())
         for order in (None, random_descending_extension(P, rng)):
             program = _program(P, order, a)
+            growth, _ = program_growth(program)
             for t in _seeded_fillings(P.n, rng, 24 if P.n >= 50 else 6):
                 labels, _ = exact_labels(t, P.n, "filling", "elements")
                 expected_labels = labels[:]
@@ -809,15 +832,18 @@ def test_one_candidate_sides_keep_the_ties():
                     expected = _reference_jacobian_rows(expected_labels, program)
                 except NonGenericPoint as exc:
                     with pytest.raises(NonGenericPoint, match=str(exc)):
-                        _choices(labels, program)
+                        _strict_run(labels, program)
                     outcomes["tie"] += 1
                     seen.add("tie")
                     continue
-                trace, _ = _choices(labels, program)
-                jv, bound = _jacobian_times(trace, v)
-                assert bound < 2**63 and jv == _times(expected, v), (name, order, t)
-                assert bound >= max(sum(map(abs, row.values())) for row in expected)
+                k, moved = _scaled(labels, v, growth)
+                _strict_run(labels, program)
                 assert labels == expected_labels
+                norm = max(sum(map(abs, row.values())) for row in expected)
+                # G bounds J's entries too, so J v spells J's rows
+                assert norm <= min(growth, stable_growth) and growth < 2**63, (name, order, t)
+                _strict_run(moved, program)
+                assert moved == [k * x + w for x, w in zip(labels, _times(expected[:-1], v))], (name, order, t)
                 outcomes["rows"] += 1
                 seen.add("rows")
     for name in ("young-12x12", "d50(1)", "joins"):
@@ -842,13 +868,14 @@ def test_running_best_tie_rule():
     program += ((6, ((6, (0, 1, 2), (3, 4, 5)),)),)
     _refuses_long_sides([5, 3, 3, 1, 2, 2, 9], program)
     # two candidates, the longest side a d-complete poset has: an equal pair
-    # raises on either side, and otherwise the strict winner is chosen,
-    # first or second, and the gap between the two is recorded
+    # raises on either side, in the strict run and the reference alike, and
+    # otherwise the strict winner is chosen, first or second: the reference's
+    # row of element 3 reads it, and the strict run on K T + v follows J
     v = _spelling_direction(4)
     inserted = tuple((c, ((c, (), ()),)) for c in range(3))
     programs = {sides: inserted + ((3, ((3, *sides),)),) for sides in (((0, 1), (2,)), ((2,), (0, 1)))}
     for program in programs.values():
-        for replay in (_choices, _reference_jacobian_rows):
+        for replay in (_strict_run, _reference_jacobian_rows):
             with pytest.raises(NonGenericPoint):
                 replay([4, 4, 1, 9], program)
     for ups, los, labels, chosen in (
@@ -860,13 +887,18 @@ def test_running_best_tie_rule():
         program = programs[ups, los]
         expected_labels = labels[:]
         expected = _reference_jacobian_rows(expected_labels, program)
-        trace, gap = _choices(labels, program)
-        assert trace[-1] == (3, *chosen) and gap == 3, (ups, los, labels)
-        assert _jacobian_times(trace, v)[0] == _times(expected, v)
+        x, y = chosen
+        assert expected[3] == {x: 1, y: 1, 3: 1}, (ups, los, labels)
+        k, moved = _scaled(labels, v, program_growth(program)[0])
+        _strict_run(labels, program)
         assert labels == expected_labels
+        _strict_run(moved, program)
+        assert moved == [k * s + w for s, w in zip(labels, _times(expected[:-1], v))]
 
 
 def test_jacobian_rows_match_dense_replay():
+    # the strict run leaves the dense oracle's image, and on K T + v it lands
+    # on K Phi(T) + J v for the dense oracle's J
     P = young((4, 4, 4, 4))
     a = analyze(P)
     rng = Random(41)
@@ -875,55 +907,63 @@ def test_jacobian_rows_match_dense_replay():
     for order in (None, random_descending_extension(P, rng)):
         seq = a.stable_order if order is None else order
         program = _program(P, order, a)
+        growth, _ = program_growth(program)
         for _ in range(10):
             t = random_filling(P.n, rng)
             labels, denom = exact_labels(t, P.n, "filling", "elements")
+            k, moved = _scaled(labels, v, growth)
             try:
-                trace, _ = _choices(labels, program)
+                _strict_run(labels, program)
             except NonGenericPoint:
                 continue
             image, dense = _dense_jacobian_rows(P, a, seq, t)
             assert tuple(Fraction(x, denom) for x in labels) == image
-            jv, bound = _jacobian_times(trace, v)
-            assert bound < 2**63
-            assert jv == [sum(x * w for x, w in zip(row, v)) for row in dense] + [0]
+            assert growth < 2**63
+            _strict_run(moved, program)
+            assert moved == [k * x + sum(j * w for j, w in zip(row, v)) for x, row in zip(labels, dense)]
             checked += 1
     assert checked >= 10
 
 
 def test_derivative_scale_keeps_every_choice():
-    # g is the smallest gap the reference insertion sees between compared
-    # labels, and at K T + v, with K = floor(2 B V / g) + 1, the reference
-    # makes the base point's choices and lands on K Phi(T) + J v, for v at
-    # corners of the box [-V, V]^n and at random in it
+    # the strict run's image is the reference insertion's; compared labels
+    # at a generic point are distinct integers, so the reference insertion's
+    # gaps are at least 1 over the denominator; and at K T + v, with
+    # K = 2 G V + 1 and G the stable program's forward growth, the reference
+    # makes the base point's choices and lands on K Phi(T) + J v, as the
+    # strict run does, for v at corners of the box [-V, V]^n and at random in it
     posets = [e.poset for e in catalog()][::6] + [young((4, 4, 4, 4)), *seeded_joins()[::6]]
     rng = Random(53)
     big = DIRECTION_BOUND
     checked = 0
     for P in posets:
         a = analyze(P)
+        growth, _ = a.insertion_growth
         for t in _seeded_fillings(P.n, rng, 3):
             labels, denom = exact_labels(t, P.n, "filling", "elements")
             image = labels[:]
             try:
-                trace, gap = _choices(image, a.insertion_program)
+                _strict_run(image, a.insertion_program)
             except NonGenericPoint:
                 continue
             base_trace, gaps = [], []
-            _reference_insertion(P, a, a.stable_order, t, base_trace, gaps)
-            assert Fraction(gap, denom) == min(gaps, default=0)
+            base = _reference_insertion(P, a, a.stable_order, t, base_trace, gaps)
+            assert base == tuple(Fraction(x, denom) for x in image)
+            assert min(gaps, default=1) * denom >= 1
+            _, dense = _dense_jacobian_rows(P, a, a.stable_order, t)
+            k = 2 * growth * big + 1
             for v in (
                 [rng.choice((-big, big)) for _ in range(P.n)],
                 [rng.randint(-big, big) for _ in range(P.n)],
             ):
-                d, bound = _jacobian_times(trace, v)
-                k = 2 * bound * big // gap + 1 if gap else 1
+                point = [k * x + w for x, w in zip(labels, v)]
                 moved_trace = []
-                moved = _reference_insertion(
-                    P, a, a.stable_order, [Fraction(k * x + w, denom) for x, w in zip(labels, v)], moved_trace
-                )
+                moved = _reference_insertion(P, a, a.stable_order, [Fraction(x, denom) for x in point], moved_trace)
+                expected = [k * x + sum(j * w for j, w in zip(row, v)) for x, row in zip(image, dense)]
                 assert moved_trace == base_trace
-                assert moved == tuple(Fraction(k * x + w, denom) for x, w in zip(image, d))
+                assert moved == tuple(Fraction(x, denom) for x in expected)
+                _strict_run(point, a.insertion_program)
+                assert point == expected
             checked += 1
     assert checked >= 60
 
@@ -1110,9 +1150,9 @@ def test_column_runner_matches_scalar_loops():
         if i % 10 == 0 or P.n > 60:
             _columns_match_scalar_loops(P, a.insertion_program, 100, spread)
         _columns_match_scalar_loops(P, a.insertion_program, 4, ties)
-        # _choices refusing a tie-heavy start shows that a forward run met a tie
+        # the reference refusing a tie-heavy start shows that a forward run met a tie
         try:
-            _choices([ties() for _ in range(P.n)], a.insertion_program)
+            _reference_choices([ties() for _ in range(P.n)], a.insertion_program)
         except NonGenericPoint:
             tied.append(P.n)
     assert min(P.n for P in posets) == 1
@@ -1250,12 +1290,13 @@ def test_jacobian_rejects_ties():
 
 
 def _refusal_mismatches(posets, seed, orders, count):
-    """Where ``rsk_jacobian_det`` and ``_choices`` disagree, and each poset's outcomes.
+    """Where ``rsk_jacobian_det`` and the two-step reference disagree, and each poset's outcomes.
 
     Per poset, under the stable order and ``orders`` random ones, on
     ``count`` ``random_filling`` draws each: the Jacobian must raise
-    ``NonGenericPoint`` exactly when ``_choices`` does on the same labels
-    and program, and otherwise return (-1)^(n + len(trace)).
+    ``NonGenericPoint`` exactly when ``_reference_choices`` does on the
+    same labels and program, and otherwise return (-1)^(n + T), T the
+    program's toggle count.
     """
     rng = Random(seed)
     mismatches = []
@@ -1269,8 +1310,8 @@ def _refusal_mismatches(posets, seed, orders, count):
                 t = random_filling(P.n, rng)
                 labels, _ = exact_labels(t, P.n, "filling", "elements")
                 try:
-                    trace, _ = _choices(labels, program)
-                    expected = (-1) ** (P.n + len(trace))
+                    _reference_choices(labels, program)
+                    expected = (-1) ** (P.n + _toggle_count(program))
                 except NonGenericPoint:
                     expected = "tie"
                 try:
@@ -1284,7 +1325,7 @@ def _refusal_mismatches(posets, seed, orders, count):
 
 
 def test_jacobian_refuses_exactly_the_choices_ties():
-    # the Jacobian's recording-free run refuses a point iff the recording run
+    # the Jacobian's strict run refuses a point iff the two-step reference
     # does, on the catalog, the seeded joins, Young 12x12 and d_50(1), under
     # the stable order and three random orders, on 6 fillings per order, or
     # 20 on the large two
@@ -1298,17 +1339,9 @@ def test_jacobian_refuses_exactly_the_choices_ties():
     assert sum(seen["tie"] for seen in [*outcomes.values(), young_outcomes]) >= 80
 
 
-def _min_above(labels, toggles):
-    """A mutant of the strict step: the min of the upper side's candidates where the max belongs."""
-    for e, ups, los in toggles:
-        hi = labels[_select(labels, ups, -1)] if ups else 0
-        lo = labels[_select(labels, los, -1)] if los else 0
-        labels[e] = hi + lo - labels[e]
-
-
 @pytest.mark.parametrize("mutant", [_toggle_all, _min_above], ids=["never-raises", "min-above"])
 def test_refusal_check_catches_step_mutants(monkeypatch, mutant):
-    # each mutant of the Jacobian's step refuses other points than _choices
+    # each mutant of the Jacobian's step refuses other points than the reference
     # on Young 12x12 and shifted 7..1, which the check above then reports
     monkeypatch.setattr(rsk_module, "_strict_step", mutant)
     posets = [("young-12x12", young((12,) * 12)), ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1)))]

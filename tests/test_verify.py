@@ -654,6 +654,22 @@ def test_monte_carlo_needs_a_sample():
     assert monte_carlo_volume(P, spec, samples=1).samples == 1
 
 
+def test_monte_carlo_refuses_a_box_past_the_float_range(monkeypatch):
+    # a 400-chain's rpp box at x = 1/8 on every diagonal has edge 8, and 8**400
+    # is no float: the case is refused by name before anything is drawn, and a
+    # batch holding it draws nothing either
+    P = chain(400)
+    spec = PolytopeSpec("rpp", (Fraction(1, 8),) * analyze(P).diagonals.count)
+    monkeypatch.setattr(verify, "CHUNK", None)  # any batch of draws would raise TypeError
+    message = r"case 0 \(rpp, n = 400\): box volume 8\.0\*\*400 exceeds the float limit 1\.79"
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_volume(P, spec, samples=10)
+    small = chain(2)
+    fine = PolytopeSpec("fillings", all_ones_point(analyze(small).diagonals.count))
+    with pytest.raises(ValueError, match=r"^case 1 \(rpp, n = 400\)"):
+        verify.monte_carlo_volumes([(small, fine), (P, spec)], 10, 0)
+
+
 def test_counts_refuse_non_positive_and_non_int_values():
     # the library edges refuse what the CLI refuses with exit 2
     P = d_k_one(3)

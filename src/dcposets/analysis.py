@@ -139,7 +139,13 @@ class PosetAnalysis:
 
 
 def analyze(P: Poset) -> PosetAnalysis:
-    """P's live analysis: the one a caller still holds, or a new one."""
+    """P's live analysis: the one a caller still holds, or a new one.
+
+    Every entry point reads P here, so a P that is no :class:`Poset`
+    raises ``TypeError`` naming its type.
+    """
+    if not isinstance(P, Poset):
+        raise TypeError(f"P must be a Poset, not {type(P).__name__}")
     a = None if P._analysis is None else P._analysis()
     if a is None:
         a = PosetAnalysis(P)

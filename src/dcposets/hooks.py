@@ -164,6 +164,8 @@ def hook_polynomial_eval(vector: Sequence[int], x) -> Fraction:
 
 
 def all_ones_point(count: int) -> RationalPoint:
+    """``count`` coordinates of 1, the count read as :func:`random_rational_point` reads it."""
+    _require_count(count, "coordinate count", 0)
     return (Fraction(1),) * count
 
 

@@ -105,7 +105,10 @@ class Poset:
     """Immutable finite poset built from ``(lower, upper)`` cover pairs.
 
     The reflexive-transitive closure is computed eagerly; redundant input
-    pairs are silently removed by transitive reduction.  A cycle in the
+    pairs are silently removed by transitive reduction: a direct edge
+    a -> b is kept unless b lies strictly above the head of another direct
+    edge from a, so an element's only direct successor is its cover and
+    is taken with no mask of what lies above.  A cycle in the
     input raises :class:`CycleError` naming a witness.  The count and the
     ids are read by :func:`_require_count` and :func:`_require_ids`, each
     pair unpacked once as exactly two ids by :func:`_pair_entries` in the
@@ -145,16 +148,17 @@ class Poset:
             up[v] = m
         # A direct edge a -> b is a cover unless b lies strictly above the head
         # of another direct edge from a; every cover is a direct edge.
-        upper: list[list[int]] = [[] for _ in range(n)]
+        upper: list[list[int]] = []
         lower: list[list[int]] = [[] for _ in range(n)]
-        for a in range(n):
-            above = 0
-            for w in edges[a]:
-                above |= up[w] ^ (1 << w)
-            for b in edges[a]:
-                if not above >> b & 1:
-                    upper[a].append(b)
-                    lower[b].append(a)
+        for a, heads in enumerate(edges):
+            if len(heads) > 1:
+                above = 0
+                for w in heads:
+                    above |= up[w] ^ (1 << w)
+                heads = [b for b in heads if not above >> b & 1]
+            upper.append(heads)
+            for b in heads:
+                lower[b].append(a)
         dn = [0] * n
         for v in order:
             m = 1 << v
@@ -473,8 +477,13 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     new ideal's addable mask is its first parent's minus the added element
     plus those upper covers of that element that became addable, so a step
     costs O(covers), not O(n).  The masks of a level are dropped once the
-    next level is built.  Raises :class:`ExtensionLimitError` when P has
-    more than ``IDEAL_LIMIT`` ideals, however few elements P has.
+    next level is built.  Ideals of the next level reached from two
+    parents are merged through a dict keyed by mask; a level that holds
+    one ideal builds none, because that ideal's children each add a
+    distinct element and so are distinct ideals.  Chains and d_k(1) are
+    one ideal wide at nearly every level.  Raises
+    :class:`ExtensionLimitError` when P has more than ``IDEAL_LIMIT``
+    ideals, however few elements P has.
 
     When :func:`_chain_bound` proves that P has at most ``IDEAL_LIMIT``
     ideals, the walk starts at once: no refusal can happen (chain(2000)
@@ -499,32 +508,53 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     masks, addables = [0], [mask_of(v for v in range(P.n) if not below[v])]
     for _ in range(P.n):
         i = len(first) - len(masks)
-        index: dict[int, int] = {}
         next_masks: list[int] = []
         next_addables: list[int] = []
-        for mask, addable in zip(masks, addables):
+        if len(masks) == 1:
+            (mask,), (addable,) = masks, addables
             rest = addable
             while rest:
                 low = rest & -rest
                 rest ^= low
                 grown = mask | low
-                j = index.get(grown)
-                if j is None:
-                    j = index[grown] = len(first)
-                    if j >= IDEAL_LIMIT:
-                        raise ExtensionLimitError(_REFUSAL)
-                    v = low.bit_length() - 1
-                    reach = addable ^ low
-                    for w in upper[v]:
-                        if not below[w] & ~grown:
-                            reach |= 1 << w
-                    next_masks.append(grown)
-                    next_addables.append(reach)
-                    first.append(i)
-                    added.append(v)
-                successors.append(j)
+                v = low.bit_length() - 1
+                reach = addable ^ low
+                for w in upper[v]:
+                    if below[w] & grown == below[w]:
+                        reach |= 1 << w
+                successors.append(len(first))
+                next_masks.append(grown)
+                next_addables.append(reach)
+                first.append(i)
+                added.append(v)
+            if len(first) > IDEAL_LIMIT:
+                raise ExtensionLimitError(_REFUSAL)
             successor_start.append(len(successors))
-            i += 1
+        else:
+            index: dict[int, int] = {}
+            for mask, addable in zip(masks, addables):
+                rest = addable
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    grown = mask | low
+                    j = index.get(grown)
+                    if j is None:
+                        j = index[grown] = len(first)
+                        if j >= IDEAL_LIMIT:
+                            raise ExtensionLimitError(_REFUSAL)
+                        v = low.bit_length() - 1
+                        reach = addable ^ low
+                        for w in upper[v]:
+                            if below[w] & grown == below[w]:
+                                reach |= 1 << w
+                        next_masks.append(grown)
+                        next_addables.append(reach)
+                        first.append(i)
+                        added.append(v)
+                    successors.append(j)
+                successor_start.append(len(successors))
+                i += 1
         level_sizes.append(len(next_masks))
         masks, addables = next_masks, next_addables
     successor_start.append(len(successors))  # the whole poset covers no ideal
@@ -557,6 +587,12 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     these stay under 1,000.  S(J) is a small integer, so each gcd costs
     about one pass over R(J).
 
+    A level that holds one ideal J takes one gcd and no list, lcm or
+    rescaling loop: the lcm of the one value S(J) / g is that value, so
+    m_k = S(J) / g, M_k = M_(k-1) * S(J) / g and
+    U(J) = (R(J) / g) * 1, the level path's integers.  Chains and d_k(1)
+    are one ideal wide at nearly every level.
+
     With every weight 1, S(J) = k on level k, and the fold keeps the
     unreduced form m_k = k: U(J) counts the maximal chains from the
     empty ideal to J and U(P) = e(P); the fold then skips the sums, the
@@ -575,7 +611,11 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     lo = 0
     for size in lattice.level_sizes:
         hi = lo + size
-        if lo and not unit:
+        if lo and not unit and size == 1:  # m_k = S(J) / g, so U(J) = R(J) / g
+            g = math.gcd(value[lo], sums[lo])
+            product *= sums[lo] // g
+            value[lo] //= g
+        elif lo and not unit:
             # d = S(J) / g, so R(J) / g = R(J) // (S(J) // d)
             reduced = [sums[j] // math.gcd(value[j], sums[j]) for j in range(lo, hi)]
             level_lcm = math.lcm(*reduced)

@@ -489,6 +489,11 @@ def test_scaled_point_is_the_rational_point_over_its_denominator():
         (partial(random_scaled_points, -1, 3), ValueError, r"^coordinate count must be at least 0, got -1$"),
         (partial(random_scaled_points, 2, -2), ValueError, r"^trials must be at least 0, got -2$"),
         (partial(random_scaled_points, 2, 1.5), TypeError, r"^trials must be an int, not float 1\.5$"),
+        # all_ones_point takes no rng, and reads its count as the draws do
+        (lambda rng: all_ones_point(-1), ValueError, r"^coordinate count must be at least 0, got -1$"),
+        (lambda rng: all_ones_point(True), TypeError, r"^coordinate count must be an int, not bool True$"),
+        (lambda rng: all_ones_point(2.0), TypeError, r"^coordinate count must be an int, not float 2\.0$"),
+        (lambda rng: all_ones_point("3"), TypeError, r"^coordinate count must be an int, not str '3'$"),
     ],
     ids=[
         "negative",
@@ -499,6 +504,10 @@ def test_scaled_point_is_the_rational_point_over_its_denominator():
         "scaled-negative-count",
         "scaled-negative-trials",
         "scaled-float-trials",
+        "ones-negative",
+        "ones-bool",
+        "ones-float",
+        "ones-str",
     ],
 )
 def test_random_points_refuse_bad_counts(draw, error, message):

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import textwrap
 import time
 from fractions import Fraction
 from random import Random
@@ -141,6 +143,31 @@ def test_integer_fold_matches_fraction_fold(name, P):
     levels = list(_reference_ideal_levels(P))
     assert list(order_ideal_masks(P)) == [mask for level in levels for mask in level]
     assert a.extension_count == levels[-1][(1 << P.n) - 1][0]
+
+
+# mutant -> (a line of fold_ideal_lattice's one-ideal branch, what replaces it)
+ONE_IDEAL_MUTANTS = {
+    "drop-m-factor": ("product *= sums[lo] // g", "pass"),
+    "divide-by-s": ("value[lo] //= g", "value[lo] //= sums[lo]"),
+}
+
+
+@pytest.mark.parametrize("name", ["chain-200", "d50(1)"])
+@pytest.mark.parametrize("mutant", list(ONE_IDEAL_MUTANTS))
+def test_integer_fold_comparison_catches_one_ideal_mutants(monkeypatch, mutant, name):
+    """Each mutant of the one-ideal level fails test_integer_fold_matches_fraction_fold's comparison."""
+    line, replacement = ONE_IDEAL_MUTANTS[mutant]
+    source = textwrap.dedent(inspect.getsource(poset_module.fold_ideal_lattice))
+    assert source.count(line) == 1
+    namespace = dict(vars(poset_module))
+    exec(source.replace(line, replacement), namespace)
+    monkeypatch.setattr(verify, "fold_ideal_lattice", namespace["fold_ideal_lattice"])
+    P = LARGE_WEIGHT_POSETS[name]
+    a = analyze(P)
+    rng = Random(f"weight {name}")
+    points = [_mixed_point(a.diagonals.count, rng) for _ in range(2)]
+    for x in points:
+        assert weight_sum(P, a.diagonals, x) != _reference_weight_sum(P, a.diagonals, x)
 
 
 def _level_lcm_fold(lattice, weights):
@@ -355,6 +382,18 @@ def test_an_analysis_of_another_poset_is_refused():
     assert {name: call() for name, call in _entry_points(P, twin).items()} == own
     assert own["verify_proctor"][:3] == (2, 360, 720)
     assert own["rsk"] == (11, 9, 6, 7, 4, 3)
+
+
+def test_a_p_that_is_no_poset_is_refused_by_type():
+    # each raised AttributeError: 'int' object has no attribute '_analysis'
+    part = analyze(d_k_one(4)).diagonals
+    for call, kind in [
+        (lambda: count_linear_extensions(5), "int"),
+        (lambda: weight_sum(5, part, all_ones_point(part.count)), "int"),
+        (lambda: verify_proctor(None), "NoneType"),
+    ]:
+        with pytest.raises(TypeError, match=f"^P must be a Poset, not {kind}$"):
+            call()
 
 
 def test_weight_sum_refuses_a_partition_of_another_poset():

@@ -171,7 +171,7 @@ class Poset:
         self._dn = tuple(dn)
         self.covers = frozenset((a, b) for a in range(n) for b in upper[a])
         self._upper = tuple(tuple(sorted(u)) for u in upper)
-        self._lower = tuple(tuple(sorted(v)) for v in lower)
+        self._lower = tuple(map(tuple, lower))  # filled in ascending a, so each is sorted
         self.names = dict(names) if names else {}
         _require_ids(self.names, "named element ids", n)
         for key, name in self.names.items():
@@ -478,12 +478,13 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     plus those upper covers of that element that became addable, so a step
     costs O(covers), not O(n).  The masks of a level are dropped once the
     next level is built.  Ideals of the next level reached from two
-    parents are merged through a dict keyed by mask; a level that holds
-    one ideal builds none, because that ideal's children each add a
-    distinct element and so are distinct ideals.  Chains and d_k(1) are
-    one ideal wide at nearly every level.  Raises
-    :class:`ExtensionLimitError` when P has more than ``IDEAL_LIMIT``
-    ideals, however few elements P has.
+    parents are merged through a dict keyed by mask.  A level that holds
+    one ideal builds no dict, because that ideal's children each add a
+    distinct element and so are distinct ideals; while it has one child,
+    that child is the next level's one ideal, and the walk steps on to it
+    with no list of masks.  Chains and d_k(1) are one ideal wide at
+    nearly every level.  Raises :class:`ExtensionLimitError` when P has
+    more than ``IDEAL_LIMIT`` ideals, however few elements P has.
 
     When :func:`_chain_bound` proves that P has at most ``IDEAL_LIMIT``
     ideals, the walk starts at once: no refusal can happen (chain(2000)
@@ -506,12 +507,25 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     successor_start = array("i", [0])
     successors = array("i")
     masks, addables = [0], [mask_of(v for v in range(P.n) if not below[v])]
-    for _ in range(P.n):
-        i = len(first) - len(masks)
+    while len(level_sizes) <= P.n:
         next_masks: list[int] = []
         next_addables: list[int] = []
         if len(masks) == 1:
             (mask,), (addable,) = masks, addables
+            # while the one ideal has one child, the walk steps on to it alone
+            while addable and not addable & (addable - 1):
+                v = addable.bit_length() - 1
+                mask |= addable
+                addable = 0
+                for w in upper[v]:
+                    if below[w] & mask == below[w]:
+                        addable |= 1 << w
+                successors.append(len(first))
+                successor_start.append(len(successors))
+                first.append(len(first) - 1)
+                added.append(v)
+                level_sizes.append(1)
+            i = len(first) - 1
             rest = addable
             while rest:
                 low = rest & -rest
@@ -529,8 +543,11 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
                 added.append(v)
             if len(first) > IDEAL_LIMIT:
                 raise ExtensionLimitError(_REFUSAL)
+            if not addable:  # the walk has reached the whole poset
+                break
             successor_start.append(len(successors))
         else:
+            i = len(first) - len(masks)
             index: dict[int, int] = {}
             for mask, addable in zip(masks, addables):
                 rest = addable
@@ -588,10 +605,10 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     about one pass over R(J).
 
     A level that holds one ideal J takes one gcd and no list, lcm or
-    rescaling loop: the lcm of the one value S(J) / g is that value, so
-    m_k = S(J) / g, M_k = M_(k-1) * S(J) / g and
-    U(J) = (R(J) / g) * 1, the level path's integers.  Chains and d_k(1)
-    are one ideal wide at nearly every level.
+    rescaling loop, and pushes its one value: the lcm of the one value
+    S(J) / g is that value, so m_k = S(J) / g, M_k = M_(k-1) * S(J) / g
+    and U(J) = (R(J) / g) * 1, the level path's integers.  Chains and
+    d_k(1) are one ideal wide at nearly every level.
 
     With every weight 1, S(J) = k on level k, and the fold keeps the
     unreduced form m_k = k: U(J) counts the maximal chains from the
@@ -611,21 +628,27 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     lo = 0
     for size in lattice.level_sizes:
         hi = lo + size
-        if lo and not unit and size == 1:  # m_k = S(J) / g, so U(J) = R(J) / g
-            g = math.gcd(value[lo], sums[lo])
-            product *= sums[lo] // g
-            value[lo] //= g
-        elif lo and not unit:
-            # d = S(J) / g, so R(J) / g = R(J) // (S(J) // d)
-            reduced = [sums[j] // math.gcd(value[j], sums[j]) for j in range(lo, hi)]
-            level_lcm = math.lcm(*reduced)
-            product *= level_lcm
-            for j, d in zip(range(lo, hi), reduced):
-                value[j] = value[j] // (sums[j] // d) * (level_lcm // d)
-        for i in range(lo, hi):
-            v = value[i]
-            for j in successors[start[i] : start[i + 1]]:
+        if size == 1:  # m_k = S(J) / g, so U(J) = R(J) / g
+            v = value[lo]
+            if lo and not unit:
+                g = math.gcd(v, sums[lo])
+                product *= sums[lo] // g
+                v //= g
+                value[lo] = v
+            for j in successors[start[lo] : start[hi]]:
                 value[j] += v
+        else:
+            if lo and not unit:
+                # d = S(J) / g, so R(J) / g = R(J) // (S(J) // d)
+                reduced = [sums[j] // math.gcd(value[j], sums[j]) for j in range(lo, hi)]
+                level_lcm = math.lcm(*reduced)
+                product *= level_lcm
+                for j, d in zip(range(lo, hi), reduced):
+                    value[j] = value[j] // (sums[j] // d) * (level_lcm // d)
+            for i in range(lo, hi):
+                v = value[i]
+                for j in successors[start[i] : start[i + 1]]:
+                    value[j] += v
         lo = hi
     return value[-1], math.factorial(len(lattice.level_sizes) - 1) if unit else product
 

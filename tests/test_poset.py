@@ -308,6 +308,17 @@ def test_no_sweep_where_the_chain_bound_rules_out_a_refusal(monkeypatch):
     assert count_linear_extensions(antichain(16)) == math.factorial(16)
 
 
+def test_walk_refuses_on_a_one_wide_stretch(monkeypatch):
+    # antichain(16)'s 2**16 ideals, then one more for each element of the
+    # chain 16 < 17 < 18 < 19 above it, each on a level of its own; the
+    # sweep spends its budget, so the walk decides
+    P = Poset(20, [(i, 16) for i in range(16)] + [(16, 17), (17, 18), (18, 19)])
+    assert _sweep(P) is None
+    assert _walk_only(monkeypatch, P) == REFUSAL
+    with pytest.raises(ExtensionLimitError, match=f"^{REFUSAL}$"):
+        compile_ideal_lattice(P)
+
+
 def test_young_12x12_refused_before_the_walk():
     P = young((12,) * 12)
     start = time.perf_counter()

@@ -148,7 +148,7 @@ def test_integer_fold_matches_fraction_fold(name, P):
 # mutant -> (a line of fold_ideal_lattice's one-ideal branch, what replaces it)
 ONE_IDEAL_MUTANTS = {
     "drop-m-factor": ("product *= sums[lo] // g", "pass"),
-    "divide-by-s": ("value[lo] //= g", "value[lo] //= sums[lo]"),
+    "divide-by-s": ("v //= g", "v //= sums[lo]"),
 }
 
 

@@ -478,13 +478,12 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     plus those upper covers of that element that became addable, so a step
     costs O(covers), not O(n).  The masks of a level are dropped once the
     next level is built.  Ideals of the next level reached from two
-    parents are merged through a dict keyed by mask.  A level that holds
-    one ideal builds no dict, because that ideal's children each add a
-    distinct element and so are distinct ideals; while it has one child,
-    that child is the next level's one ideal, and the walk steps on to it
-    with no list of masks.  Chains and d_k(1) are one ideal wide at
-    nearly every level.  Raises :class:`ExtensionLimitError` when P has
-    more than ``IDEAL_LIMIT`` ideals, however few elements P has.
+    parents are merged through a dict keyed by mask.  While the live level
+    holds one ideal with one child, that child is the next level's one
+    ideal, so the walk steps on to it with no list of masks and no dict.
+    Chains and d_k(1) are one ideal wide at nearly every level.  Raises
+    :class:`ExtensionLimitError` when P has more than ``IDEAL_LIMIT``
+    ideals, however few elements P has.
 
     When :func:`_chain_bound` proves that P has at most ``IDEAL_LIMIT``
     ideals, the walk starts at once: no refusal can happen (chain(2000)
@@ -508,8 +507,6 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     successors = array("i")
     masks, addables = [0], [mask_of(v for v in range(P.n) if not below[v])]
     while len(level_sizes) <= P.n:
-        next_masks: list[int] = []
-        next_addables: list[int] = []
         if len(masks) == 1:
             (mask,), (addable,) = masks, addables
             # while the one ideal has one child, the walk steps on to it alone
@@ -525,53 +522,38 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
                 first.append(len(first) - 1)
                 added.append(v)
                 level_sizes.append(1)
-            i = len(first) - 1
+            if len(first) > IDEAL_LIMIT:
+                raise ExtensionLimitError(_REFUSAL)
+            if not addable:  # the walk has reached the whole poset
+                break
+            masks, addables = [mask], [addable]
+        i = len(first) - len(masks)
+        index: dict[int, int] = {}
+        next_masks: list[int] = []
+        next_addables: list[int] = []
+        for mask, addable in zip(masks, addables):
             rest = addable
             while rest:
                 low = rest & -rest
                 rest ^= low
                 grown = mask | low
-                v = low.bit_length() - 1
-                reach = addable ^ low
-                for w in upper[v]:
-                    if below[w] & grown == below[w]:
-                        reach |= 1 << w
-                successors.append(len(first))
-                next_masks.append(grown)
-                next_addables.append(reach)
-                first.append(i)
-                added.append(v)
-            if len(first) > IDEAL_LIMIT:
-                raise ExtensionLimitError(_REFUSAL)
-            if not addable:  # the walk has reached the whole poset
-                break
+                j = index.get(grown)
+                if j is None:
+                    j = index[grown] = len(first)
+                    if j >= IDEAL_LIMIT:
+                        raise ExtensionLimitError(_REFUSAL)
+                    v = low.bit_length() - 1
+                    reach = addable ^ low
+                    for w in upper[v]:
+                        if below[w] & grown == below[w]:
+                            reach |= 1 << w
+                    next_masks.append(grown)
+                    next_addables.append(reach)
+                    first.append(i)
+                    added.append(v)
+                successors.append(j)
             successor_start.append(len(successors))
-        else:
-            i = len(first) - len(masks)
-            index: dict[int, int] = {}
-            for mask, addable in zip(masks, addables):
-                rest = addable
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    grown = mask | low
-                    j = index.get(grown)
-                    if j is None:
-                        j = index[grown] = len(first)
-                        if j >= IDEAL_LIMIT:
-                            raise ExtensionLimitError(_REFUSAL)
-                        v = low.bit_length() - 1
-                        reach = addable ^ low
-                        for w in upper[v]:
-                            if below[w] & grown == below[w]:
-                                reach |= 1 << w
-                        next_masks.append(grown)
-                        next_addables.append(reach)
-                        first.append(i)
-                        added.append(v)
-                    successors.append(j)
-                successor_start.append(len(successors))
-                i += 1
+            i += 1
         level_sizes.append(len(next_masks))
         masks, addables = next_masks, next_addables
     successor_start.append(len(successors))  # the whole poset covers no ideal

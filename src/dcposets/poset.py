@@ -27,9 +27,10 @@ class ExtensionLimitError(RuntimeError):
     """The poset's order-ideal lattice has more than ``IDEAL_LIMIT`` ideals."""
 
 
-# The ideal-lattice walk refuses posets with more ideals than this.  Its two
-# live levels of masks and its per-ideal arrays set the peak memory of exact
-# counting.
+# The ideal-lattice walk refuses posets with more ideals than this.  The
+# compiled lattice, one tuple of covering ideals per ideal, sets the memory
+# of exact counting: at the limit, antichain(16)'s 65,536 ideals and 524,288
+# covers keep about 9.3 MiB, and the walk peaks at about 9.8 MiB (tracemalloc).
 IDEAL_LIMIT = 2**16
 _REFUSAL = f"poset has more than IDEAL_LIMIT = {IDEAL_LIMIT} order ideals; refusing"
 
@@ -108,7 +109,11 @@ class Poset:
     pairs are silently removed by transitive reduction: a direct edge
     a -> b is kept unless b lies strictly above the head of another direct
     edge from a, so an element's only direct successor is its cover and
-    is taken with no mask of what lies above.  A cycle in the
+    is taken with no mask of what lies above.  An element with one direct
+    successor, or one lower cover, takes its closure from that one element
+    with no loop; only head lists of two or more entries are sorted; and
+    when no direct edge is dropped, ``covers`` is the set of distinct
+    pairs read.  A cycle in the
     input raises :class:`CycleError` naming a witness.  The count and the
     ids are read by :func:`_require_count` and :func:`_require_ids`, each
     pair unpacked once as exactly two ids by :func:`_pair_entries` in the
@@ -133,8 +138,9 @@ class Poset:
         _require_count(n, "element count", 0)
         read: list[tuple[int, int]] = []
         _require_ids(_pair_entries(pairs, read), "cover pair ids", n)
+        distinct = dict.fromkeys(read)  # each distinct pair once, in input order
         edges: list[list[int]] = [[] for _ in range(n)]
-        for a, b in dict.fromkeys(read):  # each distinct pair once, in input order
+        for a, b in distinct:
             if a == b:
                 raise CycleError((a, a))
             edges[a].append(b)
@@ -142,35 +148,49 @@ class Poset:
         order = _topological_order(n, edges)
         up = [0] * n
         for v in reversed(order):
-            m = 1 << v
-            for w in edges[v]:
-                m |= up[w]
-            up[v] = m
+            heads = edges[v]
+            if len(heads) == 1:  # one step, no loop
+                up[v] = up[heads[0]] | 1 << v
+            else:
+                m = 1 << v
+                for w in heads:
+                    m |= up[w]
+                up[v] = m
         # A direct edge a -> b is a cover unless b lies strictly above the head
         # of another direct edge from a; every cover is a direct edge.
         upper: list[list[int]] = []
         lower: list[list[int]] = [[] for _ in range(n)]
+        dropped = False
         for a, heads in enumerate(edges):
             if len(heads) > 1:
                 above = 0
                 for w in heads:
                     above |= up[w] ^ (1 << w)
-                heads = [b for b in heads if not above >> b & 1]
+                kept = [b for b in heads if not above >> b & 1]
+                dropped = dropped or len(kept) < len(heads)
+                heads = kept
             upper.append(heads)
             for b in heads:
                 lower[b].append(a)
         dn = [0] * n
         for v in order:
-            m = 1 << v
-            for u in lower[v]:
-                m |= dn[u]
-            dn[v] = m
+            below = lower[v]
+            if len(below) == 1:
+                dn[v] = dn[below[0]] | 1 << v
+            else:
+                m = 1 << v
+                for u in below:
+                    m |= dn[u]
+                dn[v] = m
 
         self.n = n
         self._up = tuple(up)
         self._dn = tuple(dn)
-        self.covers = frozenset((a, b) for a in range(n) for b in upper[a])
-        self._upper = tuple(tuple(sorted(u)) for u in upper)
+        if dropped:
+            self.covers = frozenset((a, b) for a in range(n) for b in upper[a])
+        else:  # every distinct pair read is a cover
+            self.covers = frozenset(distinct)
+        self._upper = tuple(tuple(sorted(u)) if len(u) > 1 else tuple(u) for u in upper)
         self._lower = tuple(map(tuple, lower))  # filled in ascending a, so each is sorted
         self.names = dict(names) if names else {}
         _require_ids(self.names, "named element ids", n)
@@ -357,21 +377,22 @@ def _require_order(P: Poset, order: Iterable) -> tuple[int, ...]:
 
 
 class IdealLattice(NamedTuple):
-    """The lattice of order ideals of a poset, compiled into flat arrays.
+    """The lattice of order ideals of a poset, numbered level by level.
 
     Ideals are numbered level by level, smallest first, in the order the
     walk meets them: 0 is the empty ideal and the last index is the whole
     poset.  ``level_sizes[k]`` counts the ideals with k elements.  Ideal
     j > 0 is the ideal ``first[j]`` of the level below plus the element
-    ``added[j]``, and the ideals covering ideal i are
-    ``successors[successor_start[i]:successor_start[i + 1]]``.
+    ``added[j]``; both are ``array("i")``.  ``successors[i]`` is the tuple
+    of the ideals covering ideal i, and the whole poset's is ``()``: the
+    folds iterate it as it stands, where slicing a flat array would build
+    a new array and box every index it yields.
     """
 
     level_sizes: tuple[int, ...]
     first: array
     added: array
-    successor_start: array
-    successors: array
+    successors: list[tuple[int, ...]]
 
 
 def _frontier_ideal_count(P: Poset) -> int | None:
@@ -478,9 +499,11 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     plus those upper covers of that element that became addable, so a step
     costs O(covers), not O(n).  The masks of a level are dropped once the
     next level is built.  Ideals of the next level reached from two
-    parents are merged through a dict keyed by mask.  While the live level
-    holds one ideal with one child, that child is the next level's one
-    ideal, so the walk steps on to it with no list of masks and no dict.
+    parents are merged through a dict keyed by mask, and each parent's
+    children are collected into its tuple of ``successors`` as it is
+    walked.  While the live level holds one ideal with one child, that
+    child is the next level's one ideal, so the walk steps on to it with no
+    list of masks and no dict, and its tuple is ``(j,)``.
     Chains and d_k(1) are one ideal wide at nearly every level.  Raises
     :class:`ExtensionLimitError` when P has more than ``IDEAL_LIMIT``
     ideals, however few elements P has.
@@ -503,8 +526,7 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
     level_sizes = [1]
     first = array("i", [-1])
     added = array("i", [-1])
-    successor_start = array("i", [0])
-    successors = array("i")
+    successors: list[tuple[int, ...]] = []
     masks, addables = [0], [mask_of(v for v in range(P.n) if not below[v])]
     while len(level_sizes) <= P.n:
         if len(masks) == 1:
@@ -517,8 +539,7 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
                 for w in upper[v]:
                     if below[w] & mask == below[w]:
                         addable |= 1 << w
-                successors.append(len(first))
-                successor_start.append(len(successors))
+                successors.append((len(first),))
                 first.append(len(first) - 1)
                 added.append(v)
                 level_sizes.append(1)
@@ -532,6 +553,7 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
         next_masks: list[int] = []
         next_addables: list[int] = []
         for mask, addable in zip(masks, addables):
+            children = []
             rest = addable
             while rest:
                 low = rest & -rest
@@ -551,13 +573,13 @@ def compile_ideal_lattice(P: Poset) -> IdealLattice:
                     next_addables.append(reach)
                     first.append(i)
                     added.append(v)
-                successors.append(j)
-            successor_start.append(len(successors))
+                children.append(j)
+            successors.append(tuple(children))
             i += 1
         level_sizes.append(len(next_masks))
         masks, addables = next_masks, next_addables
-    successor_start.append(len(successors))  # the whole poset covers no ideal
-    return IdealLattice(tuple(level_sizes), first, added, successor_start, successors)
+    successors.append(())  # the whole poset is covered by no ideal
+    return IdealLattice(tuple(level_sizes), first, added, successors)
 
 
 def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[int, int]:
@@ -597,8 +619,7 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
     empty ideal to J and U(P) = e(P); the fold then skips the sums, the
     gcds and the scaling, and M is n!.
     """
-    first, added = lattice.first, lattice.added
-    start, successors = lattice.successor_start, lattice.successors
+    first, added, successors = lattice.first, lattice.added, lattice.successors
     value = [0] * len(first)
     value[0] = 1
     unit = all(w == 1 for w in weights)
@@ -617,7 +638,7 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
                 product *= sums[lo] // g
                 v //= g
                 value[lo] = v
-            for j in successors[start[lo] : start[hi]]:
+            for j in successors[lo]:
                 value[j] += v
         else:
             if lo and not unit:
@@ -629,7 +650,7 @@ def fold_ideal_lattice(lattice: IdealLattice, weights: Sequence[int]) -> tuple[i
                     value[j] = value[j] // (sums[j] // d) * (level_lcm // d)
             for i in range(lo, hi):
                 v = value[i]
-                for j in successors[start[i] : start[i + 1]]:
+                for j in successors[i]:
                     value[j] += v
         lo = hi
     return value[-1], math.factorial(len(lattice.level_sizes) - 1) if unit else product
@@ -650,15 +671,14 @@ def fold_columns(lattice: IdealLattice, rows: Sequence[Sequence[int]]) -> list[t
         return []
     count = len(rows)
     by_element = list(zip(*rows))  # element e's weight in every row
-    first, added = lattice.first, lattice.added
-    start, successors = lattice.successor_start, lattice.successors
+    first, added, successors = lattice.first, lattice.added, lattice.successors
     values, sums, products = [[1] * count], [[0] * count], [1] * count
     lo = 0  # the live level's first ideal
     for size in lattice.level_sizes[1:]:
         hi = lo + len(values)
         pushed: list = [None] * size
         for i, value in enumerate(values, lo):
-            for j in successors[start[i] : start[i + 1]]:
+            for j in successors[i]:
                 seen = pushed[j - hi]
                 pushed[j - hi] = value if seen is None else list(map(add, seen, value))
         sums = [list(map(add, sums[first[j] - lo], by_element[added[j]])) for j in range(hi, hi + size)]

@@ -3,7 +3,8 @@ and of ``src/dcposets/``: one reader of exact input, one home for each
 check on caller ids, counts and ``analysis=``, four entry points that
 take ``analysis=``, one builder of insertion steps, no run that records
 its choices, two callers of the strict step, no call of a public
-``Poset`` query method, and one helper that picks a label matrix's dtype.
+``Poset`` query method, one helper that picks a label matrix's dtype,
+and one module that reads the ideal lattice's layout.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -258,3 +259,13 @@ def test_only_the_label_matrix_helper_picks_a_dtype():
     modules = ("rsk", "verify", "acceptance", "hooks")
     named = {where for where in _functions_where(_names_a_label_dtype) if where.split(".")[0] in modules}
     assert named == {"rsk._label_matrix", "hooks.random_scaled_points"}
+
+
+def test_only_poset_reads_the_lattice_layout():
+    # the walk and the folds in poset.py are the one home of the layout of
+    # IdealLattice, so a change to it (one tuple of covering ideals per
+    # ideal, once an offset array) touches no other module
+    layout = {"successors", "first", "added", "successor_start"}
+    reads = lambda node: isinstance(node, ast.Attribute) and node.attr in layout
+    readers = {where.split(".")[0] for where in _functions_where(reads)}
+    assert readers == {"poset"}

@@ -27,7 +27,17 @@ from dcposets.fileformats import FormatError, poset_from_text, poset_to_text
 from dcposets import poset as poset_module
 from dcposets.poset import IDEAL_LIMIT, compile_ideal_lattice, order_ideal_masks
 
-from conftest import antichain, chain, is_convex, is_isomorphic, lt, restrict, shifted_box_ids, upper_set_masks
+from conftest import (
+    antichain,
+    chain,
+    is_convex,
+    is_isomorphic,
+    lt,
+    restrict,
+    seeded_joins,
+    shifted_box_ids,
+    upper_set_masks,
+)
 from oracles import _brute_force_order, _recursive_extensions, _reference_diagram
 
 
@@ -343,14 +353,35 @@ def test_sweep_budget_leaves_the_decision_to_the_walk():
 
 def _chain_push_count(lattice):
     """Maximal chains of the ideal lattice: each ideal's count pushed to the ideals covering it."""
-    start, successors = lattice.successor_start, lattice.successors
     chains = [0] * len(lattice.first)
     chains[0] = 1
-    for i in range(len(chains)):
+    for i, successors in enumerate(lattice.successors):
         c = chains[i]
-        for j in successors[start[i] : start[i + 1]]:
+        for j in successors:
             chains[j] += c
     return chains[-1]
+
+
+def test_lattice_successors_are_the_covering_ideals():
+    # ideal J covers ideal I exactly when J = I + {v} for one element v, so
+    # the masks of order_ideal_masks, looked up by mask, give each ideal's
+    # covering ideals with no walk; successors[i] must hold those, each
+    # once.  The joins are those whose chain bound proves at most 2**14
+    # ideals (19 of 60): the whole corpus takes about 0.1 s
+    joins = [P for P in seeded_joins() if poset_module._chain_bound(P) <= 2**14]
+    assert len(joins) == 19
+    posets = [entry.poset for entry in catalog()] + joins
+    posets += [antichain(8), chain(50), Poset(0), Poset(3, [(0, 1), (1, 2), (0, 2)])]
+    for P in posets:
+        masks = list(order_ideal_masks(P))
+        index = {mask: i for i, mask in enumerate(masks)}
+        singles = [1 << v for v in range(P.n)]
+        successors = compile_ideal_lattice(P).successors
+        assert len(successors) == len(masks) and successors[-1] == (), P
+        for i, mask in enumerate(masks):
+            covering = sorted(index[mask | b] for b in singles if not mask & b and mask | b in index)
+            assert len(set(successors[i])) == len(successors[i]), (P, i)
+            assert sorted(successors[i]) == covering, (P, i)
 
 
 def test_count_fold_matches_chain_push():

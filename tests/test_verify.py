@@ -177,8 +177,7 @@ def _level_lcm_fold(lattice, weights):
     where M_k is the lcm of S(J) over level k; returns U(P) and
     M_1 * ... * M_n.
     """
-    first, added = lattice.first, lattice.added
-    start, successors = lattice.successor_start, lattice.successors
+    first, added, successors = lattice.first, lattice.added, lattice.successors
     value = [0] * len(first)
     value[0] = 1
     sums = [0] * len(first)
@@ -194,7 +193,7 @@ def _level_lcm_fold(lattice, weights):
             for j in range(lo, hi):
                 value[j] *= level_lcm // sums[j]
         for i in range(lo, hi):
-            for j in successors[start[i] : start[i + 1]]:
+            for j in successors[i]:
                 value[j] += value[i]
         lo = hi
     return value[-1], product

@@ -384,9 +384,8 @@ class IdealLattice(NamedTuple):
     poset.  ``level_sizes[k]`` counts the ideals with k elements.  Ideal
     j > 0 is the ideal ``first[j]`` of the level below plus the element
     ``added[j]``; both are ``array("i")``.  ``successors[i]`` is the tuple
-    of the ideals covering ideal i, and the whole poset's is ``()``: the
-    folds iterate it as it stands, where slicing a flat array would build
-    a new array and box every index it yields.
+    of the ideals covering ideal i, and the whole poset's is ``()``, so the
+    folds iterate each ideal's covers as they stand, with no slice to build.
     """
 
     level_sizes: tuple[int, ...]

@@ -263,9 +263,8 @@ def test_only_the_label_matrix_helper_picks_a_dtype():
 
 def test_only_poset_reads_the_lattice_layout():
     # the walk and the folds in poset.py are the one home of the layout of
-    # IdealLattice, so a change to it (one tuple of covering ideals per
-    # ideal, once an offset array) touches no other module
-    layout = {"successors", "first", "added", "successor_start"}
+    # IdealLattice, so a change to it touches no other module
+    layout = {"successors", "first", "added"}
     reads = lambda node: isinstance(node, ast.Attribute) and node.attr in layout
     readers = {where.split(".")[0] for where in _functions_where(reads)}
     assert readers == {"poset"}

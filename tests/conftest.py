@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from random import Random
 
 import pytest
@@ -16,6 +16,7 @@ from dcposets import (
     verify,
     young,
 )
+from dcposets.catalog import CatalogEntry
 from dcposets.poset import bits, mask_of, order_ideal_masks
 
 
@@ -58,18 +59,28 @@ def join(P: Poset, Q: Poset, y: int) -> Poset:
     return Poset(P.n + Q.n, pairs)
 
 
+# The test corpus, defined once: the tiers ``catalog`` and ``joins`` by
+# ``corpus``, and the large posets by ``large``.  They hand out posets, never
+# analyses, so no analysis outlives the test that holds it, and a test that
+# patches a package seam still derives everything afresh.
+
+JOINS_SEED = 21
+JOINS_COUNT = 60
+
+
 @cache
-def seeded_joins(seed: int = 21, count: int = 60) -> tuple[Poset, ...]:
-    """``count`` d-complete posets grown by joins of catalog pieces with at most 6 elements.
+def seeded_joins() -> tuple[CatalogEntry, ...]:
+    """The joins tier: 60 d-complete posets grown by joins of catalog pieces
+    with at most 6 elements, named ``join-0`` to ``join-59``.
 
     Each starts from a random piece and tries 2..10 joins, each hanging a
     random piece below a random element; a join is kept when it is
-    d-complete.  Only posets that took at least one join are returned.
+    d-complete.  Only posets that took at least one join are kept.
     """
-    rng = Random(seed)
+    rng = Random(JOINS_SEED)
     pieces = [e.poset for e in catalog() if e.poset.n <= 6]
     out: list[Poset] = []
-    while len(out) < count:
+    while len(out) < JOINS_COUNT:
         P = start = rng.choice(pieces)
         for _ in range(rng.randint(2, 10)):
             joined = join(P, rng.choice(pieces), rng.randrange(P.n))
@@ -77,7 +88,32 @@ def seeded_joins(seed: int = 21, count: int = 60) -> tuple[Poset, ...]:
                 P = joined
         if P is not start:
             out.append(P)
-    return tuple(out)
+    return tuple(CatalogEntry(f"join-{i}", P) for i, P in enumerate(out))
+
+
+TIERS = {"catalog": catalog, "joins": seeded_joins}
+
+
+def corpus(*tiers: str) -> list[CatalogEntry]:
+    """The named tiers, in the order given; ``acceptance.prepare`` takes the list as it is."""
+    return [entry for tier in tiers for entry in TIERS[tier]()]
+
+
+# every large poset a test builds by name: Young r x c has r rows of c boxes
+RECTANGLES = ((4, 4), (5, 5), (6, 5), (6, 6), (8, 6), (8, 8), (10, 10), (12, 12), (30, 30), (50, 50))
+LARGE = {
+    **{f"young-{r}x{c}": partial(young, (c,) * r) for r, c in RECTANGLES},
+    "young-5.4.3.2": partial(young, (5, 4, 3, 2)),
+    "young-12.10.8.6.4.2": partial(young, (12, 10, 8, 6, 4, 2)),
+    **{f"shifted-{k}..1": partial(shifted_young, tuple(range(k, 0, -1))) for k in (7, 8, 12, 40, 60)},
+    **{f"d{k}(1)": partial(d_k_one, k) for k in (50, 200, 1000, 2000)},
+    **{f"chain-{n}": partial(chain, n) for n in (200, 300, 1200, 2000)},
+}
+
+
+def large(name: str) -> Poset:
+    """A fresh build of the large poset ``name`` on every call."""
+    return LARGE[name]()
 
 
 def is_adjacent(part, c: int, d: int) -> bool:
@@ -212,6 +248,11 @@ def _random_perm(n, rng) -> list[int]:
 def _renumber(P, perm):
     """P with each element v renumbered perm[v]."""
     return Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
+
+
+def relabel(P, rng):
+    """P with its elements renumbered by a random permutation drawn from ``rng``."""
+    return _renumber(P, _random_perm(P.n, rng))
 
 
 FAMILY = {

@@ -16,7 +16,6 @@ import pytest
 from dcposets import acceptance, rsk_polytope_check, verify
 from dcposets import Poset, analyze, inverse_rsk, rsk, rsk_jacobian_det, young
 from dcposets.analysis import PosetAnalysis
-from dcposets.catalog import catalog
 from dcposets.classical import (
     classical_insert_rsk,
     gt_from_rpp,
@@ -39,7 +38,7 @@ from dcposets.rsk import (
 )
 from dcposets.verify import BijectionReport
 
-from conftest import _double_where_first_denominator_is_even, _min_above
+from conftest import _double_where_first_denominator_is_even, _min_above, corpus
 from oracles import _reference_program
 
 # the package's ``rsk`` attribute is the function, not the module
@@ -136,7 +135,7 @@ def test_catalog_criteria_build_no_worked_example(monkeypatch):
 
     monkeypatch.setattr(acceptance, "d_k_one", refuse)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
-    subset = acceptance.prepare([e for e in catalog() if e.name in names])
+    subset = acceptance.prepare([e for e in corpus("catalog") if e.name in names])
     results = (
         acceptance.counting_identity(subset),
         acceptance.diagonal_sum_identity(subset, trials=5, seed=SEED),
@@ -233,7 +232,7 @@ def test_broken_kernel_fails_integer_checks(monkeypatch):
     # poset, not only in the worked examples, and must trip every check of
     # criterion 7 that reads the image
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
-    subset = acceptance.prepare([e for e in catalog() if e.name in names])
+    subset = acceptance.prepare([e for e in corpus("catalog") if e.name in names])
     monkeypatch.setattr(rsk_module, "_toggle_all", _leaky_step)
     for criterion in (
         acceptance.diagonal_sum_identity,
@@ -314,7 +313,7 @@ def test_kernel_runs_on_the_smallest_posets(n):
 @pytest.mark.parametrize("count, error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])
 def test_criteria_refuse_bad_counts(count, error):
     # a count below 1 checked nothing, and -1 or 2.5 leaked random's own errors
-    subset = acceptance.prepare([e for e in catalog() if e.name == "d4"])
+    subset = acceptance.prepare([e for e in corpus("catalog") if e.name == "d4"])
     calls = {
         "trials": (
             lambda: acceptance.diagonal_sum_identity(subset, trials=count),
@@ -446,7 +445,7 @@ MUTANT_POSETS = ("d4", "d5", "young-3.2", "young-3.3.2", "shifted-4.2", "shifted
 
 def _mutant_subset(mutant):
     """The subset with fresh analyses, so a mutant leaves every live analysis alone."""
-    subset = [(e.name, e.poset, PosetAnalysis(e.poset)) for e in catalog() if e.name in MUTANT_POSETS]
+    subset = [(e.name, e.poset, PosetAnalysis(e.poset)) for e in corpus("catalog") if e.name in MUTANT_POSETS]
     assert len(subset) == len(MUTANT_POSETS)
     for _, _, a in subset:
         if mutant in PROGRAM_MUTANTS:

@@ -18,7 +18,7 @@ from dcposets.fileformats import (
     poset_to_text,
 )
 
-from conftest import _double_where_first_denominator_is_even
+from conftest import _double_where_first_denominator_is_even, large
 
 # the package's ``rsk`` attribute is the function, not the module
 rsk_module = importlib.import_module("dcposets.rsk")
@@ -160,7 +160,7 @@ def test_extensions_count_any_poset_within_the_limit(tmp_path, capsys):
     path.write_text(poset_to_text(TWO_DIAMONDS))
     assert run(capsys, "extensions", str(path)) == (0, "count=4\n", "")
     path = tmp_path / "young-12x12.poset"
-    path.write_text(poset_to_text(young((12,) * 12)))
+    path.write_text(poset_to_text(large("young-12x12")))
     code, out, err = run(capsys, "extensions", str(path))
     assert (code, out) == (1, "")
     assert err == "error: poset has more than IDEAL_LIMIT = 65536 order ideals; refusing\n"

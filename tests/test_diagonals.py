@@ -7,7 +7,6 @@ from dcposets import (
     Poset,
     analyze,
     builtin_poset,
-    catalog,
     compute_diagonals,
     d_k_one,
     diagonal_report,
@@ -18,7 +17,7 @@ from dcposets.diagonals import DiagonalFailure, DiagonalPartition
 from dcposets.families import young_box_ids
 from dcposets.poset import bits
 
-from conftest import _random_perm, _renumber, chain, restrict, shifted_box_ids
+from conftest import _random_perm, _renumber, chain, corpus, large, relabel, restrict, shifted_box_ids
 from oracles import _reference_diagonal_report
 
 
@@ -100,7 +99,7 @@ def _dense_pairs(P, part):
 
 
 def test_sparse_pairs_match_dense_adjacency():
-    posets = [entry.poset for entry in catalog()] + [young((12,) * 12), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog")] + [large("young-12x12"), large("d50(1)")]
     for P in posets:
         part = analyze(P).diagonals
         assert part.adjacent == _dense_pairs(P, part), P
@@ -201,11 +200,6 @@ def _assert_matches_reference(P, part, intervals):
             assert all(P.upset_mask(v) & ~um == 0 for v in bits(um)), f
 
 
-def _relabel(P, rng):
-    """P with its elements renumbered by a seeded random permutation."""
-    return _renumber(P, _random_perm(P.n, rng))
-
-
 def _check_own_split_and_merged(posets) -> int:
     """Compare each poset's own, split and merged partitions with the reference; return how many were wrong."""
     wrong = 0
@@ -223,14 +217,14 @@ def _check_own_split_and_merged(posets) -> int:
 
 
 def test_diagonal_report_matches_reference_on_catalog():
-    assert _check_own_split_and_merged(entry.poset for entry in catalog()) >= 300
+    assert _check_own_split_and_merged(e.poset for e in corpus("catalog")) >= 300
 
 
 def test_diagonal_report_matches_reference_on_relabelled_catalog():
     # In the catalog's Young and shifted shapes each diagonal's top has its
     # smallest id; renumbered copies give diagonals whose ids follow no order.
     rng = random.Random(11)
-    posets = [_relabel(entry.poset, rng) for entry in catalog()[::3]]
+    posets = [relabel(e.poset, rng) for e in corpus("catalog")[::3]]
     assert _check_own_split_and_merged(posets) >= 100
 
 
@@ -273,7 +267,7 @@ def _random_classes(P, part, rng):
 
 def _random_partition_cases():
     """1,200 seeded (poset, analysis, classes) cases over the catalog posets with n <= 9."""
-    small = [entry.poset for entry in catalog() if entry.poset.n <= 9]
+    small = [e.poset for e in corpus("catalog") if e.poset.n <= 9]
     rng = random.Random(20)
     for i in range(1200):
         P = small[i % len(small)]
@@ -318,19 +312,9 @@ def test_diagonal_report_matches_reference_beyond_d_complete():
         _assert_matches_reference(P, _partition(P, _random_classes(P, a.diagonals, rng)), a.d_intervals)
 
 
-LADDER = {
-    "young-8x8": lambda: young((8,) * 8),
-    "d200": lambda: d_k_one(200),
-    "chain-2000": lambda: chain(2000),
-    "young-30x30": lambda: young((30,) * 30),
-    "shifted-40..1": lambda: shifted_young(tuple(range(40, 0, -1))),
-    "d1000": lambda: d_k_one(1000),
-}
-
-
-@pytest.mark.parametrize("name", list(LADDER))
+@pytest.mark.parametrize("name", ["young-8x8", "d200(1)", "chain-2000", "young-30x30", "shifted-40..1", "d1000(1)"])
 def test_diagonal_report_needs_no_upper_set_walk(name):
-    a = analyze(LADDER[name]())
+    a = analyze(large(name))
     P = a.poset
     part, intervals = a.diagonals, a.d_intervals
     start = time.perf_counter()
@@ -341,5 +325,5 @@ def test_diagonal_report_needs_no_upper_set_walk(name):
 
 def test_diagonal_report_past_the_ideal_limit():
     # Young 12x12 has C(24, 12) = 2,704,156 upper sets, past IDEAL_LIMIT
-    a = analyze(young((12,) * 12))
+    a = analyze(large("young-12x12"))
     assert diagonal_report(a.poset, a.diagonals, a.d_intervals).ok

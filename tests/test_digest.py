@@ -33,18 +33,12 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from conftest import seeded_joins
+from conftest import corpus
 
-from dcposets import ExtensionLimitError, analyze, catalog, rsk, weight_sum
+from dcposets import ExtensionLimitError, analyze, rsk, weight_sum
 
 GOLDEN = Path(__file__).with_name("digests.json")
 FILLINGS = 3
-
-
-def _posets():
-    return [(entry.name, entry.poset) for entry in catalog()] + [
-        (f"join-{i}", P) for i, P in enumerate(seeded_joins())
-    ]
 
 
 def _or_refusal(compute):
@@ -88,7 +82,9 @@ def _digest(value) -> str:
 
 
 def digests() -> dict[str, dict[str, str]]:
-    return {name: {q: _digest(v) for q, v in _quantities(name, P).items()} for name, P in _posets()}
+    return {
+        name: {q: _digest(v) for q, v in _quantities(name, P).items()} for name, P in corpus("catalog", "joins")
+    }
 
 
 def test_computed_values_match_the_committed_digest():

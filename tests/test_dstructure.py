@@ -7,17 +7,15 @@ from dcposets import (
     Poset,
     analyze,
     builtin_poset,
-    catalog,
     d_k_one,
     find_d_minus_convex_sets,
     shifted_young,
     structure_report,
-    young,
 )
 from dcposets.dstructure import AxiomViolation, DInterval, _forbidden_configuration
 from dcposets.poset import bits, mask_of
 
-from conftest import chain, random_shape, restrict, upper_set_masks
+from conftest import chain, corpus, large, random_shape, restrict, upper_set_masks
 from oracles import (
     _brute_force_d_intervals,
     _brute_force_dminus,
@@ -188,9 +186,8 @@ def test_containment_is_read_off_the_neck():
     # stable_insertion_order reads maximality off this lemma: for distinct
     # d-intervals I and J, I lies in J iff top(I) is a neck element of J
     # other than top(J).
-    posets = [e.poset for e in catalog()]
-    posets += [shifted_young(tuple(range(12, 0, -1))), shifted_young((9, 7, 4, 2, 1))]
-    posets += [young((10,) * 10), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog")]
+    posets += [large("shifted-12..1"), shifted_young((9, 7, 4, 2, 1)), large("young-10x10"), large("d50(1)")]
     rng = Random(12)
     posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
     nested = 0
@@ -241,8 +238,8 @@ def _random_posets(count: int, seed: int):
 
 
 def test_cover_anchored_scans_match_all_pairs_scans():
-    posets = [e.poset for e in catalog()]
-    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50), chain(300)]
+    posets = [e.poset for e in corpus("catalog")]
+    posets += [large(name) for name in ("young-12x12", "shifted-7..1", "d50(1)", "chain-300")]
     posets += list(_random_posets(2000, seed=13))
     configurations = 0
     for P in posets:
@@ -254,8 +251,8 @@ def test_cover_anchored_scans_match_all_pairs_scans():
 
 
 def test_d_minus_sets_sorted_by_ascending_members():
-    posets = [entry.poset for entry in catalog()]
-    posets += [young((8,) * 8), d_k_one(200), shifted_young(tuple(range(12, 0, -1)))]
+    posets = [e.poset for e in corpus("catalog")]
+    posets += [large(name) for name in ("young-8x8", "d200(1)", "shifted-12..1")]
     for P in posets:
         sets = find_d_minus_convex_sets(P)
         assert sets == tuple(sorted(sets, key=lambda s: (s.k, s.bottom, tuple(bits(s.member_mask))))), P
@@ -263,7 +260,7 @@ def test_d_minus_sets_sorted_by_ascending_members():
 
 def test_long_double_tailed_diamond_structure():
     # d_1000(1): one d_k^- set and one d_k-interval for each k = 3..1000
-    P = d_k_one(1000)
+    P = large("d1000(1)")
     start = time.perf_counter()
     a = analyze(P)
     assert len(a.d_minus_sets) == 998
@@ -286,7 +283,7 @@ def _swapped(P: Poset, intervals, which: str):
 
 
 def test_structure_report_matches_frozenset_reference():
-    posets = [e.poset for e in catalog()] + [d_k_one(50), young((12,) * 12)]
+    posets = [e.poset for e in corpus("catalog")] + [large("d50(1)"), large("young-12x12")]
     failing = set()
     for P in posets:
         intervals = analyze(P).d_intervals
@@ -302,10 +299,10 @@ def test_structure_report_matches_frozenset_reference():
 
 
 @pytest.mark.parametrize(
-    ("name", "bound"), [("young-8x8", 1.0), ("d200", 1.0), ("d1000", 2.0)]
+    ("name", "bound"), [("young-8x8", 1.0), ("d200(1)", 1.0), ("d1000(1)", 2.0)]
 )
 def test_structure_report_has_no_cubic_scan(name, bound):
-    P = {"young-8x8": young((8,) * 8), "d200": d_k_one(200), "d1000": d_k_one(1000)}[name]
+    P = large(name)
     intervals = analyze(P).d_intervals
     start = time.perf_counter()
     report = structure_report(P, intervals)

@@ -14,7 +14,6 @@ import pytest
 from dcposets import (
     all_ones_point,
     analyze,
-    catalog,
     d_k_one,
     hook_polynomial_eval,
     is_order_reversing,
@@ -40,7 +39,7 @@ from dcposets.hooks import (
 from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
 
-from conftest import _random_perm, _renumber, chain, restrict, seeded_joins
+from conftest import chain, corpus, large, relabel, restrict
 from oracles import _dense_numerators, _reference_hook_vectors, classical_hook_length
 
 
@@ -81,7 +80,7 @@ def test_young_hooks_match_classical(shape):
 
 
 def test_hook_vectors_match_reference_on_joins():
-    for P in seeded_joins():
+    for _, P in corpus("joins"):
         a = analyze(P)
         assert a.hook_vectors == _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
 
@@ -89,7 +88,7 @@ def test_hook_vectors_match_reference_on_joins():
 def test_hook_program_names_elements_only():
     # a minimal element's q is empty and every other element's q is one lower
     # cover, so every id the program names is an element, 0..n-1
-    posets = [e.poset for e in catalog()] + list(seeded_joins()) + [young((12,) * 12), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog", "joins")] + [large("young-12x12"), large("d50(1)")]
     for P in posets:
         program = analyze(P).hook_program
         for p, q, rest in program.sums:
@@ -103,7 +102,7 @@ def test_hook_integers_are_the_numerators():
     # hook_numerators is hook_integers on x's numerators over its least
     # common denominator, one weight per element
     rng = Random(13)
-    for P in [e.poset for e in catalog()] + list(seeded_joins()):
+    for _, P in corpus("catalog", "joins"):
         a = analyze(P)
         x = random_rational_point(a.diagonals.count, rng)
         c, denom = exact_labels(x, len(x), "point", "diagonals")
@@ -152,7 +151,7 @@ def test_hook_edges_refuse_floats():
 
 def test_hook_polynomials_match_naive_sum():
     rng = Random(4)
-    for entry in catalog():
+    for entry in corpus("catalog"):
         a = analyze(entry.poset)
         for _ in range(2):
             x = random_rational_point(a.diagonals.count, rng)
@@ -171,7 +170,7 @@ def _lcm_hook_eval(vector, x):
 
 def test_integer_hooks_match_per_element_lcm():
     rng = Random(11)
-    for entry in catalog():
+    for entry in corpus("catalog"):
         P = entry.poset
         a = analyze(P)
         count = a.diagonals.count
@@ -188,8 +187,8 @@ def test_integer_hooks_match_per_element_lcm():
 
 def test_hook_program_matches_dense_vectors_on_catalog():
     rng = Random(12)
-    for entry in catalog():
-        relabelled = _renumber(entry.poset, _random_perm(entry.poset.n, rng))
+    for entry in corpus("catalog"):
+        relabelled = relabel(entry.poset, rng)
         for P in (entry.poset, relabelled):
             a = analyze(P)
             vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
@@ -201,28 +200,21 @@ def test_hook_program_matches_dense_vectors_on_catalog():
                 assert hook_numerators(a.hook_program, x) == expected, (entry.name, x)
 
 
-SCALE_POSETS = {
-    "chain-2000": lambda: chain(2000),
-    "d1000(1)": lambda: d_k_one(1000),
-    "young-12x12": lambda: young((12,) * 12),
-}
+SCALE = ("chain-2000", "d1000(1)", "young-12x12")
 
 
-@pytest.mark.parametrize("name", SCALE_POSETS)
+@pytest.mark.parametrize("name", SCALE)
 def test_hook_program_matches_dense_vectors_at_scale(name):
-    a = analyze(SCALE_POSETS[name]())
+    a = analyze(large(name))
     vectors = _reference_hook_vectors(a.poset, a.diagonals, a.d_intervals)
     assert a.hook_vectors == vectors
     x = random_rational_point(a.diagonals.count, Random(name))
     assert hook_numerators(a.hook_program, x) == _dense_numerators(vectors, x)
 
 
-@pytest.mark.parametrize("name", ["catalog", *SCALE_POSETS])
+@pytest.mark.parametrize("name", ["catalog", *SCALE])
 def test_hook_lengths_match_dense_vectors(name):
-    if name == "catalog":
-        posets = [entry.poset for entry in catalog()]
-    else:
-        posets = [SCALE_POSETS[name]()]
+    posets = [e.poset for e in corpus(name)] if name == "catalog" else [large(name)]
     for P in posets:
         a = analyze(P)
         assert a.hook_lengths == tuple(map(sum, a.hook_vectors))
@@ -232,8 +224,7 @@ def test_hook_lengths_match_dense_vectors(name):
 def test_dense_hook_vectors_at_n_2000_are_fast(name):
     # the per-class mask recursion took 0.4-0.7 s on chain-2000 and
     # 0.8-1.3 s on d2000(1) on a 2-core box
-    P = chain(2000) if name == "chain-2000" else d_k_one(2000)
-    a = analyze(P)
+    a = analyze(large(name))
     a.axiom_report, a.diagonals
     start = time.perf_counter()
     vectors = a.hook_vectors
@@ -271,22 +262,16 @@ def _corner_sum(P, lengths):
     return total
 
 
-CORNER_POSETS = {
-    "catalog": lambda: [entry.poset for entry in catalog()],
-    # 25 of the 60 are past IDEAL_LIMIT, where criterion 1 cannot run
-    "joins": seeded_joins,
-    "young-12.10.8.6.4.2": lambda: [young((12, 10, 8, 6, 4, 2))],
-}
-
-
-@pytest.mark.parametrize("name", CORNER_POSETS)
+@pytest.mark.parametrize("name", ["catalog", "joins", "young-12.10.8.6.4.2"])
 def test_corner_recursion(name):
-    for P in CORNER_POSETS[name]():
+    # 25 of the 60 joins are past IDEAL_LIMIT, where criterion 1 cannot run
+    posets = [e.poset for e in corpus(name)] if name in ("catalog", "joins") else [large(name)]
+    for P in posets:
         assert _corner_sum(P, lambda Q: analyze(Q).hook_lengths) == P.n
 
 
 def test_corner_recursion_catches_downset_sizes_as_hooks():
-    posets = [entry.poset for entry in catalog()]
+    posets = [e.poset for e in corpus("catalog")]
     differ = [P for P in posets if list(analyze(P).hook_lengths) != _downset_sizes(P)]
     assert len(differ) == 46
     assert all(_corner_sum(P, _downset_sizes) != P.n for P in differ)
@@ -294,7 +279,7 @@ def test_corner_recursion_catches_downset_sizes_as_hooks():
 
 def test_hook_lengths_on_a_long_chain_are_fast():
     # summing the dense hook vectors took 0.4-0.6 s here
-    a = analyze(chain(2000))
+    a = analyze(large("chain-2000"))
     a.hook_program
     start = time.perf_counter()
     lengths = a.hook_lengths
@@ -320,7 +305,7 @@ def test_hook_polynomials_on_a_long_chain_are_fast():
     proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.02
-    a = analyze(chain(2000))
+    a = analyze(large("chain-2000"))
     x = random_rational_point(a.diagonals.count, Random(2000))
     # element p of the chain is diagonal p, and its hook is x_0 + ... + x_p
     assert a.hook_polynomials(x) == tuple(accumulate(x))

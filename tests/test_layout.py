@@ -1,10 +1,12 @@
-"""The layout of ``tests/``: one home per oracle, and no test module importing another;
-and of ``src/dcposets/``: one reader of exact input, one home for each
-check on caller ids, counts and ``analysis=``, four entry points that
-take ``analysis=``, one builder of insertion steps, no run that records
-its choices, two callers of the strict step, no call of a public
-``Poset`` query method, one helper that picks a label matrix's dtype,
-and one module that reads the ideal lattice's layout.
+"""The layout of ``tests/``: one home per oracle, one home for the test
+corpus (only ``conftest.py`` calls ``catalog()`` or ``seeded_joins()``),
+and no test module importing another; and of ``src/dcposets/``: one
+reader of exact input, one home for each check on caller ids, counts and
+``analysis=``, four entry points that take ``analysis=``, one builder of
+insertion steps, no run that records its choices, two callers of the
+strict step, no call of a public ``Poset`` query method, one helper that
+picks a label matrix's dtype, and one module that reads the ideal
+lattice's layout.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -87,6 +89,19 @@ def test_each_oracle_is_defined_once_in_oracles():
     assert homes == {oracle: ["oracles.py"] for oracle in ORACLES}
     defined = {node.name for node in modules["oracles.py"].body if isinstance(node, ast.FunctionDef)}
     assert defined == set(ORACLES)
+
+
+def test_the_corpus_has_one_home():
+    # the catalog and the seeded joins reach a test through conftest.corpus,
+    # so only conftest.py calls catalog() or seeded_joins()
+    callers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if called in ("catalog", "seeded_joins"):
+                    callers.add(name)
+    assert callers == {"conftest.py"}
 
 
 

@@ -11,7 +11,6 @@ import pytest
 from dcposets import (
     CycleError,
     analyze,
-    catalog,
     ExtensionLimitError,
     Poset,
     count_linear_extensions,
@@ -30,11 +29,12 @@ from dcposets.poset import IDEAL_LIMIT, compile_ideal_lattice, order_ideal_masks
 from conftest import (
     antichain,
     chain,
+    corpus,
     is_convex,
     is_isomorphic,
     lt,
+    large,
     restrict,
-    seeded_joins,
     shifted_box_ids,
     upper_set_masks,
 )
@@ -218,7 +218,7 @@ def test_extension_enumeration_basics():
 
 
 def test_descending_extension_matches_all_pairs_definition():
-    small = [e.poset for e in catalog() if e.poset.n <= 6]
+    small = [e.poset for e in corpus("catalog") if e.poset.n <= 6]
     for P in small:
         for perm in permutations(range(P.n)):
             expected = not any(lt(P, a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
@@ -229,14 +229,14 @@ def test_descending_extension_matches_all_pairs_definition():
 
 
 def test_extension_order_matches_recursive_enumeration():
-    small = [e.poset for e in catalog() if e.poset.n <= 7] + [Poset(0)]
+    small = [e.poset for e in corpus("catalog") if e.poset.n <= 7] + [Poset(0)]
     assert len(small) > 100
     for P in small:
         assert list(linear_extensions(P)) == list(_recursive_extensions(P))
 
 
 def test_long_chain_extension():
-    P = chain(1200)
+    P = large("chain-1200")
     assert list(linear_extensions(P)) == [tuple(range(1199, -1, -1))]
 
 
@@ -244,7 +244,7 @@ def test_counts():
     assert count_linear_extensions(chain(6)) == 1
     assert count_linear_extensions(d_k_one(4)) == 2
     assert count_linear_extensions(antichain(3)) == 6
-    assert count_linear_extensions(shifted_young((7, 6, 5, 4, 3, 2, 1))) == 23178480
+    assert count_linear_extensions(large("shifted-7..1")) == 23178480
 
 
 def test_ideal_limit():
@@ -284,27 +284,26 @@ def _sweep(P):
 
 def test_frontier_sweep_matches_walk(monkeypatch):
     rng = Random(15)
-    posets = [entry.poset for entry in catalog()]
+    posets = [e.poset for e in corpus("catalog")]
     posets += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
-    posets += [young((8,) * 8), shifted_young(tuple(range(12, 0, -1)))]
-    posets += [young((12,) * 12), antichain(17)]
+    posets += [large(name) for name in ("young-8x8", "shifted-12..1", "young-12x12")] + [antichain(17)]
     for P in posets:
         assert _sweep(P) == _walk_only(monkeypatch, P), P
-    assert _sweep(young((8,) * 8)) == 12870
-    assert _sweep(shifted_young(tuple(range(12, 0, -1)))) == 4096
-    assert _sweep(young((12,) * 12)) == REFUSAL
+    assert _sweep(large("young-8x8")) == 12870
+    assert _sweep(large("shifted-12..1")) == 4096
+    assert _sweep(large("young-12x12")) == REFUSAL
 
 
 def test_chain_bound_caps_the_ideal_count():
     rng = Random(16)
-    posets = [entry.poset for entry in catalog()]
+    posets = [e.poset for e in corpus("catalog")]
     posets += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
-    posets += [young((8,) * 8), shifted_young(tuple(range(12, 0, -1)))]
+    posets += [large("young-8x8"), large("shifted-12..1")]
     for P in posets:
         assert poset_module._chain_bound(P) >= len(compile_ideal_lattice(P).first), P
-    assert poset_module._chain_bound(chain(2000)) == 2001
-    assert poset_module._chain_bound(young((5,) * 6)) <= IDEAL_LIMIT
-    assert poset_module._chain_bound(young((12,) * 12)) > IDEAL_LIMIT
+    assert poset_module._chain_bound(large("chain-2000")) == 2001
+    assert poset_module._chain_bound(large("young-6x5")) <= IDEAL_LIMIT
+    assert poset_module._chain_bound(large("young-12x12")) > IDEAL_LIMIT
 
 
 def test_no_sweep_where_the_chain_bound_rules_out_a_refusal(monkeypatch):
@@ -312,8 +311,8 @@ def test_no_sweep_where_the_chain_bound_rules_out_a_refusal(monkeypatch):
         raise AssertionError("swept a poset whose chain bound is within IDEAL_LIMIT")
 
     monkeypatch.setattr(poset_module, "_frontier_ideal_count", sweep)
-    assert len(compile_ideal_lattice(chain(2000)).first) == 2001
-    assert len(compile_ideal_lattice(young((5,) * 6)).first) == 462
+    assert len(compile_ideal_lattice(large("chain-2000")).first) == 2001
+    assert len(compile_ideal_lattice(large("young-6x5")).first) == 462
     # antichain(16) has a bound of exactly 2**16 = IDEAL_LIMIT
     assert count_linear_extensions(antichain(16)) == math.factorial(16)
 
@@ -330,7 +329,7 @@ def test_walk_refuses_on_a_one_wide_stretch(monkeypatch):
 
 
 def test_young_12x12_refused_before_the_walk():
-    P = young((12,) * 12)
+    P = large("young-12x12")
     start = time.perf_counter()
     with pytest.raises(ExtensionLimitError) as err:
         count_linear_extensions(P)
@@ -368,9 +367,9 @@ def test_lattice_successors_are_the_covering_ideals():
     # covering ideals with no walk; successors[i] must hold those, each
     # once.  The joins are those whose chain bound proves at most 2**14
     # ideals (19 of 60): the whole corpus takes about 0.1 s
-    joins = [P for P in seeded_joins() if poset_module._chain_bound(P) <= 2**14]
+    joins = [e.poset for e in corpus("joins") if poset_module._chain_bound(e.poset) <= 2**14]
     assert len(joins) == 19
-    posets = [entry.poset for entry in catalog()] + joins
+    posets = [e.poset for e in corpus("catalog")] + joins
     posets += [antichain(8), chain(50), Poset(0), Poset(3, [(0, 1), (1, 2), (0, 2)])]
     for P in posets:
         masks = list(order_ideal_masks(P))
@@ -385,7 +384,7 @@ def test_lattice_successors_are_the_covering_ideals():
 
 
 def test_count_fold_matches_chain_push():
-    posets = [entry.poset for entry in catalog()] + [antichain(16), chain(1200)]
+    posets = [e.poset for e in corpus("catalog")] + [antichain(16), large("chain-1200")]
     for P in posets:
         a = analyze(P)
         assert count_linear_extensions(P) == _chain_push_count(a.ideal_lattice), P
@@ -491,7 +490,7 @@ def test_names_round_trip():
 
 def test_diagram_builders_match_reference():
     shapes = 0
-    for entry in catalog():
+    for entry in corpus("catalog"):
         kind, _, parts = entry.name.partition("-")
         if kind not in ("young", "shifted"):
             continue

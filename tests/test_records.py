@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcposets import analyze, catalog, d_k_one, young
+from dcposets import analyze, d_k_one, young
 from dcposets.acceptance import CriterionResult
 from dcposets.catalog import CatalogEntry
 from dcposets.classical import GTPattern, SSYT
@@ -27,6 +27,8 @@ from dcposets.verify import (
     ProctorReport,
     VolumeEstimate,
 )
+
+from conftest import corpus
 
 # (record built from positional fields, its repr as the frozen dataclasses printed it)
 RECORDS = [
@@ -126,7 +128,7 @@ def test_diagonal_count_is_a_property():
 
 def _shapes():
     """Every d-interval and d^- set of the catalog and two larger posets."""
-    for P in [e.poset for e in catalog()] + [young((6, 5, 3)), d_k_one(12)]:
+    for P in [e.poset for e in corpus("catalog")] + [young((6, 5, 3)), d_k_one(12)]:
         a = analyze(P)
         yield from a.d_intervals
         yield from a.d_minus_sets

@@ -16,7 +16,6 @@ from dcposets import (
     Poset,
     PolytopeSpec,
     analyze,
-    catalog,
     closed_form_volume,
     d_k_one,
     diagonal_sums,
@@ -66,11 +65,12 @@ from conftest import (
     _min_above,
     _select,
     chain,
+    corpus,
     is_adjacent,
+    large,
     lt,
     random_shape,
     restrict,
-    seeded_joins,
     shifted_box_ids,
 )
 from oracles import (
@@ -538,13 +538,13 @@ def test_unstable_order_detected():
 
 
 def test_stable_order_matches_all_pairs_reference():
-    posets = [e.poset for e in catalog()]
-    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1))]
+    posets = [e.poset for e in corpus("catalog")]
+    posets += [large("young-12x12"), large("shifted-7..1")]
     posets += [d_k_one(k) for k in range(3, 61)]
     rng = Random(21)
     posets += [young(random_shape(rng, 45)) for _ in range(40)]
     posets += [shifted_young(random_shape(rng, 45, strict=True)) for _ in range(40)]
-    posets += seeded_joins()
+    posets += [e.poset for e in corpus("joins")]
     for P in posets:
         assert stable_insertion_order(P, analyze(P).d_intervals) == _reference_stable_order(P)
 
@@ -558,8 +558,7 @@ def test_minimal_bottoms_decide_the_stable_order():
     (B): each maximal one whose bottom is not minimal has a minimal-bottomed
     interval with a diamond top strictly below its own.
     """
-    posets = [e.poset for e in catalog()] + list(seeded_joins())
-    posets += [young((10,) * 10), shifted_young(tuple(range(8, 0, -1)))]
+    posets = [e.poset for e in corpus("catalog", "joins")] + [large("young-10x10"), large("shifted-8..1")]
     steps = deep = 0
     for P in posets:
         a = analyze(P)
@@ -584,12 +583,7 @@ def test_minimal_bottoms_decide_the_stable_order():
 
 
 def test_stability_verdicts_match_reference():
-    posets = [(e.name, e.poset) for e in catalog()]
-    posets += [
-        ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1))),
-        ("young-5.4.3.2", young((5, 4, 3, 2))),
-    ]
-    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
+    posets = corpus("catalog", "joins") + [(name, large(name)) for name in ("shifted-7..1", "young-5.4.3.2")]
     verdicts = []
     for name, P in posets:
         a = analyze(P)
@@ -607,7 +601,7 @@ def test_stability_verdicts_match_reference():
 def test_long_double_tailed_diamond_stable_order():
     # The parent construction, with its all-intervals stability scan, took
     # 6-8 s here and returned the elements in descending id order.
-    P = d_k_one(1000)
+    P = large("d1000(1)")
     a = analyze(P)
     a.axiom_report
     start = time.perf_counter()
@@ -620,7 +614,7 @@ def test_long_double_tailed_diamond_stability_check():
     # Counting neck owners element by element visits every neck, Θ(k²) on
     # d_k(1): 0.08-0.11 s on a 2-core VM, where one mask of completed necks
     # takes 2.5-4.2 ms.
-    P = d_k_one(2000)
+    P = large("d2000(1)")
     a = analyze(P)
     order = a.stable_order
     start = time.perf_counter()
@@ -628,22 +622,13 @@ def test_long_double_tailed_diamond_stability_check():
     assert time.perf_counter() - start < 0.05
 
 
-LARGE_POSETS = {
-    "young-30x30": lambda: young((30,) * 30),
-    "shifted-40..1": lambda: shifted_young(tuple(range(40, 0, -1))),
-    "young-50x50": lambda: young((50,) * 50),
-    "shifted-60..1": lambda: shifted_young(tuple(range(60, 0, -1))),
-    "d2000(1)": lambda: d_k_one(2000),
-}
-
-
-@pytest.mark.parametrize("name", LARGE_POSETS)
+@pytest.mark.parametrize("name", ["young-30x30", "shifted-40..1", "young-50x50", "shifted-60..1", "d2000(1)"])
 def test_large_shape_stable_order(name):
     # A construction that rescanned the present intervals' masks for
     # containment at every step took 7-11 s on each of the first two; one
     # that rescanned the present intervals for maximality took 2-3 s on
     # young-50x50 and 1.3 s on shifted-60..1.
-    P = LARGE_POSETS[name]()
+    P = large(name)
     a = analyze(P)
     a.axiom_report
     start = time.perf_counter()
@@ -808,12 +793,9 @@ def test_one_candidate_sides_keep_the_ties():
     # the L1 norm of every row of the reference's Jacobian J, which is the
     # map's derivative whatever the order; and the strict run on K T + v,
     # K = 2 G V + 1, lands on K Phi(T) + J v, criterion 6's reference
-    posets = [(e.name, e.poset) for e in catalog()] + [
-        ("young-4x4", young((4, 4, 4, 4))),
-        ("young-12x12", young((12,) * 12)),
-        ("d50(1)", d_k_one(50)),
-    ]
-    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
+    posets = corpus("catalog")
+    posets += [(name, large(name)) for name in ("young-4x4", "young-12x12", "d50(1)")]
+    posets += corpus("joins")
     rng = Random(47)
     outcomes = {"tie": 0, "rows": 0}
     verdicts: dict[str, set[str]] = {}
@@ -899,7 +881,7 @@ def test_running_best_tie_rule():
 def test_jacobian_rows_match_dense_replay():
     # the strict run leaves the dense oracle's image, and on K T + v it lands
     # on K Phi(T) + J v for the dense oracle's J
-    P = young((4, 4, 4, 4))
+    P = large("young-4x4")
     a = analyze(P)
     rng = Random(41)
     v = _spelling_direction(P.n)
@@ -932,7 +914,8 @@ def test_derivative_scale_keeps_every_choice():
     # K = 2 G V + 1 and G the stable program's forward growth, the reference
     # makes the base point's choices and lands on K Phi(T) + J v, as the
     # strict run does, for v at corners of the box [-V, V]^n and at random in it
-    posets = [e.poset for e in catalog()][::6] + [young((4, 4, 4, 4)), *seeded_joins()[::6]]
+    posets = [e.poset for e in corpus("catalog")[::6]] + [large("young-4x4")]
+    posets += [e.poset for e in corpus("joins")[::6]]
     rng = Random(53)
     big = DIRECTION_BOUND
     checked = 0
@@ -968,10 +951,9 @@ def test_derivative_scale_keeps_every_choice():
     assert checked >= 60
 
 
-@pytest.mark.parametrize(
-    "P", [young((12,) * 12), d_k_one(50)], ids=["young-12x12", "d50(1)"]
-)
-def test_jacobian_unimodular_on_large_posets(P):
+@pytest.mark.parametrize("name", ["young-12x12", "d50(1)"])
+def test_jacobian_unimodular_on_large_posets(name):
+    P = large(name)
     a = analyze(P)
     rng = Random(1)
     for _ in range(200):
@@ -1008,10 +990,7 @@ def _general_step(labels, toggles):
 
 
 def test_kernel_fast_path_matches_general_step():
-    posets = [(e.name, e.poset) for e in catalog()] + [
-        ("young-12x12", young((12,) * 12)),
-        ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1))),
-    ]
+    posets = corpus("catalog") + [(name, large(name)) for name in ("young-12x12", "shifted-7..1")]
     rng = Random(43)
     shapes = set()
     for name, P in posets:
@@ -1044,8 +1023,8 @@ def test_toggle_sides_have_at_most_two_candidates():
     # d-interval, so covers at most two.  Checked on the step tables of the
     # catalog, the seeded joins and three larger posets, whose n steps make
     # up every program, and where both sides reach two candidates at once
-    posets = [e.poset for e in catalog()] + list(seeded_joins())
-    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog", "joins")]
+    posets += [large(name) for name in ("young-12x12", "shifted-7..1", "d50(1)")]
     shapes = Counter()
     for P in posets:
         steps = analyze(P).insertion_steps
@@ -1075,7 +1054,7 @@ def test_program_growth_bounds_every_label_of_a_run(monkeypatch):
     # The recursion calls no step, so a replaced one leaves it as it is
     import numpy as np
 
-    posets = [e.poset for e in catalog()] + list(seeded_joins()) + [young((12,) * 12)]
+    posets = [e.poset for e in corpus("catalog", "joins")] + [large("young-12x12")]
     rng = Random(47)
     reached = 0
     for P in posets:
@@ -1097,8 +1076,8 @@ def test_insertion_steps_match_per_order_compilation():
     # every program read off the step table equals the one compiled step by
     # step along its order: on the catalog, the seeded joins, Young 12x12,
     # shifted 7..1 and d_50(1), along the stable order and 20 random ones
-    posets = [e.poset for e in catalog()] + list(seeded_joins())
-    posets += [young((12,) * 12), shifted_young((7, 6, 5, 4, 3, 2, 1)), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog", "joins")]
+    posets += [large(name) for name in ("young-12x12", "shifted-7..1", "d50(1)")]
     assert len(posets) == 359
     rng = Random(61)
     for P in posets:
@@ -1132,8 +1111,7 @@ def test_column_runner_matches_scalar_loops():
     # and 4 trials along every stable program from a tie-heavy start, labels
     # in 0..2, where two-candidate sides often hold equal labels, which a list
     # reads by one comparison and a matrix by np.maximum or np.minimum
-    posets = [e.poset for e in catalog()] + list(seeded_joins())
-    posets += [young((12,) * 12), d_k_one(50)]
+    posets = [e.poset for e in corpus("catalog", "joins")] + [large("young-12x12"), large("d50(1)")]
     rng, tie_rng = Random(47), Random(48)
     spread = lambda: rng.getrandbits(9) - 40
     ties = lambda: tie_rng.randrange(3)
@@ -1181,10 +1159,7 @@ def _choice_descending_extension(P, rng):
 def test_random_orders_keep_their_draws():
     # the battery's seeds pin these orders; a Python whose random stream
     # differs from choice's rejection loop on getrandbits fails here
-    posets = [(e.name, e.poset) for e in catalog()] + [
-        ("young-12x12", young((12,) * 12)),
-        ("d50(1)", d_k_one(50)),
-    ]
+    posets = corpus("catalog") + [(name, large(name)) for name in ("young-12x12", "d50(1)")]
     for name, P in posets:
         for seed in range(4):
             rng, oracle = Random(seed), Random(seed)
@@ -1200,9 +1175,7 @@ def test_order_walk_matches_compiled_random_orders(monkeypatch):
     # same image, each walked path is a descending extension whose steps are
     # the compiled program's, toggles in the same order, and the two streams
     # end in the same state.  Three draws per seed revisit the memo's edges.
-    posets = [(e.name, e.poset) for e in catalog()]
-    posets += [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
-    posets += [("young-12x12", young((12,) * 12)), ("d50(1)", d_k_one(50))]
+    posets = corpus("catalog", "joins") + [(name, large(name)) for name in ("young-12x12", "d50(1)")]
     steps = []
 
     def recording(labels, toggles):
@@ -1261,7 +1234,7 @@ def test_jacobian_sign_is_step_parity():
     # T = sum over the diagonals D of |D|(|D|+1)/2, whatever the order
     rng = Random(31)
     signs = set()
-    for entry in catalog():
+    for entry in corpus("catalog"):
         P = entry.poset
         a = analyze(P)
         toggles = sum(len(D) * (len(D) + 1) // 2 for D in a.diagonals.classes)
@@ -1329,10 +1302,10 @@ def test_jacobian_refuses_exactly_the_choices_ties():
     # does, on the catalog, the seeded joins, Young 12x12 and d_50(1), under
     # the stable order and three random orders, on 6 fillings per order, or
     # 20 on the large two
-    small = [(e.name, e.poset) for e in catalog()] + [(f"join-{i}", P) for i, P in enumerate(seeded_joins())]
-    large = [("young-12x12", young((12,) * 12)), ("d50(1)", d_k_one(50))]
+    small = corpus("catalog", "joins")
+    big = [(name, large(name)) for name in ("young-12x12", "d50(1)")]
     mismatches, outcomes = _refusal_mismatches(small, 59, 3, 6)
-    more, large_outcomes = _refusal_mismatches(large, 61, 3, 20)
+    more, large_outcomes = _refusal_mismatches(big, 61, 3, 20)
     assert mismatches + more == []
     young_outcomes = large_outcomes["young-12x12"]
     assert young_outcomes["tie"] and young_outcomes.total() > young_outcomes["tie"], young_outcomes
@@ -1344,7 +1317,7 @@ def test_refusal_check_catches_step_mutants(monkeypatch, mutant):
     # each mutant of the Jacobian's step refuses other points than the reference
     # on Young 12x12 and shifted 7..1, which the check above then reports
     monkeypatch.setattr(rsk_module, "_strict_step", mutant)
-    posets = [("young-12x12", young((12,) * 12)), ("shifted-7..1", shifted_young((7, 6, 5, 4, 3, 2, 1)))]
+    posets = [(name, large(name)) for name in ("young-12x12", "shifted-7..1")]
     mismatches, _ = _refusal_mismatches(posets, 59, 3, 10)
     assert {name for name, *_ in mismatches} == {"young-12x12", "shifted-7..1"}
 

@@ -13,7 +13,6 @@ from dcposets import (
     Poset,
     all_ones_point,
     analyze,
-    catalog,
     closed_form_volume,
     count_linear_extensions,
     d_k_one,
@@ -26,7 +25,6 @@ from dcposets import (
     rsk_jacobian_det,
     rsk_polytope_check,
     sample_fillings_point,
-    shifted_young,
     tree,
     verify_multivariate,
     verify_proctor,
@@ -41,7 +39,7 @@ from dcposets.hooks import exact_labels
 from dcposets.poset import order_ideal_masks
 from dcposets.verify import PolytopeSpec
 
-from conftest import chain, seeded_joins
+from conftest import chain, corpus, large
 from oracles import (
     _box_monte_carlo_hits,
     _column_dot,
@@ -122,13 +120,9 @@ def _mixed_point(count, rng):
     return tuple(point)
 
 
-LARGE_WEIGHT_POSETS = {
-    "young-6x5": young((5,) * 6),
-    "shifted-7..1": shifted_young((7, 6, 5, 4, 3, 2, 1)),
-    "d50(1)": d_k_one(50),
-    "chain-200": chain(200),
-}
-LATTICE_POSETS = [(e.name, e.poset) for e in catalog()] + list(LARGE_WEIGHT_POSETS.items())
+LATTICE_POSETS = corpus("catalog") + [
+    (name, large(name)) for name in ("young-6x5", "shifted-7..1", "d50(1)", "chain-200")
+]
 
 
 @pytest.mark.parametrize("name, P", LATTICE_POSETS, ids=[name for name, _ in LATTICE_POSETS])
@@ -162,7 +156,7 @@ def test_integer_fold_comparison_catches_one_ideal_mutants(monkeypatch, mutant, 
     namespace = dict(vars(poset_module))
     exec(source.replace(line, replacement), namespace)
     monkeypatch.setattr(verify, "fold_ideal_lattice", namespace["fold_ideal_lattice"])
-    P = LARGE_WEIGHT_POSETS[name]
+    P = large(name)
     a = analyze(P)
     rng = Random(f"weight {name}")
     points = [_mixed_point(a.diagonals.count, rng) for _ in range(2)]
@@ -199,11 +193,7 @@ def _level_lcm_fold(lattice, weights):
     return value[-1], product
 
 
-FOLD_POSETS = [(e.name, e.poset) for e in catalog()] + [
-    ("young-6x6", young((6,) * 6)),
-    ("young-8x6", young((6,) * 8)),
-    ("shifted-12..1", shifted_young(tuple(range(12, 0, -1)))),
-]
+FOLD_POSETS = corpus("catalog") + [(name, large(name)) for name in ("young-6x6", "young-8x6", "shifted-12..1")]
 
 
 def test_reduced_fold_matches_level_lcm_fold():
@@ -222,14 +212,9 @@ def test_reduced_fold_matches_level_lcm_fold():
 def _column_fold_posets():
     """FOLD_POSETS, the seeded joins whose chain bound proves at most 2**13
     order ideals, and the exact benchmark's weight posets."""
-    joins = [(f"join-{i}", P) for i, P in enumerate(seeded_joins()) if poset_module._chain_bound(P) <= 2**13]
+    joins = [e for e in corpus("joins") if poset_module._chain_bound(e.poset) <= 2**13]
     assert len(joins) == 17
-    return FOLD_POSETS + joins + [
-        ("young-5x5", young((5,) * 5)),
-        ("young-6x5", young((5,) * 6)),
-        ("d50(1)", d_k_one(50)),
-        ("chain-200", chain(200)),
-    ]
+    return FOLD_POSETS + joins + [(name, large(name)) for name in ("young-5x5", "young-6x5", "d50(1)", "chain-200")]
 
 
 def _weight_rows(a, points):
@@ -273,7 +258,7 @@ def test_multivariate_identity_on_young_8x8_is_fast(monkeypatch):
     # own gcds and level lcms, so U stays a few bits and M near the size of
     # the hook product, where a fold scaled by the lcm of the raw sums grows
     # past 200,000 bits
-    P = young((8,) * 8)
+    P = large("young-8x8")
     a = analyze(P)
     a.ideal_lattice, a.hook_program, a.extension_count
     fold, folded = verify.fold_columns, []
@@ -292,7 +277,7 @@ def test_multivariate_identity_on_young_8x8_is_fast(monkeypatch):
 
 
 def test_weight_sum_on_young_8x8_is_fast():
-    P = young((8,) * 8)
+    P = large("young-8x8")
     a = analyze(P)
     a.ideal_lattice
     x = random_rational_point(a.diagonals.count, Random(88))
@@ -320,7 +305,7 @@ def lattice_walks(monkeypatch):
 
 def test_c1_then_c2_walk_the_lattice_once(lattice_walks):
     walks = lattice_walks
-    entry = next(e for e in catalog() if e.name == "young-3.3.1")
+    entry = next(e for e in corpus("catalog") if e.name == "young-3.3.1")
     # a fresh poset: no analysis another test keeps alive can have walked it
     P = Poset(entry.poset.n, entry.poset.covers, entry.poset.names)
     a = analyze(P)
@@ -444,7 +429,7 @@ def test_proctor_matches_classical_formula(shape):
 
 def test_long_chain_counts_and_weighs():
     # both folds are iterative: a chain longer than the recursion limit is fine
-    P = chain(1200)
+    P = large("chain-1200")
     assert count_linear_extensions(P) == 1
     a = analyze(P)
     numerators = [d % 5 + 1 for d in range(a.diagonals.count)]
@@ -539,7 +524,7 @@ def test_hook_matrix_of_diagonal_minima_is_unitriangular():
     # a diagonal's minimum tops no d-interval, so its hook vector counts its
     # downset per diagonal; ordered by a linear extension of the minima,
     # these rows are unitriangular, so x is an integer combination of H(x)
-    for entry in catalog():
+    for entry in corpus("catalog"):
         P = entry.poset
         a = analyze(P)
         minima = _diagonal_minima(P, a)
@@ -555,7 +540,7 @@ def test_hook_and_weight_denominators_are_equal():
     # B == C lets rsk_polytope_check compare both polytopes against one bound
     rng = Random(41)
     points = 0
-    for entry in catalog():
+    for entry in corpus("catalog"):
         P = entry.poset
         a = analyze(P)
         for _ in range(5):
@@ -568,7 +553,7 @@ def test_hook_and_weight_denominators_are_equal():
     assert points > 1000
 
 
-@pytest.mark.parametrize("entry", catalog()[::3], ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", corpus("catalog")[::3], ids=lambda e: e.name)
 def test_polytope_check_matches_fraction_reference(entry):
     # at a random point the hook and weight denominators B and C differ from 1
     P = entry.poset
@@ -593,9 +578,9 @@ def test_polytope_check_label_dtype_follows_the_bound(monkeypatch):
         return matrix
 
     monkeypatch.setattr(verify, "_label_matrix", recorded)
-    for entry in catalog():
+    for entry in corpus("catalog"):
         assert rsk_polytope_check(entry.poset).ok, entry.name
-    assert picked == [np.dtype(np.int64)] * len(catalog())
+    assert picked == [np.dtype(np.int64)] * len(corpus("catalog"))
     P = d_k_one(4)
     a = analyze(P)
     for x in (tuple(Fraction(1, p) for p in (1009, 1013, 1019, 1021)), (Fraction(1, 10**30),) * 4):
@@ -782,7 +767,7 @@ def _catalog_at_two_points(max_elements=None):
     """Catalog posets with at most max_elements elements, each also at a point
     of its own with every x_D in [21/20, 5/4], so with box edges below 1."""
     posets = []
-    for entry in catalog():
+    for entry in corpus("catalog"):
         P = entry.poset
         if max_elements is not None and P.n > max_elements:
             continue
@@ -840,7 +825,7 @@ def test_monte_carlo_candidates_keep_every_hit():
 
 
 def test_monte_carlo_volumes_match_reference(monkeypatch):
-    small = [(e.poset, analyze(e.poset)) for e in catalog() if e.poset.n <= 6]
+    small = [(e.poset, analyze(e.poset)) for e in corpus("catalog") if e.poset.n <= 6]
     at_ones = [
         (P, PolytopeSpec(kind, all_ones_point(a.diagonals.count)), a)
         for P, a in small
@@ -907,7 +892,7 @@ def test_simplex_points_keep_the_box_law():
 def test_monte_carlo_past_170_elements_draws_nothing():
     # 1 / 200! rounds to 0.0 (int division; 1.0 / 200! would overflow), so no
     # point is drawn, where the box sampler drew 2 * 10^8 doubles
-    P = chain(200)
+    P = large("chain-200")
     a = analyze(P)
     spec = PolytopeSpec("fillings", all_ones_point(a.diagonals.count))
     start = time.perf_counter()
@@ -1001,7 +986,7 @@ def test_monte_carlo_sure_hits_skip_the_draw(monkeypatch):
     # 0-9 both kinds count what the drawn points give.
     one = [
         (e.poset, PolytopeSpec(kind, all_ones_point(1)), analyze(e.poset))
-        for e in catalog()
+        for e in corpus("catalog")
         if e.poset.n == 1
         for kind in ("fillings", "rpp")
     ]
@@ -1048,7 +1033,7 @@ def test_monte_carlo_tests_equal_cases_once(monkeypatch):
     # Each distinct test runs once per batch, and every hit count equals
     # that of the per-case loop over the same draws
     cases = []
-    for e in catalog():
+    for e in corpus("catalog"):
         if e.poset.n <= MONTE_CARLO_MAX_ELEMENTS:
             a = analyze(e.poset)
             point = all_ones_point(a.diagonals.count)

@@ -232,13 +232,7 @@ def _cmd_suite(args) -> int:
         if repeated:
             raise FormatError(f"repeated catalog posets in --subset: {', '.join(repeated)}")
         entries = [by_name[name] for name in wanted]
-    results = acceptance.run_all(
-        seed=args.seed,
-        points=args.points,
-        trials=args.trials,
-        samples=args.samples,
-        entries=entries,
-    )
+    results = acceptance.run_all(seed=args.seed, entries=entries)
     all_ok = True
     for result in results:
         print(f"criterion name={result.name} ok={_bool(result.ok)}")
@@ -300,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run the full acceptance battery")
     suite.add_argument("--seed", type=_non_negative, default=0)
-    suite.add_argument("--points", type=_positive, default=20)
-    suite.add_argument("--trials", type=_positive, default=100)
-    suite.add_argument("--samples", type=_positive, default=10**6)
     suite.add_argument("--subset", help="comma-separated catalog names to restrict the battery")
 
     return parser

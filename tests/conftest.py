@@ -18,6 +18,7 @@ from dcposets import (
 )
 from dcposets.catalog import CatalogEntry
 from dcposets.poset import bits, mask_of, order_ideal_masks
+from dcposets.rsk import _toggle_all
 
 
 def chain(n: int) -> Poset:
@@ -114,6 +115,11 @@ LARGE = {
 def large(name: str) -> Poset:
     """A fresh build of the large poset ``name`` on every call."""
     return LARGE[name]()
+
+
+# the catalog posets a mutant test runs on: seven have a side with two
+# candidates, and tree-0 has none
+MUTANT_POSETS = ("d4", "d5", "young-3.2", "young-3.3.2", "shifted-4.2", "shifted-4.3.1", "sample10", "tree-0")
 
 
 def is_adjacent(part, c: int, d: int) -> bool:
@@ -237,6 +243,16 @@ def _min_above(labels, toggles):
         hi = labels[_select(labels, ups, -1)] if ups else 0
         lo = labels[_select(labels, los, -1)] if los else 0
         labels[e] = hi + lo - labels[e]
+
+
+def _max_below_step(labels, toggles, top=max, bottom=min):
+    """A wrong step function: the lower side is read with the max, as the upper side is."""
+    _toggle_all(labels, toggles, top, top)
+
+
+def _first_candidate_step(labels, toggles, top=max, bottom=min):
+    """A wrong step function: each side is read at its first candidate only."""
+    _toggle_all(labels, [(e, ups[:1], los[:1]) for e, ups, los in toggles], top, bottom)
 
 
 def _random_perm(n, rng) -> list[int]:

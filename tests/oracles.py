@@ -27,10 +27,11 @@ from dcposets import Poset, all_ones_point, analyze, d_k_one, inverse_rsk, rsk, 
 from dcposets.diagonals import DiagonalFailure, DiagonalReport
 from dcposets.dstructure import DMinusConvexSet, StructureFailure, StructureReport
 from dcposets.poset import bits, mask_of
-from dcposets.rsk import NonGenericPoint
+from dcposets.hooks import exact_value
+from dcposets.rsk import NonGenericPoint, _toggle_all
 from dcposets.verify import BijectionReport
 
-from conftest import is_adjacent, is_convex, is_isomorphic, lt, restrict, upper_set_masks
+from conftest import _select, is_adjacent, is_convex, is_isomorphic, lt, restrict, upper_set_masks
 
 
 # -- order, linear extensions and diagrams ------------------------------------
@@ -354,6 +355,17 @@ def _dense_numerators(vectors, x):
     return [sum(map(operator.mul, vector, c)) for vector in vectors], denom
 
 
+def _reference_positive_labels(x, count):
+    """The strictly positive point check with the sign read by Fraction comparison: labels over the lcm."""
+    if len(x) != count:
+        raise ValueError(f"point has {len(x)} values for {count} diagonals")
+    point = tuple(exact_value(v) for v in x)
+    if any(v <= 0 for v in point):
+        raise ValueError("diagonal values must be strictly positive")
+    denom = math.lcm(*(v.denominator for v in point))
+    return [int(v * denom) for v in point], denom
+
+
 # -- toggles, insertion, its inverse and the Jacobian -------------------------
 #
 # The dict-based insertion and the finite-difference Jacobian are the
@@ -503,6 +515,79 @@ def _dense_jacobian_rows(P, a, order, t):
             lo_row = rows[lo] if lo >= 0 else zero
             rows[e] = [x + y - z for x, y, z in zip(up_row, lo_row, rows[e])]
     return image, rows
+
+
+def _reference_choices(labels, program):
+    """The reference's first step: ``_select`` per multi-candidate side, run in place.
+
+    Each step's choices go through ``_toggle_all``, and the result is the
+    trace: per step, its inserted element and its toggles with each side
+    cut to the chosen cover.  A tie raises ``NonGenericPoint``.
+    """
+    trace = []
+    for c, toggles in program:
+        labels[c] = -labels[c]
+        chosen = tuple(
+            (
+                e,
+                ups if len(ups) <= 1 else (_select(labels, ups, 1),),
+                los if len(los) <= 1 else (_select(labels, los, -1),),
+            )
+            for e, ups, los in toggles
+        )
+        _toggle_all(labels, chosen)
+        trace.append((c, chosen))
+    return trace
+
+
+def _reference_jacobian_rows(labels, program):
+    """The two-step Jacobian rows: :func:`_reference_choices`, then a rebuilt replay.
+
+    Each row is summed with ``get(j, 0)`` and rebuilt once more to drop
+    its zeros.  Row n, one past the labels, is an absent cover's: empty,
+    so zero.
+    """
+    n = len(labels)
+    rows = [{} for _ in range(n + 1)]
+    for c, chosen in _reference_choices(labels, program):
+        rows[c] = {c: -1}
+        for e, ups, los in chosen:
+            (x,), (y,) = ups or (n,), los or (n,)
+            row = dict(rows[x])
+            for j, v in rows[y].items():
+                row[j] = row.get(j, 0) + v
+            for j, v in rows[e].items():
+                row[j] = row.get(j, 0) - v
+            rows[e] = {j: v for j, v in row.items() if v}
+    return rows
+
+
+# -- last-passage values ------------------------------------------------------
+
+
+def _last_passage(P, t):
+    """f(p) = t_p + max f(u) over p's upper covers u, with 0 above a maximal element.
+
+    That is the largest sum of t along a chain from p up to a maximal
+    element.  It reads only ``P.covers``, one pass from the maximal
+    elements down.
+    """
+    ups = [[] for _ in range(P.n)]
+    downs = [[] for _ in range(P.n)]
+    for a, b in P.covers:
+        ups[a].append(b)
+        downs[b].append(a)
+    waiting = [len(u) for u in ups]
+    ready = [p for p in range(P.n) if not ups[p]]
+    f = [0] * P.n
+    while ready:
+        p = ready.pop()
+        f[p] = t[p] + max((f[u] for u in ups[p]), default=0)
+        for q in downs[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                ready.append(q)
+    return f
 
 
 # -- the stable insertion order -----------------------------------------------

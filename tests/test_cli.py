@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dcposets import Poset, builtin_poset, d_k_one, young
+from dcposets import Poset, acceptance, builtin_poset, d_k_one, young
 from dcposets.cli import main
 from dcposets.fileformats import (
     filling_from_text,
@@ -396,9 +396,6 @@ def test_parse_error_exit_code():
         ("volume", "--samples", "0"),
         ("volume", "--samples", "-5"),
         ("verify-hlf", "--points", "-3"),
-        ("suite", "--points", "0"),
-        ("suite", "--trials", "-1"),
-        ("suite", "--samples", "0"),
         ("verify-hlf", "--seed", "-1"),
         ("volume", "--seed", "-1"),
         ("suite", "--seed", "-2"),
@@ -419,6 +416,16 @@ def test_non_positive_count_is_usage_error(tmp_path, capsys, command, option, va
     assert f"must be a {kind} integer, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--points", "--trials", "--samples"])
+def test_suite_takes_no_count_option(capsys, option):
+    # every criterion runs at its shipped count, so a fail line replays from
+    # its poset and seed alone
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--subset", "d4", option, "5"])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
+
+
 def test_sample10_check(tmp_path, capsys):
     path = tmp_path / "s.poset"
     path.write_text(poset_to_text(builtin_poset("sample10")))
@@ -427,15 +434,7 @@ def test_sample10_check(tmp_path, capsys):
 
 
 def test_suite_subset(capsys):
-    code, out, _ = run(
-        capsys,
-        "suite",
-        "--subset", "d3,d4,young-2.1,tree-0.1.1",
-        "--trials", "5",
-        "--points", "3",
-        "--samples", "20000",
-        "--seed", "1",
-    )
+    code, out, _ = run(capsys, "suite", "--subset", "d3,d4,young-2.1,tree-0.1.1", "--seed", "1")
     assert code == 0
     lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("criterion name=")) == 10
@@ -469,11 +468,37 @@ def test_suite_subset_names_each_poset_once(capsys, subset, message):
     assert run(capsys, "suite", "--subset", subset) == (2, "", f"error: {message}\n")
 
 
+def _fail_lines(out):
+    """A suite's fail lines, by the name of the criterion that prints them."""
+    fails = {}
+    criterion = None
+    for line in out.splitlines():
+        if line.startswith("criterion name="):
+            criterion = line.split()[1][len("name="):]
+        elif line.startswith("  fail "):
+            fails.setdefault(criterion, []).append(line)
+    return fails
+
+
+def _assert_each_line_replays(capsys, fails, names, seed):
+    """Each ``fail poset=NAME seed=S`` line reappears under ``suite --subset NAME
+    --seed S``, and each line that names no poset under every such run."""
+    replays = {name: run(capsys, "suite", "--subset", name, "--seed", str(seed))[1].splitlines() for name in names}
+    for line in sum(fails.values(), []):
+        fields = line.split()
+        if fields[1].startswith("poset="):
+            assert fields[2] == f"seed={seed}", line
+            assert line in replays[fields[1][len("poset="):]], line
+        else:
+            assert all(line in replay for replay in replays.values()), line
+
+
 def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):
     # a step that goes wrong only where a toggled label lands on a multiple of
-    # 5 fails criteria 4, 5 and 7 at trials that depend on the draws; each
+    # 5 fails criteria 4, 6, 7 and 9 at trials that depend on the draws; each
     # fail line names its poset and seed, and `suite --subset NAME --seed S`
-    # prints the same line again
+    # prints the same line again.  Criterion 9 draws no poset, so its line,
+    # which names the seed and trial, reappears under every subset
     toggle_all = rsk_module._toggle_all
 
     def faulty(labels, toggles, **reductions):
@@ -484,27 +509,21 @@ def test_suite_fail_lines_replay_on_one_poset(capsys, monkeypatch):
 
     monkeypatch.setattr(rsk_module, "_toggle_all", faulty)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
-    settings = ("--trials", "20", "--points", "2", "--samples", "1000")
-    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
+    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3")
     assert code == 1
-    criterion = None
-    fails = []
-    for line in out.splitlines():
-        if line.startswith("criterion name="):
-            criterion = line.split()[1]
-        elif line.startswith("  fail poset=") and criterion in (
-            "name=diagonal-sum-identity",
-            "name=order-independence",
-            "name=polytope-bijection",
-        ):
-            fails.append(line)
-    assert {line.split()[1] for line in fails} == {f"poset={name}" for name in names}
-    assert any(" trial=0 " not in line and "first=(0," not in line for line in fails)
-    for line in fails:
-        name, seed = line.split()[1:3]
-        assert seed == "seed=3"
-        _, replay, _ = run(capsys, "suite", "--subset", name[len("poset="):], "--seed", "3", *settings)
-        assert line in replay.splitlines()
+    fails = _fail_lines(out)
+    assert set(fails) == {
+        "diagonal-sum-identity",
+        "volume-preservation",
+        "polytope-bijection",
+        "classical-equivalence",
+    }
+    for criterion in ("diagonal-sum-identity", "volume-preservation", "polytope-bijection"):
+        assert {line.split()[1] for line in fails[criterion]} == {f"poset={name}" for name in names}
+    assert any(" trial=0 " not in line for line in fails["diagonal-sum-identity"])
+    (c9,) = fails["classical-equivalence"]
+    assert c9.startswith("  fail seed=3 trial=")
+    _assert_each_line_replays(capsys, fails, names, 3)
 
 
 def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
@@ -512,11 +531,11 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     # their fail lines name the seed too.  Each mutant below goes wrong only at
     # some draws: a weight sum doubled where the point's first coordinate has
     # an even denominator (c2, in the one fold of all its points; see
-    # conftest's _double_where_first_denominator_is_even), and the leak of test_acceptance's _leaky_step only where a toggled
-    # label lands on a multiple of 7 (c5, and c6's derivative check, whose
-    # line names the point and element; the replay test above fails c4 and
-    # c7 only).  Every poset fails each criterion, and
-    # `suite --subset NAME --seed S` prints each line again.
+    # conftest's _double_where_first_denominator_is_even), and the leak of
+    # test_acceptance's _leaky_step only where a toggled label lands on a
+    # multiple of 7 (c5, and c6's derivative check, whose line names the point
+    # and element; c4, c7 and c9 fail too).  Every poset fails each criterion,
+    # and `suite --subset NAME --seed S` prints each line again
     toggle_all = rsk_module._toggle_all
 
     def leak_on_multiples_of_seven(labels, toggles, **reductions):
@@ -529,23 +548,37 @@ def test_suite_fail_lines_of_c2_c5_c6_replay_on_one_poset(capsys, monkeypatch):
     monkeypatch.setattr(rsk_module, "_toggle_all", leak_on_multiples_of_seven)
     _double_where_first_denominator_is_even(monkeypatch)
     names = ("d4", "young-3.2", "shifted-4.2", "sample10")
-    settings = ("--trials", "100", "--points", "20", "--samples", "1000")
-    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3", *settings)
+    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3")
     assert code == 1
-    criteria = ("name=multivariate-identity", "name=order-independence", "name=volume-preservation")
-    criterion = None
-    fails = {c: [] for c in criteria}
-    for line in out.splitlines():
-        if line.startswith("criterion name="):
-            criterion = line.split()[1]
-        elif line.startswith("  fail poset=") and criterion in criteria:
-            fails[criterion].append(line)
-    for lines in fails.values():
-        assert {line.split()[1] for line in lines} == {f"poset={name}" for name in names}
-    assert any(not line.endswith(" trial=0") for line in fails["name=order-independence"])
-    assert all(" point=" in line and " element=" in line for line in fails["name=volume-preservation"])
-    for line in sum(fails.values(), []):
-        name, seed = line.split()[1:3]
-        assert seed == "seed=3"
-        _, replay, _ = run(capsys, "suite", "--subset", name[len("poset="):], "--seed", "3", *settings)
-        assert line in replay.splitlines()
+    fails = _fail_lines(out)
+    for criterion in (
+        "multivariate-identity",
+        "diagonal-sum-identity",
+        "order-independence",
+        "volume-preservation",
+        "polytope-bijection",
+    ):
+        assert {line.split()[1] for line in fails[criterion]} == {f"poset={name}" for name in names}
+    assert any(not line.endswith(" trial=0") for line in fails["order-independence"])
+    assert all(" point=" in line and " element=" in line for line in fails["volume-preservation"])
+    _assert_each_line_replays(capsys, fails, names, 3)
+
+
+def test_suite_fail_lines_of_c10_replay_on_one_poset(capsys, monkeypatch):
+    # a doubled closed form is off by many standard errors wherever the 10^6
+    # samples land many hits: on every catalog poset with at most 5 elements,
+    # at seeds 0..7.  Posets of one size share their draws, and a size's
+    # draws depend on the seed alone, so each line, which names its poset and
+    # seed, reappears under `suite --subset NAME --seed S`.  sample10 is past
+    # MONTE_CARLO_MAX_ELEMENTS, so criterion 10 never reads it
+    closed_form_volume = acceptance.closed_form_volume
+    monkeypatch.setattr(acceptance, "closed_form_volume", lambda P, spec: 2 * closed_form_volume(P, spec))
+    names = ("d3", "young-3.2", "sample10")
+    code, out, _ = run(capsys, "suite", "--subset", ",".join(names), "--seed", "3")
+    assert code == 1
+    fails = _fail_lines(out)
+    assert list(fails) == ["monte-carlo-volumes"]
+    assert [line.split()[1:4] for line in fails["monte-carlo-volumes"]] == [
+        [f"poset={name}", "seed=3", f"kind={kind}"] for name in names[:-1] for kind in ("fillings", "rpp")
+    ]
+    _assert_each_line_replays(capsys, fails, names, 3)

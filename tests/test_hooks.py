@@ -40,7 +40,7 @@ from dcposets.rsk import random_filling
 from dcposets.verify import PolytopeSpec
 
 from conftest import chain, corpus, large, relabel, restrict
-from oracles import _dense_numerators, _reference_hook_vectors, classical_hook_length
+from oracles import _dense_numerators, _reference_hook_vectors, _reference_positive_labels, classical_hook_length
 
 
 def test_double_tailed_diamond_vectors():
@@ -361,17 +361,6 @@ def test_numpy_integers_are_read_as_python_ints():
         image = rsk(P, [np.int64(2**62)] * P.n)
     assert image == rsk(P, [2**62] * P.n)
     assert is_order_reversing(P, image)
-
-
-def _reference_positive_labels(x, count):
-    """The strictly positive point check with the sign read by Fraction comparison: labels over the lcm."""
-    if len(x) != count:
-        raise ValueError(f"point has {len(x)} values for {count} diagonals")
-    point = tuple(exact_value(v) for v in x)
-    if any(v <= 0 for v in point):
-        raise ValueError("diagonal values must be strictly positive")
-    denom = math.lcm(*(v.denominator for v in point))
-    return [int(v * denom) for v in point], denom
 
 
 def test_point_sign_is_the_numerator_sign():

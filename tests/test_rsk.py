@@ -5,6 +5,7 @@ from bisect import insort
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -44,8 +45,10 @@ from dcposets.acceptance import (
     multivariate_identity,
     order_independence,
     polytope_bijection,
+    run_all,
     volume_preservation,
 )
+from dcposets.catalog import CatalogEntry
 from dcposets.classical import toggle_rpp
 from dcposets.families import young_box_ids
 from dcposets.hooks import exact_labels
@@ -62,10 +65,14 @@ from dcposets.rsk import (
 )
 
 from conftest import (
+    MUTANT_POSETS,
+    _first_candidate_step,
+    _max_below_step,
     _min_above,
     _select,
     chain,
     corpus,
+    is_isomorphic,
     is_adjacent,
     large,
     lt,
@@ -76,10 +83,13 @@ from conftest import (
 from oracles import (
     _dense_jacobian_rows,
     _finite_difference_det,
+    _last_passage,
+    _reference_choices,
     _reference_insertion,
     _reference_inverse,
     _reference_is_order_reversing,
     _reference_is_stable,
+    _reference_jacobian_rows,
     _reference_program,
     _reference_stable_order,
 )
@@ -598,6 +608,37 @@ def test_stability_verdicts_match_reference():
     assert verdicts.count(False) >= 30 and verdicts.count(True) >= 30
 
 
+# A d_5-interval [0, 9] whose side 5 also tops the d_3-interval [2, 5]: a
+# general-case poset that neither the catalog nor the seeded joins produce
+TWO_LEVEL_SIDE = Poset(10, [(0, 1), (1, 3), (3, 5), (3, 6), (5, 7), (6, 7), (7, 8), (8, 9), (2, 3), (2, 4), (4, 5)])
+
+
+def _fewest_above_first(P):
+    """The descending extension by fewest elements above, ties broken larger id first."""
+    return tuple(sorted(range(P.n), key=lambda p: (bin(P.upset_mask(p)).count("1"), -p)))
+
+
+def test_a_tie_of_fewest_above_needs_the_stable_order():
+    # ordering by fewest elements above is a descending extension, and it is
+    # stable on every catalog and join poset.  On TWO_LEVEL_SIDE, 2 and 0 tie
+    # at eight elements above; taking 2 first completes [2, 5] before
+    # [0, 9], and [0, 9]'s side 5 is then [2, 5]'s neck
+    P = TWO_LEVEL_SIDE
+    a = analyze(P)
+    assert a.is_d_complete
+    assert {(iv.k, iv.bottom, iv.top) for iv in a.d_intervals} == {(5, 0, 9), (4, 1, 8), (3, 2, 5), (3, 3, 7)}
+    assert all(result.ok for result in run_all(entries=[CatalogEntry("two-level-side", P)]))
+    entries = corpus("catalog", "joins")
+    assert not any(is_isomorphic(P, e.poset) for e in entries)
+    assert all(is_stable(e.poset, _fewest_above_first(e.poset), analyze(e.poset).d_intervals) for e in entries)
+    stable = (9, 8, 7, 6, 5, 3, 1, 0, 4, 2)
+    assert stable_insertion_order(P, a.d_intervals) == _reference_stable_order(P) == stable
+    naive = _fewest_above_first(P)
+    assert naive == (9, 8, 7, 6, 5, 4, 3, 1, 2, 0)
+    assert not is_stable(P, naive, a.d_intervals)
+    assert not _reference_is_stable(P, naive, a.d_intervals)
+
+
 def test_long_double_tailed_diamond_stable_order():
     # The parent construction, with its all-intervals stability scan, took
     # 6-8 s here and returned the elements in descending id order.
@@ -719,51 +760,6 @@ def test_jacobian_matches_finite_difference(family, analyses, name):
             assert rsk_jacobian_det(P, t, order, analysis=a) == expected
             outcomes.add(expected)
     assert "tie" in outcomes and outcomes - {"tie"} <= {1, -1}
-
-
-def _reference_choices(labels, program):
-    """The reference's first step: ``_select`` per multi-candidate side, run in place.
-
-    Each step's choices go through ``_toggle_all``, and the result is the
-    trace: per step, its inserted element and its toggles with each side
-    cut to the chosen cover.  A tie raises ``NonGenericPoint``.
-    """
-    trace = []
-    for c, toggles in program:
-        labels[c] = -labels[c]
-        chosen = tuple(
-            (
-                e,
-                ups if len(ups) <= 1 else (_select(labels, ups, 1),),
-                los if len(los) <= 1 else (_select(labels, los, -1),),
-            )
-            for e, ups, los in toggles
-        )
-        _toggle_all(labels, chosen)
-        trace.append((c, chosen))
-    return trace
-
-
-def _reference_jacobian_rows(labels, program):
-    """The two-step Jacobian rows: :func:`_reference_choices`, then a rebuilt replay.
-
-    Each row is summed with ``get(j, 0)`` and rebuilt once more to drop
-    its zeros.  Row n, one past the labels, is an absent cover's: empty,
-    so zero.
-    """
-    n = len(labels)
-    rows = [{} for _ in range(n + 1)]
-    for c, chosen in _reference_choices(labels, program):
-        rows[c] = {c: -1}
-        for e, ups, los in chosen:
-            (x,), (y,) = ups or (n,), los or (n,)
-            row = dict(rows[x])
-            for j, v in rows[y].items():
-                row[j] = row.get(j, 0) + v
-            for j, v in rows[e].items():
-                row[j] = row.get(j, 0) - v
-            rows[e] = {j: v for j, v in row.items() if v}
-    return rows
 
 
 # v_j = 2^(64 j): J v spells each row of J in base 2^64.  Rows whose entries
@@ -1355,3 +1351,67 @@ def test_every_extension_gives_same_image():
     t = (3, 1, 4, 1, 5, 2)
     images = {rsk(P, t, ext, analysis=a) for ext in linear_extensions(P)}
     assert len(images) == 1
+
+
+def _last_passage_checks(P, name, fillings, top):
+    """(checked, missed) over ``fillings`` fillings with entries 0..top, drawn
+    from ``Random(f"last passage {name}")``: the elements that top no
+    d-interval, and those of them where rsk's image is not ``_last_passage``'s."""
+    rng = Random(f"last passage {name}")
+    a = analyze(P)  # held, so every rsk call below reads this one analysis
+    tops = {iv.top for iv in a.d_intervals}
+    checked = missed = 0
+    for _ in range(fillings):
+        t = [rng.randint(0, top) for _ in range(P.n)]
+        image, f = rsk(P, t), _last_passage(P, t)
+        for p in range(P.n):
+            if p not in tops:
+                checked += 1
+                missed += image[p] != f[p]
+    return checked, missed
+
+
+def test_image_off_the_d_interval_tops_is_the_last_passage_value():
+    """At each element p that tops no d-interval, rsk(P, t)[p] is the largest
+    sum of t along a chain from p up to a maximal element.
+
+    For shapes this is the one-chain case of Greene's theorem (C. Greene,
+    "An extension of Schensted's theorem", Adv. Math. 14 (1974) 254-265) in
+    the reverse-plane-partition form of RSK (E. R. Gansner, "Matrix
+    correspondences of plane partitions", Pacific J. Math. 92 (1981)).  The
+    same statement on every d-complete poset is not cited: it is only
+    checked here.  The oracle reads only the covers, neither the kernel nor
+    the ideal lattice.  Budget, stated in advance: 0.6 s for 37,230 element
+    checks on the catalog and the joins, and 243 on three large posets.
+    """
+    counts = [_last_passage_checks(e.poset, e.name, 10, 9) for e in corpus("catalog", "joins")]
+    assert tuple(map(sum, zip(*counts))) == (37_230, 0)
+    counts = [_last_passage_checks(large(name), name, 3, 999) for name in ("young-12x12", "shifted-7..1", "d50(1)")]
+    assert tuple(map(sum, zip(*counts))) == (243, 0)
+
+
+# each a wrong step on label lists, which rsk(P, t) runs
+LAST_PASSAGE_MUTANTS = {
+    "min-above": partial(_toggle_all, top=min),
+    "first-candidate": _first_candidate_step,
+    "max-below": _max_below_step,
+}
+
+
+@pytest.mark.parametrize("mutant", list(LAST_PASSAGE_MUTANTS))
+def test_last_passage_catches_the_upper_side_mutants(monkeypatch, mutant):
+    # a wrong upper side reaches the non-tops, so the last-passage check fails
+    # on the seven posets with a two-candidate side; the lower side never
+    # reaches a non-top, so the max-below step passes everywhere, a blind spot
+    # that only a k-chain form of the check can close
+    entries = [e for e in corpus("catalog") if e.name in MUTANT_POSETS]
+    two_candidates = {
+        e.name
+        for e in entries
+        for _, toggles in analyze(e.poset).insertion_program
+        if any(len(ups) > 1 or len(los) > 1 for _, ups, los in toggles)
+    }
+    assert len(two_candidates) == 7 and "tree-0" not in two_candidates
+    monkeypatch.setattr(rsk_module, "_toggle_all", LAST_PASSAGE_MUTANTS[mutant])
+    failed = {e.name for e in entries if _last_passage_checks(e.poset, e.name, 10, 9)[1]}
+    assert failed == (set() if mutant == "max-below" else two_candidates)

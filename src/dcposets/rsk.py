@@ -29,10 +29,11 @@ toggles.  ``rsk`` and ``inverse_rsk`` are the Fraction edges over them.
 The Jacobian builds no matrix and records nothing: its determinant is
 the parity of the step table's toggle count, and its one run is ``_run``
 with ``_strict_step``, a step that reads each side as ``_toggle_all``
-does on a list but refuses a tie.  Criterion 6 checks the kernel's
-derivative along a random direction against that same strict step: at a
-point scaled far enough from every tie, the strict run makes the base
-point's choices, so it lands where the derivative says.  Elements of one
+does on a list but refuses a tie.  Criterion 6 runs the kernel and that
+same strict step on X = K T + v, T a drawn filling and v a random
+direction: K is large enough that every side not tied at T chooses at X
+as at T, and v breaks T's ties, so X ties with probability at most
+1/(2V) per pair tied at T, V the direction bound.  Elements of one
 diagonal never cover each other, so the toggles of one step read no
 label another of them writes: they commute.
 
@@ -641,49 +642,49 @@ def _strict_step(labels: list[int], toggles: Iterable[Toggle]) -> None:
 
 
 def _derivative_check(P: Poset, labels: Sequence[int], rng: Random, analysis: PosetAnalysis) -> int | None:
-    """The first element where the kernel's derivative at a generic point is not J, or None.
+    """The first element where the kernel's run on K T + v is not the map's, or None.
 
     ``labels`` are a nonnegative filling's integer labels T over a common
-    denominator, as :func:`hooks.random_scaled_point` draws them, and J is
-    the linear map that the choices of the run on T spell out
-    (:func:`rsk_jacobian_det`).  A :func:`_strict_step` run along the
-    stable program on T raises :class:`NonGenericPoint` at a tie, before
-    ``rng`` is read.  Then a direction v with entries uniform on -V..V-1,
-    V = ``DIRECTION_BOUND``, is drawn from ``rng`` by one ``getrandbits``,
-    each entry a slice of log2(2V) bits less V.  With K = 2GV + 1, G the
-    program's forward growth (:func:`program_growth`), the strict step
-    and the kernel under test, :func:`_run` with its own step function,
-    each run on a copy of K T + v.  The strict run lands on
-    K Phi(T) + J v, as shown below, and the result names the first
-    element, by id, where the kernel's run differs from it, or None.  J's
+    denominator, as :func:`hooks.random_scaled_point` draws them.  A
+    direction v with entries uniform on -V..V-1, V = ``DIRECTION_BOUND``,
+    is drawn from ``rng`` by one ``getrandbits``, each entry a slice of
+    log2(2V) bits less V.  With K = 2GV + 1, G the program's forward
+    growth (:func:`program_growth`), the strict step and the kernel under
+    test, :func:`_run` with its own step function, each run on a copy of
+    X = K T + v.  The strict run raises :class:`NonGenericPoint` at a tie
+    at X, and otherwise lands on K Phi(T) + J_X v, as shown below, J_X the
+    linear map its choices spell out.  The result names the first element,
+    by id, where the kernel's run differs from it, or None.  J_X's
     determinant is not checked: it is (-1)^(n + T'), T' the toggle count,
     whatever the choices.
 
-    Why K suffices.  Run the strict step on K T + v beside its run on T.
-    By induction over the steps, every label is K l + r.v, with l the
-    base run's label at that step and r its row of the partial product of
-    the base run's linear maps.  Those rows' L1 norms obey N_c = 1 and
+    Why K suffices.  By induction over the steps, every label of the
+    strict run at X is K l + r.v, with l the label of the run on T at that
+    step and r its row of the partial product of the linear maps that the
+    choices at X spell out.  Those rows' L1 norms obey N_c = 1 and
     N_e <- N_e + N_x + N_y, for e toggled against its chosen covers x and
     y and an absent cover's N 0, and :func:`program_growth`'s
-    M_e <- M_e + max M above + max M below, a max over a side being at
-    least its chosen cover's, is at least N element by element.  So
-    |r.v| <= G V.  At T two candidates x and u of one side have distinct
-    integer labels, so K |l_x - l_u| >= K > 2 G V >= |r_x.v - r_u.v|:
-    the side meets no tie at K T + v, and its strict winner there is its
-    winner at T.  The toggle writes K (l_x + l_y - l_e) + (r_x + r_y - r_e).v,
-    and a negation K (-l_c) + (-r_c).v, the next step's form.  At the end
-    the labels are K Phi(T) + J v, since Phi(K T) = K Phi(T) by
-    homogeneity.
+    M_e <- M_e + max M above + max M below is at least N element by
+    element.  So |r.v| <= G V.  Two candidates x and u of one side with
+    distinct integer labels at T have K |l_x - l_u| >= K > 2 G V >=
+    |r_x.v - r_u.v|, so the winner at X is the winner at T.  A side tied at
+    T gives the same l whichever candidate wins, and v picks the piece.  So
+    a toggle writes K (l_x + l_y - l_e) + (r_x + r_y - r_e).v, and a
+    negation K (-l_c) + (-r_c).v, the next step's form, and the run ends at
+    K Phi(T) + J_X v, since Phi(K T) = K Phi(T) by homogeneity.  A tie at X
+    needs (r_x - r_u).v = 0 for a pair tied at T.  The partial product is
+    invertible, so r_x != r_u, and for each way the earlier ties break,
+    that happens with probability at most 1/(2V).
 
     What it catches.  Say the kernel under test gives
-    K Phi(T) + J v + delta(v) with delta_e(v) = c + w.v on some element e,
-    (c, w) != 0.  If w = 0 the check fails at every v.  Otherwise some
-    w_j != 0, and whatever the other entries of v, at most one of the
-    2V values of v_j makes delta_e(v) = 0: a discrepancy linear in v is
-    missed with probability at most 1/(2V).
+    K Phi(T) + J_X v + delta(v), with delta_e(v) = c + w.v on some element
+    e, (c, w) != 0, wherever v breaks T's ties one way.  If w = 0 the check
+    fails at every such v.  Otherwise some w_j != 0, and whatever the other
+    entries of v, at most one of the 2V values of v_j makes delta_e(v) = 0:
+    a discrepancy linear in v is missed with probability at most 1/(2V)
+    per way, and a T with no tie has one way.
     """
     program = analysis.insertion_program
-    _run(list(labels), program, step=_strict_step)
     width = DIRECTION_BOUND.bit_length()
     bits = rng.getrandbits(width * P.n)
     v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]

@@ -590,6 +590,65 @@ def _last_passage(P, t):
     return f
 
 
+
+# -- reverse P-partitions and the hook series ---------------------------------
+
+
+def _brute_force_reverse_partitions(P, N):
+    """Every order-reversing sigma: P -> {0, 1, ...} of weight sum_p sigma_p = N, each once.
+
+    Order-reversing means sigma_a >= sigma_b for each cover a < b.  A
+    top-down backtrack that reads only ``P.covers``: it visits the
+    elements from the maximal ones down, each after its upper covers, and
+    gives each every value from the largest of its upper covers' up to
+    what the weight leaves.  A sigma is one path of the search, so it is
+    listed once.
+    """
+    ups = [[] for _ in range(P.n)]
+    downs = [[] for _ in range(P.n)]
+    for a, b in P.covers:
+        ups[a].append(b)
+        downs[b].append(a)
+    waiting = [len(u) for u in ups]
+    ready = [p for p in range(P.n) if not ups[p]]
+    order = []
+    while ready:
+        p = ready.pop()
+        order.append(p)
+        for q in downs[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                ready.append(q)
+    sigma = [0] * P.n
+    found = []
+
+    def extend(i, rest):
+        if i == len(order):
+            if not rest:
+                found.append(tuple(sigma))
+            return
+        p = order[i]
+        for value in range(max((sigma[u] for u in ups[p]), default=0), rest + 1):
+            sigma[p] = value
+            extend(i + 1, rest - value)
+
+    extend(0, N)
+    return found
+
+
+def _reference_hook_series(hooks, N0):
+    """The coefficients of q^0 .. q^N0 in prod_p 1/(1 - q^(h_p)), by an integer DP.
+
+    Multiplying by 1/(1 - q^h) = 1 + q^h + q^(2h) + ... adds to each
+    coefficient, from low to high, the already updated one h below it.
+    """
+    coefficients = [1] + [0] * N0
+    for h in hooks:
+        for k in range(h, N0 + 1):
+            coefficients[k] += coefficients[k - h]
+    return coefficients
+
+
 # -- the stable insertion order -----------------------------------------------
 
 

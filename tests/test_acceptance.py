@@ -7,6 +7,7 @@ Carlo comparison uses a pinned seed.
 
 import importlib
 import math
+import time
 from fractions import Fraction
 from functools import reduce
 from random import Random
@@ -26,7 +27,13 @@ from dcposets.classical import (
     toggle_rpp,
 )
 from dcposets.families import young_box_ids
-from dcposets.hooks import exact_labels, hook_numerators, random_rational_point, random_scaled_points
+from dcposets.hooks import (
+    exact_labels,
+    hook_numerators,
+    random_rational_point,
+    random_scaled_point,
+    random_scaled_points,
+)
 from dcposets.rsk import (
     DIRECTION_BOUND,
     NonGenericPoint,
@@ -45,6 +52,7 @@ from conftest import (
     _max_below_step,
     _min_above,
     corpus,
+    large,
 )
 from oracles import _reference_program
 
@@ -284,6 +292,31 @@ def test_volume_preservation_catches_wrong_choices(prepared, monkeypatch, seam, 
     assert all(" point=" in line and " element=" in line for line in result.lines[1:])
 
 
+def test_volume_preservation_checks_every_point_it_draws(monkeypatch):
+    """Criterion 6 checks each of its 25 fillings, those with a tie included,
+    so it passes on large posets where nearly every filling has one.
+
+    When it skipped each filling with a tie and gave up after 1,000 draws,
+    both runs below failed with "found only 0 generic points".  Budget,
+    stated in advance: 1 s of CPU time for the two, analysis included.
+    """
+    draws = []
+
+    def counted(count, rng):
+        draws.append(count)
+        return random_scaled_point(count, rng)
+
+    monkeypatch.setattr(acceptance, "random_scaled_point", counted)
+    posets = [(name, large(name), seed) for name, seed in (("young-30x30", 0), ("shifted-40..1", 7))]
+    start = time.process_time()
+    for name, P, seed in posets:
+        draws.clear()
+        result = acceptance.volume_preservation([(name, P, analyze(P))], seed=seed)
+        assert result.ok, result.lines
+        assert draws == [P.n] * 25, name
+    assert time.process_time() - start < 1.0
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_kernel_runs_on_the_smallest_posets(n):
     # the kernel's label lists and matrices have exactly n rows, so the empty
@@ -468,6 +501,20 @@ def test_diagonal_sums_fail_like_the_trial_loop(mutant):
         assert any(" trial=0 " not in line for line in lines)
 
 
+@pytest.mark.parametrize("mutant", [None, "bump-hook-vector"])
+def test_diagonal_sums_compare_python_ints_like_the_trial_loop(monkeypatch, mutant):
+    # past the int64 bound criterion 4's label matrix holds Python ints, and
+    # both of its matrix products add them exactly; forced to that dtype on
+    # the mutant posets, its fail lines are still the per-trial loop's
+    label_matrix = acceptance._label_matrix
+    monkeypatch.setattr(acceptance, "_label_matrix", lambda values, growth: label_matrix(values, 2**62))
+    subset = _mutant_subset(mutant)
+    result = acceptance.diagonal_sum_identity(subset, trials=100, seed=SEED)
+    got = [line for line in result.lines if line.startswith("fail poset=")]
+    assert got == _loop_diagonal_sums(subset, 100, SEED)
+    assert bool(got) == (mutant is not None)
+
+
 def _loop_order_independence(prepared, trials, seed):
     """Criterion 5 as a per-trial loop: each trial's two orders drawn whole by
     random_descending_extension, compiled once per distinct order, and run
@@ -593,7 +640,6 @@ def _loop_derivative_check(P, filling, rng, a):
     a.ensure_d_complete()
     base, _ = exact_labels(filling, P.n, "filling", "elements")
     program = a.insertion_program
-    _run(base[:], program, step=rsk_module._strict_step)
     width = DIRECTION_BOUND.bit_length()
     bits = rng.getrandbits(width * P.n)
     v = [(bits >> width * j & 2 * DIRECTION_BOUND - 1) - DIRECTION_BOUND for j in range(P.n)]
@@ -610,22 +656,16 @@ def _loop_volume_preservation(prepared, points, seed):
     failures: list[str] = []
     for name, poset, a in prepared:
         rng = Random(seed)
-        done = 0
-        attempts = 0
-        while done < points and attempts < points * 40:
-            attempts += 1
+        for point in range(points):
             t = random_filling(poset.n, rng)
             try:
                 wrong = _loop_derivative_check(poset, t, rng, a)
             except NonGenericPoint:
-                continue
-            if wrong is not None:
-                failures.append(f"fail poset={name} seed={seed} point={done} element={wrong}")
+                failures.append(f"fail poset={name} seed={seed} point={point} tie at the scaled point")
                 break
-            done += 1
-        else:
-            if done < points:
-                failures.append(f"fail poset={name} seed={seed} found only {done} generic points")
+            if wrong is not None:
+                failures.append(f"fail poset={name} seed={seed} point={point} element={wrong}")
+                break
     return acceptance._result(
         "volume-preservation", failures, [f"posets={len(prepared)} points={points} seed={seed}"]
     )

@@ -7,7 +7,9 @@ insertion steps, no run that records its choices, two callers of the
 strict step, no call of a public ``Poset`` query method, one helper that
 picks a label matrix's dtype, one module that reads the ideal
 lattice's layout, and a battery whose ``run_all`` passes no count, so
-each shipped count lives in its criterion's signature.
+each shipped count lives in its criterion's signature, and whose
+``volume_preservation`` has no ``while`` loop, so no retry cap on its
+draws comes back, and checks each point by two runs.
 
 All read the sources with ``ast``, parsed once, so they import nothing
 and take a fraction of a second.
@@ -51,6 +53,8 @@ ORACLES = (
     "_reference_choices",
     "_reference_jacobian_rows",
     "_last_passage",
+    "_brute_force_reverse_partitions",
+    "_reference_hook_series",
     "_reference_stable_order",
     "_reference_is_stable",
     "_reference_ideal_levels",
@@ -302,3 +306,17 @@ def test_run_all_passes_no_count():
     counts = {"points", "trials", "samples"}
     passed = [k.arg for node in ast.walk(run_all) if isinstance(node, ast.Call) for k in node.keywords if k.arg in counts]
     assert passed == []
+
+
+def _function(module, name):
+    (function,) = [node for node in _package()[module].body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def test_volume_preservation_checks_each_draw_once():
+    # criterion 6 checks every filling it draws: no loop draws until enough
+    # fillings qualify, and its check runs the strict step and the kernel
+    # once each, with no run on the drawn filling to throw ties away
+    assert not any(isinstance(node, ast.While) for node in ast.walk(_function("acceptance", "volume_preservation")))
+    runs = [node for node in ast.walk(_function("rsk", "_derivative_check")) if _is_call_of(node, "_run")]
+    assert len(runs) == 2

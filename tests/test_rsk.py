@@ -81,10 +81,12 @@ from conftest import (
     shifted_box_ids,
 )
 from oracles import (
+    _brute_force_reverse_partitions,
     _dense_jacobian_rows,
     _finite_difference_det,
     _last_passage,
     _reference_choices,
+    _reference_hook_series,
     _reference_insertion,
     _reference_inverse,
     _reference_is_order_reversing,
@@ -1415,3 +1417,112 @@ def test_last_passage_catches_the_upper_side_mutants(monkeypatch, mutant):
     monkeypatch.setattr(rsk_module, "_toggle_all", LAST_PASSAGE_MUTANTS[mutant])
     failed = {e.name for e in entries if _last_passage_checks(e.poset, e.name, 10, 9)[1]}
     assert failed == (set() if mutant == "max-below" else two_candidates)
+
+
+# -- the bijection at integer level -------------------------------------------
+
+# the largest weight checked on the catalog, fixed in advance: at 4 the
+# wrong steps below escape on d6
+CATALOG_WEIGHT = 5
+
+
+def _hook_weighted_fillings(hooks, N):
+    """Every t in {0, 1, ...}^P with sum_p hooks[p] t_p = N, each a fresh list."""
+    small = [p for p, h in enumerate(hooks) if h <= N]
+    t = [0] * len(hooks)
+    found = []
+
+    def extend(i, rest):
+        if i == len(small):
+            if not rest:
+                found.append(t[:])
+            return
+        p = small[i]
+        for k in range(rest // hooks[p] + 1):
+            t[p] = k
+            extend(i + 1, rest - k * hooks[p])
+        t[p] = 0
+
+    extend(0, N)
+    return found
+
+
+def _weights_checked(a, hooks, N0):
+    """Per weight N <= N0: N, the four checks of the stable program's images
+    of the t with sum_p hooks[p] t_p = N, and the number of reverse
+    P-partitions of weight N.  The checks: every image is order-reversing of
+    weight N; the images are distinct; they are the enumerated partitions;
+    and those are as many as the hook series' coefficient of q^N."""
+    P = a.poset
+    for N, coefficient in enumerate(_reference_hook_series(hooks, N0)):
+        images = []
+        for labels in _hook_weighted_fillings(hooks, N):
+            _run(labels, a.insertion_program)
+            images.append(tuple(labels))
+        partitions = _brute_force_reverse_partitions(P, N)
+        checks = (
+            all(sum(s) == N and all(s[x] >= s[y] for x, y in P.covers) for s in images),
+            len(set(images)) == len(images),
+            set(images) == set(partitions),
+            len(partitions) == coefficient,
+        )
+        yield N, checks, len(partitions)
+
+
+def test_insertion_is_a_bijection_onto_the_reverse_partitions_of_each_weight():
+    """On every catalog poset and for every N <= 5, the stable program maps
+    the t in N^P with sum_p h_p t_p = N one to one onto the order-reversing
+    sigma: P -> N of weight N.
+
+    The images are order-reversing, of weight N and distinct, so the map is
+    injective and weight-preserving on them.  They are the reverse
+    P-partitions that ``_brute_force_reverse_partitions`` lists from the
+    covers alone, and those are as many as the coefficient of q^N in
+    prod_p 1/(1 - q^(h_p)).  An injective, weight-preserving map onto a set
+    of equal size is a bijection on each weight: the paper's bijection at
+    integer level, whose generating function is the hook product (Proctor
+    1999; Hillman-Grassl and Gansner for shapes).  Budget, stated in
+    advance: 1.2 s for the 33,846 partitions.
+    """
+    counted = 0
+    for entry in corpus("catalog"):
+        a = analyze(entry.poset)
+        for N, checks, count in _weights_checked(a, a.hook_lengths, CATALOG_WEIGHT):
+            assert all(checks), (entry.name, N, checks)
+            counted += count
+    assert counted == 33_846
+
+
+def test_integer_bijection_catches_wrong_steps_and_hooks(monkeypatch):
+    # each wrong step of the last-passage test fails on all 46 catalog posets
+    # with a two-candidate side, d6 only at weight 5; with downset sizes in
+    # place of the hooks, which differ on those same 46, the count alone is
+    # wrong on 34 of them
+    analyses = {e.name: analyze(e.poset) for e in corpus("catalog")}
+    two_candidates = {
+        name
+        for name, a in analyses.items()
+        if any(len(ups) > 1 or len(los) > 1 for _, toggles in a.insertion_program for _, ups, los in toggles)
+    }
+    assert len(two_candidates) == 46
+    downsets = {
+        name: tuple(sum(a.poset.leq(q, p) for q in range(a.poset.n)) for p in range(a.poset.n))
+        for name, a in analyses.items()
+    }
+    assert {name for name, a in analyses.items() if downsets[name] != a.hook_lengths} == two_candidates
+    miscounted = {
+        name
+        for name in two_candidates
+        for _, checks, _ in _weights_checked(analyses[name], downsets[name], CATALOG_WEIGHT)
+        if not checks[3]
+    }
+    assert len(miscounted) == 34
+    for mutant, step in LAST_PASSAGE_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(rsk_module, "_toggle_all", step)
+            first = {}
+            for name in two_candidates:
+                weights = _weights_checked(analyses[name], analyses[name].hook_lengths, CATALOG_WEIGHT)
+                first[name] = next((N for N, checks, _ in weights if not all(checks)), None)
+        assert None not in first.values(), mutant
+        assert {name for name, N in first.items() if N == CATALOG_WEIGHT} == {"d6"}, mutant
